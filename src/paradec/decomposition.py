@@ -94,11 +94,13 @@ def make_decomposition(
 
 def pieces_from_certificate(
     spec: GroupSpec, cert: Certificate, ts: TranslatingSets
-) -> PartialDecomposition:
+) -> "tuple[PartialDecomposition, DecompositionReport]":
     """Bucket phi_i targets by the translator that produced them.
 
     piece_i[s] = {g·s : g in D, phi_i(g) = g·s}.  Disjointness and coverage
-    follow from the certificate properties but are re-verified, not assumed.
+    follow from the certificate properties but are re-verified, not assumed:
+    the pieces are returned with their passing verification report over the
+    whole domain, and a failing one raises :class:`CertificateError`.
     """
     verify_certificate(spec, ts, cert)
     domain = cert.domain()
@@ -125,7 +127,7 @@ def pieces_from_certificate(
             f"overlaps={len(report.overlaps)} "
             f"uncovered={len(report.uncovered1) + len(report.uncovered2)}"
         )
-    return pd
+    return pd, report
 
 
 def verify_decomposition(

@@ -14,6 +14,7 @@ and a deficiency witness yields an explicit violating pair (A1, A2).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -190,23 +191,36 @@ def check_domain(
     return make_violator(spec, ts, a1, a2)
 
 
-def _union_size(spec, ts, a1, a2) -> int:
-    return len(
-        product_set(spec, a1, ts.s1) | product_set(spec, a2, ts.s2)
-    )
-
-
 def _shrink_violator(spec, ts, a1: list, a2: list) -> tuple[list, list]:
-    """Drop elements one at a time while the pair still violates."""
+    """Drop elements one at a time while the pair still violates.
+
+    Greedy over A1 then A2, each in element order.  The products g·s are
+    computed once and kept with their multiplicities, so a candidate removal
+    shrinks the union by the number of its products whose count drops to
+    zero: O(|S|) per candidate.  The result is checked again from scratch by
+    :func:`make_violator`.
+    """
     a1 = sorted(a1, key=spec.element_sort_key)
     a2 = sorted(a2, key=spec.element_sort_key)
-    for which in (a1, a2):
-        for g in list(which):
-            which.remove(g)
-            if _union_size(spec, ts, a1, a2) >= len(a1) + len(a2):
-                which.append(g)
-        which.sort(key=spec.element_sort_key)
-    return a1, a2
+    sides = [
+        [(g, [spec.multiply(g, s) for s in translators]) for g in which]
+        for which, translators in ((a1, ts.s1), (a2, ts.s2))
+    ]
+    counts = Counter(w for side in sides for _, row in side for w in row)
+    union_size = len(counts)
+    size = len(a1) + len(a2)
+    kept: tuple[list, list] = ([], [])
+    for side, keep in zip(sides, kept):
+        for g, row in side:
+            counts.subtract(row)
+            lost = sum(1 for w in row if counts[w] == 0)
+            if union_size - lost < size - 1:
+                union_size -= lost
+                size -= 1
+            else:
+                counts.update(row)
+                keep.append(g)
+    return kept
 
 
 # -- exhaustive oracle ---------------------------------------------------------

@@ -84,6 +84,22 @@ def union_product_count(spec, a1, s1, a2, s2):
     return len(products)
 
 
+def shrink_violator_oracle(spec, ts, a1, a2):
+    """Greedy violator shrink by full recount: drop elements of A1, then of
+    A2, in element order, recounting |A1·S1 ∪ A2·S2| from scratch for every
+    candidate removal and keeping the removal while the pair still
+    violates."""
+    a1 = sorted(a1, key=spec.element_sort_key)
+    a2 = sorted(a2, key=spec.element_sort_key)
+    for which in (a1, a2):
+        for g in list(which):
+            which.remove(g)
+            if union_product_count(spec, a1, ts.s1, a2, ts.s2) >= len(a1) + len(a2):
+                which.append(g)
+        which.sort(key=spec.element_sort_key)
+    return a1, a2
+
+
 def doubling_holds_naive(spec, ts, domain):
     """Quantifier over all subset pairs, written with itertools only."""
     from itertools import chain, combinations

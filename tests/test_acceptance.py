@@ -83,7 +83,7 @@ def test_criterion_2_free2_certificates_all_radii():
         verdict = check_domain(spec, ts, domain)
         assert isinstance(verdict, Certificate), f"violator at radius {radius}"
         verify_certificate(spec, ts, verdict)
-        pd = pieces_from_certificate(spec, verdict, ts)
+        pd, _ = pieces_from_certificate(spec, verdict, ts)
         assert verify_decomposition(spec, pd, ts, domain).passed
         entries.append((ts, frozenset(domain), verdict))
     freeness = free_up_to_length(spec, (1,), (2,), 6)
@@ -107,7 +107,7 @@ def test_criterion_3_free3_prop2_translating_sets():
         patch = ball(spec, radius)
         verdict = check_domain(spec, ts, patch.vertices)
         assert isinstance(verdict, Certificate), f"violator at radius {radius}"
-        pd = pieces_from_certificate(spec, verdict, ts)
+        pd, _ = pieces_from_certificate(spec, verdict, ts)
         assert verify_decomposition(spec, pd, ts, patch.vertices).passed
         assert ts.total_size() == 5
         assert pd.nonempty_piece_count() <= 5

@@ -356,3 +356,67 @@ class TestDeterminismAndErrors:
         with pytest.raises(SystemExit) as info:
             main(["check", "--group", "free:2"])
         assert info.value.code == 2
+
+    def test_matrix_overflow_exit_two(self, capsys):
+        code, out, err = run(
+            capsys,
+            "free-check",
+            "--group",
+            "sl2z",
+            "--g",
+            "A^10000000000000000000",
+            "--h",
+            "B",
+            "--max-length",
+            "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "64-bit" in err
+
+
+class TestMalformedReportInput:
+    @pytest.fixture
+    def check_output(self, capsys):
+        code, data, _ = run_json(
+            capsys,
+            "check",
+            "--group",
+            "free:2",
+            "--s1",
+            "1,a",
+            "--s2",
+            "1,b",
+            "--radius",
+            "1",
+        )
+        assert code == 0
+        return data
+
+    def test_missing_key_exit_two(self, capsys, tmp_path, check_output):
+        del check_output["s1"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(check_output))
+        code, out, err = run(capsys, "report", "--inputs", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: missing key 's1'\n"
+
+    def test_mistyped_key_exit_two(self, capsys, tmp_path, check_output):
+        check_output["verdict"] = ["certificate"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(check_output))
+        code, _, err = run(capsys, "report", "--inputs", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}: malformed input: ")
+
+    def test_freeness_missing_key_exit_two(self, capsys, tmp_path, check_output):
+        good = tmp_path / "check.json"
+        good.write_text(json.dumps(check_output))
+        free = tmp_path / "free.json"
+        free.write_text(json.dumps({"free": True, "witness": None}))
+        code, _, err = run(
+            capsys, "report", "--inputs", str(good), "--freeness", str(free)
+        )
+        assert code == 2
+        assert err == f"error: {free}: missing key 'max_length'\n"

@@ -40,7 +40,7 @@ class TestPiecesFromCertificate:
         e, x = (), (1,)
         ts = TranslatingSets(s1=(e, x), s2=(e, x))
         cert = Certificate(pairs1=((e, e),), pairs2=((e, x),))
-        pd = pieces_from_certificate(spec, cert, ts)
+        pd, _ = pieces_from_certificate(spec, cert, ts)
         assert pd.pieces1_map()[e] == frozenset([e])
         assert pd.pieces1_map()[x] == frozenset()
         assert pd.pieces2_map()[x] == frozenset([x])
@@ -52,16 +52,17 @@ class TestPiecesFromCertificate:
         ts = TranslatingSets.from_words(spec, "1,a", "1,b")
         domain = ball(spec, 3).vertices
         verdict = check_domain(spec, ts, domain)
-        pd = pieces_from_certificate(spec, verdict, ts)
+        pd, report = pieces_from_certificate(spec, verdict, ts)
         assert pd.nonempty_piece_count() == 4
-        assert verify_decomposition(spec, pd, ts, domain).passed
+        assert report.passed
+        assert report == verify_decomposition(spec, pd, ts, domain)
 
     def test_free3_ball3_pipeline(self):
         spec = free_group(3)
         ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
         domain = ball(spec, 3).vertices
         verdict = check_domain(spec, ts, domain)
-        pd = pieces_from_certificate(spec, verdict, ts)
+        pd, _ = pieces_from_certificate(spec, verdict, ts)
         assert pd.nonempty_piece_count() <= 5
         assert verify_decomposition(spec, pd, ts, domain).passed
 
@@ -84,7 +85,7 @@ class TestPiecesFromCertificate:
             ts = TranslatingSets.from_words(spec, s1, s2)
             domain = ball(spec, radius).vertices
             verdict = check_domain(spec, ts, domain)
-            pd = pieces_from_certificate(spec, verdict, ts)
+            pd, _ = pieces_from_certificate(spec, verdict, ts)
             assert verify_decomposition(spec, pd, ts, domain).passed
             assert pd.nonempty_piece_count() <= ts.total_size()
 
@@ -164,7 +165,7 @@ class TestFirstLetterPieces:
         ts = first_letter_translators()
         domain = ball(spec, radius).vertices
         verdict = check_domain(spec, ts, domain)
-        from_matching = pieces_from_certificate(spec, verdict, ts)
+        from_matching, _ = pieces_from_certificate(spec, verdict, ts)
         assert verify_decomposition(spec, from_matching, ts, domain).passed
         constructed = first_letter_pieces(2, domain)
         report = verify_decomposition(spec, constructed, ts, domain)
@@ -267,7 +268,7 @@ class TestSerialization:
         spec = free_group(2)
         ts = TranslatingSets.from_words(spec, "1,a", "1,b")
         domain = ball(spec, 2).vertices
-        pd = pieces_from_certificate(spec, check_domain(spec, ts, domain), ts)
+        pd, _ = pieces_from_certificate(spec, check_domain(spec, ts, domain), ts)
         data = json.loads(json.dumps(decomposition_to_jsonable(spec, pd)))
         assert decomposition_from_jsonable(spec, data) == pd
 
@@ -275,7 +276,7 @@ class TestSerialization:
         spec = free_group(2)
         ts = TranslatingSets.from_words(spec, "1,a", "1,b")
         domain = ball(spec, 2).vertices
-        pd = pieces_from_certificate(spec, check_domain(spec, ts, domain), ts)
+        pd, _ = pieces_from_certificate(spec, check_domain(spec, ts, domain), ts)
         report = verify_decomposition(spec, pd, ts, domain)
         data = json.loads(json.dumps(verification_to_jsonable(spec, report)))
         assert verification_from_jsonable(spec, data) == report

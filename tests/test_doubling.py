@@ -24,10 +24,15 @@ from paradec import (
     verify_certificate,
     verify_violator,
 )
+import paradec.doubling as doubling
 from paradec.errors import DomainSizeError
 
 from helpers import random_element, standard_gens
-from oracles import doubling_holds_naive, union_product_count
+from oracles import (
+    doubling_holds_naive,
+    shrink_violator_oracle,
+    union_product_count,
+)
 
 
 def ball_vertices(spec, radius):
@@ -176,6 +181,41 @@ def test_oracle_equivalence_random_instances(spec):
             verify_violator(spec, ts, slow)
         else:
             verify_certificate(spec, ts, fast)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [free_abelian_group(2), free_group(2), cyclic_group(7), cyclic_group(12)],
+    ids=["ab2", "free2", "cyc7", "cyc12"],
+)
+def test_incremental_shrink_matches_recount_oracle(spec, monkeypatch):
+    """Every shrink that check_domain runs on a random instance returns the
+    same (A1, A2) as the full-recount shrink, and the violator verifies."""
+    calls = []
+    shrink = doubling._shrink_violator
+
+    def recording_shrink(spec, ts, a1, a2):
+        result = shrink(spec, ts, list(a1), list(a2))
+        calls.append((a1, a2, result))
+        return result
+
+    monkeypatch.setattr(doubling, "_shrink_violator", recording_shrink)
+    rng = random.Random(f"{spec.model}:{spec.rank}:{spec.order}")
+    for _ in range(120):
+        s1 = list({random_element(spec, rng, 2) for _ in range(rng.randint(1, 3))})
+        s2 = list({random_element(spec, rng, 2) for _ in range(rng.randint(1, 3))})
+        ts = TranslatingSets(s1=tuple(s1), s2=tuple(s2))
+        domain = {random_element(spec, rng, 4) for _ in range(rng.randint(1, 30))}
+        calls.clear()
+        verdict = check_domain(spec, ts, domain)
+        if isinstance(verdict, Violator):
+            [(a1, a2, result)] = calls
+            expected = shrink_violator_oracle(spec, ts, a1, a2)
+            assert result == expected
+            assert (list(verdict.a1), list(verdict.a2)) == expected
+            verify_violator(spec, ts, verdict)
+        else:
+            assert not calls
 
 
 class TestViolatorProperties:

@@ -1,0 +1,63 @@
+"""Golden stdout: fixed CLI calls must print the same bytes as when frozen.
+
+Each case is (name, expected exit code, argv); its stdout is stored as
+``tests/golden/<name>.out``.  To refreeze after a deliberate output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from paradec.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_A_POWERS = ",".join(["1", "a"] + [f"a^{k}" for k in range(2, 9)])
+_B_POWERS = ",".join(["1", "b"] + [f"b^{k}" for k in range(2, 9)])
+_FREE3 = ["--group", "free:3", "--s1", "1,a", "--s2", "1,b,c", "--radius", "3"]
+
+CASES = [
+    (
+        "check_abelian2_r16_json",
+        1,
+        ["check", "--group", "abelian:2", "--s1", "1,a", "--s2", "1,b,a b",
+         "--radius", "16", "--format", "json"],
+    ),
+    (
+        "violate_abelian2_powers_json",
+        0,
+        ["violate", "--group", "abelian:2", "--s1", _A_POWERS, "--s2", _B_POWERS,
+         "--max-radius", "16", "--format", "json"],
+    ),
+    ("decompose_free3_r3_json", 0, ["decompose", *_FREE3, "--format", "json"]),
+    ("decompose_free3_r3_text", 0, ["decompose", *_FREE3, "--format", "text"]),
+]
+
+
+def run_case(argv):
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = main(list(argv))
+    return code, buffer.getvalue()
+
+
+@pytest.mark.parametrize("name,expect_rc,argv", CASES, ids=[c[0] for c in CASES])
+def test_stdout_matches_golden(name, expect_rc, argv):
+    code, out = run_case(argv)
+    assert code == expect_rc
+    assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, expect_rc, argv in CASES:
+        code, out = run_case(argv)
+        if code != expect_rc:
+            sys.exit(f"{name}: exit {code}, expected {expect_rc}")
+        (GOLDEN / f"{name}.out").write_text(out)
+        print(f"wrote {name}.out", file=sys.stderr)
