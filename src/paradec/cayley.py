@@ -106,7 +106,8 @@ class CayleyPatch:
 
     Vertex 0 is the identity.  ``edges`` holds every labeled product that
     stays inside the patch; the unoriented simple view (no loops, no
-    parallel edges) is available via :meth:`simple_edges`.
+    parallel edges) is available via :meth:`simple_edges`, and the vertices
+    whose whole star stays inside via :meth:`interior`.
     """
 
     spec: GroupSpec
@@ -117,6 +118,9 @@ class CayleyPatch:
     edges: tuple[tuple[int, str, int, int], ...]
     _index: dict = field(init=False, repr=False, compare=False, default=None)
     _simple: "tuple[tuple[int, int], ...] | None" = field(
+        init=False, repr=False, compare=False, default=None
+    )
+    _interior: "tuple[Element, ...] | None" = field(
         init=False, repr=False, compare=False, default=None
     )
 
@@ -144,6 +148,24 @@ class CayleyPatch:
             }
             object.__setattr__(self, "_simple", tuple(sorted(seen)))
         return self._simple
+
+    def interior(self) -> tuple[Element, ...]:
+        """Vertices, in patch order, whose whole S ∪ S⁻¹ star lies in the patch.
+
+        ``edges`` holds one edge per vertex and symmetrized generator whose
+        product stays inside, so a vertex is interior exactly when it has as
+        many outgoing edges as the symmetrized view has elements.
+        """
+        if self._interior is None:
+            star = len(self.gens.symmetrized(self.spec))
+            degree = [0] * len(self.vertices)
+            for u, _, _, _ in self.edges:
+                degree[u] += 1
+            interior = tuple(
+                v for v, d in zip(self.vertices, degree) if d == star
+            )
+            object.__setattr__(self, "_interior", interior)
+        return self._interior
 
     def sphere_sizes(self) -> list[int]:
         counts = [0] * (self.radius + 1)
@@ -214,6 +236,8 @@ def enumerate_ball(
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     budget = default_vertex_budget() if vertex_budget is None else vertex_budget
+    if budget < 1:
+        raise ValueError("vertex budget must be positive")
     view = gens.symmetrized(spec)
     identity = spec.identity()
     vertices: list[Element] = [identity]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .cayley import product_set
+from .cayley import format_label, parse_label, product_set
 from .doubling import Certificate, TranslatingSets, Verdict, verify_certificate
 from .errors import CertificateError
 from .groups import Element, GroupSpec
@@ -238,9 +238,7 @@ class FreenessResult:
     def witness_text(self) -> "str | None":
         if self.witness is None:
             return None
-        return " ".join(
-            name if sign > 0 else f"{name}^-1" for name, sign in self.witness
-        )
+        return " ".join(format_label(name, sign) for name, sign in self.witness)
 
 
 def free_up_to_length(
@@ -397,6 +395,15 @@ def decomposition_from_jsonable(spec: GroupSpec, data: dict) -> PartialDecomposi
         pieces2=family(data["pieces2"]),
         domain=frozenset(spec.parse_element(x) for x in data["domain"]),
     )
+
+
+def freeness_from_jsonable(data: dict) -> FreenessResult:
+    """Read back the ``max_length`` and ``witness`` of a ``free-check`` output."""
+    free_up_to = data["max_length"]
+    witness = data["witness"]
+    if witness is not None:
+        witness = tuple(parse_label(token) for token in witness.split())
+    return FreenessResult(free_up_to=free_up_to, witness=witness)
 
 
 def verification_to_jsonable(spec: GroupSpec, report: DecompositionReport) -> dict:

@@ -379,7 +379,7 @@ def audit_from_jsonable(spec: GroupSpec, data: dict) -> ForestAudit:
     )
 
 
-def _identify_triple(
+def identify_triple(
     spec: GroupSpec, gens: GeneratingSet, ts: TranslatingSets
 ) -> tuple[str, str, str]:
     """Match S1 = {1, a}, S2 = {1, b, c} against a named generating triple."""
@@ -410,9 +410,11 @@ def audit_counting_argument(
     a1: Iterable[Element],
     a2: Iterable[Element],
     ts: TranslatingSets,
-    gens: GeneratingSet,
 ) -> ForestAudit:
     """Replay the forest counting chain on concrete data.
+
+    S1 = {1, a} and S2 = {1, b, c} must name the generators of the forest's
+    patch, and A2 must lie in its interior (:meth:`CayleyPatch.interior`).
 
     The degree hypothesis |E| >= 5|A2| is recorded like every other entry:
     it holds on patches whose interior degree is at least 5 (a rank-3 tree
@@ -422,8 +424,8 @@ def audit_counting_argument(
     if forest.patch is None:
         raise ValueError("the audit needs a forest sampled from a Cayley patch")
     patch = forest.patch
-    spec = patch.spec
-    a_sym, _, _ = _identify_triple(spec, gens, ts)
+    spec, gens = patch.spec, patch.gens
+    a_sym, _, _ = identify_triple(spec, gens, ts)
     a_elem = gens.element(a_sym)
     a1 = sorted(set(a1), key=spec.element_sort_key)
     a2 = sorted(set(a2), key=spec.element_sort_key)
@@ -441,13 +443,13 @@ def audit_counting_argument(
     bc_elements = {s for s in ts.s2 if s != spec.identity()}
 
     # Escape checks: A2 needs its whole symmetrized star, A1 its a-translate.
+    interior = frozenset(patch.interior())
     for g in a2:
-        for sym, sign, t in view:
-            if spec.multiply(g, t) not in patch:
-                raise PatchEscapeError(
-                    f"product of {spec.format_element(g)} with "
-                    f"{sym}^{sign} leaves the patch; shrink A2 or grow the patch"
-                )
+        if g not in interior:
+            raise PatchEscapeError(
+                f"{spec.format_element(g)} is not interior: its star leaves "
+                "the patch; shrink A2 or grow the patch"
+            )
     for g in a1:
         if spec.multiply(g, a_elem) not in patch:
             raise PatchEscapeError(
@@ -609,17 +611,15 @@ def degree_statistics(
         raise ValueError("need at least one sample")
     spec = patch.spec
     a2 = sorted(set(a2), key=spec.element_sort_key)
-    view = patch.gens.symmetrized(spec)
+    interior = frozenset(patch.interior())
     indices = []
     for g in a2:
         if g not in patch:
             raise PatchEscapeError(f"{spec.format_element(g)} is not a patch vertex")
-        for sym, sign, t in view:
-            if spec.multiply(g, t) not in patch:
-                raise PatchEscapeError(
-                    f"{spec.format_element(g)} is not interior: its "
-                    f"{sym}^{sign} neighbour leaves the patch"
-                )
+        if g not in interior:
+            raise PatchEscapeError(
+                f"{spec.format_element(g)} is not interior: its star leaves the patch"
+            )
         indices.append(patch.index_of(g))
     sums = []
     for i in range(num_samples):

@@ -154,7 +154,6 @@ def test_criterion_4_amenable_violators():
 
 def test_criterion_5_forest_audit_on_free3_ball4():
     spec = free_group(3)
-    gens = standard_gens(spec)
     patch = ball(spec, 4)
     ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
     interior = [w for w in patch.vertices if len(w) <= 3]
@@ -169,7 +168,7 @@ def test_criterion_5_forest_audit_on_free3_ball4():
                 break
         a1 = rng.sample(interior, k1)
         a2 = rng.sample(interior, k2)
-        audit = audit_counting_argument(forest, a1, a2, ts, gens)
+        audit = audit_counting_argument(forest, a1, a2, ts)
         for name in (
             "degree_sum",
             "e1_lower",
@@ -188,7 +187,7 @@ def test_criterion_5_forest_audit_on_free3_ball4():
     assert passes == 100
     e = spec.identity()
     single = audit_counting_argument(
-        sample_forest_containing_a_edges(patch, "a", 0), [e], [e], ts, gens
+        sample_forest_containing_a_edges(patch, "a", 0), [e], [e], ts
     )
     assert (
         len(single.e),

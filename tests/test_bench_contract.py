@@ -1,0 +1,52 @@
+"""The bench tracer (``perfbench/tracer.py``) wraps paradec functions and
+methods by name, and swaps ``paradec.cli``'s module globals ``json`` and
+``main``.  A rename that breaks one of these must fail here rather than in
+every bench operation.  The tracer's tables are read from its source, not
+imported, so nothing under ``perfbench/`` runs or changes.
+"""
+
+import ast
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tables() -> dict:
+    tables = {}
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("FUNCTIONS", "METHODS"):
+                tables[name] = ast.literal_eval(node.value)
+    return tables
+
+
+TABLES = _tables()
+
+
+def test_tables_found():
+    assert TABLES["FUNCTIONS"] and TABLES["METHODS"]
+
+
+@pytest.mark.parametrize(
+    "module,attr", TABLES["FUNCTIONS"].values(), ids=list(TABLES["FUNCTIONS"])
+)
+def test_traced_function_resolves(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize(
+    "module,cls,attr", TABLES["METHODS"].values(), ids=list(TABLES["METHODS"])
+)
+def test_traced_method_resolves(module, cls, attr):
+    assert callable(getattr(getattr(importlib.import_module(module), cls), attr))
+
+
+def test_cli_module_globals():
+    cli = importlib.import_module("paradec.cli")
+    assert cli.json is json
+    assert callable(cli.main)

@@ -74,6 +74,28 @@ class TestEnumerateBall:
         assert first.vertices == second.vertices
         assert first.edges == second.edges
 
+    @pytest.mark.parametrize(
+        "spec,radius",
+        [
+            (free_group(3), 3),
+            (free_abelian_group(3), 2),
+            (cyclic_group(7), 2),
+            (matrix_group(), 2),
+        ],
+        ids=["free3-r3", "ab3-r2", "cyc7-r2", "sl2z-r2"],
+    )
+    def test_interior_matches_multiply_definition(self, spec, radius):
+        gens = standard_gens(spec)
+        patch = enumerate_ball(spec, gens, radius)
+        view = gens.symmetrized(spec)
+        expected = tuple(
+            v for v in patch.vertices
+            if all(spec.multiply(v, t) in patch for _, _, t in view)
+        )
+        assert expected and expected != patch.vertices
+        assert patch.interior() == expected
+        assert patch.interior() is patch.interior()
+
     def test_identity_is_vertex_zero_and_no_duplicates(self):
         for spec in all_model_specs():
             patch = enumerate_ball(spec, standard_gens(spec), 2)

@@ -213,6 +213,63 @@ class TestForestAudit:
         assert code == 0
         assert data["all_passed"]
 
+    def test_a_symbol_taken_from_s1(self, capsys):
+        # S1 = {1, b}: the forests must contain every b-edge, and the
+        # audit's E3 edges are b-edges; the degree hypothesis fails honestly
+        # in Z^3, so the run is a negative, not an error
+        code, data, err = run_json(
+            capsys,
+            "forest-audit",
+            "--group",
+            "abelian:3",
+            "--radius",
+            "4",
+            "--samples",
+            "5",
+            "--seed",
+            "3",
+            "--s1",
+            "1,b",
+            "--s2",
+            "1,a,c",
+        )
+        assert code == 1 and err == ""
+        for audit in data["audits"]:
+            assert audit["e3"] and {sym for _, sym, _, _ in audit["e3"]} == {"b"}
+            passed = {c["name"]: c["passed"] for c in audit["ledger"]}
+            assert passed["e3_counts_a1"] and passed["lambda_forest"]
+            assert not passed["degree_sum"]
+
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            ("--samples", "sample count must be at least 1"),
+            # zero once drew empty A1 and A2 forever
+            ("--max-set-size", "max set size must be at least 1"),
+        ],
+    )
+    def test_nonpositive_count_exit_two(self, capsys, option, message):
+        code, out, err = run(
+            capsys, "forest-audit", "--group", "free:3", "--radius", "2", option, "0"
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("given", ["--s1", "--s2"])
+    def test_one_translating_set_alone_exit_two(self, capsys, given):
+        code, out, err = run(
+            capsys,
+            "forest-audit",
+            "--group",
+            "free:3",
+            "--radius",
+            "2",
+            given,
+            "1,a",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --s1 and --s2 must be given together\n"
+
 
 class TestFreeCheck:
     def test_matrix_pair(self, capsys):
@@ -247,11 +304,18 @@ class TestFreeCheck:
         assert code == 1
         assert data["witness"] == "g h g^-1 h^-1"
 
+    def test_budget_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["free-check", "--group", "free:2", "--g", "a", "--h", "b",
+                  "--max-length", "2", "--budget", "5"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
 
 class TestReport:
     def test_aggregation_pipeline(self, capsys, tmp_path):
         specs = [
-            ("free:2", "1,a", "1,b", "4.json"),
+            ("free:3", "1,a", "1,b", "4.json"),
             ("free:3", "1,a", "1,b,c", "5.json"),
         ]
         paths = []
@@ -276,7 +340,7 @@ class TestReport:
             capsys,
             "free-check",
             "--group",
-            "free:2",
+            "free:3",
             "--g",
             "a",
             "--h",
@@ -352,6 +416,14 @@ class TestDeterminismAndErrors:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_nonpositive_budget_exit_two(self, capsys, budget):
+        code, out, err = run(
+            capsys, "ball", "--group", "free:2", "--radius", "3", "--budget", budget
+        )
+        assert code == 2 and out == ""
+        assert err == "error: vertex budget must be positive\n"
+
     def test_usage_error_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["check", "--group", "free:2"])
@@ -420,3 +492,31 @@ class TestMalformedReportInput:
         )
         assert code == 2
         assert err == f"error: {free}: missing key 'max_length'\n"
+
+    def test_failed_verification_exit_one(self, capsys, tmp_path, check_output):
+        phi1 = check_output["verdict"]["phi1"]
+        phi1[0][1], phi1[1][1] = phi1[1][1], phi1[0][1]
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(check_output))
+        code, out, err = run(capsys, "report", "--inputs", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"verification failed: {path}: ")
+
+    def test_mixed_groups_exit_two(self, capsys, tmp_path, check_output):
+        good = tmp_path / "check.json"
+        good.write_text(json.dumps(check_output))
+        _, freeness, _ = run_json(
+            capsys, "free-check", "--group", "abelian:2", "--g", "a", "--h", "b",
+            "--max-length", "4",
+        )
+        free = tmp_path / "free.json"
+        free.write_text(json.dumps(freeness))
+        code, out, err = run(
+            capsys, "report", "--inputs", str(good), "--freeness", str(free)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {free}: group abelian:2 differs from free:2 in {good}\n"
+        )

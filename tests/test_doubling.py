@@ -1,5 +1,6 @@
 import json
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,7 +167,9 @@ class TestBruteForce:
     ids=["free2", "free3", "ab1", "ab2", "cyc5", "cyc6", "sl2z"],
 )
 def test_oracle_equivalence_random_instances(spec):
-    rng = random.Random((hash(spec.model) ^ spec.rank ^ (spec.order or 0)) & 0xFFFF)
+    rng = random.Random(
+        (zlib.crc32(spec.model.encode()) ^ spec.rank ^ (spec.order or 0)) & 0xFFFF
+    )
     for _ in range(50):
         s1 = list({random_element(spec, rng, 2) for _ in range(rng.randint(1, 2))})
         s2 = list({random_element(spec, rng, 2) for _ in range(rng.randint(1, 3))})

@@ -214,12 +214,11 @@ def rank3_translators(spec):
 class TestAudit:
     def test_hand_computed_single_point(self):
         spec = free_group(3)
-        gens = standard_gens(spec)
         patch = ball(spec, 3)
         forest = sample_forest_containing_a_edges(patch, "a", 0)
         e = spec.identity()
         audit = audit_counting_argument(
-            forest, [e], [e], rank3_translators(spec), gens
+            forest, [e], [e], rank3_translators(spec)
         )
         assert len(audit.e) == 6
         assert len(audit.e1) == 3
@@ -233,11 +232,10 @@ class TestAudit:
 
     def test_empty_a1_still_passes(self):
         spec = free_group(3)
-        gens = standard_gens(spec)
         patch = ball(spec, 3)
         forest = sample_forest_containing_a_edges(patch, "a", 1)
         audit = audit_counting_argument(
-            forest, [], [spec.identity()], rank3_translators(spec), gens
+            forest, [], [spec.identity()], rank3_translators(spec)
         )
         assert audit.e3 == ()
         assert audit.all_passed
@@ -245,44 +243,40 @@ class TestAudit:
 
     def test_both_empty_rejected(self):
         spec = free_group(3)
-        gens = standard_gens(spec)
         forest = sample_forest_containing_a_edges(ball(spec, 2), "a", 0)
         with pytest.raises(ValueError):
-            audit_counting_argument(forest, [], [], rank3_translators(spec), gens)
+            audit_counting_argument(forest, [], [], rank3_translators(spec))
 
     def test_boundary_a2_escapes(self):
         spec = free_group(3)
-        gens = standard_gens(spec)
         patch = ball(spec, 2)
         forest = sample_forest_containing_a_edges(patch, "a", 0)
         boundary = [w for w in patch.vertices if len(w) == 2][0]
         with pytest.raises(PatchEscapeError):
             audit_counting_argument(
-                forest, [], [boundary], rank3_translators(spec), gens
+                forest, [], [boundary], rank3_translators(spec)
             )
 
     def test_wrong_shape_rejected(self):
         spec = free_group(3)
-        gens = standard_gens(spec)
         forest = sample_forest_containing_a_edges(ball(spec, 2), "a", 0)
         short = TranslatingSets.from_words(spec, "1,a", "1,b")
         with pytest.raises(ValueError):
-            audit_counting_argument(forest, [()], [()], short, gens)
+            audit_counting_argument(forest, [()], [()], short)
         not_gens = TranslatingSets.from_words(spec, "1,a", "1,b,a b")
         with pytest.raises(ValueError):
-            audit_counting_argument(forest, [()], [()], not_gens, gens)
+            audit_counting_argument(forest, [()], [()], not_gens)
 
     def test_overlapping_a1_a2_still_sound(self):
         # shared elements put the a-edge in both E1 and E3; the chain only
         # needs E2 and E3 disjoint, which keeps holding
         spec = free_group(3)
-        gens = standard_gens(spec)
         patch = ball(spec, 3)
         forest = sample_forest_containing_a_edges(patch, "a", 2)
         interior = [w for w in patch.vertices if len(w) <= 2]
         a1 = interior[:4]
         a2 = interior[:6]
-        audit = audit_counting_argument(forest, a1, a2, rank3_translators(spec), gens)
+        audit = audit_counting_argument(forest, a1, a2, rank3_translators(spec))
         assert audit.all_passed
         assert audit.check("e2_e3_disjoint").passed
 
@@ -296,7 +290,7 @@ class TestAudit:
         forest = sample_forest_containing_a_edges(patch, "a", 0)
         ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
         e = spec.identity()
-        audit = audit_counting_argument(forest, [e], [e], ts, gens)
+        audit = audit_counting_argument(forest, [e], [e], ts)
         assert not audit.check("degree_sum").passed
         assert audit.check("e1_lower").passed
         assert audit.check("lambda_forest").passed
@@ -305,11 +299,10 @@ class TestAudit:
 
     def test_json_round_trip(self):
         spec = free_group(3)
-        gens = standard_gens(spec)
         patch = ball(spec, 3)
         forest = sample_forest_containing_a_edges(patch, "a", 0)
         audit = audit_counting_argument(
-            forest, [()], [()], rank3_translators(spec), gens
+            forest, [()], [()], rank3_translators(spec)
         )
         data = json.loads(json.dumps(audit.to_jsonable(spec)))
         assert audit_from_jsonable(spec, data) == audit

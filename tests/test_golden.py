@@ -1,7 +1,9 @@
 """Golden stdout: fixed CLI calls must print the same bytes as when frozen.
 
 Each case is (name, expected exit code, argv); its stdout is stored as
-``tests/golden/<name>.out``.  To refreeze after a deliberate output change:
+``tests/golden/<name>.out``.  The ``report`` cases read earlier cases' JSON
+files as their inputs, so cases are frozen in list order.  To refreeze
+after a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,22 +22,39 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 _A_POWERS = ",".join(["1", "a"] + [f"a^{k}" for k in range(2, 9)])
 _B_POWERS = ",".join(["1", "b"] + [f"b^{k}" for k in range(2, 9)])
 _FREE3 = ["--group", "free:3", "--s1", "1,a", "--s2", "1,b,c", "--radius", "3"]
+_ABELIAN2_R16 = ["check", "--group", "abelian:2", "--s1", "1,a", "--s2", "1,b,a b",
+                 "--radius", "16"]
+_VIOLATE_POWERS = ["violate", "--group", "abelian:2", "--s1", _A_POWERS, "--s2",
+                   _B_POWERS, "--max-radius", "16"]
+_BALL = ["ball", "--group", "free:3", "--radius", "3"]
+_AUDIT = ["forest-audit", "--group", "free:3", "--radius", "3", "--samples", "4",
+          "--seed", "7"]
+_FREE_CHECK = ["free-check", "--group", "free:3", "--g", "a", "--h", "b",
+               "--max-length", "6"]
+_REPORT = ["report", "--inputs", str(GOLDEN / "check_free3_r2_json.out"),
+           "--freeness", str(GOLDEN / "free_check_free3_json.out")]
 
 CASES = [
-    (
-        "check_abelian2_r16_json",
-        1,
-        ["check", "--group", "abelian:2", "--s1", "1,a", "--s2", "1,b,a b",
-         "--radius", "16", "--format", "json"],
-    ),
-    (
-        "violate_abelian2_powers_json",
-        0,
-        ["violate", "--group", "abelian:2", "--s1", _A_POWERS, "--s2", _B_POWERS,
-         "--max-radius", "16", "--format", "json"],
-    ),
+    ("check_abelian2_r16_json", 1, [*_ABELIAN2_R16, "--format", "json"]),
+    ("check_abelian2_r16_text", 1, [*_ABELIAN2_R16, "--format", "text"]),
+    ("violate_abelian2_powers_json", 0, [*_VIOLATE_POWERS, "--format", "json"]),
+    ("violate_abelian2_powers_text", 0, [*_VIOLATE_POWERS, "--format", "text"]),
     ("decompose_free3_r3_json", 0, ["decompose", *_FREE3, "--format", "json"]),
     ("decompose_free3_r3_text", 0, ["decompose", *_FREE3, "--format", "text"]),
+    ("ball_free3_r3_json", 0, [*_BALL, "--format", "json"]),
+    ("ball_free3_r3_text", 0, [*_BALL, "--format", "text"]),
+    ("forest_audit_free3_r3_json", 0, [*_AUDIT, "--format", "json"]),
+    ("forest_audit_free3_r3_text", 0, [*_AUDIT, "--format", "text"]),
+    ("free_check_free3_json", 0, [*_FREE_CHECK, "--format", "json"]),
+    ("free_check_free3_text", 0, [*_FREE_CHECK, "--format", "text"]),
+    (
+        "check_free3_r2_json",
+        0,
+        ["check", "--group", "free:3", "--s1", "1,a", "--s2", "1,b,c", "--radius", "2",
+         "--format", "json"],
+    ),
+    ("report_free3_json", 0, [*_REPORT, "--format", "json"]),
+    ("report_free3_text", 0, [*_REPORT, "--format", "text"]),
 ]
 
 
