@@ -2,8 +2,9 @@
 
 Exit codes: 0 for success/pass, 1 for a mathematical negative (violator
 where a certificate was requested, failed verification, relation found),
-2 for usage or resource errors.  Reports go to stdout, diagnostics to
-stderr.  JSON output is byte-identical for identical configs and seeds.
+2 for usage or resource errors, 3 for an internal error (a bug, reported
+without a traceback).  Reports go to stdout, diagnostics to stderr.  JSON
+output is byte-identical for identical configs and seeds.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from .doubling import (
     verdict_from_jsonable,
     verdict_to_jsonable,
     verify_certificate,
+    verify_violator,
 )
-from .errors import CertificateError, MatrixOverflowError, ParseError, VertexBudgetError
+from .errors import CertificateError, ParadecError, ParseError, ViolatorError
 from .forest import (
     audit_counting_argument,
     identify_triple,
@@ -45,6 +47,7 @@ from .groups import GroupSpec, parse_group_spec, parse_word, spec_to_string
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 def _parse_generator_overrides(spec: GroupSpec, text: "str | None") -> GeneratingSet:
@@ -273,7 +276,7 @@ def cmd_free_check(args: argparse.Namespace) -> int:
     symbols = gens.mapping()
     g = spec.evaluate_word(parse_word(args.g), symbols)
     h = spec.evaluate_word(parse_word(args.h), symbols)
-    result = free_up_to_length(spec, g, h, args.max_length)
+    result = free_up_to_length(spec, g, h, args.max_length, args.budget)
     payload = _context(spec, gens, None)
     payload.update(
         {
@@ -335,15 +338,17 @@ def cmd_report(args: argparse.Namespace) -> int:
             )
     entries = []
     for path, spec, ts, verdict in inputs:
-        if isinstance(verdict, Certificate):
-            try:
+        try:
+            if isinstance(verdict, Certificate):
                 verify_certificate(spec, ts, verdict)
-            except CertificateError as exc:
-                print(f"verification failed: {path}: {exc}", file=sys.stderr)
-                return EXIT_NEGATIVE
-            entries.append((ts, verdict.domain(), verdict))
-        else:
-            entries.append((ts, frozenset(verdict.a1) | frozenset(verdict.a2), verdict))
+                domain = verdict.domain()
+            else:
+                verify_violator(spec, ts, verdict)
+                domain = frozenset(verdict.a1) | frozenset(verdict.a2)
+        except (CertificateError, ViolatorError) as exc:
+            print(f"verification failed: {path}: {exc}", file=sys.stderr)
+            return EXIT_NEGATIVE
+        entries.append((ts, domain, verdict))
     report = tarski_bound_report(entries, freeness)
     upper = "none" if report.upper is None else str(report.upper)
     text = f"upper bound: {upper}; lower bound: {report.lower}\n" + "\n".join(
@@ -362,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def group_command(name, run, summary, translators=None, budget=True):
+    def group_command(name, run, summary, translators=None):
         """A subcommand taking the group options.  ``translators`` is
         "required" or "optional" for --s1/--s2, or None when the command
         takes none (they then read as None)."""
@@ -373,8 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--gens",
             help="generator overrides as name=word pairs, comma separated",
         )
-        if budget:
-            p.add_argument("--budget", type=int, help="vertex budget override")
+        p.add_argument(
+            "--budget",
+            type=int,
+            help="vertex budget override; in free-check, the stored half-words",
+        )
         if translators:
             required = translators == "required"
             p.add_argument("--s1", required=required, help='translators, e.g. "1,a"')
@@ -417,10 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fa.add_argument("--max-set-size", type=int, default=4)
 
     p_free = group_command(
-        "free-check",
-        cmd_free_check,
-        "search for short relations in a pair",
-        budget=False,
+        "free-check", cmd_free_check, "search for short relations in a pair"
     )
     p_free.add_argument("--g", required=True, help="first element, word syntax")
     p_free.add_argument("--h", required=True, help="second element, word syntax")
@@ -439,9 +444,12 @@ def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, VertexBudgetError, MatrixOverflowError, OSError) as exc:
+    except (ParadecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

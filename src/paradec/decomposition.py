@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .cayley import format_label, parse_label, product_set
+from .cayley import default_vertex_budget, format_label, parse_label, product_set
 from .doubling import Certificate, TranslatingSets, Verdict, verify_certificate
-from .errors import CertificateError
+from .errors import CertificateError, VertexBudgetError
 from .groups import Element, GroupSpec
 
 TARSKI_FLOOR = 4
@@ -241,45 +241,103 @@ class FreenessResult:
         return " ".join(format_label(name, sign) for name, sign in self.witness)
 
 
+# The four letters of a word in g, h, in the witness order; letter i ^ 1 is
+# the inverse of letter i.
+_LETTERS = (("g", 1), ("g", -1), ("h", 1), ("h", -1))
+
+
 def free_up_to_length(
-    spec: GroupSpec, g: Element, h: Element, length: int
+    spec: GroupSpec,
+    g: Element,
+    h: Element,
+    length: int,
+    budget: "int | None" = None,
 ) -> FreenessResult:
     """True freeness evidence up to ``length``: every nonempty reduced word
     in {g±1, h±1} of that length or less must miss the identity.
 
-    Enumeration is depth-first over reduced words (last-letter exclusion
-    avoids the 4^L unreduced blowup), run length by length so the witness
-    returned is shortest, and lexicographically first among those in the
-    letter order g, g⁻¹, h, h⁻¹.
+    Meet in the middle.  A reduced word of length ℓ is x·y⁻¹, where x is its
+    first ⌈ℓ/2⌉ letters, and it is the identity exactly when the reduced
+    words x and y (of length ⌊ℓ/2⌋) have the same value and different last
+    letters.  So only the reduced words of length up to ⌈length/2⌉ are
+    built, level by level with one group multiply each, and grouped by
+    value; the first ℓ with such a pair is the shortest relation.  The
+    witness is the lexicographically first relation of that length in the
+    letter order g, g⁻¹, h, h⁻¹: the first x in that order that has a
+    partner, followed by the smallest y⁻¹.  Cost O(3^(length/2)).
+
+    A full search stores 2·3^⌈length/2⌉ − 1 words; when that exceeds
+    ``budget`` (default: the vertex budget) :class:`VertexBudgetError` is
+    raised before any word is built.
     """
     if length < 1:
         raise ValueError("length bound must be at least 1")
-    letters = (
-        ("g", 1, g),
-        ("g", -1, spec.invert(g)),
-        ("h", 1, h),
-        ("h", -1, spec.invert(h)),
-    )
-    identity = spec.identity()
+    budget = default_vertex_budget() if budget is None else budget
+    if budget < 1:
+        raise ValueError("vertex budget must be positive")
+    half = (length + 1) // 2
+    # 3^half exceeds any budget shorter than half bits, so the power is only
+    # formed when it is small.
+    if half > budget.bit_length() or 2 * 3**half - 1 > budget:
+        raise VertexBudgetError(
+            f"relations up to length {length} need 2*3^{half} - 1 stored "
+            f"half-words, over the vertex budget {budget}"
+        )
+    elements = (g, spec.invert(g), h, spec.invert(h))
+    # Level k lists the reduced words of length k in letter order, each as
+    # its value, the index of its prefix in level k - 1 and its last letter
+    # (-1 for the empty word, which no letter inverts).
+    values = [[spec.identity()]]
+    parents = [[-1]]
+    lasts = [[-1]]
+    by_value = [{values[0][0]: [0]}]
 
-    def dfs(prefix, value, remaining):
-        if remaining == 0:
-            return prefix if value == identity else None
-        last = prefix[-1] if prefix else None
-        for name, sign, element in letters:
-            if last is not None and last == (name, -sign):
-                continue
-            found = dfs(
-                prefix + [(name, sign)], spec.multiply(value, element), remaining - 1
-            )
-            if found is not None:
-                return found
+    def extend() -> None:
+        level_values, level_parents, level_lasts = [], [], []
+        for i, (value, last) in enumerate(zip(values[-1], lasts[-1])):
+            for letter, element in enumerate(elements):
+                if letter != last ^ 1:
+                    level_values.append(spec.multiply(value, element))
+                    level_parents.append(i)
+                    level_lasts.append(letter)
+        index: dict = {}
+        for i, value in enumerate(level_values):
+            index.setdefault(value, []).append(i)
+        values.append(level_values)
+        parents.append(level_parents)
+        lasts.append(level_lasts)
+        by_value.append(index)
+
+    def word(k: int, i: int) -> list:
+        letters = []
+        for level in range(k, 0, -1):
+            letters.append(lasts[level][i])
+            i = parents[level][i]
+        letters.reverse()
+        return letters
+
+    def relation(p: int, q: int) -> "list | None":
+        partners = by_value[q]
+        for i, value in enumerate(values[p]):
+            last = lasts[p][i]
+            tails = [
+                [letter ^ 1 for letter in reversed(word(q, j))]
+                for j in partners.get(value, ())
+                if lasts[q][j] != last
+            ]
+            if tails:
+                return word(p, i) + min(tails)
         return None
 
-    for target in range(1, length + 1):
-        witness = dfs([], identity, target)
-        if witness is not None:
-            return FreenessResult(free_up_to=length, witness=tuple(witness))
+    for ell in range(1, length + 1):
+        p, q = (ell + 1) // 2, ell // 2
+        if p == len(values):
+            extend()
+        found = relation(p, q)
+        if found is not None:
+            return FreenessResult(
+                free_up_to=length, witness=tuple(_LETTERS[i] for i in found)
+            )
     return FreenessResult(free_up_to=length, witness=None)
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .cayley import GeneratingSet, enumerate_ball, product_set
-from .errors import CertificateError, DomainSizeError
+from .errors import CertificateError, DomainSizeError, ViolatorError
 from .groups import Element, GroupSpec
 from .matching import UNMATCHED, alternating_reachable, hopcroft_karp
 
@@ -135,16 +135,19 @@ def verify_certificate(
 
 
 def verify_violator(spec: GroupSpec, ts: TranslatingSets, violator: Violator) -> None:
-    """Recompute the product-set union and check strict deficiency."""
+    """Recompute the product-set union and check strict deficiency.
+
+    Raises :class:`ViolatorError` on any failure.
+    """
     union = product_set(spec, violator.a1, ts.s1) | product_set(
         spec, violator.a2, ts.s2
     )
     if len(union) != violator.union_size:
-        raise ValueError(
+        raise ViolatorError(
             f"recorded union size {violator.union_size} != recomputed {len(union)}"
         )
     if len(union) >= len(violator.a1) + len(violator.a2):
-        raise ValueError("recorded pair does not violate the doubling condition")
+        raise ViolatorError("recorded pair does not violate the doubling condition")
 
 
 def check_domain(

@@ -1,7 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every paradec error derives from :class:`ParadecError`, and also from the
+builtin type it refines, so ``except ValueError`` keeps catching the input
+errors.
+"""
 
 
-class ParseError(ValueError):
+class ParadecError(Exception):
+    """Base of the errors paradec raises on purpose."""
+
+
+class ParseError(ParadecError, ValueError):
     """Malformed group-spec string, word, or bracketed literal.
 
     ``position`` is the character offset of the offending token in the
@@ -15,11 +24,11 @@ class ParseError(ValueError):
         self.position = position
 
 
-class UnknownSymbolError(ValueError):
+class UnknownSymbolError(ParadecError, ValueError):
     """A word references a generator symbol that the spec does not define."""
 
 
-class MatrixOverflowError(OverflowError):
+class MatrixOverflowError(ParadecError, OverflowError):
     """A matrix entry left the signed 64-bit range.
 
     Raised instead of silently producing huge integers so that certificate
@@ -27,19 +36,19 @@ class MatrixOverflowError(OverflowError):
     """
 
 
-class VertexBudgetError(RuntimeError):
-    """Ball enumeration exceeded the configured vertex budget."""
+class VertexBudgetError(ParadecError, RuntimeError):
+    """A ball or a freeness search would exceed the configured vertex budget."""
 
 
-class DomainSizeError(ValueError):
+class DomainSizeError(ParadecError, ValueError):
     """Brute-force domain larger than the 4^|D| enumeration guardrail."""
 
 
-class DisconnectedGraphError(ValueError):
+class DisconnectedGraphError(ParadecError, ValueError):
     """Spanning-tree sampling requires a connected graph."""
 
 
-class RequiredEdgesCycleError(ValueError):
+class RequiredEdgesCycleError(ParadecError, ValueError):
     """The edges a forest must contain already close a cycle.
 
     For a Cayley patch this signals torsion-like behaviour of the
@@ -47,9 +56,13 @@ class RequiredEdgesCycleError(ValueError):
     """
 
 
-class PatchEscapeError(ValueError):
+class PatchEscapeError(ParadecError, ValueError):
     """A required product lies outside the patch; shrink the sets or grow it."""
 
 
-class CertificateError(ValueError):
+class CertificateError(ParadecError, ValueError):
     """A matching certificate failed re-verification."""
+
+
+class ViolatorError(ParadecError, ValueError):
+    """A recorded Hall violator failed re-verification."""

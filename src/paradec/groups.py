@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import MatrixOverflowError, ParseError, UnknownSymbolError
@@ -283,8 +284,30 @@ class GroupSpec:
             raise ParseError("empty element text")
         if stripped.startswith("["):
             return self._parse_bracketed(stripped)
+        if self.model == "free" and symbols is None:
+            word = self._parse_free_word(text)
+            if word is not None:
+                return word
         letters = parse_word(text)
         return self.evaluate_word(letters, symbols)
+
+    def _parse_free_word(self, text: str) -> "tuple[int, ...] | None":
+        """One pass over a word in the standard free generators: each token
+        becomes its cached run of signed letters and the concatenation is
+        freely reduced as it grows.  None when some token is not a plain
+        generator power, so the general path raises the exact error."""
+        names = self.generator_names
+        word: list[int] = []
+        for token in text.split():
+            run = _free_token_run(names, token)
+            if run is None:
+                return None
+            for s in run:
+                if word and word[-1] == -s:
+                    word.pop()
+                else:
+                    word.append(s)
+        return tuple(word)
 
     def _parse_bracketed(self, text: str) -> Element:
         try:
@@ -338,6 +361,30 @@ def parse_word(text: str) -> list[tuple[str, int]]:
         name, exponent = parsed.group(1), parsed.group(2)
         letters.append((name, 1 if exponent is None else int(exponent)))
     return letters
+
+
+# Longest run of one letter that a cached token may expand to; larger
+# exponents take the general path, whose binary powering they need anyway.
+_MAX_TOKEN_RUN = 64
+
+
+@lru_cache(maxsize=4096)
+def _free_token_run(names: tuple[str, ...], token: str) -> "tuple[int, ...] | None":
+    """The signed letters of one word token over free generators ``names``,
+    or None unless it is ``1`` or a generator power with a short run."""
+    if token == "1":
+        return ()
+    parsed = _WORD_TOKEN.match(token)
+    if parsed is None or parsed.group(1) not in names:
+        return None
+    digits = parsed.group(2)
+    if digits is not None and len(digits) > 4:
+        return None
+    exponent = 1 if digits is None else int(digits)
+    if abs(exponent) > _MAX_TOKEN_RUN:
+        return None
+    letter = names.index(parsed.group(1)) + 1
+    return (letter if exponent > 0 else -letter,) * abs(exponent)
 
 
 # -- group-spec mini-language ------------------------------------------------

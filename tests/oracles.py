@@ -116,3 +116,39 @@ def doubling_holds_naive(spec, ts, domain):
             if union_product_count(spec, a1, ts.s1, a2, ts.s2) < len(a1) + len(a2):
                 return False
     return True
+
+
+def free_up_to_length_oracle(spec, g, h, length):
+    """Shortest relation in g, h by exhaustive search: depth-first over the
+    reduced words of each length 1..length in turn, in the letter order g,
+    g⁻¹, h, h⁻¹, so the first identity found is the shortest relation and
+    the lexicographically first of its length.  O(3^length) multiplies."""
+    from paradec.decomposition import FreenessResult
+
+    letters = (
+        ("g", 1, g),
+        ("g", -1, spec.invert(g)),
+        ("h", 1, h),
+        ("h", -1, spec.invert(h)),
+    )
+    identity = spec.identity()
+
+    def dfs(prefix, value, remaining):
+        if remaining == 0:
+            return prefix if value == identity else None
+        last = prefix[-1] if prefix else None
+        for name, sign, element in letters:
+            if last is not None and last == (name, -sign):
+                continue
+            found = dfs(
+                prefix + [(name, sign)], spec.multiply(value, element), remaining - 1
+            )
+            if found is not None:
+                return found
+        return None
+
+    for target in range(1, length + 1):
+        witness = dfs([], identity, target)
+        if witness is not None:
+            return FreenessResult(free_up_to=length, witness=tuple(witness))
+    return FreenessResult(free_up_to=length, witness=None)

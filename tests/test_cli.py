@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from paradec import parse_group_spec, verdict_from_jsonable
+from paradec import cli, errors, parse_group_spec, verdict_from_jsonable
 from paradec.cli import main
 from paradec.doubling import Certificate, Violator
 
@@ -304,12 +305,38 @@ class TestFreeCheck:
         assert code == 1
         assert data["witness"] == "g h g^-1 h^-1"
 
-    def test_budget_option_removed(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["free-check", "--group", "free:2", "--g", "a", "--h", "b",
-                  "--max-length", "2", "--budget", "5"])
-        assert info.value.code == 2
-        assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+    def test_budget_bounds_stored_half_words(self, capsys, monkeypatch):
+        argv = ["free-check", "--group", "free:2", "--g", "a", "--h", "b"]
+        code, _, _ = run(capsys, *argv, "--max-length", "2", "--budget", "5")
+        assert code == 0
+        code, out, err = run(capsys, *argv, "--max-length", "3", "--budget", "5")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: relations up to length 3 need 2*3^2 - 1 stored half-words, "
+            "over the vertex budget 5\n"
+        )
+        monkeypatch.setenv("PARADEC_VERTEX_BUDGET", "5")
+        code, _, err = run(capsys, *argv, "--max-length", "3")
+        assert code == 2 and "over the vertex budget 5" in err
+
+    def test_huge_max_length_exits_two_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "free-check", "--group", "free:2", "--g", "a", "--h", "b",
+            "--max-length", "2000",
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert err.startswith("error: relations up to length 2000 need ")
+
+    def test_overflow_beyond_half_length_is_not_reached(self, capsys):
+        # products of three letters leave the 64-bit range; those of two
+        # do not, and they are all a length-4 search forms
+        code, data, _ = run_json(
+            capsys, "free-check", "--group", "sl2z", "--g", "A^1000000000",
+            "--h", "B^1000000000", "--max-length", "4",
+        )
+        assert code == 0 and data["free"]
 
 
 class TestReport:
@@ -429,6 +456,25 @@ class TestDeterminismAndErrors:
             main(["check", "--group", "free:2"])
         assert info.value.code == 2
 
+    def test_internal_error_exit_three(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_ball", broken)
+        code, out, err = run(capsys, "ball", "--group", "free:2", "--radius", "1")
+        assert code == cli.EXIT_INTERNAL == 3
+        assert out == ""
+        assert err == "error: internal: RuntimeError: boom\n"
+
+    def test_every_error_type_is_a_paradec_error(self):
+        types = [
+            value
+            for value in vars(errors).values()
+            if isinstance(value, type) and issubclass(value, Exception)
+        ]
+        assert errors.ViolatorError in types
+        assert all(issubclass(t, errors.ParadecError) for t in types)
+
     def test_matrix_overflow_exit_two(self, capsys):
         code, out, err = run(
             capsys,
@@ -502,6 +548,31 @@ class TestMalformedReportInput:
         assert code == 1
         assert out == ""
         assert err.startswith(f"verification failed: {path}: ")
+
+    def test_tampered_violator_exit_one(self, capsys, tmp_path):
+        code, data, _ = run_json(
+            capsys, "check", "--group", "abelian:1", "--s1", "1,a", "--s2", "1,a",
+            "--radius", "2",
+        )
+        assert code == 1 and data["verdict"]["kind"] == "violator"
+        data["verdict"]["a1"] = ["a^7"]
+        data["verdict"]["union_size"] = 0
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "report", "--inputs", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"verification failed: {path}: recorded union size 0")
+
+    def test_violator_input_is_reported(self, capsys, tmp_path):
+        _, data, _ = run_json(
+            capsys, "check", "--group", "abelian:1", "--s1", "1,a", "--s2", "1,a",
+            "--radius", "2",
+        )
+        path = tmp_path / "violator.json"
+        path.write_text(json.dumps(data))
+        code, report, _ = run_json(capsys, "report", "--inputs", str(path))
+        assert code == 0 and report["upper"] is None
 
     def test_mixed_groups_exit_two(self, capsys, tmp_path, check_output):
         good = tmp_path / "check.json"

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -25,9 +26,11 @@ from paradec.decomposition import (
     verification_from_jsonable,
     verification_to_jsonable,
 )
-from paradec.errors import CertificateError
+from paradec.errors import CertificateError, VertexBudgetError
+from paradec.groups import parse_group_spec
 
-from helpers import standard_gens
+from helpers import random_element, standard_gens
+from oracles import free_up_to_length_oracle
 
 
 def ball(spec, radius):
@@ -213,6 +216,70 @@ class TestFreeUpToLength:
     def test_free_generators_are_free(self):
         spec = free_group(2)
         assert free_up_to_length(spec, (1,), (2,), 6).free
+
+    def test_matrix_pair_at_length_14(self):
+        spec = matrix_group()
+        result = free_up_to_length(spec, (1, 2, 0, 1), (1, 0, 2, 1), 14)
+        assert result.free and result.free_up_to == 14
+
+    def test_relation_of_odd_length(self):
+        # g = h^2: the first half g meets the second half h h
+        spec = free_group(2)
+        result = free_up_to_length(spec, (2, 2), (2,), 6)
+        assert result.witness_text() == "g h^-1 h^-1"
+
+    def test_half_words_only_up_to_half_length(self):
+        spec = free_group(3)
+        calls = []
+
+        class Counting(type(spec)):
+            def multiply(self, x, y):
+                calls.append(1)
+                return super().multiply(x, y)
+
+        counted = Counting("free", 3)
+        assert free_up_to_length(counted, (1,), (2,), 12).free
+        # the reduced words of length 1..6: 4 + 12 + ... + 972
+        assert len(calls) == sum(4 * 3 ** (k - 1) for k in range(1, 7)) == 1456
+
+    def test_budget_bounds_stored_half_words(self):
+        spec = free_group(2)
+        # length 4 stores the words of length <= 2: 1 + 4 + 12 = 17
+        assert free_up_to_length(spec, (1,), (2,), 4, budget=17).free
+        with pytest.raises(VertexBudgetError, match=r"need 2\*3\^2 - 1 stored"):
+            free_up_to_length(spec, (1,), (2,), 4, budget=16)
+        with pytest.raises(VertexBudgetError):
+            free_up_to_length(spec, (1,), (2,), 2000)
+        with pytest.raises(VertexBudgetError):
+            free_up_to_length(spec, (1,), (2,), 10**18)
+        with pytest.raises(ValueError, match="vertex budget must be positive"):
+            free_up_to_length(spec, (1,), (2,), 4, budget=0)
+
+
+ORACLE_SPECS = [
+    "free:2",
+    "abelian:2",
+    "cyclic:6",
+    "cyclic:11",
+    "sl2z:0,-1,1,0,1,1,0,1",
+]
+
+
+@pytest.mark.parametrize("text", ORACLE_SPECS)
+def test_meet_in_the_middle_matches_exhaustive_oracle(text):
+    """Same shortest, lexicographically first witness (or none) as the
+    exhaustive depth-first search, on seeded random pairs and bounds."""
+    spec = parse_group_spec(text)
+    rng = random.Random(f"freeness:{text}")
+    relations = 0
+    for _ in range(90):
+        g = random_element(spec, rng, 3)
+        h = random_element(spec, rng, 3)
+        length = rng.randint(1, 7)
+        result = free_up_to_length(spec, g, h, length)
+        assert result == free_up_to_length_oracle(spec, g, h, length)
+        relations += not result.free
+    assert relations > 0
 
 
 class TestTarskiBoundReport:

@@ -31,6 +31,12 @@ _AUDIT = ["forest-audit", "--group", "free:3", "--radius", "3", "--samples", "4"
           "--seed", "7"]
 _FREE_CHECK = ["free-check", "--group", "free:3", "--g", "a", "--h", "b",
                "--max-length", "6"]
+_FREE_CHECK_COMMUTING = ["free-check", "--group", "abelian:2", "--g", "a", "--h", "b",
+                         "--max-length", "6"]
+_FREE_CHECK_TORSION = ["free-check", "--group", "sl2z:0,-1,1,0,1,1,0,1", "--g", "A",
+                       "--h", "B", "--max-length", "8"]
+_FREE_CHECK_INVERSE = ["free-check", "--group", "free:2", "--g", "a b", "--h", "b^-1 a^-1",
+                       "--max-length", "4"]
 _REPORT = ["report", "--inputs", str(GOLDEN / "check_free3_r2_json.out"),
            "--freeness", str(GOLDEN / "free_check_free3_json.out")]
 
@@ -55,6 +61,12 @@ CASES = [
     ),
     ("report_free3_json", 0, [*_REPORT, "--format", "json"]),
     ("report_free3_text", 0, [*_REPORT, "--format", "text"]),
+    ("free_check_abelian2_json", 1, [*_FREE_CHECK_COMMUTING, "--format", "json"]),
+    ("free_check_abelian2_text", 1, [*_FREE_CHECK_COMMUTING, "--format", "text"]),
+    ("free_check_sl2z_torsion_json", 1, [*_FREE_CHECK_TORSION, "--format", "json"]),
+    ("free_check_sl2z_torsion_text", 1, [*_FREE_CHECK_TORSION, "--format", "text"]),
+    ("free_check_free2_inverse_json", 1, [*_FREE_CHECK_INVERSE, "--format", "json"]),
+    ("free_check_free2_inverse_text", 1, [*_FREE_CHECK_INVERSE, "--format", "text"]),
 ]
 
 

@@ -203,6 +203,33 @@ class TestElementText:
         with pytest.raises(ValueError):
             spec.parse_element("[[1, 2], [0, 2]]")
 
+    def test_free_parse_matches_word_evaluation(self):
+        """The one-pass free-word parser agrees with evaluating the parsed
+        word, on unreduced text, zero and negative powers and ``1``."""
+        spec = free_group(3)
+        rng = random.Random(97)
+        tokens = ["1", "a", "b", "c", "a^-1", "b^-1", "c^-1", "a^0", "b^-0",
+                  "c^2", "a^-3", "b^64", "c^-65", "a^007"]
+        for _ in range(2000):
+            text = "  ".join(rng.choice(tokens) for _ in range(rng.randint(1, 9)))
+            assert spec.parse_element(text) == spec.evaluate_word(parse_word(text))
+        assert spec.parse_element("a b b^-1 a^-1") == ()
+        assert spec.parse_element(" a\tb^-2\n") == (1, -2, -2)
+
+    @pytest.mark.parametrize(
+        "text", ["a b!", "a d^2", "d", "a^", "a^x", "b x1", "a^ b", "a^-1 q^0"]
+    )
+    def test_free_parse_errors_match_word_evaluation(self, text):
+        spec = free_group(3)
+        with pytest.raises(ValueError) as expected:
+            spec.evaluate_word(parse_word(text))
+        with pytest.raises(ValueError) as got:
+            spec.parse_element(text)
+        assert (type(got.value), str(got.value)) == (
+            type(expected.value),
+            str(expected.value),
+        )
+
     def test_free_exponent_collapsing(self):
         spec = free_group(2)
         assert spec.format_element((1, 1, -2)) == "a^2 b^-1"
