@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .errors import ParseError, VertexBudgetError
 from .groups import Element, GroupSpec, parse_group_spec, spec_to_string
@@ -105,9 +105,10 @@ class CayleyPatch:
     """Ball of the right Cayley graph; immutable and shareable.
 
     Vertex 0 is the identity.  ``edges`` holds every labeled product that
-    stays inside the patch; the unoriented simple view (no loops, no
-    parallel edges) is available via :meth:`simple_edges`, and the vertices
-    whose whole star stays inside via :meth:`interior`.
+    stays inside the patch; it is computed on first read, since most
+    callers need only the vertices.  The unoriented simple view (no loops,
+    no parallel edges) is available via :meth:`simple_edges`, and the
+    vertices whose whole star stays inside via :meth:`interior`.
     """
 
     spec: GroupSpec
@@ -115,7 +116,9 @@ class CayleyPatch:
     radius: int
     vertices: tuple[Element, ...]
     distances: tuple[int, ...]
-    edges: tuple[tuple[int, str, int, int], ...]
+    _edges: "tuple[tuple[int, str, int, int], ...] | None" = field(
+        default=None, repr=False, compare=False
+    )
     _index: dict = field(init=False, repr=False, compare=False, default=None)
     _simple: "tuple[tuple[int, int], ...] | None" = field(
         init=False, repr=False, compare=False, default=None
@@ -128,6 +131,24 @@ class CayleyPatch:
         object.__setattr__(
             self, "_index", {v: i for i, v in enumerate(self.vertices)}
         )
+
+    @property
+    def edges(self) -> tuple[tuple[int, str, int, int], ...]:
+        """Directed labeled edges (source, symbol, sign, target), one per
+        vertex and symmetrized generator whose product stays inside, by
+        source index and then generator order."""
+        if self._edges is None:
+            view = self.gens.symmetrized(self.spec)
+            multiply = self.spec.multiply
+            index = self._index
+            edges = []
+            for i, u in enumerate(self.vertices):
+                for sym, sign, s in view:
+                    j = index.get(multiply(u, s))
+                    if j is not None:
+                        edges.append((i, sym, sign, j))
+            object.__setattr__(self, "_edges", tuple(edges))
+        return self._edges
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -217,8 +238,49 @@ def patch_from_jsonable(data: dict) -> CayleyPatch:
         radius=data["radius"],
         vertices=vertices,
         distances=tuple(data["distances"]),
-        edges=tuple(edges),
+        _edges=tuple(edges),
     )
+
+
+def ball_levels(
+    spec: GroupSpec,
+    gens: GeneratingSet,
+    radius: int,
+    vertex_budget: "int | None" = None,
+) -> Iterator[list[Element]]:
+    """The spheres of the ball, level by level: ``[identity]``, then the
+    elements at word length 1, 2, ... <= radius w.r.t. S ∪ S⁻¹, each level
+    sorted by the spec's element order.  Stops early at an empty level.
+
+    Raises :class:`VertexBudgetError` as soon as the kept plus discovered
+    elements exceed the budget, without finishing the level.
+    """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    budget = default_vertex_budget() if vertex_budget is None else vertex_budget
+    if budget < 1:
+        raise ValueError("vertex budget must be positive")
+    steps = tuple(s for _, _, s in gens.symmetrized(spec))
+    multiply = spec.multiply
+    frontier = [spec.identity()]
+    seen = set(frontier)
+    yield frontier
+    for level in range(1, radius + 1):
+        discovered = []
+        for u in frontier:
+            for s in steps:
+                v = multiply(u, s)
+                if v not in seen:
+                    seen.add(v)
+                    discovered.append(v)
+            if len(seen) > budget:
+                raise VertexBudgetError(
+                    f"ball of radius {level} exceeds the vertex budget {budget}"
+                )
+        if not discovered:
+            return
+        frontier = sorted(discovered, key=spec.element_sort_key)
+        yield frontier
 
 
 def enumerate_ball(
@@ -227,55 +289,20 @@ def enumerate_ball(
     radius: int,
     vertex_budget: "int | None" = None,
 ) -> CayleyPatch:
-    """All elements of word length <= radius w.r.t. S ∪ S⁻¹, with every
-    in-patch labeled edge.
-
-    BFS order is deterministic: levels are sorted by the spec's element
-    order, so identical inputs index vertices identically.
-    """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    budget = default_vertex_budget() if vertex_budget is None else vertex_budget
-    if budget < 1:
-        raise ValueError("vertex budget must be positive")
-    view = gens.symmetrized(spec)
-    identity = spec.identity()
-    vertices: list[Element] = [identity]
-    distance: dict[Element, int] = {identity: 0}
-    frontier = [identity]
-    for level in range(1, radius + 1):
-        discovered: set[Element] = set()
-        for u in frontier:
-            for _, _, s in view:
-                v = spec.multiply(u, s)
-                if v not in distance:
-                    discovered.add(v)
-        frontier = sorted(discovered, key=spec.element_sort_key)
-        for v in frontier:
-            distance[v] = level
-        vertices.extend(frontier)
-        if len(vertices) > budget:
-            raise VertexBudgetError(
-                f"ball of radius {level} exceeds the vertex budget {budget}"
-            )
-        if not frontier:
-            break
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for i, u in enumerate(vertices):
-        for sym, sign, s in view:
-            v = spec.multiply(u, s)
-            j = index.get(v)
-            if j is not None:
-                edges.append((i, sym, sign, j))
-    distances = tuple(distance[v] for v in vertices)
+    """All elements of word length <= radius w.r.t. S ∪ S⁻¹, in the order
+    of :func:`ball_levels`, so identical inputs index vertices identically.
+    The patch's edges are computed when first read."""
+    vertices: list[Element] = []
+    distances: list[int] = []
+    for level, sphere in enumerate(ball_levels(spec, gens, radius, vertex_budget)):
+        vertices.extend(sphere)
+        distances.extend([level] * len(sphere))
     return CayleyPatch(
         spec=spec,
         gens=gens,
         radius=radius,
         vertices=tuple(vertices),
-        distances=distances,
-        edges=tuple(edges),
+        distances=tuple(distances),
     )
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .cayley import GeneratingSet, enumerate_ball, product_set
+from .cayley import GeneratingSet, ball_levels, product_set
 from .errors import CertificateError, DomainSizeError, ViolatorError
 from .groups import Element, GroupSpec
 from .matching import UNMATCHED, alternating_reachable, hopcroft_karp
@@ -150,6 +150,63 @@ def verify_violator(spec: GroupSpec, ts: TranslatingSets, violator: Violator) ->
         raise ViolatorError("recorded pair does not violate the doubling condition")
 
 
+class _HallGraph:
+    """The bipartite graph of Hall's condition on a domain D that may grow:
+    a left vertex (copy, g) for each g ∈ D and copy 1, 2, adjacent to the
+    right vertices g·s, s ∈ S_copy.  Right vertices are the exact products,
+    computed in the group and never clipped to a patch, indexed in order of
+    first appearance."""
+
+    def __init__(self, spec: GroupSpec, ts: TranslatingSets):
+        self.spec = spec
+        self.ts = ts
+        self.lefts: list[tuple[int, Element]] = []
+        self.adjacency: list[list[int]] = []
+        self.right_index: dict[Element, int] = {}
+        self.right_elements: list[Element] = []
+
+    def extend(self, elements: Sequence[Element]) -> None:
+        """Append copy 1 of every element, then copy 2 of every element."""
+        multiply = self.spec.multiply
+        right_index = self.right_index
+        right_elements = self.right_elements
+        for copy, translators in ((1, self.ts.s1), (2, self.ts.s2)):
+            for g in elements:
+                row = []
+                for s in translators:
+                    w = multiply(g, s)
+                    j = right_index.get(w)
+                    if j is None:
+                        j = len(right_elements)
+                        right_index[w] = j
+                        right_elements.append(w)
+                    row.append(j)
+                self.lefts.append((copy, g))
+                self.adjacency.append(row)
+
+    def match(
+        self, start: "tuple[list[int], list[int]] | None" = None
+    ) -> tuple[list[int], list[int]]:
+        return hopcroft_karp(self.adjacency, len(self.right_elements), start)
+
+    def certificate(self, pair_left: Sequence[int]) -> Certificate:
+        pairs: tuple[list, list] = ([], [])
+        for (copy, g), j in zip(self.lefts, pair_left):
+            pairs[copy - 1].append((g, self.right_elements[j]))
+        return Certificate(pairs1=tuple(pairs[0]), pairs2=tuple(pairs[1]))
+
+    def violator(self, pair_left: Sequence[int], pair_right: Sequence[int]) -> Violator:
+        """The left vertices reached by alternating paths from unmatched
+        ones, shrunk.  That set is the same for every maximum matching
+        (Dulmage-Mendelsohn), so the violator does not depend on how the
+        matching was found."""
+        reach_left, _ = alternating_reachable(self.adjacency, pair_left, pair_right)
+        a1 = [g for (copy, g), r in zip(self.lefts, reach_left) if r and copy == 1]
+        a2 = [g for (copy, g), r in zip(self.lefts, reach_left) if r and copy == 2]
+        a1, a2 = _shrink_violator(self.spec, self.ts, a1, a2)
+        return make_violator(self.spec, self.ts, a1, a2)
+
+
 def check_domain(
     spec: GroupSpec, ts: TranslatingSets, domain: Iterable[Element]
 ) -> Verdict:
@@ -163,35 +220,12 @@ def check_domain(
     elements = sorted(set(domain), key=spec.element_sort_key)
     if not elements:
         raise ValueError("domain must be nonempty")
-    lefts = [(copy, g) for copy in (1, 2) for g in elements]
-    right_index: dict[Element, int] = {}
-    right_elements: list[Element] = []
-    adjacency: list[list[int]] = []
-    for copy, g in lefts:
-        row = []
-        for s in ts.s1 if copy == 1 else ts.s2:
-            w = spec.multiply(g, s)
-            j = right_index.get(w)
-            if j is None:
-                j = len(right_elements)
-                right_index[w] = j
-                right_elements.append(w)
-            row.append(j)
-        adjacency.append(row)
-    pair_left, pair_right = hopcroft_karp(adjacency, len(right_elements))
-
-    if all(p != UNMATCHED for p in pair_left):
-        pairs1 = []
-        pairs2 = []
-        for (copy, g), j in zip(lefts, pair_left):
-            (pairs1 if copy == 1 else pairs2).append((g, right_elements[j]))
-        return Certificate(pairs1=tuple(pairs1), pairs2=tuple(pairs2))
-
-    reach_left, _ = alternating_reachable(adjacency, pair_left, pair_right)
-    a1 = [g for (copy, g), r in zip(lefts, reach_left) if r and copy == 1]
-    a2 = [g for (copy, g), r in zip(lefts, reach_left) if r and copy == 2]
-    a1, a2 = _shrink_violator(spec, ts, a1, a2)
-    return make_violator(spec, ts, a1, a2)
+    graph = _HallGraph(spec, ts)
+    graph.extend(elements)
+    pair_left, pair_right = graph.match()
+    if UNMATCHED in pair_left:
+        return graph.violator(pair_left, pair_right)
+    return graph.certificate(pair_left)
 
 
 def _shrink_violator(spec, ts, a1: list, a2: list) -> tuple[list, list]:
@@ -380,14 +414,22 @@ def minimal_violating_radius(
     max_radius: int,
     vertex_budget: "int | None" = None,
 ) -> "tuple[int, Violator] | None":
-    """Smallest ball radius whose domain admits a violator, or None."""
+    """Smallest ball radius whose domain admits a violator, or None.
+
+    One ball and one matching grow a level at a time.  The matching
+    saturated the left side at every smaller radius, so only the new
+    level's left vertices start unmatched, and the search augments from
+    them alone.  The ball is never built past the radius that answers.
+    """
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
-    for radius in range(max_radius + 1):
-        patch = enumerate_ball(spec, gens, radius, vertex_budget)
-        verdict = check_domain(spec, ts, patch.vertices)
-        if isinstance(verdict, Violator):
-            return radius, verdict
+    graph = _HallGraph(spec, ts)
+    matching = None
+    for radius, sphere in enumerate(ball_levels(spec, gens, max_radius, vertex_budget)):
+        graph.extend(sphere)
+        matching = graph.match(matching)
+        if UNMATCHED in matching[0]:
+            return radius, graph.violator(*matching)
     return None
 
 

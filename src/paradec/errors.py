@@ -36,6 +36,14 @@ class MatrixOverflowError(ParadecError, OverflowError):
     """
 
 
+class FreeWordLengthError(ParadecError, OverflowError):
+    """A free-group word would exceed ``groups.MAX_FREE_WORD_LENGTH`` letters.
+
+    The free-model counterpart of :class:`MatrixOverflowError`: raised
+    before the word is built, so a huge exponent cannot exhaust memory.
+    """
+
+
 class VertexBudgetError(ParadecError, RuntimeError):
     """A ball or a freeness search would exceed the configured vertex budget."""
 

@@ -24,13 +24,23 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import MatrixOverflowError, ParseError, UnknownSymbolError
+from .errors import (
+    FreeWordLengthError,
+    MatrixOverflowError,
+    ParseError,
+    UnknownSymbolError,
+)
 
 Element = Union[int, tuple]
 
 # Matrix entries are kept within the signed 64-bit range; anything larger
 # aborts loudly rather than flowing into certificates.
 MAX_MATRIX_ENTRY = 2**63 - 1
+
+# Free-group words that parsing or powering builds are kept to this many
+# letters; a longer one aborts before it is built rather than exhausting
+# memory (``a^99999999999`` would need 800 GB).
+MAX_FREE_WORD_LENGTH = 1_000_000
 
 DEFAULT_MATRIX_GENERATORS = ((1, 2, 0, 1), (1, 0, 2, 1))
 
@@ -43,6 +53,23 @@ def _default_names(count: int) -> tuple[str, ...]:
     if count <= 26:
         return tuple(chr(ord("a") + i) for i in range(count))
     return tuple(f"g{i + 1}" for i in range(count))
+
+
+def _reduce_onto(word: list[int], letters: Iterable[int]) -> None:
+    """Append signed letters to a freely reduced word, cancelling as it grows."""
+    for s in letters:
+        if word and word[-1] == -s:
+            word.pop()
+        else:
+            word.append(s)
+
+
+def _check_free_word_length(length: int) -> None:
+    if length > MAX_FREE_WORD_LENGTH:
+        raise FreeWordLengthError(
+            f"free-group word of {length} letters exceeds the bound "
+            f"{MAX_FREE_WORD_LENGTH}"
+        )
 
 
 def _check_matrix_entries(entries: Iterable[int]) -> None:
@@ -153,7 +180,24 @@ class GroupSpec:
         return (d, -b, -c, a)
 
     def power(self, x: Element, n: int) -> Element:
-        """x**n by binary powering; n may be negative."""
+        """x**n, n possibly negative, by binary powering.
+
+        A free-group power is instead written out directly: with
+        x = u·c·u⁻¹ and c cyclically reduced, x**n = u·c**n·u⁻¹ has
+        2|u| + |n|·|c| letters, which are counted against
+        ``MAX_FREE_WORD_LENGTH`` first.
+        """
+        if self.model == "free":
+            if n < 0:
+                x, n = self.invert(x), -n
+            if n == 0 or not x:
+                return ()
+            k = 0
+            while k < len(x) - 1 - k and x[k] == -x[-1 - k]:
+                k += 1
+            core = x[k : len(x) - k]
+            _check_free_word_length(2 * k + n * len(core))
+            return x[:k] + core * n + x[len(x) - k :]
         if n < 0:
             return self.power(self.invert(x), -n)
         result = self.identity()
@@ -175,16 +219,25 @@ class GroupSpec:
         """Left-to-right product of ``(symbol, exponent)`` pairs.
 
         ``symbols`` defaults to the spec's standard generators; pass a
-        custom mapping to evaluate words over a derived generating set.
+        custom mapping to evaluate words over a derived generating set.  In
+        the free model the word is reduced in one list as it grows, and a
+        partial product longer than ``MAX_FREE_WORD_LENGTH`` aborts, so no
+        word of more than twice the bound is ever built.
         """
         if symbols is None:
             symbols = self.generator_map()
-        result = self.identity()
+        free = self.model == "free"
+        result = [] if free else self.identity()
         for name, exponent in letters:
             if name not in symbols:
                 raise UnknownSymbolError(f"unknown generator symbol {name!r}")
-            result = self.multiply(result, self.power(symbols[name], exponent))
-        return result
+            factor = self.power(symbols[name], exponent)
+            if free:
+                _reduce_onto(result, factor)
+                _check_free_word_length(len(result))
+            else:
+                result = self.multiply(result, factor)
+        return tuple(result) if free else result
 
     # -- generating data ---------------------------------------------------
 
@@ -284,7 +337,7 @@ class GroupSpec:
             raise ParseError("empty element text")
         if stripped.startswith("["):
             return self._parse_bracketed(stripped)
-        if self.model == "free" and symbols is None:
+        if self.model == "free" and symbols is None and len(text) <= _MAX_FAST_TEXT:
             word = self._parse_free_word(text)
             if word is not None:
                 return word
@@ -366,6 +419,11 @@ def parse_word(text: str) -> list[tuple[str, int]]:
 # Longest run of one letter that a cached token may expand to; larger
 # exponents take the general path, whose binary powering they need anyway.
 _MAX_TOKEN_RUN = 64
+
+# Longest text the one-pass free parser reads.  Its tokens are at least two
+# characters apart, so it cannot build a word over MAX_FREE_WORD_LENGTH;
+# longer texts take the general path, which checks the bound per token.
+_MAX_FAST_TEXT = 2 * MAX_FREE_WORD_LENGTH // _MAX_TOKEN_RUN - 1
 
 
 @lru_cache(maxsize=4096)

@@ -15,17 +15,25 @@ _UNREACHED = -1
 
 
 def hopcroft_karp(
-    adjacency: Sequence[Sequence[int]], num_right: int
+    adjacency: Sequence[Sequence[int]],
+    num_right: int,
+    start: "tuple[Sequence[int], Sequence[int]] | None" = None,
 ) -> tuple[list[int], list[int]]:
     """Maximum matching in O(E sqrt(V)) phases.
 
     Returns ``(pair_left, pair_right)`` with UNMATCHED (-1) for unsaturated
-    vertices.  The augmenting DFS is iterative so deep layered paths cannot
-    hit the recursion limit.
+    vertices.  ``start`` is an optional valid matching ``(pair_left,
+    pair_right)`` on a prefix of the left and right vertices, for instance
+    the result of an earlier call before vertices were appended; the search
+    then augments from the vertices it leaves unmatched.  The augmenting
+    DFS is iterative so deep layered paths cannot hit the recursion limit.
     """
     num_left = len(adjacency)
     pair_left = [UNMATCHED] * num_left
     pair_right = [UNMATCHED] * num_right
+    if start is not None:
+        pair_left[: len(start[0])] = start[0]
+        pair_right[: len(start[1])] = start[1]
     dist = [_UNREACHED] * num_left
 
     def bfs_layers() -> bool:

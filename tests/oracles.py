@@ -152,3 +152,51 @@ def free_up_to_length_oracle(spec, g, h, length):
         if witness is not None:
             return FreenessResult(free_up_to=length, witness=tuple(witness))
     return FreenessResult(free_up_to=length, witness=None)
+
+
+def ball_edges_oracle(patch):
+    """Labeled in-patch edges by one eager pass: every vertex times every
+    element of the symmetrized generating set, looked up in a fresh index."""
+    spec = patch.spec
+    index = {v: i for i, v in enumerate(patch.vertices)}
+    edges = []
+    for i, u in enumerate(patch.vertices):
+        for sym, sign, s in patch.gens.symmetrized(spec):
+            j = index.get(spec.multiply(u, s))
+            if j is not None:
+                edges.append((i, sym, sign, j))
+    return tuple(edges)
+
+
+def minimal_violating_radius_oracle(spec, gens, ts, max_radius, vertex_budget=None):
+    """Per-radius violator search: a fresh ball and a fresh matching
+    (``check_domain``) at every radius 0..max_radius in turn."""
+    from paradec.cayley import enumerate_ball
+    from paradec.doubling import Violator, check_domain
+
+    if max_radius < 0:
+        raise ValueError("max_radius must be nonnegative")
+    for radius in range(max_radius + 1):
+        patch = enumerate_ball(spec, gens, radius, vertex_budget)
+        verdict = check_domain(spec, ts, patch.vertices)
+        if isinstance(verdict, Violator):
+            return radius, verdict
+    return None
+
+
+def evaluate_word_oracle(spec, letters, symbols=None):
+    """Left-to-right product of (symbol, exponent) pairs, each power formed
+    by binary powering with ``spec.multiply`` and no length bound."""
+    symbols = spec.generator_map() if symbols is None else symbols
+    result = spec.identity()
+    for name, exponent in letters:
+        base = symbols[name] if exponent >= 0 else spec.invert(symbols[name])
+        n = abs(exponent)
+        power = spec.identity()
+        while n:
+            if n & 1:
+                power = spec.multiply(power, base)
+            base = spec.multiply(base, base)
+            n >>= 1
+        result = spec.multiply(result, power)
+    return result

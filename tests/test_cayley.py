@@ -14,10 +14,25 @@ from paradec import (
     spec_to_string,
     sphere_sizes,
 )
+from paradec.cayley import ball_levels
 from paradec.errors import VertexBudgetError
+from paradec.groups import GroupSpec
 
 from helpers import all_model_specs, standard_gens
-from oracles import ball_oracle, sphere_oracle
+from oracles import ball_edges_oracle, ball_oracle, sphere_oracle
+
+
+def count_multiplies(monkeypatch) -> list:
+    """Patch GroupSpec.multiply to count its calls in the returned cell."""
+    calls = [0]
+    multiply = GroupSpec.multiply
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(GroupSpec, "multiply", counted)
+    return calls
 
 
 class TestEnumerateBall:
@@ -66,6 +81,39 @@ class TestEnumerateBall:
         with pytest.raises(VertexBudgetError):
             enumerate_ball(spec, standard_gens(spec), 4, vertex_budget=10)
 
+    def test_budget_error_comes_one_star_past_the_budget(self, monkeypatch):
+        """The budget is checked after every vertex's star, not after the
+        whole level: with a budget one above the radius-3 ball of free:3
+        (187 elements), the first radius-3 vertex expanded overflows it, so
+        the error comes after the radius-2 ball's 37 stars plus one, where
+        finishing the level would take 187."""
+        spec = free_group(3)
+        calls = count_multiplies(monkeypatch)
+        with pytest.raises(VertexBudgetError) as exc:
+            enumerate_ball(spec, standard_gens(spec), 5, vertex_budget=188)
+        assert str(exc.value) == "ball of radius 4 exceeds the vertex budget 188"
+        assert calls[0] == (37 + 1) * 6
+
+    def test_budget_error_on_a_large_level_is_prompt(self, monkeypatch):
+        # radius 8 of free:3 holds 586k elements; the radius-7 ball (117,187)
+        # fits a budget of 120,000, and the error comes within a few hundred
+        # stars of it, O(budget * |S|) multiplies in all
+        spec = free_group(3)
+        calls = count_multiplies(monkeypatch)
+        with pytest.raises(VertexBudgetError, match="radius 8 exceeds the vertex budget 120000"):
+            enumerate_ball(spec, standard_gens(spec), 8, vertex_budget=120_000)
+        assert calls[0] <= (23_437 + 600) * 6
+
+    def test_levels_are_sorted_spheres(self):
+        for spec in all_model_specs():
+            gens = standard_gens(spec)
+            levels = list(ball_levels(spec, gens, 3))
+            assert [len(level) for level in levels] == [
+                n for n in sphere_oracle(spec, [el for _, el in gens.pairs], 3) if n
+            ]
+            for level in levels:
+                assert level == sorted(level, key=spec.element_sort_key)
+
     def test_deterministic_indexing(self):
         spec = free_group(2)
         gens = standard_gens(spec)
@@ -104,6 +152,22 @@ class TestEnumerateBall:
 
 
 class TestEdges:
+    def test_lazy_edges_match_eager_oracle(self):
+        for spec in all_model_specs():
+            for radius in (0, 1, 3):
+                patch = enumerate_ball(spec, standard_gens(spec), radius)
+                assert patch._edges is None
+                assert patch.edges == ball_edges_oracle(patch)
+                assert patch.edges is patch.edges
+
+    def test_edges_of_custom_generators_match_eager_oracle(self):
+        spec = free_abelian_group(2)
+        gens = GeneratingSet.from_pairs(
+            spec, [("a", (1, 0)), ("d", (1, 1)), ("e", (-1, -1))]
+        )
+        patch = enumerate_ball(spec, gens, 3)
+        assert patch.edges == ball_edges_oracle(patch)
+
     def test_edges_are_products(self):
         for spec in all_model_specs():
             gens = standard_gens(spec)
@@ -210,6 +274,7 @@ class TestExports:
             data = json.loads(json.dumps(patch.to_jsonable()))
             restored = patch_from_jsonable(data)
             assert restored == patch
+            assert restored._edges == patch.edges
 
     def test_edge_list_text_shape(self):
         spec = cyclic_group(3)

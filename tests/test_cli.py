@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from paradec import cli, errors, parse_group_spec, verdict_from_jsonable
+from paradec import CayleyPatch, cli, errors, parse_group_spec, verdict_from_jsonable
 from paradec.cli import main
 from paradec.doubling import Certificate, Violator
 
@@ -491,6 +491,54 @@ class TestDeterminismAndErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "64-bit" in err
+
+    @pytest.mark.parametrize(
+        "word",
+        ["a^99999999999", " ".join(["a^9999 b^9999"] * 60)],
+        ids=["power", "tokens"],
+    )
+    def test_overlong_free_word_exits_two_at_once(self, capsys, word):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "free-check", "--group", "free:3", "--g", word, "--h", "b",
+            "--max-length", "2",
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert err.startswith("error: free-group word of ")
+        assert "exceeds the bound 1000000" in err
+
+    def test_budget_error_before_the_level_is_built(self, capsys):
+        # radius 8 of free:3 has 586k elements; the radius-7 ball (117,187)
+        # fits, and the error no longer waits for the whole eighth level
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "check", "--group", "free:3", "--s1", "1,a", "--s2", "1,b,c",
+            "--radius", "8", "--budget", "120000", "--format", "json",
+        )
+        assert time.perf_counter() - start < 3
+        assert code == 2 and out == ""
+        assert err == "error: ball of radius 8 exceeds the vertex budget 120000\n"
+
+    def test_products_outside_the_ball_are_not_formed(self, capsys):
+        # entries of the radius-3 ball fit in 64 bits, those one step
+        # further do not; with S1 = S2 = {1} only the ball itself is
+        # multiplied, so the violator is reported instead of an overflow
+        code, data, _ = run_json(
+            capsys, "check", "--group", "sl2z:1,1048576,0,1,1,0,1048576,1",
+            "--s1", "1", "--s2", "1", "--radius", "3",
+        )
+        assert code == 1 and data["verdict"]["kind"] == "violator"
+
+    def test_certificate_chain_never_reads_edges(self, capsys, monkeypatch):
+        def unread(patch):
+            raise AssertionError("edges read")
+
+        monkeypatch.setattr(CayleyPatch, "edges", property(unread))
+        group = ["--group", "free:3", "--s1", "1,a", "--s2", "1,b,c"]
+        assert run(capsys, "check", *group, "--radius", "2")[0] == 0
+        assert run(capsys, "decompose", *group, "--radius", "2")[0] == 0
+        assert run(capsys, "violate", *group, "--max-radius", "2")[0] == 1
 
 
 class TestMalformedReportInput:

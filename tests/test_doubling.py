@@ -26,11 +26,13 @@ from paradec import (
     verify_violator,
 )
 import paradec.doubling as doubling
-from paradec.errors import DomainSizeError
+from paradec.errors import DomainSizeError, VertexBudgetError
+from paradec.matching import UNMATCHED
 
 from helpers import random_element, standard_gens
 from oracles import (
     doubling_holds_naive,
+    minimal_violating_radius_oracle,
     shrink_violator_oracle,
     union_product_count,
 )
@@ -268,6 +270,86 @@ class TestMinimalViolatingRadius:
         box = [(x, y) for x in range(3) for y in range(3)]
         assert union_product_count(spec, box, ts.s1, box, ts.s2) == 16
         assert 16 < 18 == len(box) + len(box)
+
+
+    def test_violator_answers_within_a_budget_too_small_for_the_next_ball(self):
+        # the violator appears at radius 2, whose ball has 13 elements in Z^2;
+        # the radius-3 ball (25) is never built, so a budget of 13 answers
+        spec = free_abelian_group(2)
+        ts = TranslatingSets.from_words(spec, "1,a", "1,b,a b")
+        gens = standard_gens(spec)
+        result = minimal_violating_radius(spec, gens, ts, 16, vertex_budget=13)
+        assert result == minimal_violating_radius_oracle(spec, gens, ts, 16)
+        assert result[0] == 2
+        with pytest.raises(VertexBudgetError, match="radius 2 exceeds"):
+            minimal_violating_radius(spec, gens, ts, 16, vertex_budget=12)
+
+    def test_warm_matching_never_restarts(self, monkeypatch):
+        """Each level augments from the previous matching: every call after
+        the first starts from a matching saturating all earlier left
+        vertices, and no ball is enumerated."""
+        starts = []
+        match = doubling.hopcroft_karp
+
+        def recording(adjacency, num_right, start=None):
+            starts.append((len(adjacency), start))
+            return match(adjacency, num_right, start)
+
+        monkeypatch.setattr(doubling, "hopcroft_karp", recording)
+        monkeypatch.setattr(doubling, "check_domain", None)
+        spec = free_group(3)
+        ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
+        assert minimal_violating_radius(spec, standard_gens(spec), ts, 3) is None
+        assert [n for n, _ in starts] == [2, 14, 74, 374]
+        assert starts[0][1] is None
+        for (previous, _), (_, start) in zip(starts, starts[1:]):
+            assert len(start[0]) == previous
+            assert UNMATCHED not in start[0]
+
+
+# model -> (instances, largest max radius); every model yields instances
+# with no violator, with one at radius <= 1 and with one at radius >= 2.
+_WARM_CASES = [
+    (free_group(2), 40, 4),
+    (free_group(3), 30, 3),
+    (free_abelian_group(2), 40, 5),
+    (cyclic_group(7), 40, 4),
+    (matrix_group(), 30, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,count,max_radius", _WARM_CASES, ids=["free2", "free3", "ab2", "cyc7", "sl2z"]
+)
+def test_warm_violate_matches_per_radius_oracle(spec, count, max_radius):
+    """The level-by-level search returns the same radius and the same
+    violator as a fresh ball and a fresh matching at every radius; with a
+    small budget both answer alike or raise the same budget error."""
+    rng = random.Random(f"warm:{spec.model}:{spec.rank}:{spec.order}")
+    gens = standard_gens(spec)
+    kinds = set()
+    for _ in range(count):
+        s1 = list({random_element(spec, rng, 2) for _ in range(rng.randint(1, 3))})
+        s2 = list({random_element(spec, rng, 2) for _ in range(rng.randint(1, 3))})
+        ts = TranslatingSets(s1=tuple(s1), s2=tuple(s2))
+        radius = rng.randint(0, max_radius)
+        expected = minimal_violating_radius_oracle(spec, gens, ts, radius)
+        assert minimal_violating_radius(spec, gens, ts, radius) == expected
+        if expected is None:
+            kinds.add("none")
+        else:
+            kinds.add("early" if expected[0] <= 1 else "late")
+            verify_violator(spec, ts, expected[1])
+        budget = rng.randint(1, 40)
+        try:
+            expected = minimal_violating_radius_oracle(spec, gens, ts, radius, budget)
+        except VertexBudgetError as exc:
+            with pytest.raises(VertexBudgetError) as got:
+                minimal_violating_radius(spec, gens, ts, radius, budget)
+            assert str(got.value) == str(exc)
+        else:
+            assert minimal_violating_radius(spec, gens, ts, radius, budget) == expected
+    assert kinds == {"none", "early", "late"}
 
 
 @settings(max_examples=30, deadline=None)

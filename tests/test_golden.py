@@ -1,7 +1,8 @@
 """Golden stdout: fixed CLI calls must print the same bytes as when frozen.
 
 Each case is (name, expected exit code, argv); its stdout is stored as
-``tests/golden/<name>.out``.  The ``report`` cases read earlier cases' JSON
+``tests/golden/<name>.out``.  ``DUMPS`` cases compare a file that a
+command writes, byte for byte.  The ``report`` cases read earlier cases' JSON
 files as their inputs, so cases are frozen in list order.  To refreeze
 after a deliberate output change:
 
@@ -10,6 +11,7 @@ after a deliberate output change:
 
 import io
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -37,6 +39,10 @@ _FREE_CHECK_TORSION = ["free-check", "--group", "sl2z:0,-1,1,0,1,1,0,1", "--g", 
                        "--h", "B", "--max-length", "8"]
 _FREE_CHECK_INVERSE = ["free-check", "--group", "free:2", "--g", "a b", "--h", "b^-1 a^-1",
                        "--max-length", "4"]
+_VIOLATE_NONE = ["violate", "--group", "free:3", "--s1", "1,a", "--s2", "1,b,c",
+                 "--max-radius", "3"]
+_VIOLATE_EARLY = ["violate", "--group", "abelian:2", "--s1", "1,a", "--s2", "1,b,a b",
+                  "--max-radius", "16"]
 _REPORT = ["report", "--inputs", str(GOLDEN / "check_free3_r2_json.out"),
            "--freeness", str(GOLDEN / "free_check_free3_json.out")]
 
@@ -67,6 +73,16 @@ CASES = [
     ("free_check_sl2z_torsion_text", 1, [*_FREE_CHECK_TORSION, "--format", "text"]),
     ("free_check_free2_inverse_json", 1, [*_FREE_CHECK_INVERSE, "--format", "json"]),
     ("free_check_free2_inverse_text", 1, [*_FREE_CHECK_INVERSE, "--format", "text"]),
+    ("violate_free3_none_json", 1, [*_VIOLATE_NONE, "--format", "json"]),
+    ("violate_free3_none_text", 1, [*_VIOLATE_NONE, "--format", "text"]),
+    ("violate_abelian2_early_json", 0, [*_VIOLATE_EARLY, "--format", "json"]),
+    ("violate_abelian2_early_text", 0, [*_VIOLATE_EARLY, "--format", "text"]),
+]
+
+# Files written by a command rather than printed: (golden file name, argv
+# without the output path).  The command writes to the path appended last.
+DUMPS = [
+    ("ball_free2_r2_dump.json", ["ball", "--group", "free:2", "--radius", "2", "--dump"]),
 ]
 
 
@@ -77,11 +93,23 @@ def run_case(argv):
     return code, buffer.getvalue()
 
 
+def run_dump(argv, directory: Path, name: str) -> bytes:
+    path = directory / name
+    code, _ = run_case([*argv, str(path)])
+    assert code == 0
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("name,expect_rc,argv", CASES, ids=[c[0] for c in CASES])
 def test_stdout_matches_golden(name, expect_rc, argv):
     code, out = run_case(argv)
     assert code == expect_rc
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name,argv", DUMPS, ids=[d[0] for d in DUMPS])
+def test_dump_matches_golden(name, argv, tmp_path):
+    assert run_dump(argv, tmp_path, name) == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":
@@ -92,3 +120,7 @@ if __name__ == "__main__":
             sys.exit(f"{name}: exit {code}, expected {expect_rc}")
         (GOLDEN / f"{name}.out").write_text(out)
         print(f"wrote {name}.out", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, argv in DUMPS:
+            (GOLDEN / name).write_bytes(run_dump(argv, Path(scratch), name))
+            print(f"wrote {name}", file=sys.stderr)

@@ -12,9 +12,16 @@ from paradec import (
     parse_word,
     spec_to_string,
 )
-from paradec.errors import MatrixOverflowError, ParseError, UnknownSymbolError
+from paradec.errors import (
+    FreeWordLengthError,
+    MatrixOverflowError,
+    ParseError,
+    UnknownSymbolError,
+)
+from paradec.groups import MAX_FREE_WORD_LENGTH
 
 from helpers import all_model_specs, random_element
+from oracles import evaluate_word_oracle
 
 
 class TestIdentity:
@@ -108,6 +115,58 @@ class TestEvaluateWord:
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbolError):
             free_group(2).evaluate_word([("q", 1)])
+
+
+class TestFreeWordBound:
+    def test_huge_power_fails_before_building(self):
+        spec = free_group(3)
+        with pytest.raises(FreeWordLengthError, match="99999999999 letters"):
+            spec.evaluate_word(parse_word("a^99999999999"))
+        with pytest.raises(FreeWordLengthError):
+            spec.power((1, 2, -1), -(MAX_FREE_WORD_LENGTH + 1))
+
+    def test_power_counts_the_reduced_length(self):
+        # (a b a^-1)^n = a b^n a^-1 has n + 2 letters, not 3n
+        spec = free_group(2)
+        n = MAX_FREE_WORD_LENGTH - 2
+        assert len(spec.power((1, 2, -1), n)) == MAX_FREE_WORD_LENGTH
+        with pytest.raises(FreeWordLengthError):
+            spec.power((1, 2, -1), n + 1)
+
+    def test_long_product_of_short_tokens_fails(self):
+        spec = free_group(2)
+        text = " ".join(["a^999 b^-999"] * 1000)
+        with pytest.raises(FreeWordLengthError, match="bound 1000000"):
+            spec.parse_element(text)
+        with pytest.raises(FreeWordLengthError):
+            spec.parse_element(" ".join(["a^64"] * 20000))
+        # cancellation keeps a long text within the bound
+        assert spec.parse_element("a^600000 a^-600000 b") == (2,)
+
+    def test_other_models_take_large_exponents(self):
+        assert free_abelian_group(1).parse_element("a^99999999999") == (99999999999,)
+        assert cyclic_group(7).parse_element("a^99999999999") == 99999999999 % 7
+
+    def test_words_under_the_bound_parse_as_before(self):
+        """Parsing and powering agree with plain binary powering by
+        multiply, on random words with exponents up to a few thousand and
+        over custom symbols."""
+        rng = random.Random("free-word-bound")
+        for rank in (1, 2, 3):
+            spec = free_group(rank)
+            names = spec.generator_names
+            custom = {"x": (1, 2, -1), "y": (-1,) * 3, "z": ()}
+            for _ in range(300):
+                letters = [
+                    (rng.choice(names), rng.randint(-3000, 3000) // rng.choice((1, 50)))
+                    for _ in range(rng.randint(0, 6))
+                ]
+                text = " ".join(f"{n}^{e}" for n, e in letters) or "1"
+                assert spec.parse_element(text) == evaluate_word_oracle(spec, letters)
+                letters = [(rng.choice("xyz"), rng.randint(-40, 40)) for _ in range(4)]
+                assert spec.evaluate_word(letters, custom) == evaluate_word_oracle(
+                    spec, letters, custom
+                )
 
 
 @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=40))

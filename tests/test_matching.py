@@ -149,3 +149,39 @@ def test_empty_adjacency_rows():
     assert matching_size(pair_left) == 1
     reach_left, _ = alternating_reachable(adjacency, pair_left, pair_right)
     assert reach_left[0] and reach_left[2]
+
+
+def test_warm_start_from_a_prefix_matching():
+    """Growing a graph in batches and passing each matching on as the start
+    of the next call gives a valid maximum matching whose alternating
+    reach from unmatched left vertices is that of a matching computed from
+    scratch (the Dulmage-Mendelsohn invariant the warm violator relies on)."""
+    rng = random.Random("warm-start")
+    for _ in range(40):
+        adjacency: list[list[int]] = []
+        num_right = 0
+        start = None
+        for _ in range(rng.randint(1, 5)):
+            num_right += rng.randint(0, 12)
+            for _ in range(rng.randint(0, 12)):
+                width = rng.randint(0, min(3, num_right))
+                adjacency.append(sorted(rng.sample(range(num_right), width)))
+            pair_left, pair_right = hopcroft_karp(adjacency, num_right, start)
+            for u, v in enumerate(pair_left):
+                if v != UNMATCHED:
+                    assert v in adjacency[u] and pair_right[v] == u
+            cold_left, cold_right = hopcroft_karp(adjacency, num_right)
+            assert matching_size(pair_left) == kuhn_matching_size(adjacency, num_right)
+            assert matching_size(pair_left) == matching_size(cold_left)
+            assert (
+                alternating_reachable(adjacency, pair_left, pair_right)[0]
+                == alternating_reachable(adjacency, cold_left, cold_right)[0]
+            )
+            start = (pair_left, pair_right)
+
+
+def test_warm_start_does_not_modify_its_input():
+    start = ([0], [0])
+    pair_left, pair_right = hopcroft_karp([[0], [0, 1]], 2, start)
+    assert start == ([0], [0])
+    assert pair_left == [0, 1] and pair_right == [0, 1]
