@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import ParseError, VertexBudgetError
+from .errors import ParseError, PatchEdgeError, VertexBudgetError
 from .groups import Element, GroupSpec, parse_group_spec, spec_to_string
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
@@ -108,7 +108,8 @@ class CayleyPatch:
     stays inside the patch; it is computed on first read, since most
     callers need only the vertices.  The unoriented simple view (no loops,
     no parallel edges) is available via :meth:`simple_edges`, and the
-    vertices whose whole star stays inside via :meth:`interior`.
+    vertices whose whole star stays inside via :meth:`interior`.  A loaded
+    patch recomputes its edges too (:func:`patch_from_jsonable`).
     """
 
     spec: GroupSpec
@@ -117,7 +118,7 @@ class CayleyPatch:
     vertices: tuple[Element, ...]
     distances: tuple[int, ...]
     _edges: "tuple[tuple[int, str, int, int], ...] | None" = field(
-        default=None, repr=False, compare=False
+        init=False, repr=False, compare=False, default=None
     )
     _index: dict = field(init=False, repr=False, compare=False, default=None)
     _simple: "tuple[tuple[int, int], ...] | None" = field(
@@ -125,6 +126,10 @@ class CayleyPatch:
     )
     _interior: "tuple[Element, ...] | None" = field(
         init=False, repr=False, compare=False, default=None
+    )
+    # a-symbol -> forest.Contraction, filled by forest.a_edge_contraction
+    _contractions: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
     )
 
     def __post_init__(self):
@@ -223,23 +228,43 @@ class CayleyPatch:
 
 
 def patch_from_jsonable(data: dict) -> CayleyPatch:
+    """Rebuild a patch from :meth:`CayleyPatch.to_jsonable` output.
+
+    The edges are recomputed from the group, and a file whose stored edges
+    differ raises :class:`PatchEdgeError` naming the first one that does.
+    """
     spec = parse_group_spec(data["group"])
     gens = GeneratingSet.from_pairs(
         spec, [(sym, spec.parse_element(text)) for sym, text in data["generators"]]
     )
     vertices = tuple(spec.parse_element(text) for text in data["vertices"])
-    edges = []
-    for u, label, v in data["edges"]:
-        sym, sign = parse_label(label)
-        edges.append((u, sym, sign, v))
-    return CayleyPatch(
+    patch = CayleyPatch(
         spec=spec,
         gens=gens,
         radius=data["radius"],
         vertices=vertices,
         distances=tuple(data["distances"]),
-        _edges=tuple(edges),
     )
+    stored = tuple((u, *parse_label(label), v) for u, label, v in data["edges"])
+    computed = patch.edges
+    if stored != computed:
+        k = next(
+            (i for i, pair in enumerate(zip(stored, computed)) if pair[0] != pair[1]),
+            min(len(stored), len(computed)),
+        )
+
+        def show(edge):
+            u, sym, sign, v = edge
+            return f"[{u}, {format_label(sym, sign)}, {v}]"
+
+        if k >= len(stored):
+            problem = f"{show(computed[k])} is missing"
+        elif k >= len(computed):
+            problem = f"{show(stored[k])} is not an edge of the patch"
+        else:
+            problem = f"{show(stored[k])} should be {show(computed[k])}"
+        raise PatchEdgeError(f"stored edge {k} {problem}")
+    return patch
 
 
 def ball_levels(

@@ -4,7 +4,9 @@ Sampling is Wilson's loop-erased-random-walk algorithm, which draws exactly
 uniform spanning trees.  Forests required to contain a fixed acyclic edge
 set are sampled by contracting that set and sampling the contracted
 multigraph; the matrix-tree correspondence makes the lifted tree uniform
-among trees containing the required edges.
+among trees containing the required edges.  A patch's a-edge contraction is
+built once and kept on the patch; when it is already a tree, every sample
+is that tree and no walk runs.
 
 The audit replays, on one concrete forest and concrete finite sets A1, A2,
 the counting chain that derives |A1S1 ∪ A2S2| >= |A1| + |A2| from a forest
@@ -116,7 +118,8 @@ def forest_from_jsonable(data: dict, patch: "CayleyPatch | None" = None) -> Fore
 
 
 def _make_sample(num_vertices, edges, seed, patch=None) -> ForestSample:
-    edges = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+    """The sample of ``edges``, given as (low, high) pairs in any order."""
+    edges = tuple(sorted(edges))
     degrees = [0] * num_vertices
     for u, v in edges:
         degrees[u] += 1
@@ -176,33 +179,76 @@ def _wilson(
     return tree_edges
 
 
+def _spanning_tree(
+    num_vertices: int,
+    edges: Sequence[tuple[int, int]],
+    seed: int,
+    patch: "CayleyPatch | None" = None,
+) -> ForestSample:
+    _check_connected(num_vertices, edges)
+    chosen = _wilson(num_vertices, edges, random.Random(seed))
+    picked = [(min(u, v), max(u, v)) for u, v in (edges[i] for i in chosen)]
+    return _make_sample(num_vertices, picked, seed, patch)
+
+
 def sample_spanning_tree_of_graph(
     num_vertices: int,
     edges: Sequence[tuple[int, int]],
     seed: int,
 ) -> ForestSample:
     """Uniform spanning tree of an arbitrary connected simple graph."""
-    _check_connected(num_vertices, edges)
-    rng = random.Random(seed)
-    chosen = _wilson(num_vertices, list(edges), rng)
-    return _make_sample(num_vertices, [edges[i] for i in chosen], seed)
+    return _spanning_tree(num_vertices, list(edges), seed)
 
 
-def sample_spanning_tree_with_required_edges(
+@dataclass(frozen=True)
+class Contraction:
+    """A connected graph with a fixed acyclic edge set contracted.
+
+    ``edges`` is the contracted multigraph on ``num_blocks`` blocks, and
+    ``originals[i]`` the graph edge behind ``edges[i]``.  It depends on the
+    graph and the required edges only, not on a seed, so one contraction
+    serves every :meth:`sample`.
+    """
+
+    num_vertices: int
+    required: tuple[tuple[int, int], ...]
+    num_blocks: int
+    edges: tuple[tuple[int, int], ...]
+    originals: tuple[tuple[int, int], ...]
+
+    @property
+    def is_tree(self) -> bool:
+        """The contraction is connected, so with ``num_blocks - 1`` edges it
+        is a tree: its own and only spanning tree."""
+        return len(self.edges) == self.num_blocks - 1
+
+    def sample(self, seed: int, patch: "CayleyPatch | None" = None) -> ForestSample:
+        """Uniform spanning tree among those containing every required edge.
+
+        A tree contraction is taken whole without a walk; each sample's
+        random stream is its own, so skipping it changes no later draw.
+        """
+        if self.is_tree:
+            chosen = range(len(self.edges))
+        else:
+            chosen = _wilson(self.num_blocks, self.edges, random.Random(seed))
+        picked = [self.originals[i] for i in chosen]
+        picked.extend(self.required)
+        return _make_sample(self.num_vertices, picked, seed, patch)
+
+
+def contract_required_edges(
     num_vertices: int,
     edges: Sequence[tuple[int, int]],
     required: Sequence[tuple[int, int]],
-    seed: int,
-) -> ForestSample:
-    """Uniform spanning tree among those containing every required edge.
+) -> Contraction:
+    """Contract the required edges (they must be acyclic) of a connected graph.
 
-    The required edges are contracted (they must be acyclic), a uniform
-    spanning tree of the contracted multigraph is drawn, and its edges are
-    lifted back.  Parallel edges of the contraction stay distinct, which is
-    what keeps the lifted distribution uniform; self-loops are dropped since
-    no spanning tree can use them.
+    Parallel edges of the contraction stay distinct, which is what keeps the
+    lifted spanning trees uniform; self-loops are dropped since no spanning
+    tree can use them.
     """
-    required = [(min(u, v), max(u, v)) for u, v in required]
+    required = tuple((min(u, v), max(u, v)) for u, v in required)
     required_set = set(required)
     uf = _UnionFind(num_vertices)
     for u, v in required:
@@ -224,10 +270,21 @@ def sample_spanning_tree_with_required_edges(
         contracted.append((cu, cv))
         originals.append(key)
     _check_connected(len(roots), contracted)
-    rng = random.Random(seed)
-    chosen = _wilson(len(roots), contracted, rng)
-    picked = [originals[i] for i in chosen] + required
-    return _make_sample(num_vertices, picked, seed)
+    return Contraction(
+        num_vertices, required, len(roots), tuple(contracted), tuple(originals)
+    )
+
+
+def sample_spanning_tree_with_required_edges(
+    num_vertices: int,
+    edges: Sequence[tuple[int, int]],
+    required: Sequence[tuple[int, int]],
+    seed: int,
+) -> ForestSample:
+    """Uniform spanning tree among those containing every required edge: a
+    uniform spanning tree of the contracted multigraph, lifted back.  One
+    contraction per call; :class:`Contraction` draws many from one."""
+    return contract_required_edges(num_vertices, edges, required).sample(seed)
 
 
 def patch_a_edges(patch: CayleyPatch, a_symbol: str) -> tuple[tuple[int, int], ...]:
@@ -240,12 +297,23 @@ def patch_a_edges(patch: CayleyPatch, a_symbol: str) -> tuple[tuple[int, int], .
     return tuple(sorted(pairs))
 
 
+def a_edge_contraction(patch: CayleyPatch, a_symbol: str) -> Contraction:
+    """The patch's simple graph with its a±1-edges contracted, built on the
+    first call per a-symbol and kept on the patch for the later ones."""
+    if a_symbol not in patch.gens.symbols():
+        raise KeyError(f"no generator named {a_symbol!r} in the patch")
+    contraction = patch._contractions.get(a_symbol)
+    if contraction is None:
+        contraction = contract_required_edges(
+            len(patch.vertices), patch.simple_edges(), patch_a_edges(patch, a_symbol)
+        )
+        patch._contractions[a_symbol] = contraction
+    return contraction
+
+
 def sample_uniform_spanning_tree(patch: CayleyPatch, seed: int) -> ForestSample:
     """Uniform spanning tree of a patch's unoriented simple graph."""
-    sample = sample_spanning_tree_of_graph(
-        len(patch.vertices), patch.simple_edges(), seed
-    )
-    return _make_sample(sample.num_vertices, sample.edges, seed, patch)
+    return _spanning_tree(len(patch.vertices), patch.simple_edges(), seed, patch)
 
 
 def sample_forest_containing_a_edges(
@@ -257,13 +325,7 @@ def sample_forest_containing_a_edges(
     labeled element has infinite order; a cycle signals torsion-like
     behaviour and raises :class:`RequiredEdgesCycleError`.
     """
-    if a_symbol not in patch.gens.symbols():
-        raise KeyError(f"no generator named {a_symbol!r} in the patch")
-    required = patch_a_edges(patch, a_symbol)
-    sample = sample_spanning_tree_with_required_edges(
-        len(patch.vertices), patch.simple_edges(), required, seed
-    )
-    return _make_sample(sample.num_vertices, sample.edges, seed, patch)
+    return a_edge_contraction(patch, a_symbol).sample(seed, patch)
 
 
 # -- counting-argument audit ---------------------------------------------------

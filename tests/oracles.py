@@ -200,3 +200,52 @@ def evaluate_word_oracle(spec, letters, symbols=None):
             n >>= 1
         result = spec.multiply(result, power)
     return result
+
+
+def sample_with_required_edges_oracle(num_vertices, edges, required, seed):
+    """Conditioned spanning tree with the contraction rebuilt on every call:
+    union-find over the required edges, the block map, the contracted edge
+    list and its connectivity check, then one Wilson walk on it, even when
+    the contraction is already a tree."""
+    import random
+
+    from paradec.errors import DisconnectedGraphError, RequiredEdgesCycleError
+    from paradec.forest import _make_sample, _wilson
+
+    def find(parent, x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    required = [(min(u, v), max(u, v)) for u, v in required]
+    pinned = set(required)
+    parent = list(range(num_vertices))
+    for u, v in required:
+        ru, rv = find(parent, u), find(parent, v)
+        if ru == rv:
+            raise RequiredEdgesCycleError(f"required edges close a cycle at ({u}, {v})")
+        parent[rv] = ru
+    roots = sorted({find(parent, x) for x in range(num_vertices)})
+    block = {root: i for i, root in enumerate(roots)}
+    contracted, originals = [], []
+    for u, v in edges:
+        key = (min(u, v), max(u, v))
+        cu, cv = block[find(parent, u)], block[find(parent, v)]
+        if key in pinned or cu == cv:
+            continue
+        contracted.append((cu, cv))
+        originals.append(key)
+    merged = list(range(len(roots)))
+    components = len(roots)
+    for cu, cv in contracted:
+        ru, rv = find(merged, cu), find(merged, cv)
+        if ru != rv:
+            merged[rv] = ru
+            components -= 1
+    if components != 1:
+        raise DisconnectedGraphError(
+            f"graph has {components} components; spanning trees need 1"
+        )
+    chosen = _wilson(len(roots), contracted, random.Random(seed))
+    return _make_sample(num_vertices, [originals[i] for i in chosen] + required, seed)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,7 @@ from paradec import (
     sphere_sizes,
 )
 from paradec.cayley import ball_levels
-from paradec.errors import VertexBudgetError
+from paradec.errors import PatchEdgeError, VertexBudgetError
 from paradec.groups import GroupSpec
 
 from helpers import all_model_specs, standard_gens
@@ -267,6 +268,9 @@ class TestProductSet:
         assert result == frozenset([(6,)])
 
 
+DUMP = Path(__file__).resolve().parent / "golden" / "ball_free2_r2_dump.json"
+
+
 class TestExports:
     def test_json_round_trip(self):
         for spec in all_model_specs():
@@ -275,6 +279,35 @@ class TestExports:
             restored = patch_from_jsonable(data)
             assert restored == patch
             assert restored._edges == patch.edges
+
+    def test_dump_loads_as_the_ball(self):
+        data = json.loads(DUMP.read_text())
+        restored = patch_from_jsonable(data)
+        patch = enumerate_ball(free_group(2), standard_gens(free_group(2)), 2)
+        assert restored == patch
+        assert restored.edges == patch.edges
+        assert data["edges"] == patch.to_jsonable()["edges"]
+
+    @pytest.mark.parametrize(
+        "tamper,message",
+        [
+            (lambda edges: edges[0].__setitem__(2, 16),
+             "stored edge 0 [0, a, 16] should be [0, a, 3]"),
+            (lambda edges: edges[5].__setitem__(1, "b^-1"),
+             "stored edge 5 [1, b^-1, 0] should be [1, b, 0]"),
+            (lambda edges: edges.pop(),
+             "stored edge 31 [16, b^-1, 4] is missing"),
+            (lambda edges: edges.append([3, "a", 0]),
+             "stored edge 32 [3, a, 0] is not an edge of the patch"),
+        ],
+        ids=["target", "label", "missing", "extra"],
+    )
+    def test_tampered_dump_rejected(self, tamper, message):
+        data = json.loads(DUMP.read_text())
+        tamper(data["edges"])
+        with pytest.raises(PatchEdgeError) as info:
+            patch_from_jsonable(data)
+        assert str(info.value) == message
 
     def test_edge_list_text_shape(self):
         spec = cyclic_group(3)

@@ -7,6 +7,8 @@ import pytest
 
 from paradec import (
     GeneratingSet,
+    matrix_group,
+    parse_group_spec,
     TranslatingSets,
     audit_counting_argument,
     cyclic_group,
@@ -25,10 +27,17 @@ from paradec.errors import (
     PatchEscapeError,
     RequiredEdgesCycleError,
 )
-from paradec.forest import ForestSample, audit_from_jsonable, forest_from_jsonable
+from paradec import forest as forest_module
+from paradec.cli import main
+from paradec.forest import (
+    ForestSample,
+    a_edge_contraction,
+    audit_from_jsonable,
+    forest_from_jsonable,
+)
 
 from helpers import standard_gens
-from oracles import kirchhoff_count
+from oracles import kirchhoff_count, sample_with_required_edges_oracle
 
 
 def ball(spec, radius):
@@ -191,6 +200,151 @@ class TestConditionedSampling:
         patch = ball(free_group(2), 1)
         with pytest.raises(KeyError):
             sample_forest_containing_a_edges(patch, "z", 0)
+
+
+def named_ball(spec, pairs, radius):
+    gens = GeneratingSet.from_pairs(
+        spec, [(sym, spec.parse_element(text)) for sym, text in pairs]
+    )
+    return enumerate_ball(spec, gens, radius)
+
+
+# (id, patch, a-symbol): every model, contractions that are trees and ones
+# with cycles
+MODEL_PATCHES = [
+    ("free2", ball(free_group(2), 3), "a"),
+    ("free3", ball(free_group(3), 3), "a"),
+    ("abelian2", ball(free_abelian_group(2), 3), "a"),
+    ("abelian3", ball(free_abelian_group(3), 2), "b"),
+    ("cyclic7", named_ball(cyclic_group(7), [("a", "a"), ("b", "a^3")], 1), "a"),
+    ("sl2z", ball(matrix_group(), 3), "A"),
+    ("sl2z_torsion", ball(parse_group_spec("sl2z:0,-1,1,0,1,1,0,1"), 3), "B"),
+    (
+        "free2_triangles",
+        named_ball(free_group(2), [("a", "a"), ("b", "b"), ("c", "a b")], 3),
+        "a",
+    ),
+]
+
+
+def random_graph(rng, num_vertices):
+    """A connected simple graph (a random tree plus extra edges) and a
+    random acyclic subset of its edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, num_vertices)}
+    for _ in range(rng.randrange(2 * num_vertices) if num_vertices > 1 else 0):
+        u, v = rng.sample(range(num_vertices), 2)
+        edges.add((min(u, v), max(u, v)))
+    edges = sorted(edges)
+    required, parent = [], list(range(num_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in rng.sample(edges, rng.randrange(len(edges) + 1)):
+        if find(u) != find(v):
+            parent[find(u)] = find(v)
+            required.append((v, u) if rng.random() < 0.5 else (u, v))
+    return edges, required
+
+
+class TestContraction:
+    @pytest.mark.parametrize(
+        "patch,a_symbol", [c[1:] for c in MODEL_PATCHES], ids=[c[0] for c in MODEL_PATCHES]
+    )
+    def test_cached_sampler_matches_per_call_oracle(self, patch, a_symbol):
+        required = patch_a_edges(patch, a_symbol)
+        for seed in range(25):
+            sample = sample_forest_containing_a_edges(patch, a_symbol, seed)
+            expected = sample_with_required_edges_oracle(
+                len(patch.vertices), patch.simple_edges(), required, seed
+            )
+            assert sample == expected
+            assert sample.patch is patch
+
+    def test_models_cover_trees_and_cycles(self):
+        shapes = {a_edge_contraction(p, a).is_tree for _, p, a in MODEL_PATCHES}
+        assert shapes == {True, False}
+
+    def test_random_graphs_match_oracle(self):
+        rng = random.Random("contraction")
+        trees = 0
+        for _ in range(200):
+            n = rng.randrange(1, 12)
+            edges, required = random_graph(rng, n)
+            seed = rng.randrange(1000)
+            sample = sample_spanning_tree_with_required_edges(n, edges, required, seed)
+            assert sample == sample_with_required_edges_oracle(n, edges, required, seed)
+            trees += forest_module.contract_required_edges(n, edges, required).is_tree
+        assert 0 < trees < 200
+
+    @pytest.mark.parametrize(
+        "num_vertices,edges,required",
+        [
+            (4, [(0, 1), (1, 2), (0, 2), (2, 3)], [(0, 1), (2, 1), (0, 2)]),
+            (4, [(0, 1), (2, 3)], []),
+            (5, [(0, 1), (1, 2), (3, 4)], [(1, 0)]),
+        ],
+        ids=["required_cycle", "disconnected", "disconnected_after_contraction"],
+    )
+    def test_errors_match_oracle(self, num_vertices, edges, required):
+        with pytest.raises(ValueError) as expected:
+            sample_with_required_edges_oracle(num_vertices, edges, required, 0)
+        with pytest.raises(ValueError) as got:
+            sample_spanning_tree_with_required_edges(num_vertices, edges, required, 0)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+        assert type(got.value) in (RequiredEdgesCycleError, DisconnectedGraphError)
+
+    def test_torsion_patch_error_matches_oracle(self):
+        patch = ball(cyclic_group(7), 3)
+        with pytest.raises(RequiredEdgesCycleError) as expected:
+            sample_with_required_edges_oracle(
+                len(patch.vertices), patch.simple_edges(), patch_a_edges(patch, "a"), 0
+            )
+        for seed in range(2):
+            with pytest.raises(RequiredEdgesCycleError) as got:
+                sample_forest_containing_a_edges(patch, "a", seed)
+            assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "group,radius,walks", [("free:3", 4, 0), ("abelian:3", 3, 6)]
+    )
+    def test_walks_only_where_the_contraction_has_cycles(
+        self, monkeypatch, capsys, group, radius, walks
+    ):
+        calls = []
+        wilson = forest_module._wilson
+
+        def counted(*args):
+            calls.append(args[0])
+            return wilson(*args)
+
+        monkeypatch.setattr(forest_module, "_wilson", counted)
+        argv = ["forest-audit", "--group", group, "--radius", str(radius),
+                "--samples", "6", "--seed", "4"]
+        assert main(argv) in (0, 1)
+        assert len(calls) == walks
+
+    def test_degree_statistics_contracts_once(self, monkeypatch):
+        calls = []
+        contract = forest_module.contract_required_edges
+
+        def counted(*args):
+            calls.append(args[0])
+            return contract(*args)
+
+        monkeypatch.setattr(forest_module, "contract_required_edges", counted)
+        patch = ball(free_abelian_group(2), 3)
+        stats = degree_statistics(patch, "a", [free_abelian_group(2).identity()], 20, 0)
+        assert stats.num_samples == 20
+        assert len(calls) == 1
+        degree_statistics(patch, "a", [], 20, 20)
+        sample_forest_containing_a_edges(patch, "a", 99)
+        assert len(calls) == 1
+        sample_forest_containing_a_edges(patch, "b", 99)
+        assert len(calls) == 2
 
 
 class TestKirchhoffOracle:

@@ -31,6 +31,11 @@ _VIOLATE_POWERS = ["violate", "--group", "abelian:2", "--s1", _A_POWERS, "--s2",
 _BALL = ["ball", "--group", "free:3", "--radius", "3"]
 _AUDIT = ["forest-audit", "--group", "free:3", "--radius", "3", "--samples", "4",
           "--seed", "7"]
+# Cayley graphs with cycles, so every sample runs Wilson's walk.
+_AUDIT_ABELIAN3 = ["forest-audit", "--group", "abelian:3", "--radius", "4", "--samples",
+                   "5", "--seed", "3"]
+_AUDIT_TRIANGLES = ["forest-audit", "--group", "free:2", "--gens", "a=a,b=b,c=a b",
+                    "--radius", "4", "--samples", "5", "--seed", "2"]
 _FREE_CHECK = ["free-check", "--group", "free:3", "--g", "a", "--h", "b",
                "--max-length", "6"]
 _FREE_CHECK_COMMUTING = ["free-check", "--group", "abelian:2", "--g", "a", "--h", "b",
@@ -57,6 +62,9 @@ CASES = [
     ("ball_free3_r3_text", 0, [*_BALL, "--format", "text"]),
     ("forest_audit_free3_r3_json", 0, [*_AUDIT, "--format", "json"]),
     ("forest_audit_free3_r3_text", 0, [*_AUDIT, "--format", "text"]),
+    ("forest_audit_abelian3_r4_json", 1, [*_AUDIT_ABELIAN3, "--format", "json"]),
+    ("forest_audit_abelian3_r4_text", 1, [*_AUDIT_ABELIAN3, "--format", "text"]),
+    ("forest_audit_free2_triangles_r4_json", 1, [*_AUDIT_TRIANGLES, "--format", "json"]),
     ("free_check_free3_json", 0, [*_FREE_CHECK, "--format", "json"]),
     ("free_check_free3_text", 0, [*_FREE_CHECK, "--format", "text"]),
     (
