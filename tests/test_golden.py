@@ -50,6 +50,13 @@ _VIOLATE_EARLY = ["violate", "--group", "abelian:2", "--s1", "1,a", "--s2", "1,b
                   "--max-radius", "16"]
 _REPORT = ["report", "--inputs", str(GOLDEN / "check_free3_r2_json.out"),
            "--freeness", str(GOLDEN / "free_check_free3_json.out")]
+# The m+n = 5 chain on the 937-element radius-4 ball: a certificate, its
+# pieces and the report that re-verifies it from the written JSON.
+_FREE3_R4 = ["--group", "free:3", "--s1", "1,a", "--s2", "1,b,c", "--radius", "4"]
+_REPORT_R4 = ["report", "--inputs", str(GOLDEN / "check_free3_r4_json.out"),
+              "--freeness", str(GOLDEN / "free_check_free3_json.out")]
+_DECOMPOSE_SL2Z = ["decompose", "--group", "sl2z", "--s1", "1,A", "--s2", "1,B",
+                   "--radius", "2"]
 
 CASES = [
     ("check_abelian2_r16_json", 1, [*_ABELIAN2_R16, "--format", "json"]),
@@ -85,6 +92,12 @@ CASES = [
     ("violate_free3_none_text", 1, [*_VIOLATE_NONE, "--format", "text"]),
     ("violate_abelian2_early_json", 0, [*_VIOLATE_EARLY, "--format", "json"]),
     ("violate_abelian2_early_text", 0, [*_VIOLATE_EARLY, "--format", "text"]),
+    ("check_free3_r4_json", 0, ["check", *_FREE3_R4, "--format", "json"]),
+    ("decompose_free3_r4_json", 0, ["decompose", *_FREE3_R4, "--format", "json"]),
+    ("decompose_free3_r4_text", 0, ["decompose", *_FREE3_R4, "--format", "text"]),
+    ("report_free3_r4_json", 0, [*_REPORT_R4, "--format", "json"]),
+    ("report_free3_r4_text", 0, [*_REPORT_R4, "--format", "text"]),
+    ("decompose_sl2z_r2_json", 0, [*_DECOMPOSE_SL2Z, "--format", "json"]),
 ]
 
 # Files written by a command rather than printed: (golden file name, argv
