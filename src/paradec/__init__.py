@@ -32,7 +32,6 @@ from .doubling import (
     TranslatingSets,
     Verdict,
     Violator,
-    brute_force_check,
     check_domain,
     make_violator,
     minimal_violating_radius,
@@ -82,7 +81,6 @@ __all__ = [
     "Verdict",
     "Violator",
     "audit_counting_argument",
-    "brute_force_check",
     "check_domain",
     "cyclic_group",
     "degree_statistics",

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import ParseError, PatchEdgeError, VertexBudgetError
+from .errors import ParseError, PatchDistanceError, PatchEdgeError, VertexBudgetError
 from .groups import Element, GroupSpec, parse_group_spec, spec_to_string
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
@@ -202,13 +202,14 @@ class CayleyPatch:
     # -- exports -----------------------------------------------------------
 
     def to_jsonable(self) -> dict:
+        fmt = self.spec.formatter()
         return {
             "group": spec_to_string(self.spec),
             "generators": [
                 [sym, self.spec.format_element(el)] for sym, el in self.gens.pairs
             ],
             "radius": self.radius,
-            "vertices": [self.spec.format_element(v) for v in self.vertices],
+            "vertices": [fmt(v) for v in self.vertices],
             "distances": list(self.distances),
             "edges": [
                 [u, format_label(sym, sign), v] for u, sym, sign, v in self.edges
@@ -220,8 +221,9 @@ class CayleyPatch:
             f"# patch group={spec_to_string(self.spec)} radius={self.radius} "
             f"vertices={len(self.vertices)} edges={len(self.edges)}"
         ]
+        fmt = self.spec.formatter()
         for i, v in enumerate(self.vertices):
-            lines.append(f"# vertex\t{i}\t{self.spec.format_element(v)}\t{self.distances[i]}")
+            lines.append(f"# vertex\t{i}\t{fmt(v)}\t{self.distances[i]}")
         for u, sym, sign, v in self.edges:
             lines.append(f"{u}\t{format_label(sym, sign)}\t{v}")
         return "\n".join(lines) + "\n"
@@ -230,14 +232,18 @@ class CayleyPatch:
 def patch_from_jsonable(data: dict) -> CayleyPatch:
     """Rebuild a patch from :meth:`CayleyPatch.to_jsonable` output.
 
-    The edges are recomputed from the group, and a file whose stored edges
-    differ raises :class:`PatchEdgeError` naming the first one that does.
+    Nothing derived is taken on trust.  The edges are recomputed from the
+    group, and a file whose stored edges differ raises
+    :class:`PatchEdgeError` naming the first one that does.  The distances
+    are recomputed from those edges, and the radius from the distances; a
+    mismatch raises :class:`PatchDistanceError` naming the first one.
     """
     spec = parse_group_spec(data["group"])
     gens = GeneratingSet.from_pairs(
         spec, [(sym, spec.parse_element(text)) for sym, text in data["generators"]]
     )
-    vertices = tuple(spec.parse_element(text) for text in data["vertices"])
+    parse = spec.parser()
+    vertices = tuple(parse(text) for text in data["vertices"])
     patch = CayleyPatch(
         spec=spec,
         gens=gens,
@@ -248,10 +254,7 @@ def patch_from_jsonable(data: dict) -> CayleyPatch:
     stored = tuple((u, *parse_label(label), v) for u, label, v in data["edges"])
     computed = patch.edges
     if stored != computed:
-        k = next(
-            (i for i, pair in enumerate(zip(stored, computed)) if pair[0] != pair[1]),
-            min(len(stored), len(computed)),
-        )
+        k = _first_difference(stored, computed)
 
         def show(edge):
             u, sym, sign, v = edge
@@ -264,7 +267,61 @@ def patch_from_jsonable(data: dict) -> CayleyPatch:
         else:
             problem = f"{show(stored[k])} should be {show(computed[k])}"
         raise PatchEdgeError(f"stored edge {k} {problem}")
+    _check_distances(patch, data["vertices"])
     return patch
+
+
+def _first_difference(stored: tuple, computed: "tuple | list") -> int:
+    """Index of the first entry where two sequences differ, or the shorter
+    length when one is a prefix of the other."""
+    return next(
+        (i for i, pair in enumerate(zip(stored, computed)) if pair[0] != pair[1]),
+        min(len(stored), len(computed)),
+    )
+
+
+def _check_distances(patch: CayleyPatch, texts: list) -> None:
+    """Check a loaded patch's distances against a breadth-first search over
+    its edges from the identity, and its radius against those distances: a
+    ball's radius is its largest distance, or more when the ball is the
+    whole group (every vertex keeps its whole star)."""
+    start = patch._index.get(patch.spec.identity())
+    if start is None:
+        raise PatchDistanceError("the patch has no identity vertex")
+    neighbours: list[list[int]] = [[] for _ in patch.vertices]
+    for u, _, _, v in patch.edges:
+        neighbours[u].append(v)
+    lengths: list = [None] * len(patch.vertices)
+    lengths[start] = 0
+    frontier = [start]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for v in neighbours[u]:
+                if lengths[v] is None:
+                    lengths[v] = lengths[u] + 1
+                    reached.append(v)
+        frontier = reached
+    stored = patch.distances
+    if stored != tuple(lengths):
+        k = _first_difference(stored, lengths)
+        if len(stored) != len(lengths):
+            problem = f"{len(stored)} stored distances for {len(lengths)} vertices"
+        elif lengths[k] is None:
+            problem = f"vertex {k} ({texts[k]}) is not joined to the identity"
+        else:
+            problem = (
+                f"stored distance {stored[k]} of vertex {k} ({texts[k]}) "
+                f"should be {lengths[k]}"
+            )
+        raise PatchDistanceError(problem)
+    farthest = max(lengths)
+    radius = patch.radius
+    closed = len(patch.interior()) == len(patch.vertices)
+    if not isinstance(radius, int) or not (
+        radius == farthest or (radius > farthest and closed)
+    ):
+        raise PatchDistanceError(f"stored radius {radius!r} should be {farthest}")
 
 
 def ball_levels(

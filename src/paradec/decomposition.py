@@ -97,28 +97,28 @@ def pieces_from_certificate(
 ) -> "tuple[PartialDecomposition, DecompositionReport]":
     """Bucket phi_i targets by the translator that produced them.
 
-    piece_i[s] = {g·s : g in D, phi_i(g) = g·s}.  Disjointness and coverage
-    follow from the certificate properties but are re-verified, not assumed:
-    the pieces are returned with their passing verification report over the
-    whole domain, and a failing one raises :class:`CertificateError`.
+    piece_i[s] = {g·s : g in D, phi_i(g) = g·s}, with s the translator
+    that :func:`verify_certificate` found, so no product is formed again.
+    Disjointness and coverage follow from the certificate properties but
+    are re-verified, not assumed: the pieces are returned with their
+    passing verification report over the whole domain, and a failing one
+    raises :class:`CertificateError`.
     """
-    verify_certificate(spec, ts, cert)
+    used1, used2 = verify_certificate(spec, ts, cert)
     domain = cert.domain()
 
-    def bucket(pairs, translators):
+    def bucket(pairs, used, translators):
         pieces: dict[Element, set] = {s: set() for s in translators}
-        for g, target in pairs:
-            s = spec.multiply(spec.invert(g), target)
-            if s not in pieces:
-                raise CertificateError(
-                    f"image {spec.format_element(target)} is not a translate "
-                    f"of {spec.format_element(g)} by a translator"
-                )
+        for (_, target), s in zip(pairs, used):
             pieces[s].add(target)
         return pieces
 
     pd = make_decomposition(
-        spec, ts, bucket(cert.pairs1, ts.s1), bucket(cert.pairs2, ts.s2), domain
+        spec,
+        ts,
+        bucket(cert.pairs1, used1, ts.s1),
+        bucket(cert.pairs2, used2, ts.s2),
+        domain,
     )
     report = verify_decomposition(spec, pd, ts, domain)
     if not report.passed:
@@ -139,13 +139,16 @@ def verify_decomposition(
     """Check pairwise disjointness and translate-coverage of ``inner``.
 
     An inner element g counts as covered by family i when g·s lies in the
-    piece of some translator s.  If it is not covered but one of its
-    translates leaves the domain, the finite window simply cannot decide it:
-    such g are reported as indeterminate rather than failed.
+    piece of some translator s; the translates are formed in translator
+    order up to the first that covers g.  If g is not covered but one of
+    its translates leaves the domain, the finite window simply cannot
+    decide it: such g are reported as indeterminate rather than failed.
     """
     inner = set(inner)
     if not inner <= pd.domain:
         raise ValueError("inner set must be contained in the decomposition domain")
+    ordered = sorted(inner, key=spec.element_sort_key)
+    multiply = spec.multiply
 
     counts: dict[Element, int] = {}
     for _, piece in pd.pieces1 + pd.pieces2:
@@ -159,14 +162,18 @@ def verify_decomposition(
         uncovered = []
         indeterminate = []
         piece_of = dict(pieces)
-        for g in sorted(inner, key=spec.element_sort_key):
-            translates = [(s, spec.multiply(g, s)) for s, _ in pieces]
-            if any(target in piece_of[s] for s, target in translates):
-                continue
-            if all(target in pd.domain for _, target in translates):
-                uncovered.append(g)
+        for g in ordered:
+            translates = []
+            for s, _ in pieces:
+                target = multiply(g, s)
+                if target in piece_of[s]:
+                    break
+                translates.append(target)
             else:
-                indeterminate.append(g)
+                if all(target in pd.domain for target in translates):
+                    uncovered.append(g)
+                else:
+                    indeterminate.append(g)
         return tuple(uncovered), tuple(indeterminate)
 
     uncovered1, indeterminate1 = coverage(pd.pieces1)
@@ -417,41 +424,39 @@ def tarski_bound_report(
 # -- serialization -------------------------------------------------------------
 
 
+def _domain_texts(spec: GroupSpec, fmt, domain: Iterable[Element]) -> list[str]:
+    """The domain's texts, formatted in element order so that a batch
+    formatter meets every prefix of a ball's word before the word."""
+    return [fmt(x) for x in sorted(domain, key=spec.element_sort_key)]
+
+
 def decomposition_to_jsonable(spec: GroupSpec, pd: PartialDecomposition) -> dict:
+    fmt = spec.formatter()
+    domain = sorted(_domain_texts(spec, fmt, pd.domain))
+
     def family(pieces):
-        return [
-            [
-                spec.format_element(s),
-                sorted(
-                    (spec.format_element(x) for x in piece),
-                ),
-            ]
-            for s, piece in pieces
-        ]
+        return [[fmt(s), sorted(fmt(x) for x in piece)] for s, piece in pieces]
 
     return {
         "pieces1": family(pd.pieces1),
         "pieces2": family(pd.pieces2),
-        "domain": sorted(
-            (spec.format_element(x) for x in pd.domain),
-        ),
+        "domain": domain,
     }
 
 
 def decomposition_from_jsonable(spec: GroupSpec, data: dict) -> PartialDecomposition:
+    parse = spec.parser()
+    domain = frozenset(parse(x) for x in data["domain"])
+
     def family(items):
         return tuple(
-            (
-                spec.parse_element(s),
-                frozenset(spec.parse_element(x) for x in piece),
-            )
-            for s, piece in items
+            (parse(s), frozenset(parse(x) for x in piece)) for s, piece in items
         )
 
     return PartialDecomposition(
         pieces1=family(data["pieces1"]),
         pieces2=family(data["pieces2"]),
-        domain=frozenset(spec.parse_element(x) for x in data["domain"]),
+        domain=domain,
     )
 
 
@@ -465,43 +470,45 @@ def freeness_from_jsonable(data: dict) -> FreenessResult:
 
 
 def verification_to_jsonable(spec: GroupSpec, report: DecompositionReport) -> dict:
-    def fmt(elements):
-        return [spec.format_element(x) for x in elements]
+    fmt = spec.formatter()
+
+    def texts(elements):
+        return [fmt(x) for x in elements]
 
     return {
         "disjoint": report.disjoint,
-        "overlaps": fmt(report.overlaps),
-        "uncovered1": fmt(report.uncovered1),
-        "uncovered2": fmt(report.uncovered2),
-        "indeterminate1": fmt(report.indeterminate1),
-        "indeterminate2": fmt(report.indeterminate2),
+        "overlaps": texts(report.overlaps),
+        "uncovered1": texts(report.uncovered1),
+        "uncovered2": texts(report.uncovered2),
+        "indeterminate1": texts(report.indeterminate1),
+        "indeterminate2": texts(report.indeterminate2),
         "passed": report.passed,
     }
 
 
 def verification_from_jsonable(spec: GroupSpec, data: dict) -> DecompositionReport:
-    def parse(items):
-        return tuple(spec.parse_element(x) for x in items)
+    parse = spec.parser()
+
+    def elements(items):
+        return tuple(parse(x) for x in items)
 
     return DecompositionReport(
         disjoint=data["disjoint"],
-        overlaps=parse(data["overlaps"]),
-        uncovered1=parse(data["uncovered1"]),
-        uncovered2=parse(data["uncovered2"]),
-        indeterminate1=parse(data["indeterminate1"]),
-        indeterminate2=parse(data["indeterminate2"]),
+        overlaps=elements(data["overlaps"]),
+        uncovered1=elements(data["uncovered1"]),
+        uncovered2=elements(data["uncovered2"]),
+        indeterminate1=elements(data["indeterminate1"]),
+        indeterminate2=elements(data["indeterminate2"]),
     )
 
 
 def report_to_text(spec: GroupSpec, pd: PartialDecomposition) -> str:
     """Plain-text pretty-printer: pieces rendered as word lists."""
+    fmt = spec.formatter()
+    _domain_texts(spec, fmt, pd.domain)  # the pieces hold translates of these
     lines = []
     for title, pieces in (("family 1", pd.pieces1), ("family 2", pd.pieces2)):
         for s, piece in pieces:
-            words = ", ".join(
-                sorted(
-                    (spec.format_element(x) for x in piece),
-                )
-            )
-            lines.append(f"{title} piece[{spec.format_element(s)}] = {{{words}}}")
+            words = ", ".join(sorted(fmt(x) for x in piece))
+            lines.append(f"{title} piece[{fmt(s)}] = {{{words}}}")
     return "\n".join(lines)

@@ -8,8 +8,8 @@ single maximum-matching computation replaces the 4^|D| naive subset checks:
 a saturating matching yields an explicit pair of injections (a certificate),
 and a deficiency witness yields an explicit violating pair (A1, A2).
 
-:func:`brute_force_check` is the independent oracle: it enumerates all
-4^|D| subset pairs outright and reports a minimum-cardinality violator.
+The independent oracle that enumerates all 4^|D| subset pairs outright,
+``brute_force_check``, lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -18,16 +18,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 from .cayley import GeneratingSet, ball_levels, product_set
-from .errors import CertificateError, DomainSizeError, ViolatorError
+from .errors import CertificateError, ViolatorError
 from .groups import Element, GroupSpec
 from .matching import UNMATCHED, alternating_reachable, hopcroft_karp
-
-BRUTE_FORCE_MAX_DOMAIN = 14
-
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -110,16 +104,26 @@ def make_violator(
 
 def verify_certificate(
     spec: GroupSpec, ts: TranslatingSets, cert: Certificate
-) -> None:
+) -> tuple[tuple[Element, ...], tuple[Element, ...]]:
     """Re-verify membership, injectivity and image disjointness from scratch.
 
+    Returns, for each family, the translator s with phi_i(g) = g·s of each
+    pair, in pair order.  That s is unique, since g·s = g·s' forces
+    s = s', so the search stops at the first translate that matches.
     Raises :class:`CertificateError` on any failure.
     """
+    multiply = spec.multiply
     images: list[set] = []
+    found: list[tuple] = []
     for pairs, translators in ((cert.pairs1, ts.s1), (cert.pairs2, ts.s2)):
         image = set()
+        used = []
         for g, target in pairs:
-            if target not in {spec.multiply(g, s) for s in translators}:
+            for s in translators:
+                if multiply(g, s) == target:
+                    used.append(s)
+                    break
+            else:
                 raise CertificateError(
                     f"{spec.format_element(target)} is not a translate of "
                     f"{spec.format_element(g)}"
@@ -128,10 +132,12 @@ def verify_certificate(
         if len(image) != len(pairs):
             raise CertificateError("assignment is not injective")
         images.append(image)
+        found.append(tuple(used))
     if images[0] & images[1]:
         raise CertificateError("images of the two assignments intersect")
     if {g for g, _ in cert.pairs1} != {g for g, _ in cert.pairs2}:
         raise CertificateError("the two assignments cover different domains")
+    return found[0], found[1]
 
 
 def verify_violator(spec: GroupSpec, ts: TranslatingSets, violator: Violator) -> None:
@@ -215,7 +221,8 @@ def check_domain(
     The right-side universe D·S1 ∪ D·S2 is computed exactly in the group,
     never clipped to a patch.  On deficiency, the violator comes from
     alternating reachability and is then shrunk greedily (smaller violators
-    are human-checkable; true minimality is brute_force_check's job).
+    are human-checkable; true minimality is the job of the exhaustive oracle
+    in ``tests/oracles.py``).
     """
     elements = sorted(set(domain), key=spec.element_sort_key)
     if not elements:
@@ -260,153 +267,6 @@ def _shrink_violator(spec, ts, a1: list, a2: list) -> tuple[list, list]:
     return kept
 
 
-# -- exhaustive oracle ---------------------------------------------------------
-
-
-def brute_force_check(
-    spec: GroupSpec, ts: TranslatingSets, domain: Iterable[Element]
-) -> Verdict:
-    """Exhaustively test all 4^|D| subset pairs (|D| <= 14).
-
-    Returns a minimum-cardinality violator when one exists, breaking ties
-    by the lexicographically least (sorted A1, sorted A2) pair; otherwise a
-    certificate found with a plain augmenting-path matching, independent of
-    the Hopcroft-Karp path used by :func:`check_domain`.
-    """
-    elements = sorted(set(domain), key=spec.element_sort_key)
-    if not elements:
-        raise ValueError("domain must be nonempty")
-    n = len(elements)
-    if n > BRUTE_FORCE_MAX_DOMAIN:
-        raise DomainSizeError(
-            f"domain of size {n} exceeds the brute-force bound {BRUTE_FORCE_MAX_DOMAIN}"
-        )
-
-    right_index: dict[Element, int] = {}
-
-    def bitmask(g: Element, translators) -> int:
-        mask = 0
-        for s in translators:
-            w = spec.multiply(g, s)
-            j = right_index.get(w)
-            if j is None:
-                j = len(right_index)
-                right_index[w] = j
-            mask |= 1 << j
-        return mask
-
-    masks1 = [bitmask(g, ts.s1) for g in elements]
-    masks2 = [bitmask(g, ts.s2) for g in elements]
-    num_bits = len(right_index)
-    num_bytes = max(1, (num_bits + 7) // 8)
-
-    def to_row(mask: int) -> np.ndarray:
-        return np.frombuffer(mask.to_bytes(num_bytes, "little"), dtype=np.uint8)
-
-    rows1 = np.array([to_row(m) for m in masks1], dtype=np.uint8)
-    rows2 = np.array([to_row(m) for m in masks2], dtype=np.uint8)
-
-    def subset_unions(rows: np.ndarray) -> np.ndarray:
-        unions = np.zeros((1 << n, num_bytes), dtype=np.uint8)
-        for m in range(1, 1 << n):
-            low = m & -m
-            unions[m] = unions[m ^ low] | rows[low.bit_length() - 1]
-        return unions
-
-    unions1 = subset_unions(rows1)
-    unions2 = subset_unions(rows2)
-    sizes = np.array([bin(m).count("1") for m in range(1 << n)], dtype=np.int64)
-
-    best_total = None
-    for m1 in range(1 << n):
-        union_counts = _POPCOUNT[unions1[m1] | unions2].sum(axis=1, dtype=np.int64)
-        violating = union_counts < sizes[m1] + sizes
-        if violating.any():
-            total = sizes[m1] + int(sizes[violating].min())
-            if best_total is None or total < best_total:
-                best_total = total
-
-    if best_total is None:
-        return _brute_force_certificate(spec, ts, elements)
-
-    best_pair = None
-    best_key = None
-    from itertools import combinations
-
-    for k1 in range(0, min(n, best_total) + 1):
-        k2 = best_total - k1
-        if k2 < 0 or k2 > n:
-            continue
-        combos2 = list(combinations(range(n), k2))
-        idx2 = np.array(
-            [sum(1 << i for i in combo) for combo in combos2], dtype=np.int64
-        )
-        block2 = unions2[idx2]
-        for combo1 in combinations(range(n), k1):
-            m1 = sum(1 << i for i in combo1)
-            union_counts = _POPCOUNT[unions1[m1] | block2].sum(axis=1, dtype=np.int64)
-            violating = np.flatnonzero(union_counts < k1 + k2)
-            if violating.size == 0:
-                continue
-            combo2 = combos2[int(violating[0])]
-            a1 = tuple(elements[i] for i in combo1)
-            a2 = tuple(elements[i] for i in combo2)
-            key = (
-                tuple(spec.element_sort_key(g) for g in a1),
-                tuple(spec.element_sort_key(g) for g in a2),
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pair = (a1, a2)
-            break  # later combo1 of this size are lexicographically larger
-    assert best_pair is not None
-    return make_violator(spec, ts, best_pair[0], best_pair[1])
-
-
-def _brute_force_certificate(
-    spec: GroupSpec, ts: TranslatingSets, elements: Sequence[Element]
-) -> Certificate:
-    """Kuhn's augmenting-path matching; exhaustive scan showed Hall holds,
-    so the matching saturates the left side."""
-    lefts = [(copy, g) for copy in (1, 2) for g in elements]
-    right_index: dict[Element, int] = {}
-    right_elements: list[Element] = []
-    adjacency = []
-    for copy, g in lefts:
-        row = []
-        for s in ts.s1 if copy == 1 else ts.s2:
-            w = spec.multiply(g, s)
-            j = right_index.get(w)
-            if j is None:
-                j = len(right_elements)
-                right_index[w] = j
-                right_elements.append(w)
-            row.append(j)
-        adjacency.append(row)
-    pair_right = [UNMATCHED] * len(right_elements)
-    pair_left = [UNMATCHED] * len(lefts)
-
-    def augment(u: int, visited: list[bool]) -> bool:
-        for v in adjacency[u]:
-            if visited[v]:
-                continue
-            visited[v] = True
-            if pair_right[v] == UNMATCHED or augment(pair_right[v], visited):
-                pair_left[u] = v
-                pair_right[v] = u
-                return True
-        return False
-
-    for u in range(len(lefts)):
-        if not augment(u, [False] * len(right_elements)):
-            raise AssertionError("Hall condition held but matching failed")
-    pairs1 = []
-    pairs2 = []
-    for (copy, g), j in zip(lefts, pair_left):
-        (pairs1 if copy == 1 else pairs2).append((g, right_elements[j]))
-    return Certificate(pairs1=tuple(pairs1), pairs2=tuple(pairs2))
-
-
 def minimal_violating_radius(
     spec: GroupSpec,
     gens: GeneratingSet,
@@ -437,40 +297,32 @@ def minimal_violating_radius(
 
 
 def verdict_to_jsonable(spec: GroupSpec, verdict: Verdict) -> dict:
+    fmt = spec.formatter()
     if isinstance(verdict, Certificate):
         return {
             "kind": "certificate",
-            "phi1": [
-                [spec.format_element(g), spec.format_element(w)]
-                for g, w in verdict.pairs1
-            ],
-            "phi2": [
-                [spec.format_element(g), spec.format_element(w)]
-                for g, w in verdict.pairs2
-            ],
+            "phi1": [[fmt(g), fmt(w)] for g, w in verdict.pairs1],
+            "phi2": [[fmt(g), fmt(w)] for g, w in verdict.pairs2],
         }
     return {
         "kind": "violator",
-        "a1": [spec.format_element(g) for g in verdict.a1],
-        "a2": [spec.format_element(g) for g in verdict.a2],
+        "a1": [fmt(g) for g in verdict.a1],
+        "a2": [fmt(g) for g in verdict.a2],
         "union_size": verdict.union_size,
     }
 
 
 def verdict_from_jsonable(spec: GroupSpec, data: dict) -> Verdict:
+    parse = spec.parser()
     if data["kind"] == "certificate":
         return Certificate(
-            pairs1=tuple(
-                (spec.parse_element(g), spec.parse_element(w)) for g, w in data["phi1"]
-            ),
-            pairs2=tuple(
-                (spec.parse_element(g), spec.parse_element(w)) for g, w in data["phi2"]
-            ),
+            pairs1=tuple((parse(g), parse(w)) for g, w in data["phi1"]),
+            pairs2=tuple((parse(g), parse(w)) for g, w in data["phi2"]),
         )
     if data["kind"] == "violator":
         return Violator(
-            a1=tuple(spec.parse_element(g) for g in data["a1"]),
-            a2=tuple(spec.parse_element(g) for g in data["a2"]),
+            a1=tuple(parse(g) for g in data["a1"]),
+            a2=tuple(parse(g) for g in data["a2"]),
             union_size=data["union_size"],
         )
     raise ValueError(f"unknown verdict kind {data.get('kind')!r}")

@@ -22,7 +22,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
     FreeWordLengthError,
@@ -47,6 +47,7 @@ DEFAULT_MATRIX_GENERATORS = ((1, 2, 0, 1), (1, 0, 2, 1))
 _MODELS = ("free", "abelian", "cyclic", "sl2z")
 
 _WORD_TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
+_PLAIN_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 def _default_names(count: int) -> tuple[str, ...]:
@@ -361,6 +362,90 @@ class GroupSpec:
                 else:
                     word.append(s)
         return tuple(word)
+
+    # -- batch codec -----------------------------------------------------------
+
+    def formatter(self) -> Callable[[Element], str]:
+        """:meth:`format_element` for one batch of elements.
+
+        In the free model the callable remembers every text it returns, so
+        a word whose prefix ``x[:-1]`` was formatted earlier in the batch
+        costs one token: its last letter either starts a new run, appended
+        to the prefix's text, or extends the prefix's last run, whose
+        exponent is rewritten.  Any other word is formatted whole by
+        :meth:`format_element`.  A prefix-closed batch (a ball) formatted
+        in the spec's element order hits on every word of two or more
+        letters.  Other models, and generator names that are not plain
+        identifiers, format each element alone.
+        """
+        names = self.generator_names
+        if self.model != "free" or not all(map(_PLAIN_NAME.match, names)):
+            return self.format_element
+        memo: dict[Element, str] = {}
+
+        def format_word(x: Element) -> str:
+            text = memo.get(x)
+            if text is not None:
+                return text
+            head = memo.get(x[:-1]) if len(x) > 1 else None
+            if head is None:
+                text = self.format_element(x)
+            else:
+                s = x[-1]
+                name = names[abs(s) - 1]
+                if x[-2] == s:
+                    start = head.rfind(" ") + 1
+                    last = head[start:]
+                    exponent = 1 if last == name else int(last[len(name) + 1 :])
+                    text = f"{head[:start]}{name}^{exponent + (1 if s > 0 else -1)}"
+                else:
+                    text = f"{head} {name}" if s > 0 else f"{head} {name}^-1"
+            memo[x] = text
+            return text
+
+        return format_word
+
+    def parser(self) -> Callable[[str], Element]:
+        """:meth:`parse_element` (standard generators) for one batch of texts.
+
+        In the free model the callable remembers every word it returns, so
+        a text whose head ``text.rpartition(" ")[0]`` was parsed earlier in
+        the batch costs one token: the last token's cached run is reduced
+        onto the head's word.  That is exact because free reduction does
+        not depend on where it starts.  A miss, a token the one-pass parser
+        refuses, a text over ``_MAX_FAST_TEXT`` or a result over
+        ``MAX_FREE_WORD_LENGTH`` parses the whole text with
+        :meth:`parse_element`, which raises its own errors.  The canonical
+        texts of a ball, sorted as strings or listed in element order, hit
+        on every text of two or more tokens.  Other models parse each text
+        alone.
+        """
+        if self.model != "free":
+            return self.parse_element
+        names = self.generator_names
+        memo: dict[str, Element] = {}
+
+        def parse_text(text: str) -> Element:
+            word = memo.get(text)
+            if word is not None:
+                return word
+            head, _, token = text.rpartition(" ")
+            # "" is never remembered: it does not parse.
+            word = memo.get(head)
+            run = None
+            if word is not None and len(text) <= _MAX_FAST_TEXT:
+                run = _free_token_run(names, token)
+            if run is not None:
+                k = 0
+                while k < len(run) and k < len(word) and word[-1 - k] == -run[k]:
+                    k += 1
+                word = word[: len(word) - k] + run[k:]
+            if run is None or len(word) > MAX_FREE_WORD_LENGTH:
+                word = self.parse_element(text)
+            memo[text] = word
+            return word
+
+        return parse_text
 
     def _parse_bracketed(self, text: str) -> Element:
         try:

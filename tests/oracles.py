@@ -3,12 +3,25 @@
 Deliberately naive and separate from the library's code paths: the ball
 oracle is a plain frontier expansion without sorting or indexing, and the
 spanning-tree count is Kirchhoff's matrix-tree determinant evaluated with
-exact integer (Bareiss) elimination.
+exact integer (Bareiss) elimination.  Only the 4^|D| doubling oracle,
+:func:`brute_force_check`, needs numpy, which the library does not import.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import combinations
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from paradec.doubling import Certificate, TranslatingSets, Verdict, make_violator
+from paradec.errors import CertificateError, DomainSizeError
+from paradec.groups import Element, GroupSpec
+from paradec.matching import UNMATCHED
+
+BRUTE_FORCE_MAX_DOMAIN = 14
+
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 def ball_oracle(spec, generators, radius):
@@ -249,3 +262,160 @@ def sample_with_required_edges_oracle(num_vertices, edges, required, seed):
         )
     chosen = _wilson(len(roots), contracted, random.Random(seed))
     return _make_sample(num_vertices, [originals[i] for i in chosen] + required, seed)
+
+
+def brute_force_check(
+    spec: GroupSpec, ts: TranslatingSets, domain: Iterable[Element]
+) -> Verdict:
+    """Exhaustively test all 4^|D| subset pairs (|D| <= 14).
+
+    Returns a minimum-cardinality violator when one exists, breaking ties
+    by the lexicographically least (sorted A1, sorted A2) pair; otherwise a
+    certificate found with a plain augmenting-path matching, independent of
+    the Hopcroft-Karp path used by ``check_domain``.
+    """
+    elements = sorted(set(domain), key=spec.element_sort_key)
+    if not elements:
+        raise ValueError("domain must be nonempty")
+    n = len(elements)
+    if n > BRUTE_FORCE_MAX_DOMAIN:
+        raise DomainSizeError(
+            f"domain of size {n} exceeds the brute-force bound {BRUTE_FORCE_MAX_DOMAIN}"
+        )
+
+    right_index: dict[Element, int] = {}
+
+    def bitmask(g: Element, translators) -> int:
+        mask = 0
+        for s in translators:
+            w = spec.multiply(g, s)
+            j = right_index.get(w)
+            if j is None:
+                j = len(right_index)
+                right_index[w] = j
+            mask |= 1 << j
+        return mask
+
+    masks1 = [bitmask(g, ts.s1) for g in elements]
+    masks2 = [bitmask(g, ts.s2) for g in elements]
+    num_bits = len(right_index)
+    num_bytes = max(1, (num_bits + 7) // 8)
+
+    def to_row(mask: int) -> np.ndarray:
+        return np.frombuffer(mask.to_bytes(num_bytes, "little"), dtype=np.uint8)
+
+    rows1 = np.array([to_row(m) for m in masks1], dtype=np.uint8)
+    rows2 = np.array([to_row(m) for m in masks2], dtype=np.uint8)
+
+    def subset_unions(rows: np.ndarray) -> np.ndarray:
+        unions = np.zeros((1 << n, num_bytes), dtype=np.uint8)
+        for m in range(1, 1 << n):
+            low = m & -m
+            unions[m] = unions[m ^ low] | rows[low.bit_length() - 1]
+        return unions
+
+    unions1 = subset_unions(rows1)
+    unions2 = subset_unions(rows2)
+    sizes = np.array([bin(m).count("1") for m in range(1 << n)], dtype=np.int64)
+
+    best_total = None
+    for m1 in range(1 << n):
+        union_counts = _POPCOUNT[unions1[m1] | unions2].sum(axis=1, dtype=np.int64)
+        violating = union_counts < sizes[m1] + sizes
+        if violating.any():
+            total = sizes[m1] + int(sizes[violating].min())
+            if best_total is None or total < best_total:
+                best_total = total
+
+    if best_total is None:
+        return _brute_force_certificate(spec, ts, elements)
+
+    best_pair = None
+    best_key = None
+    for k1 in range(0, min(n, best_total) + 1):
+        k2 = best_total - k1
+        if k2 < 0 or k2 > n:
+            continue
+        combos2 = list(combinations(range(n), k2))
+        idx2 = np.array(
+            [sum(1 << i for i in combo) for combo in combos2], dtype=np.int64
+        )
+        block2 = unions2[idx2]
+        for combo1 in combinations(range(n), k1):
+            m1 = sum(1 << i for i in combo1)
+            union_counts = _POPCOUNT[unions1[m1] | block2].sum(axis=1, dtype=np.int64)
+            violating = np.flatnonzero(union_counts < k1 + k2)
+            if violating.size == 0:
+                continue
+            combo2 = combos2[int(violating[0])]
+            a1 = tuple(elements[i] for i in combo1)
+            a2 = tuple(elements[i] for i in combo2)
+            key = (
+                tuple(spec.element_sort_key(g) for g in a1),
+                tuple(spec.element_sort_key(g) for g in a2),
+            )
+            if best_key is None or key < best_key:
+                best_key = key
+                best_pair = (a1, a2)
+            break  # later combo1 of this size are lexicographically larger
+    assert best_pair is not None
+    return make_violator(spec, ts, best_pair[0], best_pair[1])
+
+
+def _brute_force_certificate(
+    spec: GroupSpec, ts: TranslatingSets, elements: Sequence[Element]
+) -> Certificate:
+    """Kuhn's augmenting-path matching; exhaustive scan showed Hall holds,
+    so the matching saturates the left side."""
+    lefts = [(copy, g) for copy in (1, 2) for g in elements]
+    right_index: dict[Element, int] = {}
+    right_elements: list[Element] = []
+    adjacency = []
+    for copy, g in lefts:
+        row = []
+        for s in ts.s1 if copy == 1 else ts.s2:
+            w = spec.multiply(g, s)
+            j = right_index.get(w)
+            if j is None:
+                j = len(right_elements)
+                right_index[w] = j
+                right_elements.append(w)
+            row.append(j)
+        adjacency.append(row)
+    pair_right = [UNMATCHED] * len(right_elements)
+    pair_left = [UNMATCHED] * len(lefts)
+
+    def augment(u: int, visited: list[bool]) -> bool:
+        for v in adjacency[u]:
+            if visited[v]:
+                continue
+            visited[v] = True
+            if pair_right[v] == UNMATCHED or augment(pair_right[v], visited):
+                pair_left[u] = v
+                pair_right[v] = u
+                return True
+        return False
+
+    for u in range(len(lefts)):
+        if not augment(u, [False] * len(right_elements)):
+            raise AssertionError("Hall condition held but matching failed")
+    pairs1 = []
+    pairs2 = []
+    for (copy, g), j in zip(lefts, pair_left):
+        (pairs1 if copy == 1 else pairs2).append((g, right_elements[j]))
+    return Certificate(pairs1=tuple(pairs1), pairs2=tuple(pairs2))
+
+
+def bucket_by_division_oracle(spec, pairs, translators):
+    """Pieces of one certificate family by division: each target g·s goes to
+    the piece of s = g⁻¹·target, which must be a translator."""
+    pieces = {s: set() for s in translators}
+    for g, target in pairs:
+        s = spec.multiply(spec.invert(g), target)
+        if s not in pieces:
+            raise CertificateError(
+                f"image {spec.format_element(target)} is not a translate "
+                f"of {spec.format_element(g)} by a translator"
+            )
+        pieces[s].add(target)
+    return pieces

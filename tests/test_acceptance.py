@@ -18,7 +18,6 @@ from paradec import (
     TranslatingSets,
     Violator,
     audit_counting_argument,
-    brute_force_check,
     check_domain,
     cyclic_group,
     degree_statistics,
@@ -40,7 +39,12 @@ from paradec import (
 from paradec.cli import main as cli_main
 
 from helpers import random_element, standard_gens
-from oracles import ball_oracle, kirchhoff_count, union_product_count
+from oracles import (
+    ball_oracle,
+    brute_force_check,
+    kirchhoff_count,
+    union_product_count,
+)
 
 
 def report(number: int, text: str) -> None:

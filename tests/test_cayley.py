@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from paradec import (
+    CayleyPatch,
     GeneratingSet,
     cyclic_group,
     enumerate_ball,
@@ -16,7 +17,7 @@ from paradec import (
     sphere_sizes,
 )
 from paradec.cayley import ball_levels
-from paradec.errors import PatchEdgeError, VertexBudgetError
+from paradec.errors import PatchDistanceError, PatchEdgeError, VertexBudgetError
 from paradec.groups import GroupSpec
 
 from helpers import all_model_specs, standard_gens
@@ -308,6 +309,49 @@ class TestExports:
         with pytest.raises(PatchEdgeError) as info:
             patch_from_jsonable(data)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "tamper,message",
+        [
+            (lambda data: (data["distances"].__setitem__(1, 2), data.update(radius=5)),
+             "stored distance 2 of vertex 1 (b^-1) should be 1"),
+            (lambda data: data["distances"].__setitem__(16, 1),
+             "stored distance 1 of vertex 16 (b^2) should be 2"),
+            (lambda data: data["distances"].pop(),
+             "16 stored distances for 17 vertices"),
+            (lambda data: data.update(radius=5), "stored radius 5 should be 2"),
+            (lambda data: data.update(radius=1), "stored radius 1 should be 2"),
+            (lambda data: data.update(radius="2"), "stored radius '2' should be 2"),
+        ],
+        ids=["distance-and-radius", "distance", "count", "radius-up", "radius-down",
+             "radius-text"],
+    )
+    def test_tampered_distances_rejected(self, tamper, message):
+        data = json.loads(DUMP.read_text())
+        tamper(data)
+        with pytest.raises(PatchDistanceError) as info:
+            patch_from_jsonable(data)
+        assert str(info.value) == message
+
+    def test_vertex_cut_off_from_the_identity_rejected(self):
+        # b^2 without b: its only neighbour in the patch is gone
+        spec = free_group(2)
+        patch = CayleyPatch(spec, standard_gens(spec), 2, ((), (2, 2)), (0, 2))
+        data = patch.to_jsonable()
+        with pytest.raises(PatchDistanceError) as info:
+            patch_from_jsonable(data)
+        assert str(info.value) == "vertex 1 (b^2) is not joined to the identity"
+        patch = CayleyPatch(spec, standard_gens(spec), 1, ((2,), (2, 2)), (0, 1))
+        with pytest.raises(PatchDistanceError) as info:
+            patch_from_jsonable(patch.to_jsonable())
+        assert str(info.value) == "the patch has no identity vertex"
+
+    def test_whole_finite_group_keeps_a_larger_radius(self):
+        spec = cyclic_group(7)
+        patch = enumerate_ball(spec, standard_gens(spec), 5)
+        restored = patch_from_jsonable(json.loads(json.dumps(patch.to_jsonable())))
+        assert restored == patch
+        assert restored.sphere_sizes() == [1, 2, 2, 2, 0, 0]
 
     def test_edge_list_text_shape(self):
         spec = cyclic_group(3)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -389,6 +393,44 @@ class TestReport:
         assert report["upper"] == 4
         assert report["lower"] == 4
         assert any("free subgroup" in note for note in report["justification"])
+
+
+    @pytest.mark.parametrize("big_first,expect", [(False, 0), (True, 2)])
+    def test_sl2z_overflow_after_the_match(self, capsys, tmp_path, big_first, expect):
+        """The translate of A by S1 = {1, M} that matches is A·1, so A·M,
+        whose entry 2 + (2^63 - 2) leaves the 64-bit range, is not formed
+        and the certificate is accepted.  Listed first, M is still
+        multiplied out, and the overflow is a usage error."""
+        big = "[[1, 9223372036854775806], [0, 1]]"
+        s1 = [big, "1"] if big_first else ["1", big]
+        data = {
+            "group": "sl2z",
+            "s1": s1,
+            "s2": ["1", "B"],
+            "verdict": {
+                "kind": "certificate",
+                "phi1": [["A", "[[1, 2], [0, 1]]"]],
+                "phi2": [["A", "[[5, 2], [2, 1]]"]],
+            },
+        }
+        path = tmp_path / "sl2z.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "report", "--inputs", str(path), "--format", "json")
+        assert code == expect
+        if expect == 0:
+            assert json.loads(out)["upper"] == 4
+        else:
+            assert err == "error: matrix entry 9223372036854775808 exceeds the signed 64-bit range\n"
+
+
+def test_cli_import_leaves_numpy_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, paradec.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
 
 
 class TestDeterminismAndErrors:

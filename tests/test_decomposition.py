@@ -17,6 +17,7 @@ from paradec import (
     matrix_group,
     pieces_from_certificate,
     tarski_bound_report,
+    verify_certificate,
     verify_decomposition,
 )
 from paradec.decomposition import (
@@ -26,11 +27,11 @@ from paradec.decomposition import (
     verification_from_jsonable,
     verification_to_jsonable,
 )
-from paradec.errors import CertificateError, VertexBudgetError
+from paradec.errors import CertificateError, MatrixOverflowError, VertexBudgetError
 from paradec.groups import parse_group_spec
 
 from helpers import random_element, standard_gens
-from oracles import free_up_to_length_oracle
+from oracles import bucket_by_division_oracle, free_up_to_length_oracle
 
 
 def ball(spec, radius):
@@ -91,6 +92,141 @@ class TestPiecesFromCertificate:
             pd, _ = pieces_from_certificate(spec, verdict, ts)
             assert verify_decomposition(spec, pd, ts, domain).passed
             assert pd.nonempty_piece_count() <= ts.total_size()
+
+
+def seeded_certificates():
+    """Certificates found by check_domain on seeded random subsets of small
+    balls, in several models: (spec, translating sets, certificate)."""
+    cases = [
+        (free_group(2), "1,a", "1,b", 3),
+        (free_group(3), "1,a", "1,b,c", 3),
+        (free_abelian_group(2), "1,a,a^2", "1,b,b^2", 3),
+        (matrix_group(), "1,A", "1,B", 2),
+    ]
+    found = []
+    for spec, s1, s2, radius in cases:
+        ts = TranslatingSets.from_words(spec, s1, s2)
+        vertices = ball(spec, radius).vertices
+        rng = random.Random(len(vertices))
+        for _ in range(12):
+            domain = rng.sample(vertices, rng.randint(1, len(vertices)))
+            verdict = check_domain(spec, ts, domain)
+            if isinstance(verdict, Certificate):
+                found.append((spec, ts, verdict))
+    return found
+
+
+class TestOnePassCertificate:
+    def test_certificates_are_found(self):
+        models = {spec.model for spec, _, _ in seeded_certificates()}
+        assert models == {"free", "abelian", "sl2z"}
+
+    def test_translators_are_the_quotients(self):
+        for spec, ts, cert in seeded_certificates():
+            used1, used2 = verify_certificate(spec, ts, cert)
+            for pairs, used in ((cert.pairs1, used1), (cert.pairs2, used2)):
+                assert used == tuple(
+                    spec.multiply(spec.invert(g), target) for g, target in pairs
+                )
+
+    def test_pieces_match_division_oracle(self):
+        for spec, ts, cert in seeded_certificates():
+            pd, report = pieces_from_certificate(spec, cert, ts)
+            assert pd.pieces1_map() == {
+                s: frozenset(piece)
+                for s, piece in bucket_by_division_oracle(spec, cert.pairs1, ts.s1).items()
+            }
+            assert pd.pieces2_map() == {
+                s: frozenset(piece)
+                for s, piece in bucket_by_division_oracle(spec, cert.pairs2, ts.s2).items()
+            }
+            assert report.passed
+
+    @staticmethod
+    def tampered():
+        """A free:3 radius-2 certificate tampered four ways, each with the
+        message re-verification gives it."""
+        spec = free_group(3)
+        ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
+        cert = check_domain(spec, ts, ball(spec, 2).vertices)
+        pairs1, pairs2 = list(cert.pairs1), list(cert.pairs2)
+        image1 = {t for _, t in pairs1}
+        image2 = {t for _, t in pairs2}
+
+        def retarget(pairs, translators, hit, miss):
+            """The pairs with one image moved to another translate of its
+            element that lies in ``hit`` and not in ``miss``."""
+            i, t = next(
+                (i, spec.multiply(h, s))
+                for i, (h, w) in enumerate(pairs)
+                for s in translators
+                if spec.multiply(h, s) != w
+                and spec.multiply(h, s) in hit
+                and spec.multiply(h, s) not in miss
+            )
+            return tuple(pairs[:i] + [(pairs[i][0], t)] + pairs[i + 1 :])
+
+        g = pairs1[3][0]
+        return spec, ts, [
+            (
+                Certificate(tuple(pairs1[:3] + [(g, (2, 2))] + pairs1[4:]), cert.pairs2),
+                f"b^2 is not a translate of {spec.format_element(g)}",
+            ),
+            (
+                Certificate(retarget(pairs1, ts.s1, image1, ()), cert.pairs2),
+                "assignment is not injective",
+            ),
+            (
+                Certificate(cert.pairs1, retarget(pairs2, ts.s2, image1, image2)),
+                "images of the two assignments intersect",
+            ),
+            (
+                Certificate(cert.pairs1, cert.pairs2[:-1]),
+                "the two assignments cover different domains",
+            ),
+        ]
+
+    def test_tampered_certificates_keep_their_messages(self):
+        spec, ts, cases = self.tampered()
+        for cert, message in cases:
+            for check in (verify_certificate, lambda s, t, c: pieces_from_certificate(s, c, t)):
+                with pytest.raises(CertificateError) as info:
+                    check(spec, ts, cert)
+                assert str(info.value) == message
+
+    def test_division_oracle_rejects_the_bad_translate(self):
+        spec, ts, cases = self.tampered()
+        cert, _ = cases[0]
+        with pytest.raises(CertificateError, match="is not a translate of"):
+            bucket_by_division_oracle(spec, cert.pairs1, ts.s1)
+
+
+class TestSl2zOverflowAfterMatch:
+    """A translate is formed only up to the one that matches, so a later
+    translator whose product would overflow the 64-bit range is never
+    multiplied out; listed before the match, it still raises."""
+
+    BIG = (1, 2**63 - 2, 0, 1)
+
+    def certificate(self, s1):
+        spec = matrix_group()
+        a, b = spec.generator_map()["A"], spec.generator_map()["B"]
+        ts = TranslatingSets(s1=s1, s2=(spec.identity(), b))
+        cert = Certificate(pairs1=((a, a),), pairs2=((a, spec.multiply(a, b)),))
+        return spec, ts, cert
+
+    def test_overflow_after_match_is_not_formed(self):
+        spec, ts, cert = self.certificate((matrix_group().identity(), self.BIG))
+        assert verify_certificate(spec, ts, cert) == ((spec.identity(),), ((1, 0, 2, 1),))
+        pd, report = pieces_from_certificate(spec, cert, ts)
+        assert report.passed
+        assert pd.pieces1_map() == {spec.identity(): frozenset([(1, 2, 0, 1)]),
+                                    self.BIG: frozenset()}
+
+    def test_overflow_before_match_still_raises(self):
+        spec, ts, cert = self.certificate((self.BIG, matrix_group().identity()))
+        with pytest.raises(MatrixOverflowError):
+            verify_certificate(spec, ts, cert)
 
 
 class TestVerifyDecomposition:

@@ -10,7 +10,6 @@ from paradec import (
     GeneratingSet,
     TranslatingSets,
     Violator,
-    brute_force_check,
     check_domain,
     cyclic_group,
     enumerate_ball,
@@ -31,6 +30,7 @@ from paradec.matching import UNMATCHED
 
 from helpers import random_element, standard_gens
 from oracles import (
+    brute_force_check,
     doubling_holds_naive,
     minimal_violating_radius_oracle,
     shrink_violator_oracle,
