@@ -194,7 +194,13 @@ class CayleyPatch:
         return self._interior
 
     def sphere_sizes(self) -> list[int]:
-        counts = [0] * (self.radius + 1)
+        """Vertex counts at each distance up to the largest one present.
+
+        A ball whose radius exceeds the group's diameter has no empty
+        sphere in its list: the whole of cyclic:7 at radius 10^6 gives
+        ``[1, 2, 2, 2]``.
+        """
+        counts = [0] * (max(self.distances, default=-1) + 1)
         for d in self.distances:
             counts[d] += 1
         return counts
@@ -394,7 +400,8 @@ def sphere_sizes(
     radius: int,
     vertex_budget: "int | None" = None,
 ) -> list[int]:
-    """Vertex counts at each exact distance 0..radius; sums to the ball size."""
+    """Vertex counts at each exact distance 0..radius, stopping at the last
+    nonempty sphere; sums to the ball size."""
     patch = enumerate_ball(spec, gens, radius, vertex_budget)
     return patch.sphere_sizes()
 

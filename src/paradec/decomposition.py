@@ -26,12 +26,14 @@ class PartialDecomposition:
 
     Piece contents may lie outside the domain (products escape any finite
     window); coverage is always asserted through translates, never through
-    membership of the pieces themselves.
+    membership of the pieces themselves.  ``domain`` holds each element
+    once, in element order (``GroupSpec.element_sort_key``), so that no
+    reader has to sort it again.
     """
 
     pieces1: tuple[tuple[Element, frozenset], ...]
     pieces2: tuple[tuple[Element, frozenset], ...]
-    domain: frozenset
+    domain: tuple[Element, ...]
 
     def pieces1_map(self) -> dict:
         return dict(self.pieces1)
@@ -73,6 +75,13 @@ def _sorted_pieces(
     return tuple((s, frozenset(pieces.get(s, ()))) for s in translators)
 
 
+def _element_order(spec: GroupSpec, domain: Iterable[Element]) -> tuple[Element, ...]:
+    """The distinct elements of ``domain`` in element order.  dict.fromkeys
+    keeps the input's order, so a domain that arrives in element order, as
+    a certificate's does, costs one linear pass of the sort."""
+    return tuple(sorted(dict.fromkeys(domain), key=spec.element_sort_key))
+
+
 def make_decomposition(
     spec: GroupSpec,
     ts: TranslatingSets,
@@ -88,7 +97,7 @@ def make_decomposition(
     return PartialDecomposition(
         pieces1=_sorted_pieces(spec, ts.s1, pieces1),
         pieces2=_sorted_pieces(spec, ts.s2, pieces2),
-        domain=frozenset(domain),
+        domain=_element_order(spec, domain),
     )
 
 
@@ -105,7 +114,6 @@ def pieces_from_certificate(
     raises :class:`CertificateError`.
     """
     used1, used2 = verify_certificate(spec, ts, cert)
-    domain = cert.domain()
 
     def bucket(pairs, used, translators):
         pieces: dict[Element, set] = {s: set() for s in translators}
@@ -118,9 +126,9 @@ def pieces_from_certificate(
         ts,
         bucket(cert.pairs1, used1, ts.s1),
         bucket(cert.pairs2, used2, ts.s2),
-        domain,
+        (g for g, _ in cert.pairs1),
     )
-    report = verify_decomposition(spec, pd, ts, domain)
+    report = verify_decomposition(spec, pd, ts, pd.domain)
     if not report.passed:
         raise CertificateError(
             "certificate produced pieces that fail verification; "
@@ -143,20 +151,32 @@ def verify_decomposition(
     order up to the first that covers g.  If g is not covered but one of
     its translates leaves the domain, the finite window simply cannot
     decide it: such g are reported as indeterminate rather than failed.
+
+    Inner elements are visited in the domain's element order, whatever the
+    order of ``inner``.  The pieces are disjoint exactly when their sizes
+    add up to the size of their union; elements are counted one by one
+    only when they do not.
     """
+    domain = set(pd.domain)
     inner = set(inner)
-    if not inner <= pd.domain:
+    if not inner <= domain:
         raise ValueError("inner set must be contained in the decomposition domain")
-    ordered = sorted(inner, key=spec.element_sort_key)
+    if len(inner) == len(domain):
+        ordered = pd.domain
+    else:
+        ordered = [g for g in pd.domain if g in inner]
     multiply = spec.multiply
 
-    counts: dict[Element, int] = {}
-    for _, piece in pd.pieces1 + pd.pieces2:
-        for x in piece:
-            counts[x] = counts.get(x, 0) + 1
-    overlaps = tuple(
-        sorted((x for x, c in counts.items() if c > 1), key=spec.element_sort_key)
-    )
+    pieces = [piece for _, piece in pd.pieces1 + pd.pieces2]
+    overlaps: tuple[Element, ...] = ()
+    if sum(map(len, pieces)) != len(frozenset().union(*pieces)):
+        counts: dict[Element, int] = {}
+        for piece in pieces:
+            for x in piece:
+                counts[x] = counts.get(x, 0) + 1
+        overlaps = tuple(
+            sorted((x for x, c in counts.items() if c > 1), key=spec.element_sort_key)
+        )
 
     def coverage(pieces: tuple[tuple[Element, frozenset], ...]):
         uncovered = []
@@ -170,7 +190,7 @@ def verify_decomposition(
                     break
                 translates.append(target)
             else:
-                if all(target in pd.domain for target in translates):
+                if all(target in domain for target in translates):
                     uncovered.append(g)
                 else:
                     indeterminate.append(g)
@@ -424,15 +444,15 @@ def tarski_bound_report(
 # -- serialization -------------------------------------------------------------
 
 
-def _domain_texts(spec: GroupSpec, fmt, domain: Iterable[Element]) -> list[str]:
-    """The domain's texts, formatted in element order so that a batch
+def _domain_texts(fmt, pd: PartialDecomposition) -> list[str]:
+    """The domain's texts, formatted in its element order so that a batch
     formatter meets every prefix of a ball's word before the word."""
-    return [fmt(x) for x in sorted(domain, key=spec.element_sort_key)]
+    return [fmt(x) for x in pd.domain]
 
 
 def decomposition_to_jsonable(spec: GroupSpec, pd: PartialDecomposition) -> dict:
     fmt = spec.formatter()
-    domain = sorted(_domain_texts(spec, fmt, pd.domain))
+    domain = sorted(_domain_texts(fmt, pd))
 
     def family(pieces):
         return [[fmt(s), sorted(fmt(x) for x in piece)] for s, piece in pieces]
@@ -446,7 +466,7 @@ def decomposition_to_jsonable(spec: GroupSpec, pd: PartialDecomposition) -> dict
 
 def decomposition_from_jsonable(spec: GroupSpec, data: dict) -> PartialDecomposition:
     parse = spec.parser()
-    domain = frozenset(parse(x) for x in data["domain"])
+    domain = _element_order(spec, (parse(x) for x in data["domain"]))
 
     def family(items):
         return tuple(
@@ -505,7 +525,7 @@ def verification_from_jsonable(spec: GroupSpec, data: dict) -> DecompositionRepo
 def report_to_text(spec: GroupSpec, pd: PartialDecomposition) -> str:
     """Plain-text pretty-printer: pieces rendered as word lists."""
     fmt = spec.formatter()
-    _domain_texts(spec, fmt, pd.domain)  # the pieces hold translates of these
+    _domain_texts(fmt, pd)  # the pieces hold translates of these
     lines = []
     for title, pieces in (("family 1", pd.pieces1), ("family 2", pd.pieces2)):
         for s, piece in pieces:

@@ -161,7 +161,8 @@ class _HallGraph:
     a left vertex (copy, g) for each g ∈ D and copy 1, 2, adjacent to the
     right vertices g·s, s ∈ S_copy.  Right vertices are the exact products,
     computed in the group and never clipped to a patch, indexed in order of
-    first appearance."""
+    first appearance.  The identity translator's product is g itself, so it
+    is not formed."""
 
     def __init__(self, spec: GroupSpec, ts: TranslatingSets):
         self.spec = spec
@@ -174,13 +175,14 @@ class _HallGraph:
     def extend(self, elements: Sequence[Element]) -> None:
         """Append copy 1 of every element, then copy 2 of every element."""
         multiply = self.spec.multiply
+        identity = self.spec.identity()
         right_index = self.right_index
         right_elements = self.right_elements
         for copy, translators in ((1, self.ts.s1), (2, self.ts.s2)):
             for g in elements:
                 row = []
                 for s in translators:
-                    w = multiply(g, s)
+                    w = g if s == identity else multiply(g, s)
                     j = right_index.get(w)
                     if j is None:
                         j = len(right_elements)
@@ -224,7 +226,9 @@ def check_domain(
     are human-checkable; true minimality is the job of the exhaustive oracle
     in ``tests/oracles.py``).
     """
-    elements = sorted(set(domain), key=spec.element_sort_key)
+    # dict.fromkeys keeps the domain's order, and a ball arrives in element
+    # order already, so the sort is one linear pass
+    elements = sorted(dict.fromkeys(domain), key=spec.element_sort_key)
     if not elements:
         raise ValueError("domain must be nonempty")
     graph = _HallGraph(spec, ts)

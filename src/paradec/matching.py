@@ -27,6 +27,15 @@ def hopcroft_karp(
     the result of an earlier call before vertices were appended; the search
     then augments from the vertices it leaves unmatched.  The augmenting
     DFS is iterative so deep layered paths cannot hit the recursion limit.
+
+    The first phase is a greedy pass: each unmatched left vertex, in index
+    order, takes its first free right vertex in adjacency order.  From an
+    empty matching this is exactly the first layered phase, since every
+    left vertex then sits in layer 0 and the DFS never descends, so it
+    skips that phase's breadth-first search and returns the same matching.
+    From a warm start it is a valid pre-pass that may end in a different
+    maximum matching; the alternating reach of the unmatched left vertices
+    (Dulmage-Mendelsohn) is the same for all of them.
     """
     num_left = len(adjacency)
     pair_left = [UNMATCHED] * num_left
@@ -34,6 +43,13 @@ def hopcroft_karp(
     if start is not None:
         pair_left[: len(start[0])] = start[0]
         pair_right[: len(start[1])] = start[1]
+    for u, row in enumerate(adjacency):
+        if pair_left[u] == UNMATCHED:
+            for v in row:
+                if pair_right[v] == UNMATCHED:
+                    pair_left[u] = v
+                    pair_right[v] = u
+                    break
     dist = [_UNREACHED] * num_left
 
     def bfs_layers() -> bool:

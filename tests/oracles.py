@@ -9,6 +9,7 @@ exact integer (Bareiss) elimination.  Only the 4^|D| doubling oracle,
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -39,11 +40,14 @@ def ball_oracle(spec, generators, radius):
 
 
 def sphere_oracle(spec, generators, radius):
-    """Counts of elements at each exact word length 0..radius."""
+    """Counts of elements at each exact word length 0..radius, up to the
+    last nonempty sphere."""
     sizes = [1]
     previous = ball_oracle(spec, generators, 0)
     for r in range(1, radius + 1):
         current = ball_oracle(spec, generators, r)
+        if len(current) == len(previous):
+            break  # the ball is the whole group
         sizes.append(len(current) - len(previous))
         previous = current
     return sizes
@@ -419,3 +423,81 @@ def bucket_by_division_oracle(spec, pairs, translators):
             )
         pieces[s].add(target)
     return pieces
+
+
+def hopcroft_karp_layered_oracle(adjacency, num_right, start=None):
+    """Hopcroft-Karp with every phase layered, the first one included: the
+    reference for ``paradec.matching.hopcroft_karp``, whose first phase is a
+    greedy pass.  From an empty start the two return the same matching."""
+    num_left = len(adjacency)
+    pair_left = [UNMATCHED] * num_left
+    pair_right = [UNMATCHED] * num_right
+    if start is not None:
+        pair_left[: len(start[0])] = start[0]
+        pair_right[: len(start[1])] = start[1]
+    unreached = -1
+    dist = [unreached] * num_left
+
+    def bfs_layers() -> bool:
+        queue: deque[int] = deque()
+        for u in range(num_left):
+            if pair_left[u] == UNMATCHED:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = unreached
+        found_free = False
+        while queue:
+            u = queue.popleft()
+            for v in adjacency[u]:
+                w = pair_right[v]
+                if w == UNMATCHED:
+                    found_free = True
+                elif dist[w] == unreached:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found_free
+
+    def try_augment(root: int) -> bool:
+        frames: list[list[int]] = [[root, 0]]
+        chosen: list[int] = []
+        while frames:
+            frame = frames[-1]
+            u, cursor = frame
+            if cursor < len(adjacency[u]):
+                frame[1] += 1
+                v = adjacency[u][cursor]
+                w = pair_right[v]
+                if w == UNMATCHED:
+                    chosen.append(v)
+                    for (left, _), right in zip(frames, chosen):
+                        pair_left[left] = right
+                        pair_right[right] = left
+                    return True
+                if dist[w] == dist[u] + 1:
+                    chosen.append(v)
+                    frames.append([w, 0])
+            else:
+                dist[u] = unreached
+                frames.pop()
+                if chosen:
+                    chosen.pop()
+        return False
+
+    while bfs_layers():
+        for u in range(num_left):
+            if pair_left[u] == UNMATCHED:
+                try_augment(u)
+    return pair_left, pair_right
+
+
+def overlaps_oracle(spec, pd):
+    """Elements in more than one piece of ``pd``, counted element by element
+    over every piece, in element order."""
+    counts = {}
+    for _, piece in pd.pieces1 + pd.pieces2:
+        for x in piece:
+            counts[x] = counts.get(x, 0) + 1
+    return tuple(
+        sorted((x for x, c in counts.items() if c > 1), key=spec.element_sort_key)
+    )

@@ -351,7 +351,8 @@ class TestExports:
         patch = enumerate_ball(spec, standard_gens(spec), 5)
         restored = patch_from_jsonable(json.loads(json.dumps(patch.to_jsonable())))
         assert restored == patch
-        assert restored.sphere_sizes() == [1, 2, 2, 2, 0, 0]
+        assert restored.radius == 5
+        assert restored.sphere_sizes() == [1, 2, 2, 2]
 
     def test_edge_list_text_shape(self):
         spec = cyclic_group(3)

@@ -37,6 +37,17 @@ class TestBall:
         assert data["vertices"] == 37
         assert data["sphere_sizes"] == [1, 6, 30]
 
+    def test_saturated_ball_lists_no_empty_sphere(self, capsys):
+        code, out, _ = run(
+            capsys, "ball", "--group", "cyclic:7", "--radius", "1000000",
+            "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["sphere_sizes"] == [1, 2, 2, 2]
+        assert data["radius"] == 1000000
+        assert len(out) < 1000
+
     def test_dump_json(self, capsys, tmp_path):
         target = tmp_path / "patch.json"
         code, _, err = run(

@@ -31,7 +31,11 @@ from paradec.errors import CertificateError, MatrixOverflowError, VertexBudgetEr
 from paradec.groups import parse_group_spec
 
 from helpers import random_element, standard_gens
-from oracles import bucket_by_division_oracle, free_up_to_length_oracle
+from oracles import (
+    bucket_by_division_oracle,
+    free_up_to_length_oracle,
+    overlaps_oracle,
+)
 
 
 def ball(spec, radius):
@@ -257,6 +261,49 @@ class TestVerifyDecomposition:
         pd = make_decomposition(spec, ts, {}, {}, domain=[e])
         with pytest.raises(ValueError):
             verify_decomposition(spec, pd, ts, [(1,)])
+
+    @pytest.mark.parametrize("shared", [2, 3])
+    def test_shared_elements_match_the_counting_oracle(self, shared):
+        """Elements put into two or three pieces of a passing decomposition
+        are the overlaps that counting element by element finds."""
+        spec = free_group(3)
+        ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
+        pd, report = pieces_from_certificate(
+            spec, check_domain(spec, ts, ball(spec, 2).vertices), ts
+        )
+        assert report.overlaps == overlaps_oracle(spec, pd) == ()
+        pieces1 = {s: set(piece) for s, piece in pd.pieces1}
+        pieces2 = {s: set(piece) for s, piece in pd.pieces2}
+        owners = [pieces1[s] for s in ts.s1] + [pieces2[s] for s in ts.s2]
+        shared_elements = sorted(owners[0], key=spec.element_sort_key)[:2]
+        for piece in owners[1:shared]:
+            piece.update(shared_elements)
+        tampered = make_decomposition(spec, ts, pieces1, pieces2, pd.domain)
+        report = verify_decomposition(spec, tampered, ts, pd.domain)
+        assert report.overlaps == overlaps_oracle(spec, tampered)
+        assert report.overlaps == tuple(shared_elements)
+        assert not report.disjoint and not report.passed
+
+    def test_inner_order_does_not_change_the_report(self):
+        spec = free_group(2)
+        ts = first_letter_translators()
+        pd = first_letter_pieces(2, ball(spec, 3).vertices)
+        whole = verify_decomposition(spec, pd, ts, pd.domain)
+        assert whole.indeterminate1 and whole.indeterminate2
+        assert verify_decomposition(spec, pd, ts, set(pd.domain)) == whole
+        assert verify_decomposition(spec, pd, ts, pd.domain[::-1]) == whole
+        inner = [w for w in pd.domain if len(w) != 1]
+        part = verify_decomposition(spec, pd, ts, inner)
+        assert part.indeterminate1 == tuple(w for w in whole.indeterminate1 if len(w) != 1)
+        assert verify_decomposition(spec, pd, ts, set(inner)) == part
+        assert verify_decomposition(spec, pd, ts, inner[::-1]) == part
+
+    def test_domain_is_kept_once_in_element_order(self):
+        spec = free_group(2)
+        ts = first_letter_translators()
+        vertices = ball(spec, 2).vertices
+        pd = make_decomposition(spec, ts, {}, {}, list(vertices[::-1]) + [()])
+        assert pd.domain == tuple(sorted(vertices, key=spec.element_sort_key))
 
 
 class TestFirstLetterPieces:

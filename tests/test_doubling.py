@@ -26,6 +26,7 @@ from paradec import (
 )
 import paradec.doubling as doubling
 from paradec.errors import DomainSizeError, VertexBudgetError
+from paradec.groups import GroupSpec
 from paradec.matching import UNMATCHED
 
 from helpers import random_element, standard_gens
@@ -350,6 +351,36 @@ def test_warm_violate_matches_per_radius_oracle(spec, count, max_radius):
         else:
             assert minimal_violating_radius(spec, gens, ts, radius, budget) == expected
     assert kinds == {"none", "early", "late"}
+
+
+@pytest.mark.parametrize(
+    "spec,s1,s2,radius",
+    [(free_group(3), "1,a", "1,b,c", 4), (matrix_group(), "1,A", "1,B", 3)],
+    ids=["free3", "sl2z"],
+)
+def test_check_domain_forms_no_product_with_the_identity(
+    monkeypatch, spec, s1, s2, radius
+):
+    """The Hall graph takes g itself as g·1; the certificate check still
+    forms every g·1 on its own path."""
+    ts = TranslatingSets.from_words(spec, s1, s2)
+    vertices = ball_vertices(spec, radius)
+    identity = spec.identity()
+    calls = []
+    multiply = GroupSpec.multiply
+
+    def counted(self, x, y):
+        calls.append(y)
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(GroupSpec, "multiply", counted)
+    verdict = check_domain(spec, ts, vertices)
+    assert isinstance(verdict, Certificate)
+    assert identity not in calls
+    assert len(calls) == len(vertices) * (len(ts.s1) + len(ts.s2) - 2)
+    calls.clear()
+    verify_certificate(spec, ts, verdict)
+    assert calls.count(identity) > 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,7 +1,23 @@
 import random
 from itertools import combinations
 
+import pytest
+
+from paradec import (
+    TranslatingSets,
+    cyclic_group,
+    enumerate_ball,
+    free_abelian_group,
+    free_group,
+    matrix_group,
+    spec_to_string,
+)
+from paradec.cayley import ball_levels
+from paradec.doubling import _HallGraph
 from paradec.matching import UNMATCHED, alternating_reachable, hopcroft_karp
+
+from helpers import all_model_specs, standard_gens
+from oracles import hopcroft_karp_layered_oracle
 
 
 def exhaustive_max_matching(adjacency, num_right):
@@ -185,3 +201,70 @@ def test_warm_start_does_not_modify_its_input():
     pair_left, pair_right = hopcroft_karp([[0], [0, 1]], 2, start)
     assert start == ([0], [0])
     assert pair_left == [0, 1] and pair_right == [0, 1]
+
+
+def _translators(spec):
+    """{1, x} and {1, y, z} over the first standard generators."""
+    e = spec.identity()
+    gens = [el for _, el in spec.standard_generators()]
+    return TranslatingSets(s1=(e, gens[0]), s2=(e,) + tuple(gens[1:3] or [gens[0]]))
+
+
+def test_cold_start_equals_the_layered_oracle_on_random_graphs():
+    """From an empty matching the greedy first phase is the layered first
+    phase, so both pairing arrays agree entry by entry."""
+    rng = random.Random("greedy-first-phase")
+    for _ in range(200):
+        num_left = rng.randint(0, 40)
+        num_right = rng.randint(1, 40)
+        adjacency = [
+            rng.sample(range(num_right), rng.randint(0, min(4, num_right)))
+            for _ in range(num_left)
+        ]
+        assert hopcroft_karp(adjacency, num_right) == hopcroft_karp_layered_oracle(
+            adjacency, num_right
+        )
+
+
+_HALL_CASES = [
+    (free_group(2), 4),
+    (free_group(3), 4),
+    (free_abelian_group(2), 6),
+    (cyclic_group(7), 3),
+    (matrix_group(), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,radius", _HALL_CASES, ids=[spec_to_string(s) for s, _ in _HALL_CASES]
+)
+def test_cold_start_equals_the_layered_oracle_on_hall_graphs(spec, radius):
+    ts = _translators(spec)
+    for r in range(radius + 1):
+        graph = _HallGraph(spec, ts)
+        graph.extend(enumerate_ball(spec, standard_gens(spec), r).vertices)
+        num_right = len(graph.right_elements)
+        assert hopcroft_karp(graph.adjacency, num_right) == (
+            hopcroft_karp_layered_oracle(graph.adjacency, num_right)
+        )
+
+
+@pytest.mark.parametrize("spec", all_model_specs(), ids=spec_to_string)
+def test_warm_start_agrees_with_the_layered_oracle_level_by_level(spec):
+    """Grown a ball level at a time, each side warm-started from its own
+    previous matching: the greedy pre-pass may pick another maximum
+    matching, but its size and the alternating reach of its unmatched left
+    vertices are the oracle's."""
+    ts = _translators(spec)
+    graph = _HallGraph(spec, ts)
+    ours = layered = None
+    for sphere in ball_levels(spec, standard_gens(spec), 3):
+        graph.extend(sphere)
+        num_right = len(graph.right_elements)
+        ours = hopcroft_karp(graph.adjacency, num_right, ours)
+        layered = hopcroft_karp_layered_oracle(graph.adjacency, num_right, layered)
+        assert matching_size(ours[0]) == matching_size(layered[0])
+        assert (
+            alternating_reachable(graph.adjacency, *ours)[0]
+            == alternating_reachable(graph.adjacency, *layered)[0]
+        )
