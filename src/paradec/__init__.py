@@ -12,7 +12,6 @@ from .cayley import (
     enumerate_ball,
     patch_from_jsonable,
     product_set,
-    sphere_sizes,
 )
 from .decomposition import (
     DecompositionReport,
@@ -105,7 +104,6 @@ __all__ = [
     "sample_spanning_tree_with_required_edges",
     "sample_uniform_spanning_tree",
     "spec_to_string",
-    "sphere_sizes",
     "tarski_bound_report",
     "verdict_from_jsonable",
     "verdict_to_jsonable",

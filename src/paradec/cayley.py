@@ -8,19 +8,15 @@ and nothing else.  Exact products that cross the boundary are computed with
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import ParseError, PatchDistanceError, PatchEdgeError, VertexBudgetError
+from .errors import PatchDistanceError, PatchEdgeError, VertexBudgetError
 from .groups import Element, GroupSpec, parse_group_spec, spec_to_string
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
 VERTEX_BUDGET_ENV = "PARADEC_VERTEX_BUDGET"
-
-# A directed labeled edge: (source index, symbol, sign, target index).
-Edge = "tuple[int, str, int, int]"
 
 
 def default_vertex_budget() -> int:
@@ -392,18 +388,6 @@ def enumerate_ball(
         vertices=tuple(vertices),
         distances=tuple(distances),
     )
-
-
-def sphere_sizes(
-    spec: GroupSpec,
-    gens: GeneratingSet,
-    radius: int,
-    vertex_budget: "int | None" = None,
-) -> list[int]:
-    """Vertex counts at each exact distance 0..radius, stopping at the last
-    nonempty sphere; sums to the ball size."""
-    patch = enumerate_ball(spec, gens, radius, vertex_budget)
-    return patch.sphere_sizes()
 
 
 def product_set(

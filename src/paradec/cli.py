@@ -381,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            help="vertex budget override; in free-check, the stored half-words",
+            help="vertex budget override; in free-check, the stored half-words, "
+            "each counted as max(1, |g|, |h|) letters in the free model",
         )
         if translators:
             required = translators == "required"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .cayley import default_vertex_budget, format_label, parse_label, product_set
+from .cayley import default_vertex_budget, format_label, parse_label
 from .doubling import Certificate, TranslatingSets, Verdict, verify_certificate
 from .errors import CertificateError, VertexBudgetError
 from .groups import Element, GroupSpec
@@ -70,7 +70,7 @@ class DecompositionReport:
 
 
 def _sorted_pieces(
-    spec: GroupSpec, translators: Sequence[Element], pieces: Mapping[Element, Iterable]
+    translators: Sequence[Element], pieces: Mapping[Element, Iterable]
 ) -> tuple[tuple[Element, frozenset], ...]:
     return tuple((s, frozenset(pieces.get(s, ()))) for s in translators)
 
@@ -95,8 +95,8 @@ def make_decomposition(
                 f"piece key {spec.format_element(key)} is not a translator"
             )
     return PartialDecomposition(
-        pieces1=_sorted_pieces(spec, ts.s1, pieces1),
-        pieces2=_sorted_pieces(spec, ts.s2, pieces2),
+        pieces1=_sorted_pieces(ts.s1, pieces1),
+        pieces2=_sorted_pieces(ts.s2, pieces2),
         domain=_element_order(spec, domain),
     )
 
@@ -293,9 +293,11 @@ def free_up_to_length(
     letter order g, g⁻¹, h, h⁻¹: the first x in that order that has a
     partner, followed by the smallest y⁻¹.  Cost O(3^(length/2)).
 
-    A full search stores 2·3^⌈length/2⌉ − 1 words; when that exceeds
-    ``budget`` (default: the vertex budget) :class:`VertexBudgetError` is
-    raised before any word is built.
+    A full search stores 2·3^⌈length/2⌉ − 1 words.  Each costs one unit of
+    ``budget`` (default: the vertex budget), or in the free model
+    max(1, |g|, |h|) units, one per letter of the longer of g and h; when
+    the total exceeds the budget :class:`VertexBudgetError` is raised
+    before any word is built.
     """
     if length < 1:
         raise ValueError("length bound must be at least 1")
@@ -303,12 +305,14 @@ def free_up_to_length(
     if budget < 1:
         raise ValueError("vertex budget must be positive")
     half = (length + 1) // 2
+    width = max(1, len(g), len(h)) if spec.model == "free" else 1
     # 3^half exceeds any budget shorter than half bits, so the power is only
     # formed when it is small.
-    if half > budget.bit_length() or 2 * 3**half - 1 > budget:
+    if half > budget.bit_length() or (2 * 3**half - 1) * width > budget:
+        letters = "" if width == 1 else f" of up to {width} letters each"
         raise VertexBudgetError(
             f"relations up to length {length} need 2*3^{half} - 1 stored "
-            f"half-words, over the vertex budget {budget}"
+            f"half-words{letters}, over the vertex budget {budget}"
         )
     elements = (g, spec.invert(g), h, spec.invert(h))
     # Level k lists the reduced words of length k in letter order, each as

@@ -48,10 +48,6 @@ class VertexBudgetError(ParadecError, RuntimeError):
     """A ball or a freeness search would exceed the configured vertex budget."""
 
 
-class DomainSizeError(ParadecError, ValueError):
-    """Brute-force domain larger than the 4^|D| enumeration guardrail."""
-
-
 class DisconnectedGraphError(ParadecError, ValueError):
     """Spanning-tree sampling requires a connected graph."""
 

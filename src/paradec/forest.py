@@ -179,27 +179,6 @@ def _wilson(
     return tree_edges
 
 
-def _spanning_tree(
-    num_vertices: int,
-    edges: Sequence[tuple[int, int]],
-    seed: int,
-    patch: "CayleyPatch | None" = None,
-) -> ForestSample:
-    _check_connected(num_vertices, edges)
-    chosen = _wilson(num_vertices, edges, random.Random(seed))
-    picked = [(min(u, v), max(u, v)) for u, v in (edges[i] for i in chosen)]
-    return _make_sample(num_vertices, picked, seed, patch)
-
-
-def sample_spanning_tree_of_graph(
-    num_vertices: int,
-    edges: Sequence[tuple[int, int]],
-    seed: int,
-) -> ForestSample:
-    """Uniform spanning tree of an arbitrary connected simple graph."""
-    return _spanning_tree(num_vertices, list(edges), seed)
-
-
 @dataclass(frozen=True)
 class Contraction:
     """A connected graph with a fixed acyclic edge set contracted.
@@ -275,6 +254,16 @@ def contract_required_edges(
     )
 
 
+def sample_spanning_tree_of_graph(
+    num_vertices: int,
+    edges: Sequence[tuple[int, int]],
+    seed: int,
+) -> ForestSample:
+    """Uniform spanning tree of an arbitrary connected simple graph: with
+    nothing required, the contraction is the graph itself."""
+    return contract_required_edges(num_vertices, edges, ()).sample(seed)
+
+
 def sample_spanning_tree_with_required_edges(
     num_vertices: int,
     edges: Sequence[tuple[int, int]],
@@ -313,7 +302,9 @@ def a_edge_contraction(patch: CayleyPatch, a_symbol: str) -> Contraction:
 
 def sample_uniform_spanning_tree(patch: CayleyPatch, seed: int) -> ForestSample:
     """Uniform spanning tree of a patch's unoriented simple graph."""
-    return _spanning_tree(len(patch.vertices), patch.simple_edges(), seed, patch)
+    return contract_required_edges(
+        len(patch.vertices), patch.simple_edges(), ()
+    ).sample(seed, patch)
 
 
 def sample_forest_containing_a_edges(
@@ -329,9 +320,6 @@ def sample_forest_containing_a_edges(
 
 
 # -- counting-argument audit ---------------------------------------------------
-
-# A directed labeled edge at element level: (source, symbol, sign, target).
-DirectedEdge = "tuple[Element, str, int, Element]"
 
 
 @dataclass(frozen=True)
@@ -441,6 +429,30 @@ def audit_from_jsonable(spec: GroupSpec, data: dict) -> ForestAudit:
     )
 
 
+def _check_vertex(patch: CayleyPatch, g: Element) -> None:
+    if g not in patch:
+        raise PatchEscapeError(
+            f"element {patch.spec.format_element(g)} is not a patch vertex"
+        )
+
+
+def _interior_elements(patch: CayleyPatch, a2: Iterable[Element]) -> list[Element]:
+    """A2 in element order, checked to be patch vertices and then to lie in
+    the patch interior, whose stars the degree counts need whole."""
+    spec = patch.spec
+    a2 = sorted(set(a2), key=spec.element_sort_key)
+    for g in a2:
+        _check_vertex(patch, g)
+    interior = frozenset(patch.interior())
+    for g in a2:
+        if g not in interior:
+            raise PatchEscapeError(
+                f"{spec.format_element(g)} is not interior: its star leaves "
+                "the patch; shrink A2 or grow the patch"
+            )
+    return a2
+
+
 def identify_triple(
     spec: GroupSpec, gens: GeneratingSet, ts: TranslatingSets
 ) -> tuple[str, str, str]:
@@ -490,34 +502,22 @@ def audit_counting_argument(
     a_sym, _, _ = identify_triple(spec, gens, ts)
     a_elem = gens.element(a_sym)
     a1 = sorted(set(a1), key=spec.element_sort_key)
-    a2 = sorted(set(a2), key=spec.element_sort_key)
+    for g in a1:
+        _check_vertex(patch, g)
+    a2 = _interior_elements(patch, a2)
     if not a1 and not a2:
         raise ValueError("A1 and A2 must not both be empty")
-    for g in a1 + a2:
-        if g not in patch:
-            raise PatchEscapeError(
-                f"element {spec.format_element(g)} is not a patch vertex"
-            )
-
-    view = gens.symmetrized(spec)
-    s_elements = {el for _, el in gens.pairs}
-    s_diff_sinv = {el for el in s_elements if spec.invert(el) not in s_elements}
-    bc_elements = {s for s in ts.s2 if s != spec.identity()}
-
-    # Escape checks: A2 needs its whole symmetrized star, A1 its a-translate.
-    interior = frozenset(patch.interior())
-    for g in a2:
-        if g not in interior:
-            raise PatchEscapeError(
-                f"{spec.format_element(g)} is not interior: its star leaves "
-                "the patch; shrink A2 or grow the patch"
-            )
+    # Escape checks: A2 needs its whole star (checked above), A1 its a-translate.
     for g in a1:
         if spec.multiply(g, a_elem) not in patch:
             raise PatchEscapeError(
                 f"a-translate of {spec.format_element(g)} leaves the patch"
             )
 
+    view = gens.symmetrized(spec)
+    s_elements = {el for _, el in gens.pairs}
+    s_diff_sinv = {el for el in s_elements if spec.invert(el) not in s_elements}
+    bc_elements = {s for s in ts.s2 if s != spec.identity()}
     forest_edges = forest.edge_set()
 
     def in_forest(g: Element, target: Element) -> bool:
@@ -671,18 +671,8 @@ def degree_statistics(
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    spec = patch.spec
-    a2 = sorted(set(a2), key=spec.element_sort_key)
-    interior = frozenset(patch.interior())
-    indices = []
-    for g in a2:
-        if g not in patch:
-            raise PatchEscapeError(f"{spec.format_element(g)} is not a patch vertex")
-        if g not in interior:
-            raise PatchEscapeError(
-                f"{spec.format_element(g)} is not interior: its star leaves the patch"
-            )
-        indices.append(patch.index_of(g))
+    a2 = _interior_elements(patch, a2)
+    indices = [patch.index_of(g) for g in a2]
     sums = []
     for i in range(num_samples):
         sample = sample_forest_containing_a_edges(patch, a_symbol, seed + i)

@@ -338,30 +338,7 @@ class GroupSpec:
             raise ParseError("empty element text")
         if stripped.startswith("["):
             return self._parse_bracketed(stripped)
-        if self.model == "free" and symbols is None and len(text) <= _MAX_FAST_TEXT:
-            word = self._parse_free_word(text)
-            if word is not None:
-                return word
-        letters = parse_word(text)
-        return self.evaluate_word(letters, symbols)
-
-    def _parse_free_word(self, text: str) -> "tuple[int, ...] | None":
-        """One pass over a word in the standard free generators: each token
-        becomes its cached run of signed letters and the concatenation is
-        freely reduced as it grows.  None when some token is not a plain
-        generator power, so the general path raises the exact error."""
-        names = self.generator_names
-        word: list[int] = []
-        for token in text.split():
-            run = _free_token_run(names, token)
-            if run is None:
-                return None
-            for s in run:
-                if word and word[-1] == -s:
-                    word.pop()
-                else:
-                    word.append(s)
-        return tuple(word)
+        return self.evaluate_word(parse_word(text), symbols)
 
     # -- batch codec -----------------------------------------------------------
 
@@ -412,8 +389,9 @@ class GroupSpec:
         a text whose head ``text.rpartition(" ")[0]`` was parsed earlier in
         the batch costs one token: the last token's cached run is reduced
         onto the head's word.  That is exact because free reduction does
-        not depend on where it starts.  A miss, a token the one-pass parser
-        refuses, a text over ``_MAX_FAST_TEXT`` or a result over
+        not depend on where it starts.  A miss, a last token that is not
+        ``1`` or a generator power of at most ``_MAX_TOKEN_RUN`` letters, a
+        text over ``_MAX_FAST_TEXT`` or a result over
         ``MAX_FREE_WORD_LENGTH`` parses the whole text with
         :meth:`parse_element`, which raises its own errors.  The canonical
         texts of a ball, sorted as strings or listed in element order, hit
@@ -505,9 +483,10 @@ def parse_word(text: str) -> list[tuple[str, int]]:
 # exponents take the general path, whose binary powering they need anyway.
 _MAX_TOKEN_RUN = 64
 
-# Longest text the one-pass free parser reads.  Its tokens are at least two
-# characters apart, so it cannot build a word over MAX_FREE_WORD_LENGTH;
-# longer texts take the general path, which checks the bound per token.
+# Longest text the batch parser extends from a remembered head.  Its tokens
+# are at least two characters apart and each spells at most _MAX_TOKEN_RUN
+# letters, so such a text cannot spell a word over MAX_FREE_WORD_LENGTH;
+# longer texts go whole to parse_element, which checks the bound per token.
 _MAX_FAST_TEXT = 2 * MAX_FREE_WORD_LENGTH // _MAX_TOKEN_RUN - 1
 
 

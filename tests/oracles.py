@@ -16,11 +16,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from paradec.doubling import Certificate, TranslatingSets, Verdict, make_violator
-from paradec.errors import CertificateError, DomainSizeError
+from paradec.errors import CertificateError, ParadecError
 from paradec.groups import Element, GroupSpec
 from paradec.matching import UNMATCHED
 
 BRUTE_FORCE_MAX_DOMAIN = 14
+
+
+class DomainSizeError(ParadecError, ValueError):
+    """Brute-force domain larger than the 4^|D| enumeration guardrail."""
+
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 

@@ -14,7 +14,6 @@ from paradec import (
     patch_from_jsonable,
     product_set,
     spec_to_string,
-    sphere_sizes,
 )
 from paradec.cayley import ball_levels
 from paradec.errors import PatchDistanceError, PatchEdgeError, VertexBudgetError
@@ -229,21 +228,22 @@ class TestEdges:
 class TestSphereSizes:
     def test_free3_radius2(self):
         spec = free_group(3)
-        assert sphere_sizes(spec, standard_gens(spec), 2) == [1, 6, 30]
+        assert enumerate_ball(spec, standard_gens(spec), 2).sphere_sizes() == [1, 6, 30]
 
     def test_abelian2_radius2(self):
         spec = free_abelian_group(2)
-        assert sphere_sizes(spec, standard_gens(spec), 2) == [1, 4, 8]
+        assert enumerate_ball(spec, standard_gens(spec), 2).sphere_sizes() == [1, 4, 8]
 
     def test_radius_zero(self):
         for spec in all_model_specs():
-            assert sphere_sizes(spec, standard_gens(spec), 0) == [1]
+            assert enumerate_ball(spec, standard_gens(spec), 0).sphere_sizes() == [1]
 
     @pytest.mark.parametrize("spec", all_model_specs(), ids=spec_to_string)
     def test_matches_oracle(self, spec):
         gens = standard_gens(spec)
         elements = [el for _, el in gens.pairs]
-        assert sphere_sizes(spec, gens, 3) == sphere_oracle(spec, elements, 3)
+        sizes = enumerate_ball(spec, gens, 3).sphere_sizes()
+        assert sizes == sphere_oracle(spec, elements, 3)
 
 
 class TestProductSet:

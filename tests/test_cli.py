@@ -334,6 +334,23 @@ class TestFreeCheck:
         code, _, err = run(capsys, *argv, "--max-length", "3")
         assert code == 2 and "over the vertex budget 5" in err
 
+    def test_budget_counts_the_letters_of_long_generators(self, capsys):
+        argv = ["free-check", "--group", "free:2", "--max-length", "10"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--g", "a^20000", "--h", "b^20000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (
+            "error: relations up to length 10 need 2*3^5 - 1 stored half-words "
+            "of up to 20000 letters each, over the vertex budget 5000000\n"
+        )
+        # 485 half-words of 2000 letters fit the default budget.
+        code, out, _ = run(capsys, *argv, "--g", "a^2000", "--h", "b^2000")
+        assert code == 0
+        assert out == (
+            "no relation of length <= 10: the pair generates freely at this scale\n"
+        )
+
     def test_huge_max_length_exits_two_quickly(self, capsys):
         start = time.perf_counter()
         code, out, err = run(

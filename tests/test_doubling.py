@@ -25,12 +25,13 @@ from paradec import (
     verify_violator,
 )
 import paradec.doubling as doubling
-from paradec.errors import DomainSizeError, VertexBudgetError
+from paradec.errors import VertexBudgetError
 from paradec.groups import GroupSpec
 from paradec.matching import UNMATCHED
 
 from helpers import random_element, standard_gens
 from oracles import (
+    DomainSizeError,
     brute_force_check,
     doubling_holds_naive,
     minimal_violating_radius_oracle,

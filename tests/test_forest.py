@@ -280,6 +280,43 @@ class TestContraction:
         assert 0 < trees < 200
 
     @pytest.mark.parametrize(
+        "patch", [c[1] for c in MODEL_PATCHES], ids=[c[0] for c in MODEL_PATCHES]
+    )
+    def test_uniform_samplers_match_oracle_with_nothing_required(self, patch):
+        n, edges = len(patch.vertices), patch.simple_edges()
+        for seed in range(10):
+            expected = sample_with_required_edges_oracle(n, edges, (), seed)
+            assert sample_uniform_spanning_tree(patch, seed) == expected
+            assert sample_spanning_tree_of_graph(n, edges, seed) == expected
+
+    def test_random_graphs_match_oracle_with_nothing_required(self):
+        rng = random.Random("uniform")
+        trees = 0
+        for _ in range(200):
+            n = rng.randrange(1, 12)
+            edges, _ = random_graph(rng, n)
+            seed = rng.randrange(1000)
+            sample = sample_spanning_tree_of_graph(n, edges, seed)
+            assert sample == sample_with_required_edges_oracle(n, edges, (), seed)
+            trees += len(edges) == n - 1
+        assert 0 < trees < 200
+
+    @pytest.mark.parametrize("group,walks", [("free:3", 0), ("abelian:3", 1)])
+    def test_uniform_sampler_walks_only_on_cycles(self, monkeypatch, group, walks):
+        calls = []
+        wilson = forest_module._wilson
+
+        def counted(*args):
+            calls.append(args[0])
+            return wilson(*args)
+
+        monkeypatch.setattr(forest_module, "_wilson", counted)
+        patch = ball(parse_group_spec(group), 3)
+        for seed in range(5):
+            assert sample_uniform_spanning_tree(patch, seed).is_spanning_tree()
+        assert len(calls) == 5 * walks
+
+    @pytest.mark.parametrize(
         "num_vertices,edges,required",
         [
             (4, [(0, 1), (1, 2), (0, 2), (2, 3)], [(0, 1), (2, 1), (0, 2)]),
@@ -496,3 +533,25 @@ class TestDegreeStatistics:
         boundary = [w for w in patch.vertices if len(w) == 2][0]
         with pytest.raises(PatchEscapeError):
             degree_statistics(patch, "a", [boundary], num_samples=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "g,message",
+        [
+            ((1, 2, 3), "element a b c is not a patch vertex"),
+            (
+                (1, 2),
+                "a b is not interior: its star leaves the patch; "
+                "shrink A2 or grow the patch",
+            ),
+        ],
+        ids=["not_a_vertex", "boundary"],
+    )
+    def test_escape_messages_match_the_audit(self, g, message):
+        spec = free_group(3)
+        patch = ball(spec, 2)
+        forest = sample_forest_containing_a_edges(patch, "a", 0)
+        with pytest.raises(PatchEscapeError) as audit:
+            audit_counting_argument(forest, [], [g], rank3_translators(spec))
+        with pytest.raises(PatchEscapeError) as stats:
+            degree_statistics(patch, "a", [g], num_samples=1, seed=0)
+        assert str(audit.value) == str(stats.value) == message

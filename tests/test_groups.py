@@ -263,7 +263,7 @@ class TestElementText:
             spec.parse_element("[[1, 2], [0, 2]]")
 
     def test_free_parse_matches_word_evaluation(self):
-        """The one-pass free-word parser agrees with evaluating the parsed
+        """Free-model ``parse_element`` agrees with evaluating the parsed
         word, on unreduced text, zero and negative powers and ``1``."""
         spec = free_group(3)
         rng = random.Random(97)

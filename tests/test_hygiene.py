@@ -1,0 +1,50 @@
+"""Every module-level import in the package is used by its module.
+
+A name counts as used when the module's code reads it, or when it appears
+in an annotation, string annotations included.  ``__init__.py`` imports
+only to re-export, and ``from __future__`` imports are directives, so
+both are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "paradec"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.extend((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.extend(a.asname or a.name for a in node.names)
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    assert [name for name in _imported_names(tree) if name not in used] == []
