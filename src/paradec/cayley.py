@@ -326,18 +326,33 @@ def _check_distances(patch: CayleyPatch, texts: list) -> None:
         raise PatchDistanceError(f"stored radius {radius!r} should be {farthest}")
 
 
+def letters_per_vertex(
+    spec: GroupSpec, gens: GeneratingSet, translators: Iterable[Element]
+) -> int:
+    """Budget units a ball vertex counts when it is multiplied by
+    ``translators``: in the free model max(1, max|s|, max|x|) over the
+    translators s and the generators x, one per letter of the longest
+    factor, and 1 in the other models."""
+    if spec.model != "free":
+        return 1
+    return max(1, *map(len, translators), *(len(x) for _, x in gens.pairs))
+
+
 def ball_levels(
     spec: GroupSpec,
     gens: GeneratingSet,
     radius: int,
     vertex_budget: "int | None" = None,
+    width: int = 1,
 ) -> Iterator[list[Element]]:
     """The spheres of the ball, level by level: ``[identity]``, then the
     elements at word length 1, 2, ... <= radius w.r.t. S ∪ S⁻¹, each level
     sorted by the spec's element order.  Stops early at an empty level.
 
-    Raises :class:`VertexBudgetError` as soon as the kept plus discovered
-    elements exceed the budget, without finishing the level.
+    Each element counts ``width`` units of the budget (see
+    :func:`letters_per_vertex`).  Raises :class:`VertexBudgetError` as soon
+    as the kept plus discovered elements exceed the budget, without
+    finishing the level.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -348,6 +363,8 @@ def ball_levels(
     multiply = spec.multiply
     frontier = [spec.identity()]
     seen = set(frontier)
+    if width > budget:
+        raise _over_budget(0, budget, width)
     yield frontier
     for level in range(1, radius + 1):
         discovered = []
@@ -357,14 +374,19 @@ def ball_levels(
                 if v not in seen:
                     seen.add(v)
                     discovered.append(v)
-            if len(seen) > budget:
-                raise VertexBudgetError(
-                    f"ball of radius {level} exceeds the vertex budget {budget}"
-                )
+            if len(seen) * width > budget:
+                raise _over_budget(level, budget, width)
         if not discovered:
             return
         frontier = sorted(discovered, key=spec.element_sort_key)
         yield frontier
+
+
+def _over_budget(level: int, budget: int, width: int) -> VertexBudgetError:
+    letters = "" if width == 1 else f" at {width} letters per vertex"
+    return VertexBudgetError(
+        f"ball of radius {level} exceeds the vertex budget {budget}{letters}"
+    )
 
 
 def enumerate_ball(
@@ -372,13 +394,15 @@ def enumerate_ball(
     gens: GeneratingSet,
     radius: int,
     vertex_budget: "int | None" = None,
+    width: int = 1,
 ) -> CayleyPatch:
     """All elements of word length <= radius w.r.t. S ∪ S⁻¹, in the order
     of :func:`ball_levels`, so identical inputs index vertices identically.
     The patch's edges are computed when first read."""
     vertices: list[Element] = []
     distances: list[int] = []
-    for level, sphere in enumerate(ball_levels(spec, gens, radius, vertex_budget)):
+    levels = ball_levels(spec, gens, radius, vertex_budget, width)
+    for level, sphere in enumerate(levels):
         vertices.extend(sphere)
         distances.extend([level] * len(sphere))
     return CayleyPatch(

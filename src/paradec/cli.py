@@ -10,12 +10,13 @@ output is byte-identical for identical configs and seeds.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
 from contextlib import contextmanager
 
-from .cayley import GeneratingSet, enumerate_ball
+from .cayley import GeneratingSet, enumerate_ball, letters_per_vertex
 from .decomposition import (
     decomposition_to_jsonable,
     free_up_to_length,
@@ -43,6 +44,7 @@ from .forest import (
     sample_forest_containing_a_edges,
 )
 from .groups import GroupSpec, parse_group_spec, parse_word, spec_to_string
+from .jsonwriter import JsonWriter
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -78,9 +80,13 @@ def _group(
     return spec, gens, ts
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, cls=JsonWriter, indent=2, sort_keys=True)
+
+
 def _emit(args: argparse.Namespace, payload: dict, text: "str | None") -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         print(text)
 
@@ -110,8 +116,7 @@ def cmd_ball(args: argparse.Namespace) -> int:
     if args.dump:
         with open(args.dump, "w") as handle:
             if args.dump.endswith(".json"):
-                json.dump(patch.to_jsonable(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
+                handle.write(_json_text(patch.to_jsonable()) + "\n")
             else:
                 handle.write(patch.to_edge_list_text())
         print(f"wrote patch to {args.dump}", file=sys.stderr)
@@ -125,9 +130,18 @@ def cmd_ball(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _translated_ball(
+    args: argparse.Namespace, spec: GroupSpec, gens: GeneratingSet, ts: TranslatingSets
+):
+    """The ball that ``ts`` translates, each vertex counting the letters of
+    its longest factor against the budget."""
+    width = letters_per_vertex(spec, gens, ts.s1 + ts.s2)
+    return enumerate_ball(spec, gens, args.radius, args.budget, width)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     spec, gens, ts = _group(args)
-    patch = enumerate_ball(spec, gens, args.radius, args.budget)
+    patch = _translated_ball(args, spec, gens, ts)
     verdict = check_domain(spec, ts, patch.vertices)
     payload = _context(spec, gens, ts)
     payload.update(
@@ -186,7 +200,7 @@ def cmd_violate(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     spec, gens, ts = _group(args)
-    patch = enumerate_ball(spec, gens, args.radius, args.budget)
+    patch = _translated_ball(args, spec, gens, ts)
     verdict = check_domain(spec, ts, patch.vertices)
     payload = _context(spec, gens, ts)
     payload["radius"] = args.radius
@@ -381,8 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            help="vertex budget override; in free-check, the stored half-words, "
-            "each counted as max(1, |g|, |h|) letters in the free model",
+            help="vertex budget override; in the free model a ball vertex of "
+            "check, decompose and violate counts max(1, max|s|, max|x|) letters "
+            "over translators s and generators x, and a stored half-word of "
+            "free-check max(1, |g|, |h|)",
         )
         if translators:
             required = translators == "required"
@@ -442,7 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    """Run one command.  The cyclic garbage collector is paused while it
+    runs: paradec's data are tuples, lists, dicts and frozen dataclasses
+    that hold no reference cycles, so reference counting frees them, and a
+    collection would only walk them again.  The caller's collector state is
+    restored on every exit."""
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.run(args)
     except (ParadecError, ValueError, OSError) as exc:
@@ -451,6 +474,9 @@ def main(argv: "list[str] | None" = None) -> int:
     except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

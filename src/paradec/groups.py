@@ -148,6 +148,14 @@ class GroupSpec:
 
     def multiply(self, x: Element, y: Element) -> Element:
         if self.model == "free":
+            # A right factor of one letter or none, as every ball step and
+            # most translators are, is one slice or one concatenation.
+            if len(y) < 2:
+                if not y:
+                    return x
+                if x and x[-1] == -y[0]:
+                    return x[:-1]
+                return x + y
             word = list(x)
             for s in y:
                 if word and word[-1] == -s:

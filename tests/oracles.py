@@ -9,6 +9,7 @@ exact integer (Bareiss) elimination.  Only the 4^|D| doubling oracle,
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -192,18 +193,42 @@ def ball_edges_oracle(patch):
 
 def minimal_violating_radius_oracle(spec, gens, ts, max_radius, vertex_budget=None):
     """Per-radius violator search: a fresh ball and a fresh matching
-    (``check_domain``) at every radius 0..max_radius in turn."""
+    (``check_domain``) at every radius 0..max_radius in turn.  As in
+    ``check``, a free-model ball vertex counts the letters of the longest
+    translator or generator against the budget."""
     from paradec.cayley import enumerate_ball
     from paradec.doubling import Violator, check_domain
 
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
+    width = 1
+    if spec.model == "free":
+        factors = [*ts.s1, *ts.s2, *(x for _, x in gens.pairs)]
+        width = max(1, max(len(x) for x in factors))
     for radius in range(max_radius + 1):
-        patch = enumerate_ball(spec, gens, radius, vertex_budget)
+        patch = enumerate_ball(spec, gens, radius, vertex_budget, width)
         verdict = check_domain(spec, ts, patch.vertices)
         if isinstance(verdict, Violator):
             return radius, verdict
     return None
+
+
+def free_reduce_oracle(letters: Iterable[int]) -> tuple[int, ...]:
+    """Free reduction of signed letters on a plain stack, calling no
+    ``GroupSpec`` method: a letter cancels the top when it is its inverse."""
+    stack: list[int] = []
+    for s in letters:
+        if stack and stack[-1] == -s:
+            stack.pop()
+        else:
+            stack.append(s)
+    return tuple(stack)
+
+
+def dumps_oracle(obj, **settings) -> str:
+    """The standard library's JSON text, by default with the settings of
+    every paradec document (``indent=2, sort_keys=True``)."""
+    return json.dumps(obj, **{"indent": 2, "sort_keys": True, **settings})
 
 
 def evaluate_word_oracle(spec, letters, symbols=None):

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from paradec import CayleyPatch, cli, errors, parse_group_spec, verdict_from_jsonable
 from paradec.cli import main
 from paradec.doubling import Certificate, Violator
+from paradec.groups import GroupSpec
 
 
 def run(capsys, *argv):
@@ -590,6 +592,82 @@ class TestDeterminismAndErrors:
         assert code == 2 and out == ""
         assert err == "error: ball of radius 8 exceeds the vertex budget 120000\n"
 
+    @pytest.mark.parametrize("command", ["check", "decompose"])
+    def test_long_translators_count_their_letters(self, capsys, monkeypatch, command):
+        # Each vertex counts 200000 units, so the default budget holds 25 of
+        # them and the radius-3 ball of free:2 (53) is refused before any
+        # product with the long translator is formed.
+        multiply = GroupSpec.multiply
+
+        def short_factors_only(spec, x, y):
+            if len(y) > 1000:
+                raise AssertionError("a product with the long translator was formed")
+            return multiply(spec, x, y)
+
+        monkeypatch.setattr(GroupSpec, "multiply", short_factors_only)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, command, "--group", "free:2", "--s1", "1,a^200000", "--s2", "1,b",
+            "--radius", "6",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (
+            "error: ball of radius 3 exceeds the vertex budget 5000000 "
+            "at 200000 letters per vertex\n"
+        )
+
+    def test_violate_counts_the_letters_of_long_translators(self, capsys, monkeypatch):
+        # violate grows the ball level by level, so the levels that fit the
+        # budget (17 vertices, 3,400,000 letters of products with the long
+        # translator) are matched before the third is refused
+        multiply = GroupSpec.multiply
+        formed = []
+
+        def counted(spec, x, y):
+            if len(y) > 1000:
+                formed.append(len(y))
+                if sum(formed) > 5_000_000:
+                    raise AssertionError("products beyond the budget were formed")
+            return multiply(spec, x, y)
+
+        monkeypatch.setattr(GroupSpec, "multiply", counted)
+        code, out, err = run(
+            capsys, "violate", "--group", "free:2", "--s1", "1,a^200000", "--s2", "1,b",
+            "--max-radius", "6",
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: ball of radius 3 exceeds the vertex budget 5000000 "
+            "at 200000 letters per vertex\n"
+        )
+
+    @pytest.mark.parametrize(
+        "s1,fits,refused",
+        [("1,a", 17, 16), ("1,a^2", 34, 33), ("1,a^-3", 51, 50)],
+        ids=["letter", "square", "cube"],
+    )
+    def test_budget_units_per_vertex(self, capsys, s1, fits, refused):
+        # the radius-2 ball of free:2 has 17 vertices; single letters keep
+        # the bound and the message of a plain vertex count
+        argv = ["check", "--group", "free:2", "--s1", s1, "--s2", "1,b", "--radius", "2"]
+        code, _, _ = run(capsys, *argv, "--budget", str(fits))
+        assert code == 0
+        code, out, err = run(capsys, *argv, "--budget", str(refused))
+        assert code == 2 and out == ""
+        letters = "" if fits == 17 else f" at {fits // 17} letters per vertex"
+        assert err == f"error: ball of radius 2 exceeds the vertex budget {refused}{letters}\n"
+
+    def test_generators_count_their_letters(self, capsys):
+        argv = ["check", "--group", "free:2", "--gens", "a=a b a,b=b", "--s1", "1,a",
+                "--s2", "1,b", "--radius", "1"]
+        assert run(capsys, *argv, "--budget", "15")[0] == 0
+        code, _, err = run(capsys, *argv, "--budget", "14")
+        assert code == 2
+        assert err == (
+            "error: ball of radius 1 exceeds the vertex budget 14 at 3 letters per vertex\n"
+        )
+
     def test_products_outside_the_ball_are_not_formed(self, capsys):
         # entries of the radius-3 ball fit in 64 bits, those one step
         # further do not; with S1 = S2 = {1} only the ball itself is
@@ -609,6 +687,70 @@ class TestDeterminismAndErrors:
         assert run(capsys, "check", *group, "--radius", "2")[0] == 0
         assert run(capsys, "decompose", *group, "--radius", "2")[0] == 0
         assert run(capsys, "violate", *group, "--max-radius", "2")[0] == 1
+
+
+class TestCollectorPause:
+    """``main`` runs a command with the cyclic garbage collector paused and
+    hands the caller back the collector state it had, on every exit."""
+
+    ARGV = {
+        0: ["ball", "--group", "free:2", "--radius", "1"],
+        1: ["check", "--group", "abelian:1", "--s1", "1,a", "--s2", "1,a", "--radius", "2"],
+        2: ["check", "--group", "free:x", "--s1", "1", "--s2", "1", "--radius", "1"],
+        3: ["ball", "--group", "free:2", "--radius", "1"],
+    }
+
+    @staticmethod
+    def call(monkeypatch, argv, enabled, fail=None):
+        """main(argv) from a caller whose collector is ``enabled``; returns
+        the exit code (or the exception raised), the collector state seen
+        inside the command and the state after it."""
+        group = cli._group
+        inside = []
+
+        def observed(args):
+            inside.append(gc.isenabled())
+            if fail is not None:
+                raise fail
+            return group(args)
+
+        monkeypatch.setattr(cli, "_group", observed)
+        caller = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                outcome = main(argv)
+            except BaseException as exc:
+                outcome = exc
+            after = gc.isenabled()
+        finally:
+            (gc.enable if caller else gc.disable)()
+        return outcome, inside, after
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused"])
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_state_restored_on_every_exit_code(self, capsys, monkeypatch, code, enabled):
+        fail = RuntimeError("boom") if code == 3 else None
+        outcome, inside, after = self.call(monkeypatch, self.ARGV[code], enabled, fail)
+        capsys.readouterr()
+        assert outcome == code
+        assert inside == [False]
+        assert after is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused"])
+    def test_state_restored_when_an_interrupt_escapes(self, monkeypatch, enabled):
+        outcome, inside, after = self.call(
+            monkeypatch, self.ARGV[0], enabled, KeyboardInterrupt()
+        )
+        assert isinstance(outcome, KeyboardInterrupt)
+        assert inside == [False]
+        assert after is enabled
+
+    def test_usage_error_leaves_the_state_alone(self, capsys, monkeypatch):
+        outcome, inside, after = self.call(monkeypatch, ["check", "--group", "free:2"], True)
+        capsys.readouterr()
+        assert isinstance(outcome, SystemExit) and outcome.code == 2
+        assert inside == [] and after is True
 
 
 class TestMalformedReportInput:
@@ -666,6 +808,37 @@ class TestMalformedReportInput:
         assert code == 1
         assert out == ""
         assert err.startswith(f"verification failed: {path}: ")
+
+    @pytest.mark.parametrize("row", [0, -1], ids=["first", "last"])
+    def test_phi2_domain_differs_exit_one(self, capsys, tmp_path, check_output, row):
+        # phi2's domain text is read, not taken from phi1: a row naming
+        # another element (with a translate of it) no longer covers phi1's
+        # domain
+        phi2 = check_output["verdict"]["phi2"]
+        phi2[row] = ["a^7", "a^7"]
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(check_output))
+        code, out, err = run(capsys, "report", "--inputs", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"verification failed: {path}: ")
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            (7, "malformed input: cannot unpack non-iterable int object"),
+            (["a", "b", "c"], "too many values to unpack (expected 2)"),
+            (["a", "q"], "unknown generator symbol 'q'"),
+            ([7, "a"], "malformed input: 'int' object has no attribute 'rpartition'"),
+        ],
+        ids=["int", "triple", "symbol", "int-text"],
+    )
+    def test_malformed_phi2_row_exit_two(self, capsys, tmp_path, check_output, row, message):
+        check_output["verdict"]["phi2"][1] = row
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(check_output))
+        code, out, err = run(capsys, "report", "--inputs", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
 
     def test_tampered_violator_exit_one(self, capsys, tmp_path):
         code, data, _ = run_json(

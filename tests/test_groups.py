@@ -21,7 +21,7 @@ from paradec.errors import (
 from paradec.groups import MAX_FREE_WORD_LENGTH
 
 from helpers import all_model_specs, random_element
-from oracles import evaluate_word_oracle
+from oracles import evaluate_word_oracle, free_reduce_oracle
 
 
 class TestIdentity:
@@ -194,6 +194,33 @@ def test_free_reduction_matches_stack_oracle(letters):
     assert word == tuple(stack)
 
 
+_FREE3_LETTERS = st.sampled_from([1, -1, 2, -2, 3, -3])
+
+
+@given(st.lists(_FREE3_LETTERS, max_size=12), st.lists(_FREE3_LETTERS, max_size=1))
+def test_short_right_factor_matches_stack_oracle(letters, factor):
+    """A right factor of one letter or none takes the slice-or-concatenate
+    path; it agrees with a plain stack reduction of the two words."""
+    spec = free_group(3)
+    x, y = free_reduce_oracle(letters), tuple(factor)
+    assert spec.multiply(x, y) == free_reduce_oracle(x + y)
+
+
+def test_short_right_factors_cancel_fully():
+    spec = free_group(3)
+    rng = random.Random("short-factors")
+    for _ in range(200):
+        word = free_reduce_oracle(rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(10))
+        assert spec.multiply(word, ()) == word
+        assert spec.multiply((), word[:1]) == word[:1]
+        x = word
+        while x:
+            x = spec.multiply(x, (-x[-1],))
+            assert x == word[: len(x)]
+        assert x == ()
+    assert spec.multiply((), ()) == ()
+
+
 @pytest.mark.parametrize("spec", all_model_specs(), ids=spec_to_string)
 def test_hash_and_equality_consistency(spec):
     rng = random.Random(5)
@@ -263,15 +290,30 @@ class TestElementText:
             spec.parse_element("[[1, 2], [0, 2]]")
 
     def test_free_parse_matches_word_evaluation(self):
-        """Free-model ``parse_element`` agrees with evaluating the parsed
-        word, on unreduced text, zero and negative powers and ``1``."""
+        """Free-model ``parse_element`` agrees with a plain stack reduction
+        of the text's signed letters (``free_reduce_oracle``), on unreduced
+        text, zero and negative powers, leading zeros, ``1`` and mixed
+        whitespace."""
         spec = free_group(3)
         rng = random.Random(97)
         tokens = ["1", "a", "b", "c", "a^-1", "b^-1", "c^-1", "a^0", "b^-0",
                   "c^2", "a^-3", "b^64", "c^-65", "a^007"]
+
+        def letters(token: str) -> list:
+            if token == "1":
+                return []
+            name, _, exponent = token.partition("^")
+            power = int(exponent) if exponent else 1
+            letter = "abc".index(name) + 1
+            return [letter if power > 0 else -letter] * abs(power)
+
         for _ in range(2000):
-            text = "  ".join(rng.choice(tokens) for _ in range(rng.randint(1, 9)))
-            assert spec.parse_element(text) == spec.evaluate_word(parse_word(text))
+            chosen = [rng.choice(tokens) for _ in range(rng.randint(1, 9))]
+            text = chosen[0]
+            for token in chosen[1:]:
+                text += rng.choice([" ", "  ", "\t", " \n "]) + token
+            expected = free_reduce_oracle(s for t in chosen for s in letters(t))
+            assert spec.parse_element(text) == expected
         assert spec.parse_element("a b b^-1 a^-1") == ()
         assert spec.parse_element(" a\tb^-2\n") == (1, -2, -2)
 
