@@ -327,15 +327,21 @@ def _check_distances(patch: CayleyPatch, texts: list) -> None:
 
 
 def letters_per_vertex(
-    spec: GroupSpec, gens: GeneratingSet, translators: Iterable[Element]
+    spec: GroupSpec,
+    gens: GeneratingSet,
+    radius: int,
+    translators: Iterable[Element] = (),
 ) -> int:
-    """Budget units a ball vertex counts when it is multiplied by
-    ``translators``: in the free model max(1, max|s|, max|x|) over the
-    translators s and the generators x, one per letter of the longest
-    factor, and 1 in the other models."""
+    """Budget units a vertex of the radius-``radius`` ball counts when it is
+    multiplied by ``translators``: in the free model one per letter of the
+    longest word stored, max(1, max|s|, r·max|x|) over the translators s
+    and the generators x, since a vertex is a product of up to r
+    generators; r·max|x| counts only when some generator has two or more
+    letters.  1 in the other models."""
     if spec.model != "free":
         return 1
-    return max(1, *map(len, translators), *(len(x) for _, x in gens.pairs))
+    longest = max(len(x) for _, x in gens.pairs)
+    return max(1, *map(len, translators), radius * longest if longest > 1 else 1)
 
 
 def ball_levels(

@@ -102,7 +102,7 @@ def _context(spec: GroupSpec, gens: GeneratingSet, ts: "TranslatingSets | None")
 
 def cmd_ball(args: argparse.Namespace) -> int:
     spec, gens, _ = _group(args)
-    patch = enumerate_ball(spec, gens, args.radius, args.budget)
+    patch = _ball(args, spec, gens)
     payload = _context(spec, gens, None)
     payload.update(
         {
@@ -130,18 +130,22 @@ def cmd_ball(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _translated_ball(
-    args: argparse.Namespace, spec: GroupSpec, gens: GeneratingSet, ts: TranslatingSets
+def _ball(
+    args: argparse.Namespace,
+    spec: GroupSpec,
+    gens: GeneratingSet,
+    translators: tuple = (),
 ):
-    """The ball that ``ts`` translates, each vertex counting the letters of
-    its longest factor against the budget."""
-    width = letters_per_vertex(spec, gens, ts.s1 + ts.s2)
+    """The ball of ``--radius``, each vertex counting the letters of its
+    longest word, or of its longest factor in ``translators``, against the
+    budget."""
+    width = letters_per_vertex(spec, gens, args.radius, translators)
     return enumerate_ball(spec, gens, args.radius, args.budget, width)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     spec, gens, ts = _group(args)
-    patch = _translated_ball(args, spec, gens, ts)
+    patch = _ball(args, spec, gens, ts.s1 + ts.s2)
     verdict = check_domain(spec, ts, patch.vertices)
     payload = _context(spec, gens, ts)
     payload.update(
@@ -200,7 +204,7 @@ def cmd_violate(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     spec, gens, ts = _group(args)
-    patch = _translated_ball(args, spec, gens, ts)
+    patch = _ball(args, spec, gens, ts.s1 + ts.s2)
     verdict = check_domain(spec, ts, patch.vertices)
     payload = _context(spec, gens, ts)
     payload["radius"] = args.radius
@@ -234,7 +238,7 @@ def cmd_forest_audit(args: argparse.Namespace) -> int:
         raise ValueError("sample count must be at least 1")
     if args.max_set_size < 1:
         raise ValueError("max set size must be at least 1")
-    patch = enumerate_ball(spec, gens, args.radius, args.budget)
+    patch = _ball(args, spec, gens)
     interior = patch.interior()
     if not interior:
         raise ValueError("patch interior is empty; increase the radius")
@@ -395,10 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            help="vertex budget override; in the free model a ball vertex of "
-            "check, decompose and violate counts max(1, max|s|, max|x|) letters "
-            "over translators s and generators x, and a stored half-word of "
-            "free-check max(1, |g|, |h|)",
+            help="vertex budget override; in the free model a ball vertex "
+            "counts max(1, max|s|, r*max|x|) letters over translators s of "
+            "check, decompose and violate and generators x, r*max|x| only "
+            "when some generator has two or more letters (r is --radius, or "
+            "--max-radius), and a stored half-word of free-check "
+            "max(1, |g|, |h|)",
         )
         if translators:
             required = translators == "required"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .cayley import GeneratingSet, ball_levels, letters_per_vertex, product_set
@@ -61,14 +60,6 @@ class Certificate:
 
     pairs1: tuple[tuple[Element, Element], ...]
     pairs2: tuple[tuple[Element, Element], ...]
-
-    @property
-    def phi1(self) -> dict:
-        return dict(self.pairs1)
-
-    @property
-    def phi2(self) -> dict:
-        return dict(self.pairs2)
 
     def domain(self) -> frozenset:
         return frozenset(g for g, _ in self.pairs1)
@@ -285,13 +276,14 @@ def minimal_violating_radius(
     saturated the left side at every smaller radius, so only the new
     level's left vertices start unmatched, and the search augments from
     them alone.  The ball is never built past the radius that answers.
-    Its vertices count :func:`letters_per_vertex` units of the budget.
+    Its vertices count :func:`letters_per_vertex` units of the budget at
+    ``max_radius``.
     """
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
     graph = _HallGraph(spec, ts)
     matching = None
-    width = letters_per_vertex(spec, gens, ts.s1 + ts.s2)
+    width = letters_per_vertex(spec, gens, max_radius, ts.s1 + ts.s2)
     levels = ball_levels(spec, gens, max_radius, vertex_budget, width)
     for radius, sphere in enumerate(levels):
         graph.extend(sphere)
@@ -307,16 +299,11 @@ def minimal_violating_radius(
 def verdict_to_jsonable(spec: GroupSpec, verdict: Verdict) -> dict:
     fmt = spec.formatter()
     if isinstance(verdict, Certificate):
-        # A certificate from check_domain lists one domain in one order in
-        # both families; that text column is then formatted once and shared.
-        domain = list(map(itemgetter(0), verdict.pairs1))
-        texts = list(map(fmt, domain))
-        phi1 = [[t, fmt(w)] for t, (_, w) in zip(texts, verdict.pairs1)]
-        if list(map(itemgetter(0), verdict.pairs2)) == domain:
-            phi2 = [[t, fmt(w)] for t, (_, w) in zip(texts, verdict.pairs2)]
-        else:
-            phi2 = [[fmt(g), fmt(w)] for g, w in verdict.pairs2]
-        return {"kind": "certificate", "phi1": phi1, "phi2": phi2}
+        return {
+            "kind": "certificate",
+            "phi1": [[fmt(g), fmt(w)] for g, w in verdict.pairs1],
+            "phi2": [[fmt(g), fmt(w)] for g, w in verdict.pairs2],
+        }
     return {
         "kind": "violator",
         "a1": [fmt(g) for g in verdict.a1],
@@ -328,18 +315,10 @@ def verdict_to_jsonable(spec: GroupSpec, verdict: Verdict) -> dict:
 def verdict_from_jsonable(spec: GroupSpec, data: dict) -> Verdict:
     parse = spec.parser()
     if data["kind"] == "certificate":
-        rows1 = data["phi1"]
-        pairs1 = tuple((parse(g), parse(w)) for g, w in rows1)
-        # A phi2 domain text equal to phi1's in the same row reuses its
-        # parsed word.  Every row is still unpacked and parsed in order, so
-        # malformed input raises the error it raised when parsed whole.
-        texts = [g for g, _ in rows1]
-        n = len(texts)
-        pairs2 = tuple(
-            (pairs1[i][0] if i < n and g == texts[i] else parse(g), parse(w))
-            for i, (g, w) in enumerate(data["phi2"])
+        return Certificate(
+            pairs1=tuple((parse(g), parse(w)) for g, w in data["phi1"]),
+            pairs2=tuple((parse(g), parse(w)) for g, w in data["phi2"]),
         )
-        return Certificate(pairs1=pairs1, pairs2=pairs2)
     if data["kind"] == "violator":
         return Violator(
             a1=tuple(parse(g) for g in data["a1"]),

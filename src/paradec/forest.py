@@ -21,6 +21,7 @@ depressed, so callers keep A1, A2 in the patch interior.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -322,13 +323,25 @@ def sample_forest_containing_a_edges(
 # -- counting-argument audit ---------------------------------------------------
 
 
+_RELATIONS = {">=": operator.ge, "==": operator.eq, ">": operator.gt}
+
+
 @dataclass(frozen=True)
 class InequalityCheck:
+    """One ledger entry: ``lhs relation rhs``, which holds or fails."""
+
     name: str
     lhs: int
     rhs: int
     relation: str
-    passed: bool
+
+    def __post_init__(self):
+        if self.relation not in _RELATIONS:
+            raise ValueError(f"unknown ledger relation {self.relation!r}")
+
+    @property
+    def passed(self) -> bool:
+        return _RELATIONS[self.relation](self.lhs, self.rhs)
 
     def to_jsonable(self) -> dict:
         return {
@@ -416,17 +429,19 @@ def audit_from_jsonable(spec: GroupSpec, data: dict) -> ForestAudit:
             (spec.parse_element(u), spec.parse_element(v))
             for u, v in data["lambda_edges"]
         ),
-        ledger=tuple(
-            InequalityCheck(
-                name=c["name"],
-                lhs=c["lhs"],
-                rhs=c["rhs"],
-                relation=c["relation"],
-                passed=c["passed"],
-            )
-            for c in data["ledger"]
-        ),
+        ledger=tuple(_ledger_entry(c) for c in data["ledger"]),
     )
+
+
+def _ledger_entry(data: dict) -> InequalityCheck:
+    """A stored ledger entry, whose ``passed`` must be its relation's."""
+    entry = InequalityCheck(data["name"], data["lhs"], data["rhs"], data["relation"])
+    if data["passed"] is not entry.passed:
+        raise ValueError(
+            f"ledger entry {entry.name!r} records passed={data['passed']!r}, "
+            f"but {entry.lhs} {entry.relation} {entry.rhs} is {entry.passed}"
+        )
+    return entry
 
 
 def _check_vertex(patch: CayleyPatch, g: Element) -> None:
@@ -566,52 +581,29 @@ def audit_counting_argument(
     vertex_index = {v: i for i, v in enumerate(lambda_vertices)}
     uf = _UnionFind(len(lambda_vertices))
     lambda_components = len(lambda_vertices)
-    acyclic = True
     for u, v in lambda_edges:
         if uf.union(vertex_index[u], vertex_index[v]):
             lambda_components -= 1
-        else:
-            acyclic = False
 
     n_e, n_e1, n_e2, n_e3 = len(e_edges), len(e1_edges), len(e2_edges), len(e3_edges)
     n_v, n_le = len(lambda_vertices), len(lambda_edges)
     size_s = len(gens.pairs)
 
+    # Each union joins two components, so |EΛ| = |V| - components exactly
+    # when no edge of Λ closed a cycle.
     checks = [
-        InequalityCheck("degree_sum", n_e, 5 * len(a2), ">=", n_e >= 5 * len(a2)),
-        InequalityCheck(
-            "e1_lower", n_e1, n_e - size_s * len(a2), ">=", n_e1 >= n_e - size_s * len(a2)
-        ),
-        InequalityCheck(
-            "e1_at_least_twice_a2", n_e1, 2 * len(a2), ">=", n_e1 >= 2 * len(a2)
-        ),
-        InequalityCheck("e2_lower", n_e2, n_e1 - len(a2), ">=", n_e2 >= n_e1 - len(a2)),
-        InequalityCheck("e2_at_least_a2", n_e2, len(a2), ">=", n_e2 >= len(a2)),
-        InequalityCheck("e3_counts_a1", n_e3, len(a1), "==", n_e3 == len(a1)),
-        InequalityCheck(
-            "e2_e3_disjoint", len(directed2 & directed3), 0, "==", not directed2 & directed3
-        ),
-        InequalityCheck(
-            "no_opposite_pairs", opposite_pairs, 0, "==", opposite_pairs == 0
-        ),
-        InequalityCheck(
-            "lambda_edge_count", n_le, n_e2 + n_e3, "==", n_le == n_e2 + n_e3
-        ),
-        InequalityCheck(
-            "lambda_forest",
-            n_le,
-            n_v - lambda_components,
-            "==",
-            acyclic and n_le == n_v - lambda_components,
-        ),
-        InequalityCheck("vertices_exceed_edges", n_v, n_le, ">", n_v > n_le),
-        InequalityCheck(
-            "doubling_conclusion",
-            n_v,
-            len(a1) + len(a2),
-            ">=",
-            n_v >= len(a1) + len(a2),
-        ),
+        InequalityCheck("degree_sum", n_e, 5 * len(a2), ">="),
+        InequalityCheck("e1_lower", n_e1, n_e - size_s * len(a2), ">="),
+        InequalityCheck("e1_at_least_twice_a2", n_e1, 2 * len(a2), ">="),
+        InequalityCheck("e2_lower", n_e2, n_e1 - len(a2), ">="),
+        InequalityCheck("e2_at_least_a2", n_e2, len(a2), ">="),
+        InequalityCheck("e3_counts_a1", n_e3, len(a1), "=="),
+        InequalityCheck("e2_e3_disjoint", len(directed2 & directed3), 0, "=="),
+        InequalityCheck("no_opposite_pairs", opposite_pairs, 0, "=="),
+        InequalityCheck("lambda_edge_count", n_le, n_e2 + n_e3, "=="),
+        InequalityCheck("lambda_forest", n_le, n_v - lambda_components, "=="),
+        InequalityCheck("vertices_exceed_edges", n_v, n_le, ">"),
+        InequalityCheck("doubling_conclusion", n_v, len(a1) + len(a2), ">="),
     ]
 
     def strip(edges):

@@ -4,9 +4,13 @@ Any ``indent`` sends the standard library's encoder down its pure-Python
 path, a generator that yields one chunk per value and separator.
 :class:`JsonWriter` builds the same text with ``str.join`` and the C string
 escaper instead: one string per small container, and one list of pieces,
-joined once, for the document around them.  For any settings with an
-indent its output is byte-identical to :class:`json.JSONEncoder`'s;
-``tests/oracles.py:dumps_oracle`` is that reference.  paradec reaches it as
+joined once, for the document around them.  It writes str keys and str,
+int, bool, None, list, tuple and dict values, which is all paradec's
+documents hold; a document with anything else (a float, a non-str key, a
+value that needs ``default``) is handed whole to
+:class:`json.JSONEncoder`.  So for any settings with an indent the output,
+and any error, is the standard encoder's; ``tests/oracles.py:dumps_oracle``
+is that reference.  paradec reaches it as
 ``json.dumps(obj, cls=JsonWriter, indent=2, sort_keys=True)``.
 """
 
@@ -15,22 +19,28 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring, encode_basestring_ascii
 
-_INFINITY = float("inf")
+
+class _Defer(Exception):
+    """The document holds a key or value the writer leaves to the standard
+    encoder."""
 
 
 class JsonWriter(json.JSONEncoder):
     """:class:`json.JSONEncoder` with a join-based indented writer.
 
     Without an indent the standard encoder, already in C, writes the text.
-    Unlike it, the writer does not look for reference cycles: paradec's
-    payloads are trees, and a cyclic value recurses until
-    :class:`RecursionError`.
+    The writer does not look for reference cycles: a cyclic value recurses
+    until :class:`RecursionError`, and the standard encoder then reports
+    it.
     """
 
     def encode(self, o) -> str:
-        if self.indent is None:
-            return super().encode(o)
-        return self._writer()(o)
+        if self.indent is not None:
+            try:
+                return self._writer()(o)
+            except (_Defer, RecursionError):
+                pass
+        return super().encode(o)
 
     def _writer(self):
         """The writer of one document under these settings.
@@ -43,57 +53,21 @@ class JsonWriter(json.JSONEncoder):
         and any other value is one piece from ``text``.  So the large
         containers (a certificate's rows, an audit's edge lists) are never
         copied into a string of their own before the document is, which
-        keeps the peak memory near the standard encoder's."""
+        keeps the peak memory near the standard encoder's.  Both raise
+        :class:`_Defer` on a key or value outside the set they write."""
         indent = self.indent if isinstance(self.indent, str) else " " * self.indent
         escape = encode_basestring_ascii if self.ensure_ascii else encode_basestring
         item_separator, key_separator = self.item_separator, self.key_separator
-        sort_keys, skipkeys, allow_nan = self.sort_keys, self.skipkeys, self.allow_nan
-        default = self.default
-        int_text, float_repr = int.__repr__, float.__repr__
-
-        def float_text(o: float) -> str:
-            if o != o:
-                special = "NaN"
-            elif o == _INFINITY:
-                special = "Infinity"
-            elif o == -_INFINITY:
-                special = "-Infinity"
-            else:
-                return float_repr(o)
-            if not allow_nan:
-                raise ValueError(
-                    "Out of range float values are not JSON compliant: " + repr(o)
-                )
-            return special
-
-        def key_text(key) -> "str | None":
-            """A key's text before escaping; None for a key skipped."""
-            if isinstance(key, str):
-                return key
-            if isinstance(key, float):
-                return float_text(key)
-            if key is True:
-                return "true"
-            if key is False:
-                return "false"
-            if key is None:
-                return "null"
-            if isinstance(key, int):
-                return int_text(key)
-            if skipkeys:
-                return None
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, "
-                f"not {key.__class__.__name__}"
-            )
+        sort_keys = self.sort_keys
+        int_text = int.__repr__
 
         def entries(o: dict) -> list:
-            """(escaped key and key separator, value) of each key written."""
+            """(escaped key and key separator, value) of each key."""
             written = []
             for key, value in sorted(o.items()) if sort_keys else o.items():
-                key = key_text(key)
-                if key is not None:
-                    written.append((escape(key) + key_separator, value))
+                if not isinstance(key, str):
+                    raise _Defer
+                written.append((escape(key) + key_separator, value))
             return written
 
         def text(o, newline: str) -> str:
@@ -120,9 +94,7 @@ class JsonWriter(json.JSONEncoder):
                 return "false"
             if isinstance(o, int):
                 return int_text(o)
-            if isinstance(o, float):
-                return float_text(o)
-            return text(default(o), newline)
+            raise _Defer
 
         parts: list[str] = []
         append = parts.append

@@ -195,7 +195,8 @@ def minimal_violating_radius_oracle(spec, gens, ts, max_radius, vertex_budget=No
     """Per-radius violator search: a fresh ball and a fresh matching
     (``check_domain``) at every radius 0..max_radius in turn.  As in
     ``check``, a free-model ball vertex counts the letters of the longest
-    translator or generator against the budget."""
+    translator, or of a product of ``max_radius`` generators when one of
+    them has two or more letters, against the budget."""
     from paradec.cayley import enumerate_ball
     from paradec.doubling import Violator, check_domain
 
@@ -203,8 +204,9 @@ def minimal_violating_radius_oracle(spec, gens, ts, max_radius, vertex_budget=No
         raise ValueError("max_radius must be nonnegative")
     width = 1
     if spec.model == "free":
-        factors = [*ts.s1, *ts.s2, *(x for _, x in gens.pairs)]
-        width = max(1, max(len(x) for x in factors))
+        longest = max(len(x) for _, x in gens.pairs)
+        product = max_radius * longest if longest >= 2 else 1
+        width = max(1, product, *(len(s) for s in ts.s1 + ts.s2))
     for radius in range(max_radius + 1):
         patch = enumerate_ball(spec, gens, radius, vertex_budget, width)
         verdict = check_domain(spec, ts, patch.vertices)

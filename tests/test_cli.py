@@ -668,6 +668,30 @@ class TestDeterminismAndErrors:
             "error: ball of radius 1 exceeds the vertex budget 14 at 3 letters per vertex\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ball", "--radius", "5"],
+            ["check", "--s1", "1,a", "--s2", "1,b", "--radius", "5"],
+            ["violate", "--s1", "1,a", "--s2", "1,b", "--max-radius", "5"],
+        ],
+        ids=["ball", "check", "violate"],
+    )
+    def test_long_generators_count_the_letters_of_a_radius(self, capsys, argv):
+        # a vertex of the radius-5 ball is a product of up to 5 generators of
+        # 8000 letters: 40,000 units, so 125 vertices fit and the 161 of
+        # radius 4 do not
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, argv[0], "--group", "free:2", "--gens", "a=a^8000,b=b", *argv[1:]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (
+            "error: ball of radius 4 exceeds the vertex budget 5000000 "
+            "at 40000 letters per vertex\n"
+        )
+
     def test_products_outside_the_ball_are_not_formed(self, capsys):
         # entries of the radius-3 ball fit in 64 bits, those one step
         # further do not; with S1 = S2 = {1} only the ball itself is

@@ -498,6 +498,23 @@ class TestAudit:
         data = json.loads(json.dumps(audit.to_jsonable(spec)))
         assert audit_from_jsonable(spec, data) == audit
 
+    def test_stored_verdict_must_be_its_relation(self):
+        spec = free_abelian_group(3)
+        patch = enumerate_ball(spec, standard_gens(spec), 2)
+        forest = sample_forest_containing_a_edges(patch, "a", 0)
+        ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
+        e = spec.identity()
+        data = audit_counting_argument(forest, [e], [e], ts).to_jsonable(spec)
+        entry = next(c for c in data["ledger"] if c["name"] == "degree_sum")
+        assert entry["passed"] is False
+        entry["passed"] = True
+        with pytest.raises(ValueError, match="'degree_sum' records passed=True"):
+            audit_from_jsonable(spec, data)
+        entry["passed"] = False
+        entry["relation"] = "<="
+        with pytest.raises(ValueError, match="unknown ledger relation '<='"):
+            audit_from_jsonable(spec, data)
+
 
 class TestDegreeStatistics:
     def test_free3_interior_degree_is_exactly_six(self):

@@ -1,9 +1,12 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every method of its classes is read somewhere.
 
 A name counts as used when the module's code reads it, or when it appears
 in an annotation, string annotations included.  ``__init__.py`` imports
 only to re-export, and ``from __future__`` imports are directives, so
-both are exempt.
+both are exempt.  A method or property counts as read when ``.name`` is
+read anywhere in ``src/``, ``tests/`` or ``perfbench/``; dunder methods,
+which Python calls itself, are exempt.
 """
 
 import ast
@@ -11,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "paradec"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "paradec"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -48,3 +52,34 @@ def test_module_imports_are_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used_names(tree)
     assert [name for name in _imported_names(tree) if name not in used] == []
+
+
+def _methods(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, name) of each method or property defined in a class body."""
+    return [
+        (node.name, item.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+    ]
+
+
+def test_methods_are_read():
+    read = set()
+    for directory in ("src", "tests", "perfbench"):
+        for path in (ROOT / directory).rglob("*.py"):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            read.update(
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            )
+    unread = [
+        f"{path.name}:{cls}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls, name in _methods(ast.parse(path.read_text(), filename=str(path)))
+        if name not in read
+    ]
+    assert unread == []

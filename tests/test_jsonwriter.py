@@ -45,6 +45,22 @@ def test_ball_dump_as_built():
     assert write(payload) == dumps_oracle(payload)
 
 
+def test_paradec_documents_never_defer(monkeypatch):
+    """The writer itself writes every document paradec makes; a payload
+    that would fall back to the standard encoder (a float, a non-str key)
+    fails here."""
+    spec = free_group(2)
+    payloads = [json.loads(path.read_text()) for path in DOCUMENTS]
+    payloads.append(enumerate_ball(spec, standard_gens(spec), 2).to_jsonable())
+    expected = [dumps_oracle(payload) for payload in payloads]
+
+    def deferred(self, o):
+        raise AssertionError("the document was handed to the standard encoder")
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", deferred)
+    assert [write(payload) for payload in payloads] == expected
+
+
 def test_cli_writes_through_json_dumps(capsys, monkeypatch):
     """Every document goes through ``json.dumps`` of ``cli.json`` with the
     writer, so a wrapper around that function sees all of them."""
@@ -143,3 +159,13 @@ def test_errors_match(tree, options):
     with pytest.raises(type(expected.value)) as got:
         write(tree, **options)
     assert str(got.value) == str(expected.value)
+
+
+def test_cycles_are_reported_as_the_standard_encoder_reports_them():
+    cyclic = [1]
+    cyclic.append({"a": cyclic})
+    with pytest.raises(ValueError) as expected:
+        dumps_oracle(cyclic)
+    with pytest.raises(ValueError) as got:
+        write(cyclic)
+    assert str(got.value) == str(expected.value) == "Circular reference detected"
