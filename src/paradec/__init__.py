@@ -47,7 +47,6 @@ from .forest import (
     degree_statistics,
     patch_a_edges,
     sample_forest_containing_a_edges,
-    sample_spanning_tree_of_graph,
     sample_spanning_tree_with_required_edges,
     sample_uniform_spanning_tree,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "pieces_from_certificate",
     "product_set",
     "sample_forest_containing_a_edges",
-    "sample_spanning_tree_of_graph",
     "sample_spanning_tree_with_required_edges",
     "sample_uniform_spanning_tree",
     "spec_to_string",

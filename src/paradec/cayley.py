@@ -8,7 +8,6 @@ and nothing else.  Exact products that cross the boundary are computed with
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -16,20 +15,6 @@ from .errors import PatchDistanceError, PatchEdgeError, VertexBudgetError
 from .groups import Element, GroupSpec, parse_group_spec, spec_to_string
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
-VERTEX_BUDGET_ENV = "PARADEC_VERTEX_BUDGET"
-
-
-def default_vertex_budget() -> int:
-    raw = os.environ.get(VERTEX_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_VERTEX_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{VERTEX_BUDGET_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"{VERTEX_BUDGET_ENV} must be positive")
-    return value
 
 
 def format_label(symbol: str, sign: int) -> str:
@@ -305,22 +290,26 @@ def _check_distances(patch: CayleyPatch, texts: list) -> None:
                     reached.append(v)
         frontier = reached
     stored = patch.distances
-    if stored != tuple(lengths):
-        k = _first_difference(stored, lengths)
-        if len(stored) != len(lengths):
-            problem = f"{len(stored)} stored distances for {len(lengths)} vertices"
-        elif lengths[k] is None:
-            problem = f"vertex {k} ({texts[k]}) is not joined to the identity"
-        else:
-            problem = (
-                f"stored distance {stored[k]} of vertex {k} ({texts[k]}) "
-                f"should be {lengths[k]}"
+    if len(stored) != len(lengths):
+        raise PatchDistanceError(
+            f"{len(stored)} stored distances for {len(lengths)} vertices"
+        )
+    for k, (d, length) in enumerate(zip(stored, lengths)):
+        # JSON true would pass as 1, and null as the distance of a vertex
+        # cut off from the identity.
+        if type(d) is not int or d != length:
+            if length is None:
+                raise PatchDistanceError(
+                    f"vertex {k} ({texts[k]}) is not joined to the identity"
+                )
+            raise PatchDistanceError(
+                f"stored distance {d!r} of vertex {k} ({texts[k]}) "
+                f"should be {length}"
             )
-        raise PatchDistanceError(problem)
     farthest = max(lengths)
     radius = patch.radius
     closed = len(patch.interior()) == len(patch.vertices)
-    if not isinstance(radius, int) or not (
+    if type(radius) is not int or not (
         radius == farthest or (radius > farthest and closed)
     ):
         raise PatchDistanceError(f"stored radius {radius!r} should be {farthest}")
@@ -362,7 +351,7 @@ def ball_levels(
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    budget = default_vertex_budget() if vertex_budget is None else vertex_budget
+    budget = DEFAULT_VERTEX_BUDGET if vertex_budget is None else vertex_budget
     if budget < 1:
         raise ValueError("vertex budget must be positive")
     steps = tuple(s for _, _, s in gens.symmetrized(spec))

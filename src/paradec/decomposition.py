@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .cayley import default_vertex_budget, format_label, parse_label
+from .cayley import DEFAULT_VERTEX_BUDGET, format_label, parse_label
 from .doubling import Certificate, TranslatingSets, Verdict, verify_certificate
 from .errors import CertificateError, VertexBudgetError
 from .groups import Element, GroupSpec
@@ -301,7 +301,7 @@ def free_up_to_length(
     """
     if length < 1:
         raise ValueError("length bound must be at least 1")
-    budget = default_vertex_budget() if budget is None else budget
+    budget = DEFAULT_VERTEX_BUDGET if budget is None else budget
     if budget < 1:
         raise ValueError("vertex budget must be positive")
     half = (length + 1) // 2

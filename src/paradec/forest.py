@@ -24,6 +24,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .cayley import CayleyPatch, GeneratingSet, product_set
@@ -58,29 +59,30 @@ class _UnionFind:
 
 @dataclass(frozen=True)
 class ForestSample:
-    """An acyclic edge subset of a simple graph, with degrees and the seed.
+    """An acyclic edge subset of a simple graph.
 
     Acyclicity is checked with union-find at construction time.  ``patch``
     is set when the sample was drawn from a Cayley patch; synthetic graphs
-    leave it as None.
+    leave it as None.  A sample's identity is its vertex count and edges.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
-    degrees: tuple[int, ...]
-    seed: int
     patch: "CayleyPatch | None" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         uf = _UnionFind(self.num_vertices)
-        degrees = [0] * self.num_vertices
         for u, v in self.edges:
             if not uf.union(u, v):
                 raise ValueError(f"edge ({u}, {v}) closes a cycle")
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        degrees = [0] * self.num_vertices
+        for u, v in self.edges:
             degrees[u] += 1
             degrees[v] += 1
-        if tuple(degrees) != self.degrees:
-            raise ValueError("degree array does not match the edge set")
+        return tuple(degrees)
 
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)
@@ -90,48 +92,6 @@ class ForestSample:
 
     def is_spanning_tree(self) -> bool:
         return self.num_components() == 1
-
-    def to_edge_list_text(self) -> str:
-        lines = [
-            f"# forest seed={self.seed} vertices={self.num_vertices} "
-            f"edges={len(self.edges)}"
-        ]
-        lines.extend(f"{u}\t{v}" for u, v in self.edges)
-        return "\n".join(lines) + "\n"
-
-    def to_jsonable(self) -> dict:
-        return {
-            "num_vertices": self.num_vertices,
-            "edges": [list(e) for e in self.edges],
-            "degrees": list(self.degrees),
-            "seed": self.seed,
-        }
-
-
-def forest_from_jsonable(data: dict, patch: "CayleyPatch | None" = None) -> ForestSample:
-    return ForestSample(
-        num_vertices=data["num_vertices"],
-        edges=tuple((u, v) for u, v in data["edges"]),
-        degrees=tuple(data["degrees"]),
-        seed=data["seed"],
-        patch=patch,
-    )
-
-
-def _make_sample(num_vertices, edges, seed, patch=None) -> ForestSample:
-    """The sample of ``edges``, given as (low, high) pairs in any order."""
-    edges = tuple(sorted(edges))
-    degrees = [0] * num_vertices
-    for u, v in edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    return ForestSample(
-        num_vertices=num_vertices,
-        edges=edges,
-        degrees=tuple(degrees),
-        seed=seed,
-        patch=patch,
-    )
 
 
 def _check_connected(num_vertices: int, edges: Sequence[tuple[int, int]]) -> None:
@@ -214,7 +174,7 @@ class Contraction:
             chosen = _wilson(self.num_blocks, self.edges, random.Random(seed))
         picked = [self.originals[i] for i in chosen]
         picked.extend(self.required)
-        return _make_sample(self.num_vertices, picked, seed, patch)
+        return ForestSample(self.num_vertices, tuple(sorted(picked)), patch)
 
 
 def contract_required_edges(
@@ -253,16 +213,6 @@ def contract_required_edges(
     return Contraction(
         num_vertices, required, len(roots), tuple(contracted), tuple(originals)
     )
-
-
-def sample_spanning_tree_of_graph(
-    num_vertices: int,
-    edges: Sequence[tuple[int, int]],
-    seed: int,
-) -> ForestSample:
-    """Uniform spanning tree of an arbitrary connected simple graph: with
-    nothing required, the contraction is the graph itself."""
-    return contract_required_edges(num_vertices, edges, ()).sample(seed)
 
 
 def sample_spanning_tree_with_required_edges(
@@ -634,18 +584,6 @@ class DegreeStatistics:
     max: int
     threshold: int
     meets_threshold: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "num_samples": self.num_samples,
-            "seed": self.seed,
-            "a2_size": self.a2_size,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "threshold": self.threshold,
-            "meets_threshold": self.meets_threshold,
-        }
 
 
 def degree_statistics(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -47,7 +47,6 @@ DEFAULT_MATRIX_GENERATORS = ((1, 2, 0, 1), (1, 0, 2, 1))
 _MODELS = ("free", "abelian", "cyclic", "sl2z")
 
 _WORD_TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
-_PLAIN_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 def _default_names(count: int) -> tuple[str, ...]:
@@ -89,14 +88,16 @@ class GroupSpec:
     group order is carried in ``order`` and the single generator is the
     residue 1.  For the matrix model the generator matrices are explicit
     input; the default pair is the classical free pair
-    [[1,2],[0,1]], [[1,0],[2,1]].
+    [[1,2],[0,1]], [[1,0],[2,1]].  The generator names follow from the
+    model and rank: ``a``, ``b``, ... up to rank 26 and ``g1``, ``g2``, ...
+    beyond, upper-cased for the matrix model.
     """
 
     model: str
     rank: int
     order: "int | None" = None
-    generator_names: tuple[str, ...] = ()
     matrix_generators: tuple[tuple[int, int, int, int], ...] = ()
+    generator_names: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         if self.model not in _MODELS:
@@ -110,17 +111,10 @@ class GroupSpec:
                 raise ValueError("cyclic model has exactly one generator")
         elif self.order is not None:
             raise ValueError("order is only meaningful for the cyclic model")
-        if not self.generator_names:
-            names = _default_names(self.rank)
-            if self.model == "sl2z":
-                names = tuple(n.upper() for n in names)
-            object.__setattr__(self, "generator_names", names)
-        if len(self.generator_names) != self.rank:
-            raise ValueError(
-                f"expected {self.rank} generator names, got {len(self.generator_names)}"
-            )
-        if len(set(self.generator_names)) != self.rank:
-            raise ValueError("generator names must be distinct")
+        names = _default_names(self.rank)
+        if self.model == "sl2z":
+            names = tuple(n.upper() for n in names)
+        object.__setattr__(self, "generator_names", names)
         if self.model == "sl2z":
             if not self.matrix_generators:
                 if self.rank != 2:
@@ -157,11 +151,7 @@ class GroupSpec:
                     return x[:-1]
                 return x + y
             word = list(x)
-            for s in y:
-                if word and word[-1] == -s:
-                    word.pop()
-                else:
-                    word.append(s)
+            _reduce_onto(word, y)
             return tuple(word)
         if self.model == "abelian":
             return tuple(a + b for a, b in zip(x, y))
@@ -278,7 +268,7 @@ class GroupSpec:
             if not isinstance(x, tuple):
                 raise ValueError(f"free-group element must be a tuple, got {x!r}")
             for s in x:
-                if not isinstance(s, int) or s == 0 or abs(s) > self.rank:
+                if type(s) is not int or s == 0 or abs(s) > self.rank:
                     raise ValueError(f"bad letter {s!r} in word {x!r}")
             for a, b in zip(x, x[1:]):
                 if a == -b:
@@ -286,15 +276,15 @@ class GroupSpec:
         elif self.model == "abelian":
             if not isinstance(x, tuple) or len(x) != self.rank:
                 raise ValueError(f"expected an exponent vector of length {self.rank}")
-            if not all(isinstance(a, int) for a in x):
+            if not all(type(a) is int for a in x):
                 raise ValueError(f"non-integer exponent in {x!r}")
         elif self.model == "cyclic":
-            if not isinstance(x, int) or not 0 <= x < self.order:
+            if type(x) is not int or not 0 <= x < self.order:
                 raise ValueError(f"residue {x!r} outside [0, {self.order})")
         else:
             if not isinstance(x, tuple) or len(x) != 4:
                 raise ValueError("matrix element must be a 4-tuple of entries")
-            if not all(isinstance(a, int) for a in x):
+            if not all(type(a) is int for a in x):
                 raise ValueError(f"non-integer entry in {x!r}")
             a, b, c, d = x
             if a * d - b * c != 1:
@@ -360,12 +350,11 @@ class GroupSpec:
         exponent is rewritten.  Any other word is formatted whole by
         :meth:`format_element`.  A prefix-closed batch (a ball) formatted
         in the spec's element order hits on every word of two or more
-        letters.  Other models, and generator names that are not plain
-        identifiers, format each element alone.
+        letters.  Other models format each element alone.
         """
-        names = self.generator_names
-        if self.model != "free" or not all(map(_PLAIN_NAME.match, names)):
+        if self.model != "free":
             return self.format_element
+        names = self.generator_names
         memo: dict[Element, str] = {}
 
         def format_word(x: Element) -> str:
@@ -442,7 +431,7 @@ class GroupSpec:
             if (
                 not isinstance(value, list)
                 or len(value) != self.rank
-                or not all(isinstance(a, int) for a in value)
+                or not all(type(a) is int for a in value)
             ):
                 raise ParseError(
                     f"expected {self.rank} integers in brackets, got {text!r}"
@@ -455,7 +444,7 @@ class GroupSpec:
                 or any(
                     not isinstance(row, list)
                     or len(row) != 2
-                    or not all(isinstance(a, int) for a in row)
+                    or not all(type(a) is int for a in row)
                     for row in value
                 )
             ):
@@ -520,30 +509,23 @@ def _free_token_run(names: tuple[str, ...], token: str) -> "tuple[int, ...] | No
 # -- group-spec mini-language ------------------------------------------------
 
 
-def free_group(rank: int, names: "Sequence[str] | None" = None) -> GroupSpec:
-    return GroupSpec("free", rank, generator_names=tuple(names or ()))
+def free_group(rank: int) -> GroupSpec:
+    return GroupSpec("free", rank)
 
 
-def free_abelian_group(rank: int, names: "Sequence[str] | None" = None) -> GroupSpec:
-    return GroupSpec("abelian", rank, generator_names=tuple(names or ()))
+def free_abelian_group(rank: int) -> GroupSpec:
+    return GroupSpec("abelian", rank)
 
 
-def cyclic_group(order: int, name: "str | None" = None) -> GroupSpec:
-    names = (name,) if name else ()
-    return GroupSpec("cyclic", 1, order=order, generator_names=names)
+def cyclic_group(order: int) -> GroupSpec:
+    return GroupSpec("cyclic", 1, order=order)
 
 
 def matrix_group(
     generators: "Sequence[tuple[int, int, int, int]] | None" = None,
-    names: "Sequence[str] | None" = None,
 ) -> GroupSpec:
     generators = tuple(generators) if generators else DEFAULT_MATRIX_GENERATORS
-    return GroupSpec(
-        "sl2z",
-        len(generators),
-        generator_names=tuple(names or ()),
-        matrix_generators=generators,
-    )
+    return GroupSpec("sl2z", len(generators), matrix_generators=generators)
 
 
 def parse_group_spec(text: str) -> GroupSpec:

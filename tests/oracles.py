@@ -259,7 +259,7 @@ def sample_with_required_edges_oracle(num_vertices, edges, required, seed):
     import random
 
     from paradec.errors import DisconnectedGraphError, RequiredEdgesCycleError
-    from paradec.forest import _make_sample, _wilson
+    from paradec.forest import ForestSample, _wilson
 
     def find(parent, x):
         while parent[x] != x:
@@ -297,7 +297,8 @@ def sample_with_required_edges_oracle(num_vertices, edges, required, seed):
             f"graph has {components} components; spanning trees need 1"
         )
     chosen = _wilson(len(roots), contracted, random.Random(seed))
-    return _make_sample(num_vertices, [originals[i] for i in chosen] + required, seed)
+    picked = [originals[i] for i in chosen] + required
+    return ForestSample(num_vertices, tuple(sorted(picked)))
 
 
 def brute_force_check(

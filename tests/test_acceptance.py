@@ -29,7 +29,6 @@ from paradec import (
     minimal_violating_radius,
     pieces_from_certificate,
     sample_forest_containing_a_edges,
-    sample_spanning_tree_of_graph,
     sample_spanning_tree_with_required_edges,
     tarski_bound_report,
     verify_certificate,
@@ -245,7 +244,9 @@ def test_criterion_7_sampler_uniformity():
     ):
         frequencies = Counter()
         for seed in range(10_000):
-            sample = sample_spanning_tree_of_graph(num_vertices, edges, seed)
+            sample = sample_spanning_tree_with_required_edges(
+                num_vertices, edges, (), seed
+            )
             frequencies[sample.edges] += 1
         assert len(frequencies) == count
         expected = 10_000 / count

@@ -322,9 +322,13 @@ class TestExports:
             (lambda data: data.update(radius=5), "stored radius 5 should be 2"),
             (lambda data: data.update(radius=1), "stored radius 1 should be 2"),
             (lambda data: data.update(radius="2"), "stored radius '2' should be 2"),
+            (lambda data: data["distances"].__setitem__(0, False),
+             "stored distance False of vertex 0 (1) should be 0"),
+            (lambda data: data["distances"].__setitem__(1, True),
+             "stored distance True of vertex 1 (b^-1) should be 1"),
         ],
         ids=["distance-and-radius", "distance", "count", "radius-up", "radius-down",
-             "radius-text"],
+             "radius-text", "distance-false", "distance-true"],
     )
     def test_tampered_distances_rejected(self, tamper, message):
         data = json.loads(DUMP.read_text())
@@ -333,11 +337,24 @@ class TestExports:
             patch_from_jsonable(data)
         assert str(info.value) == message
 
+    def test_boolean_radius_rejected(self):
+        spec = free_group(2)
+        data = enumerate_ball(spec, standard_gens(spec), 1).to_jsonable()
+        assert patch_from_jsonable(data).radius == 1
+        data["radius"] = True
+        with pytest.raises(PatchDistanceError) as info:
+            patch_from_jsonable(data)
+        assert str(info.value) == "stored radius True should be 1"
+
     def test_vertex_cut_off_from_the_identity_rejected(self):
         # b^2 without b: its only neighbour in the patch is gone
         spec = free_group(2)
         patch = CayleyPatch(spec, standard_gens(spec), 2, ((), (2, 2)), (0, 2))
         data = patch.to_jsonable()
+        with pytest.raises(PatchDistanceError) as info:
+            patch_from_jsonable(data)
+        assert str(info.value) == "vertex 1 (b^2) is not joined to the identity"
+        data["distances"][1] = None
         with pytest.raises(PatchDistanceError) as info:
             patch_from_jsonable(data)
         assert str(info.value) == "vertex 1 (b^2) is not joined to the identity"

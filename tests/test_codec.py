@@ -227,14 +227,6 @@ def test_word_over_the_length_bound_raises_as_parse_element():
     _same_error(parse, spec.parse_element, f"{full} b")
 
 
-def test_names_that_are_not_identifiers_format_alone():
-    spec = GroupSpec("free", 2, generator_names=("x y", "z^2"))
-    fmt = spec.formatter()
-    assert fmt == spec.format_element
-    words = [(1,), (1, 1), (1, 1, 2), (1, 1, 2, 2), (-2, -2, -2)]
-    assert [fmt(w) for w in words] == [spec.format_element(w) for w in words]
-
-
 _R4 = ["--group", "free:3", "--s1", "1,a", "--s2", "1,b,c", "--radius", "4"]
 
 

@@ -18,7 +18,6 @@ from paradec import (
     free_group,
     patch_a_edges,
     sample_forest_containing_a_edges,
-    sample_spanning_tree_of_graph,
     sample_spanning_tree_with_required_edges,
     sample_uniform_spanning_tree,
 )
@@ -33,7 +32,6 @@ from paradec.forest import (
     ForestSample,
     a_edge_contraction,
     audit_from_jsonable,
-    forest_from_jsonable,
 )
 
 from helpers import standard_gens
@@ -47,37 +45,20 @@ def ball(spec, radius):
 class TestForestSample:
     def test_cycle_rejected_at_construction(self):
         with pytest.raises(ValueError):
-            ForestSample(
-                num_vertices=3,
-                edges=((0, 1), (1, 2), (0, 2)),
-                degrees=(2, 2, 2),
-                seed=0,
-            )
-
-    def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ForestSample(num_vertices=2, edges=((0, 1),), degrees=(2, 0), seed=0)
+            ForestSample(num_vertices=3, edges=((0, 1), (1, 2), (0, 2)))
 
     def test_component_count(self):
-        sample = ForestSample(
-            num_vertices=4, edges=((0, 1), (2, 3)), degrees=(1, 1, 1, 1), seed=0
-        )
+        sample = ForestSample(num_vertices=4, edges=((0, 1), (2, 3)))
         assert sample.num_components() == 2
         assert not sample.is_spanning_tree()
 
-    def test_json_round_trip(self):
-        patch = ball(free_abelian_group(2), 2)
-        sample = sample_uniform_spanning_tree(patch, 5)
-        data = json.loads(json.dumps(sample.to_jsonable()))
-        assert forest_from_jsonable(data, patch) == sample
+    def test_degrees_derived_from_edges(self):
+        assert ForestSample(3, ((0, 1), (1, 2))).degrees == (1, 2, 1)
 
-    def test_edge_list_text(self):
-        sample = ForestSample(
-            num_vertices=3, edges=((0, 1), (1, 2)), degrees=(1, 2, 1), seed=9
-        )
-        lines = sample.to_edge_list_text().strip().split("\n")
-        assert lines[0] == "# forest seed=9 vertices=3 edges=2"
-        assert lines[1:] == ["0\t1", "1\t2"]
+    def test_samples_of_a_tree_contraction_are_equal(self):
+        patch = ball(free_group(3), 3)
+        samples = [sample_forest_containing_a_edges(patch, "a", s) for s in range(5)]
+        assert all(sample == samples[0] for sample in samples)
 
 
 class TestUniformSpanningTree:
@@ -106,7 +87,7 @@ class TestUniformSpanningTree:
 
     def test_disconnected_graph_rejected(self):
         with pytest.raises(DisconnectedGraphError):
-            sample_spanning_tree_of_graph(4, [(0, 1), (2, 3)], 0)
+            sample_spanning_tree_with_required_edges(4, [(0, 1), (2, 3)], (), 0)
 
     def test_spanning_and_acyclic_always(self):
         patch = ball(free_abelian_group(2), 2)
@@ -287,7 +268,8 @@ class TestContraction:
         for seed in range(10):
             expected = sample_with_required_edges_oracle(n, edges, (), seed)
             assert sample_uniform_spanning_tree(patch, seed) == expected
-            assert sample_spanning_tree_of_graph(n, edges, seed) == expected
+            sample = sample_spanning_tree_with_required_edges(n, edges, (), seed)
+            assert sample == expected
 
     def test_random_graphs_match_oracle_with_nothing_required(self):
         rng = random.Random("uniform")
@@ -296,7 +278,7 @@ class TestContraction:
             n = rng.randrange(1, 12)
             edges, _ = random_graph(rng, n)
             seed = rng.randrange(1000)
-            sample = sample_spanning_tree_of_graph(n, edges, seed)
+            sample = sample_spanning_tree_with_required_edges(n, edges, (), seed)
             assert sample == sample_with_required_edges_oracle(n, edges, (), seed)
             trees += len(edges) == n - 1
         assert 0 < trees < 200

@@ -289,6 +289,29 @@ class TestElementText:
         with pytest.raises(ValueError):
             spec.parse_element("[[1, 2], [0, 2]]")
 
+    @pytest.mark.parametrize(
+        "spec,text",
+        [(free_abelian_group(1), "[true]"),
+         (free_abelian_group(2), "[1, false]"),
+         (matrix_group(), "[[true, 2], [0, 1]]")],
+        ids=["abelian-1", "abelian-2", "sl2z"],
+    )
+    def test_boolean_literals_rejected(self, spec, text):
+        with pytest.raises(ParseError):
+            spec.parse_element(text)
+
+    @pytest.mark.parametrize(
+        "spec,element",
+        [(free_group(2), (True,)),
+         (free_abelian_group(2), (True, 0)),
+         (cyclic_group(3), True),
+         (matrix_group(), (True, 2, 0, 1))],
+        ids=["free", "abelian", "cyclic", "sl2z"],
+    )
+    def test_boolean_entries_are_not_normal_forms(self, spec, element):
+        with pytest.raises(ValueError):
+            spec.validate_element(element)
+
     def test_free_parse_matches_word_evaluation(self):
         """Free-model ``parse_element`` agrees with a plain stack reduction
         of the text's signed letters (``free_reduce_oracle``), on unreduced

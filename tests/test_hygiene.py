@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and
-every method of its classes is read somewhere.
+"""Every module-level import in the package is used by its module, every
+method of its classes is read somewhere, and no module reads a setting
+from the environment.
 
 A name counts as used when the module's code reads it, or when it appears
 in an annotation, string annotations included.  ``__init__.py`` imports
@@ -83,3 +84,23 @@ def test_methods_are_read():
         if name not in read
     ]
     assert unread == []
+
+
+_ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    """Settings reach the package through arguments and CLI options only."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if _ENVIRONMENT_READS.intersection(names):
+                readers.append(path.name)
+    assert readers == []
