@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence, Union
 
 from .cayley import GeneratingSet, ball_levels, letters_per_vertex, product_set
-from .errors import CertificateError, ViolatorError
+from .errors import CertificateError, ParseError, ViolatorError
 from .groups import Element, GroupSpec
 from .matching import UNMATCHED, alternating_reachable, hopcroft_karp
 
@@ -41,16 +42,41 @@ class TranslatingSets:
     def from_words(
         cls, spec: GroupSpec, s1_words: str, s2_words: str, symbols=None
     ) -> "TranslatingSets":
-        """Parse comma-separated word syntax, e.g. ``"1,a"`` and ``"1,b,c"``."""
+        """Parse comma-separated word syntax, e.g. ``"1,a"`` and ``"1,b,c"``.
+
+        A bracketed vector or matrix literal such as ``"1,[1,0]"`` keeps its
+        inner commas."""
         def parse_list(text: str) -> tuple[Element, ...]:
             return tuple(
-                spec.parse_element(part, symbols) for part in text.split(",")
+                spec.parse_element(part, symbols)
+                for part in _split_outside_brackets(text)
             )
 
         return cls(parse_list(s1_words), parse_list(s2_words))
 
     def total_size(self) -> int:
         return len(self.s1) + len(self.s2)
+
+
+def _split_outside_brackets(text: str) -> list[str]:
+    """Cut ``text`` at the commas that no square bracket encloses."""
+    parts = []
+    start = 0
+    opened: list[int] = []
+    for i, char in enumerate(text):
+        if char == "[":
+            opened.append(i)
+        elif char == "]":
+            if not opened:
+                raise ParseError(f"unbalanced ']' in translator list {text!r}", i)
+            opened.pop()
+        elif char == "," and not opened:
+            parts.append(text[start:i])
+            start = i + 1
+    if opened:
+        raise ParseError(f"unclosed '[' in translator list {text!r}", opened[0])
+    parts.append(text[start:])
+    return parts
 
 
 @dataclass(frozen=True)
@@ -152,37 +178,45 @@ class _HallGraph:
     """The bipartite graph of Hall's condition on a domain D that may grow:
     a left vertex (copy, g) for each g ∈ D and copy 1, 2, adjacent to the
     right vertices g·s, s ∈ S_copy.  Right vertices are the exact products,
-    computed in the group and never clipped to a patch, indexed in order of
-    first appearance.  The identity translator's product is g itself, so it
-    is not formed."""
+    computed in the group and never clipped to a patch.  They are numbered
+    column by column, one column per distinct translator, and a product
+    seen in an earlier column or an earlier :meth:`extend` keeps its index.
+    That numbering is only a name: the matching and the alternating reach
+    visit left vertices in index order and each row in translator order,
+    and read a right index only as a key, so any numbering gives the same
+    pairs of elements.  The identity translator's product is g itself, so
+    it is not formed."""
 
     def __init__(self, spec: GroupSpec, ts: TranslatingSets):
         self.spec = spec
         self.ts = ts
         self.lefts: list[tuple[int, Element]] = []
-        self.adjacency: list[list[int]] = []
+        self.adjacency: list[Sequence[int]] = []
         self.right_index: dict[Element, int] = {}
         self.right_elements: list[Element] = []
 
     def extend(self, elements: Sequence[Element]) -> None:
-        """Append copy 1 of every element, then copy 2 of every element."""
+        """Append copy 1 of every element, then copy 2 of every element.
+
+        Each distinct translator s forms its column g·s once over the
+        batch, so a translator in both S1 and S2 costs one product per
+        element; the rows are the columns zipped in translator order."""
         multiply = self.spec.multiply
         identity = self.spec.identity()
         right_index = self.right_index
-        right_elements = self.right_elements
+        intern = right_index.setdefault
+        known = len(right_index)
+        columns = {}
+        for s in dict.fromkeys(self.ts.s1 + self.ts.s2):
+            if s == identity:
+                products = elements
+            else:
+                products = [multiply(g, s) for g in elements]
+            columns[s] = [intern(w, len(right_index)) for w in products]
+        self.right_elements.extend(islice(right_index, known, None))
         for copy, translators in ((1, self.ts.s1), (2, self.ts.s2)):
-            for g in elements:
-                row = []
-                for s in translators:
-                    w = g if s == identity else multiply(g, s)
-                    j = right_index.get(w)
-                    if j is None:
-                        j = len(right_elements)
-                        right_index[w] = j
-                        right_elements.append(w)
-                    row.append(j)
-                self.lefts.append((copy, g))
-                self.adjacency.append(row)
+            self.lefts.extend((copy, g) for g in elements)
+            self.adjacency.extend(zip(*(columns[s] for s in translators)))
 
     def match(
         self, start: "tuple[list[int], list[int]] | None" = None

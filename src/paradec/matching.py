@@ -19,7 +19,7 @@ def hopcroft_karp(
     num_right: int,
     start: "tuple[Sequence[int], Sequence[int]] | None" = None,
 ) -> tuple[list[int], list[int]]:
-    """Maximum matching in O(E sqrt(V)) phases.
+    """Maximum matching in O(sqrt(V)) phases of O(E) work each.
 
     Returns ``(pair_left, pair_right)`` with UNMATCHED (-1) for unsaturated
     vertices.  ``start`` is an optional valid matching ``(pair_left,

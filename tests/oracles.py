@@ -404,21 +404,12 @@ def _brute_force_certificate(
 ) -> Certificate:
     """Kuhn's augmenting-path matching; exhaustive scan showed Hall holds,
     so the matching saturates the left side."""
-    lefts = [(copy, g) for copy in (1, 2) for g in elements]
+    lefts, rows = hall_graph_oracle(spec, ts, [elements])
     right_index: dict[Element, int] = {}
-    right_elements: list[Element] = []
-    adjacency = []
-    for copy, g in lefts:
-        row = []
-        for s in ts.s1 if copy == 1 else ts.s2:
-            w = spec.multiply(g, s)
-            j = right_index.get(w)
-            if j is None:
-                j = len(right_elements)
-                right_index[w] = j
-                right_elements.append(w)
-            row.append(j)
-        adjacency.append(row)
+    adjacency = [
+        [right_index.setdefault(w, len(right_index)) for w in row] for row in rows
+    ]
+    right_elements = list(right_index)
     pair_right = [UNMATCHED] * len(right_elements)
     pair_left = [UNMATCHED] * len(lefts)
 
@@ -441,6 +432,29 @@ def _brute_force_certificate(
     for (copy, g), j in zip(lefts, pair_left):
         (pairs1 if copy == 1 else pairs2).append((g, right_elements[j]))
     return Certificate(pairs1=tuple(pairs1), pairs2=tuple(pairs2))
+
+
+def hall_graph_oracle(spec, ts, batches):
+    """The Hall graph built row by row: the reference for
+    ``paradec.doubling._HallGraph``, which builds it by translator columns.
+
+    Each batch appends copy 1 of its elements, then copy 2, and each left
+    vertex (copy, g) forms g·s for every s of S_copy in order, taking g
+    itself for the identity.  Returns ``(lefts, rows)`` with each row as
+    its list of right elements.
+    """
+    identity = spec.identity()
+    lefts: list[tuple[int, Element]] = []
+    rows: list[list[Element]] = []
+    for elements in batches:
+        for copy, translators in ((1, ts.s1), (2, ts.s2)):
+            for g in elements:
+                row = []
+                for s in translators:
+                    row.append(g if s == identity else spec.multiply(g, s))
+                lefts.append((copy, g))
+                rows.append(row)
+    return lefts, rows
 
 
 def bucket_by_division_oracle(spec, pairs, translators):

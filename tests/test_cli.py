@@ -124,6 +124,43 @@ class TestCheck:
         assert verdict.union_size < len(verdict.a1) + len(verdict.a2)
 
 
+class TestBracketedTranslators:
+    """--s1/--s2 cut only at commas outside square brackets."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_vector_literal_matches_word(self, capsys, fmt):
+        common = ("--s2", "1,b,a b", "--radius", "2", "--format", fmt)
+        argv = ("check", "--group", "abelian:2", "--s1")
+        assert run(capsys, *argv, "1,[1,0]", *common) == run(
+            capsys, *argv, "1,a", *common
+        )
+
+    def test_matrix_literal_matches_word(self, capsys):
+        common = ("--s2", "1,B", "--radius", "2")
+        argv = ("check", "--group", "sl2z", "--s1")
+        literal = run(capsys, *argv, "1,[[1,2],[0,1]]", *common)
+        assert literal[0] == 0
+        assert literal == run(capsys, *argv, "1,A", *common)
+
+    @pytest.mark.parametrize("s1", ["1,[1,0", "1,1,0]", "[1,[0,0]"])
+    def test_unbalanced_bracket_exit_two(self, capsys, s1):
+        code, out, err = run(
+            capsys, "check", "--group", "abelian:2", "--s1", s1,
+            "--s2", "1,b", "--radius", "1",
+        )
+        assert code == 2 and out == ""
+        assert f"in translator list {s1!r}" in err
+
+    def test_forest_audit_accepts_literals(self, capsys):
+        argv = ("forest-audit", "--group", "abelian:3", "--radius", "3",
+                "--samples", "3", "--seed", "5", "--format", "json")
+        literal = run(
+            capsys, *argv, "--s1", "[0,0,0],[1,0,0]", "--s2", "1,[0,1,0],[0,0,1]"
+        )
+        assert literal[0] in (0, 1) and literal[2] == ""
+        assert literal == run(capsys, *argv, "--s1", "1,a", "--s2", "1,b,c")
+
+
 class TestViolate:
     def test_found(self, capsys):
         code, data, _ = run_json(

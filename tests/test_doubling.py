@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import zlib
@@ -25,15 +26,17 @@ from paradec import (
     verify_violator,
 )
 import paradec.doubling as doubling
-from paradec.errors import VertexBudgetError
+from paradec.cayley import ball_levels
+from paradec.errors import ParseError, VertexBudgetError
 from paradec.groups import GroupSpec
-from paradec.matching import UNMATCHED
+from paradec.matching import UNMATCHED, alternating_reachable, hopcroft_karp
 
-from helpers import random_element, standard_gens
+from helpers import all_model_specs, random_element, standard_gens
 from oracles import (
     DomainSizeError,
     brute_force_check,
     doubling_holds_naive,
+    hall_graph_oracle,
     minimal_violating_radius_oracle,
     shrink_violator_oracle,
     union_product_count,
@@ -58,6 +61,19 @@ class TestTranslatingSets:
         ts = TranslatingSets.from_words(spec, "1,a", "1,b")
         assert ts.s1 == ((), (1,))
         assert ts.s2 == ((), (2,))
+
+    def test_from_words_keeps_bracketed_literals(self):
+        spec = free_abelian_group(2)
+        ts = TranslatingSets.from_words(spec, "1,[1,0]", "[0,0], [0,1] ,a b")
+        assert ts.s1 == ((0, 0), (1, 0))
+        assert ts.s2 == ((0, 0), (0, 1), (1, 1))
+        ts = TranslatingSets.from_words(matrix_group(), "[[1,2],[0,1]],1", "B")
+        assert ts.s1 == ((1, 2, 0, 1), (1, 0, 0, 1))
+
+    @pytest.mark.parametrize("text", ["1,[1,0", "1,0]", "[[1,0]", "]["])
+    def test_from_words_rejects_unbalanced_brackets(self, text):
+        with pytest.raises(ParseError, match="translator list"):
+            TranslatingSets.from_words(free_abelian_group(2), text, "1")
 
 
 class TestCheckDomain:
@@ -356,14 +372,20 @@ def test_warm_violate_matches_per_radius_oracle(spec, count, max_radius):
 
 @pytest.mark.parametrize(
     "spec,s1,s2,radius",
-    [(free_group(3), "1,a", "1,b,c", 4), (matrix_group(), "1,A", "1,B", 3)],
-    ids=["free3", "sl2z"],
+    [
+        (free_group(3), "1,a", "1,b,c", 4),
+        (matrix_group(), "1,A", "1,B", 3),
+        (free_group(2), "1,a", "a,b", 3),
+    ],
+    ids=["free3", "sl2z", "free2-shared"],
 )
 def test_check_domain_forms_no_product_with_the_identity(
     monkeypatch, spec, s1, s2, radius
 ):
-    """The Hall graph takes g itself as g·1; the certificate check still
-    forms every g·1 on its own path."""
+    """The Hall graph takes g itself as g·1 and forms one product per
+    element and distinct translator, so a translator in both S1 and S2
+    costs one; the certificate check still forms every g·1 on its own
+    path."""
     ts = TranslatingSets.from_words(spec, s1, s2)
     vertices = ball_vertices(spec, radius)
     identity = spec.identity()
@@ -378,10 +400,70 @@ def test_check_domain_forms_no_product_with_the_identity(
     verdict = check_domain(spec, ts, vertices)
     assert isinstance(verdict, Certificate)
     assert identity not in calls
-    assert len(calls) == len(vertices) * (len(ts.s1) + len(ts.s2) - 2)
+    distinct = set(ts.s1 + ts.s2) - {identity}
+    assert len(calls) == len(vertices) * len(distinct)
     calls.clear()
     verify_certificate(spec, ts, verdict)
     assert calls.count(identity) > 0
+
+
+def _matched_elements(lefts, right_elements, pair_left):
+    return [
+        (left, None if j == UNMATCHED else right_elements[j])
+        for left, j in zip(lefts, pair_left)
+    ]
+
+
+@pytest.mark.parametrize("identity_in", ["s1 and s2", "s1", "s2", "neither"])
+@pytest.mark.parametrize("shared", [False, True], ids=["no-shared", "shared"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_hall_graph_equals_the_row_by_row_oracle(identity_in, shared, data):
+    """The column-built Hall graph has the oracle's left vertices and rows
+    of right elements, with no right element indexed twice, built in one
+    batch (``check``) or level by level (``violate``).  Its right-side
+    numbering differs, yet Hopcroft-Karp, warm-started after each batch,
+    pairs the same elements and leaves the same alternating reach."""
+    spec = data.draw(st.sampled_from(all_model_specs()), label="spec")
+    identity = spec.identity()
+    steps = [el for _, _, el in standard_gens(spec).symmetrized(spec)]
+    word = st.lists(st.sampled_from(steps), min_size=1, max_size=3).map(
+        lambda letters: functools.reduce(spec.multiply, letters, identity)
+    )
+    translator = word.filter(lambda x: x != identity)
+    common = [data.draw(translator, label="shared")] if shared else []
+    sides = []
+    for side in ("s1", "s2"):
+        head = ([identity] if side in identity_in else []) + common
+        rest = data.draw(
+            st.lists(translator, min_size=0 if head else 1, max_size=3), label=side
+        )
+        sides.append(tuple(dict.fromkeys(head + rest))[:3])
+    ts = TranslatingSets(*sides)
+    radius = data.draw(st.integers(min_value=0, max_value=3), label="radius")
+    levels = list(ball_levels(spec, standard_gens(spec), radius))
+    whole = sorted((g for level in levels for g in level), key=spec.element_sort_key)
+    for batches in ([whole], levels):
+        graph = doubling._HallGraph(spec, ts)
+        index: dict = {}
+        ours = theirs = None
+        for built in range(1, len(batches) + 1):
+            graph.extend(batches[built - 1])
+            lefts, rows = hall_graph_oracle(spec, ts, batches[:built])
+            assert graph.lefts == lefts
+            right = graph.right_elements
+            assert [[right[j] for j in row] for row in graph.adjacency] == rows
+            assert len(set(right)) == len(right) == len(graph.right_index)
+            adjacency = [[index.setdefault(w, len(index)) for w in row] for row in rows]
+            ours = hopcroft_karp(graph.adjacency, len(right), ours)
+            theirs = hopcroft_karp(adjacency, len(index), theirs)
+            assert _matched_elements(lefts, right, ours[0]) == _matched_elements(
+                lefts, list(index), theirs[0]
+            )
+            assert (
+                alternating_reachable(graph.adjacency, *ours)[0]
+                == alternating_reachable(adjacency, *theirs)[0]
+            )
 
 
 @settings(max_examples=30, deadline=None)
