@@ -412,8 +412,7 @@ def enumerate_ball(
 def product_set(
     spec: GroupSpec, elements: Iterable[Element], translators: Iterable[Element]
 ) -> frozenset:
-    """Exact right product set {a·s : a ∈ A, s ∈ S}, computed in the group."""
-    translators = tuple(translators)
-    return frozenset(
-        spec.multiply(a, s) for a in elements for s in translators
-    )
+    """Exact right product set {a·s : a ∈ A, s ∈ S}, computed in the group
+    as the union of one column A·s per translator."""
+    elements = list(elements)
+    return frozenset().union(*(spec.translates(elements, s) for s in translators))

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
+from operator import eq, not_
 from typing import Iterable, Sequence, Union
 
 from .cayley import GeneratingSet, ball_levels, letters_per_vertex, product_set
@@ -127,33 +128,46 @@ def verify_certificate(
 
     Returns, for each family, the translator s with phi_i(g) = g·s of each
     pair, in pair order.  That s is unique, since g·s = g·s' forces
-    s = s', so the search stops at the first translate that matches.
-    Raises :class:`CertificateError` on any failure.
+    s = s', so the search stops at the first translate that matches: the
+    translators are tried in order, one column at a time, each on the
+    pairs that no earlier translator matched.  Raises
+    :class:`CertificateError` on any failure, naming the first unmatched
+    pair in pair order.
     """
-    multiply = spec.multiply
     images: list[set] = []
+    domains: list[set] = []
     found: list[tuple] = []
     for pairs, translators in ((cert.pairs1, ts.s1), (cert.pairs2, ts.s2)):
-        image = set()
-        used = []
-        for g, target in pairs:
-            for s in translators:
-                if multiply(g, s) == target:
-                    used.append(s)
-                    break
-            else:
-                raise CertificateError(
-                    f"{spec.format_element(target)} is not a translate of "
-                    f"{spec.format_element(g)}"
-                )
-            image.add(target)
-        if len(image) != len(pairs):
+        domain = [g for g, _ in pairs]
+        image = [target for _, target in pairs]
+        # the pairs that no translator has matched yet, in pair order
+        index: Sequence[int] = range(len(pairs))
+        elements, targets = domain, image
+        used: list = [None] * len(pairs)
+        for s in translators:
+            hits = list(map(eq, spec.translates(elements, s), targets))
+            for i in compress(index, hits):
+                used[i] = s
+            if all(hits):
+                index = ()
+                break
+            missed = list(map(not_, hits))
+            index = list(compress(index, missed))
+            elements = list(compress(elements, missed))
+            targets = list(compress(targets, missed))
+        if index:
+            raise CertificateError(
+                f"{spec.format_element(targets[0])} is not a translate of "
+                f"{spec.format_element(elements[0])}"
+            )
+        images.append(set(image))
+        if len(images[-1]) != len(pairs):
             raise CertificateError("assignment is not injective")
-        images.append(image)
+        domains.append(set(domain))
         found.append(tuple(used))
-    if images[0] & images[1]:
+    if not images[0].isdisjoint(images[1]):
         raise CertificateError("images of the two assignments intersect")
-    if {g for g, _ in cert.pairs1} != {g for g, _ in cert.pairs2}:
+    if domains[0] != domains[1]:
         raise CertificateError("the two assignments cover different domains")
     return found[0], found[1]
 
@@ -201,7 +215,7 @@ class _HallGraph:
         Each distinct translator s forms its column g·s once over the
         batch, so a translator in both S1 and S2 costs one product per
         element; the rows are the columns zipped in translator order."""
-        multiply = self.spec.multiply
+        translates = self.spec.translates
         identity = self.spec.identity()
         right_index = self.right_index
         intern = right_index.setdefault
@@ -211,7 +225,7 @@ class _HallGraph:
             if s == identity:
                 products = elements
             else:
-                products = [multiply(g, s) for g in elements]
+                products = translates(elements, s)
             columns[s] = [intern(w, len(right_index)) for w in products]
         self.right_elements.extend(islice(right_index, known, None))
         for copy, translators in ((1, self.ts.s1), (2, self.ts.s2)):
@@ -269,18 +283,20 @@ def _shrink_violator(spec, ts, a1: list, a2: list) -> tuple[list, list]:
     """Drop elements one at a time while the pair still violates.
 
     Greedy over A1 then A2, each in element order.  The products g·s are
-    computed once and kept with their multiplicities, so a candidate removal
-    shrinks the union by the number of its products whose count drops to
-    zero: O(|S|) per candidate.  The result is checked again from scratch by
-    :func:`make_violator`.
+    computed once, a translator column at a time, and kept with their
+    multiplicities, so a candidate removal shrinks the union by the number
+    of its products whose count drops to zero: O(|S|) per candidate.  The
+    result is checked again from scratch by :func:`make_violator`.
     """
     a1 = sorted(a1, key=spec.element_sort_key)
     a2 = sorted(a2, key=spec.element_sort_key)
-    sides = [
-        [(g, [spec.multiply(g, s) for s in translators]) for g in which]
-        for which, translators in ((a1, ts.s1), (a2, ts.s2))
-    ]
-    counts = Counter(w for side in sides for _, row in side for w in row)
+    counts: Counter = Counter()
+    sides = []
+    for which, translators in ((a1, ts.s1), (a2, ts.s2)):
+        columns = [spec.translates(which, s) for s in translators]
+        for column in columns:
+            counts.update(column)
+        sides.append(zip(which, zip(*columns)))
     union_size = len(counts)
     size = len(a1) + len(a2)
     kept: tuple[list, list] = ([], [])

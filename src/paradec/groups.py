@@ -22,6 +22,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -154,7 +155,7 @@ class GroupSpec:
             _reduce_onto(word, y)
             return tuple(word)
         if self.model == "abelian":
-            return tuple(a + b for a, b in zip(x, y))
+            return tuple(map(add, x, y))
         if self.model == "cyclic":
             return (x + y) % self.order
         a1, b1, c1, d1 = x
@@ -167,6 +168,22 @@ class GroupSpec:
         )
         _check_matrix_entries(product)
         return product
+
+    def translates(self, elements: Iterable[Element], s: Element) -> list:
+        """The column ``[self.multiply(x, s) for x in elements]``.
+
+        A free translator of one letter and any abelian translator form the
+        column in one comprehension, with :meth:`multiply`'s own formula
+        and no call per element; every other translator calls
+        :meth:`multiply` per element, so its checks still run.
+        """
+        if self.model == "free" and len(s) == 1:
+            inverse = -s[0]
+            return [x[:-1] if x and x[-1] == inverse else x + s for x in elements]
+        if self.model == "abelian":
+            return [tuple(map(add, x, s)) for x in elements]
+        multiply = self.multiply
+        return [multiply(x, s) for x in elements]
 
     def invert(self, x: Element) -> Element:
         if self.model == "free":

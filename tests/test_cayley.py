@@ -17,23 +17,9 @@ from paradec import (
 )
 from paradec.cayley import ball_levels
 from paradec.errors import PatchDistanceError, PatchEdgeError, VertexBudgetError
-from paradec.groups import GroupSpec
 
-from helpers import all_model_specs, standard_gens
+from helpers import all_model_specs, record_products, standard_gens
 from oracles import ball_edges_oracle, ball_oracle, sphere_oracle
-
-
-def count_multiplies(monkeypatch) -> list:
-    """Patch GroupSpec.multiply to count its calls in the returned cell."""
-    calls = [0]
-    multiply = GroupSpec.multiply
-
-    def counted(self, x, y):
-        calls[0] += 1
-        return multiply(self, x, y)
-
-    monkeypatch.setattr(GroupSpec, "multiply", counted)
-    return calls
 
 
 class TestEnumerateBall:
@@ -89,21 +75,21 @@ class TestEnumerateBall:
         the error comes after the radius-2 ball's 37 stars plus one, where
         finishing the level would take 187."""
         spec = free_group(3)
-        calls = count_multiplies(monkeypatch)
+        calls = record_products(monkeypatch)
         with pytest.raises(VertexBudgetError) as exc:
             enumerate_ball(spec, standard_gens(spec), 5, vertex_budget=188)
         assert str(exc.value) == "ball of radius 4 exceeds the vertex budget 188"
-        assert calls[0] == (37 + 1) * 6
+        assert len(calls) == (37 + 1) * 6
 
     def test_budget_error_on_a_large_level_is_prompt(self, monkeypatch):
         # radius 8 of free:3 holds 586k elements; the radius-7 ball (117,187)
         # fits a budget of 120,000, and the error comes within a few hundred
         # stars of it, O(budget * |S|) multiplies in all
         spec = free_group(3)
-        calls = count_multiplies(monkeypatch)
+        calls = record_products(monkeypatch)
         with pytest.raises(VertexBudgetError, match="radius 8 exceeds the vertex budget 120000"):
             enumerate_ball(spec, standard_gens(spec), 8, vertex_budget=120_000)
-        assert calls[0] <= (23_437 + 600) * 6
+        assert len(calls) <= (23_437 + 600) * 6
 
     def test_levels_are_sorted_spheres(self):
         for spec in all_model_specs():

@@ -11,7 +11,8 @@ import pytest
 from paradec import CayleyPatch, cli, errors, parse_group_spec, verdict_from_jsonable
 from paradec.cli import main
 from paradec.doubling import Certificate, Violator
-from paradec.groups import GroupSpec
+
+from helpers import record_products
 
 
 def run(capsys, *argv):
@@ -627,14 +628,11 @@ class TestDeterminismAndErrors:
         # Each vertex counts 200000 units, so the default budget holds 25 of
         # them and the radius-3 ball of free:2 (53) is refused before any
         # product with the long translator is formed.
-        multiply = GroupSpec.multiply
-
-        def short_factors_only(spec, x, y):
+        def short_factors_only(y):
             if len(y) > 1000:
                 raise AssertionError("a product with the long translator was formed")
-            return multiply(spec, x, y)
 
-        monkeypatch.setattr(GroupSpec, "multiply", short_factors_only)
+        record_products(monkeypatch, short_factors_only)
         start = time.perf_counter()
         code, out, err = run(
             capsys, command, "--group", "free:2", "--s1", "1,a^200000", "--s2", "1,b",
@@ -651,17 +649,15 @@ class TestDeterminismAndErrors:
         # violate grows the ball level by level, so the levels that fit the
         # budget (17 vertices, 3,400,000 letters of products with the long
         # translator) are matched before the third is refused
-        multiply = GroupSpec.multiply
         formed = []
 
-        def counted(spec, x, y):
+        def counted(y):
             if len(y) > 1000:
                 formed.append(len(y))
                 if sum(formed) > 5_000_000:
                     raise AssertionError("products beyond the budget were formed")
-            return multiply(spec, x, y)
 
-        monkeypatch.setattr(GroupSpec, "multiply", counted)
+        record_products(monkeypatch, counted)
         code, out, err = run(
             capsys, "violate", "--group", "free:2", "--s1", "1,a^200000", "--s2", "1,b",
             "--max-radius", "6",

@@ -13,10 +13,13 @@ import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from paradec.cli import main
+from paradec.groups import GroupSpec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -90,12 +93,13 @@ def report_inputs(draw):
     return json.dumps(base)
 
 
+COMMANDS = ["ball", "check", "violate", "decompose", "free-check", "forest-audit", "report"]
+
+
 @st.composite
-def argvs(draw):
+def argvs(draw, commands=COMMANDS, groups=sorted(GROUPS)):
     """One CLI call, and the texts of the files it reads by name."""
-    command = draw(st.sampled_from(
-        ["ball", "check", "violate", "decompose", "free-check", "forest-audit", "report"]
-    ))
+    command = draw(st.sampled_from(commands))
     fmt = ["--format", draw(FORMATS)]
     if command == "report":
         files = {f"in{i}.json": draw(report_inputs()) for i in range(draw(st.integers(1, 2)))}
@@ -107,7 +111,7 @@ def argvs(draw):
             ]))
             argv += ["--freeness", "free.json"]
         return argv + fmt, command, files
-    group = draw(st.sampled_from(sorted(GROUPS)))
+    group = draw(st.sampled_from(groups))
     names = GROUPS[group]
     argv = [command, "--group", rarely(draw, BAD_GROUPS, group)]
     argv += rarely(draw, BAD_GENS, [])
@@ -184,3 +188,22 @@ def test_exit_code_contract(call):
     if code == 2:
         assert out == ""
         assert err
+
+
+def translates_by_multiply(self, elements, s):
+    return [self.multiply(x, s) for x in elements]
+
+
+@pytest.mark.parametrize("model", ["free", "abelian", "cyclic", "sl2z"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_column_products_keep_the_output(model, data):
+    """A call prints the same stdout and exits with the same code when every
+    column is formed by ``multiply``, one element at a time."""
+    groups = [group for group in sorted(GROUPS) if group.startswith(model)]
+    argv, _, files = data.draw(argvs(["check", "decompose", "violate"], groups))
+    with tempfile.TemporaryDirectory() as directory:
+        code, out, _ = run_in(Path(directory), argv, files)
+        with mock.patch.object(GroupSpec, "translates", translates_by_multiply):
+            by_multiply = run_in(Path(directory), argv, files)
+    assert (code, out) == by_multiply[:2], argv

@@ -298,6 +298,23 @@ class TestVerifyDecomposition:
         assert verify_decomposition(spec, pd, ts, set(inner)) == part
         assert verify_decomposition(spec, pd, ts, inner[::-1]) == part
 
+    def test_piece_keys_are_checked_against_their_own_family(self):
+        # b is a translator of S2 only, so a piece keyed by b in family 1
+        # would be dropped when the pieces are put in S1 order
+        spec = free_group(2)
+        ts = TranslatingSets.from_words(spec, "1,a", "1,b")
+        b = (2,)
+        with pytest.raises(ValueError) as info:
+            make_decomposition(spec, ts, {b: {b}}, {}, [()])
+        assert str(info.value) == "piece key b of family 1 is not a translator of S1"
+        with pytest.raises(ValueError) as info:
+            make_decomposition(spec, ts, {}, {(1,): {(1,)}}, [()])
+        assert str(info.value) == "piece key a of family 2 is not a translator of S2"
+        with pytest.raises(ValueError, match="piece key c of family 1"):
+            make_decomposition(free_group(3), ts, {(3,): set()}, {}, [()])
+        pd = make_decomposition(spec, ts, {(1,): {(1,)}}, {b: {b}}, [()])
+        assert pd.pieces1_map()[(1,)] == {(1,)} and pd.pieces2_map()[b] == {b}
+
     def test_domain_is_kept_once_in_element_order(self):
         spec = free_group(2)
         ts = first_letter_translators()

@@ -28,10 +28,9 @@ from paradec import (
 import paradec.doubling as doubling
 from paradec.cayley import ball_levels
 from paradec.errors import ParseError, VertexBudgetError
-from paradec.groups import GroupSpec
 from paradec.matching import UNMATCHED, alternating_reachable, hopcroft_karp
 
-from helpers import all_model_specs, random_element, standard_gens
+from helpers import all_model_specs, random_element, record_products, standard_gens
 from oracles import (
     DomainSizeError,
     brute_force_check,
@@ -389,14 +388,7 @@ def test_check_domain_forms_no_product_with_the_identity(
     ts = TranslatingSets.from_words(spec, s1, s2)
     vertices = ball_vertices(spec, radius)
     identity = spec.identity()
-    calls = []
-    multiply = GroupSpec.multiply
-
-    def counted(self, x, y):
-        calls.append(y)
-        return multiply(self, x, y)
-
-    monkeypatch.setattr(GroupSpec, "multiply", counted)
+    calls = record_products(monkeypatch)
     verdict = check_domain(spec, ts, vertices)
     assert isinstance(verdict, Certificate)
     assert identity not in calls

@@ -221,6 +221,67 @@ def test_short_right_factors_cancel_fully():
     assert spec.multiply((), ()) == ()
 
 
+class TestTranslates:
+    """``translates(xs, s)`` is ``[multiply(x, s) for x in xs]`` on every
+    model, whichever of its paths forms the column."""
+
+    @staticmethod
+    def by_multiply(spec, elements, s):
+        return [spec.multiply(x, s) for x in elements]
+
+    @pytest.mark.parametrize("spec", all_model_specs(), ids=spec_to_string)
+    def test_equals_multiply_on_random_columns(self, spec):
+        rng = random.Random(f"translates-{spec_to_string(spec)}")
+        for _ in range(60):
+            elements = [random_element(spec, rng) for _ in range(rng.randrange(8))]
+            s = random_element(spec, rng, length=3)
+            assert spec.translates(elements, s) == self.by_multiply(spec, elements, s)
+
+    @pytest.mark.parametrize("spec", all_model_specs(), ids=spec_to_string)
+    def test_empty_batch_and_identity_translator(self, spec):
+        elements = [random_element(spec, random.Random(i)) for i in range(20)]
+        assert spec.translates([], spec.identity()) == []
+        assert spec.translates(iter(()), random_element(spec, random.Random(1))) == []
+        assert spec.translates(elements, spec.identity()) == elements
+        assert spec.translates(iter(elements), spec.identity()) == elements
+
+    def test_free_cancelling_letter(self):
+        spec = free_group(3)
+        words = [(), (1,), (2, -1), (1, 2, 1), (-1,), (3, 3)]
+        assert spec.translates(words, (-1,)) == [(-1,), (), (2, -1, -1), (1, 2), (-1, -1), (3, 3, -1)]
+        assert spec.translates(words, (1,)) == self.by_multiply(spec, words, (1,))
+
+    @given(
+        st.lists(st.lists(_FREE3_LETTERS, max_size=8), max_size=6),
+        st.lists(_FREE3_LETTERS, min_size=2, max_size=5),
+    )
+    def test_free_multi_letter_translators(self, words, letters):
+        spec = free_group(3)
+        elements = [free_reduce_oracle(word) for word in words]
+        s = free_reduce_oracle(letters)
+        assert spec.translates(elements, s) == [
+            free_reduce_oracle(x + s) for x in elements
+        ]
+
+    def test_cyclic_wraps_around(self):
+        spec = cyclic_group(12)
+        assert spec.translates([0, 5, 11, 7], 7) == [7, 0, 6, 2]
+        assert spec.translates(range(12), 11) == [(x + 11) % 12 for x in range(12)]
+
+    def test_abelian_columns(self):
+        spec = free_abelian_group(2)
+        assert spec.translates([(0, 0), (3, -1), (-2, 5)], (-3, 1)) == [
+            (-3, 1), (0, 0), (-5, 6)
+        ]
+
+    def test_sl2z_overflow_raises(self):
+        spec = matrix_group()
+        big = (1, 2**63 - 2, 0, 1)
+        assert spec.translates([spec.identity()], big) == [big]
+        with pytest.raises(MatrixOverflowError):
+            spec.translates([spec.identity(), (1, 2, 0, 1)], big)
+
+
 @pytest.mark.parametrize("spec", all_model_specs(), ids=spec_to_string)
 def test_hash_and_equality_consistency(spec):
     rng = random.Random(5)
