@@ -10,8 +10,6 @@ the inversion anti-isomorphism g -> g⁻¹.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import not_
 from typing import Iterable, Mapping, Sequence
 
 from .cayley import DEFAULT_VERTEX_BUDGET, format_label, parse_label
@@ -152,8 +150,7 @@ def verify_decomposition(
 
     An inner element g counts as covered by family i when g·s lies in the
     piece of some translator s; the translates are formed in translator
-    order up to the first that covers g, one column per translator over
-    the elements not yet covered.  If g is not covered but one of
+    order up to the first that covers g.  If g is not covered but one of
     its translates leaves the domain, the finite window simply cannot
     decide it: such g are reported as indeterminate rather than failed.
 
@@ -170,6 +167,7 @@ def verify_decomposition(
         ordered = pd.domain
     else:
         ordered = [g for g in pd.domain if g in inner]
+    multiply = spec.multiply
 
     pieces = [piece for _, piece in pd.pieces1 + pd.pieces2]
     overlaps: tuple[Element, ...] = ()
@@ -183,26 +181,21 @@ def verify_decomposition(
         )
 
     def coverage(pieces: tuple[tuple[Element, frozenset], ...]):
-        piece_of = dict(pieces)
-        # the elements no translate has covered yet, with their translates
-        # so far, one column per translator
-        open_elements = ordered
-        columns: list[list] = []
-        for s, _ in pieces:
-            if not open_elements:
-                break
-            products = spec.translates(open_elements, s)
-            missed = list(map(not_, map(piece_of[s].__contains__, products)))
-            open_elements = list(compress(open_elements, missed))
-            columns = [list(compress(column, missed)) for column in columns]
-            columns.append(list(compress(products, missed)))
         uncovered = []
         indeterminate = []
-        for g, *translates in zip(open_elements, *columns):
-            if all(target in domain for target in translates):
-                uncovered.append(g)
+        piece_of = dict(pieces)
+        for g in ordered:
+            translates = []
+            for s, _ in pieces:
+                target = multiply(g, s)
+                if target in piece_of[s]:
+                    break
+                translates.append(target)
             else:
-                indeterminate.append(g)
+                if all(target in domain for target in translates):
+                    uncovered.append(g)
+                else:
+                    indeterminate.append(g)
         return tuple(uncovered), tuple(indeterminate)
 
     uncovered1, indeterminate1 = coverage(pd.pieces1)

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import eq, not_
+from itertools import islice
 from typing import Iterable, Sequence, Union
 
 from .cayley import GeneratingSet, ball_levels, letters_per_vertex, product_set
@@ -128,46 +127,33 @@ def verify_certificate(
 
     Returns, for each family, the translator s with phi_i(g) = g·s of each
     pair, in pair order.  That s is unique, since g·s = g·s' forces
-    s = s', so the search stops at the first translate that matches: the
-    translators are tried in order, one column at a time, each on the
-    pairs that no earlier translator matched.  Raises
-    :class:`CertificateError` on any failure, naming the first unmatched
-    pair in pair order.
+    s = s', so the search stops at the first translate that matches.
+    Raises :class:`CertificateError` on any failure.
     """
+    multiply = spec.multiply
     images: list[set] = []
-    domains: list[set] = []
     found: list[tuple] = []
     for pairs, translators in ((cert.pairs1, ts.s1), (cert.pairs2, ts.s2)):
-        domain = [g for g, _ in pairs]
-        image = [target for _, target in pairs]
-        # the pairs that no translator has matched yet, in pair order
-        index: Sequence[int] = range(len(pairs))
-        elements, targets = domain, image
-        used: list = [None] * len(pairs)
-        for s in translators:
-            hits = list(map(eq, spec.translates(elements, s), targets))
-            for i in compress(index, hits):
-                used[i] = s
-            if all(hits):
-                index = ()
-                break
-            missed = list(map(not_, hits))
-            index = list(compress(index, missed))
-            elements = list(compress(elements, missed))
-            targets = list(compress(targets, missed))
-        if index:
-            raise CertificateError(
-                f"{spec.format_element(targets[0])} is not a translate of "
-                f"{spec.format_element(elements[0])}"
-            )
-        images.append(set(image))
-        if len(images[-1]) != len(pairs):
+        image = set()
+        used = []
+        for g, target in pairs:
+            for s in translators:
+                if multiply(g, s) == target:
+                    used.append(s)
+                    break
+            else:
+                raise CertificateError(
+                    f"{spec.format_element(target)} is not a translate of "
+                    f"{spec.format_element(g)}"
+                )
+            image.add(target)
+        if len(image) != len(pairs):
             raise CertificateError("assignment is not injective")
-        domains.append(set(domain))
+        images.append(image)
         found.append(tuple(used))
-    if not images[0].isdisjoint(images[1]):
+    if images[0] & images[1]:
         raise CertificateError("images of the two assignments intersect")
-    if domains[0] != domains[1]:
+    if {g for g, _ in cert.pairs1} != {g for g, _ in cert.pairs2}:
         raise CertificateError("the two assignments cover different domains")
     return found[0], found[1]
 

@@ -172,14 +172,11 @@ class GroupSpec:
     def translates(self, elements: Iterable[Element], s: Element) -> list:
         """The column ``[self.multiply(x, s) for x in elements]``.
 
-        A free translator of one letter and any abelian translator form the
-        column in one comprehension, with :meth:`multiply`'s own formula
-        and no call per element; every other translator calls
-        :meth:`multiply` per element, so its checks still run.
+        An abelian translator forms the column in one comprehension, with
+        :meth:`multiply`'s own formula and no call per element; every other
+        translator calls :meth:`multiply` per element, so its checks still
+        run.
         """
-        if self.model == "free" and len(s) == 1:
-            inverse = -s[0]
-            return [x[:-1] if x and x[-1] == inverse else x + s for x in elements]
         if self.model == "abelian":
             return [tuple(map(add, x, s)) for x in elements]
         multiply = self.multiply

@@ -560,63 +560,6 @@ def product_set_rows_oracle(spec, elements, translators):
     return frozenset(spec.multiply(a, s) for a in elements for s in translators)
 
 
-def verify_certificate_rows_oracle(spec, ts, cert):
-    """Certificate check pair by pair, each pair trying its translators in
-    order up to the first that matches: the reference for
-    ``paradec.doubling.verify_certificate``, which tries one translator
-    column at a time.  Same return value, same errors in the same order."""
-    images: list[set] = []
-    found: list[tuple] = []
-    for pairs, translators in ((cert.pairs1, ts.s1), (cert.pairs2, ts.s2)):
-        image = set()
-        used = []
-        for g, target in pairs:
-            for s in translators:
-                if spec.multiply(g, s) == target:
-                    used.append(s)
-                    break
-            else:
-                raise CertificateError(
-                    f"{spec.format_element(target)} is not a translate of "
-                    f"{spec.format_element(g)}"
-                )
-            image.add(target)
-        if len(image) != len(pairs):
-            raise CertificateError("assignment is not injective")
-        images.append(image)
-        found.append(tuple(used))
-    if images[0] & images[1]:
-        raise CertificateError("images of the two assignments intersect")
-    if {g for g, _ in cert.pairs1} != {g for g, _ in cert.pairs2}:
-        raise CertificateError("the two assignments cover different domains")
-    return found[0], found[1]
-
-
-def coverage_rows_oracle(spec, pieces, ordered, domain):
-    """One family's coverage element by element: g is covered when some
-    g·s, formed in translator order, lies in the piece of s; an uncovered
-    g is indeterminate when one of its translates leaves ``domain``.  The
-    reference for the coverage pass of
-    ``paradec.decomposition.verify_decomposition``; returns
-    ``(uncovered, indeterminate)`` in the order of ``ordered``."""
-    uncovered = []
-    indeterminate = []
-    piece_of = dict(pieces)
-    for g in ordered:
-        translates = []
-        for s, _ in pieces:
-            target = spec.multiply(g, s)
-            if target in piece_of[s]:
-                break
-            translates.append(target)
-        else:
-            if all(target in domain for target in translates):
-                uncovered.append(g)
-            else:
-                indeterminate.append(g)
-    return tuple(uncovered), tuple(indeterminate)
-
-
 def shrink_violator_rows_oracle(spec, ts, a1, a2):
     """The greedy shrink of ``paradec.doubling._shrink_violator`` with each
     element's products formed as one row, the reference for its column

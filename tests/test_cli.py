@@ -487,6 +487,34 @@ class TestReport:
         else:
             assert err == "error: matrix entry 9223372036854775808 exceeds the signed 64-bit range\n"
 
+    def test_sl2z_first_unmatched_pair_fails_before_a_later_overflow(
+        self, capsys, tmp_path
+    ):
+        """The pairs are checked in pair order: the identity's image
+        [[1, 5], [0, 1]] is neither 1·A nor 1·1, so verification fails
+        there, before the product M·A of the second pair, whose entry
+        2 + (2^63 - 2) leaves the 64-bit range, is formed."""
+        big = "[[1, 9223372036854775806], [0, 1]]"
+        data = {
+            "group": "sl2z",
+            "s1": ["A", "1"],
+            "s2": ["1", "B"],
+            "verdict": {
+                "kind": "certificate",
+                "phi1": [["1", "[[1, 5], [0, 1]]"], [big, big]],
+                "phi2": [["1", "1"], [big, big]],
+            },
+        }
+        path = tmp_path / "sl2z.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "report", "--inputs", str(path), "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"verification failed: {path}: "
+            "[[1, 5], [0, 1]] is not a translate of [[1, 0], [0, 1]]\n"
+        )
+
 
 def test_cli_import_leaves_numpy_out():
     src = Path(__file__).resolve().parent.parent / "src"

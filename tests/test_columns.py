@@ -1,7 +1,6 @@
 """Column-wise products against their row-by-row references.
 
-``verify_certificate``, the coverage pass of ``verify_decomposition``, the
-violator shrink and ``product_set`` form their products one translator
+The violator shrink and ``product_set`` form their products one translator
 column at a time through ``GroupSpec.translates``.  Each must return what
 its row-by-row oracle in ``tests/oracles.py`` returns, and raise the same
 exception type with the same message, on valid and on tampered inputs,
@@ -17,21 +16,12 @@ from paradec import (
     TranslatingSets,
     check_domain,
     enumerate_ball,
-    make_decomposition,
-    pieces_from_certificate,
     product_set,
-    verify_certificate,
-    verify_decomposition,
 )
 from paradec.doubling import _shrink_violator
 
 from helpers import all_model_specs, standard_gens
-from oracles import (
-    coverage_rows_oracle,
-    product_set_rows_oracle,
-    shrink_violator_rows_oracle,
-    verify_certificate_rows_oracle,
-)
+from oracles import product_set_rows_oracle, shrink_violator_rows_oracle
 
 
 def outcome(function, *args):
@@ -64,77 +54,6 @@ def instances(draw):
 def subset(draw, elements, label):
     keep = draw(st.lists(st.booleans(), min_size=len(elements), max_size=len(elements)), label=label)
     return [x for x, kept in zip(elements, keep) if kept]
-
-
-def matched_pairs(spec, ts, ball):
-    """Certificate-shaped pairs: the matching's when Hall's condition holds,
-    otherwise each element sent to its first translate on each side."""
-    verdict = check_domain(spec, ts, ball)
-    if isinstance(verdict, Certificate):
-        return [list(verdict.pairs1), list(verdict.pairs2)]
-    return [[(g, spec.multiply(g, s[0])) for g in ball] for s in (ts.s1, ts.s2)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_verify_certificate_equals_the_row_oracle(data):
-    spec, ts, ball = data.draw(instances())
-    families = matched_pairs(spec, ts, ball)
-    tamper = data.draw(st.sampled_from(["none", "swap", "move", "drop"]), label="tamper")
-    side = data.draw(st.integers(0, 1), label="side")
-    pairs = families[side]
-    if tamper == "swap" and len(pairs) > 1:
-        i = data.draw(st.integers(0, len(pairs) - 2), label="i")
-        j = data.draw(st.integers(i + 1, len(pairs) - 1), label="j")
-        (g, v), (h, w) = pairs[i], pairs[j]
-        pairs[i], pairs[j] = (g, w), (h, v)
-    elif tamper == "move":
-        i = data.draw(st.integers(0, len(pairs) - 1), label="i")
-        pairs[i] = (pairs[i][0], data.draw(st.sampled_from(ball), label="target"))
-    elif tamper == "drop":
-        del pairs[data.draw(st.integers(0, len(pairs) - 1), label="i")]
-    cert = Certificate(pairs1=tuple(families[0]), pairs2=tuple(families[1]))
-    assert outcome(verify_certificate, spec, ts, cert) == outcome(
-        verify_certificate_rows_oracle, spec, ts, cert
-    )
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_coverage_equals_the_row_oracle(data):
-    """Pieces of a passing certificate, possibly with one element moved to
-    another piece, or arbitrary pieces of translates; any inner set."""
-    spec, ts, ball = data.draw(instances())
-    verdict = check_domain(spec, ts, ball)
-    if isinstance(verdict, Certificate) and data.draw(st.booleans(), label="valid"):
-        pd, _ = pieces_from_certificate(spec, verdict, ts)
-        families = [dict(pd.pieces1), dict(pd.pieces2)]
-        if data.draw(st.booleans(), label="move"):
-            source = data.draw(st.sampled_from(
-                [(f, s) for f, family in enumerate(families) for s, piece in family.items() if piece]
-            ), label="source")
-            target = data.draw(st.sampled_from(
-                [(f, s) for f, family in enumerate(families) for s in family]
-            ), label="target")
-            x = data.draw(st.sampled_from(sorted(families[source[0]][source[1]], key=spec.element_sort_key)), label="x")
-            families[source[0]][source[1]] = families[source[0]][source[1]] - {x}
-            families[target[0]][target[1]] = families[target[0]][target[1]] | {x}
-    else:
-        families = [
-            {s: subset(data.draw, spec.translates(ball, s), f"piece {k}") for s in translators}
-            for k, translators in enumerate((ts.s1, ts.s2))
-        ]
-    pd = make_decomposition(spec, ts, families[0], families[1], ball)
-    inner = subset(data.draw, ball, "inner")
-    report = verify_decomposition(spec, pd, ts, inner)
-    ordered = [g for g in pd.domain if g in inner]
-    domain = set(pd.domain)
-    assert (report.uncovered1, report.indeterminate1) == coverage_rows_oracle(
-        spec, pd.pieces1, ordered, domain
-    )
-    assert (report.uncovered2, report.indeterminate2) == coverage_rows_oracle(
-        spec, pd.pieces2, ordered, domain
-    )
 
 
 @settings(max_examples=150, deadline=None)
