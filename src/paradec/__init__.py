@@ -10,7 +10,6 @@ from .cayley import (
     CayleyPatch,
     GeneratingSet,
     enumerate_ball,
-    patch_from_jsonable,
     product_set,
 )
 from .decomposition import (
@@ -95,7 +94,6 @@ __all__ = [
     "parse_group_spec",
     "parse_word",
     "patch_a_edges",
-    "patch_from_jsonable",
     "pieces_from_certificate",
     "product_set",
     "sample_forest_containing_a_edges",

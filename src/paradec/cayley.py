@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import PatchDistanceError, PatchEdgeError, VertexBudgetError
-from .groups import Element, GroupSpec, parse_group_spec, spec_to_string
+from .errors import VertexBudgetError
+from .groups import Element, GroupSpec, spec_to_string
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
 
@@ -89,8 +89,7 @@ class CayleyPatch:
     stays inside the patch; it is computed on first read, since most
     callers need only the vertices.  The unoriented simple view (no loops,
     no parallel edges) is available via :meth:`simple_edges`, and the
-    vertices whose whole star stays inside via :meth:`interior`.  A loaded
-    patch recomputes its edges too (:func:`patch_from_jsonable`).
+    vertices whose whole star stays inside via :meth:`interior`.
     """
 
     spec: GroupSpec
@@ -214,105 +213,6 @@ class CayleyPatch:
         for u, sym, sign, v in self.edges:
             lines.append(f"{u}\t{format_label(sym, sign)}\t{v}")
         return "\n".join(lines) + "\n"
-
-
-def patch_from_jsonable(data: dict) -> CayleyPatch:
-    """Rebuild a patch from :meth:`CayleyPatch.to_jsonable` output.
-
-    Nothing derived is taken on trust.  The edges are recomputed from the
-    group, and a file whose stored edges differ raises
-    :class:`PatchEdgeError` naming the first one that does.  The distances
-    are recomputed from those edges, and the radius from the distances; a
-    mismatch raises :class:`PatchDistanceError` naming the first one.
-    """
-    spec = parse_group_spec(data["group"])
-    gens = GeneratingSet.from_pairs(
-        spec, [(sym, spec.parse_element(text)) for sym, text in data["generators"]]
-    )
-    parse = spec.parser()
-    vertices = tuple(parse(text) for text in data["vertices"])
-    patch = CayleyPatch(
-        spec=spec,
-        gens=gens,
-        radius=data["radius"],
-        vertices=vertices,
-        distances=tuple(data["distances"]),
-    )
-    stored = tuple((u, *parse_label(label), v) for u, label, v in data["edges"])
-    computed = patch.edges
-    if stored != computed:
-        k = _first_difference(stored, computed)
-
-        def show(edge):
-            u, sym, sign, v = edge
-            return f"[{u}, {format_label(sym, sign)}, {v}]"
-
-        if k >= len(stored):
-            problem = f"{show(computed[k])} is missing"
-        elif k >= len(computed):
-            problem = f"{show(stored[k])} is not an edge of the patch"
-        else:
-            problem = f"{show(stored[k])} should be {show(computed[k])}"
-        raise PatchEdgeError(f"stored edge {k} {problem}")
-    _check_distances(patch, data["vertices"])
-    return patch
-
-
-def _first_difference(stored: tuple, computed: "tuple | list") -> int:
-    """Index of the first entry where two sequences differ, or the shorter
-    length when one is a prefix of the other."""
-    return next(
-        (i for i, pair in enumerate(zip(stored, computed)) if pair[0] != pair[1]),
-        min(len(stored), len(computed)),
-    )
-
-
-def _check_distances(patch: CayleyPatch, texts: list) -> None:
-    """Check a loaded patch's distances against a breadth-first search over
-    its edges from the identity, and its radius against those distances: a
-    ball's radius is its largest distance, or more when the ball is the
-    whole group (every vertex keeps its whole star)."""
-    start = patch._index.get(patch.spec.identity())
-    if start is None:
-        raise PatchDistanceError("the patch has no identity vertex")
-    neighbours: list[list[int]] = [[] for _ in patch.vertices]
-    for u, _, _, v in patch.edges:
-        neighbours[u].append(v)
-    lengths: list = [None] * len(patch.vertices)
-    lengths[start] = 0
-    frontier = [start]
-    while frontier:
-        reached = []
-        for u in frontier:
-            for v in neighbours[u]:
-                if lengths[v] is None:
-                    lengths[v] = lengths[u] + 1
-                    reached.append(v)
-        frontier = reached
-    stored = patch.distances
-    if len(stored) != len(lengths):
-        raise PatchDistanceError(
-            f"{len(stored)} stored distances for {len(lengths)} vertices"
-        )
-    for k, (d, length) in enumerate(zip(stored, lengths)):
-        # JSON true would pass as 1, and null as the distance of a vertex
-        # cut off from the identity.
-        if type(d) is not int or d != length:
-            if length is None:
-                raise PatchDistanceError(
-                    f"vertex {k} ({texts[k]}) is not joined to the identity"
-                )
-            raise PatchDistanceError(
-                f"stored distance {d!r} of vertex {k} ({texts[k]}) "
-                f"should be {length}"
-            )
-    farthest = max(lengths)
-    radius = patch.radius
-    closed = len(patch.interior()) == len(patch.vertices)
-    if type(radius) is not int or not (
-        radius == farthest or (radius > farthest and closed)
-    ):
-        raise PatchDistanceError(f"stored radius {radius!r} should be {farthest}")
 
 
 def letters_per_vertex(

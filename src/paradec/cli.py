@@ -319,16 +319,19 @@ def cmd_free_check(args: argparse.Namespace) -> int:
 
 @contextmanager
 def _json_input(path: str):
-    """Load a JSON input file.  A key that is missing or of the wrong type
-    while the body reads it is a usage error naming the file."""
-    with open(path) as handle:
-        data = json.load(handle)
+    """Load a JSON input file.  Text that is not JSON, and a key that is
+    missing, of the wrong type or of a bad value while the body reads it,
+    is a usage error naming the file."""
     try:
+        with open(path) as handle:
+            data = json.load(handle)
         yield data
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: malformed input: {exc}") from None
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -402,14 +402,6 @@ class TarskiBoundReport:
         }
 
 
-def report_from_jsonable(data: dict) -> TarskiBoundReport:
-    return TarskiBoundReport(
-        upper=data["upper"],
-        lower=data["lower"],
-        justification=tuple(data["justification"]),
-    )
-
-
 def tarski_bound_report(
     certificates: Sequence[tuple[TranslatingSets, frozenset, Verdict]],
     freeness: "FreenessResult | None" = None,
@@ -470,26 +462,19 @@ def decomposition_to_jsonable(spec: GroupSpec, pd: PartialDecomposition) -> dict
     }
 
 
-def decomposition_from_jsonable(spec: GroupSpec, data: dict) -> PartialDecomposition:
-    parse = spec.parser()
-    domain = _element_order(spec, (parse(x) for x in data["domain"]))
-
-    def family(items):
-        return tuple(
-            (parse(s), frozenset(parse(x) for x in piece)) for s, piece in items
-        )
-
-    return PartialDecomposition(
-        pieces1=family(data["pieces1"]),
-        pieces2=family(data["pieces2"]),
-        domain=domain,
-    )
-
-
 def freeness_from_jsonable(data: dict) -> FreenessResult:
-    """Read back the ``max_length`` and ``witness`` of a ``free-check`` output."""
+    """Read back the ``max_length`` and ``witness`` of a ``free-check``
+    output.  The length must be a JSON integer of at least 1, the witness
+    null or a word, and ``free`` must say whether the witness is null."""
     free_up_to = data["max_length"]
     witness = data["witness"]
+    # JSON true would pass as the length 1
+    if type(free_up_to) is not int or free_up_to < 1:
+        raise ValueError(f"max_length {free_up_to!r} is not an integer >= 1")
+    if witness is not None and not isinstance(witness, str):
+        raise ValueError(f"witness {witness!r} is neither null nor a word")
+    if data["free"] is not (witness is None):
+        raise ValueError(f"free {data['free']!r} disagrees with witness {witness!r}")
     if witness is not None:
         witness = tuple(parse_label(token) for token in witness.split())
     return FreenessResult(free_up_to=free_up_to, witness=witness)
@@ -510,22 +495,6 @@ def verification_to_jsonable(spec: GroupSpec, report: DecompositionReport) -> di
         "indeterminate2": texts(report.indeterminate2),
         "passed": report.passed,
     }
-
-
-def verification_from_jsonable(spec: GroupSpec, data: dict) -> DecompositionReport:
-    parse = spec.parser()
-
-    def elements(items):
-        return tuple(parse(x) for x in items)
-
-    return DecompositionReport(
-        disjoint=data["disjoint"],
-        overlaps=elements(data["overlaps"]),
-        uncovered1=elements(data["uncovered1"]),
-        uncovered2=elements(data["uncovered2"]),
-        indeterminate1=elements(data["indeterminate1"]),
-        indeterminate2=elements(data["indeterminate2"]),
-    )
 
 
 def report_to_text(spec: GroupSpec, pd: PartialDecomposition) -> str:

@@ -356,9 +356,13 @@ def verdict_from_jsonable(spec: GroupSpec, data: dict) -> Verdict:
             pairs2=tuple((parse(g), parse(w)) for g, w in data["phi2"]),
         )
     if data["kind"] == "violator":
+        union_size = data["union_size"]
+        # JSON true would pass as the size 1
+        if type(union_size) is not int:
+            raise ValueError(f"union_size {union_size!r} is not an integer")
         return Violator(
             a1=tuple(parse(g) for g in data["a1"]),
             a2=tuple(parse(g) for g in data["a2"]),
-            union_size=data["union_size"],
+            union_size=union_size,
         )
     raise ValueError(f"unknown verdict kind {data.get('kind')!r}")

@@ -64,15 +64,6 @@ class PatchEscapeError(ParadecError, ValueError):
     """A required product lies outside the patch; shrink the sets or grow it."""
 
 
-class PatchEdgeError(ParadecError, ValueError):
-    """A stored patch lists an edge its group does not give it."""
-
-
-class PatchDistanceError(ParadecError, ValueError):
-    """A stored patch gives a vertex a distance, or itself a radius, that
-    its edges do not give it."""
-
-
 class CertificateError(ParadecError, ValueError):
     """A matching certificate failed re-verification."""
 

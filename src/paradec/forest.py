@@ -358,42 +358,6 @@ class ForestAudit:
         }
 
 
-def audit_from_jsonable(spec: GroupSpec, data: dict) -> ForestAudit:
-    def edges(items):
-        return tuple(
-            (spec.parse_element(g), sym, sign, spec.parse_element(t))
-            for g, sym, sign, t in items
-        )
-
-    return ForestAudit(
-        a1=tuple(spec.parse_element(g) for g in data["a1"]),
-        a2=tuple(spec.parse_element(g) for g in data["a2"]),
-        e=edges(data["e"]),
-        e1=edges(data["e1"]),
-        e2=edges(data["e2"]),
-        e3=edges(data["e3"]),
-        lambda_vertices=tuple(
-            spec.parse_element(v) for v in data["lambda_vertices"]
-        ),
-        lambda_edges=tuple(
-            (spec.parse_element(u), spec.parse_element(v))
-            for u, v in data["lambda_edges"]
-        ),
-        ledger=tuple(_ledger_entry(c) for c in data["ledger"]),
-    )
-
-
-def _ledger_entry(data: dict) -> InequalityCheck:
-    """A stored ledger entry, whose ``passed`` must be its relation's."""
-    entry = InequalityCheck(data["name"], data["lhs"], data["rhs"], data["relation"])
-    if data["passed"] is not entry.passed:
-        raise ValueError(
-            f"ledger entry {entry.name!r} records passed={data['passed']!r}, "
-            f"but {entry.lhs} {entry.relation} {entry.rhs} is {entry.passed}"
-        )
-    return entry
-
-
 def _check_vertex(patch: CayleyPatch, g: Element) -> None:
     if g not in patch:
         raise PatchEscapeError(

@@ -8,11 +8,21 @@ from pathlib import Path
 
 import pytest
 
-from paradec import CayleyPatch, cli, errors, parse_group_spec, verdict_from_jsonable
+from paradec import (
+    CayleyPatch,
+    GeneratingSet,
+    cli,
+    enumerate_ball,
+    errors,
+    parse_group_spec,
+    spec_to_string,
+    verdict_from_jsonable,
+)
+from paradec.cayley import format_label
 from paradec.cli import main
 from paradec.doubling import Certificate, Violator
 
-from helpers import record_products
+from helpers import all_model_specs, record_products
 
 
 def run(capsys, *argv):
@@ -67,6 +77,22 @@ class TestBall:
         data = json.loads(target.read_text())
         assert data["group"] == "cyclic:3"
         assert len(data["vertices"]) == 3
+
+    @pytest.mark.parametrize("spec", all_model_specs(), ids=spec_to_string)
+    def test_dump_is_the_ball(self, capsys, tmp_path, spec):
+        target = tmp_path / "patch.json"
+        code, _, _ = run(
+            capsys, "ball", "--group", spec_to_string(spec), "--radius", "2",
+            "--dump", str(target),
+        )
+        assert code == 0
+        data = json.loads(target.read_text())
+        patch = enumerate_ball(spec, GeneratingSet.standard(spec), 2)
+        assert [spec.parse_element(v) for v in data["vertices"]] == list(patch.vertices)
+        assert data["distances"] == list(patch.distances)
+        assert data["edges"] == [
+            [u, format_label(sym, sign), v] for u, sym, sign, v in patch.edges
+        ]
 
     def test_generator_overrides(self, capsys):
         code, data, _ = run_json(
@@ -876,6 +902,96 @@ class TestMalformedReportInput:
         )
         assert code == 2
         assert err == f"error: {free}: missing key 'max_length'\n"
+
+    def test_boolean_union_size_exit_two(self, capsys, tmp_path):
+        # cyclic:1 with S1 = S2 = {1}: the union has size 1, which true
+        # would pass for
+        code, data, _ = run_json(
+            capsys, "check", "--group", "cyclic:1", "--s1", "1", "--s2", "1",
+            "--radius", "1",
+        )
+        assert code == 1 and data["verdict"]["union_size"] == 1
+        data["verdict"]["union_size"] = True
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "report", "--inputs", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: union_size True is not an integer\n"
+
+    @pytest.fixture
+    def free_output(self, capsys):
+        code, data, _ = run_json(
+            capsys, "free-check", "--group", "free:2", "--g", "a", "--h", "b",
+            "--max-length", "4",
+        )
+        assert code == 0
+        return data
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("max_length", True, "max_length True is not an integer >= 1"),
+            ("max_length", 0, "max_length 0 is not an integer >= 1"),
+            ("max_length", "12", "max_length '12' is not an integer >= 1"),
+            ("witness", ["g"], "witness ['g'] is neither null nor a word"),
+            ("free", False, "free False disagrees with witness None"),
+            ("free", 1, "free 1 disagrees with witness None"),
+        ],
+        ids=["length-true", "length-zero", "length-text", "witness-list",
+             "free-false", "free-one"],
+    )
+    def test_malformed_freeness_exit_two(
+        self, capsys, tmp_path, check_output, free_output, key, value, message
+    ):
+        good = tmp_path / "check.json"
+        good.write_text(json.dumps(check_output))
+        free_output[key] = value
+        free = tmp_path / "free.json"
+        free.write_text(json.dumps(free_output))
+        code, out, err = run(
+            capsys, "report", "--inputs", str(good), "--freeness", str(free)
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {free}: {message}\n"
+
+    def test_freeness_relation_is_read(self, capsys, tmp_path, check_output):
+        good = tmp_path / "check.json"
+        good.write_text(json.dumps(check_output))
+        code, freeness, _ = run_json(
+            capsys, "free-check", "--group", "free:2", "--g", "a", "--h", "a",
+            "--max-length", "4",
+        )
+        assert code == 1 and freeness["witness"] == "g h^-1"
+        free = tmp_path / "free.json"
+        free.write_text(json.dumps(freeness))
+        code, report, _ = run_json(
+            capsys, "report", "--inputs", str(good), "--freeness", str(free)
+        )
+        assert code == 0
+        assert "> 4 not certified" in report["justification"]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"group": ', "Expecting value: line 1 column 11 (char 10)"),
+            (
+                json.dumps({"group": "free:2", "s1": ["1", "a^^2"]}),
+                "bad word token 'a^^2' (at position 0)",
+            ),
+            (
+                json.dumps({"group": "free:2", "s1": ["a^9999999"]}),
+                "free-group word of 9999999 letters exceeds the bound 1000000",
+            ),
+            (json.dumps({"group": "free:0"}), "rank must be positive"),
+        ],
+        ids=["truncated", "token", "overflow", "group"],
+    )
+    def test_malformed_input_names_the_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "report", "--inputs", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {message}\n"
 
     def test_failed_verification_exit_one(self, capsys, tmp_path, check_output):
         phi1 = check_output["verdict"]["phi1"]

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -19,13 +18,6 @@ from paradec import (
     tarski_bound_report,
     verify_certificate,
     verify_decomposition,
-)
-from paradec.decomposition import (
-    decomposition_from_jsonable,
-    decomposition_to_jsonable,
-    report_from_jsonable,
-    verification_from_jsonable,
-    verification_to_jsonable,
 )
 from paradec.errors import CertificateError, MatrixOverflowError, VertexBudgetError
 from paradec.groups import parse_group_spec
@@ -521,29 +513,3 @@ class TestTarskiBoundReport:
         assert isinstance(verdict, Certificate)
         report = tarski_bound_report([(ts, frozenset([e]), verdict)])
         assert report.upper is None
-
-    def test_report_round_trip(self):
-        spec = free_group(2)
-        entry = self._certificate_entry(spec, "1,a", "1,b", 2)
-        report = tarski_bound_report([entry])
-        data = json.loads(json.dumps(report.to_jsonable()))
-        assert report_from_jsonable(data) == report
-
-
-class TestSerialization:
-    def test_decomposition_round_trip(self):
-        spec = free_group(2)
-        ts = TranslatingSets.from_words(spec, "1,a", "1,b")
-        domain = ball(spec, 2).vertices
-        pd, _ = pieces_from_certificate(spec, check_domain(spec, ts, domain), ts)
-        data = json.loads(json.dumps(decomposition_to_jsonable(spec, pd)))
-        assert decomposition_from_jsonable(spec, data) == pd
-
-    def test_verification_round_trip(self):
-        spec = free_group(2)
-        ts = TranslatingSets.from_words(spec, "1,a", "1,b")
-        domain = ball(spec, 2).vertices
-        pd, _ = pieces_from_certificate(spec, check_domain(spec, ts, domain), ts)
-        report = verify_decomposition(spec, pd, ts, domain)
-        data = json.loads(json.dumps(verification_to_jsonable(spec, report)))
-        assert verification_from_jsonable(spec, data) == report

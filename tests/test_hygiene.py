@@ -1,8 +1,9 @@
 """Every module-level import in the package is used by its module, every
-method of its classes is read somewhere, and no module reads a setting
-from the environment.
+module-level function and class is loaded somewhere in the package or
+exported, every method of its classes is read somewhere, and no module
+reads a setting from the environment.
 
-A name counts as used when the module's code reads it, or when it appears
+A name counts as used when the module's code loads it, or when it appears
 in an annotation, string annotations included.  ``__init__.py`` imports
 only to re-export, and ``from __future__`` imports are directives, so
 both are exempt.  A method or property counts as read when ``.name`` is
@@ -14,6 +15,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import paradec
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "paradec"
@@ -31,7 +34,11 @@ def _imported_names(tree: ast.Module) -> list[str]:
 
 
 def _used_names(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     annotations = []
     for node in ast.walk(tree):
         if isinstance(node, ast.arg) and node.annotation is not None:
@@ -53,6 +60,30 @@ def test_module_imports_are_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used_names(tree)
     assert [name for name in _imported_names(tree) if name not in used] == []
+
+
+def test_definitions_are_loaded_or_exported():
+    """A module-level function or class that no package code loads by name
+    (as ``name`` or ``module.name``, annotations included) and that
+    ``paradec.__all__`` does not export is dead code."""
+    loaded = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded |= _used_names(tree)
+        loaded.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+    unloaded = [
+        f"{path.name}:{node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in loaded
+        and node.name not in paradec.__all__
+    ]
+    assert unloaded == []
 
 
 def _methods(tree: ast.Module) -> list[tuple[str, str]]:
