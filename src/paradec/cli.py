@@ -25,6 +25,7 @@ from .decomposition import (
     report_to_text,
     tarski_bound_report,
     verification_to_jsonable,
+    verify_witness,
 )
 from .doubling import (
     Certificate,
@@ -37,7 +38,13 @@ from .doubling import (
     verify_certificate,
     verify_violator,
 )
-from .errors import CertificateError, ParadecError, ParseError, ViolatorError
+from .errors import (
+    CertificateError,
+    ParadecError,
+    ParseError,
+    ViolatorError,
+    WitnessError,
+)
 from .forest import (
     audit_counting_argument,
     identify_triple,
@@ -346,11 +353,15 @@ def cmd_report(args: argparse.Namespace) -> int:
             )
             inputs.append((path, spec, ts, verdict_from_jsonable(spec, data["verdict"])))
         groups[path] = spec_to_string(spec)
-    freeness = None
+    freeness = relation = None
     if args.freeness:
         with _json_input(args.freeness) as data:
             freeness = freeness_from_jsonable(data)
-            groups[args.freeness] = spec_to_string(parse_group_spec(data["group"]))
+            spec = parse_group_spec(data["group"])
+            if not freeness.free:
+                # the group and the pair that the witness must be a relation of
+                relation = spec, spec.parse_element(data["g"]), spec.parse_element(data["h"])
+        groups[args.freeness] = spec_to_string(spec)
     group = groups[args.inputs[0]]
     for path, other in groups.items():
         if other != group:
@@ -370,6 +381,12 @@ def cmd_report(args: argparse.Namespace) -> int:
             print(f"verification failed: {path}: {exc}", file=sys.stderr)
             return EXIT_NEGATIVE
         entries.append((ts, domain, verdict))
+    if relation is not None:
+        try:
+            verify_witness(*relation, freeness)
+        except WitnessError as exc:
+            print(f"verification failed: {args.freeness}: {exc}", file=sys.stderr)
+            return EXIT_NEGATIVE
     report = tarski_bound_report(entries, freeness)
     upper = "none" if report.upper is None else str(report.upper)
     text = f"upper bound: {upper}; lower bound: {report.lower}\n" + "\n".join(
@@ -379,14 +396,29 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("ball", "check", "violate", "decompose", "forest-audit", "free-check", "report")
+
+
+def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
+    """The argument parser.  When ``command`` names a subcommand, only that
+    subcommand's parser is built, since a call parses no other, and the
+    usage line still lists every subcommand.  Otherwise, as for ``--help``,
+    a misspelt command or none, every subcommand's parser is built."""
     parser = argparse.ArgumentParser(
         prog="paradec",
         description=(
             "workbench for paradoxical decompositions on finite Cayley patches"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in COMMANDS
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if every else "{%s}" % ",".join(COMMANDS),
+    )
+
+    def wanted(name: str) -> bool:
+        return every or name == command
 
     def group_command(name, run, summary, translators=None):
         """A subcommand taking the group options.  ``translators`` is
@@ -416,52 +448,59 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
-    p_ball = group_command("ball", cmd_ball, "ball summary: vertex/edge counts, spheres")
-    p_ball.add_argument("--radius", type=int, required=True)
-    p_ball.add_argument("--dump", help="write the full patch (.json or edge list)")
+    if wanted("ball"):
+        p_ball = group_command("ball", cmd_ball, "ball summary: vertex/edge counts, spheres")
+        p_ball.add_argument("--radius", type=int, required=True)
+        p_ball.add_argument("--dump", help="write the full patch (.json or edge list)")
 
-    p_check = group_command(
-        "check", cmd_check, "doubling check on a ball domain", "required"
-    )
-    p_check.add_argument("--radius", type=int, required=True)
+    if wanted("check"):
+        p_check = group_command(
+            "check", cmd_check, "doubling check on a ball domain", "required"
+        )
+        p_check.add_argument("--radius", type=int, required=True)
 
-    p_violate = group_command(
-        "violate", cmd_violate, "search for a minimal violating radius", "required"
-    )
-    p_violate.add_argument("--max-radius", type=int, required=True)
+    if wanted("violate"):
+        p_violate = group_command(
+            "violate", cmd_violate, "search for a minimal violating radius", "required"
+        )
+        p_violate.add_argument("--max-radius", type=int, required=True)
 
-    p_dec = group_command(
-        "decompose",
-        cmd_decompose,
-        "build and verify pieces from a certificate",
-        "required",
-    )
-    p_dec.add_argument("--radius", type=int, required=True)
+    if wanted("decompose"):
+        p_dec = group_command(
+            "decompose",
+            cmd_decompose,
+            "build and verify pieces from a certificate",
+            "required",
+        )
+        p_dec.add_argument("--radius", type=int, required=True)
 
-    p_fa = group_command(
-        "forest-audit",
-        cmd_forest_audit,
-        "audit sampled forests on random interior subsets; --s1/--s2 default "
-        "to 1 with the first generator and 1 with the next two",
-        "optional",
-    )
-    p_fa.add_argument("--radius", type=int, required=True)
-    p_fa.add_argument("--samples", type=int, default=10)
-    p_fa.add_argument("--seed", type=int, default=0)
-    p_fa.add_argument("--max-set-size", type=int, default=4)
+    if wanted("forest-audit"):
+        p_fa = group_command(
+            "forest-audit",
+            cmd_forest_audit,
+            "audit sampled forests on random interior subsets; --s1/--s2 default "
+            "to 1 with the first generator and 1 with the next two",
+            "optional",
+        )
+        p_fa.add_argument("--radius", type=int, required=True)
+        p_fa.add_argument("--samples", type=int, default=10)
+        p_fa.add_argument("--seed", type=int, default=0)
+        p_fa.add_argument("--max-set-size", type=int, default=4)
 
-    p_free = group_command(
-        "free-check", cmd_free_check, "search for short relations in a pair"
-    )
-    p_free.add_argument("--g", required=True, help="first element, word syntax")
-    p_free.add_argument("--h", required=True, help="second element, word syntax")
-    p_free.add_argument("--max-length", type=int, required=True)
+    if wanted("free-check"):
+        p_free = group_command(
+            "free-check", cmd_free_check, "search for short relations in a pair"
+        )
+        p_free.add_argument("--g", required=True, help="first element, word syntax")
+        p_free.add_argument("--h", required=True, help="second element, word syntax")
+        p_free.add_argument("--max-length", type=int, required=True)
 
-    p_report = sub.add_parser("report", help="aggregate check outputs into bounds")
-    p_report.set_defaults(run=cmd_report)
-    p_report.add_argument("--inputs", nargs="+", required=True)
-    p_report.add_argument("--freeness", help="free-check JSON output")
-    p_report.add_argument("--format", choices=("text", "json"), default="text")
+    if wanted("report"):
+        p_report = sub.add_parser("report", help="aggregate check outputs into bounds")
+        p_report.set_defaults(run=cmd_report)
+        p_report.add_argument("--inputs", nargs="+", required=True)
+        p_report.add_argument("--freeness", help="free-check JSON output")
+        p_report.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 
@@ -472,7 +511,9 @@ def main(argv: "list[str] | None" = None) -> int:
     that hold no reference cycles, so reference counting frees them, and a
     collection would only walk them again.  The caller's collector state is
     restored on every exit."""
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()
     try:

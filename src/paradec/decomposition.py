@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .cayley import DEFAULT_VERTEX_BUDGET, format_label, parse_label
 from .doubling import Certificate, TranslatingSets, Verdict, verify_certificate
-from .errors import CertificateError, VertexBudgetError
+from .errors import CertificateError, VertexBudgetError, WitnessError
 from .groups import Element, GroupSpec
 
 TARSKI_FLOOR = 4
@@ -372,6 +372,32 @@ def free_up_to_length(
                 free_up_to=length, witness=tuple(_LETTERS[i] for i in found)
             )
     return FreenessResult(free_up_to=length, witness=None)
+
+
+def verify_witness(spec: GroupSpec, g: Element, h: Element, result: FreenessResult) -> None:
+    """Check a recorded relation again: a freely reduced word of 1 to
+    ``free_up_to`` letters in g^±1, h^±1 that evaluates to the identity.
+    A result with no witness passes.  Raises :class:`WitnessError`."""
+    witness = result.witness
+    if witness is None:
+        return
+    for name, sign in witness:
+        if name not in ("g", "h"):
+            raise WitnessError(
+                f"witness letter {format_label(name, sign)!r} is not g, g^-1, h or h^-1"
+            )
+    if any(prev == (name, -sign) for prev, (name, sign) in zip(witness, witness[1:])):
+        raise WitnessError(f"witness {result.witness_text()!r} is not freely reduced")
+    if not 1 <= len(witness) <= result.free_up_to:
+        raise WitnessError(
+            f"witness of {len(witness)} letters is not within the length "
+            f"bound 1 to {result.free_up_to}"
+        )
+    if spec.evaluate_word(witness, {"g": g, "h": h}) != spec.identity():
+        raise WitnessError(
+            f"witness {result.witness_text()!r} is not the identity on "
+            f"g = {spec.format_element(g)}, h = {spec.format_element(h)}"
+        )
 
 
 @dataclass(frozen=True)

@@ -269,32 +269,40 @@ def _shrink_violator(spec, ts, a1: list, a2: list) -> tuple[list, list]:
     """Drop elements one at a time while the pair still violates.
 
     Greedy over A1 then A2, each in element order.  The products g·s are
-    computed once, a translator column at a time, and kept with their
-    multiplicities, so a candidate removal shrinks the union by the number
-    of its products whose count drops to zero: O(|S|) per candidate.  The
-    result is checked again from scratch by :func:`make_violator`.
+    computed once, a translator column at a time, and their multiplicities
+    are kept in a plain dict, counted once through a ``Counter``: a
+    candidate removal decrements its row's counts in place and shrinks the
+    union by the products whose count drops to zero, O(|S|) per candidate,
+    and a removal that is not kept adds them back.  The result is checked
+    again from scratch by :func:`make_violator`.
     """
     a1 = sorted(a1, key=spec.element_sort_key)
     a2 = sorted(a2, key=spec.element_sort_key)
-    counts: Counter = Counter()
+    counted: Counter = Counter()
     sides = []
     for which, translators in ((a1, ts.s1), (a2, ts.s2)):
         columns = [spec.translates(which, s) for s in translators]
         for column in columns:
-            counts.update(column)
+            counted.update(column)
         sides.append(zip(which, zip(*columns)))
+    counts = dict(counted)
     union_size = len(counts)
     size = len(a1) + len(a2)
     kept: tuple[list, list] = ([], [])
     for side, keep in zip(sides, kept):
         for g, row in side:
-            counts.subtract(row)
-            lost = sum(1 for w in row if counts[w] == 0)
+            lost = 0
+            for w in row:
+                count = counts[w] - 1
+                counts[w] = count
+                if not count:
+                    lost += 1
             if union_size - lost < size - 1:
                 union_size -= lost
                 size -= 1
             else:
-                counts.update(row)
+                for w in row:
+                    counts[w] += 1
                 keep.append(g)
     return kept
 

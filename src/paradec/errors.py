@@ -70,3 +70,7 @@ class CertificateError(ParadecError, ValueError):
 
 class ViolatorError(ParadecError, ValueError):
     """A recorded Hall violator failed re-verification."""
+
+
+class WitnessError(ParadecError, ValueError):
+    """A recorded relation of a freeness search failed re-verification."""

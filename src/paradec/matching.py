@@ -7,7 +7,6 @@ order only, so identical inputs always produce the identical matching.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 UNMATCHED = -1
@@ -25,8 +24,8 @@ def hopcroft_karp(
     vertices.  ``start`` is an optional valid matching ``(pair_left,
     pair_right)`` on a prefix of the left and right vertices, for instance
     the result of an earlier call before vertices were appended; the search
-    then augments from the vertices it leaves unmatched.  The augmenting
-    DFS is iterative so deep layered paths cannot hit the recursion limit.
+    then augments from the vertices it leaves unmatched.  ``start`` itself
+    is not modified.
 
     The first phase is a greedy pass: each unmatched left vertex, in index
     order, takes its first free right vertex in adjacency order.  From an
@@ -36,6 +35,17 @@ def hopcroft_karp(
     From a warm start it is a valid pre-pass that may end in a different
     maximum matching; the alternating reach of the unmatched left vertices
     (Dulmage-Mendelsohn) is the same for all of them.
+
+    Each later phase works on the list of left vertices still free, in
+    index order: an augmenting path only passes through matched left
+    vertices, so a free vertex stays free until its own turn.  The
+    breadth-first search runs over a plain list, forming each vertex's
+    next layer once, and visits every layer to the end.  The augmenting
+    DFS is iterative, so deep layered paths cannot hit the recursion
+    limit, and walks each row with one iterator.  Roots, layers and rows
+    are visited in the order of the scan over every left vertex that
+    ``tests/oracles.py:hopcroft_karp_scan_oracle`` keeps, so both return
+    the same pairing arrays.
     """
     num_left = len(adjacency)
     pair_left = [UNMATCHED] * num_left
@@ -43,6 +53,7 @@ def hopcroft_karp(
     if start is not None:
         pair_left[: len(start[0])] = start[0]
         pair_right[: len(start[1])] = start[1]
+    free = []
     for u, row in enumerate(adjacency):
         if pair_left[u] == UNMATCHED:
             for v in row:
@@ -50,60 +61,53 @@ def hopcroft_karp(
                     pair_left[u] = v
                     pair_right[v] = u
                     break
-    dist = [_UNREACHED] * num_left
-
-    def bfs_layers() -> bool:
-        queue: deque[int] = deque()
-        for u in range(num_left):
-            if pair_left[u] == UNMATCHED:
-                dist[u] = 0
-                queue.append(u)
             else:
-                dist[u] = _UNREACHED
+                free.append(u)
+    while free:
+        dist = [_UNREACHED] * num_left
+        for u in free:
+            dist[u] = 0
+        queue = free[:]
         found_free = False
-        while queue:
-            u = queue.popleft()
+        for u in queue:  # grows while it is read: a FIFO queue
+            layer = dist[u] + 1
             for v in adjacency[u]:
                 w = pair_right[v]
                 if w == UNMATCHED:
                     found_free = True
                 elif dist[w] == _UNREACHED:
-                    dist[w] = dist[u] + 1
+                    dist[w] = layer
                     queue.append(w)
-        return found_free
-
-    def try_augment(root: int) -> bool:
-        # frames[i] = [left vertex, cursor into its adjacency list];
-        # chosen[i] = right vertex picked at frame i (len == len(frames)-1).
-        frames: list[list[int]] = [[root, 0]]
-        chosen: list[int] = []
-        while frames:
-            frame = frames[-1]
-            u, cursor = frame
-            if cursor < len(adjacency[u]):
-                frame[1] += 1
-                v = adjacency[u][cursor]
-                w = pair_right[v]
-                if w == UNMATCHED:
-                    chosen.append(v)
-                    for (left, _), right in zip(frames, chosen):
-                        pair_left[left] = right
-                        pair_right[right] = left
-                    return True
-                if dist[w] == dist[u] + 1:
-                    chosen.append(v)
-                    frames.append([w, 0])
-            else:
-                dist[u] = _UNREACHED  # dead end for this phase
-                frames.pop()
-                if chosen:
-                    chosen.pop()
-        return False
-
-    while bfs_layers():
-        for u in range(num_left):
-            if pair_left[u] == UNMATCHED:
-                try_augment(u)
+        if not found_free:
+            break
+        for root in free:
+            # path holds the left vertices of the path from root, rows the
+            # iterators over their rows, chosen the right vertex taken from
+            # each row but the last; path[i] sits in layer i
+            path = [root]
+            rows = [iter(adjacency[root])]
+            chosen: list[int] = []
+            while path:
+                for v in rows[-1]:
+                    w = pair_right[v]
+                    if w == UNMATCHED:
+                        chosen.append(v)
+                        for left, right in zip(path, chosen):
+                            pair_left[left] = right
+                            pair_right[right] = left
+                        path.clear()
+                        break
+                    if dist[w] == len(path):
+                        chosen.append(v)
+                        path.append(w)
+                        rows.append(iter(adjacency[w]))
+                        break
+                else:
+                    dist[path.pop()] = _UNREACHED  # dead end for this phase
+                    rows.pop()
+                    if chosen:
+                        chosen.pop()
+        free = [u for u in free if pair_left[u] == UNMATCHED]
     return pair_left, pair_right
 
 
@@ -119,16 +123,12 @@ def alternating_reachable(
     condition whenever some left vertex is unmatched: N(Z) is the reachable
     right set and |N(Z)| < |Z|.
     """
-    num_right = len(pair_right)
     reach_left = [False] * len(adjacency)
-    reach_right = [False] * num_right
-    queue: deque[int] = deque()
-    for u in range(len(adjacency)):
-        if pair_left[u] == UNMATCHED:
-            reach_left[u] = True
-            queue.append(u)
-    while queue:
-        u = queue.popleft()
+    reach_right = [False] * len(pair_right)
+    queue = [u for u in range(len(adjacency)) if pair_left[u] == UNMATCHED]
+    for u in queue:
+        reach_left[u] = True
+    for u in queue:  # grows while it is read: a FIFO queue
         for v in adjacency[u]:
             if not reach_right[v]:
                 reach_right[v] = True

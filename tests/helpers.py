@@ -1,5 +1,5 @@
-"""Shared test utilities: random elements, small spec menageries and a
-product counter."""
+"""Shared test utilities: random elements, small spec menageries, a
+product counter and the Hall graphs of the amenable-abelian2 bench."""
 
 from __future__ import annotations
 
@@ -7,11 +7,15 @@ import random
 
 from paradec import (
     GeneratingSet,
+    TranslatingSets,
     cyclic_group,
+    enumerate_ball,
     free_abelian_group,
     free_group,
     matrix_group,
 )
+from paradec.cayley import ball_levels
+from paradec.doubling import _HallGraph
 from paradec.groups import GroupSpec
 
 
@@ -76,3 +80,31 @@ def record_products(monkeypatch, before=None) -> list:
     monkeypatch.setattr(GroupSpec, "multiply", counted_multiply)
     monkeypatch.setattr(GroupSpec, "translates", counted_translates)
     return factors
+
+
+def amenable_bench_graphs():
+    """The Hall graphs that the ``amenable-abelian2`` bench solves, as
+    ``(spec, ts, graph, batches)``: the radius-16 ball of abelian:2 with
+    S1 = {1, a}, S2 = {1, b, a b} in one batch, and the ball with
+    S1 = {1, a, ..., a^8}, S2 = {1, b, ..., b^8} one level per batch up to
+    radius 12, where ``violate`` finds its violator.  ``batches`` lists
+    the numbers of left and of right vertices after each batch."""
+    spec = free_abelian_group(2)
+    gens = standard_gens(spec)
+    graphs = []
+    ts = TranslatingSets.from_words(spec, "1,a", "1,b,a b")
+    graph = _HallGraph(spec, ts)
+    graph.extend(enumerate_ball(spec, gens, 16).vertices)
+    graphs.append((spec, ts, graph, [(len(graph.adjacency), len(graph.right_elements))]))
+    powers = TranslatingSets.from_words(
+        spec,
+        ",".join(["1", "a"] + [f"a^{k}" for k in range(2, 9)]),
+        ",".join(["1", "b"] + [f"b^{k}" for k in range(2, 9)]),
+    )
+    graph = _HallGraph(spec, powers)
+    batches = []
+    for sphere in ball_levels(spec, gens, 12):
+        graph.extend(sphere)
+        batches.append((len(graph.adjacency), len(graph.right_elements)))
+    graphs.append((spec, powers, graph, batches))
+    return graphs

@@ -538,6 +538,53 @@ def hopcroft_karp_layered_oracle(adjacency, num_right, start=None):
     return pair_left, pair_right
 
 
+def hopcroft_karp_scan_oracle(adjacency, num_right, start=None):
+    """Hopcroft-Karp as a greedy pass, then the phases of
+    :func:`hopcroft_karp_layered_oracle`, which scan every left vertex
+    twice, seed the breadth-first search from a deque and step each row's
+    DFS through a cursor: the reference for
+    ``paradec.matching.hopcroft_karp``, which works on the list of free
+    left vertices and walks each row with one iterator.  Both visit the
+    same roots, layers and rows in the same order, so they return the
+    same pairing arrays."""
+    pair_left = [UNMATCHED] * len(adjacency)
+    pair_right = [UNMATCHED] * num_right
+    if start is not None:
+        pair_left[: len(start[0])] = start[0]
+        pair_right[: len(start[1])] = start[1]
+    for u, row in enumerate(adjacency):
+        if pair_left[u] == UNMATCHED:
+            for v in row:
+                if pair_right[v] == UNMATCHED:
+                    pair_left[u] = v
+                    pair_right[v] = u
+                    break
+    return hopcroft_karp_layered_oracle(adjacency, num_right, (pair_left, pair_right))
+
+
+def alternating_reachable_oracle(adjacency, pair_left, pair_right):
+    """Alternating reach from the unmatched left vertices, with a deque
+    seeded by a scan of every left vertex: the reference for
+    ``paradec.matching.alternating_reachable``."""
+    reach_left = [False] * len(adjacency)
+    reach_right = [False] * len(pair_right)
+    queue: deque[int] = deque()
+    for u in range(len(adjacency)):
+        if pair_left[u] == UNMATCHED:
+            reach_left[u] = True
+            queue.append(u)
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if not reach_right[v]:
+                reach_right[v] = True
+                w = pair_right[v]
+                if w != UNMATCHED and not reach_left[w]:
+                    reach_left[w] = True
+                    queue.append(w)
+    return reach_left, reach_right
+
+
 def overlaps_oracle(spec, pd):
     """Elements in more than one piece of ``pd``, counted element by element
     over every piece, in element order."""

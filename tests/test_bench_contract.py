@@ -1,12 +1,14 @@
 """The bench tracer (``perfbench/tracer.py``) wraps paradec functions and
-methods by name, and swaps ``paradec.cli``'s module globals ``json`` and
-``main``.  A rename that breaks one of these must fail here rather than in
-every bench operation.  The tracer's tables are read from its source, not
-imported, so nothing under ``perfbench/`` runs or changes.
+methods by name, swaps ``paradec.cli``'s module globals ``json`` and
+``main``, and reads the matching's input by parameter name.  A rename that
+breaks one of these must fail here rather than in every bench operation.
+The tracer's tables are read from its source, not imported, so nothing
+under ``perfbench/`` runs or changes.
 """
 
 import ast
 import importlib
+import inspect
 import json
 from pathlib import Path
 
@@ -50,3 +52,13 @@ def test_cli_module_globals():
     cli = importlib.import_module("paradec.cli")
     assert cli.json is json
     assert callable(cli.main)
+
+
+def test_matching_input_is_the_first_parameter_adjacency():
+    """The tracer counts ``matching.left_vertices`` and
+    ``matching.adjacency_entries`` from ``args[0]`` or
+    ``kwargs["adjacency"]`` of each ``hopcroft_karp`` call; another name
+    or position would count nothing."""
+    matching = importlib.import_module("paradec.matching")
+    first = next(iter(inspect.signature(matching.hopcroft_karp).parameters))
+    assert first == "adjacency"

@@ -20,6 +20,7 @@ from paradec import (
 )
 from paradec.cayley import format_label
 from paradec.cli import main
+from paradec.decomposition import freeness_from_jsonable, verify_witness
 from paradec.doubling import Certificate, Violator
 
 from helpers import all_model_specs, record_products
@@ -613,6 +614,34 @@ class TestDeterminismAndErrors:
             main(["check", "--group", "free:2"])
         assert info.value.code == 2
 
+    @staticmethod
+    def parsed(capsys, parse, argv):
+        """Exit code, stdout and stderr of a parse that is meant to exit."""
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        captured = capsys.readouterr()
+        return info.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["check", "--help"],
+            ["nosuch"],
+            [],
+            ["check", "--group", "free:2"],
+            ["check", "--group", "free:2", "--s1", "1,a", "--s2", "1,b", "--radius", "1",
+             "--bogus"],
+            ["report", "--inputs"],
+        ],
+        ids=["help", "check-help", "typo", "none", "missing", "unrecognized", "report"],
+    )
+    def test_one_subcommand_parser_prints_as_the_full_parser(self, capsys, argv):
+        """``main`` builds the parser of the named subcommand alone; its
+        help, usage errors and exit codes are the full parser's."""
+        ours = self.parsed(capsys, main, argv)
+        assert ours == self.parsed(capsys, cli.build_parser().parse_args, argv)
+
     def test_internal_error_exit_three(self, capsys, monkeypatch):
         def broken(args):
             raise RuntimeError("boom")
@@ -969,6 +998,51 @@ class TestMalformedReportInput:
         )
         assert code == 0
         assert "> 4 not certified" in report["justification"]
+
+    @pytest.mark.parametrize(
+        "witness,reason",
+        [
+            ("zz q^-1", "witness letter 'zz' is not g, g^-1, h or h^-1"),
+            ("g h", "witness 'g h' is not the identity on g = a, h = b"),
+            ("g h h^-1 g^-1", "witness 'g h h^-1 g^-1' is not freely reduced"),
+            ("g h g^-1 h^-1 g", "witness of 5 letters is not within the length bound 1 to 4"),
+            ("", "witness of 0 letters is not within the length bound 1 to 4"),
+        ],
+        ids=["letters", "not-identity", "unreduced", "too-long", "empty"],
+    )
+    def test_wrong_witness_exit_one(
+        self, capsys, tmp_path, check_output, free_output, witness, reason
+    ):
+        good = tmp_path / "check.json"
+        good.write_text(json.dumps(check_output))
+        free_output.update(free=False, witness=witness)
+        free = tmp_path / "free.json"
+        free.write_text(json.dumps(free_output))
+        code, out, err = run(
+            capsys, "report", "--inputs", str(good), "--freeness", str(free)
+        )
+        assert code == 1 and out == ""
+        assert err == f"verification failed: {free}: {reason}\n"
+
+    def test_golden_witnesses_verify(self, capsys):
+        """Each free-check golden file's own relation passes, and one
+        of them in a whole report."""
+        golden = Path(__file__).parent / "golden"
+        for path in sorted(golden.glob("free_check_*_json.out")):
+            data = json.loads(path.read_text())
+            spec = parse_group_spec(data["group"])
+            verify_witness(
+                spec,
+                spec.parse_element(data["g"]),
+                spec.parse_element(data["h"]),
+                freeness_from_jsonable(data),
+            )
+        code, out, _ = run(
+            capsys, "report",
+            "--inputs", str(golden / "check_abelian2_r16_json.out"),
+            "--freeness", str(golden / "free_check_abelian2_json.out"),
+        )
+        assert code == 0 and "> 4 not certified" in out
 
     @pytest.mark.parametrize(
         "text,message",

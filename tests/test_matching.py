@@ -16,8 +16,12 @@ from paradec.cayley import ball_levels
 from paradec.doubling import _HallGraph
 from paradec.matching import UNMATCHED, alternating_reachable, hopcroft_karp
 
-from helpers import all_model_specs, standard_gens
-from oracles import hopcroft_karp_layered_oracle
+from helpers import all_model_specs, amenable_bench_graphs, standard_gens
+from oracles import (
+    alternating_reachable_oracle,
+    hopcroft_karp_layered_oracle,
+    hopcroft_karp_scan_oracle,
+)
 
 
 def exhaustive_max_matching(adjacency, num_right):
@@ -268,3 +272,84 @@ def test_warm_start_agrees_with_the_layered_oracle_level_by_level(spec):
             alternating_reachable(graph.adjacency, *ours)[0]
             == alternating_reachable(graph.adjacency, *layered)[0]
         )
+
+
+# -- the free-list phases against the scan they replaced -----------------------
+
+
+def assert_equals_the_scan_oracle(adjacency, num_right, start=None):
+    """Both pairing arrays and both reach arrays equal the scan oracle's,
+    entry by entry, and ``start`` is left as it was.  Returns the
+    matching."""
+    before = None if start is None else (list(start[0]), list(start[1]))
+    ours = hopcroft_karp(adjacency, num_right, start)
+    if start is not None:
+        assert (list(start[0]), list(start[1])) == before
+    assert ours == hopcroft_karp_scan_oracle(adjacency, num_right, before)
+    assert alternating_reachable(adjacency, *ours) == alternating_reachable_oracle(
+        adjacency, *ours
+    )
+    return ours
+
+
+def random_rows(rng, num_left, num_right):
+    return [
+        rng.sample(range(num_right), rng.randint(0, min(4, num_right)))
+        for _ in range(num_left)
+    ]
+
+
+def test_cold_start_equals_the_scan_oracle_on_random_graphs():
+    rng = random.Random("free-list-cold")
+    for _ in range(200):
+        num_right = rng.randint(1, 40)
+        assert_equals_the_scan_oracle(
+            random_rows(rng, rng.randint(0, 40), num_right), num_right
+        )
+
+
+def test_warm_start_equals_the_scan_oracle_on_random_prefixes():
+    """A prefix's maximum matching, sometimes with some of its pairs
+    dropped so that earlier left vertices start unmatched, then the whole
+    graph warm-started from it."""
+    rng = random.Random("free-list-warm")
+    for _ in range(200):
+        num_right = rng.randint(1, 40)
+        adjacency = random_rows(rng, rng.randint(0, 40), num_right)
+        prefix_left = rng.randint(0, len(adjacency))
+        prefix_right = max([v + 1 for row in adjacency[:prefix_left] for v in row] or [0])
+        pair_left, pair_right = hopcroft_karp_scan_oracle(
+            adjacency[:prefix_left], prefix_right
+        )
+        if rng.random() < 0.5:
+            for u, v in enumerate(pair_left):
+                if v != UNMATCHED and rng.random() < 0.3:
+                    pair_left[u] = pair_right[v] = UNMATCHED
+        assert_equals_the_scan_oracle(adjacency, num_right, (pair_left, pair_right))
+
+
+@pytest.mark.parametrize(
+    "spec,radius", _HALL_CASES, ids=[spec_to_string(s) for s, _ in _HALL_CASES]
+)
+def test_level_by_level_equals_the_scan_oracle_on_hall_graphs(spec, radius):
+    ts = _translators(spec)
+    graph = _HallGraph(spec, ts)
+    matching = None
+    for sphere in ball_levels(spec, standard_gens(spec), radius):
+        graph.extend(sphere)
+        matching = assert_equals_the_scan_oracle(
+            graph.adjacency, len(graph.right_elements), matching
+        )
+
+
+def test_the_amenable_bench_graphs_equal_the_scan_oracle():
+    """The radius-16 graph from a cold start, and the powers graph warm
+    started level by level up to its violator at radius 12, as
+    ``violate`` solves it."""
+    for _, _, graph, batches in amenable_bench_graphs():
+        matching = None
+        for num_left, num_right in batches:
+            matching = assert_equals_the_scan_oracle(
+                graph.adjacency[:num_left], num_right, matching
+            )
+        assert UNMATCHED in matching[0]
