@@ -17,8 +17,6 @@ from .decomposition import (
     FreenessResult,
     PartialDecomposition,
     TarskiBoundReport,
-    first_letter_pieces,
-    first_letter_translators,
     free_up_to_length,
     make_decomposition,
     pieces_from_certificate,
@@ -39,15 +37,12 @@ from .doubling import (
     verify_violator,
 )
 from .forest import (
-    DegreeStatistics,
     ForestAudit,
     ForestSample,
     audit_counting_argument,
-    degree_statistics,
     patch_a_edges,
     sample_forest_containing_a_edges,
     sample_spanning_tree_with_required_edges,
-    sample_uniform_spanning_tree,
 )
 from .groups import (
     GroupSpec,
@@ -66,7 +61,6 @@ __all__ = [
     "CayleyPatch",
     "Certificate",
     "DecompositionReport",
-    "DegreeStatistics",
     "ForestAudit",
     "ForestSample",
     "FreenessResult",
@@ -80,10 +74,7 @@ __all__ = [
     "audit_counting_argument",
     "check_domain",
     "cyclic_group",
-    "degree_statistics",
     "enumerate_ball",
-    "first_letter_pieces",
-    "first_letter_translators",
     "free_abelian_group",
     "free_group",
     "free_up_to_length",
@@ -98,7 +89,6 @@ __all__ = [
     "product_set",
     "sample_forest_containing_a_edges",
     "sample_spanning_tree_with_required_edges",
-    "sample_uniform_spanning_tree",
     "spec_to_string",
     "tarski_bound_report",
     "verdict_from_jsonable",

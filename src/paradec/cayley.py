@@ -135,9 +135,6 @@ class CayleyPatch:
             object.__setattr__(self, "_edges", tuple(edges))
         return self._edges
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
     def index_of(self, element: Element) -> int:
         return self._index[element]
 

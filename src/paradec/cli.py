@@ -25,7 +25,7 @@ from .decomposition import (
     report_to_text,
     tarski_bound_report,
     verification_to_jsonable,
-    verify_witness,
+    verify_freeness,
 )
 from .doubling import (
     Certificate,
@@ -353,14 +353,13 @@ def cmd_report(args: argparse.Namespace) -> int:
             )
             inputs.append((path, spec, ts, verdict_from_jsonable(spec, data["verdict"])))
         groups[path] = spec_to_string(spec)
-    freeness = relation = None
+    freeness = pair = None
     if args.freeness:
         with _json_input(args.freeness) as data:
             freeness = freeness_from_jsonable(data)
             spec = parse_group_spec(data["group"])
-            if not freeness.free:
-                # the group and the pair that the witness must be a relation of
-                relation = spec, spec.parse_element(data["g"]), spec.parse_element(data["h"])
+            # the group and the pair that the claim is about
+            pair = spec, spec.parse_element(data["g"]), spec.parse_element(data["h"])
         groups[args.freeness] = spec_to_string(spec)
     group = groups[args.inputs[0]]
     for path, other in groups.items():
@@ -381,9 +380,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             print(f"verification failed: {path}: {exc}", file=sys.stderr)
             return EXIT_NEGATIVE
         entries.append((ts, domain, verdict))
-    if relation is not None:
+    if freeness is not None:
         try:
-            verify_witness(*relation, freeness)
+            verify_freeness(*pair, freeness)
         except WitnessError as exc:
             print(f"verification failed: {args.freeness}: {exc}", file=sys.stderr)
             return EXIT_NEGATIVE

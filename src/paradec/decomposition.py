@@ -35,12 +35,6 @@ class PartialDecomposition:
     pieces2: tuple[tuple[Element, frozenset], ...]
     domain: tuple[Element, ...]
 
-    def pieces1_map(self) -> dict:
-        return dict(self.pieces1)
-
-    def pieces2_map(self) -> dict:
-        return dict(self.pieces2)
-
     def nonempty_piece_count(self) -> int:
         return sum(
             1 for _, piece in self.pieces1 + self.pieces2 if piece
@@ -210,44 +204,6 @@ def verify_decomposition(
     )
 
 
-def first_letter_translators() -> TranslatingSets:
-    """The translating sets {1, a}, {1, b} the classical witness targets."""
-    return TranslatingSets(s1=((), (1,)), s2=((), (2,)))
-
-
-def first_letter_pieces(rank: int, domain: Iterable[Element]) -> PartialDecomposition:
-    """Classical free-group witness for translating sets {1,a}, {1,b}.
-
-    In the right-product convention the first-letter classes become
-    last-letter classes: with V(x) = reduced words ending in the letter x,
-    the pieces are V(a⁻¹) and V(a) for family 1 (and b likewise), because
-    any word not ending in a⁻¹ gains a final a when multiplied by a.  The
-    construction ignores letters beyond the first two, so it is
-    rank-agnostic above 2.
-    """
-    if rank < 2:
-        raise ValueError("a non-abelian free group needs rank >= 2")
-    from .groups import free_group
-
-    spec = free_group(rank)
-    domain = frozenset(domain)
-    for w in domain:
-        spec.validate_element(w)
-    a, b = (1,), (2,)
-    ts = first_letter_translators()
-
-    def ends_with(letter: int) -> frozenset:
-        return frozenset(w for w in domain if w and w[-1] == letter)
-
-    return make_decomposition(
-        spec,
-        ts,
-        {spec.identity(): ends_with(-1), a: ends_with(1)},
-        {spec.identity(): ends_with(-2), b: ends_with(2)},
-        domain,
-    )
-
-
 @dataclass(frozen=True)
 class FreenessResult:
     """Outcome of the exhaustive short-relation search.
@@ -374,12 +330,39 @@ def free_up_to_length(
     return FreenessResult(free_up_to=length, witness=None)
 
 
-def verify_witness(spec: GroupSpec, g: Element, h: Element, result: FreenessResult) -> None:
-    """Check a recorded relation again: a freely reduced word of 1 to
+def verify_freeness(spec: GroupSpec, g: Element, h: Element, result: FreenessResult) -> None:
+    """Check a recorded freeness result again.  Raises :class:`WitnessError`.
+
+    A recorded relation must be a freely reduced word of 1 to
     ``free_up_to`` letters in g^±1, h^±1 that evaluates to the identity.
-    A result with no witness passes.  Raises :class:`WitnessError`."""
+
+    A claim that no such word exists is decided.  If g and h commute,
+    g h g^-1 h^-1 is a relation of length 4, so the claim fails once the
+    bound reaches 4; abelian and cyclic pairs always commute.  If they do
+    not commute in a free group, the claim holds at every bound: ⟨g, h⟩ is
+    free (Nielsen–Schreier) of rank 2, and a generating pair of a free group
+    of rank 2 is a basis (it is Hopfian).  The rest, a commuting pair under
+    a bound below 4 or a pair in sl2z that does not commute, is searched
+    again with :func:`free_up_to_length` at the default budget.
+    """
     witness = result.witness
     if witness is None:
+        commute = spec.multiply(g, h) == spec.multiply(h, g)
+        if commute and result.free_up_to >= 4:
+            raise WitnessError(
+                f"free claimed up to length {result.free_up_to}, but "
+                f"g = {spec.format_element(g)} and h = {spec.format_element(h)} "
+                "commute, so g h g^-1 h^-1 is a relation"
+            )
+        if not commute and spec.model == "free":
+            return
+        found = free_up_to_length(spec, g, h, result.free_up_to).witness_text()
+        if found is not None:
+            raise WitnessError(
+                f"free claimed up to length {result.free_up_to}, but {found!r} is "
+                f"the identity on g = {spec.format_element(g)}, "
+                f"h = {spec.format_element(h)}"
+            )
         return
     for name, sign in witness:
         if name not in ("g", "h"):

@@ -123,7 +123,8 @@ def make_violator(
 def verify_certificate(
     spec: GroupSpec, ts: TranslatingSets, cert: Certificate
 ) -> tuple[tuple[Element, ...], tuple[Element, ...]]:
-    """Re-verify membership, injectivity and image disjointness from scratch.
+    """Re-verify from scratch that each phi_i is a function on one nonempty
+    domain, with membership, injectivity and image disjointness.
 
     Returns, for each family, the translator s with phi_i(g) = g·s of each
     pair, in pair order.  That s is unique, since g·s = g·s' forces
@@ -132,8 +133,9 @@ def verify_certificate(
     """
     multiply = spec.multiply
     images: list[set] = []
+    domains: list[set] = []
     found: list[tuple] = []
-    for pairs, translators in ((cert.pairs1, ts.s1), (cert.pairs2, ts.s2)):
+    for family, pairs, translators in ((1, cert.pairs1, ts.s1), (2, cert.pairs2, ts.s2)):
         image = set()
         used = []
         for g, target in pairs:
@@ -147,14 +149,23 @@ def verify_certificate(
                     f"{spec.format_element(g)}"
                 )
             image.add(target)
+        domain = {g for g, _ in pairs}
+        if len(domain) != len(pairs):
+            repeated = next(g for g, n in Counter(g for g, _ in pairs).items() if n > 1)
+            raise CertificateError(
+                f"phi{family} assigns {spec.format_element(repeated)} more than once"
+            )
         if len(image) != len(pairs):
             raise CertificateError("assignment is not injective")
         images.append(image)
+        domains.append(domain)
         found.append(tuple(used))
     if images[0] & images[1]:
         raise CertificateError("images of the two assignments intersect")
-    if {g for g, _ in cert.pairs1} != {g for g, _ in cert.pairs2}:
+    if domains[0] != domains[1]:
         raise CertificateError("the two assignments cover different domains")
+    if not domains[0]:
+        raise CertificateError("the domain is empty")
     return found[0], found[1]
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .cayley import CayleyPatch, GeneratingSet, product_set
@@ -76,22 +75,8 @@ class ForestSample:
             if not uf.union(u, v):
                 raise ValueError(f"edge ({u}, {v}) closes a cycle")
 
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        degrees = [0] * self.num_vertices
-        for u, v in self.edges:
-            degrees[u] += 1
-            degrees[v] += 1
-        return tuple(degrees)
-
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)
-
-    def num_components(self) -> int:
-        return self.num_vertices - len(self.edges)
-
-    def is_spanning_tree(self) -> bool:
-        return self.num_components() == 1
 
 
 def _check_connected(num_vertices: int, edges: Sequence[tuple[int, int]]) -> None:
@@ -251,13 +236,6 @@ def a_edge_contraction(patch: CayleyPatch, a_symbol: str) -> Contraction:
     return contraction
 
 
-def sample_uniform_spanning_tree(patch: CayleyPatch, seed: int) -> ForestSample:
-    """Uniform spanning tree of a patch's unoriented simple graph."""
-    return contract_required_edges(
-        len(patch.vertices), patch.simple_edges(), ()
-    ).sample(seed, patch)
-
-
 def sample_forest_containing_a_edges(
     patch: CayleyPatch, a_symbol: str, seed: int
 ) -> ForestSample:
@@ -321,12 +299,6 @@ class ForestAudit:
     def all_passed(self) -> bool:
         return all(check.passed for check in self.ledger)
 
-    def check(self, name: str) -> InequalityCheck:
-        for entry in self.ledger:
-            if entry.name == name:
-                return entry
-        raise KeyError(name)
-
     def to_jsonable(self, spec: GroupSpec) -> dict:
         def edge_list(edges):
             return [
@@ -356,30 +328,6 @@ class ForestAudit:
             "ledger": [check.to_jsonable() for check in self.ledger],
             "all_passed": self.all_passed,
         }
-
-
-def _check_vertex(patch: CayleyPatch, g: Element) -> None:
-    if g not in patch:
-        raise PatchEscapeError(
-            f"element {patch.spec.format_element(g)} is not a patch vertex"
-        )
-
-
-def _interior_elements(patch: CayleyPatch, a2: Iterable[Element]) -> list[Element]:
-    """A2 in element order, checked to be patch vertices and then to lie in
-    the patch interior, whose stars the degree counts need whole."""
-    spec = patch.spec
-    a2 = sorted(set(a2), key=spec.element_sort_key)
-    for g in a2:
-        _check_vertex(patch, g)
-    interior = frozenset(patch.interior())
-    for g in a2:
-        if g not in interior:
-            raise PatchEscapeError(
-                f"{spec.format_element(g)} is not interior: its star leaves "
-                "the patch; shrink A2 or grow the patch"
-            )
-    return a2
 
 
 def identify_triple(
@@ -431,12 +379,21 @@ def audit_counting_argument(
     a_sym, _, _ = identify_triple(spec, gens, ts)
     a_elem = gens.element(a_sym)
     a1 = sorted(set(a1), key=spec.element_sort_key)
-    for g in a1:
-        _check_vertex(patch, g)
-    a2 = _interior_elements(patch, a2)
+    a2 = sorted(set(a2), key=spec.element_sort_key)
+    for g in a1 + a2:
+        if g not in patch:
+            raise PatchEscapeError(f"element {spec.format_element(g)} is not a patch vertex")
+    # Escape checks: A2 needs its whole star, since the degree counts read
+    # it whole, and A1 its a-translate.
+    interior = frozenset(patch.interior())
+    for g in a2:
+        if g not in interior:
+            raise PatchEscapeError(
+                f"{spec.format_element(g)} is not interior: its star leaves "
+                "the patch; shrink A2 or grow the patch"
+            )
     if not a1 and not a2:
         raise ValueError("A1 and A2 must not both be empty")
-    # Escape checks: A2 needs its whole star (checked above), A1 its a-translate.
     for g in a1:
         if spec.multiply(g, a_elem) not in patch:
             raise PatchEscapeError(
@@ -533,53 +490,4 @@ def audit_counting_argument(
         lambda_vertices=tuple(lambda_vertices),
         lambda_edges=tuple(lambda_edges),
         ledger=tuple(checks),
-    )
-
-
-@dataclass(frozen=True)
-class DegreeStatistics:
-    """Forest degree sums over A2 across conditioned samples."""
-
-    num_samples: int
-    seed: int
-    a2_size: int
-    mean: float
-    min: int
-    max: int
-    threshold: int
-    meets_threshold: bool
-
-
-def degree_statistics(
-    patch: CayleyPatch,
-    a_symbol: str,
-    a2: Iterable[Element],
-    num_samples: int,
-    seed: int,
-) -> DegreeStatistics:
-    """Mean/min/max of sum(deg_F(g) for g in A2) over conditioned samples,
-    against the threshold 5|A2|.
-
-    A2 must lie in the patch interior (all symmetrized neighbours present),
-    since boundary vertices have artificially depressed degrees.
-    """
-    if num_samples < 1:
-        raise ValueError("need at least one sample")
-    a2 = _interior_elements(patch, a2)
-    indices = [patch.index_of(g) for g in a2]
-    sums = []
-    for i in range(num_samples):
-        sample = sample_forest_containing_a_edges(patch, a_symbol, seed + i)
-        sums.append(sum(sample.degrees[j] for j in indices))
-    threshold = 5 * len(a2)
-    mean = sum(sums) / len(sums)
-    return DegreeStatistics(
-        num_samples=num_samples,
-        seed=seed,
-        a2_size=len(a2),
-        mean=mean,
-        min=min(sums),
-        max=max(sums),
-        threshold=threshold,
-        meets_threshold=mean >= threshold,
     )

@@ -1,5 +1,6 @@
 """Shared test utilities: random elements, small spec menageries, a
-product counter and the Hall graphs of the amenable-abelian2 bench."""
+product counter, forest degree sums and ledger lookup, and the Hall graphs
+of the amenable-abelian2 bench."""
 
 from __future__ import annotations
 
@@ -43,6 +44,18 @@ def random_element(spec, rng: random.Random, length: int = 6):
 
 def standard_gens(spec) -> GeneratingSet:
     return GeneratingSet.standard(spec)
+
+
+def degree_sum(sample, patch, elements) -> int:
+    """The sum of a forest sample's degrees at the given patch elements."""
+    indices = {patch.index_of(g) for g in elements}
+    return sum((u in indices) + (v in indices) for u, v in sample.edges)
+
+
+def ledger_entry(audit, name: str):
+    """The forest audit's ledger entry called ``name``."""
+    (entry,) = [check for check in audit.ledger if check.name == name]
+    return entry
 
 
 def record_products(monkeypatch, before=None) -> list:

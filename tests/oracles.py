@@ -16,9 +16,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from paradec.decomposition import make_decomposition
 from paradec.doubling import Certificate, TranslatingSets, Verdict, make_violator
 from paradec.errors import CertificateError, ParadecError
-from paradec.groups import Element, GroupSpec
+from paradec.groups import Element, GroupSpec, free_group
 from paradec.matching import UNMATCHED
 
 BRUTE_FORCE_MAX_DOMAIN = 14
@@ -594,6 +595,38 @@ def overlaps_oracle(spec, pd):
             counts[x] = counts.get(x, 0) + 1
     return tuple(
         sorted((x for x, c in counts.items() if c > 1), key=spec.element_sort_key)
+    )
+
+
+FIRST_LETTER_TRANSLATORS = TranslatingSets(s1=((), (1,)), s2=((), (2,)))
+
+
+def first_letter_pieces(rank, domain):
+    """The classical decomposition of a free group of rank >= 2 for the
+    translating sets {1, a}, {1, b} (:data:`FIRST_LETTER_TRANSLATORS`),
+    built by hand on ``domain``: the reference that
+    ``paradec.verify_decomposition`` must accept.
+
+    In the right-product convention the first-letter classes become
+    last-letter classes: with V(x) the reduced words ending in the letter
+    x, the pieces are V(a⁻¹) and V(a) for family 1 (and b likewise),
+    because any word not ending in a⁻¹ gains a final a when multiplied by
+    a.  Letters beyond the first two are ignored, so the construction is
+    the same for every rank above 2."""
+    if rank < 2:
+        raise ValueError("a non-abelian free group needs rank >= 2")
+    spec = free_group(rank)
+    domain = frozenset(domain)
+    for w in domain:
+        spec.validate_element(w)
+    last = {letter: frozenset(w for w in domain if w and w[-1] == letter)
+            for letter in (-2, -1, 1, 2)}
+    return make_decomposition(
+        spec,
+        FIRST_LETTER_TRANSLATORS,
+        {(): last[-1], (1,): last[1]},
+        {(): last[-2], (2,): last[2]},
+        domain,
     )
 
 

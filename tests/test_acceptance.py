@@ -20,7 +20,6 @@ from paradec import (
     audit_counting_argument,
     check_domain,
     cyclic_group,
-    degree_statistics,
     enumerate_ball,
     free_abelian_group,
     free_group,
@@ -37,7 +36,7 @@ from paradec import (
 )
 from paradec.cli import main as cli_main
 
-from helpers import random_element, standard_gens
+from helpers import degree_sum, ledger_entry, random_element, standard_gens
 from oracles import (
     ball_oracle,
     brute_force_check,
@@ -184,7 +183,7 @@ def test_criterion_5_forest_audit_on_free3_ball4():
             "vertices_exceed_edges",
             "doubling_conclusion",
         ):
-            assert audit.check(name).passed, f"{name} failed on audit {index}"
+            assert ledger_entry(audit, name).passed, f"{name} failed on audit {index}"
         assert len(audit.lambda_vertices) >= len(a1) + len(a2)
         passes += 1
     assert passes == 100
@@ -209,26 +208,29 @@ def test_criterion_5_forest_audit_on_free3_ball4():
 def test_criterion_6_degree_threshold():
     spec = free_group(3)
     patch = ball(spec, 4)
+    ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
     interior = [w for w in patch.vertices if len(w) <= 3]
     rng = random.Random(606)
     for _ in range(100):
         a2 = rng.sample(interior, rng.randint(1, 8))
-        stats = degree_statistics(patch, "a", a2, num_samples=3, seed=1)
-        assert stats.min == stats.max == 6 * len(a2)
-        assert stats.mean == 6 * len(a2) >= 5 * len(a2)
-        assert stats.meets_threshold
+        for seed in range(1, 4):
+            forest = sample_forest_containing_a_edges(patch, "a", seed)
+            audit = audit_counting_argument(forest, [], a2, ts)
+            entry = ledger_entry(audit, "degree_sum")
+            assert entry.lhs == 6 * len(a2) and entry.rhs == 5 * len(a2)
+            assert entry.passed
     plane = free_abelian_group(2)
     grid = ball(plane, 3)
     grid_interior = [v for v in grid.vertices if abs(v[0]) + abs(v[1]) <= 2]
     for case in range(100):
         a2 = rng.sample(grid_interior, rng.randint(1, 6))
-        stats = degree_statistics(grid, "a", a2, num_samples=3, seed=case)
-        assert stats.max <= 4 * len(a2) < 5 * len(a2)
-        assert not stats.meets_threshold
+        for seed in range(case, case + 3):
+            forest = sample_forest_containing_a_edges(grid, "a", seed)
+            assert degree_sum(forest, grid, a2) <= 4 * len(a2) < 5 * len(a2)
     report(
         6,
-        "free(3) interior degree sum is exactly 6|A2| in 100/100 cases; "
-        "grid degree sum stays <= 4|A2| with the flag false in 100/100",
+        "free(3) audit ledger records |E| = 6|A2| >= 5|A2| in 100/100 cases; "
+        "grid degree sum stays <= 4|A2| < 5|A2| in 100/100",
     )
 
 

@@ -20,7 +20,7 @@ from paradec import (
 )
 from paradec.cayley import format_label
 from paradec.cli import main
-from paradec.decomposition import freeness_from_jsonable, verify_witness
+from paradec.decomposition import freeness_from_jsonable, verify_freeness
 from paradec.doubling import Certificate, Violator
 
 from helpers import all_model_specs, record_products
@@ -1025,13 +1025,13 @@ class TestMalformedReportInput:
         assert err == f"verification failed: {free}: {reason}\n"
 
     def test_golden_witnesses_verify(self, capsys):
-        """Each free-check golden file's own relation passes, and one
-        of them in a whole report."""
+        """Each free-check golden file, relation or freeness claim, passes
+        its check again, and one of them in a whole report."""
         golden = Path(__file__).parent / "golden"
         for path in sorted(golden.glob("free_check_*_json.out")):
             data = json.loads(path.read_text())
             spec = parse_group_spec(data["group"])
-            verify_witness(
+            verify_freeness(
                 spec,
                 spec.parse_element(data["g"]),
                 spec.parse_element(data["h"]),
@@ -1108,6 +1108,24 @@ class TestMalformedReportInput:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.endswith(f"{message}\n")
 
+    def test_repeated_domain_element_exit_one(self, capsys, tmp_path, check_output):
+        """b·a is a translate of b and in no image, so only the repeated
+        domain element b keeps phi1 from being a function."""
+        check_output["verdict"]["phi1"].append(["b", "b a"])
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(check_output))
+        code, out, err = run(capsys, "report", "--inputs", str(path))
+        assert code == 1 and out == ""
+        assert err == f"verification failed: {path}: phi1 assigns b more than once\n"
+
+    def test_empty_domain_exit_one(self, capsys, tmp_path, check_output):
+        check_output["verdict"].update(phi1=[], phi2=[])
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(check_output))
+        code, out, err = run(capsys, "report", "--inputs", str(path))
+        assert code == 1 and out == ""
+        assert err == f"verification failed: {path}: the domain is empty\n"
+
     def test_tampered_violator_exit_one(self, capsys, tmp_path):
         code, data, _ = run_json(
             capsys, "check", "--group", "abelian:1", "--s1", "1,a", "--s2", "1,a",
@@ -1150,3 +1168,93 @@ class TestMalformedReportInput:
         assert err == (
             f"error: {free}: group abelian:2 differs from free:2 in {good}\n"
         )
+
+
+class TestFreenessClaims:
+    """``report`` decides a ``"free": true`` file instead of taking it on
+    trust; the input beside it is a violator on the radius-1 ball of the
+    same group with S1 = S2 = {1}."""
+
+    @staticmethod
+    def report(capsys, tmp_path, group, g, h, length):
+        code, data, _ = run_json(
+            capsys, "check", "--group", group, "--s1", "1", "--s2", "1", "--radius", "1"
+        )
+        assert code == 1
+        check = tmp_path / "check.json"
+        check.write_text(json.dumps(data))
+        free = tmp_path / "free.json"
+        free.write_text(json.dumps({
+            "group": group, "g": g, "h": h, "max_length": length,
+            "free": True, "witness": None,
+        }))
+        code, out, err = run(
+            capsys, "report", "--inputs", str(check), "--freeness", str(free)
+        )
+        return code, out, err, free
+
+    @pytest.mark.parametrize(
+        "group,g,h,length,reason",
+        [
+            ("free:3", "a", "a", 6,
+             "free claimed up to length 6, but g = a and h = a commute, "
+             "so g h g^-1 h^-1 is a relation"),
+            ("free:2", "a b", "a b a b", 4,
+             "free claimed up to length 4, but g = a b and h = a b a b commute, "
+             "so g h g^-1 h^-1 is a relation"),
+            ("abelian:3", "[1,0,0]", "[0,1,0]", 6,
+             "free claimed up to length 6, but g = [1, 0, 0] and h = [0, 1, 0] "
+             "commute, so g h g^-1 h^-1 is a relation"),
+            ("cyclic:12", "a", "a^5", 4,
+             "free claimed up to length 4, but g = a and h = a^5 commute, "
+             "so g h g^-1 h^-1 is a relation"),
+            ("free:2", "a", "a^2", 3,
+             "free claimed up to length 3, but 'g g h^-1' is the identity on "
+             "g = a, h = a^2"),
+            ("sl2z:0,-1,1,0,1,1,0,1", "[[0,-1],[1,0]]", "[[1,1],[0,1]]", 8,
+             "free claimed up to length 8, but 'g g g g' is the identity on "
+             "g = [[0, -1], [1, 0]], h = [[1, 1], [0, 1]]"),
+            ("sl2z", "[[1,2],[0,1]]", "[[1,4],[0,1]]", 4,
+             "free claimed up to length 4, but g = [[1, 2], [0, 1]] and "
+             "h = [[1, 4], [0, 1]] commute, so g h g^-1 h^-1 is a relation"),
+        ],
+        ids=["free-equal", "free-powers", "abelian", "cyclic", "commuting-below-4",
+             "sl2z-torsion", "sl2z-commuting"],
+    )
+    def test_refuted_claim_exit_one(self, capsys, tmp_path, group, g, h, length, reason):
+        code, out, err, free = self.report(capsys, tmp_path, group, g, h, length)
+        assert code == 1 and out == ""
+        assert err == f"verification failed: {free}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "group,g,h,length",
+        [
+            ("free:2", "a", "a^2", 2),
+            ("abelian:2", "a", "b", 3),
+            ("free:3", "a b", "b a", 40),
+            ("sl2z", "[[1,2],[0,1]]", "[[1,0],[2,1]]", 6),
+        ],
+        ids=["commuting-short", "abelian-short", "free-noncommuting", "sl2z-sanov"],
+    )
+    def test_true_claim_is_kept(self, capsys, tmp_path, group, g, h, length):
+        code, out, _, _ = self.report(capsys, tmp_path, group, g, h, length)
+        assert code == 0
+        assert f"freeness evidence true up to length {length}" in out
+
+    def test_free_model_claim_runs_no_search(self, capsys, monkeypatch):
+        """In a free group one commutator decides the claim, so the bench's
+        report forms two products and no relation search."""
+        import paradec.decomposition as decomposition
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("free_up_to_length called")
+
+        monkeypatch.setattr(decomposition, "free_up_to_length", forbidden)
+        golden = Path(__file__).parent / "golden"
+        code, out, _ = run(
+            capsys, "report",
+            "--inputs", str(golden / "check_free3_r2_json.out"),
+            "--freeness", str(golden / "free_check_free3_json.out"),
+        )
+        assert code == 0
+        assert out == (golden / "report_free3_text.out").read_text()

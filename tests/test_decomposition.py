@@ -7,8 +7,6 @@ from paradec import (
     TranslatingSets,
     check_domain,
     enumerate_ball,
-    first_letter_pieces,
-    first_letter_translators,
     free_abelian_group,
     free_group,
     free_up_to_length,
@@ -24,7 +22,9 @@ from paradec.groups import parse_group_spec
 
 from helpers import random_element, standard_gens
 from oracles import (
+    FIRST_LETTER_TRANSLATORS,
     bucket_by_division_oracle,
+    first_letter_pieces,
     free_up_to_length_oracle,
     overlaps_oracle,
 )
@@ -41,9 +41,9 @@ class TestPiecesFromCertificate:
         ts = TranslatingSets(s1=(e, x), s2=(e, x))
         cert = Certificate(pairs1=((e, e),), pairs2=((e, x),))
         pd, _ = pieces_from_certificate(spec, cert, ts)
-        assert pd.pieces1_map()[e] == frozenset([e])
-        assert pd.pieces1_map()[x] == frozenset()
-        assert pd.pieces2_map()[x] == frozenset([x])
+        assert dict(pd.pieces1)[e] == frozenset([e])
+        assert dict(pd.pieces1)[x] == frozenset()
+        assert dict(pd.pieces2)[x] == frozenset([x])
         report = verify_decomposition(spec, pd, ts, [e])
         assert report.passed
 
@@ -128,11 +128,11 @@ class TestOnePassCertificate:
     def test_pieces_match_division_oracle(self):
         for spec, ts, cert in seeded_certificates():
             pd, report = pieces_from_certificate(spec, cert, ts)
-            assert pd.pieces1_map() == {
+            assert dict(pd.pieces1) == {
                 s: frozenset(piece)
                 for s, piece in bucket_by_division_oracle(spec, cert.pairs1, ts.s1).items()
             }
-            assert pd.pieces2_map() == {
+            assert dict(pd.pieces2) == {
                 s: frozenset(piece)
                 for s, piece in bucket_by_division_oracle(spec, cert.pairs2, ts.s2).items()
             }
@@ -216,7 +216,7 @@ class TestSl2zOverflowAfterMatch:
         assert verify_certificate(spec, ts, cert) == ((spec.identity(),), ((1, 0, 2, 1),))
         pd, report = pieces_from_certificate(spec, cert, ts)
         assert report.passed
-        assert pd.pieces1_map() == {spec.identity(): frozenset([(1, 2, 0, 1)]),
+        assert dict(pd.pieces1) == {spec.identity(): frozenset([(1, 2, 0, 1)]),
                                     self.BIG: frozenset()}
 
     def test_overflow_before_match_still_raises(self):
@@ -278,7 +278,7 @@ class TestVerifyDecomposition:
 
     def test_inner_order_does_not_change_the_report(self):
         spec = free_group(2)
-        ts = first_letter_translators()
+        ts = FIRST_LETTER_TRANSLATORS
         pd = first_letter_pieces(2, ball(spec, 3).vertices)
         whole = verify_decomposition(spec, pd, ts, pd.domain)
         assert whole.indeterminate1 and whole.indeterminate2
@@ -305,11 +305,11 @@ class TestVerifyDecomposition:
         with pytest.raises(ValueError, match="piece key c of family 1"):
             make_decomposition(free_group(3), ts, {(3,): set()}, {}, [()])
         pd = make_decomposition(spec, ts, {(1,): {(1,)}}, {b: {b}}, [()])
-        assert pd.pieces1_map()[(1,)] == {(1,)} and pd.pieces2_map()[b] == {b}
+        assert dict(pd.pieces1)[(1,)] == {(1,)} and dict(pd.pieces2)[b] == {b}
 
     def test_domain_is_kept_once_in_element_order(self):
         spec = free_group(2)
-        ts = first_letter_translators()
+        ts = FIRST_LETTER_TRANSLATORS
         vertices = ball(spec, 2).vertices
         pd = make_decomposition(spec, ts, {}, {}, list(vertices[::-1]) + [()])
         assert pd.domain == tuple(sorted(vertices, key=spec.element_sort_key))
@@ -320,11 +320,11 @@ class TestFirstLetterPieces:
         spec = free_group(2)
         domain = ball(spec, 1).vertices
         pd = first_letter_pieces(2, domain)
-        ts = first_letter_translators()
-        pieces1 = pd.pieces1_map()
+        ts = FIRST_LETTER_TRANSLATORS
+        pieces1 = dict(pd.pieces1)
         assert pieces1[()] == frozenset([(-1,)])
         assert pieces1[(1,)] == frozenset([(1,)])
-        pieces2 = pd.pieces2_map()
+        pieces2 = dict(pd.pieces2)
         assert pieces2[()] == frozenset([(-2,)])
         assert pieces2[(2,)] == frozenset([(2,)])
         assert verify_decomposition(spec, pd, ts, [()]).passed
@@ -333,7 +333,7 @@ class TestFirstLetterPieces:
         spec = free_group(2)
         domain = ball(spec, 2).vertices
         pd = first_letter_pieces(2, domain)
-        ts = first_letter_translators()
+        ts = FIRST_LETTER_TRANSLATORS
         e = spec.identity()
         for _, piece in pd.pieces1 + pd.pieces2:
             assert e not in piece
@@ -344,7 +344,7 @@ class TestFirstLetterPieces:
         spec = free_group(3)
         domain = ball(spec, 2).vertices
         pd = first_letter_pieces(3, domain)
-        ts = first_letter_translators()
+        ts = FIRST_LETTER_TRANSLATORS
         inner = [w for w in domain if len(w) <= 1]
         assert verify_decomposition(spec, pd, ts, inner).passed
 
@@ -357,7 +357,7 @@ class TestFirstLetterPieces:
         # two independently built decompositions both verify on the
         # same ball (piece contents may differ)
         spec = free_group(2)
-        ts = first_letter_translators()
+        ts = FIRST_LETTER_TRANSLATORS
         domain = ball(spec, radius).vertices
         verdict = check_domain(spec, ts, domain)
         from_matching, _ = pieces_from_certificate(spec, verdict, ts)

@@ -1,14 +1,15 @@
 """Every module-level import in the package is used by its module, every
 module-level function and class is loaded somewhere in the package or
-exported, every method of its classes is read somewhere, and no module
+exported and is reachable from the command line or the documented library
+entry points, every method of its classes is read somewhere, and no module
 reads a setting from the environment.
 
 A name counts as used when the module's code loads it, or when it appears
 in an annotation, string annotations included.  ``__init__.py`` imports
 only to re-export, and ``from __future__`` imports are directives, so
 both are exempt.  A method or property counts as read when ``.name`` is
-read anywhere in ``src/``, ``tests/`` or ``perfbench/``; dunder methods,
-which Python calls itself, are exempt.
+read anywhere in ``src/`` or ``perfbench/``; dunder methods, which Python
+calls itself, are exempt.
 """
 
 import ast
@@ -55,6 +56,15 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def _loaded(node: ast.AST) -> set[str]:
+    """Names and attribute names that ``node`` loads, annotations included."""
+    return _used_names(node) | {
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -68,13 +78,7 @@ def test_definitions_are_loaded_or_exported():
     ``paradec.__all__`` does not export is dead code."""
     loaded = set()
     for path in PACKAGE.glob("*.py"):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        loaded |= _used_names(tree)
-        loaded.update(
-            node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-        )
+        loaded |= _loaded(ast.parse(path.read_text(), filename=str(path)))
     unloaded = [
         f"{path.name}:{node.name}"
         for path in MODULES
@@ -84,6 +88,52 @@ def test_definitions_are_loaded_or_exported():
         and node.name not in paradec.__all__
     ]
     assert unloaded == []
+
+
+def _library_block() -> ast.Module:
+    """The code block of README's ``## Library entry points`` section."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library entry points\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    return ast.parse(code)
+
+
+def test_definitions_are_reachable():
+    """Every module-level function and class is reached from the names
+    that ``cli.py`` loads or that README's library block names.  A reached
+    definition reaches what its body, or a class's methods, load; a
+    module-level assignment reaches what its value loads."""
+    bodies: dict[str, list[ast.AST]] = {}
+    definitions = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bodies.setdefault(node.name, []).append(node)
+                definitions.append((path.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            bodies.setdefault(name.id, []).append(node)
+    library = _library_block()
+    roots = _loaded(ast.parse((PACKAGE / "cli.py").read_text())) | _loaded(library)
+    roots |= {
+        alias.name
+        for node in ast.walk(library)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    reached, pending = set(), list(roots)
+    while pending:
+        name = pending.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for body in bodies.get(name, ()):
+            pending.extend(_loaded(body) - reached)
+    unreached = [f"{file}:{name}" for file, name in definitions if name not in reached]
+    assert unreached == []
 
 
 def _methods(tree: ast.Module) -> list[tuple[str, str]]:
@@ -99,8 +149,9 @@ def _methods(tree: ast.Module) -> list[tuple[str, str]]:
 
 
 def test_methods_are_read():
+    """Tests exercise methods, so a read from a test does not count."""
     read = set()
-    for directory in ("src", "tests", "perfbench"):
+    for directory in ("src", "perfbench"):
         for path in (ROOT / directory).rglob("*.py"):
             tree = ast.parse(path.read_text(), filename=str(path))
             read.update(
