@@ -111,6 +111,11 @@ class CayleyPatch:
     _contractions: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    # a-symbol -> forest.ForestSample of a tree contraction, the sample of
+    # every seed, filled by forest.sample_forest_containing_a_edges
+    _a_edge_trees: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         object.__setattr__(

@@ -42,6 +42,7 @@ from .errors import (
     CertificateError,
     ParadecError,
     ParseError,
+    VertexBudgetError,
     ViolatorError,
     WitnessError,
 )
@@ -342,6 +343,12 @@ def _json_input(path: str):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if args.budget is not None and args.freeness is None:
+        raise ValueError(
+            "--budget bounds the recount of a --freeness claim; give --freeness"
+        )
+    if args.budget is not None and args.budget < 1:
+        raise ValueError("vertex budget must be positive")
     inputs = []
     groups = {}  # path -> group of the file, checked before anything is combined
     for path in args.inputs:
@@ -382,10 +389,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         entries.append((ts, domain, verdict))
     if freeness is not None:
         try:
-            verify_freeness(*pair, freeness)
+            verify_freeness(*pair, freeness, args.budget)
         except WitnessError as exc:
             print(f"verification failed: {args.freeness}: {exc}", file=sys.stderr)
             return EXIT_NEGATIVE
+        except VertexBudgetError as exc:
+            raise VertexBudgetError(f"{args.freeness}: {exc}") from None
     report = tarski_bound_report(entries, freeness)
     upper = "none" if report.upper is None else str(report.upper)
     text = f"upper bound: {upper}; lower bound: {report.lower}\n" + "\n".join(
@@ -499,6 +508,12 @@ def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
         p_report.set_defaults(run=cmd_report)
         p_report.add_argument("--inputs", nargs="+", required=True)
         p_report.add_argument("--freeness", help="free-check JSON output")
+        p_report.add_argument(
+            "--budget",
+            type=int,
+            help="vertex budget of a --freeness claim's recount, counted as "
+            "free-check counts it",
+        )
         p_report.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
@@ -508,8 +523,9 @@ def main(argv: "list[str] | None" = None) -> int:
     """Run one command.  The cyclic garbage collector is paused while it
     runs: paradec's data are tuples, lists, dicts and frozen dataclasses
     that hold no reference cycles, so reference counting frees them, and a
-    collection would only walk them again.  The caller's collector state is
-    restored on every exit."""
+    collection would only walk them again.  The one cycle, a patch and the
+    tree sample it keeps, lives as long as the command's patch anyway.  The
+    caller's collector state is restored on every exit."""
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)

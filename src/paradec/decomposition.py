@@ -330,7 +330,13 @@ def free_up_to_length(
     return FreenessResult(free_up_to=length, witness=None)
 
 
-def verify_freeness(spec: GroupSpec, g: Element, h: Element, result: FreenessResult) -> None:
+def verify_freeness(
+    spec: GroupSpec,
+    g: Element,
+    h: Element,
+    result: FreenessResult,
+    budget: "int | None" = None,
+) -> None:
     """Check a recorded freeness result again.  Raises :class:`WitnessError`.
 
     A recorded relation must be a freely reduced word of 1 to
@@ -343,7 +349,9 @@ def verify_freeness(spec: GroupSpec, g: Element, h: Element, result: FreenessRes
     free (Nielsen–Schreier) of rank 2, and a generating pair of a free group
     of rank 2 is a basis (it is Hopfian).  The rest, a commuting pair under
     a bound below 4 or a pair in sl2z that does not commute, is searched
-    again with :func:`free_up_to_length` at the default budget.
+    again with :func:`free_up_to_length` under ``budget`` (default: the
+    vertex budget), which raises :class:`VertexBudgetError` when the search
+    does not fit.
     """
     witness = result.witness
     if witness is None:
@@ -356,7 +364,7 @@ def verify_freeness(spec: GroupSpec, g: Element, h: Element, result: FreenessRes
             )
         if not commute and spec.model == "free":
             return
-        found = free_up_to_length(spec, g, h, result.free_up_to).witness_text()
+        found = free_up_to_length(spec, g, h, result.free_up_to, budget).witness_text()
         if found is not None:
             raise WitnessError(
                 f"free claimed up to length {result.free_up_to}, but {found!r} is "

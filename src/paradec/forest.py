@@ -6,7 +6,7 @@ set are sampled by contracting that set and sampling the contracted
 multigraph; the matrix-tree correspondence makes the lifted tree uniform
 among trees containing the required edges.  A patch's a-edge contraction is
 built once and kept on the patch; when it is already a tree, every sample
-is that tree and no walk runs.
+is that tree, built once and kept beside it, and no walk runs.
 
 The audit replays, on one concrete forest and concrete finite sets A1, A2,
 the counting chain that derives |A1S1 ∪ A2S2| >= |A1| + |A2| from a forest
@@ -24,6 +24,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .cayley import CayleyPatch, GeneratingSet, product_set
@@ -91,40 +92,6 @@ def _check_connected(num_vertices: int, edges: Sequence[tuple[int, int]]) -> Non
         )
 
 
-def _wilson(
-    num_vertices: int,
-    multigraph_edges: Sequence[tuple[int, int]],
-    rng: random.Random,
-) -> list[int]:
-    """Uniform spanning tree of a connected multigraph; returns edge ids.
-
-    Wilson's algorithm: walk from each vertex toward the growing tree,
-    recording the last exit taken from every vertex; following those exits
-    afterwards is exactly the loop-erased path.
-    """
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
-    for eid, (u, v) in enumerate(multigraph_edges):
-        incident[u].append((eid, v))
-        incident[v].append((eid, u))
-    in_tree = [False] * num_vertices
-    in_tree[0] = True
-    exit_choice: list[tuple[int, int]] = [(-1, -1)] * num_vertices
-    tree_edges: list[int] = []
-    for start in range(1, num_vertices):
-        u = start
-        while not in_tree[u]:
-            eid, w = incident[u][rng.randrange(len(incident[u]))]
-            exit_choice[u] = (eid, w)
-            u = w
-        u = start
-        while not in_tree[u]:
-            in_tree[u] = True
-            eid, w = exit_choice[u]
-            tree_edges.append(eid)
-            u = w
-    return tree_edges
-
-
 @dataclass(frozen=True)
 class Contraction:
     """A connected graph with a fixed acyclic edge set contracted.
@@ -147,6 +114,50 @@ class Contraction:
         is a tree: its own and only spanning tree."""
         return len(self.edges) == self.num_blocks - 1
 
+    @cached_property
+    def _exits(self) -> list[tuple]:
+        """Per block, its exits ``(edge id, other block)`` in edge order,
+        their number and that number's bit length: built on the first walk
+        and read by every later one."""
+        incident: list[list[tuple[int, int]]] = [[] for _ in range(self.num_blocks)]
+        for eid, (u, v) in enumerate(self.edges):
+            incident[u].append((eid, v))
+            incident[v].append((eid, u))
+        return [(row, len(row), len(row).bit_length()) for row in incident]
+
+    def walk(self, rng: random.Random) -> list[int]:
+        """Uniform spanning tree of the contracted multigraph; edge ids.
+
+        Wilson's algorithm: walk from each block toward the growing tree,
+        recording the last exit taken from every block; following those
+        exits afterwards is exactly the loop-erased path.  An exit is drawn
+        as ``rng.randrange(d)`` draws it (``_randbelow_with_getrandbits``):
+        ``getrandbits(d.bit_length())`` until the value is below d.  So a
+        seed gives the same tree as a walk that calls ``randrange``, without
+        a call per step.
+        """
+        getrandbits = rng.getrandbits
+        exits = self._exits
+        in_tree = [False] * self.num_blocks
+        in_tree[0] = True
+        exit_choice: list = [None] * self.num_blocks
+        tree_edges: list[int] = []
+        for start in range(1, self.num_blocks):
+            u = start
+            while not in_tree[u]:
+                row, d, k = exits[u]
+                r = getrandbits(k)
+                while r >= d:
+                    r = getrandbits(k)
+                exit_choice[u] = step = row[r]
+                u = step[1]
+            u = start
+            while not in_tree[u]:
+                in_tree[u] = True
+                eid, u = exit_choice[u]
+                tree_edges.append(eid)
+        return tree_edges
+
     def sample(self, seed: int, patch: "CayleyPatch | None" = None) -> ForestSample:
         """Uniform spanning tree among those containing every required edge.
 
@@ -156,7 +167,7 @@ class Contraction:
         if self.is_tree:
             chosen = range(len(self.edges))
         else:
-            chosen = _wilson(self.num_blocks, self.edges, random.Random(seed))
+            chosen = self.walk(random.Random(seed))
         picked = [self.originals[i] for i in chosen]
         picked.extend(self.required)
         return ForestSample(self.num_vertices, tuple(sorted(picked)), patch)
@@ -244,8 +255,18 @@ def sample_forest_containing_a_edges(
     Requires the in-patch a-edge set to be acyclic, which holds whenever the
     labeled element has infinite order; a cycle signals torsion-like
     behaviour and raises :class:`RequiredEdgesCycleError`.
+
+    When the contraction is a tree, every seed gives the same sample, so it
+    is built and validated on the first call per a-symbol and kept on the
+    patch beside the contraction; later calls return that sample.
     """
-    return a_edge_contraction(patch, a_symbol).sample(seed, patch)
+    contraction = a_edge_contraction(patch, a_symbol)
+    if not contraction.is_tree:
+        return contraction.sample(seed, patch)
+    tree = patch._a_edge_trees.get(a_symbol)
+    if tree is None:
+        tree = patch._a_edge_trees[a_symbol] = contraction.sample(seed, patch)
+    return tree
 
 
 # -- counting-argument audit ---------------------------------------------------

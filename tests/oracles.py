@@ -252,15 +252,46 @@ def evaluate_word_oracle(spec, letters, symbols=None):
     return result
 
 
-def sample_with_required_edges_oracle(num_vertices, edges, required, seed):
+def wilson_oracle(num_vertices, multigraph_edges, rng):
+    """Uniform spanning tree of a connected multigraph; returns edge ids.
+
+    Wilson's algorithm with a ``rng.randrange`` call per step and the
+    incidence lists built on every call: walk from each vertex toward the
+    growing tree, recording the last exit taken from every vertex;
+    following those exits afterwards is exactly the loop-erased path.
+    """
+    incident = [[] for _ in range(num_vertices)]
+    for eid, (u, v) in enumerate(multigraph_edges):
+        incident[u].append((eid, v))
+        incident[v].append((eid, u))
+    in_tree = [False] * num_vertices
+    in_tree[0] = True
+    exit_choice = [(-1, -1)] * num_vertices
+    tree_edges = []
+    for start in range(1, num_vertices):
+        u = start
+        while not in_tree[u]:
+            eid, w = incident[u][rng.randrange(len(incident[u]))]
+            exit_choice[u] = (eid, w)
+            u = w
+        u = start
+        while not in_tree[u]:
+            in_tree[u] = True
+            eid, w = exit_choice[u]
+            tree_edges.append(eid)
+            u = w
+    return tree_edges
+
+
+def sample_with_required_edges_oracle(num_vertices, edges, required, seed, patch=None):
     """Conditioned spanning tree with the contraction rebuilt on every call:
     union-find over the required edges, the block map, the contracted edge
-    list and its connectivity check, then one Wilson walk on it, even when
-    the contraction is already a tree."""
+    list and its connectivity check, then one Wilson walk on it
+    (:func:`wilson_oracle`), even when the contraction is already a tree."""
     import random
 
     from paradec.errors import DisconnectedGraphError, RequiredEdgesCycleError
-    from paradec.forest import ForestSample, _wilson
+    from paradec.forest import ForestSample
 
     def find(parent, x):
         while parent[x] != x:
@@ -297,9 +328,9 @@ def sample_with_required_edges_oracle(num_vertices, edges, required, seed):
         raise DisconnectedGraphError(
             f"graph has {components} components; spanning trees need 1"
         )
-    chosen = _wilson(len(roots), contracted, random.Random(seed))
+    chosen = wilson_oracle(len(roots), contracted, random.Random(seed))
     picked = [originals[i] for i in chosen] + required
-    return ForestSample(num_vertices, tuple(sorted(picked)))
+    return ForestSample(num_vertices, tuple(sorted(picked)), patch)
 
 
 def brute_force_check(

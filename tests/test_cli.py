@@ -1176,7 +1176,7 @@ class TestFreenessClaims:
     same group with S1 = S2 = {1}."""
 
     @staticmethod
-    def report(capsys, tmp_path, group, g, h, length):
+    def report(capsys, tmp_path, group, g, h, length, *options):
         code, data, _ = run_json(
             capsys, "check", "--group", group, "--s1", "1", "--s2", "1", "--radius", "1"
         )
@@ -1189,7 +1189,7 @@ class TestFreenessClaims:
             "free": True, "witness": None,
         }))
         code, out, err = run(
-            capsys, "report", "--inputs", str(check), "--freeness", str(free)
+            capsys, "report", "--inputs", str(check), "--freeness", str(free), *options
         )
         return code, out, err, free
 
@@ -1240,6 +1240,42 @@ class TestFreenessClaims:
         code, out, _, _ = self.report(capsys, tmp_path, group, g, h, length)
         assert code == 0
         assert f"freeness evidence true up to length {length}" in out
+
+    def test_recount_budget_names_the_file(self, capsys, tmp_path):
+        """``--budget`` bounds the recount as it bounds ``free-check``'s
+        search; a recount over it is a resource error on that file."""
+        sanov = ("sl2z", "[[1,2],[0,1]]", "[[1,0],[2,1]]", 6)
+        code, out, err, free = self.report(capsys, tmp_path, *sanov, "--budget", "10")
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {free}: relations up to length 6 need 2*3^3 - 1 stored "
+            "half-words, over the vertex budget 10\n"
+        )
+        code, out, _, _ = self.report(capsys, tmp_path, *sanov, "--budget", "1000")
+        assert code == 0
+        assert "freeness evidence true up to length 6" in out
+
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            (("--budget", "0"), "vertex budget must be positive"),
+            (("--budget", "-3"), "vertex budget must be positive"),
+        ],
+    )
+    def test_nonpositive_recount_budget_exit_two(self, capsys, tmp_path, options, message):
+        code, out, err, _ = self.report(capsys, tmp_path, "free:2", "a", "b", 4, *options)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_budget_without_freeness_exit_two(self, capsys):
+        golden = Path(__file__).parent / "golden"
+        code, out, err = run(
+            capsys, "report", "--inputs", str(golden / "check_free3_r2_json.out"),
+            "--budget", "1000",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --budget bounds the recount of a --freeness claim; give --freeness\n"
+        )
 
     def test_free_model_claim_runs_no_search(self, capsys, monkeypatch):
         """In a free group one commutator decides the claim, so the bench's

@@ -32,7 +32,7 @@ from paradec.forest import (
 )
 
 from helpers import degree_sum, ledger_entry, standard_gens
-from oracles import kirchhoff_count, sample_with_required_edges_oracle
+from oracles import kirchhoff_count, sample_with_required_edges_oracle, wilson_oracle
 
 
 def ball(spec, radius):
@@ -285,13 +285,13 @@ class TestContraction:
     @pytest.mark.parametrize("group,walks", [("free:3", 0), ("abelian:3", 1)])
     def test_uniform_sampler_walks_only_on_cycles(self, monkeypatch, group, walks):
         calls = []
-        wilson = forest_module._wilson
+        walk = forest_module.Contraction.walk
 
-        def counted(*args):
-            calls.append(args[0])
-            return wilson(*args)
+        def counted(contraction, rng):
+            calls.append(contraction.num_blocks)
+            return walk(contraction, rng)
 
-        monkeypatch.setattr(forest_module, "_wilson", counted)
+        monkeypatch.setattr(forest_module.Contraction, "walk", counted)
         patch = ball(parse_group_spec(group), 3)
         for seed in range(5):
             assert is_spanning_tree(uniform_tree(patch, seed))
@@ -333,13 +333,13 @@ class TestContraction:
         self, monkeypatch, capsys, group, radius, walks
     ):
         calls = []
-        wilson = forest_module._wilson
+        walk = forest_module.Contraction.walk
 
-        def counted(*args):
-            calls.append(args[0])
-            return wilson(*args)
+        def counted(contraction, rng):
+            calls.append(contraction.num_blocks)
+            return walk(contraction, rng)
 
-        monkeypatch.setattr(forest_module, "_wilson", counted)
+        monkeypatch.setattr(forest_module.Contraction, "walk", counted)
         argv = ["forest-audit", "--group", group, "--radius", str(radius),
                 "--samples", "6", "--seed", "4"]
         assert main(argv) in (0, 1)
@@ -362,6 +362,154 @@ class TestContraction:
         assert len(calls) == 1
         sample_forest_containing_a_edges(patch, "b", 99)
         assert len(calls) == 2
+
+
+def random_multigraph(rng, num_vertices):
+    """A connected multigraph: a random spanning tree plus random extra
+    edges, parallel ones included, in random order."""
+    edges = [(rng.randrange(v), v) for v in range(1, num_vertices)]
+    for _ in range(rng.randrange(3 * num_vertices) if num_vertices > 1 else 0):
+        u, v = rng.sample(range(num_vertices), 2)
+        edges.extend([(u, v)] * rng.choice((1, 1, 2, 3)))
+    rng.shuffle(edges)
+    return edges
+
+
+class TestWalk:
+    """``Contraction.walk`` draws each step with ``getrandbits`` as
+    ``randrange`` does, so every seed gives the tree of
+    :func:`oracles.wilson_oracle`, edge id for edge id."""
+
+    @pytest.mark.parametrize(
+        "patch,a_symbol", [c[1:] for c in MODEL_PATCHES], ids=[c[0] for c in MODEL_PATCHES]
+    )
+    def test_model_contractions_match_oracle(self, patch, a_symbol):
+        contraction = a_edge_contraction(patch, a_symbol)
+        for seed in range(25):
+            expected = wilson_oracle(
+                contraction.num_blocks, contraction.edges, random.Random(seed)
+            )
+            assert contraction.walk(random.Random(seed)) == expected
+
+    def test_random_multigraphs_match_oracle(self):
+        rng = random.Random("walk")
+        parallel = 0
+        for _ in range(200):
+            n = rng.randrange(1, 15)
+            edges = random_multigraph(rng, n)
+            contraction = forest_module.Contraction(n, (), n, tuple(edges), tuple(edges))
+            seed = rng.randrange(1000)
+            expected = wilson_oracle(n, edges, random.Random(seed))
+            assert contraction.walk(random.Random(seed)) == expected
+            parallel += len(set(edges)) < len(edges)
+        assert parallel > 50
+
+    def test_draw_equals_randrange(self):
+        """Every leaf of a star hangs on the root by n parallel edges, so
+        the walk from leaf v takes one step, on edge (v - 1)·n + draw.  A
+        Python whose ``randrange`` draws otherwise fails here, before
+        ``forest-audit`` output could change unseen."""
+        leaves, walks = 200, 10
+        for n in range(1, 71):
+            edges = tuple((0, v) for v in range(1, leaves + 1) for _ in range(n))
+            star = forest_module.Contraction(leaves + 1, (), leaves + 1, edges, edges)
+            for seed in range(10):
+                rng = random.Random(seed)
+                draws = [
+                    eid - v * n
+                    for _ in range(walks)
+                    for v, eid in enumerate(star.walk(rng))
+                ]
+                reference = random.Random(seed)
+                assert draws == [reference.randrange(n) for _ in range(leaves * walks)]
+
+    def test_incidence_is_built_once_per_contraction(self):
+        patch = MODEL_PATCHES[-1][1]
+        contraction = a_edge_contraction(patch, "a")
+        contraction.walk(random.Random(1))
+        exits = contraction._exits
+        for seed in range(2, 6):
+            contraction.walk(random.Random(seed))
+            assert contraction._exits is exits
+
+
+class TestSharedTree:
+    @staticmethod
+    def counted_validations(monkeypatch):
+        """Count ForestSample builds and union-find validations."""
+        counts = Counter()
+        validate = ForestSample.__post_init__
+
+        def counted(sample):
+            counts["samples"] += 1
+            validate(sample)
+
+        class CountedUnionFind(forest_module._UnionFind):
+            def __init__(self, size):
+                counts["union_finds"] += 1
+                super().__init__(size)
+
+        monkeypatch.setattr(ForestSample, "__post_init__", counted)
+        monkeypatch.setattr(forest_module, "_UnionFind", CountedUnionFind)
+        return counts
+
+    def test_tree_contraction_builds_one_sample(self, monkeypatch):
+        patch = ball(free_group(3), 3)
+        assert a_edge_contraction(patch, "a").is_tree
+        counts = self.counted_validations(monkeypatch)
+        samples = [sample_forest_containing_a_edges(patch, "a", s) for s in range(40)]
+        assert counts == {"samples": 1, "union_finds": 1}
+        assert all(sample is samples[0] for sample in samples)
+        assert samples[0].patch is patch
+        expected = sample_with_required_edges_oracle(
+            len(patch.vertices), patch.simple_edges(), patch_a_edges(patch, "a"), 0
+        )
+        assert samples[0] == expected
+
+    def test_tree_is_kept_per_a_symbol(self):
+        patch = ball(free_group(3), 3)
+        a_tree = sample_forest_containing_a_edges(patch, "a", 0)
+        b_tree = sample_forest_containing_a_edges(patch, "b", 0)
+        assert set(patch._a_edge_trees) == {"a", "b"}
+        assert sample_forest_containing_a_edges(patch, "b", 5) is b_tree
+        assert sample_forest_containing_a_edges(patch, "a", 5) is a_tree
+
+    def test_each_sample_with_cycles_is_validated_once(self, monkeypatch):
+        patch = ball(free_abelian_group(3), 3)
+        assert not a_edge_contraction(patch, "a").is_tree
+        counts = self.counted_validations(monkeypatch)
+        samples = [sample_forest_containing_a_edges(patch, "a", s) for s in range(40)]
+        assert counts == {"samples": 40, "union_finds": 40}
+        assert patch._a_edge_trees == {}
+        assert len(set(samples)) > 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--group", "free:3", "--radius", "3"],
+            ["--group", "abelian:3", "--radius", "4"],
+            ["--group", "free:2", "--gens", "a=a,b=b,c=a b", "--radius", "4"],
+        ],
+        ids=["free3_r3", "abelian3_r4", "free2_triangles_r4"],
+    )
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_audit_stdout_equals_oracle_sampler(self, monkeypatch, capsys, argv, seed):
+        import paradec.cli as cli
+
+        argv = ["forest-audit", *argv, "--samples", "6", "--seed", str(seed),
+                "--format", "json"]
+        code = main(argv)
+        out = capsys.readouterr().out
+
+        def oracle(patch, a_symbol, seed):
+            return sample_with_required_edges_oracle(
+                len(patch.vertices), patch.simple_edges(),
+                patch_a_edges(patch, a_symbol), seed, patch,
+            )
+
+        monkeypatch.setattr(cli, "sample_forest_containing_a_edges", oracle)
+        assert main(argv) == code
+        assert capsys.readouterr().out == out
 
 
 class TestKirchhoffOracle:
