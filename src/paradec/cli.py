@@ -52,7 +52,6 @@ from .forest import (
     sample_forest_containing_a_edges,
 )
 from .groups import GroupSpec, parse_group_spec, parse_word, spec_to_string
-from .jsonwriter import JsonWriter
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -89,7 +88,7 @@ def _group(
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, cls=JsonWriter, indent=2, sort_keys=True)
+    return json.dumps(payload, sort_keys=True)
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: "str | None") -> None:
@@ -270,8 +269,6 @@ def cmd_forest_audit(args: argparse.Namespace) -> int:
                 break
         a1 = rng.sample(interior, min(k1, len(interior)))
         a2 = rng.sample(interior, min(k2, len(interior)))
-        if not a1 and not a2:
-            a2 = rng.sample(interior, 1)
         audits.append(audit_counting_argument(forest, a1, a2, audit_ts))
     all_passed = all(audit.all_passed for audit in audits)
     payload = _context(spec, gens, ts)
@@ -379,14 +376,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         try:
             if isinstance(verdict, Certificate):
                 verify_certificate(spec, ts, verdict)
-                domain = verdict.domain()
             else:
                 verify_violator(spec, ts, verdict)
-                domain = frozenset(verdict.a1) | frozenset(verdict.a2)
         except (CertificateError, ViolatorError) as exc:
             print(f"verification failed: {path}: {exc}", file=sys.stderr)
             return EXIT_NEGATIVE
-        entries.append((ts, domain, verdict))
+        entries.append((ts, verdict))
     if freeness is not None:
         try:
             verify_freeness(*pair, freeness, args.budget)

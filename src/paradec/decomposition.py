@@ -420,17 +420,19 @@ class TarskiBoundReport:
 
 
 def tarski_bound_report(
-    certificates: Sequence[tuple[TranslatingSets, frozenset, Verdict]],
+    certificates: Sequence[tuple[TranslatingSets, Verdict]],
     freeness: "FreenessResult | None" = None,
 ) -> TarskiBoundReport:
     """Aggregate certificate families and freeness evidence into bounds.
 
-    Every conclusion is labeled as finite-domain evidence; no group-level
-    value is ever asserted.
+    Each certificate is taken as verified: its ``pairs1`` then hold one
+    pair per domain element, so their number is the domain's size.  Every
+    conclusion is labeled as finite-domain evidence; no group-level value
+    is ever asserted.
     """
     notes = ["all bounds rest on finite-domain evidence only"]
     upper = None
-    for ts, domain, verdict in certificates:
+    for ts, verdict in certificates:
         if not isinstance(verdict, Certificate):
             continue
         total = ts.total_size()
@@ -441,7 +443,8 @@ def tarski_bound_report(
             )
             continue
         notes.append(
-            f"certificate with m+n = {total} on a domain of {len(domain)} elements"
+            f"certificate with m+n = {total} on a domain of "
+            f"{len(verdict.pairs1)} elements"
         )
         if upper is None or total < upper:
             upper = total

@@ -87,9 +87,6 @@ class Certificate:
     pairs1: tuple[tuple[Element, Element], ...]
     pairs2: tuple[tuple[Element, Element], ...]
 
-    def domain(self) -> frozenset:
-        return frozenset(g for g, _ in self.pairs1)
-
 
 @dataclass(frozen=True)
 class Violator:

@@ -76,7 +76,10 @@ class ForestSample:
             if not uf.union(u, v):
                 raise ValueError(f"edge ({u}, {v}) closes a cycle")
 
+    @cached_property
     def edge_set(self) -> frozenset:
+        """The edges as a set, built on the first read: a shared sample
+        builds it once for all of its audits."""
         return frozenset(self.edges)
 
 
@@ -405,10 +408,10 @@ def audit_counting_argument(
         if g not in patch:
             raise PatchEscapeError(f"element {spec.format_element(g)} is not a patch vertex")
     # Escape checks: A2 needs its whole star, since the degree counts read
-    # it whole, and A1 its a-translate.
-    interior = frozenset(patch.interior())
+    # it whole (so A2 lies in the interior), and A1 its a-translate.
+    view = gens.symmetrized(spec)
     for g in a2:
-        if g not in interior:
+        if any(spec.multiply(g, t) not in patch for _, _, t in view):
             raise PatchEscapeError(
                 f"{spec.format_element(g)} is not interior: its star leaves "
                 "the patch; shrink A2 or grow the patch"
@@ -421,11 +424,10 @@ def audit_counting_argument(
                 f"a-translate of {spec.format_element(g)} leaves the patch"
             )
 
-    view = gens.symmetrized(spec)
     s_elements = {el for _, el in gens.pairs}
     s_diff_sinv = {el for el in s_elements if spec.invert(el) not in s_elements}
     bc_elements = {s for s in ts.s2 if s != spec.identity()}
-    forest_edges = forest.edge_set()
+    forest_edges = forest.edge_set
 
     def in_forest(g: Element, target: Element) -> bool:
         i, j = patch.index_of(g), patch.index_of(target)

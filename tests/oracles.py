@@ -9,7 +9,6 @@ exact integer (Bareiss) elimination.  Only the 4^|D| doubling oracle,
 
 from __future__ import annotations
 
-import json
 from collections import Counter, deque
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -226,12 +225,6 @@ def free_reduce_oracle(letters: Iterable[int]) -> tuple[int, ...]:
         else:
             stack.append(s)
     return tuple(stack)
-
-
-def dumps_oracle(obj, **settings) -> str:
-    """The standard library's JSON text, by default with the settings of
-    every paradec document (``indent=2, sort_keys=True``)."""
-    return json.dumps(obj, **{"indent": 2, "sort_keys": True, **settings})
 
 
 def evaluate_word_oracle(spec, letters, symbols=None):

@@ -87,7 +87,7 @@ def test_criterion_2_free2_certificates_all_radii():
         verify_certificate(spec, ts, verdict)
         pd, _ = pieces_from_certificate(spec, verdict, ts)
         assert verify_decomposition(spec, pd, ts, domain).passed
-        entries.append((ts, frozenset(domain), verdict))
+        entries.append((ts, verdict))
     freeness = free_up_to_length(spec, (1,), (2,), 6)
     bounds = tarski_bound_report(entries, freeness)
     assert bounds.upper == 4

@@ -54,6 +54,30 @@ def test_cli_module_globals():
     assert callable(cli.main)
 
 
+def test_cli_writes_through_json_dumps(capsys, monkeypatch, tmp_path):
+    """Every document, printed or dumped, goes through ``json.dumps`` of
+    ``cli.json``, so the tracer's ``cli.json_encode`` span times all of
+    them."""
+    cli = importlib.import_module("paradec.cli")
+    seen = []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(json, name)
+
+        @staticmethod
+        def dumps(obj, **options):
+            seen.append(options)
+            return json.dumps(obj, **options)
+
+    monkeypatch.setattr(cli, "json", Recording())
+    argv = ["ball", "--group", "free:2", "--radius", "1", "--format", "json",
+            "--dump", str(tmp_path / "ball.json")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert seen == [{"sort_keys": True}] * 2
+
+
 def test_matching_input_is_the_first_parameter_adjacency():
     """The tracer counts ``matching.left_vertices`` and
     ``matching.adjacency_entries`` from ``args[0]`` or

@@ -478,8 +478,7 @@ class TestTarskiBoundReport:
     def _certificate_entry(self, spec, s1, s2, radius):
         ts = TranslatingSets.from_words(spec, s1, s2)
         domain = ball(spec, radius).vertices
-        verdict = check_domain(spec, ts, domain)
-        return ts, frozenset(domain), verdict
+        return ts, check_domain(spec, ts, domain)
 
     def test_two_plus_two(self):
         spec = free_group(2)
@@ -511,5 +510,5 @@ class TestTarskiBoundReport:
         ts = TranslatingSets(s1=(e,), s2=(e, (1,)))
         verdict = check_domain(spec, ts, [e])
         assert isinstance(verdict, Certificate)
-        report = tarski_bound_report([(ts, frozenset([e]), verdict)])
+        report = tarski_bound_report([(ts, verdict)])
         assert report.upper is None

@@ -474,6 +474,25 @@ class TestSharedTree:
         assert sample_forest_containing_a_edges(patch, "b", 5) is b_tree
         assert sample_forest_containing_a_edges(patch, "a", 5) is a_tree
 
+    def test_shared_tree_builds_its_edge_set_once(self, monkeypatch):
+        """Every audit of the shared tree reads one edge set, and an audit
+        builds no other set of its own in the forest module."""
+        spec = free_group(3)
+        patch = ball(spec, 3)
+        built = []
+
+        def counted(items=()):
+            built.append(items)
+            return frozenset(items)
+
+        monkeypatch.setattr(forest_module, "frozenset", counted, raising=False)
+        e, ts = spec.identity(), rank3_translators(spec)
+        for seed in range(10):
+            forest = sample_forest_containing_a_edges(patch, "a", seed)
+            assert audit_counting_argument(forest, [e], [e], ts).all_passed
+        assert built == [forest.edges]
+        assert forest.edge_set == frozenset(forest.edges)
+
     def test_each_sample_with_cycles_is_validated_once(self, monkeypatch):
         patch = ball(free_abelian_group(3), 3)
         assert not a_edge_contraction(patch, "a").is_tree

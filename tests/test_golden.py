@@ -3,13 +3,16 @@
 Each case is (name, expected exit code, argv); its stdout is stored as
 ``tests/golden/<name>.out``.  ``DUMPS`` cases compare a file that a
 command writes, byte for byte.  The ``report`` cases read earlier cases' JSON
-files as their inputs, so cases are frozen in list order.  To refreeze
-after a deliberate output change:
+files as their inputs, so cases are frozen in list order.  A JSON case that
+differs names the first key path whose value differs, or says the
+difference is in the layout only.  To refreeze after a deliberate output
+change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import io
+import json
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -121,16 +124,89 @@ def run_dump(argv, directory: Path, name: str) -> bytes:
     return path.read_bytes()
 
 
+def first_difference(expected, actual, path: str = "$") -> "str | None":
+    """The key path of the first place, in sorted key order, where two
+    parsed JSON values differ; None when they are equal."""
+    if type(expected) is not type(actual):
+        return path
+    if isinstance(expected, dict):
+        for key in sorted(expected.keys() | actual.keys()):
+            inner = f"{path}.{key}"
+            if key not in expected or key not in actual:
+                return inner
+            found = first_difference(expected[key], actual[key], inner)
+            if found is not None:
+                return found
+        return None
+    if isinstance(expected, list):
+        for i, (want, got) in enumerate(zip(expected, actual)):
+            found = first_difference(want, got, f"{path}[{i}]")
+            if found is not None:
+                return found
+        if len(expected) != len(actual):
+            return f"{path}[{min(len(expected), len(actual))}]"
+        return None
+    return None if expected == actual else path
+
+
+def assert_same_json_text(name: str, actual: str, expected: str) -> None:
+    """Exact text equality, failing with where the JSON first differs, not
+    with a string diff of a one-line document."""
+    if actual == expected:
+        return
+    try:
+        found = first_difference(json.loads(expected), json.loads(actual))
+    except ValueError as exc:
+        pytest.fail(f"{name}: output is not one JSON document: {exc}", pytrace=False)
+    where = "layout only" if found is None else f"first difference at {found}"
+    pytest.fail(f"{name} differs from its golden file: {where}", pytrace=False)
+
+
 @pytest.mark.parametrize("name,expect_rc,argv", CASES, ids=[c[0] for c in CASES])
 def test_stdout_matches_golden(name, expect_rc, argv):
     code, out = run_case(argv)
     assert code == expect_rc
-    assert out == (GOLDEN / f"{name}.out").read_text()
+    expected = (GOLDEN / f"{name}.out").read_text()
+    if name.endswith("_json"):
+        assert_same_json_text(name, out, expected)
+    else:
+        assert out == expected
 
 
 @pytest.mark.parametrize("name,argv", DUMPS, ids=[d[0] for d in DUMPS])
 def test_dump_matches_golden(name, argv, tmp_path):
-    assert run_dump(argv, tmp_path, name) == (GOLDEN / name).read_bytes()
+    out = run_dump(argv, tmp_path, name).decode()
+    assert_same_json_text(name, out, (GOLDEN / name).read_text())
+
+
+JSON_GOLDEN = [f"{name}.out" for name, _, _ in CASES if name.endswith("_json")] + [
+    name for name, _ in DUMPS
+]
+
+
+@pytest.mark.parametrize("name", JSON_GOLDEN)
+def test_json_golden_is_compact_and_sorted(name):
+    """Every JSON document is one line with sorted keys and ASCII text: the
+    standard encoder's default layout."""
+    text = (GOLDEN / name).read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+def test_first_difference_names_the_key_path():
+    old = {"verdict": {"pairs1": [["1", "a"], ["a", "a^2"]]}, "domain_size": 2}
+    assert first_difference(old, json.loads(json.dumps(old, indent=2))) is None
+    new = {"verdict": {"pairs1": [["1", "a"], ["a", "b"]]}, "domain_size": 2}
+    assert first_difference(old, new) == "$.verdict.pairs1[1][1]"
+    assert first_difference(old, {"verdict": old["verdict"]}) == "$.domain_size"
+    assert first_difference([1, 2], [1]) == "$[1]"
+    assert first_difference([1], ["1"]) == "$[0]"
+
+
+def test_json_failure_says_layout_only():
+    with pytest.raises(pytest.fail.Exception, match="layout only"):
+        assert_same_json_text("case", '{"a": [1]}\n', '{\n  "a": [\n    1\n  ]\n}\n')
+    with pytest.raises(pytest.fail.Exception, match=r"first difference at \$\.a\[0\]"):
+        assert_same_json_text("case", '{"a": [2]}\n', '{"a": [1]}\n')
 
 
 if __name__ == "__main__":
