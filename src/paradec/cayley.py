@@ -9,6 +9,7 @@ and nothing else.  Exact products that cross the boundary are computed with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import VertexBudgetError
@@ -85,28 +86,19 @@ class GeneratingSet:
 class CayleyPatch:
     """Ball of the right Cayley graph; immutable and shareable.
 
-    Vertex 0 is the identity.  ``edges`` holds every labeled product that
-    stays inside the patch; it is computed on first read, since most
-    callers need only the vertices.  The unoriented simple view (no loops,
-    no parallel edges) is available via :meth:`simple_edges`, and the
-    vertices whose whole star stays inside via :meth:`interior`.
+    Stored: ``spec``, ``gens``, ``radius``, the ``vertices`` in ball order
+    (vertex 0 is the identity) and ``level_sizes``, the number of vertices
+    at each distance up to the largest one present.  Built on first read
+    and kept, since most callers need only the vertices: the vertex index
+    behind :meth:`index_of` and ``in``, ``distances``, ``edges``, the
+    unoriented simple view ``simple_edges`` and the ``interior``.
     """
 
     spec: GroupSpec
     gens: GeneratingSet
     radius: int
     vertices: tuple[Element, ...]
-    distances: tuple[int, ...]
-    _edges: "tuple[tuple[int, str, int, int], ...] | None" = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _index: dict = field(init=False, repr=False, compare=False, default=None)
-    _simple: "tuple[tuple[int, int], ...] | None" = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _interior: "tuple[Element, ...] | None" = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    level_sizes: tuple[int, ...]
     # a-symbol -> forest.Contraction, filled by forest.a_edge_contraction
     _contractions: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
@@ -117,28 +109,32 @@ class CayleyPatch:
         init=False, repr=False, compare=False, default_factory=dict
     )
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {v: i for i, v in enumerate(self.vertices)}
+    @cached_property
+    def _index(self) -> dict[Element, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def distances(self) -> tuple[int, ...]:
+        """Word length of each vertex, in vertex order."""
+        return tuple(
+            level for level, size in enumerate(self.level_sizes) for _ in range(size)
         )
 
-    @property
+    @cached_property
     def edges(self) -> tuple[tuple[int, str, int, int], ...]:
         """Directed labeled edges (source, symbol, sign, target), one per
         vertex and symmetrized generator whose product stays inside, by
         source index and then generator order."""
-        if self._edges is None:
-            view = self.gens.symmetrized(self.spec)
-            multiply = self.spec.multiply
-            index = self._index
-            edges = []
-            for i, u in enumerate(self.vertices):
-                for sym, sign, s in view:
-                    j = index.get(multiply(u, s))
-                    if j is not None:
-                        edges.append((i, sym, sign, j))
-            object.__setattr__(self, "_edges", tuple(edges))
-        return self._edges
+        view = self.gens.symmetrized(self.spec)
+        multiply = self.spec.multiply
+        index = self._index
+        edges = []
+        for i, u in enumerate(self.vertices):
+            for sym, sign, s in view:
+                j = index.get(multiply(u, s))
+                if j is not None:
+                    edges.append((i, sym, sign, j))
+        return tuple(edges)
 
     def index_of(self, element: Element) -> int:
         return self._index[element]
@@ -146,17 +142,13 @@ class CayleyPatch:
     def __contains__(self, element: Element) -> bool:
         return element in self._index
 
+    @cached_property
     def simple_edges(self) -> tuple[tuple[int, int], ...]:
         """Unoriented simple graph: loops dropped, parallel edges collapsed."""
-        if self._simple is None:
-            seen = {
-                (min(u, v), max(u, v))
-                for u, _, _, v in self.edges
-                if u != v
-            }
-            object.__setattr__(self, "_simple", tuple(sorted(seen)))
-        return self._simple
+        seen = {(min(u, v), max(u, v)) for u, _, _, v in self.edges if u != v}
+        return tuple(sorted(seen))
 
+    @cached_property
     def interior(self) -> tuple[Element, ...]:
         """Vertices, in patch order, whose whole S ∪ S⁻¹ star lies in the patch.
 
@@ -164,16 +156,11 @@ class CayleyPatch:
         product stays inside, so a vertex is interior exactly when it has as
         many outgoing edges as the symmetrized view has elements.
         """
-        if self._interior is None:
-            star = len(self.gens.symmetrized(self.spec))
-            degree = [0] * len(self.vertices)
-            for u, _, _, _ in self.edges:
-                degree[u] += 1
-            interior = tuple(
-                v for v, d in zip(self.vertices, degree) if d == star
-            )
-            object.__setattr__(self, "_interior", interior)
-        return self._interior
+        star = len(self.gens.symmetrized(self.spec))
+        degree = [0] * len(self.vertices)
+        for u, _, _, _ in self.edges:
+            degree[u] += 1
+        return tuple(v for v, d in zip(self.vertices, degree) if d == star)
 
     def sphere_sizes(self) -> list[int]:
         """Vertex counts at each distance up to the largest one present.
@@ -182,10 +169,7 @@ class CayleyPatch:
         sphere in its list: the whole of cyclic:7 at radius 10^6 gives
         ``[1, 2, 2, 2]``.
         """
-        counts = [0] * (max(self.distances, default=-1) + 1)
-        for d in self.distances:
-            counts[d] += 1
-        return counts
+        return list(self.level_sizes)
 
     # -- exports -----------------------------------------------------------
 
@@ -295,19 +279,18 @@ def enumerate_ball(
 ) -> CayleyPatch:
     """All elements of word length <= radius w.r.t. S ∪ S⁻¹, in the order
     of :func:`ball_levels`, so identical inputs index vertices identically.
-    The patch's edges are computed when first read."""
+    The patch's other facts are built when first read."""
     vertices: list[Element] = []
-    distances: list[int] = []
-    levels = ball_levels(spec, gens, radius, vertex_budget, width)
-    for level, sphere in enumerate(levels):
+    level_sizes: list[int] = []
+    for sphere in ball_levels(spec, gens, radius, vertex_budget, width):
         vertices.extend(sphere)
-        distances.extend([level] * len(sphere))
+        level_sizes.append(len(sphere))
     return CayleyPatch(
         spec=spec,
         gens=gens,
         radius=radius,
         vertices=tuple(vertices),
-        distances=tuple(distances),
+        level_sizes=tuple(level_sizes),
     )
 
 

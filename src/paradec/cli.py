@@ -116,7 +116,7 @@ def cmd_ball(args: argparse.Namespace) -> int:
             "radius": args.radius,
             "vertices": len(patch.vertices),
             "edges": len(patch.edges),
-            "simple_edges": len(patch.simple_edges()),
+            "simple_edges": len(patch.simple_edges),
             "sphere_sizes": patch.sphere_sizes(),
         }
     )
@@ -175,8 +175,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         payload,
         "violator: A1 = {%s}, A2 = {%s}, union size %d < %d"
         % (
-            ", ".join(spec.format_element(g) for g in verdict.a1),
-            ", ".join(spec.format_element(g) for g in verdict.a2),
+            ", ".join(payload["verdict"]["a1"]),
+            ", ".join(payload["verdict"]["a2"]),
             verdict.union_size,
             len(verdict.a1) + len(verdict.a2),
         ),
@@ -233,7 +233,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         text = (
             f"{pd.nonempty_piece_count()} nonempty pieces over "
             f"{ts.total_size()} translators; verification passed\n"
-            + report_to_text(spec, pd)
+            + report_to_text(payload["pieces"])
         )
     _emit(args, payload, text)
     return EXIT_OK
@@ -246,7 +246,7 @@ def cmd_forest_audit(args: argparse.Namespace) -> int:
     if args.max_set_size < 1:
         raise ValueError("max set size must be at least 1")
     patch = _ball(args, spec, gens)
-    interior = patch.interior()
+    interior = patch.interior
     if not interior:
         raise ValueError("patch interior is empty; increase the radius")
     audit_ts = ts

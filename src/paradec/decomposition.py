@@ -462,15 +462,11 @@ def tarski_bound_report(
 # -- serialization -------------------------------------------------------------
 
 
-def _domain_texts(fmt, pd: PartialDecomposition) -> list[str]:
-    """The domain's texts, formatted in its element order so that a batch
-    formatter meets every prefix of a ball's word before the word."""
-    return [fmt(x) for x in pd.domain]
-
-
 def decomposition_to_jsonable(spec: GroupSpec, pd: PartialDecomposition) -> dict:
     fmt = spec.formatter()
-    domain = sorted(_domain_texts(fmt, pd))
+    # the domain first, in its element order, so that the batch formatter
+    # meets every prefix of a ball's word before the word
+    domain = sorted(map(fmt, pd.domain))
 
     def family(pieces):
         return [[fmt(s), sorted(fmt(x) for x in piece)] for s, piece in pieces]
@@ -517,13 +513,11 @@ def verification_to_jsonable(spec: GroupSpec, report: DecompositionReport) -> di
     }
 
 
-def report_to_text(spec: GroupSpec, pd: PartialDecomposition) -> str:
-    """Plain-text pretty-printer: pieces rendered as word lists."""
-    fmt = spec.formatter()
-    _domain_texts(fmt, pd)  # the pieces hold translates of these
+def report_to_text(pieces: dict) -> str:
+    """Plain-text pretty-printer of a :func:`decomposition_to_jsonable`
+    document: each piece as its translator and its sorted word list."""
     lines = []
-    for title, pieces in (("family 1", pd.pieces1), ("family 2", pd.pieces2)):
-        for s, piece in pieces:
-            words = ", ".join(sorted(fmt(x) for x in piece))
-            lines.append(f"{title} piece[{fmt(s)}] = {{{words}}}")
+    for title, key in (("family 1", "pieces1"), ("family 2", "pieces2")):
+        for s, words in pieces[key]:
+            lines.append(f"{title} piece[{s}] = {{{', '.join(words)}}}")
     return "\n".join(lines)

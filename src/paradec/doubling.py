@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Sequence, Union
 
 from .cayley import GeneratingSet, ball_levels, letters_per_vertex, product_set
@@ -200,8 +199,9 @@ class _HallGraph:
         self.ts = ts
         self.lefts: list[tuple[int, Element]] = []
         self.adjacency: list[Sequence[int]] = []
+        # insertion order is index order, so list(right_index) is the
+        # right side by index
         self.right_index: dict[Element, int] = {}
-        self.right_elements: list[Element] = []
 
     def extend(self, elements: Sequence[Element]) -> None:
         """Append copy 1 of every element, then copy 2 of every element.
@@ -213,7 +213,6 @@ class _HallGraph:
         identity = self.spec.identity()
         right_index = self.right_index
         intern = right_index.setdefault
-        known = len(right_index)
         columns = {}
         for s in dict.fromkeys(self.ts.s1 + self.ts.s2):
             if s == identity:
@@ -221,7 +220,6 @@ class _HallGraph:
             else:
                 products = translates(elements, s)
             columns[s] = [intern(w, len(right_index)) for w in products]
-        self.right_elements.extend(islice(right_index, known, None))
         for copy, translators in ((1, self.ts.s1), (2, self.ts.s2)):
             self.lefts.extend((copy, g) for g in elements)
             self.adjacency.extend(zip(*(columns[s] for s in translators)))
@@ -229,12 +227,13 @@ class _HallGraph:
     def match(
         self, start: "tuple[list[int], list[int]] | None" = None
     ) -> tuple[list[int], list[int]]:
-        return hopcroft_karp(self.adjacency, len(self.right_elements), start)
+        return hopcroft_karp(self.adjacency, len(self.right_index), start)
 
     def certificate(self, pair_left: Sequence[int]) -> Certificate:
+        right_elements = list(self.right_index)
         pairs: tuple[list, list] = ([], [])
         for (copy, g), j in zip(self.lefts, pair_left):
-            pairs[copy - 1].append((g, self.right_elements[j]))
+            pairs[copy - 1].append((g, right_elements[j]))
         return Certificate(pairs1=tuple(pairs[0]), pairs2=tuple(pairs[1]))
 
     def violator(self, pair_left: Sequence[int], pair_right: Sequence[int]) -> Violator:

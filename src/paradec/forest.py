@@ -244,7 +244,7 @@ def a_edge_contraction(patch: CayleyPatch, a_symbol: str) -> Contraction:
     contraction = patch._contractions.get(a_symbol)
     if contraction is None:
         contraction = contract_required_edges(
-            len(patch.vertices), patch.simple_edges(), patch_a_edges(patch, a_symbol)
+            len(patch.vertices), patch.simple_edges, patch_a_edges(patch, a_symbol)
         )
         patch._contractions[a_symbol] = contraction
     return contraction
@@ -389,7 +389,7 @@ def audit_counting_argument(
     """Replay the forest counting chain on concrete data.
 
     S1 = {1, a} and S2 = {1, b, c} must name the generators of the forest's
-    patch, and A2 must lie in its interior (:meth:`CayleyPatch.interior`).
+    patch, and A2 must lie in its interior (:attr:`CayleyPatch.interior`).
 
     The degree hypothesis |E| >= 5|A2| is recorded like every other entry:
     it holds on patches whose interior degree is at least 5 (a rank-3 tree

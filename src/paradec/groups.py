@@ -401,9 +401,8 @@ class GroupSpec:
         the batch costs one token: the last token's cached run is reduced
         onto the head's word.  That is exact because free reduction does
         not depend on where it starts.  A miss, a last token that is not
-        ``1`` or a generator power of at most ``_MAX_TOKEN_RUN`` letters, a
-        text over ``_MAX_FAST_TEXT`` or a result over
-        ``MAX_FREE_WORD_LENGTH`` parses the whole text with
+        ``1`` or a generator power of at most ``_MAX_TOKEN_RUN`` letters, or
+        a result over ``MAX_FREE_WORD_LENGTH`` parses the whole text with
         :meth:`parse_element`, which raises its own errors.  The canonical
         texts of a ball, sorted as strings or listed in element order, hit
         on every text of two or more tokens.  Other models parse each text
@@ -421,9 +420,7 @@ class GroupSpec:
             head, _, token = text.rpartition(" ")
             # "" is never remembered: it does not parse.
             word = memo.get(head)
-            run = None
-            if word is not None and len(text) <= _MAX_FAST_TEXT:
-                run = _free_token_run(names, token)
+            run = None if word is None else _free_token_run(names, token)
             if run is not None:
                 k = 0
                 while k < len(run) and k < len(word) and word[-1 - k] == -run[k]:
@@ -493,12 +490,6 @@ def parse_word(text: str) -> list[tuple[str, int]]:
 # Longest run of one letter that a cached token may expand to; larger
 # exponents take the general path, whose binary powering they need anyway.
 _MAX_TOKEN_RUN = 64
-
-# Longest text the batch parser extends from a remembered head.  Its tokens
-# are at least two characters apart and each spells at most _MAX_TOKEN_RUN
-# letters, so such a text cannot spell a word over MAX_FREE_WORD_LENGTH;
-# longer texts go whole to parse_element, which checks the bound per token.
-_MAX_FAST_TEXT = 2 * MAX_FREE_WORD_LENGTH // _MAX_TOKEN_RUN - 1
 
 
 @lru_cache(maxsize=4096)

@@ -108,7 +108,7 @@ def amenable_bench_graphs():
     ts = TranslatingSets.from_words(spec, "1,a", "1,b,a b")
     graph = _HallGraph(spec, ts)
     graph.extend(enumerate_ball(spec, gens, 16).vertices)
-    graphs.append((spec, ts, graph, [(len(graph.adjacency), len(graph.right_elements))]))
+    graphs.append((spec, ts, graph, [(len(graph.adjacency), len(graph.right_index))]))
     powers = TranslatingSets.from_words(
         spec,
         ",".join(["1", "a"] + [f"a^{k}" for k in range(2, 9)]),
@@ -118,6 +118,6 @@ def amenable_bench_graphs():
     batches = []
     for sphere in ball_levels(spec, gens, 12):
         graph.extend(sphere)
-        batches.append((len(graph.adjacency), len(graph.right_elements)))
+        batches.append((len(graph.adjacency), len(graph.right_index)))
     graphs.append((spec, powers, graph, batches))
     return graphs

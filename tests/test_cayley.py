@@ -2,6 +2,7 @@ import pytest
 
 from paradec import (
     GeneratingSet,
+    cli,
     cyclic_group,
     enumerate_ball,
     free_abelian_group,
@@ -123,8 +124,8 @@ class TestEnumerateBall:
             if all(spec.multiply(v, t) in patch for _, _, t in view)
         )
         assert expected and expected != patch.vertices
-        assert patch.interior() == expected
-        assert patch.interior() is patch.interior()
+        assert patch.interior == expected
+        assert patch.interior is patch.interior
 
     def test_identity_is_vertex_zero_and_no_duplicates(self):
         for spec in all_model_specs():
@@ -138,7 +139,7 @@ class TestEdges:
         for spec in all_model_specs():
             for radius in (0, 1, 3):
                 patch = enumerate_ball(spec, standard_gens(spec), radius)
-                assert patch._edges is None
+                assert "edges" not in vars(patch)
                 assert patch.edges == ball_edges_oracle(patch)
                 assert patch.edges is patch.edges
 
@@ -190,7 +191,7 @@ class TestEdges:
         for rank in (2, 3):
             spec = free_group(rank)
             patch = enumerate_ball(spec, standard_gens(spec), 3)
-            edges = patch.simple_edges()
+            edges = patch.simple_edges
             assert len(edges) == len(patch.vertices) - 1
             parent = list(range(len(patch.vertices)))
 
@@ -231,6 +232,68 @@ class TestSphereSizes:
         patch = enumerate_ball(spec, standard_gens(spec), 5)
         assert patch.radius == 5
         assert patch.sphere_sizes() == [1, 2, 2, 2]
+
+
+_LAZY_FACTS = ("_index", "distances", "edges", "simple_edges", "interior")
+
+
+class TestLazyFacts:
+    """A patch stores its vertices and level sizes; every other fact is a
+    ``cached_property``, built on the first read and kept."""
+
+    @pytest.mark.parametrize("name", _LAZY_FACTS)
+    def test_built_on_first_read_and_kept(self, name):
+        spec = free_group(2)
+        patch = enumerate_ball(spec, standard_gens(spec), 2)
+        assert not set(_LAZY_FACTS) & set(vars(patch))
+        first = getattr(patch, name)
+        assert name in vars(patch)
+        assert getattr(patch, name) is first
+
+    @pytest.mark.parametrize("command", ["check", "decompose"])
+    @pytest.mark.parametrize(
+        "group,s1,s2,code",
+        [("free:3", "1,a", "1,b,c", 0), ("abelian:2", "1,a", "1,b", 1)],
+        ids=["certificate", "violator"],
+    )
+    def test_check_and_decompose_build_none(
+        self, monkeypatch, capsys, command, group, s1, s2, code
+    ):
+        patches = []
+
+        def recording(*args):
+            patches.append(enumerate_ball(*args))
+            return patches[-1]
+
+        monkeypatch.setattr(cli, "enumerate_ball", recording)
+        argv = [command, "--group", group, "--s1", s1, "--s2", s2, "--radius", "3"]
+        assert cli.main(argv) == code
+        capsys.readouterr()
+        (patch,) = patches
+        assert [name for name in _LAZY_FACTS if name in vars(patch)] == []
+
+    @pytest.mark.parametrize("spec", all_model_specs(), ids=spec_to_string)
+    def test_distances_and_sphere_sizes_count_the_levels(self, spec):
+        """The per-vertex level of :func:`ball_levels`, and its count per
+        level, as the patch once stored and counted them."""
+        gens = standard_gens(spec)
+        elements = [el for _, el in gens.pairs]
+        balls = [ball_oracle(spec, elements, r) for r in range(5)]
+        for radius in range(5):
+            patch = enumerate_ball(spec, gens, radius)
+            distances = [
+                level
+                for level, sphere in enumerate(ball_levels(spec, gens, radius))
+                for _ in sphere
+            ]
+            assert patch.distances == tuple(distances)
+            counts = [0] * (max(distances) + 1)
+            for d in distances:
+                counts[d] += 1
+            assert patch.sphere_sizes() == counts
+            assert counts == sphere_oracle(spec, elements, radius)
+            for v, d in zip(patch.vertices, patch.distances):
+                assert v in balls[d] and (d == 0 or v not in balls[d - 1])
 
 
 class TestProductSet:
@@ -289,7 +352,7 @@ def test_trivial_cyclic_group_degenerates_gracefully():
     spec = cyclic_group(1)
     patch = enumerate_ball(spec, standard_gens(spec), 2)
     assert len(patch.vertices) == 1
-    assert patch.simple_edges() == ()
+    assert patch.simple_edges == ()
 
 
 def test_matrix_ball_growth_matches_free_pair():

@@ -16,7 +16,7 @@ from paradec import (
     parse_word,
 )
 from paradec.errors import FreeWordLengthError
-from paradec.groups import _MAX_FAST_TEXT, MAX_FREE_WORD_LENGTH, GroupSpec
+from paradec.groups import MAX_FREE_WORD_LENGTH, GroupSpec
 
 from helpers import random_element
 
@@ -194,25 +194,21 @@ def test_parser_errors_match_parse_element(text):
     _same_error(parse, spec.parse_element, text)
 
 
-def test_text_just_over_the_fast_bound_parses_whole(monkeypatch):
+def test_text_just_over_the_old_fast_bound_parses_as_parse_element():
+    """A long text one token past a remembered head, over the 31,249
+    characters that once sent such texts whole to ``parse_element``,
+    parses to ``parse_element``'s word, here with its last letter
+    cancelled."""
+    old_bound = 2 * MAX_FREE_WORD_LENGTH // 64 - 1
     spec = free_group(2)
-    head = " ".join(["a", "b"] * ((_MAX_FAST_TEXT - 2) // 4))
-    text = head + " a"
-    while len(text) <= _MAX_FAST_TEXT:
-        head, text = text, text + " b"
-    assert len(head) <= _MAX_FAST_TEXT < len(text)
+    head = " ".join(["a", "b"] * (old_bound // 4))
+    text = head + " b^-1"
+    assert len(head) <= old_bound < len(text)
     parse = spec.parser()
     assert parse(head) == spec.parse_element(head)
-    calls = []
-    parse_element = GroupSpec.parse_element
-
-    def counted(self, text, symbols=None):
-        calls.append(len(text))
-        return parse_element(self, text, symbols)
-
-    monkeypatch.setattr(GroupSpec, "parse_element", counted)
-    assert parse(text) == parse_element(spec, text)
-    assert calls == [len(text)]
+    word = parse(text)
+    assert word == spec.parse_element(text)
+    assert word == (1, 2) * (old_bound // 4 - 1) + (1,)
 
 
 def test_word_over_the_length_bound_raises_as_parse_element():

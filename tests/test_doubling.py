@@ -412,8 +412,8 @@ def _matched_elements(lefts, right_elements, pair_left):
 @given(data=st.data())
 def test_hall_graph_equals_the_row_by_row_oracle(identity_in, shared, data):
     """The column-built Hall graph has the oracle's left vertices and rows
-    of right elements, with no right element indexed twice, built in one
-    batch (``check``) or level by level (``violate``).  Its right-side
+    of right elements, its right side indexed in insertion order, built in
+    one batch (``check``) or level by level (``violate``).  Its right-side
     numbering differs, yet Hopcroft-Karp, warm-started after each batch,
     pairs the same elements and leaves the same alternating reach."""
     spec = data.draw(st.sampled_from(all_model_specs()), label="spec")
@@ -443,9 +443,9 @@ def test_hall_graph_equals_the_row_by_row_oracle(identity_in, shared, data):
             graph.extend(batches[built - 1])
             lefts, rows = hall_graph_oracle(spec, ts, batches[:built])
             assert graph.lefts == lefts
-            right = graph.right_elements
+            right = list(graph.right_index)
             assert [[right[j] for j in row] for row in graph.adjacency] == rows
-            assert len(set(right)) == len(right) == len(graph.right_index)
+            assert list(graph.right_index.values()) == list(range(len(right)))
             adjacency = [[index.setdefault(w, len(index)) for w in row] for row in rows]
             ours = hopcroft_karp(graph.adjacency, len(right), ours)
             theirs = hopcroft_karp(adjacency, len(index), theirs)

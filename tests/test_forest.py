@@ -42,7 +42,7 @@ def ball(spec, radius):
 def uniform_tree(patch, seed):
     """A uniform spanning tree of the patch's simple graph."""
     return sample_spanning_tree_with_required_edges(
-        len(patch.vertices), patch.simple_edges(), (), seed
+        len(patch.vertices), patch.simple_edges, (), seed
     )
 
 
@@ -74,12 +74,12 @@ class TestUniformSpanningTree:
         patch = ball(free_group(2), 2)
         for seed in range(5):
             sample = uniform_tree(patch, seed)
-            assert sample.edges == patch.simple_edges()
+            assert sample.edges == patch.simple_edges
 
     def test_triangle_frequencies(self):
         # cyclic(3) radius-1 ball is the triangle; 3 spanning trees
         patch = ball(cyclic_group(3), 1)
-        assert kirchhoff_count(3, patch.simple_edges()) == 3
+        assert kirchhoff_count(3, patch.simple_edges) == 3
         counts = Counter()
         for seed in range(9000):
             counts[uniform_tree(patch, seed).edges] += 1
@@ -110,7 +110,7 @@ class TestConditionedSampling:
     def test_free_ball_trivially_contains(self):
         patch = ball(free_group(3), 2)
         sample = sample_forest_containing_a_edges(patch, "a", 0)
-        assert sample.edges == patch.simple_edges()
+        assert sample.edges == patch.simple_edges
 
     def test_four_cycle_with_one_required_edge(self):
         # C4 with one pinned edge contracts to a triangle: 3 admissible trees
@@ -239,7 +239,7 @@ class TestContraction:
         for seed in range(25):
             sample = sample_forest_containing_a_edges(patch, a_symbol, seed)
             expected = sample_with_required_edges_oracle(
-                len(patch.vertices), patch.simple_edges(), required, seed
+                len(patch.vertices), patch.simple_edges, required, seed
             )
             assert sample == expected
             assert sample.patch is patch
@@ -264,7 +264,7 @@ class TestContraction:
         "patch", [c[1] for c in MODEL_PATCHES], ids=[c[0] for c in MODEL_PATCHES]
     )
     def test_uniform_samplers_match_oracle_with_nothing_required(self, patch):
-        n, edges = len(patch.vertices), patch.simple_edges()
+        n, edges = len(patch.vertices), patch.simple_edges
         for seed in range(10):
             expected = sample_with_required_edges_oracle(n, edges, (), seed)
             sample = sample_spanning_tree_with_required_edges(n, edges, (), seed)
@@ -319,7 +319,7 @@ class TestContraction:
         patch = ball(cyclic_group(7), 3)
         with pytest.raises(RequiredEdgesCycleError) as expected:
             sample_with_required_edges_oracle(
-                len(patch.vertices), patch.simple_edges(), patch_a_edges(patch, "a"), 0
+                len(patch.vertices), patch.simple_edges, patch_a_edges(patch, "a"), 0
             )
         for seed in range(2):
             with pytest.raises(RequiredEdgesCycleError) as got:
@@ -462,7 +462,7 @@ class TestSharedTree:
         assert all(sample is samples[0] for sample in samples)
         assert samples[0].patch is patch
         expected = sample_with_required_edges_oracle(
-            len(patch.vertices), patch.simple_edges(), patch_a_edges(patch, "a"), 0
+            len(patch.vertices), patch.simple_edges, patch_a_edges(patch, "a"), 0
         )
         assert samples[0] == expected
 
@@ -522,7 +522,7 @@ class TestSharedTree:
 
         def oracle(patch, a_symbol, seed):
             return sample_with_required_edges_oracle(
-                len(patch.vertices), patch.simple_edges(),
+                len(patch.vertices), patch.simple_edges,
                 patch_a_edges(patch, a_symbol), seed, patch,
             )
 

@@ -1,8 +1,9 @@
 """Every module-level import in the package is used by its module, every
 module-level function and class is loaded somewhere in the package or
 exported and is reachable from the command line or the documented library
-entry points, every method of its classes is read somewhere, and no module
-reads a setting from the environment.
+entry points, every method of its classes is read somewhere, no module
+reads a setting from the environment, and ``object.__setattr__`` is called
+only inside a ``__post_init__``.
 
 A name counts as used when the module's code loads it, or when it appears
 in an annotation, string annotations included.  ``__init__.py`` imports
@@ -186,3 +187,26 @@ def test_no_module_reads_the_environment():
             if _ENVIRONMENT_READS.intersection(names):
                 readers.append(path.name)
     assert readers == []
+
+
+
+def test_frozen_dataclasses_set_attributes_only_in_post_init():
+    """A frozen dataclass sets its derived fields in ``__post_init__``; a
+    fact built later, on first read, is a ``functools.cached_property``."""
+    offenders = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) and function.name == "__post_init__"
+            for node in ast.walk(function)
+        }
+        offenders.extend(
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "object.__setattr__"
+            and id(node) not in allowed
+        )
+    assert offenders == []

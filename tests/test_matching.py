@@ -247,7 +247,7 @@ def test_cold_start_equals_the_layered_oracle_on_hall_graphs(spec, radius):
     for r in range(radius + 1):
         graph = _HallGraph(spec, ts)
         graph.extend(enumerate_ball(spec, standard_gens(spec), r).vertices)
-        num_right = len(graph.right_elements)
+        num_right = len(graph.right_index)
         assert hopcroft_karp(graph.adjacency, num_right) == (
             hopcroft_karp_layered_oracle(graph.adjacency, num_right)
         )
@@ -264,7 +264,7 @@ def test_warm_start_agrees_with_the_layered_oracle_level_by_level(spec):
     ours = layered = None
     for sphere in ball_levels(spec, standard_gens(spec), 3):
         graph.extend(sphere)
-        num_right = len(graph.right_elements)
+        num_right = len(graph.right_index)
         ours = hopcroft_karp(graph.adjacency, num_right, ours)
         layered = hopcroft_karp_layered_oracle(graph.adjacency, num_right, layered)
         assert matching_size(ours[0]) == matching_size(layered[0])
@@ -338,7 +338,7 @@ def test_level_by_level_equals_the_scan_oracle_on_hall_graphs(spec, radius):
     for sphere in ball_levels(spec, standard_gens(spec), radius):
         graph.extend(sphere)
         matching = assert_equals_the_scan_oracle(
-            graph.adjacency, len(graph.right_elements), matching
+            graph.adjacency, len(graph.right_index), matching
         )
 
 
