@@ -39,6 +39,7 @@ from .doubling import (
 from .forest import (
     ForestAudit,
     ForestSample,
+    a_edge_contraction,
     audit_counting_argument,
     patch_a_edges,
     sample_forest_containing_a_edges,
@@ -71,6 +72,7 @@ __all__ = [
     "TranslatingSets",
     "Verdict",
     "Violator",
+    "a_edge_contraction",
     "audit_counting_argument",
     "check_domain",
     "cyclic_group",

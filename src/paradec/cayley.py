@@ -8,7 +8,7 @@ and nothing else.  Exact products that cross the boundary are computed with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -99,15 +99,6 @@ class CayleyPatch:
     radius: int
     vertices: tuple[Element, ...]
     level_sizes: tuple[int, ...]
-    # a-symbol -> forest.Contraction, filled by forest.a_edge_contraction
-    _contractions: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    # a-symbol -> forest.ForestSample of a tree contraction, the sample of
-    # every seed, filled by forest.sample_forest_containing_a_edges
-    _a_edge_trees: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     @cached_property
     def _index(self) -> dict[Element, int]:

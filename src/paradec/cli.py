@@ -47,6 +47,7 @@ from .errors import (
     WitnessError,
 )
 from .forest import (
+    a_edge_contraction,
     audit_counting_argument,
     identify_triple,
     sample_forest_containing_a_edges,
@@ -258,10 +259,11 @@ def cmd_forest_audit(args: argparse.Namespace) -> int:
             s2=(identity,) + tuple(gens.element(n) for n in names[1:3]),
         )
     a_symbol, _, _ = identify_triple(spec, gens, audit_ts)
+    contraction = a_edge_contraction(patch, a_symbol)
     rng = random.Random(args.seed)
     audits = []
     for index in range(args.samples):
-        forest = sample_forest_containing_a_edges(patch, a_symbol, args.seed + index)
+        forest = sample_forest_containing_a_edges(contraction, args.seed + index)
         while True:
             k1 = rng.randint(0, args.max_set_size)
             k2 = rng.randint(0, args.max_set_size)
@@ -269,7 +271,7 @@ def cmd_forest_audit(args: argparse.Namespace) -> int:
                 break
         a1 = rng.sample(interior, min(k1, len(interior)))
         a2 = rng.sample(interior, min(k2, len(interior)))
-        audits.append(audit_counting_argument(forest, a1, a2, audit_ts))
+        audits.append(audit_counting_argument(patch, forest, a1, a2, audit_ts))
     all_passed = all(audit.all_passed for audit in audits)
     payload = _context(spec, gens, ts)
     payload.update(
@@ -518,9 +520,8 @@ def main(argv: "list[str] | None" = None) -> int:
     """Run one command.  The cyclic garbage collector is paused while it
     runs: paradec's data are tuples, lists, dicts and frozen dataclasses
     that hold no reference cycles, so reference counting frees them, and a
-    collection would only walk them again.  The one cycle, a patch and the
-    tree sample it keeps, lives as long as the command's patch anyway.  The
-    caller's collector state is restored on every exit."""
+    collection would only walk them again.  The caller's collector state is
+    restored on every exit."""
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)

@@ -4,9 +4,10 @@ Sampling is Wilson's loop-erased-random-walk algorithm, which draws exactly
 uniform spanning trees.  Forests required to contain a fixed acyclic edge
 set are sampled by contracting that set and sampling the contracted
 multigraph; the matrix-tree correspondence makes the lifted tree uniform
-among trees containing the required edges.  A patch's a-edge contraction is
-built once and kept on the patch; when it is already a tree, every sample
-is that tree, built once and kept beside it, and no walk runs.
+among trees containing the required edges.  ``forest-audit`` builds a
+patch's a-edge contraction once per command and draws every sample from it;
+when the contraction is already a tree, every sample is that tree, built
+once and kept on the contraction, and no walk runs.
 
 The audit replays, on one concrete forest and concrete finite sets A1, A2,
 the counting chain that derives |A1S1 ∪ A2S2| >= |A1| + |A2| from a forest
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -61,14 +62,11 @@ class _UnionFind:
 class ForestSample:
     """An acyclic edge subset of a simple graph.
 
-    Acyclicity is checked with union-find at construction time.  ``patch``
-    is set when the sample was drawn from a Cayley patch; synthetic graphs
-    leave it as None.  A sample's identity is its vertex count and edges.
+    Acyclicity is checked with union-find at construction time.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
-    patch: "CayleyPatch | None" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         uf = _UnionFind(self.num_vertices)
@@ -161,19 +159,29 @@ class Contraction:
                 tree_edges.append(eid)
         return tree_edges
 
-    def sample(self, seed: int, patch: "CayleyPatch | None" = None) -> ForestSample:
-        """Uniform spanning tree among those containing every required edge.
-
-        A tree contraction is taken whole without a walk; each sample's
-        random stream is its own, so skipping it changes no later draw.
-        """
-        if self.is_tree:
-            chosen = range(len(self.edges))
-        else:
-            chosen = self.walk(random.Random(seed))
+    def _lift(self, chosen: Iterable[int]) -> ForestSample:
+        """The graph's tree made of the chosen contraction edges and every
+        required edge."""
         picked = [self.originals[i] for i in chosen]
         picked.extend(self.required)
-        return ForestSample(self.num_vertices, tuple(sorted(picked)), patch)
+        return ForestSample(self.num_vertices, tuple(sorted(picked)))
+
+    @cached_property
+    def _tree(self) -> ForestSample:
+        """A tree contraction taken whole: built and validated on the first
+        read, and the sample of every seed."""
+        return self._lift(range(len(self.edges)))
+
+    def sample(self, seed: int) -> ForestSample:
+        """Uniform spanning tree among those containing every required edge.
+
+        A tree contraction returns its one kept tree without a walk; each
+        sample's random stream is its own, so skipping it changes no later
+        draw.
+        """
+        if self.is_tree:
+            return self._tree
+        return self._lift(self.walk(random.Random(seed)))
 
 
 def contract_required_edges(
@@ -237,39 +245,26 @@ def patch_a_edges(patch: CayleyPatch, a_symbol: str) -> tuple[tuple[int, int], .
 
 
 def a_edge_contraction(patch: CayleyPatch, a_symbol: str) -> Contraction:
-    """The patch's simple graph with its a±1-edges contracted, built on the
-    first call per a-symbol and kept on the patch for the later ones."""
-    if a_symbol not in patch.gens.symbols():
-        raise KeyError(f"no generator named {a_symbol!r} in the patch")
-    contraction = patch._contractions.get(a_symbol)
-    if contraction is None:
-        contraction = contract_required_edges(
-            len(patch.vertices), patch.simple_edges, patch_a_edges(patch, a_symbol)
-        )
-        patch._contractions[a_symbol] = contraction
-    return contraction
-
-
-def sample_forest_containing_a_edges(
-    patch: CayleyPatch, a_symbol: str, seed: int
-) -> ForestSample:
-    """Uniform spanning tree of the patch containing every a±1-labeled edge.
+    """The patch's simple graph with its a±1-edges contracted; one
+    contraction serves every sample of the patch.
 
     Requires the in-patch a-edge set to be acyclic, which holds whenever the
     labeled element has infinite order; a cycle signals torsion-like
     behaviour and raises :class:`RequiredEdgesCycleError`.
-
-    When the contraction is a tree, every seed gives the same sample, so it
-    is built and validated on the first call per a-symbol and kept on the
-    patch beside the contraction; later calls return that sample.
     """
-    contraction = a_edge_contraction(patch, a_symbol)
-    if not contraction.is_tree:
-        return contraction.sample(seed, patch)
-    tree = patch._a_edge_trees.get(a_symbol)
-    if tree is None:
-        tree = patch._a_edge_trees[a_symbol] = contraction.sample(seed, patch)
-    return tree
+    if a_symbol not in patch.gens.symbols():
+        raise KeyError(f"no generator named {a_symbol!r} in the patch")
+    return contract_required_edges(
+        len(patch.vertices), patch.simple_edges, patch_a_edges(patch, a_symbol)
+    )
+
+
+def sample_forest_containing_a_edges(contraction: Contraction, seed: int) -> ForestSample:
+    """Uniform spanning tree of a patch containing every a±1-labeled edge,
+    drawn from the patch's :func:`a_edge_contraction`: the per-seed draw of
+    ``forest-audit``, kept as its own function so that a trace can time and
+    count the draws."""
+    return contraction.sample(seed)
 
 
 # -- counting-argument audit ---------------------------------------------------
@@ -381,6 +376,7 @@ def identify_triple(
 
 
 def audit_counting_argument(
+    patch: CayleyPatch,
     forest: ForestSample,
     a1: Iterable[Element],
     a2: Iterable[Element],
@@ -388,17 +384,15 @@ def audit_counting_argument(
 ) -> ForestAudit:
     """Replay the forest counting chain on concrete data.
 
-    S1 = {1, a} and S2 = {1, b, c} must name the generators of the forest's
-    patch, and A2 must lie in its interior (:attr:`CayleyPatch.interior`).
+    ``forest`` is a spanning forest of the patch's simple graph.  S1 = {1, a}
+    and S2 = {1, b, c} must name the patch's generators, and A2 must lie in
+    its interior (:attr:`CayleyPatch.interior`).
 
     The degree hypothesis |E| >= 5|A2| is recorded like every other entry:
     it holds on patches whose interior degree is at least 5 (a rank-3 tree
     gives 6) and honestly fails elsewhere, in which case the dependent
     entries may fail too while the structural ones still hold.
     """
-    if forest.patch is None:
-        raise ValueError("the audit needs a forest sampled from a Cayley patch")
-    patch = forest.patch
     spec, gens = patch.spec, patch.gens
     a_sym, _, _ = identify_triple(spec, gens, ts)
     a_elem = gens.element(a_sym)

@@ -1,6 +1,6 @@
 """Shared test utilities: random elements, small spec menageries, a
-product counter, forest degree sums and ledger lookup, and the Hall graphs
-of the amenable-abelian2 bench."""
+product counter, a patch's a-edge forest, forest degree sums and ledger
+lookup, and the Hall graphs of the amenable-abelian2 bench."""
 
 from __future__ import annotations
 
@@ -9,11 +9,13 @@ import random
 from paradec import (
     GeneratingSet,
     TranslatingSets,
+    a_edge_contraction,
     cyclic_group,
     enumerate_ball,
     free_abelian_group,
     free_group,
     matrix_group,
+    sample_forest_containing_a_edges,
 )
 from paradec.cayley import ball_levels
 from paradec.doubling import _HallGraph
@@ -44,6 +46,12 @@ def random_element(spec, rng: random.Random, length: int = 6):
 
 def standard_gens(spec) -> GeneratingSet:
     return GeneratingSet.standard(spec)
+
+
+def a_edge_forest(patch, seed: int, a_symbol: str = "a"):
+    """The patch's spanning tree containing every a-edge, drawn for one
+    seed from a contraction built for this draw alone."""
+    return sample_forest_containing_a_edges(a_edge_contraction(patch, a_symbol), seed)
 
 
 def degree_sum(sample, patch, elements) -> int:

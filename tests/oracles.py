@@ -276,7 +276,7 @@ def wilson_oracle(num_vertices, multigraph_edges, rng):
     return tree_edges
 
 
-def sample_with_required_edges_oracle(num_vertices, edges, required, seed, patch=None):
+def sample_with_required_edges_oracle(num_vertices, edges, required, seed):
     """Conditioned spanning tree with the contraction rebuilt on every call:
     union-find over the required edges, the block map, the contracted edge
     list and its connectivity check, then one Wilson walk on it
@@ -323,7 +323,7 @@ def sample_with_required_edges_oracle(num_vertices, edges, required, seed, patch
         )
     chosen = wilson_oracle(len(roots), contracted, random.Random(seed))
     picked = [originals[i] for i in chosen] + required
-    return ForestSample(num_vertices, tuple(sorted(picked)), patch)
+    return ForestSample(num_vertices, tuple(sorted(picked)))
 
 
 def brute_force_check(

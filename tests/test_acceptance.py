@@ -17,6 +17,7 @@ from paradec import (
     Certificate,
     TranslatingSets,
     Violator,
+    a_edge_contraction,
     audit_counting_argument,
     check_domain,
     cyclic_group,
@@ -161,16 +162,17 @@ def test_criterion_5_forest_audit_on_free3_ball4():
     interior = [w for w in patch.vertices if len(w) <= 3]
     assert len(interior) == 187
     rng = random.Random(9001)
+    contraction = a_edge_contraction(patch, "a")
     passes = 0
     for index in range(100):
-        forest = sample_forest_containing_a_edges(patch, "a", index)
+        forest = sample_forest_containing_a_edges(contraction, index)
         while True:
             k1, k2 = rng.randint(0, 6), rng.randint(0, 6)
             if k1 + k2 > 0:
                 break
         a1 = rng.sample(interior, k1)
         a2 = rng.sample(interior, k2)
-        audit = audit_counting_argument(forest, a1, a2, ts)
+        audit = audit_counting_argument(patch, forest, a1, a2, ts)
         for name in (
             "degree_sum",
             "e1_lower",
@@ -189,7 +191,7 @@ def test_criterion_5_forest_audit_on_free3_ball4():
     assert passes == 100
     e = spec.identity()
     single = audit_counting_argument(
-        sample_forest_containing_a_edges(patch, "a", 0), [e], [e], ts
+        patch, sample_forest_containing_a_edges(contraction, 0), [e], [e], ts
     )
     assert (
         len(single.e),
@@ -211,21 +213,23 @@ def test_criterion_6_degree_threshold():
     ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
     interior = [w for w in patch.vertices if len(w) <= 3]
     rng = random.Random(606)
+    contraction = a_edge_contraction(patch, "a")
     for _ in range(100):
         a2 = rng.sample(interior, rng.randint(1, 8))
         for seed in range(1, 4):
-            forest = sample_forest_containing_a_edges(patch, "a", seed)
-            audit = audit_counting_argument(forest, [], a2, ts)
+            forest = sample_forest_containing_a_edges(contraction, seed)
+            audit = audit_counting_argument(patch, forest, [], a2, ts)
             entry = ledger_entry(audit, "degree_sum")
             assert entry.lhs == 6 * len(a2) and entry.rhs == 5 * len(a2)
             assert entry.passed
     plane = free_abelian_group(2)
     grid = ball(plane, 3)
     grid_interior = [v for v in grid.vertices if abs(v[0]) + abs(v[1]) <= 2]
+    grid_contraction = a_edge_contraction(grid, "a")
     for case in range(100):
         a2 = rng.sample(grid_interior, rng.randint(1, 6))
         for seed in range(case, case + 3):
-            forest = sample_forest_containing_a_edges(grid, "a", seed)
+            forest = sample_forest_containing_a_edges(grid_contraction, seed)
             assert degree_sum(forest, grid, a2) <= 4 * len(a2) < 5 * len(a2)
     report(
         6,

@@ -353,6 +353,16 @@ class TestForestAudit:
         assert code == 2 and out == ""
         assert err == "error: --s1 and --s2 must be given together\n"
 
+    def test_torsion_generator_exit_two(self, capsys):
+        # a has order 7, so the a-edges of the ball close a cycle; the
+        # contraction, built before the first sample, refuses them
+        code, out, err = run(
+            capsys, "forest-audit", "--group", "cyclic:7", "--gens", "a=a,b=a^2,c=a^3",
+            "--radius", "3", "--samples", "2",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: required edges close a cycle at (5, 6)\n"
+
 
 class TestFreeCheck:
     def test_matrix_pair(self, capsys):
@@ -878,6 +888,52 @@ class TestCollectorPause:
         assert isinstance(outcome, KeyboardInterrupt)
         assert inside == [False]
         assert after is enabled
+
+    CHECK = ["check", "--group", "free:3", "--s1", "1,a", "--s2", "1,b,c", "--radius", "2"]
+    FREE_CHECK = ["free-check", "--group", "free:3", "--g", "a", "--h", "b", "--max-length", "5"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ball", "--group", "free:2", "--radius", "2"],
+            CHECK,
+            ["violate", "--group", "abelian:2", "--s1", "1,a", "--s2", "1,b",
+             "--max-radius", "3"],
+            ["decompose", "--group", "free:3", "--s1", "1,a", "--s2", "1,b,c",
+             "--radius", "2"],
+            ["forest-audit", "--group", "free:3", "--radius", "3", "--samples", "4"],
+            ["forest-audit", "--group", "abelian:3", "--radius", "3", "--samples", "4"],
+            FREE_CHECK,
+            ["report", "--inputs", "check.json", "--freeness", "free.json"],
+        ],
+        ids=["ball", "check", "violate", "decompose", "forest-audit-tree",
+             "forest-audit-walks", "free-check", "report"],
+    )
+    def test_commands_leave_no_reference_cycle(self, capsys, tmp_path, argv):
+        """The pause costs nothing only while paradec's data hold no
+        reference cycle: after any command, the collector finds no paradec
+        object that reference counting left behind."""
+        for name, command in (("check.json", self.CHECK), ("free.json", self.FREE_CHECK)):
+            main([*command, "--format", "json"])
+            (tmp_path / name).write_text(capsys.readouterr().out)
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        gc.collect()
+        gc.garbage.clear()
+        flags = gc.get_debug()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            main([*argv, "--format", "json"])
+            gc.collect()
+            left = sorted(
+                type(obj).__qualname__
+                for obj in gc.garbage
+                if type(obj).__module__.startswith("paradec")
+            )
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        capsys.readouterr()
+        assert left == []
 
     def test_usage_error_leaves_the_state_alone(self, capsys, monkeypatch):
         outcome, inside, after = self.call(monkeypatch, ["check", "--group", "free:2"], True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -31,7 +32,7 @@ from paradec.forest import (
     a_edge_contraction,
 )
 
-from helpers import degree_sum, ledger_entry, standard_gens
+from helpers import a_edge_forest, degree_sum, ledger_entry, standard_gens
 from oracles import kirchhoff_count, sample_with_required_edges_oracle, wilson_oracle
 
 
@@ -58,8 +59,8 @@ class TestForestSample:
             ForestSample(num_vertices=3, edges=((0, 1), (1, 2), (0, 2)))
 
     def test_samples_of_a_tree_contraction_are_equal(self):
-        patch = ball(free_group(3), 3)
-        samples = [sample_forest_containing_a_edges(patch, "a", s) for s in range(5)]
+        contraction = a_edge_contraction(ball(free_group(3), 3), "a")
+        samples = [sample_forest_containing_a_edges(contraction, s) for s in range(5)]
         assert all(sample == samples[0] for sample in samples)
 
 
@@ -102,15 +103,15 @@ class TestConditionedSampling:
         patch = ball(free_abelian_group(2), 2)
         required = patch_a_edges(patch, "a")
         assert len(required) == 8
+        contraction = a_edge_contraction(patch, "a")
         for seed in range(1000):
-            sample = sample_forest_containing_a_edges(patch, "a", seed)
+            sample = sample_forest_containing_a_edges(contraction, seed)
             assert set(required) <= set(sample.edges)
             assert is_spanning_tree(sample)
 
     def test_free_ball_trivially_contains(self):
         patch = ball(free_group(3), 2)
-        sample = sample_forest_containing_a_edges(patch, "a", 0)
-        assert sample.edges == patch.simple_edges
+        assert a_edge_forest(patch, 0).edges == patch.simple_edges
 
     def test_four_cycle_with_one_required_edge(self):
         # C4 with one pinned edge contracts to a triangle: 3 admissible trees
@@ -175,12 +176,12 @@ class TestConditionedSampling:
         # every edge of the cyclic(4) ball is an a-edge and they close a cycle
         patch = ball(cyclic_group(4), 2)
         with pytest.raises(RequiredEdgesCycleError):
-            sample_forest_containing_a_edges(patch, "a", 0)
+            a_edge_contraction(patch, "a")
 
     def test_unknown_symbol_rejected(self):
         patch = ball(free_group(2), 1)
         with pytest.raises(KeyError):
-            sample_forest_containing_a_edges(patch, "z", 0)
+            a_edge_contraction(patch, "z")
 
 
 def named_ball(spec, pairs, radius):
@@ -236,13 +237,13 @@ class TestContraction:
     )
     def test_cached_sampler_matches_per_call_oracle(self, patch, a_symbol):
         required = patch_a_edges(patch, a_symbol)
+        contraction = a_edge_contraction(patch, a_symbol)
         for seed in range(25):
-            sample = sample_forest_containing_a_edges(patch, a_symbol, seed)
+            sample = sample_forest_containing_a_edges(contraction, seed)
             expected = sample_with_required_edges_oracle(
                 len(patch.vertices), patch.simple_edges, required, seed
             )
             assert sample == expected
-            assert sample.patch is patch
 
     def test_models_cover_trees_and_cycles(self):
         shapes = {a_edge_contraction(p, a).is_tree for _, p, a in MODEL_PATCHES}
@@ -321,10 +322,9 @@ class TestContraction:
             sample_with_required_edges_oracle(
                 len(patch.vertices), patch.simple_edges, patch_a_edges(patch, "a"), 0
             )
-        for seed in range(2):
-            with pytest.raises(RequiredEdgesCycleError) as got:
-                sample_forest_containing_a_edges(patch, "a", seed)
-            assert str(got.value) == str(expected.value)
+        with pytest.raises(RequiredEdgesCycleError) as got:
+            a_edge_contraction(patch, "a")
+        assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize(
         "group,radius,walks", [("free:3", 4, 0), ("abelian:3", 3, 6)]
@@ -345,7 +345,7 @@ class TestContraction:
         assert main(argv) in (0, 1)
         assert len(calls) == walks
 
-    def test_degree_statistics_contracts_once(self, monkeypatch):
+    def test_forest_audit_contracts_once_per_run(self, monkeypatch, capsys):
         calls = []
         contract = forest_module.contract_required_edges
 
@@ -354,14 +354,11 @@ class TestContraction:
             return contract(*args)
 
         monkeypatch.setattr(forest_module, "contract_required_edges", counted)
-        patch = ball(free_abelian_group(2), 3)
-        for seed in range(40):
-            sample_forest_containing_a_edges(patch, "a", seed)
-        assert len(calls) == 1
-        sample_forest_containing_a_edges(patch, "a", 99)
-        assert len(calls) == 1
-        sample_forest_containing_a_edges(patch, "b", 99)
-        assert len(calls) == 2
+        argv = ["forest-audit", "--group", "abelian:3", "--radius", "3",
+                "--samples", "40"]
+        for run in (1, 2):
+            assert main(argv) in (0, 1)
+            assert len(calls) == run
 
 
 def random_multigraph(rng, num_vertices):
@@ -455,24 +452,31 @@ class TestSharedTree:
 
     def test_tree_contraction_builds_one_sample(self, monkeypatch):
         patch = ball(free_group(3), 3)
-        assert a_edge_contraction(patch, "a").is_tree
+        contraction = a_edge_contraction(patch, "a")
+        assert contraction.is_tree
         counts = self.counted_validations(monkeypatch)
-        samples = [sample_forest_containing_a_edges(patch, "a", s) for s in range(40)]
+        samples = [sample_forest_containing_a_edges(contraction, s) for s in range(40)]
         assert counts == {"samples": 1, "union_finds": 1}
         assert all(sample is samples[0] for sample in samples)
-        assert samples[0].patch is patch
+        assert samples[0] is contraction._tree
         expected = sample_with_required_edges_oracle(
             len(patch.vertices), patch.simple_edges, patch_a_edges(patch, "a"), 0
         )
         assert samples[0] == expected
 
     def test_tree_is_kept_per_a_symbol(self):
+        """Each contraction keeps its own tree: the a- and b-contractions
+        of one patch return theirs, and the patch keeps neither."""
         patch = ball(free_group(3), 3)
-        a_tree = sample_forest_containing_a_edges(patch, "a", 0)
-        b_tree = sample_forest_containing_a_edges(patch, "b", 0)
-        assert set(patch._a_edge_trees) == {"a", "b"}
-        assert sample_forest_containing_a_edges(patch, "b", 5) is b_tree
-        assert sample_forest_containing_a_edges(patch, "a", 5) is a_tree
+        a, b = a_edge_contraction(patch, "a"), a_edge_contraction(patch, "b")
+        a_tree = sample_forest_containing_a_edges(a, 0)
+        b_tree = sample_forest_containing_a_edges(b, 0)
+        assert a_tree is not b_tree
+        assert sample_forest_containing_a_edges(b, 5) is b_tree is b._tree
+        assert sample_forest_containing_a_edges(a, 5) is a_tree is a._tree
+        assert [f.name for f in dataclasses.fields(patch)] == [
+            "spec", "gens", "radius", "vertices", "level_sizes"
+        ]
 
     def test_shared_tree_builds_its_edge_set_once(self, monkeypatch):
         """Every audit of the shared tree reads one edge set, and an audit
@@ -487,19 +491,20 @@ class TestSharedTree:
 
         monkeypatch.setattr(forest_module, "frozenset", counted, raising=False)
         e, ts = spec.identity(), rank3_translators(spec)
+        contraction = a_edge_contraction(patch, "a")
         for seed in range(10):
-            forest = sample_forest_containing_a_edges(patch, "a", seed)
-            assert audit_counting_argument(forest, [e], [e], ts).all_passed
+            forest = sample_forest_containing_a_edges(contraction, seed)
+            assert audit_counting_argument(patch, forest, [e], [e], ts).all_passed
         assert built == [forest.edges]
         assert forest.edge_set == frozenset(forest.edges)
 
     def test_each_sample_with_cycles_is_validated_once(self, monkeypatch):
-        patch = ball(free_abelian_group(3), 3)
-        assert not a_edge_contraction(patch, "a").is_tree
+        contraction = a_edge_contraction(ball(free_abelian_group(3), 3), "a")
+        assert not contraction.is_tree
         counts = self.counted_validations(monkeypatch)
-        samples = [sample_forest_containing_a_edges(patch, "a", s) for s in range(40)]
+        samples = [sample_forest_containing_a_edges(contraction, s) for s in range(40)]
         assert counts == {"samples": 40, "union_finds": 40}
-        assert patch._a_edge_trees == {}
+        assert "_tree" not in vars(contraction)
         assert len(set(samples)) > 1
 
     @pytest.mark.parametrize(
@@ -520,12 +525,16 @@ class TestSharedTree:
         code = main(argv)
         out = capsys.readouterr().out
 
-        def oracle(patch, a_symbol, seed):
+        def oracle(contraction, seed):
+            patch, a_symbol = contraction
             return sample_with_required_edges_oracle(
                 len(patch.vertices), patch.simple_edges,
-                patch_a_edges(patch, a_symbol), seed, patch,
+                patch_a_edges(patch, a_symbol), seed,
             )
 
+        # the command's contraction becomes (patch, a-symbol), and the
+        # oracle rebuilds the contraction from it on every draw
+        monkeypatch.setattr(cli, "a_edge_contraction", lambda patch, a: (patch, a))
         monkeypatch.setattr(cli, "sample_forest_containing_a_edges", oracle)
         assert main(argv) == code
         assert capsys.readouterr().out == out
@@ -553,10 +562,10 @@ class TestAudit:
     def test_hand_computed_single_point(self):
         spec = free_group(3)
         patch = ball(spec, 3)
-        forest = sample_forest_containing_a_edges(patch, "a", 0)
+        forest = a_edge_forest(patch, 0)
         e = spec.identity()
         audit = audit_counting_argument(
-            forest, [e], [e], rank3_translators(spec)
+            patch, forest, [e], [e], rank3_translators(spec)
         )
         assert len(audit.e) == 6
         assert len(audit.e1) == 3
@@ -571,9 +580,9 @@ class TestAudit:
     def test_empty_a1_still_passes(self):
         spec = free_group(3)
         patch = ball(spec, 3)
-        forest = sample_forest_containing_a_edges(patch, "a", 1)
+        forest = a_edge_forest(patch, 1)
         audit = audit_counting_argument(
-            forest, [], [spec.identity()], rank3_translators(spec)
+            patch, forest, [], [spec.identity()], rank3_translators(spec)
         )
         assert audit.e3 == ()
         assert audit.all_passed
@@ -581,40 +590,42 @@ class TestAudit:
 
     def test_both_empty_rejected(self):
         spec = free_group(3)
-        forest = sample_forest_containing_a_edges(ball(spec, 2), "a", 0)
+        patch = ball(spec, 2)
+        forest = a_edge_forest(patch, 0)
         with pytest.raises(ValueError):
-            audit_counting_argument(forest, [], [], rank3_translators(spec))
+            audit_counting_argument(patch, forest, [], [], rank3_translators(spec))
 
     def test_boundary_a2_escapes(self):
         spec = free_group(3)
         patch = ball(spec, 2)
-        forest = sample_forest_containing_a_edges(patch, "a", 0)
+        forest = a_edge_forest(patch, 0)
         boundary = [w for w in patch.vertices if len(w) == 2][0]
         with pytest.raises(PatchEscapeError):
             audit_counting_argument(
-                forest, [], [boundary], rank3_translators(spec)
+                patch, forest, [], [boundary], rank3_translators(spec)
             )
 
     def test_wrong_shape_rejected(self):
         spec = free_group(3)
-        forest = sample_forest_containing_a_edges(ball(spec, 2), "a", 0)
+        patch = ball(spec, 2)
+        forest = a_edge_forest(patch, 0)
         short = TranslatingSets.from_words(spec, "1,a", "1,b")
         with pytest.raises(ValueError):
-            audit_counting_argument(forest, [()], [()], short)
+            audit_counting_argument(patch, forest, [()], [()], short)
         not_gens = TranslatingSets.from_words(spec, "1,a", "1,b,a b")
         with pytest.raises(ValueError):
-            audit_counting_argument(forest, [()], [()], not_gens)
+            audit_counting_argument(patch, forest, [()], [()], not_gens)
 
     def test_overlapping_a1_a2_still_sound(self):
         # shared elements put the a-edge in both E1 and E3; the chain only
         # needs E2 and E3 disjoint, which keeps holding
         spec = free_group(3)
         patch = ball(spec, 3)
-        forest = sample_forest_containing_a_edges(patch, "a", 2)
+        forest = a_edge_forest(patch, 2)
         interior = [w for w in patch.vertices if len(w) <= 2]
         a1 = interior[:4]
         a2 = interior[:6]
-        audit = audit_counting_argument(forest, a1, a2, rank3_translators(spec))
+        audit = audit_counting_argument(patch, forest, a1, a2, rank3_translators(spec))
         assert audit.all_passed
         assert ledger_entry(audit, "e2_e3_disjoint").passed
 
@@ -625,10 +636,10 @@ class TestAudit:
         spec = free_abelian_group(3)
         gens = standard_gens(spec)
         patch = enumerate_ball(spec, gens, 2)
-        forest = sample_forest_containing_a_edges(patch, "a", 0)
+        forest = a_edge_forest(patch, 0)
         ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
         e = spec.identity()
-        audit = audit_counting_argument(forest, [e], [e], ts)
+        audit = audit_counting_argument(patch, forest, [e], [e], ts)
         assert not ledger_entry(audit, "degree_sum").passed
         assert ledger_entry(audit, "e1_lower").passed
         assert ledger_entry(audit, "lambda_forest").passed
@@ -642,9 +653,10 @@ class TestAudit:
             InequalityCheck("degree_sum", 1, 5, "<=")
 
 
-class TestDegreeStatistics:
+class TestInteriorDegreeThreshold:
     """Forest degree sums over interior sets A2, counted from the sampled
-    edges, against the audit's threshold 5|A2|."""
+    edges, against the audit's threshold 5|A2|, and the audit's refusal of
+    an A2 outside the interior."""
 
     def test_free3_interior_degree_is_exactly_six(self):
         spec = free_group(3)
@@ -652,8 +664,9 @@ class TestDegreeStatistics:
         interior = [w for w in patch.vertices if len(w) <= 2]
         rng = random.Random(3)
         a2 = rng.sample(interior, 5)
+        contraction = a_edge_contraction(patch, "a")
         for seed in range(10):
-            sample = sample_forest_containing_a_edges(patch, "a", seed)
+            sample = sample_forest_containing_a_edges(contraction, seed)
             assert degree_sum(sample, patch, a2) == 6 * len(a2)
 
     def test_grid_interior_degree_below_threshold(self):
@@ -662,8 +675,9 @@ class TestDegreeStatistics:
         interior = [v for v in patch.vertices if abs(v[0]) + abs(v[1]) <= 2]
         rng = random.Random(4)
         a2 = rng.sample(interior, 4)
+        contraction = a_edge_contraction(patch, "a")
         for seed in range(1, 21):
-            sample = sample_forest_containing_a_edges(patch, "a", seed)
+            sample = sample_forest_containing_a_edges(contraction, seed)
             assert degree_sum(sample, patch, a2) <= 4 * len(a2) < 5 * len(a2)
 
     @pytest.mark.parametrize(
@@ -681,7 +695,7 @@ class TestDegreeStatistics:
     def test_escape_messages_match_the_audit(self, g, message):
         spec = free_group(3)
         patch = ball(spec, 2)
-        forest = sample_forest_containing_a_edges(patch, "a", 0)
+        forest = a_edge_forest(patch, 0)
         with pytest.raises(PatchEscapeError) as audit:
-            audit_counting_argument(forest, [], [g], rank3_translators(spec))
+            audit_counting_argument(patch, forest, [], [g], rank3_translators(spec))
         assert str(audit.value) == message

@@ -2,8 +2,9 @@
 module-level function and class is loaded somewhere in the package or
 exported and is reachable from the command line or the documented library
 entry points, every method of its classes is read somewhere, no module
-reads a setting from the environment, and ``object.__setattr__`` is called
-only inside a ``__post_init__``.
+reads a setting from the environment, ``object.__setattr__`` is called
+only inside a ``__post_init__``, and no module touches another object's
+private attributes.
 
 A name counts as used when the module's code loads it, or when it appears
 in an annotation, string annotations included.  ``__init__.py`` imports
@@ -208,5 +209,23 @@ def test_frozen_dataclasses_set_attributes_only_in_post_init():
             if isinstance(node, ast.Call)
             and ast.unparse(node.func) == "object.__setattr__"
             and id(node) not in allowed
+        )
+    assert offenders == []
+
+
+def test_private_attributes_are_touched_only_through_self():
+    """A ``_``-prefixed attribute is read or written only on ``self`` or
+    ``cls``: a fact one object owns is not kept on another.  Dunder names,
+    which Python defines for every object, are exempt."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders.extend(
+            f"{path.name}:{node.lineno}:{ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not (node.attr.startswith("__") and node.attr.endswith("__"))
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
         )
     assert offenders == []
