@@ -274,12 +274,13 @@ def cmd_forest_audit(args: argparse.Namespace) -> int:
         audits.append(audit_counting_argument(patch, forest, a1, a2, audit_ts))
     all_passed = all(audit.all_passed for audit in audits)
     payload = _context(spec, gens, ts)
+    fmt = spec.formatter()
     payload.update(
         {
             "radius": args.radius,
             "samples": args.samples,
             "seed": args.seed,
-            "audits": [a.to_jsonable(spec) for a in audits],
+            "audits": [a.to_jsonable(fmt) for a in audits],
             "all_passed": all_passed,
         }
     )

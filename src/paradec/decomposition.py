@@ -102,34 +102,56 @@ def pieces_from_certificate(
 ) -> "tuple[PartialDecomposition, DecompositionReport]":
     """Bucket phi_i targets by the translator that produced them.
 
-    piece_i[s] = {g·s : g in D, phi_i(g) = g·s}, with s the translator
-    that :func:`verify_certificate` found, so no product is formed again.
+    piece_i[s] = {g·s : g in D, phi_i(g) = g·s}, with s the translator that
+    the matching recorded on the certificate, so no product is formed and
+    the domain, listed once in element order by :func:`check_domain`, is
+    not sorted again.  A certificate without that record (one read back
+    from JSON or built by hand) is checked by :func:`verify_certificate`
+    first, and s is the translator that search found.
+
     Disjointness and coverage follow from the certificate properties but
     are re-verified, not assumed: the pieces are returned with their
-    passing verification report over the whole domain, and a failing one
-    raises :class:`CertificateError`.
+    passing verification report over the whole domain.  Each element's
+    own image lies in a piece, so an indeterminate element can only come
+    from a wrong record; a report that fails or has any indeterminate
+    element raises :class:`CertificateError`.
     """
-    used1, used2 = verify_certificate(spec, ts, cert)
 
-    def bucket(pairs, used, translators):
+    def bucket(family, pairs, used, translators):
         pieces: dict[Element, set] = {s: set() for s in translators}
         for (_, target), s in zip(pairs, used):
-            pieces[s].add(target)
+            try:
+                pieces[s].add(target)
+            except KeyError:
+                raise CertificateError(
+                    f"recorded translator {spec.format_element(s)} is not in S{family}"
+                ) from None
         return pieces
 
-    pd = make_decomposition(
-        spec,
-        ts,
-        bucket(cert.pairs1, used1, ts.s1),
-        bucket(cert.pairs2, used2, ts.s2),
-        (g for g, _ in cert.pairs1),
-    )
+    if cert.translators is None:
+        used1, used2 = verify_certificate(spec, ts, cert)
+        pd = make_decomposition(
+            spec,
+            ts,
+            bucket(1, cert.pairs1, used1, ts.s1),
+            bucket(2, cert.pairs2, used2, ts.s2),
+            (g for g, _ in cert.pairs1),
+        )
+    else:
+        used1, used2 = cert.translators
+        pd = PartialDecomposition(
+            pieces1=_sorted_pieces(ts.s1, bucket(1, cert.pairs1, used1, ts.s1)),
+            pieces2=_sorted_pieces(ts.s2, bucket(2, cert.pairs2, used2, ts.s2)),
+            domain=tuple(g for g, _ in cert.pairs1),
+        )
     report = verify_decomposition(spec, pd, ts, pd.domain)
-    if not report.passed:
+    indeterminate = len(report.indeterminate1) + len(report.indeterminate2)
+    if not report.passed or indeterminate:
         raise CertificateError(
             "certificate produced pieces that fail verification; "
             f"overlaps={len(report.overlaps)} "
-            f"uncovered={len(report.uncovered1) + len(report.uncovered2)}"
+            f"uncovered={len(report.uncovered1) + len(report.uncovered2)} "
+            f"indeterminate={indeterminate}"
         )
     return pd, report
 
@@ -147,6 +169,8 @@ def verify_decomposition(
     order up to the first that covers g.  If g is not covered but one of
     its translates leaves the domain, the finite window simply cannot
     decide it: such g are reported as indeterminate rather than failed.
+    Pieces bucketed from a certificate hold every element's own image, so
+    :func:`pieces_from_certificate` counts an indeterminate g as a failure.
 
     Inner elements are visited in the domain's element order, whatever the
     order of ``inner``.  The pieces are disjoint exactly when their sizes

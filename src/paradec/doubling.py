@@ -15,7 +15,7 @@ The independent oracle that enumerates all 4^|D| subset pairs outright,
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 from .cayley import GeneratingSet, ball_levels, letters_per_vertex, product_set
@@ -81,10 +81,21 @@ def _split_outside_brackets(text: str) -> list[str]:
 @dataclass(frozen=True)
 class Certificate:
     """Saturating-matching witness: phi_i(g) ∈ g·S_i, both injective, images
-    disjoint.  Pairs are sorted by domain element for reproducibility."""
+    disjoint.  Pairs are sorted by domain element for reproducibility.
+
+    ``translators`` is the matching's record of the s with phi_i(g) = g·s
+    for each pair, per family in pair order: the shape that
+    :func:`verify_certificate` returns.  Only :func:`check_domain` fills
+    it; a certificate read back from JSON or built by hand has None.  It
+    takes no part in equality or repr, so a certificate read back still
+    equals the one that the matching made.
+    """
 
     pairs1: tuple[tuple[Element, Element], ...]
     pairs2: tuple[tuple[Element, Element], ...]
+    translators: "tuple[tuple[Element, ...], tuple[Element, ...]] | None" = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -230,11 +241,22 @@ class _HallGraph:
         return hopcroft_karp(self.adjacency, len(self.right_index), start)
 
     def certificate(self, pair_left: Sequence[int]) -> Certificate:
+        """The pairs (g, g·s) of a saturating matching, with the record of
+        each pair's s.  A row lists its right vertices in S_copy order, so
+        the matched vertex's position in the row names s; it is unique,
+        since g·s = g·s' forces s = s'."""
         right_elements = list(self.right_index)
         pairs: tuple[list, list] = ([], [])
-        for (copy, g), j in zip(self.lefts, pair_left):
+        used: tuple[list, list] = ([], [])
+        translators = (self.ts.s1, self.ts.s2)
+        for (copy, g), row, j in zip(self.lefts, self.adjacency, pair_left):
             pairs[copy - 1].append((g, right_elements[j]))
-        return Certificate(pairs1=tuple(pairs[0]), pairs2=tuple(pairs[1]))
+            used[copy - 1].append(translators[copy - 1][row.index(j)])
+        return Certificate(
+            pairs1=tuple(pairs[0]),
+            pairs2=tuple(pairs[1]),
+            translators=(tuple(used[0]), tuple(used[1])),
+        )
 
     def violator(self, pair_left: Sequence[int], pair_right: Sequence[int]) -> Violator:
         """The left vertices reached by alternating paths from unmatched

@@ -26,7 +26,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cayley import CayleyPatch, GeneratingSet, product_set
 from .doubling import TranslatingSets
@@ -318,32 +318,22 @@ class ForestAudit:
     def all_passed(self) -> bool:
         return all(check.passed for check in self.ledger)
 
-    def to_jsonable(self, spec: GroupSpec) -> dict:
+    def to_jsonable(self, fmt: Callable[[Element], str]) -> dict:
+        """The audit as JSON, its elements written by ``fmt``: one
+        ``GroupSpec.formatter()`` that a command shares across all of its
+        audits, so an element met in several audits is formatted once."""
         def edge_list(edges):
-            return [
-                [
-                    spec.format_element(g),
-                    sym,
-                    sign,
-                    spec.format_element(target),
-                ]
-                for g, sym, sign, target in edges
-            ]
+            return [[fmt(g), sym, sign, fmt(target)] for g, sym, sign, target in edges]
 
         return {
-            "a1": [spec.format_element(g) for g in self.a1],
-            "a2": [spec.format_element(g) for g in self.a2],
+            "a1": [fmt(g) for g in self.a1],
+            "a2": [fmt(g) for g in self.a2],
             "e": edge_list(self.e),
             "e1": edge_list(self.e1),
             "e2": edge_list(self.e2),
             "e3": edge_list(self.e3),
-            "lambda_vertices": [
-                spec.format_element(v) for v in self.lambda_vertices
-            ],
-            "lambda_edges": [
-                [spec.format_element(u), spec.format_element(v)]
-                for u, v in self.lambda_edges
-            ],
+            "lambda_vertices": [fmt(v) for v in self.lambda_vertices],
+            "lambda_edges": [[fmt(u), fmt(v)] for u, v in self.lambda_edges],
             "ledger": [check.to_jsonable() for check in self.ledger],
             "all_passed": self.all_passed,
         }

@@ -12,6 +12,7 @@ from paradec import (
     CayleyPatch,
     GeneratingSet,
     cli,
+    decomposition,
     enumerate_ball,
     errors,
     parse_group_spec,
@@ -35,6 +36,19 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     return code, json.loads(out), err
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestBall:
@@ -257,6 +271,18 @@ class TestDecompose:
         assert code == 1
         assert data["verdict"]["kind"] == "violator"
 
+    def test_pieces_come_from_the_matching_record(self, capsys, monkeypatch):
+        # the translators are not searched again; the printed pieces are
+        # still verified once
+        searched = count_calls(monkeypatch, decomposition, "verify_certificate")
+        verified = count_calls(monkeypatch, decomposition, "verify_decomposition")
+        code, data, _ = run_json(
+            capsys, "decompose", "--group", "free:3", "--s1", "1,a", "--s2", "1,b,c",
+            "--radius", "3",
+        )
+        assert code == 0 and data["verification"]["passed"]
+        assert len(searched) == 0 and len(verified) == 1
+
 
 class TestForestAudit:
     def test_free3_all_pass(self, capsys):
@@ -446,7 +472,7 @@ class TestFreeCheck:
 
 
 class TestReport:
-    def test_aggregation_pipeline(self, capsys, tmp_path):
+    def test_aggregation_pipeline(self, capsys, tmp_path, monkeypatch):
         specs = [
             ("free:3", "1,a", "1,b", "4.json"),
             ("free:3", "1,a", "1,b,c", "5.json"),
@@ -483,6 +509,7 @@ class TestReport:
         )
         free_path = tmp_path / "free.json"
         free_path.write_text(json.dumps(data))
+        searched = count_calls(monkeypatch, cli, "verify_certificate")
         code, report, _ = run_json(
             capsys,
             "report",
@@ -495,6 +522,8 @@ class TestReport:
         assert report["upper"] == 4
         assert report["lower"] == 4
         assert any("free subgroup" in note for note in report["justification"])
+        # a certificate read from a file carries no record and is searched
+        assert len(searched) == len(paths)
 
 
     @pytest.mark.parametrize("big_first,expect", [(False, 0), (True, 2)])

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 
 import pytest
@@ -14,6 +16,8 @@ from paradec import (
     matrix_group,
     pieces_from_certificate,
     tarski_bound_report,
+    verdict_from_jsonable,
+    verdict_to_jsonable,
     verify_certificate,
     verify_decomposition,
 )
@@ -118,25 +122,67 @@ class TestOnePassCertificate:
         assert models == {"free", "abelian", "sl2z"}
 
     def test_translators_are_the_quotients(self):
+        # the matching's record, the search and division all name the same s
         for spec, ts, cert in seeded_certificates():
             used1, used2 = verify_certificate(spec, ts, cert)
+            assert cert.translators == (used1, used2)
             for pairs, used in ((cert.pairs1, used1), (cert.pairs2, used2)):
                 assert used == tuple(
                     spec.multiply(spec.invert(g), target) for g, target in pairs
                 )
 
     def test_pieces_match_division_oracle(self):
+        # the recorded certificate is bucketed by its record, the copy read
+        # back from JSON by the search: both give the oracle's pieces
         for spec, ts, cert in seeded_certificates():
-            pd, report = pieces_from_certificate(spec, cert, ts)
-            assert dict(pd.pieces1) == {
-                s: frozenset(piece)
-                for s, piece in bucket_by_division_oracle(spec, cert.pairs1, ts.s1).items()
-            }
-            assert dict(pd.pieces2) == {
-                s: frozenset(piece)
-                for s, piece in bucket_by_division_oracle(spec, cert.pairs2, ts.s2).items()
-            }
-            assert report.passed
+            data = json.loads(json.dumps(verdict_to_jsonable(spec, cert)))
+            read_back = verdict_from_jsonable(spec, data)
+            assert read_back.translators is None
+            results = [pieces_from_certificate(spec, c, ts) for c in (cert, read_back)]
+            for pd, report in results:
+                assert dict(pd.pieces1) == {
+                    s: frozenset(piece)
+                    for s, piece in bucket_by_division_oracle(spec, cert.pairs1, ts.s1).items()
+                }
+                assert dict(pd.pieces2) == {
+                    s: frozenset(piece)
+                    for s, piece in bucket_by_division_oracle(spec, cert.pairs2, ts.s2).items()
+                }
+                assert report.passed
+                assert not report.indeterminate1 and not report.indeterminate2
+            assert results[0] == results[1]
+
+    def test_a_wrong_record_is_rejected(self):
+        """Moving one pair's image to the piece of the other translator is
+        caught for every pair of a free:2 radius-2 certificate: an interior
+        word is left uncovered, a boundary word indeterminate."""
+        spec = free_group(2)
+        ts = TranslatingSets.from_words(spec, "1,a", "1,b")
+        cert = check_domain(spec, ts, ball(spec, 2).vertices)
+        messages = {}
+        for family, (pairs, translators) in enumerate(
+            ((cert.pairs1, ts.s1), (cert.pairs2, ts.s2))
+        ):
+            for i, (g, _) in enumerate(pairs):
+                record = list(cert.translators)
+                used = list(record[family])
+                used[i] = translators[1 - translators.index(used[i])]
+                record[family] = tuple(used)
+                wrong = dataclasses.replace(cert, translators=tuple(record))
+                with pytest.raises(CertificateError) as info:
+                    pieces_from_certificate(spec, wrong, ts)
+                messages[family + 1, spec.format_element(g)] = str(info.value)
+        prefix = "certificate produced pieces that fail verification; overlaps=0 "
+        assert messages[1, "a"] == prefix + "uncovered=1 indeterminate=0"
+        assert messages[1, "b^-2"] == prefix + "uncovered=0 indeterminate=1"
+        assert messages[2, "b"] == prefix + "uncovered=1 indeterminate=0"
+        assert messages[2, "a b"] == prefix + "uncovered=0 indeterminate=1"
+        # a record made for other translating sets names a translator
+        # outside them
+        other = TranslatingSets.from_words(spec, "1,a", "1,b^-1")
+        with pytest.raises(CertificateError) as info:
+            pieces_from_certificate(spec, cert, other)
+        assert str(info.value) == "recorded translator b is not in S2"
 
     @staticmethod
     def tampered():

@@ -645,7 +645,7 @@ class TestAudit:
         assert ledger_entry(audit, "lambda_forest").passed
         assert ledger_entry(audit, "vertices_exceed_edges").passed
         assert not audit.all_passed
-        ledger = audit.to_jsonable(spec)["ledger"]
+        ledger = audit.to_jsonable(spec.formatter())["ledger"]
         assert next(c for c in ledger if c["name"] == "degree_sum")["passed"] is False
 
     def test_unknown_ledger_relation_rejected(self):
