@@ -18,7 +18,6 @@ from .decomposition import (
     PartialDecomposition,
     TarskiBoundReport,
     free_up_to_length,
-    make_decomposition,
     pieces_from_certificate,
     tarski_bound_report,
     verify_decomposition,
@@ -80,7 +79,6 @@ __all__ = [
     "free_abelian_group",
     "free_group",
     "free_up_to_length",
-    "make_decomposition",
     "make_violator",
     "matrix_group",
     "minimal_violating_radius",

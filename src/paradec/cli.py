@@ -92,7 +92,9 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: "str | None") -> None:
+def _emit(args: argparse.Namespace, payload: "dict | None", text: "str | None") -> None:
+    """Print ``payload`` as JSON for ``--format json``, else ``text``; the
+    one not printed may be None."""
     if args.format == "json":
         print(_json_text(payload))
     else:
@@ -155,34 +157,31 @@ def cmd_check(args: argparse.Namespace) -> int:
     spec, gens, ts = _group(args)
     patch = _ball(args, spec, gens, ts.s1 + ts.s2)
     verdict = check_domain(spec, ts, patch.vertices)
-    payload = _context(spec, gens, ts)
-    payload.update(
-        {
-            "radius": args.radius,
-            "domain_size": len(patch.vertices),
-            "verdict": verdict_to_jsonable(spec, verdict),
-        }
-    )
-    if isinstance(verdict, Certificate):
-        _emit(
-            args,
-            payload,
-            f"certificate: both injections exist on the radius-{args.radius} "
-            f"ball ({len(patch.vertices)} elements)",
+    payload = text = None
+    if args.format == "json":
+        payload = _context(spec, gens, ts)
+        payload.update(
+            {
+                "radius": args.radius,
+                "domain_size": len(patch.vertices),
+                "verdict": verdict_to_jsonable(spec, verdict),
+            }
         )
-        return EXIT_OK
-    _emit(
-        args,
-        payload,
-        "violator: A1 = {%s}, A2 = {%s}, union size %d < %d"
-        % (
-            ", ".join(payload["verdict"]["a1"]),
-            ", ".join(payload["verdict"]["a2"]),
+    elif isinstance(verdict, Certificate):
+        text = (
+            f"certificate: both injections exist on the radius-{args.radius} "
+            f"ball ({len(patch.vertices)} elements)"
+        )
+    else:
+        fmt = spec.formatter()
+        text = "violator: A1 = {%s}, A2 = {%s}, union size %d < %d" % (
+            ", ".join(map(fmt, verdict.a1)),
+            ", ".join(map(fmt, verdict.a2)),
             verdict.union_size,
             len(verdict.a1) + len(verdict.a2),
-        ),
-    )
-    return EXIT_NEGATIVE
+        )
+    _emit(args, payload, text)
+    return EXIT_OK if isinstance(verdict, Certificate) else EXIT_NEGATIVE
 
 
 def cmd_violate(args: argparse.Namespace) -> int:
@@ -273,27 +272,31 @@ def cmd_forest_audit(args: argparse.Namespace) -> int:
         a2 = rng.sample(interior, min(k2, len(interior)))
         audits.append(audit_counting_argument(patch, forest, a1, a2, audit_ts))
     all_passed = all(audit.all_passed for audit in audits)
-    payload = _context(spec, gens, ts)
-    fmt = spec.formatter()
-    payload.update(
-        {
-            "radius": args.radius,
-            "samples": args.samples,
-            "seed": args.seed,
-            "audits": [a.to_jsonable(fmt) for a in audits],
-            "all_passed": all_passed,
-        }
-    )
-    lines = []
-    for i, audit in enumerate(audits):
-        status = "pass" if audit.all_passed else "FAIL"
-        lines.append(
-            f"audit {i}: |A1|={len(audit.a1)} |A2|={len(audit.a2)} "
-            f"|E|={len(audit.e)} |E1|={len(audit.e1)} |E2|={len(audit.e2)} "
-            f"|E3|={len(audit.e3)} |V|={len(audit.lambda_vertices)} "
-            f"|EΛ|={len(audit.lambda_edges)} -> {status}"
+    payload = text = None
+    if args.format == "json":
+        payload = _context(spec, gens, ts)
+        fmt = spec.formatter()
+        payload.update(
+            {
+                "radius": args.radius,
+                "samples": args.samples,
+                "seed": args.seed,
+                "audits": [a.to_jsonable(fmt) for a in audits],
+                "all_passed": all_passed,
+            }
         )
-    _emit(args, payload, "\n".join(lines))
+    else:
+        lines = []
+        for i, audit in enumerate(audits):
+            status = "pass" if audit.all_passed else "FAIL"
+            lines.append(
+                f"audit {i}: |A1|={len(audit.a1)} |A2|={len(audit.a2)} "
+                f"|E|={len(audit.e)} |E1|={len(audit.e1)} |E2|={len(audit.e2)} "
+                f"|E3|={len(audit.e3)} |V|={len(audit.lambda_vertices)} "
+                f"|EΛ|={len(audit.lambda_edges)} -> {status}"
+            )
+        text = "\n".join(lines)
+    _emit(args, payload, text)
     return EXIT_OK if all_passed else EXIT_NEGATIVE
 
 

@@ -10,7 +10,7 @@ the inversion anti-isomorphism g -> g⁻¹.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .cayley import DEFAULT_VERTEX_BUDGET, format_label, parse_label
 from .doubling import Certificate, TranslatingSets, Verdict, verify_certificate
@@ -26,9 +26,10 @@ class PartialDecomposition:
 
     Piece contents may lie outside the domain (products escape any finite
     window); coverage is always asserted through translates, never through
-    membership of the pieces themselves.  ``domain`` holds each element
-    once, in element order (``GroupSpec.element_sort_key``), so that no
-    reader has to sort it again.
+    membership of the pieces themselves.  Each family lists its pieces in
+    translator order.  ``domain`` holds each element once; pieces bucketed
+    from a certificate keep its pair order, which :func:`check_domain` makes
+    element order (``GroupSpec.element_sort_key``), so no reader sorts it.
     """
 
     pieces1: tuple[tuple[Element, frozenset], ...]
@@ -63,51 +64,17 @@ class DecompositionReport:
         return self.disjoint and not self.uncovered1 and not self.uncovered2
 
 
-def _sorted_pieces(
-    translators: Sequence[Element], pieces: Mapping[Element, Iterable]
-) -> tuple[tuple[Element, frozenset], ...]:
-    return tuple((s, frozenset(pieces.get(s, ()))) for s in translators)
-
-
-def _element_order(spec: GroupSpec, domain: Iterable[Element]) -> tuple[Element, ...]:
-    """The distinct elements of ``domain`` in element order.  dict.fromkeys
-    keeps the input's order, so a domain that arrives in element order, as
-    a certificate's does, costs one linear pass of the sort."""
-    return tuple(sorted(dict.fromkeys(domain), key=spec.element_sort_key))
-
-
-def make_decomposition(
-    spec: GroupSpec,
-    ts: TranslatingSets,
-    pieces1: Mapping[Element, Iterable],
-    pieces2: Mapping[Element, Iterable],
-    domain: Iterable[Element],
-) -> PartialDecomposition:
-    for family, pieces, translators in ((1, pieces1, ts.s1), (2, pieces2, ts.s2)):
-        for key in pieces:
-            if key not in translators:
-                raise ValueError(
-                    f"piece key {spec.format_element(key)} of family {family} "
-                    f"is not a translator of S{family}"
-                )
-    return PartialDecomposition(
-        pieces1=_sorted_pieces(ts.s1, pieces1),
-        pieces2=_sorted_pieces(ts.s2, pieces2),
-        domain=_element_order(spec, domain),
-    )
-
-
 def pieces_from_certificate(
     spec: GroupSpec, cert: Certificate, ts: TranslatingSets
 ) -> "tuple[PartialDecomposition, DecompositionReport]":
     """Bucket phi_i targets by the translator that produced them.
 
     piece_i[s] = {g·s : g in D, phi_i(g) = g·s}, with s the translator that
-    the matching recorded on the certificate, so no product is formed and
-    the domain, listed once in element order by :func:`check_domain`, is
-    not sorted again.  A certificate without that record (one read back
-    from JSON or built by hand) is checked by :func:`verify_certificate`
-    first, and s is the translator that search found.
+    the matching recorded on the certificate, so no product is formed.  A
+    certificate without that record (one read back from JSON or built by
+    hand) is checked by :func:`verify_certificate` first, and s is the
+    translator that search found.  The domain is the certificate's, in
+    pair order.
 
     Disjointness and coverage follow from the certificate properties but
     are re-verified, not assumed: the pieces are returned with their
@@ -116,6 +83,8 @@ def pieces_from_certificate(
     from a wrong record; a report that fails or has any indeterminate
     element raises :class:`CertificateError`.
     """
+    # a recorded certificate's translators are a pair of tuples, never empty
+    used1, used2 = cert.translators or verify_certificate(spec, ts, cert)
 
     def bucket(family, pairs, used, translators):
         pieces: dict[Element, set] = {s: set() for s in translators}
@@ -126,25 +95,14 @@ def pieces_from_certificate(
                 raise CertificateError(
                     f"recorded translator {spec.format_element(s)} is not in S{family}"
                 ) from None
-        return pieces
+        return tuple((s, frozenset(piece)) for s, piece in pieces.items())
 
-    if cert.translators is None:
-        used1, used2 = verify_certificate(spec, ts, cert)
-        pd = make_decomposition(
-            spec,
-            ts,
-            bucket(1, cert.pairs1, used1, ts.s1),
-            bucket(2, cert.pairs2, used2, ts.s2),
-            (g for g, _ in cert.pairs1),
-        )
-    else:
-        used1, used2 = cert.translators
-        pd = PartialDecomposition(
-            pieces1=_sorted_pieces(ts.s1, bucket(1, cert.pairs1, used1, ts.s1)),
-            pieces2=_sorted_pieces(ts.s2, bucket(2, cert.pairs2, used2, ts.s2)),
-            domain=tuple(g for g, _ in cert.pairs1),
-        )
-    report = verify_decomposition(spec, pd, ts, pd.domain)
+    pd = PartialDecomposition(
+        pieces1=bucket(1, cert.pairs1, used1, ts.s1),
+        pieces2=bucket(2, cert.pairs2, used2, ts.s2),
+        domain=tuple(g for g, _ in cert.pairs1),
+    )
+    report = verify_decomposition(spec, pd, ts)
     indeterminate = len(report.indeterminate1) + len(report.indeterminate2)
     if not report.passed or indeterminate:
         raise CertificateError(
@@ -157,14 +115,11 @@ def pieces_from_certificate(
 
 
 def verify_decomposition(
-    spec: GroupSpec,
-    pd: PartialDecomposition,
-    ts: TranslatingSets,
-    inner: Iterable[Element],
+    spec: GroupSpec, pd: PartialDecomposition, ts: TranslatingSets
 ) -> DecompositionReport:
-    """Check pairwise disjointness and translate-coverage of ``inner``.
+    """Check pairwise disjointness and translate-coverage of the domain.
 
-    An inner element g counts as covered by family i when g·s lies in the
+    A domain element g counts as covered by family i when g·s lies in the
     piece of some translator s; the translates are formed in translator
     order up to the first that covers g.  If g is not covered but one of
     its translates leaves the domain, the finite window simply cannot
@@ -172,19 +127,13 @@ def verify_decomposition(
     Pieces bucketed from a certificate hold every element's own image, so
     :func:`pieces_from_certificate` counts an indeterminate g as a failure.
 
-    Inner elements are visited in the domain's element order, whatever the
-    order of ``inner``.  The pieces are disjoint exactly when their sizes
-    add up to the size of their union; elements are counted one by one
-    only when they do not.
+    Whether g is covered depends only on g, the pieces and the domain, so
+    the report on a subset of the domain is this report filtered.  Elements
+    are listed in the domain's order.  The pieces are disjoint exactly when
+    their sizes add up to the size of their union; elements are counted one
+    by one only when they do not.
     """
     domain = set(pd.domain)
-    inner = set(inner)
-    if not inner <= domain:
-        raise ValueError("inner set must be contained in the decomposition domain")
-    if len(inner) == len(domain):
-        ordered = pd.domain
-    else:
-        ordered = [g for g in pd.domain if g in inner]
     multiply = spec.multiply
 
     pieces = [piece for _, piece in pd.pieces1 + pd.pieces2]
@@ -202,7 +151,7 @@ def verify_decomposition(
         uncovered = []
         indeterminate = []
         piece_of = dict(pieces)
-        for g in ordered:
+        for g in pd.domain:
             translates = []
             for s, _ in pieces:
                 target = multiply(g, s)

@@ -43,8 +43,8 @@ class TranslatingSets:
     ) -> "TranslatingSets":
         """Parse comma-separated word syntax, e.g. ``"1,a"`` and ``"1,b,c"``.
 
-        A bracketed vector or matrix literal such as ``"1,[1,0]"`` keeps its
-        inner commas."""
+        A bracketed vector or matrix literal such as ``"1,[1,0]"`` keeps the
+        commas between its brackets."""
         def parse_list(text: str) -> tuple[Element, ...]:
             return tuple(
                 spec.parse_element(part, symbols)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from paradec.decomposition import make_decomposition
+from paradec.decomposition import PartialDecomposition
 from paradec.doubling import Certificate, TranslatingSets, Verdict, make_violator
 from paradec.errors import CertificateError, ParadecError
 from paradec.groups import Element, GroupSpec, free_group
@@ -625,6 +625,17 @@ def overlaps_oracle(spec, pd):
 FIRST_LETTER_TRANSLATORS = TranslatingSets(s1=((), (1,)), s2=((), (2,)))
 
 
+def hand_built_decomposition(spec, ts, pieces1, pieces2, domain):
+    """A decomposition built by hand from piece mappings: each family's
+    pieces in S_i order, a translator without a key getting the empty
+    piece, and the distinct domain elements in element order."""
+    return PartialDecomposition(
+        pieces1=tuple((s, frozenset(pieces1.get(s, ()))) for s in ts.s1),
+        pieces2=tuple((s, frozenset(pieces2.get(s, ()))) for s in ts.s2),
+        domain=tuple(sorted(set(domain), key=spec.element_sort_key)),
+    )
+
+
 def first_letter_pieces(rank, domain):
     """The classical decomposition of a free group of rank >= 2 for the
     translating sets {1, a}, {1, b} (:data:`FIRST_LETTER_TRANSLATORS`),
@@ -645,7 +656,7 @@ def first_letter_pieces(rank, domain):
         spec.validate_element(w)
     last = {letter: frozenset(w for w in domain if w and w[-1] == letter)
             for letter in (-2, -1, 1, 2)}
-    return make_decomposition(
+    return hand_built_decomposition(
         spec,
         FIRST_LETTER_TRANSLATORS,
         {(): last[-1], (1,): last[1]},

@@ -87,7 +87,8 @@ def test_criterion_2_free2_certificates_all_radii():
         assert isinstance(verdict, Certificate), f"violator at radius {radius}"
         verify_certificate(spec, ts, verdict)
         pd, _ = pieces_from_certificate(spec, verdict, ts)
-        assert verify_decomposition(spec, pd, ts, domain).passed
+        assert set(pd.domain) == set(domain)
+        assert verify_decomposition(spec, pd, ts).passed
         entries.append((ts, verdict))
     freeness = free_up_to_length(spec, (1,), (2,), 6)
     bounds = tarski_bound_report(entries, freeness)
@@ -111,7 +112,8 @@ def test_criterion_3_free3_prop2_translating_sets():
         verdict = check_domain(spec, ts, patch.vertices)
         assert isinstance(verdict, Certificate), f"violator at radius {radius}"
         pd, _ = pieces_from_certificate(spec, verdict, ts)
-        assert verify_decomposition(spec, pd, ts, patch.vertices).passed
+        assert set(pd.domain) == set(patch.vertices)
+        assert verify_decomposition(spec, pd, ts).passed
         assert ts.total_size() == 5
         assert pd.nonempty_piece_count() <= 5
     # independent count of the radius-5 ball

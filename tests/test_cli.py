@@ -15,6 +15,7 @@ from paradec import (
     decomposition,
     enumerate_ball,
     errors,
+    forest,
     parse_group_spec,
     spec_to_string,
     verdict_from_jsonable,
@@ -165,6 +166,29 @@ class TestCheck:
         assert isinstance(verdict, Violator)
         assert verdict.union_size < len(verdict.a1) + len(verdict.a2)
 
+    def test_text_mode_builds_no_json_document(self, capsys, monkeypatch):
+        # the text line is formatted from the verdict; only --format json
+        # builds the verdict document
+        built = count_calls(monkeypatch, cli, "verdict_to_jsonable")
+        certificate = ("check", "--group", "free:3", "--s1", "1,a", "--s2", "1,b,c",
+                       "--radius", "3")
+        violator = ("check", "--group", "abelian:1", "--s1", "1,a", "--s2", "1,a",
+                    "--radius", "2")
+        code, out, _ = run(capsys, *certificate)
+        assert code == 0 and out.startswith("certificate: ")
+        code, out, _ = run(capsys, *violator)
+        assert code == 1
+        assert built == []
+        code, data, _ = run_json(capsys, *violator)
+        assert code == 1 and len(built) == 1
+        verdict = data["verdict"]
+        assert out == "violator: A1 = {%s}, A2 = {%s}, union size %d < %d\n" % (
+            ", ".join(verdict["a1"]),
+            ", ".join(verdict["a2"]),
+            verdict["union_size"],
+            len(verdict["a1"]) + len(verdict["a2"]),
+        )
+
 
 class TestBracketedTranslators:
     """--s1/--s2 cut only at commas outside square brackets."""
@@ -285,6 +309,16 @@ class TestDecompose:
 
 
 class TestForestAudit:
+    def test_text_mode_builds_no_json_document(self, capsys, monkeypatch):
+        built = count_calls(monkeypatch, forest.ForestAudit, "to_jsonable")
+        argv = ("forest-audit", "--group", "free:3", "--radius", "3", "--samples", "3",
+                "--seed", "2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(out.splitlines()) == 3
+        assert built == []
+        code, _, _ = run_json(capsys, *argv)
+        assert code == 0 and len(built) == 3
+
     def test_free3_all_pass(self, capsys):
         code, data, _ = run_json(
             capsys,

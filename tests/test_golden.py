@@ -96,6 +96,7 @@ CASES = [
     ("violate_abelian2_early_json", 0, [*_VIOLATE_EARLY, "--format", "json"]),
     ("violate_abelian2_early_text", 0, [*_VIOLATE_EARLY, "--format", "text"]),
     ("check_free3_r4_json", 0, ["check", *_FREE3_R4, "--format", "json"]),
+    ("check_free3_r4_text", 0, ["check", *_FREE3_R4, "--format", "text"]),
     ("decompose_free3_r4_json", 0, ["decompose", *_FREE3_R4, "--format", "json"]),
     ("decompose_free3_r4_text", 0, ["decompose", *_FREE3_R4, "--format", "text"]),
     ("report_free3_r4_json", 0, [*_REPORT_R4, "--format", "json"]),
