@@ -117,12 +117,12 @@ class CayleyPatch:
         vertex and symmetrized generator whose product stays inside, by
         source index and then generator order."""
         view = self.gens.symmetrized(self.spec)
-        multiply = self.spec.multiply
+        star = self.spec.star(s for _, _, s in view)
         index = self._index
         edges = []
         for i, u in enumerate(self.vertices):
-            for sym, sign, s in view:
-                j = index.get(multiply(u, s))
+            for (sym, sign, _), v in zip(view, star(u)):
+                j = index.get(v)
                 if j is not None:
                     edges.append((i, sym, sign, j))
         return tuple(edges)
@@ -231,8 +231,7 @@ def ball_levels(
     budget = DEFAULT_VERTEX_BUDGET if vertex_budget is None else vertex_budget
     if budget < 1:
         raise ValueError("vertex budget must be positive")
-    steps = tuple(s for _, _, s in gens.symmetrized(spec))
-    multiply = spec.multiply
+    star = spec.star(s for _, _, s in gens.symmetrized(spec))
     frontier = [spec.identity()]
     seen = set(frontier)
     if width > budget:
@@ -241,8 +240,7 @@ def ball_levels(
     for level in range(1, radius + 1):
         discovered = []
         for u in frontier:
-            for s in steps:
-                v = multiply(u, s)
+            for v in star(u):
                 if v not in seen:
                     seen.add(v)
                     discovered.append(v)

@@ -187,53 +187,62 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_violate(args: argparse.Namespace) -> int:
     spec, gens, ts = _group(args)
     result = minimal_violating_radius(spec, gens, ts, args.max_radius, args.budget)
-    payload = _context(spec, gens, ts)
-    if result is None:
-        payload.update({"found": False, "radius": None, "violator": None})
-        _emit(args, payload, f"no violator up to radius {args.max_radius}")
-        return EXIT_NEGATIVE
-    radius, violator = result
-    payload.update(
-        {
-            "found": True,
-            "radius": radius,
-            "violator": verdict_to_jsonable(spec, violator),
-        }
-    )
-    _emit(
-        args,
-        payload,
-        f"violator at radius {radius}: union size {violator.union_size} < "
-        f"{len(violator.a1) + len(violator.a2)}",
-    )
-    return EXIT_OK
+    payload = text = None
+    if args.format == "json":
+        payload = _context(spec, gens, ts)
+        if result is None:
+            payload.update({"found": False, "radius": None, "violator": None})
+        else:
+            radius, violator = result
+            payload.update(
+                {
+                    "found": True,
+                    "radius": radius,
+                    "violator": verdict_to_jsonable(spec, violator),
+                }
+            )
+    elif result is None:
+        text = f"no violator up to radius {args.max_radius}"
+    else:
+        radius, violator = result
+        text = (
+            f"violator at radius {radius}: union size {violator.union_size} < "
+            f"{len(violator.a1) + len(violator.a2)}"
+        )
+    _emit(args, payload, text)
+    return EXIT_NEGATIVE if result is None else EXIT_OK
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     spec, gens, ts = _group(args)
     patch = _ball(args, spec, gens, ts.s1 + ts.s2)
     verdict = check_domain(spec, ts, patch.vertices)
-    payload = _context(spec, gens, ts)
-    payload["radius"] = args.radius
+    json_format = args.format == "json"
+    payload = text = None
+    if json_format:
+        payload = _context(spec, gens, ts)
+        payload["radius"] = args.radius
     if isinstance(verdict, Violator):
-        payload["verdict"] = verdict_to_jsonable(spec, verdict)
+        if json_format:
+            payload["verdict"] = verdict_to_jsonable(spec, verdict)
         _emit(args, payload, "no decomposition: the domain admits a violator")
         return EXIT_NEGATIVE
     pd, report = pieces_from_certificate(spec, verdict, ts)
-    payload.update(
-        {
-            "pieces": decomposition_to_jsonable(spec, pd),
-            "verification": verification_to_jsonable(spec, report),
-            "nonempty_pieces": pd.nonempty_piece_count(),
-            "translator_count": ts.total_size(),
-        }
-    )
-    text = None
-    if args.format == "text":
+    pieces = decomposition_to_jsonable(spec, pd)
+    if json_format:
+        payload.update(
+            {
+                "pieces": pieces,
+                "verification": verification_to_jsonable(spec, report),
+                "nonempty_pieces": pd.nonempty_piece_count(),
+                "translator_count": ts.total_size(),
+            }
+        )
+    else:
         text = (
             f"{pd.nonempty_piece_count()} nonempty pieces over "
             f"{ts.total_size()} translators; verification passed\n"
-            + report_to_text(payload["pieces"])
+            + report_to_text(pieces)
         )
     _emit(args, payload, text)
     return EXIT_OK

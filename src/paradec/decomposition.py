@@ -102,7 +102,7 @@ def pieces_from_certificate(
         pieces2=bucket(2, cert.pairs2, used2, ts.s2),
         domain=tuple(g for g, _ in cert.pairs1),
     )
-    report = verify_decomposition(spec, pd, ts)
+    report = verify_decomposition(spec, pd)
     indeterminate = len(report.indeterminate1) + len(report.indeterminate2)
     if not report.passed or indeterminate:
         raise CertificateError(
@@ -114,18 +114,20 @@ def pieces_from_certificate(
     return pd, report
 
 
-def verify_decomposition(
-    spec: GroupSpec, pd: PartialDecomposition, ts: TranslatingSets
-) -> DecompositionReport:
+def verify_decomposition(spec: GroupSpec, pd: PartialDecomposition) -> DecompositionReport:
     """Check pairwise disjointness and translate-coverage of the domain.
 
     A domain element g counts as covered by family i when g·s lies in the
-    piece of some translator s; the translates are formed in translator
-    order up to the first that covers g.  If g is not covered but one of
-    its translates leaves the domain, the finite window simply cannot
-    decide it: such g are reported as indeterminate rather than failed.
-    Pieces bucketed from a certificate hold every element's own image, so
-    :func:`pieces_from_certificate` counts an indeterminate g as a failure.
+    piece of some translator s.  The translates of g are formed in
+    translator order up to the first that covers g, as one
+    :meth:`GroupSpec.translates` column per translator over the elements
+    that no earlier translator covered (so a matrix overflow is raised at
+    the first overflowing product of the first such column).  If g is not
+    covered but one of its translates leaves the domain, the finite window
+    simply cannot decide it: such g are reported as indeterminate rather
+    than failed.  Pieces bucketed from a certificate hold every element's
+    own image, so :func:`pieces_from_certificate` counts an indeterminate g
+    as a failure.
 
     Whether g is covered depends only on g, the pieces and the domain, so
     the report on a subset of the domain is this report filtered.  Elements
@@ -134,7 +136,6 @@ def verify_decomposition(
     by one only when they do not.
     """
     domain = set(pd.domain)
-    multiply = spec.multiply
 
     pieces = [piece for _, piece in pd.pieces1 + pd.pieces2]
     overlaps: tuple[Element, ...] = ()
@@ -148,22 +149,23 @@ def verify_decomposition(
         )
 
     def coverage(pieces: tuple[tuple[Element, frozenset], ...]):
-        uncovered = []
-        indeterminate = []
         piece_of = dict(pieces)
-        for g in pd.domain:
-            translates = []
-            for s, _ in pieces:
-                target = multiply(g, s)
-                if target in piece_of[s]:
-                    break
-                translates.append(target)
-            else:
-                if all(target in domain for target in translates):
-                    uncovered.append(g)
-                else:
-                    indeterminate.append(g)
-        return tuple(uncovered), tuple(indeterminate)
+        # the elements no translator has covered yet, in domain order, and
+        # those among them with a translate outside the domain
+        pending = list(pd.domain)
+        escaped = set()
+        for s, _ in pieces:
+            piece = piece_of[s]
+            left = []
+            for g, target in zip(pending, spec.translates(pending, s)):
+                if target not in piece:
+                    left.append(g)
+                    if target not in domain:
+                        escaped.add(g)
+            pending = left
+        uncovered = tuple(g for g in pending if g not in escaped)
+        indeterminate = tuple(g for g in pending if g in escaped)
+        return uncovered, indeterminate
 
     uncovered1, indeterminate1 = coverage(pd.pieces1)
     uncovered2, indeterminate2 = coverage(pd.pieces2)

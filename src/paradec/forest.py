@@ -393,9 +393,13 @@ def audit_counting_argument(
             raise PatchEscapeError(f"element {spec.format_element(g)} is not a patch vertex")
     # Escape checks: A2 needs its whole star, since the degree counts read
     # it whole (so A2 lies in the interior), and A1 its a-translate.
+    # Each star is formed once and read again for the edges.
     view = gens.symmetrized(spec)
+    star_of = spec.star(t for _, _, t in view)
+    stars = []
     for g in a2:
-        if any(spec.multiply(g, t) not in patch for _, _, t in view):
+        stars.append(star_of(g))
+        if any(target not in patch for target in stars[-1]):
             raise PatchEscapeError(
                 f"{spec.format_element(g)} is not interior: its star leaves "
                 "the patch; shrink A2 or grow the patch"
@@ -418,9 +422,8 @@ def audit_counting_argument(
         return (min(i, j), max(i, j)) in forest_edges
 
     e_edges = []
-    for g in a2:
-        for sym, sign, t in view:
-            target = spec.multiply(g, t)
+    for g, star in zip(a2, stars):
+        for (sym, sign, t), target in zip(view, star):
             if target != g and in_forest(g, target):
                 e_edges.append((g, sym, sign, t, target))
     e1_edges = [edge for edge in e_edges if edge[3] in s_diff_sinv]

@@ -172,15 +172,54 @@ class GroupSpec:
     def translates(self, elements: Iterable[Element], s: Element) -> list:
         """The column ``[self.multiply(x, s) for x in elements]``.
 
-        An abelian translator forms the column in one comprehension, with
-        :meth:`multiply`'s own formula and no call per element; every other
-        translator calls :meth:`multiply` per element, so its checks still
-        run.
+        Formed in one comprehension, with no call per element, for a free
+        translator of at most one letter (the identity's column is the
+        elements themselves; a letter t drops a last letter t⁻¹ and is
+        appended to any other word), an abelian translator and a cyclic
+        one, each with :meth:`multiply`'s own formula.  A matrix translator
+        and a free one of two or more letters call :meth:`multiply` per
+        element, so the overflow check still runs one product at a time and
+        the first overflowing product raises.
         """
+        if self.model == "free" and len(s) < 2:
+            if not s:
+                return list(elements)
+            inverse = -s[0]
+            return [x[:-1] if x and x[-1] == inverse else x + s for x in elements]
         if self.model == "abelian":
             return [tuple(map(add, x, s)) for x in elements]
+        if self.model == "cyclic":
+            order = self.order
+            return [(x + s) % order for x in elements]
         multiply = self.multiply
         return [multiply(x, s) for x in elements]
+
+    def star(self, steps: Iterable[Element]) -> Callable[[Element], list]:
+        """The callable ``x -> [self.multiply(x, s) for s in steps]``.
+
+        The steps are read once.  When every step is a free word of at most
+        one letter, or the model is abelian or cyclic, the callable forms
+        its list in one comprehension with :meth:`translates`'s rules and
+        no call per product; otherwise it calls :meth:`multiply` per step,
+        in step order, so the first overflowing matrix product raises.
+        """
+        steps = tuple(steps)
+        if self.model == "free" and all(len(s) < 2 for s in steps):
+            # the empty step's 0 matches no last letter, so it appends ()
+            pairs = tuple((s, -s[0] if s else 0) for s in steps)
+
+            def free_star(x: Element) -> list:
+                last = x[-1] if x else None
+                return [x[:-1] if last == inverse else x + s for s, inverse in pairs]
+
+            return free_star
+        if self.model == "abelian":
+            return lambda x: [tuple(map(add, x, s)) for s in steps]
+        if self.model == "cyclic":
+            order = self.order
+            return lambda x: [(x + s) % order for s in steps]
+        multiply = self.multiply
+        return lambda x: [multiply(x, s) for s in steps]
 
     def invert(self, x: Element) -> Element:
         if self.model == "free":
@@ -359,7 +398,8 @@ class GroupSpec:
 
         In the free model the callable remembers every text it returns, so
         a word whose prefix ``x[:-1]`` was formatted earlier in the batch
-        costs one token: its last letter either starts a new run, appended
+        costs one token: its last letter either starts a new run, whose
+        token (``" a"`` or ``" a^-1"``, from a table built once) is appended
         to the prefix's text, or extends the prefix's last run, whose
         exponent is rewritten.  Any other word is formatted whole by
         :meth:`format_element`.  A prefix-closed batch (a ball) formatted
@@ -369,6 +409,10 @@ class GroupSpec:
         if self.model != "free":
             return self.format_element
         names = self.generator_names
+        tokens = {}
+        for letter, name in enumerate(names, 1):
+            tokens[letter] = f" {name}"
+            tokens[-letter] = f" {name}^-1"
         memo: dict[Element, str] = {}
 
         def format_word(x: Element) -> str:
@@ -378,16 +422,15 @@ class GroupSpec:
             head = memo.get(x[:-1]) if len(x) > 1 else None
             if head is None:
                 text = self.format_element(x)
+            elif x[-2] != x[-1]:
+                text = head + tokens[x[-1]]
             else:
                 s = x[-1]
                 name = names[abs(s) - 1]
-                if x[-2] == s:
-                    start = head.rfind(" ") + 1
-                    last = head[start:]
-                    exponent = 1 if last == name else int(last[len(name) + 1 :])
-                    text = f"{head[:start]}{name}^{exponent + (1 if s > 0 else -1)}"
-                else:
-                    text = f"{head} {name}" if s > 0 else f"{head} {name}^-1"
+                start = head.rfind(" ") + 1
+                last = head[start:]
+                exponent = 1 if last == name else int(last[len(name) + 1 :])
+                text = f"{head[:start]}{name}^{exponent + (1 if s > 0 else -1)}"
             memo[x] = text
             return text
 
@@ -398,19 +441,22 @@ class GroupSpec:
 
         In the free model the callable remembers every word it returns, so
         a text whose head ``text.rpartition(" ")[0]`` was parsed earlier in
-        the batch costs one token: the last token's cached run is reduced
-        onto the head's word.  That is exact because free reduction does
-        not depend on where it starts.  A miss, a last token that is not
-        ``1`` or a generator power of at most ``_MAX_TOKEN_RUN`` letters, or
-        a result over ``MAX_FREE_WORD_LENGTH`` parses the whole text with
-        :meth:`parse_element`, which raises its own errors.  The canonical
-        texts of a ball, sorted as strings or listed in element order, hit
-        on every text of two or more tokens.  Other models parse each text
-        alone.
+        the batch costs one token.  A last token that is one generator name
+        and does not cancel the head's last letter is appended to the
+        head's word as that letter; any other is looked up as a cached run
+        and reduced onto the head's word.  That is exact because free
+        reduction does not depend on where it starts.  A miss, a last token
+        that is not ``1`` or a generator power of at most ``_MAX_TOKEN_RUN``
+        letters, or a result over ``MAX_FREE_WORD_LENGTH`` parses the whole
+        text with :meth:`parse_element`, which raises its own errors.  The
+        canonical texts of a ball, sorted as strings or listed in element
+        order, hit on every text of two or more tokens.  Other models parse
+        each text alone.
         """
         if self.model != "free":
             return self.parse_element
         names = self.generator_names
+        letters = {name: letter for letter, name in enumerate(names, 1)}
         memo: dict[str, Element] = {}
 
         def parse_text(text: str) -> Element:
@@ -420,13 +466,20 @@ class GroupSpec:
             head, _, token = text.rpartition(" ")
             # "" is never remembered: it does not parse.
             word = memo.get(head)
-            run = None if word is None else _free_token_run(names, token)
-            if run is not None:
-                k = 0
-                while k < len(run) and k < len(word) and word[-1 - k] == -run[k]:
-                    k += 1
-                word = word[: len(word) - k] + run[k:]
-            if run is None or len(word) > MAX_FREE_WORD_LENGTH:
+            if word is not None:
+                letter = letters.get(token)
+                if letter is not None and not (word and word[-1] == -letter):
+                    word = word + (letter,)
+                else:
+                    run = _free_token_run(names, token)
+                    if run is None:
+                        word = None
+                    else:
+                        k = 0
+                        while k < len(run) and k < len(word) and word[-1 - k] == -run[k]:
+                            k += 1
+                        word = word[: len(word) - k] + run[k:]
+            if word is None or len(word) > MAX_FREE_WORD_LENGTH:
                 word = self.parse_element(text)
             memo[text] = word
             return word

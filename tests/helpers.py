@@ -67,16 +67,18 @@ def ledger_entry(audit, name: str):
 
 
 def record_products(monkeypatch, before=None) -> list:
-    """Patch ``GroupSpec.multiply`` and ``GroupSpec.translates`` so that
-    every product g·s formed through either appends its right factor s to
-    the returned list, one entry per product.  ``before(s)``, if given,
-    runs ahead of each entry and may raise to forbid the product.  A
-    column counts one product per element, all before it is formed, and
-    the products it forms through ``multiply`` are not counted again."""
+    """Patch ``GroupSpec.multiply``, ``GroupSpec.translates`` and
+    ``GroupSpec.star`` so that every product g·s formed through any of
+    them appends its right factor s to the returned list, one entry per
+    product.  ``before(s)``, if given, runs ahead of each entry and may
+    raise to forbid the product.  A column counts one product per element
+    and a star one per step, all before it is formed, and the products
+    that either forms through ``multiply`` are not counted again."""
     factors = []
     multiply = GroupSpec.multiply
     translates = GroupSpec.translates
-    in_column = [False]
+    star = GroupSpec.star
+    in_kernel = [False]
 
     def record(s, count):
         for _ in range(count):
@@ -84,22 +86,37 @@ def record_products(monkeypatch, before=None) -> list:
                 before(s)
             factors.append(s)
 
+    def kernel(products):
+        in_kernel[0] = True
+        try:
+            return products()
+        finally:
+            in_kernel[0] = False
+
     def counted_multiply(self, x, y):
-        if not in_column[0]:
+        if not in_kernel[0]:
             record(y, 1)
         return multiply(self, x, y)
 
     def counted_translates(self, elements, s):
         elements = list(elements)
         record(s, len(elements))
-        in_column[0] = True
-        try:
-            return translates(self, elements, s)
-        finally:
-            in_column[0] = False
+        return kernel(lambda: translates(self, elements, s))
+
+    def counted_star(self, steps):
+        steps = tuple(steps)
+        products = star(self, steps)
+
+        def counted(x):
+            for s in steps:
+                record(s, 1)
+            return kernel(lambda: products(x))
+
+        return counted
 
     monkeypatch.setattr(GroupSpec, "multiply", counted_multiply)
     monkeypatch.setattr(GroupSpec, "translates", counted_translates)
+    monkeypatch.setattr(GroupSpec, "star", counted_star)
     return factors
 
 

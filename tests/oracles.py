@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from paradec.decomposition import PartialDecomposition
+from paradec.decomposition import DecompositionReport, PartialDecomposition
 from paradec.doubling import Certificate, TranslatingSets, Verdict, make_violator
 from paradec.errors import CertificateError, ParadecError
 from paradec.groups import Element, GroupSpec, free_group
@@ -701,3 +701,51 @@ def shrink_violator_rows_oracle(spec, ts, a1, a2):
                 counts.update(row)
                 keep.append(g)
     return kept
+
+
+def translates_oracle(spec, elements, s):
+    """The column ``[x·s for x in elements]``, one ``multiply`` per element
+    in element order: the reference for ``GroupSpec.translates``."""
+    return [spec.multiply(x, s) for x in elements]
+
+
+def star_oracle(spec, steps, x):
+    """The star ``[x·s for s in steps]``, one ``multiply`` per step in step
+    order: the reference for the callable of ``GroupSpec.star``."""
+    return [spec.multiply(x, s) for s in steps]
+
+
+def verify_decomposition_oracle(spec, pd):
+    """``paradec.verify_decomposition`` element by element: each domain
+    element's translates are formed in translator order up to the first
+    that lands in its own translator's piece, and an element that none
+    covers is indeterminate when one of its translates leaves the domain,
+    else uncovered.  Overlaps come from :func:`overlaps_oracle`."""
+    domain = set(pd.domain)
+    lists = []
+    for pieces in (pd.pieces1, pd.pieces2):
+        piece_of = dict(pieces)
+        uncovered, indeterminate = [], []
+        for g in pd.domain:
+            translates = []
+            for s, _ in pieces:
+                target = spec.multiply(g, s)
+                if target in piece_of[s]:
+                    break
+                translates.append(target)
+            else:
+                if all(target in domain for target in translates):
+                    uncovered.append(g)
+                else:
+                    indeterminate.append(g)
+        lists.append((tuple(uncovered), tuple(indeterminate)))
+    overlaps = overlaps_oracle(spec, pd)
+    (uncovered1, indeterminate1), (uncovered2, indeterminate2) = lists
+    return DecompositionReport(
+        disjoint=not overlaps,
+        overlaps=overlaps,
+        uncovered1=uncovered1,
+        uncovered2=uncovered2,
+        indeterminate1=indeterminate1,
+        indeterminate2=indeterminate2,
+    )

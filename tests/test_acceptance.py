@@ -88,7 +88,7 @@ def test_criterion_2_free2_certificates_all_radii():
         verify_certificate(spec, ts, verdict)
         pd, _ = pieces_from_certificate(spec, verdict, ts)
         assert set(pd.domain) == set(domain)
-        assert verify_decomposition(spec, pd, ts).passed
+        assert verify_decomposition(spec, pd).passed
         entries.append((ts, verdict))
     freeness = free_up_to_length(spec, (1,), (2,), 6)
     bounds = tarski_bound_report(entries, freeness)
@@ -113,7 +113,7 @@ def test_criterion_3_free3_prop2_translating_sets():
         assert isinstance(verdict, Certificate), f"violator at radius {radius}"
         pd, _ = pieces_from_certificate(spec, verdict, ts)
         assert set(pd.domain) == set(patch.vertices)
-        assert verify_decomposition(spec, pd, ts).passed
+        assert verify_decomposition(spec, pd).passed
         assert ts.total_size() == 5
         assert pd.nonempty_piece_count() <= 5
     # independent count of the radius-5 ball

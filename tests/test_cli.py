@@ -260,6 +260,25 @@ class TestViolate:
         assert code == 1
         assert not data["found"]
 
+    def test_text_mode_builds_no_json_document(self, capsys, monkeypatch):
+        # the text line reads the radius and two sizes; only --format json
+        # builds the violator document and the context block
+        built = count_calls(monkeypatch, cli, "verdict_to_jsonable")
+        context = count_calls(monkeypatch, cli, "_context")
+        found = ("violate", "--group", "abelian:2", "--s1", "1,a", "--s2", "1,b,a b",
+                 "--max-radius", "6")
+        absent = ("violate", "--group", "free:2", "--s1", "1,a", "--s2", "1,b",
+                  "--max-radius", "2")
+        code, out, _ = run(capsys, *found)
+        assert code == 0 and out.startswith("violator at radius ")
+        code, out, _ = run(capsys, *absent)
+        assert code == 1 and out == "no violator up to radius 2\n"
+        assert built == [] and context == []
+        code, _, _ = run_json(capsys, *found)
+        assert code == 0 and len(built) == 1 and len(context) == 1
+        code, _, _ = run_json(capsys, *absent)
+        assert code == 1 and len(built) == 1 and len(context) == 2
+
 
 class TestDecompose:
     def test_free2_passes(self, capsys):
@@ -306,6 +325,28 @@ class TestDecompose:
         )
         assert code == 0 and data["verification"]["passed"]
         assert len(searched) == 0 and len(verified) == 1
+
+    def test_text_mode_builds_no_json_document(self, capsys, monkeypatch):
+        # text mode prints the pieces document through report_to_text, but
+        # builds no verification block, violator document or context block
+        names = ("verification_to_jsonable", "verdict_to_jsonable", "_context")
+        built = {name: count_calls(monkeypatch, cli, name) for name in names}
+        pieces = count_calls(monkeypatch, cli, "decomposition_to_jsonable")
+        certificate = ("decompose", "--group", "free:2", "--s1", "1,a", "--s2", "1,b",
+                       "--radius", "2")
+        violator = ("decompose", "--group", "cyclic:6", "--s1", "1,a", "--s2", "1,a",
+                    "--radius", "3")
+        code, out, _ = run(capsys, *certificate)
+        assert code == 0 and out.startswith("4 nonempty pieces over 4 translators")
+        code, out, _ = run(capsys, *violator)
+        assert code == 1 and out == "no decomposition: the domain admits a violator\n"
+        assert all(calls == [] for calls in built.values()) and len(pieces) == 1
+        run_json(capsys, *certificate)
+        run_json(capsys, *violator)
+        assert {name: len(calls) for name, calls in built.items()} == {
+            "verification_to_jsonable": 1, "verdict_to_jsonable": 1, "_context": 2
+        }
+        assert len(pieces) == 2
 
 
 class TestForestAudit:

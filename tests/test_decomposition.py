@@ -67,7 +67,7 @@ class TestPiecesFromCertificate:
         assert dict(pd.pieces1)[e] == frozenset([e])
         assert dict(pd.pieces1)[x] == frozenset()
         assert dict(pd.pieces2)[x] == frozenset([x])
-        report = verify_decomposition(spec, pd, ts)
+        report = verify_decomposition(spec, pd)
         assert report.passed
 
     def test_free2_ball3_pipeline(self):
@@ -78,7 +78,7 @@ class TestPiecesFromCertificate:
         pd, report = pieces_from_certificate(spec, verdict, ts)
         assert pd.nonempty_piece_count() == 4
         assert report.passed
-        assert report == verify_decomposition(spec, pd, ts)
+        assert report == verify_decomposition(spec, pd)
 
     def test_free3_ball3_pipeline(self):
         spec = free_group(3)
@@ -87,7 +87,7 @@ class TestPiecesFromCertificate:
         verdict = check_domain(spec, ts, domain)
         pd, _ = pieces_from_certificate(spec, verdict, ts)
         assert pd.nonempty_piece_count() <= 5
-        assert verify_decomposition(spec, pd, ts).passed
+        assert verify_decomposition(spec, pd).passed
 
     def test_invalid_certificate_rejected(self):
         spec = free_group(2)
@@ -109,7 +109,7 @@ class TestPiecesFromCertificate:
             domain = ball(spec, radius).vertices
             verdict = check_domain(spec, ts, domain)
             pd, _ = pieces_from_certificate(spec, verdict, ts)
-            assert verify_decomposition(spec, pd, ts).passed
+            assert verify_decomposition(spec, pd).passed
             assert pd.nonempty_piece_count() <= ts.total_size()
 
 
@@ -323,7 +323,7 @@ class TestVerifyDecomposition:
         e = spec.identity()
         ts = TranslatingSets(s1=(e, (1,)), s2=(e, (2,)))
         pd = hand_built_decomposition(spec, ts, {e: {e}}, {e: {e}}, domain=[e])
-        report = verify_decomposition(spec, pd, ts)
+        report = verify_decomposition(spec, pd)
         assert not report.disjoint
         assert report.overlaps == (e,)
         assert not report.passed
@@ -333,7 +333,7 @@ class TestVerifyDecomposition:
         e = spec.identity()
         ts = TranslatingSets(s1=(e, (1,)), s2=(e, (2,)))
         pd = hand_built_decomposition(spec, ts, {}, {}, domain=[])
-        report = verify_decomposition(spec, pd, ts)
+        report = verify_decomposition(spec, pd)
         assert report.passed
 
     @pytest.mark.parametrize("shared", [2, 3])
@@ -353,19 +353,18 @@ class TestVerifyDecomposition:
         for piece in owners[1:shared]:
             piece.update(shared_elements)
         tampered = hand_built_decomposition(spec, ts, pieces1, pieces2, pd.domain)
-        report = verify_decomposition(spec, tampered, ts)
+        report = verify_decomposition(spec, tampered)
         assert report.overlaps == overlaps_oracle(spec, tampered)
         assert report.overlaps == tuple(shared_elements)
         assert not report.disjoint and not report.passed
 
     def test_report_lists_elements_in_domain_order(self):
         spec = free_group(2)
-        ts = FIRST_LETTER_TRANSLATORS
         pd = first_letter_pieces(2, ball(spec, 3).vertices)
-        whole = verify_decomposition(spec, pd, ts)
+        whole = verify_decomposition(spec, pd)
         assert whole.indeterminate1 and whole.indeterminate2
         backwards = dataclasses.replace(pd, domain=pd.domain[::-1])
-        assert verify_decomposition(spec, backwards, ts) == dataclasses.replace(
+        assert verify_decomposition(spec, backwards) == dataclasses.replace(
             whole, **{name: getattr(whole, name)[::-1] for name in ELEMENT_LISTS}
         )
 
@@ -375,33 +374,30 @@ class TestFirstLetterPieces:
         spec = free_group(2)
         domain = ball(spec, 1).vertices
         pd = first_letter_pieces(2, domain)
-        ts = FIRST_LETTER_TRANSLATORS
         pieces1 = dict(pd.pieces1)
         assert pieces1[()] == frozenset([(-1,)])
         assert pieces1[(1,)] == frozenset([(1,)])
         pieces2 = dict(pd.pieces2)
         assert pieces2[()] == frozenset([(-2,)])
         assert pieces2[(2,)] == frozenset([(2,)])
-        assert restricted(verify_decomposition(spec, pd, ts), [()]).passed
+        assert restricted(verify_decomposition(spec, pd), [()]).passed
 
     def test_identity_in_no_piece_but_covered(self):
         spec = free_group(2)
         domain = ball(spec, 2).vertices
         pd = first_letter_pieces(2, domain)
-        ts = FIRST_LETTER_TRANSLATORS
         e = spec.identity()
         for _, piece in pd.pieces1 + pd.pieces2:
             assert e not in piece
-        report = restricted(verify_decomposition(spec, pd, ts), [e])
+        report = restricted(verify_decomposition(spec, pd), [e])
         assert report.passed and not report.indeterminate1
 
     def test_rank3_words_beyond_first_two_letters_ignored(self):
         spec = free_group(3)
         domain = ball(spec, 2).vertices
         pd = first_letter_pieces(3, domain)
-        ts = FIRST_LETTER_TRANSLATORS
         inner = [w for w in domain if len(w) <= 1]
-        assert restricted(verify_decomposition(spec, pd, ts), inner).passed
+        assert restricted(verify_decomposition(spec, pd), inner).passed
 
     def test_rank_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -416,9 +412,9 @@ class TestFirstLetterPieces:
         domain = ball(spec, radius).vertices
         verdict = check_domain(spec, ts, domain)
         from_matching, _ = pieces_from_certificate(spec, verdict, ts)
-        assert verify_decomposition(spec, from_matching, ts).passed
+        assert verify_decomposition(spec, from_matching).passed
         constructed = first_letter_pieces(2, domain)
-        report = verify_decomposition(spec, constructed, ts)
+        report = verify_decomposition(spec, constructed)
         assert report.passed
         inner = [w for w in domain if len(w) < radius]
         strict = restricted(report, inner)

@@ -5,12 +5,15 @@ Each case is (name, expected exit code, argv); its stdout is stored as
 command writes, byte for byte.  The ``report`` cases read earlier cases' JSON
 files as their inputs, so cases are frozen in list order.  A JSON case that
 differs names the first key path whose value differs, or says the
-difference is in the layout only.  To refreeze after a deliberate output
-change:
+difference is in the layout only.  ``DIGESTS`` cases, the radius-6 chain
+that is too large to keep as files, are compared by the sha256 digest of
+their stdout, listed in ``tests/golden/free3_r6.sha256``.  To refreeze
+every golden file and digest after a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import io
 import json
 import sys
@@ -111,6 +114,24 @@ DUMPS = [
 ]
 
 
+# The m+n = 5 chain on the 23,437-element radius-6 ball of free:3, the one
+# the tarski-free3 benchmark replays; the check alone prints 2 MB, so each
+# stdout is kept as its sha256 digest.  The report reads the check's output,
+# written to the directory the cases run in ("{dir}" in its argv).
+_FREE3_R6 = ["--group", "free:3", "--s1", "1,a", "--s2", "1,b,c"]
+DIGESTS = [
+    ("check_free3_r6_json", 0, ["check", *_FREE3_R6, "--radius", "6", "--format", "json"]),
+    ("decompose_free3_r6_json", 0,
+     ["decompose", *_FREE3_R6, "--radius", "6", "--format", "json"]),
+    ("violate_free3_r6_json", 1,
+     ["violate", *_FREE3_R6, "--max-radius", "6", "--format", "json"]),
+    ("report_free3_r6_json", 0,
+     ["report", "--inputs", "{dir}/check_free3_r6_json.out",
+      "--freeness", str(GOLDEN / "free_check_free3_json.out"), "--format", "json"]),
+]
+DIGEST_FILE = GOLDEN / "free3_r6.sha256"
+
+
 def run_case(argv):
     buffer = io.StringIO()
     with redirect_stdout(buffer):
@@ -123,6 +144,27 @@ def run_dump(argv, directory: Path, name: str) -> bytes:
     code, _ = run_case([*argv, str(path)])
     assert code == 0
     return path.read_bytes()
+
+
+def digest_cases(directory: Path) -> dict:
+    """Run the ``DIGESTS`` cases in list order, each stdout written to
+    ``directory``; name -> (exit code, sha256 hex digest of stdout)."""
+    found = {}
+    for name, _, argv in DIGESTS:
+        code, out = run_case([arg.replace("{dir}", str(directory)) for arg in argv])
+        data = out.encode()
+        (directory / f"{name}.out").write_bytes(data)
+        found[name] = (code, hashlib.sha256(data).hexdigest())
+    return found
+
+
+def read_digests() -> dict:
+    """name -> sha256 hex digest, from ``sha256sum``-style lines."""
+    digests = {}
+    for line in DIGEST_FILE.read_text().splitlines():
+        digest, name = line.split()
+        digests[name.removesuffix(".out")] = digest
+    return digests
 
 
 def first_difference(expected, actual, path: str = "$") -> "str | None":
@@ -180,6 +222,19 @@ def test_dump_matches_golden(name, argv, tmp_path):
     assert_same_json_text(name, out, (GOLDEN / name).read_text())
 
 
+@pytest.fixture(scope="module")
+def r6_digests(tmp_path_factory):
+    return digest_cases(tmp_path_factory.mktemp("r6"))
+
+
+@pytest.mark.parametrize("name,expect_rc", [(n, rc) for n, rc, _ in DIGESTS],
+                         ids=[d[0] for d in DIGESTS])
+def test_stdout_matches_its_digest(r6_digests, name, expect_rc):
+    code, digest = r6_digests[name]
+    assert code == expect_rc
+    assert digest == read_digests()[name], f"{name} differs from its frozen digest"
+
+
 JSON_GOLDEN = [f"{name}.out" for name, _, _ in CASES if name.endswith("_json")] + [
     name for name, _ in DUMPS
 ]
@@ -222,3 +277,12 @@ if __name__ == "__main__":
         for name, argv in DUMPS:
             (GOLDEN / name).write_bytes(run_dump(argv, Path(scratch), name))
             print(f"wrote {name}", file=sys.stderr)
+        lines = []
+        for (name, expect_rc, _), (code, digest) in zip(
+            DIGESTS, digest_cases(Path(scratch)).values()
+        ):
+            if code != expect_rc:
+                sys.exit(f"{name}: exit {code}, expected {expect_rc}")
+            lines.append(f"{digest}  {name}.out\n")
+        DIGEST_FILE.write_text("".join(lines))
+        print(f"wrote {DIGEST_FILE.name}", file=sys.stderr)
