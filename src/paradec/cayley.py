@@ -90,8 +90,9 @@ class CayleyPatch:
     (vertex 0 is the identity) and ``level_sizes``, the number of vertices
     at each distance up to the largest one present.  Built on first read
     and kept, since most callers need only the vertices: the vertex index
-    behind :meth:`index_of` and ``in``, ``distances``, ``edges``, the
-    unoriented simple view ``simple_edges`` and the ``interior``.
+    behind :meth:`index_of` and ``in``, ``distances``, the ``neighbours``
+    table, and its views ``edges``, the unoriented simple graph
+    ``simple_edges`` and the ``interior``.
     """
 
     spec: GroupSpec
@@ -112,20 +113,26 @@ class CayleyPatch:
         )
 
     @cached_property
+    def neighbours(self) -> tuple[tuple["int | None", ...], ...]:
+        """One row per vertex: for each element s of the symmetrized
+        generating set, in view order, the index of u·s, or None when the
+        product leaves the patch.  Every edge fact is read off this table."""
+        star = self.spec.star(s for _, _, s in self.gens.symmetrized(self.spec))
+        lookup = self._index.get
+        return tuple(tuple(map(lookup, star(u))) for u in self.vertices)
+
+    @cached_property
     def edges(self) -> tuple[tuple[int, str, int, int], ...]:
         """Directed labeled edges (source, symbol, sign, target), one per
         vertex and symmetrized generator whose product stays inside, by
         source index and then generator order."""
-        view = self.gens.symmetrized(self.spec)
-        star = self.spec.star(s for _, _, s in view)
-        index = self._index
-        edges = []
-        for i, u in enumerate(self.vertices):
-            for (sym, sign, _), v in zip(view, star(u)):
-                j = index.get(v)
-                if j is not None:
-                    edges.append((i, sym, sign, j))
-        return tuple(edges)
+        labels = [(sym, sign) for sym, sign, _ in self.gens.symmetrized(self.spec)]
+        return tuple(
+            (i, sym, sign, j)
+            for i, row in enumerate(self.neighbours)
+            for (sym, sign), j in zip(labels, row)
+            if j is not None
+        )
 
     def index_of(self, element: Element) -> int:
         return self._index[element]
@@ -135,23 +142,27 @@ class CayleyPatch:
 
     @cached_property
     def simple_edges(self) -> tuple[tuple[int, int], ...]:
-        """Unoriented simple graph: loops dropped, parallel edges collapsed."""
-        seen = {(min(u, v), max(u, v)) for u, _, _, v in self.edges if u != v}
-        return tuple(sorted(seen))
+        """Unoriented simple graph: loops dropped, parallel edges collapsed.
+
+        The view holds every generator's inverse, so each in-patch edge
+        u -> v has its reverse v -> u, and the products in a row are
+        distinct elements: the pairs i < j are each edge once."""
+        return tuple(
+            sorted(
+                (i, j)
+                for i, row in enumerate(self.neighbours)
+                for j in row
+                if j is not None and j > i
+            )
+        )
 
     @cached_property
     def interior(self) -> tuple[Element, ...]:
-        """Vertices, in patch order, whose whole S ∪ S⁻¹ star lies in the patch.
-
-        ``edges`` holds one edge per vertex and symmetrized generator whose
-        product stays inside, so a vertex is interior exactly when it has as
-        many outgoing edges as the symmetrized view has elements.
-        """
-        star = len(self.gens.symmetrized(self.spec))
-        degree = [0] * len(self.vertices)
-        for u, _, _, _ in self.edges:
-            degree[u] += 1
-        return tuple(v for v, d in zip(self.vertices, degree) if d == star)
+        """Vertices, in patch order, whose whole S ∪ S⁻¹ star lies in the
+        patch: the rows of ``neighbours`` with no None."""
+        return tuple(
+            v for v, row in zip(self.vertices, self.neighbours) if None not in row
+        )
 
     def sphere_sizes(self) -> list[int]:
         """Vertex counts at each distance up to the largest one present.

@@ -49,6 +49,7 @@ from .errors import (
 from .forest import (
     a_edge_contraction,
     audit_counting_argument,
+    check_generating_triple,
     identify_triple,
     sample_forest_containing_a_edges,
 )
@@ -113,12 +114,14 @@ def _context(spec: GroupSpec, gens: GeneratingSet, ts: "TranslatingSets | None")
 def cmd_ball(args: argparse.Namespace) -> int:
     spec, gens, _ = _group(args)
     patch = _ball(args, spec, gens)
+    # The labeled edges are built only for a dump; the count reads the table.
+    edges = sum(len(row) - row.count(None) for row in patch.neighbours)
     payload = _context(spec, gens, None)
     payload.update(
         {
             "radius": args.radius,
             "vertices": len(patch.vertices),
-            "edges": len(patch.edges),
+            "edges": edges,
             "simple_edges": len(patch.simple_edges),
             "sphere_sizes": patch.sphere_sizes(),
         }
@@ -134,7 +137,7 @@ def cmd_ball(args: argparse.Namespace) -> int:
         args,
         payload,
         f"ball radius {args.radius} of {spec_to_string(spec)}: "
-        f"{len(patch.vertices)} vertices, {len(patch.edges)} labeled edges, "
+        f"{len(patch.vertices)} vertices, {edges} labeled edges, "
         f"sphere sizes {patch.sphere_sizes()}",
     )
     return EXIT_OK
@@ -260,6 +263,7 @@ def cmd_forest_audit(args: argparse.Namespace) -> int:
         raise ValueError("patch interior is empty; increase the radius")
     audit_ts = ts
     if audit_ts is None:
+        check_generating_triple(spec, gens)
         names = gens.symbols()
         identity = spec.identity()
         audit_ts = TranslatingSets(

@@ -189,36 +189,45 @@ def contract_required_edges(
     edges: Sequence[tuple[int, int]],
     required: Sequence[tuple[int, int]],
 ) -> Contraction:
-    """Contract the required edges (they must be acyclic) of a connected graph.
+    """Contract the required edges (they must be acyclic edges of the
+    graph) of a connected graph.
 
     Parallel edges of the contraction stay distinct, which is what keeps the
     lifted spanning trees uniform; self-loops are dropped since no spanning
-    tree can use them.
+    tree can use them.  A required pair that is not an edge of the graph
+    raises ValueError.
     """
-    required = tuple((min(u, v), max(u, v)) for u, v in required)
-    required_set = set(required)
+    required = tuple((u, v) if u < v else (v, u) for u, v in required)
     uf = _UnionFind(num_vertices)
     for u, v in required:
+        if u < 0 or v >= num_vertices:
+            raise ValueError(f"required edge ({u}, {v}) is not an edge of the graph")
         if not uf.union(u, v):
             raise RequiredEdgesCycleError(
                 f"required edges close a cycle at ({u}, {v})"
             )
-    roots = sorted({uf.find(x) for x in range(num_vertices)})
-    block = {root: i for i, root in enumerate(roots)}
+    roots = [uf.find(x) for x in range(num_vertices)]
+    block = {root: i for i, root in enumerate(sorted(set(roots)))}
+    block_of = [block[root] for root in roots]
+    # A required edge joins two vertices of one block, so it is met among
+    # the edges skipped there; any one not met is not an edge of the graph.
+    unmet = set(required)
     contracted: list[tuple[int, int]] = []
     originals: list[tuple[int, int]] = []
     for u, v in edges:
-        key = (min(u, v), max(u, v))
-        if key in required_set:
-            continue
-        cu, cv = block[uf.find(u)], block[uf.find(v)]
+        key = (u, v) if u < v else (v, u)
+        cu, cv = block_of[u], block_of[v]
         if cu == cv:
+            unmet.discard(key)
             continue
         contracted.append((cu, cv))
         originals.append(key)
-    _check_connected(len(roots), contracted)
+    if unmet:
+        u, v = next(edge for edge in required if edge in unmet)
+        raise ValueError(f"required edge ({u}, {v}) is not an edge of the graph")
+    _check_connected(len(block), contracted)
     return Contraction(
-        num_vertices, required, len(roots), tuple(contracted), tuple(originals)
+        num_vertices, required, len(block), tuple(contracted), tuple(originals)
     )
 
 
@@ -235,12 +244,19 @@ def sample_spanning_tree_with_required_edges(
 
 
 def patch_a_edges(patch: CayleyPatch, a_symbol: str) -> tuple[tuple[int, int], ...]:
-    """In-patch unoriented simple edges whose label element is a or a⁻¹."""
-    pairs = {
-        (min(u, v), max(u, v))
-        for u, sym, _, v in patch.edges
-        if sym == a_symbol and u != v
-    }
+    """In-patch unoriented simple edges whose label element is a or a⁻¹,
+    read off the a and a⁻¹ columns of the patch's neighbour table."""
+    columns = [
+        k
+        for k, (sym, _, _) in enumerate(patch.gens.symmetrized(patch.spec))
+        if sym == a_symbol
+    ]
+    pairs = set()
+    for k in columns:
+        for i, row in enumerate(patch.neighbours):
+            j = row[k]
+            if j is not None and j != i:
+                pairs.add((i, j) if i < j else (j, i))
     return tuple(sorted(pairs))
 
 
@@ -339,15 +355,21 @@ class ForestAudit:
         }
 
 
-def identify_triple(
-    spec: GroupSpec, gens: GeneratingSet, ts: TranslatingSets
-) -> tuple[str, str, str]:
-    """Match S1 = {1, a}, S2 = {1, b, c} against a named generating triple."""
+def check_generating_triple(spec: GroupSpec, gens: GeneratingSet) -> None:
+    """The audit's generators must be three distinct non-identity elements
+    (a, b, c)."""
     if len(gens.pairs) != 3:
         raise ValueError("the audit needs a generating triple (a, b, c)")
     elements = [el for _, el in gens.pairs]
     if len(set(elements)) != 3 or spec.identity() in elements:
         raise ValueError("generating triple must be three distinct non-identity elements")
+
+
+def identify_triple(
+    spec: GroupSpec, gens: GeneratingSet, ts: TranslatingSets
+) -> tuple[str, str, str]:
+    """Match S1 = {1, a}, S2 = {1, b, c} against a named generating triple."""
+    check_generating_triple(spec, gens)
     identity = spec.identity()
     if len(ts.s1) != 2 or identity not in ts.s1:
         raise ValueError("S1 must have the shape {1, a}")

@@ -1,6 +1,7 @@
-"""Shared test utilities: random elements, small spec menageries, a
-product counter, a patch's a-edge forest, forest degree sums and ledger
-lookup, and the Hall graphs of the amenable-abelian2 bench."""
+"""Shared test utilities: random elements, small spec menageries, patches
+with loops, parallel generators and involutions, a product counter, a
+patch's a-edge forest, forest degree sums and ledger lookup, and the Hall
+graphs of the amenable-abelian2 bench."""
 
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ from paradec import (
     free_abelian_group,
     free_group,
     matrix_group,
+    parse_group_spec,
     sample_forest_containing_a_edges,
+    spec_to_string,
 )
 from paradec.cayley import ball_levels
 from paradec.doubling import _HallGraph
@@ -31,6 +34,44 @@ def all_model_specs():
         cyclic_group(5),
         cyclic_group(12),
         matrix_group(),
+    ]
+
+
+# Generating sets whose patches have loops (a generator is the identity),
+# parallel generators (two symbols, one element, or one symbol's inverse
+# under another name) and involutions (a = a^-1): (group, "sym=word,...").
+EDGE_CASE_GENERATORS = [
+    ("free:2", "a=1,b=b"),
+    ("free:2", "a=a,b=a,c=b"),
+    ("free:2", "a=a,b=a^-1,c=b"),
+    ("free:2", "a=a,b=b,c=a b"),
+    ("cyclic:2", None),
+    ("cyclic:6", "a=a^3,b=a^2"),
+    ("sl2z:-1,0,0,-1,1,1,0,1", None),
+]
+
+
+def edge_case_patches(radii=(0, 1, 3)) -> list:
+    """(id, patch) for every model's standard generators and every
+    generating set of ``EDGE_CASE_GENERATORS``, at each radius."""
+    cases = [
+        (f"{spec_to_string(spec)}[standard]", spec, GeneratingSet.standard(spec))
+        for spec in all_model_specs()
+    ]
+    for group, text in EDGE_CASE_GENERATORS:
+        spec = parse_group_spec(group)
+        if text is None:
+            gens = GeneratingSet.standard(spec)
+        else:
+            pairs = [chunk.split("=") for chunk in text.split(",")]
+            gens = GeneratingSet.from_pairs(
+                spec, [(sym, spec.parse_element(word)) for sym, word in pairs]
+            )
+        cases.append((f"{group}[{text or 'standard'}]", spec, gens))
+    return [
+        (f"{label}-r{radius}", enumerate_ball(spec, gens, radius))
+        for label, spec, gens in cases
+        for radius in radii
     ]
 
 

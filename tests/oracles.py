@@ -191,6 +191,29 @@ def ball_edges_oracle(patch):
     return tuple(edges)
 
 
+def simple_edges_oracle(edges):
+    """The unoriented simple graph of labeled edges ``(u, sym, sign, v)``:
+    loops dropped, each pair once as (min, max), sorted."""
+    return tuple(sorted({(min(u, v), max(u, v)) for u, _, _, v in edges if u != v}))
+
+
+def interior_oracle(patch, edges):
+    """The patch's vertices, in patch order, with one outgoing labeled edge
+    per element of the symmetrized generating set."""
+    star = len(patch.gens.symmetrized(patch.spec))
+    degree = [0] * len(patch.vertices)
+    for u, _, _, _ in edges:
+        degree[u] += 1
+    return tuple(v for v, d in zip(patch.vertices, degree) if d == star)
+
+
+def patch_a_edges_oracle(edges, a_symbol):
+    """The unoriented simple edges among the labeled edges of symbol
+    ``a_symbol``, sorted."""
+    pairs = {(min(u, v), max(u, v)) for u, sym, _, v in edges if sym == a_symbol and u != v}
+    return tuple(sorted(pairs))
+
+
 def minimal_violating_radius_oracle(spec, gens, ts, max_radius, vertex_budget=None):
     """Per-radius violator search: a fresh ball and a fresh matching
     (``check_domain``) at every radius 0..max_radius in turn.  As in
@@ -276,15 +299,12 @@ def wilson_oracle(num_vertices, multigraph_edges, rng):
     return tree_edges
 
 
-def sample_with_required_edges_oracle(num_vertices, edges, required, seed):
-    """Conditioned spanning tree with the contraction rebuilt on every call:
-    union-find over the required edges, the block map, the contracted edge
-    list and its connectivity check, then one Wilson walk on it
-    (:func:`wilson_oracle`), even when the contraction is already a tree."""
-    import random
-
+def contraction_oracle(num_vertices, edges, required):
+    """The contraction of the required edges, its union-find and block map
+    rebuilt from scratch: ``(required, num_blocks, edges, originals)`` as
+    :class:`paradec.forest.Contraction` holds them, after the same cycle
+    and connectivity checks."""
     from paradec.errors import DisconnectedGraphError, RequiredEdgesCycleError
-    from paradec.forest import ForestSample
 
     def find(parent, x):
         while parent[x] != x:
@@ -292,7 +312,7 @@ def sample_with_required_edges_oracle(num_vertices, edges, required, seed):
             x = parent[x]
         return x
 
-    required = [(min(u, v), max(u, v)) for u, v in required]
+    required = tuple((min(u, v), max(u, v)) for u, v in required)
     pinned = set(required)
     parent = list(range(num_vertices))
     for u, v in required:
@@ -321,8 +341,22 @@ def sample_with_required_edges_oracle(num_vertices, edges, required, seed):
         raise DisconnectedGraphError(
             f"graph has {components} components; spanning trees need 1"
         )
-    chosen = wilson_oracle(len(roots), contracted, random.Random(seed))
-    picked = [originals[i] for i in chosen] + required
+    return required, len(roots), tuple(contracted), tuple(originals)
+
+
+def sample_with_required_edges_oracle(num_vertices, edges, required, seed):
+    """Conditioned spanning tree with the contraction rebuilt on every call
+    (:func:`contraction_oracle`), then one Wilson walk on it
+    (:func:`wilson_oracle`), even when the contraction is already a tree."""
+    import random
+
+    from paradec.forest import ForestSample
+
+    required, num_blocks, contracted, originals = contraction_oracle(
+        num_vertices, edges, required
+    )
+    chosen = wilson_oracle(num_blocks, contracted, random.Random(seed))
+    picked = [originals[i] for i in chosen] + list(required)
     return ForestSample(num_vertices, tuple(sorted(picked)))
 
 

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from paradec import (
@@ -14,8 +16,16 @@ from paradec import (
 from paradec.cayley import ball_levels
 from paradec.errors import VertexBudgetError
 
-from helpers import all_model_specs, record_products, standard_gens
-from oracles import ball_edges_oracle, ball_oracle, sphere_oracle
+from helpers import all_model_specs, edge_case_patches, record_products, standard_gens
+from oracles import (
+    ball_edges_oracle,
+    ball_oracle,
+    interior_oracle,
+    simple_edges_oracle,
+    sphere_oracle,
+)
+
+EDGE_CASES = edge_case_patches()
 
 
 class TestEnumerateBall:
@@ -234,7 +244,7 @@ class TestSphereSizes:
         assert patch.sphere_sizes() == [1, 2, 2, 2]
 
 
-_LAZY_FACTS = ("_index", "distances", "edges", "simple_edges", "interior")
+_LAZY_FACTS = ("_index", "distances", "neighbours", "edges", "simple_edges", "interior")
 
 
 class TestLazyFacts:
@@ -317,6 +327,42 @@ class TestProductSet:
         spec = free_abelian_group(1)
         result = product_set(spec, [(3,)], [(3,)])
         assert result == frozenset([(6,)])
+
+
+@pytest.mark.parametrize(
+    "patch", [c[1] for c in EDGE_CASES], ids=[c[0] for c in EDGE_CASES]
+)
+class TestNeighbourTable:
+    """The table and its views against the edge-list derivations they
+    replaced, on every model and on loops, parallel generators and
+    involutions."""
+
+    def test_rows_are_the_star_products(self, patch):
+        spec, view = patch.spec, patch.gens.symmetrized(patch.spec)
+        index = {v: i for i, v in enumerate(patch.vertices)}
+        assert patch.neighbours == tuple(
+            tuple(index.get(spec.multiply(u, s)) for _, _, s in view)
+            for u in patch.vertices
+        )
+
+    def test_views_equal_the_edge_list_oracles(self, patch):
+        edges = ball_edges_oracle(patch)
+        assert patch.edges == edges
+        assert patch.simple_edges == simple_edges_oracle(edges)
+        assert patch.interior == interior_oracle(patch, edges)
+
+
+def test_edge_cases_have_loops_parallel_generators_and_involutions():
+    patches = [patch for _, patch in EDGE_CASES]
+    assert any(u == v for p in patches for u, _, _, v in p.edges)
+    assert any(
+        x == y or x == p.spec.invert(y)
+        for p in patches
+        for (_, x), (_, y) in combinations(p.gens.pairs, 2)
+    )
+    assert any(
+        p.spec.invert(x) == x != p.spec.identity() for p in patches for _, x in p.gens.pairs
+    )
 
 
 class TestExports:

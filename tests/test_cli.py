@@ -26,6 +26,7 @@ from paradec.decomposition import freeness_from_jsonable, verify_freeness
 from paradec.doubling import Certificate, Violator
 
 from helpers import all_model_specs, record_products
+from oracles import ball_edges_oracle, simple_edges_oracle
 
 
 def run(capsys, *argv):
@@ -109,6 +110,33 @@ class TestBall:
         assert data["edges"] == [
             [u, format_label(sym, sign), v] for u, sym, sign, v in patch.edges
         ]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("spec", all_model_specs(), ids=spec_to_string)
+    def test_counts_read_the_table_not_the_labeled_edges(
+        self, capsys, monkeypatch, spec, fmt
+    ):
+        patches = []
+
+        def recording(*args):
+            patches.append(enumerate_ball(*args))
+            return patches[-1]
+
+        monkeypatch.setattr(cli, "enumerate_ball", recording)
+        code, out, _ = run(
+            capsys, "ball", "--group", spec_to_string(spec), "--radius", "3",
+            "--format", fmt,
+        )
+        assert code == 0
+        (patch,) = patches
+        assert "edges" not in vars(patch)
+        edges = ball_edges_oracle(patch)
+        if fmt == "json":
+            data = json.loads(out)
+            assert data["edges"] == len(edges)
+            assert data["simple_edges"] == len(simple_edges_oracle(edges))
+        else:
+            assert f" {len(edges)} labeled edges," in out
 
     def test_generator_overrides(self, capsys):
         code, data, _ = run_json(
@@ -453,6 +481,20 @@ class TestForestAudit:
         )
         assert code == 2 and out == ""
         assert err == "error: --s1 and --s2 must be given together\n"
+
+    @pytest.mark.parametrize(
+        "gens", ["a=a,b=b,c=b", "a=a,b=b,c=1"], ids=["repeated", "identity"]
+    )
+    def test_degenerate_triple_named_before_default_translators(self, capsys, gens):
+        # the default S2 = {1, b, c} would repeat a translator; the error
+        # names the generators the user gave instead
+        code, out, err = run(
+            capsys, "forest-audit", "--group", "free:3", "--gens", gens, "--radius", "3",
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: generating triple must be three distinct non-identity elements\n"
+        )
 
     def test_torsion_generator_exit_two(self, capsys):
         # a has order 7, so the a-edges of the ball close a cycle; the

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -32,8 +33,22 @@ from paradec.forest import (
     a_edge_contraction,
 )
 
-from helpers import a_edge_forest, degree_sum, ledger_entry, standard_gens
-from oracles import kirchhoff_count, sample_with_required_edges_oracle, wilson_oracle
+from helpers import (
+    a_edge_forest,
+    degree_sum,
+    edge_case_patches,
+    ledger_entry,
+    standard_gens,
+)
+from oracles import (
+    ball_edges_oracle,
+    contraction_oracle,
+    kirchhoff_count,
+    patch_a_edges_oracle,
+    sample_with_required_edges_oracle,
+    simple_edges_oracle,
+    wilson_oracle,
+)
 
 
 def ball(spec, radius):
@@ -327,6 +342,26 @@ class TestContraction:
         assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize(
+        "num_vertices,edges,required,named",
+        [
+            # once lifted to the "spanning tree" ((0, 1), (0, 2))
+            (3, [(0, 1), (1, 2)], [(0, 2)], "(0, 2)"),
+            (4, [(0, 1), (1, 2), (2, 3)], [(1, 2), (3, 1)], "(1, 3)"),
+            # once a bare IndexError
+            (2, [(0, 1)], [(0, 5)], "(0, 5)"),
+            (2, [(0, 1)], [(-1, 0)], "(-1, 0)"),
+        ],
+        ids=["non_edge", "non_edge_after_an_edge", "past_the_vertices", "negative"],
+    )
+    def test_required_pair_outside_the_graph_rejected(
+        self, num_vertices, edges, required, named
+    ):
+        with pytest.raises(ValueError) as got:
+            sample_spanning_tree_with_required_edges(num_vertices, edges, required, 1)
+        assert type(got.value) is ValueError
+        assert str(got.value) == f"required edge {named} is not an edge of the graph"
+
+    @pytest.mark.parametrize(
         "group,radius,walks", [("free:3", 4, 0), ("abelian:3", 3, 6)]
     )
     def test_walks_only_where_the_contraction_has_cycles(
@@ -359,6 +394,43 @@ class TestContraction:
         for run in (1, 2):
             assert main(argv) in (0, 1)
             assert len(calls) == run
+
+
+EDGE_CASES = edge_case_patches()
+
+
+@pytest.mark.parametrize(
+    "patch", [c[1] for c in EDGE_CASES], ids=[c[0] for c in EDGE_CASES]
+)
+def test_a_edges_and_contraction_equal_the_edge_list_oracles(patch):
+    """Per generator symbol: the a-edges, and the contraction field for
+    field or its cycle error, as derived from the labeled edge list."""
+    edges = ball_edges_oracle(patch)
+    for a_symbol in patch.gens.symbols():
+        required = patch_a_edges_oracle(edges, a_symbol)
+        assert patch_a_edges(patch, a_symbol) == required
+        try:
+            expected = contraction_oracle(
+                len(patch.vertices), simple_edges_oracle(edges), required
+            )
+        except RequiredEdgesCycleError as exc:
+            with pytest.raises(RequiredEdgesCycleError, match=f"^{re.escape(str(exc))}$"):
+                a_edge_contraction(patch, a_symbol)
+            continue
+        got = a_edge_contraction(patch, a_symbol)
+        assert got.num_vertices == len(patch.vertices)
+        assert (got.required, got.num_blocks, got.edges, got.originals) == expected
+
+
+def test_edge_case_contractions_cover_trees_cycles_and_torsion():
+    shapes = Counter()
+    for _, patch in EDGE_CASES:
+        for a_symbol in patch.gens.symbols():
+            try:
+                shapes[a_edge_contraction(patch, a_symbol).is_tree] += 1
+            except RequiredEdgesCycleError:
+                shapes["torsion"] += 1
+    assert set(shapes) == {True, False, "torsion"}
 
 
 def random_multigraph(rng, num_vertices):

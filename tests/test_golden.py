@@ -119,6 +119,12 @@ DUMPS = [
 # stdout is kept as its sha256 digest.  The report reads the check's output,
 # written to the directory the cases run in ("{dir}" in its argv).
 _FREE3_R6 = ["--group", "free:3", "--s1", "1,a", "--s2", "1,b,c"]
+# The forest-free3 benchmark's audit, whose a-edge contraction is a tree,
+# and one on free:2 with c = ab, whose contraction has cycles, so every
+# sample is a walk; there the degree hypothesis fails (exit 1).
+_FOREST_FREE3_R5 = ["--group", "free:3", "--radius", "5", "--samples", "40", "--seed", "1"]
+_FOREST_FREE2_ABC_R6 = ["--group", "free:2", "--gens", "a=a,b=b,c=a b", "--radius", "6",
+                        "--samples", "40", "--seed", "1"]
 DIGESTS = [
     ("check_free3_r6_json", 0, ["check", *_FREE3_R6, "--radius", "6", "--format", "json"]),
     ("decompose_free3_r6_json", 0,
@@ -128,6 +134,9 @@ DIGESTS = [
     ("report_free3_r6_json", 0,
      ["report", "--inputs", "{dir}/check_free3_r6_json.out",
       "--freeness", str(GOLDEN / "free_check_free3_json.out"), "--format", "json"]),
+    ("forest_audit_free3_r5_json", 0,
+     ["forest-audit", *_FOREST_FREE3_R5, "--format", "json"]),
+    ("forest_audit_free2_abc_r6_text", 1, ["forest-audit", *_FOREST_FREE2_ABC_R6]),
 ]
 DIGEST_FILE = GOLDEN / "free3_r6.sha256"
 
