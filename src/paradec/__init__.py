@@ -28,7 +28,6 @@ from .doubling import (
     Verdict,
     Violator,
     check_domain,
-    make_violator,
     minimal_violating_radius,
     verdict_from_jsonable,
     verdict_to_jsonable,
@@ -79,7 +78,6 @@ __all__ = [
     "free_abelian_group",
     "free_group",
     "free_up_to_length",
-    "make_violator",
     "matrix_group",
     "minimal_violating_radius",
     "parse_group_spec",

@@ -116,16 +116,6 @@ def cmd_ball(args: argparse.Namespace) -> int:
     patch = _ball(args, spec, gens)
     # The labeled edges are built only for a dump; the count reads the table.
     edges = sum(len(row) - row.count(None) for row in patch.neighbours)
-    payload = _context(spec, gens, None)
-    payload.update(
-        {
-            "radius": args.radius,
-            "vertices": len(patch.vertices),
-            "edges": edges,
-            "simple_edges": len(patch.simple_edges),
-            "sphere_sizes": patch.sphere_sizes(),
-        }
-    )
     if args.dump:
         with open(args.dump, "w") as handle:
             if args.dump.endswith(".json"):
@@ -133,13 +123,25 @@ def cmd_ball(args: argparse.Namespace) -> int:
             else:
                 handle.write(patch.to_edge_list_text())
         print(f"wrote patch to {args.dump}", file=sys.stderr)
-    _emit(
-        args,
-        payload,
-        f"ball radius {args.radius} of {spec_to_string(spec)}: "
-        f"{len(patch.vertices)} vertices, {edges} labeled edges, "
-        f"sphere sizes {patch.sphere_sizes()}",
-    )
+    payload = text = None
+    if args.format == "json":
+        payload = _context(spec, gens, None)
+        payload.update(
+            {
+                "radius": args.radius,
+                "vertices": len(patch.vertices),
+                "edges": edges,
+                "simple_edges": len(patch.simple_edges),
+                "sphere_sizes": patch.sphere_sizes(),
+            }
+        )
+    else:
+        text = (
+            f"ball radius {args.radius} of {spec_to_string(spec)}: "
+            f"{len(patch.vertices)} vertices, {edges} labeled edges, "
+            f"sphere sizes {patch.sphere_sizes()}"
+        )
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -270,7 +272,7 @@ def cmd_forest_audit(args: argparse.Namespace) -> int:
             s1=(identity, gens.element(names[0])),
             s2=(identity,) + tuple(gens.element(n) for n in names[1:3]),
         )
-    a_symbol, _, _ = identify_triple(spec, gens, audit_ts)
+    a_symbol = identify_triple(spec, gens, audit_ts)
     contraction = a_edge_contraction(patch, a_symbol)
     rng = random.Random(args.seed)
     audits = []
@@ -319,26 +321,27 @@ def cmd_free_check(args: argparse.Namespace) -> int:
     g = spec.evaluate_word(parse_word(args.g), symbols)
     h = spec.evaluate_word(parse_word(args.h), symbols)
     result = free_up_to_length(spec, g, h, args.max_length, args.budget)
-    payload = _context(spec, gens, None)
-    payload.update(
-        {
-            "g": spec.format_element(g),
-            "h": spec.format_element(h),
-            "max_length": args.max_length,
-            "free": result.free,
-            "witness": result.witness_text(),
-        }
-    )
-    if result.free:
-        _emit(
-            args,
-            payload,
-            f"no relation of length <= {args.max_length}: the pair "
-            "generates freely at this scale",
+    payload = text = None
+    if args.format == "json":
+        payload = _context(spec, gens, None)
+        payload.update(
+            {
+                "g": spec.format_element(g),
+                "h": spec.format_element(h),
+                "max_length": args.max_length,
+                "free": result.free,
+                "witness": result.witness_text(),
+            }
         )
-        return EXIT_OK
-    _emit(args, payload, f"relation found: {result.witness_text()}")
-    return EXIT_NEGATIVE
+    elif result.free:
+        text = (
+            f"no relation of length <= {args.max_length}: the pair "
+            "generates freely at this scale"
+        )
+    else:
+        text = f"relation found: {result.witness_text()}"
+    _emit(args, payload, text)
+    return EXIT_OK if result.free else EXIT_NEGATIVE
 
 
 @contextmanager

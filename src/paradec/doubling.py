@@ -110,23 +110,6 @@ class Violator:
 Verdict = Union[Certificate, Violator]
 
 
-def make_violator(
-    spec: GroupSpec,
-    ts: TranslatingSets,
-    a1: Iterable[Element],
-    a2: Iterable[Element],
-) -> Violator:
-    """Construct a violator, recomputing the union size independently."""
-    a1 = tuple(sorted(set(a1), key=spec.element_sort_key))
-    a2 = tuple(sorted(set(a2), key=spec.element_sort_key))
-    union = product_set(spec, a1, ts.s1) | product_set(spec, a2, ts.s2)
-    if len(union) >= len(a1) + len(a2):
-        raise ValueError(
-            f"not a violator: union size {len(union)} >= {len(a1) + len(a2)}"
-        )
-    return Violator(a1=a1, a2=a2, union_size=len(union))
-
-
 def verify_certificate(
     spec: GroupSpec, ts: TranslatingSets, cert: Certificate
 ) -> tuple[tuple[Element, ...], tuple[Element, ...]]:
@@ -266,8 +249,9 @@ class _HallGraph:
         reach_left, _ = alternating_reachable(self.adjacency, pair_left, pair_right)
         a1 = [g for (copy, g), r in zip(self.lefts, reach_left) if r and copy == 1]
         a2 = [g for (copy, g), r in zip(self.lefts, reach_left) if r and copy == 2]
-        a1, a2 = _shrink_violator(self.spec, self.ts, a1, a2)
-        return make_violator(self.spec, self.ts, a1, a2)
+        violator = _shrink_violator(self.spec, self.ts, a1, a2)
+        verify_violator(self.spec, self.ts, violator)
+        return violator
 
 
 def check_domain(
@@ -294,7 +278,7 @@ def check_domain(
     return graph.certificate(pair_left)
 
 
-def _shrink_violator(spec, ts, a1: list, a2: list) -> tuple[list, list]:
+def _shrink_violator(spec, ts, a1: list, a2: list) -> Violator:
     """Drop elements one at a time while the pair still violates.
 
     Greedy over A1 then A2, each in element order.  The products g·s are
@@ -302,8 +286,8 @@ def _shrink_violator(spec, ts, a1: list, a2: list) -> tuple[list, list]:
     are kept in a plain dict, counted once through a ``Counter``: a
     candidate removal decrements its row's counts in place and shrinks the
     union by the products whose count drops to zero, O(|S|) per candidate,
-    and a removal that is not kept adds them back.  The result is checked
-    again from scratch by :func:`make_violator`.
+    and a removal that is not kept adds them back.  The violator carries
+    the union size so tracked; :func:`verify_violator` recounts it.
     """
     a1 = sorted(a1, key=spec.element_sort_key)
     a2 = sorted(a2, key=spec.element_sort_key)
@@ -333,7 +317,7 @@ def _shrink_violator(spec, ts, a1: list, a2: list) -> tuple[list, list]:
                 for w in row:
                     counts[w] += 1
                 keep.append(g)
-    return kept
+    return Violator(tuple(kept[0]), tuple(kept[1]), union_size)
 
 
 def minimal_violating_radius(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .cayley import CayleyPatch, GeneratingSet, product_set
+from .cayley import CayleyPatch, GeneratingSet
 from .doubling import TranslatingSets
 from .errors import (
     DisconnectedGraphError,
@@ -60,17 +60,21 @@ class _UnionFind:
 
 @dataclass(frozen=True)
 class ForestSample:
-    """An acyclic edge subset of a simple graph.
+    """An acyclic edge subset of a simple graph on ``range(num_vertices)``.
 
-    Acyclicity is checked with union-find at construction time.
+    The vertex range and acyclicity are checked, with union-find, at
+    construction time.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        uf = _UnionFind(self.num_vertices)
+        n = self.num_vertices
+        uf = _UnionFind(n)
         for u, v in self.edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has a vertex outside range({n})")
             if not uf.union(u, v):
                 raise ValueError(f"edge ({u}, {v}) closes a cycle")
 
@@ -79,18 +83,6 @@ class ForestSample:
         """The edges as a set, built on the first read: a shared sample
         builds it once for all of its audits."""
         return frozenset(self.edges)
-
-
-def _check_connected(num_vertices: int, edges: Sequence[tuple[int, int]]) -> None:
-    uf = _UnionFind(num_vertices)
-    components = num_vertices
-    for u, v in edges:
-        if uf.union(u, v):
-            components -= 1
-    if components != 1:
-        raise DisconnectedGraphError(
-            f"graph has {components} components; spanning trees need 1"
-        )
 
 
 @dataclass(frozen=True)
@@ -194,8 +186,8 @@ def contract_required_edges(
 
     Parallel edges of the contraction stay distinct, which is what keeps the
     lifted spanning trees uniform; self-loops are dropped since no spanning
-    tree can use them.  A required pair that is not an edge of the graph
-    raises ValueError.
+    tree can use them.  A graph edge outside ``range(num_vertices)``, or a
+    required pair that is not an edge of the graph, raises ValueError.
     """
     required = tuple((u, v) if u < v else (v, u) for u, v in required)
     uf = _UnionFind(num_vertices)
@@ -211,21 +203,32 @@ def contract_required_edges(
     block_of = [block[root] for root in roots]
     # A required edge joins two vertices of one block, so it is met among
     # the edges skipped there; any one not met is not an edge of the graph.
+    # The union-find goes on joining blocks, counting the components left.
     unmet = set(required)
+    components = len(block)
     contracted: list[tuple[int, int]] = []
     originals: list[tuple[int, int]] = []
     for u, v in edges:
         key = (u, v) if u < v else (v, u)
+        if key[0] < 0 or key[1] >= num_vertices:
+            raise ValueError(
+                f"graph edge ({u}, {v}) has a vertex outside range({num_vertices})"
+            )
         cu, cv = block_of[u], block_of[v]
         if cu == cv:
             unmet.discard(key)
             continue
         contracted.append((cu, cv))
         originals.append(key)
+        if uf.union(u, v):
+            components -= 1
     if unmet:
         u, v = next(edge for edge in required if edge in unmet)
         raise ValueError(f"required edge ({u}, {v}) is not an edge of the graph")
-    _check_connected(len(block), contracted)
+    if components != 1:
+        raise DisconnectedGraphError(
+            f"graph has {components} components; spanning trees need 1"
+        )
     return Contraction(
         num_vertices, required, len(block), tuple(contracted), tuple(originals)
     )
@@ -365,10 +368,9 @@ def check_generating_triple(spec: GroupSpec, gens: GeneratingSet) -> None:
         raise ValueError("generating triple must be three distinct non-identity elements")
 
 
-def identify_triple(
-    spec: GroupSpec, gens: GeneratingSet, ts: TranslatingSets
-) -> tuple[str, str, str]:
-    """Match S1 = {1, a}, S2 = {1, b, c} against a named generating triple."""
+def identify_triple(spec: GroupSpec, gens: GeneratingSet, ts: TranslatingSets) -> str:
+    """Match S1 = {1, a}, S2 = {1, b, c} against a named generating triple;
+    return the symbol of a."""
     check_generating_triple(spec, gens)
     identity = spec.identity()
     if len(ts.s1) != 2 or identity not in ts.s1:
@@ -382,9 +384,7 @@ def identify_triple(
         raise ValueError("the S1 translator must be one of the named generators")
     if rest != set(by_element) - {a_elem}:
         raise ValueError("S2 must consist of 1 and the two remaining generators")
-    a_sym = by_element[a_elem]
-    b_sym, c_sym = sorted(by_element[el] for el in rest)
-    return a_sym, b_sym, c_sym
+    return by_element[a_elem]
 
 
 def audit_counting_argument(
@@ -400,96 +400,97 @@ def audit_counting_argument(
     and S2 = {1, b, c} must name the patch's generators, and A2 must lie in
     its interior (:attr:`CayleyPatch.interior`).
 
+    Every fact is read off the patch's ``neighbours`` table, one column per
+    element of the symmetrized generating set, so the audit forms no group
+    product: the edges are vertex indices until the audit is built.
+
     The degree hypothesis |E| >= 5|A2| is recorded like every other entry:
     it holds on patches whose interior degree is at least 5 (a rank-3 tree
     gives 6) and honestly fails elsewhere, in which case the dependent
     entries may fail too while the structural ones still hold.
     """
     spec, gens = patch.spec, patch.gens
-    a_sym, _, _ = identify_triple(spec, gens, ts)
-    a_elem = gens.element(a_sym)
+    a_sym = identify_triple(spec, gens, ts)
     a1 = sorted(set(a1), key=spec.element_sort_key)
     a2 = sorted(set(a2), key=spec.element_sort_key)
     for g in a1 + a2:
         if g not in patch:
             raise PatchEscapeError(f"element {spec.format_element(g)} is not a patch vertex")
+    vertices, neighbours = patch.vertices, patch.neighbours
+    ids1 = [patch.index_of(g) for g in a1]
+    ids2 = [patch.index_of(g) for g in a2]
     # Escape checks: A2 needs its whole star, since the degree counts read
     # it whole (so A2 lies in the interior), and A1 its a-translate.
-    # Each star is formed once and read again for the edges.
-    view = gens.symmetrized(spec)
-    star_of = spec.star(t for _, _, t in view)
-    stars = []
-    for g in a2:
-        stars.append(star_of(g))
-        if any(target not in patch for target in stars[-1]):
+    for i in ids2:
+        if None in neighbours[i]:
             raise PatchEscapeError(
-                f"{spec.format_element(g)} is not interior: its star leaves "
-                "the patch; shrink A2 or grow the patch"
+                f"{spec.format_element(vertices[i])} is not interior: its star "
+                "leaves the patch; shrink A2 or grow the patch"
             )
     if not a1 and not a2:
         raise ValueError("A1 and A2 must not both be empty")
-    for g in a1:
-        if spec.multiply(g, a_elem) not in patch:
+    view = gens.symmetrized(spec)
+    column = {t: k for k, (_, _, t) in enumerate(view)}
+    a_column = column[gens.element(a_sym)]
+    for i in ids1:
+        if neighbours[i][a_column] is None:
             raise PatchEscapeError(
-                f"a-translate of {spec.format_element(g)} leaves the patch"
+                f"a-translate of {spec.format_element(vertices[i])} leaves the patch"
             )
 
+    # E1 keeps the columns of S \ S⁻¹, and E2 those of them in {b, c}.
     s_elements = {el for _, el in gens.pairs}
-    s_diff_sinv = {el for el in s_elements if spec.invert(el) not in s_elements}
-    bc_elements = {s for s in ts.s2 if s != spec.identity()}
+    in_e1 = [t in s_elements and spec.invert(t) not in s_elements for _, _, t in view]
+    identity = spec.identity()
+    bc_elements = {s for s in ts.s2 if s != identity}
     forest_edges = forest.edge_set
 
-    def in_forest(g: Element, target: Element) -> bool:
-        i, j = patch.index_of(g), patch.index_of(target)
-        return (min(i, j), max(i, j)) in forest_edges
-
-    e_edges = []
-    for g, star in zip(a2, stars):
-        for (sym, sign, t), target in zip(view, star):
-            if target != g and in_forest(g, target):
-                e_edges.append((g, sym, sign, t, target))
-    e1_edges = [edge for edge in e_edges if edge[3] in s_diff_sinv]
-    e2_edges = [edge for edge in e_edges if edge[3] in bc_elements and edge[3] in s_diff_sinv]
+    # edges are (source index, column, target index)
+    e_edges = [
+        (i, k, j)
+        for i in ids2
+        for k, j in enumerate(neighbours[i])
+        if j != i and ((i, j) if i < j else (j, i)) in forest_edges
+    ]
+    e1_edges = [edge for edge in e_edges if in_e1[edge[1]]]
+    e2_edges = [edge for edge in e1_edges if view[edge[1]][2] in bc_elements]
 
     e3_edges = []
-    for g in a1:
-        target = spec.multiply(g, a_elem)
-        if not in_forest(g, target):
+    for i in ids1:
+        j = neighbours[i][a_column]
+        if ((i, j) if i < j else (j, i)) not in forest_edges:
             raise ValueError(
-                f"forest is missing the a-edge at {spec.format_element(g)}; "
+                f"forest is missing the a-edge at {spec.format_element(vertices[i])}; "
                 "sample with the a-edge constraint first"
             )
-        e3_edges.append((g, a_sym, 1, a_elem, target))
+        e3_edges.append((i, a_column, j))
 
-    lambda_vertices = sorted(
-        product_set(spec, a1, ts.s1) | product_set(spec, a2, ts.s2),
-        key=spec.element_sort_key,
+    # Λ's vertices A1S1 ∪ A2S2: A1 and A2 themselves for the identity
+    # translator, and the entries of every other translator's column.
+    lambda_ids = set(ids1) | set(ids2)
+    for ids, translators in ((ids1, ts.s1), (ids2, ts.s2)):
+        for k in [column[s] for s in translators if s != identity]:
+            lambda_ids.update(neighbours[i][k] for i in ids)
+    order = sorted(lambda_ids, key=lambda i: spec.element_sort_key(vertices[i]))
+    place = {i: n for n, i in enumerate(order)}
+    directed2 = {(i, j) for i, _, j in e2_edges}
+    directed3 = {(i, j) for i, _, j in e3_edges}
+    directed = directed2 | directed3
+    # Λ's edges over its own vertices in sort order, each written low first
+    lambda_pairs = sorted(
+        {(place[i], place[j]) if place[i] < place[j] else (place[j], place[i])
+         for i, j in directed}
     )
-    directed2 = {(g, target) for g, _, _, _, target in e2_edges}
-    directed3 = {(g, target) for g, _, _, _, target in e3_edges}
-    lambda_edge_set = {
-        tuple(sorted((g, target), key=spec.element_sort_key))
-        for g, target in directed2 | directed3
-    }
-    lambda_edges = sorted(
-        lambda_edge_set, key=lambda e: tuple(map(spec.element_sort_key, e))
-    )
+    opposite_pairs = sum(1 for i, j in directed if (j, i) in directed) // 2
 
-    opposite_pairs = sum(
-        1
-        for g, target in directed2 | directed3
-        if (target, g) in directed2 or (target, g) in directed3
-    ) // 2
-
-    vertex_index = {v: i for i, v in enumerate(lambda_vertices)}
-    uf = _UnionFind(len(lambda_vertices))
-    lambda_components = len(lambda_vertices)
-    for u, v in lambda_edges:
-        if uf.union(vertex_index[u], vertex_index[v]):
+    uf = _UnionFind(len(order))
+    lambda_components = len(order)
+    for u, v in lambda_pairs:
+        if uf.union(u, v):
             lambda_components -= 1
 
     n_e, n_e1, n_e2, n_e3 = len(e_edges), len(e1_edges), len(e2_edges), len(e3_edges)
-    n_v, n_le = len(lambda_vertices), len(lambda_edges)
+    n_v, n_le = len(order), len(lambda_pairs)
     size_s = len(gens.pairs)
 
     # Each union joins two components, so |EΛ| = |V| - components exactly
@@ -509,17 +510,22 @@ def audit_counting_argument(
         InequalityCheck("doubling_conclusion", n_v, len(a1) + len(a2), ">="),
     ]
 
-    def strip(edges):
-        return tuple((g, sym, sign, target) for g, sym, sign, _, target in edges)
+    def labeled(edges):
+        return tuple(
+            (vertices[i], view[k][0], view[k][1], vertices[j]) for i, k, j in edges
+        )
 
+    lambda_vertices = tuple(vertices[i] for i in order)
     return ForestAudit(
         a1=tuple(a1),
         a2=tuple(a2),
-        e=strip(e_edges),
-        e1=strip(e1_edges),
-        e2=strip(e2_edges),
-        e3=strip(e3_edges),
-        lambda_vertices=tuple(lambda_vertices),
-        lambda_edges=tuple(lambda_edges),
+        e=labeled(e_edges),
+        e1=labeled(e1_edges),
+        e2=labeled(e2_edges),
+        e3=labeled(e3_edges),
+        lambda_vertices=lambda_vertices,
+        lambda_edges=tuple(
+            (lambda_vertices[u], lambda_vertices[v]) for u, v in lambda_pairs
+        ),
         ledger=tuple(checks),
     )

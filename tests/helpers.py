@@ -1,7 +1,7 @@
 """Shared test utilities: random elements, small spec menageries, patches
 with loops, parallel generators and involutions, a product counter, a
-patch's a-edge forest, forest degree sums and ledger lookup, and the Hall
-graphs of the amenable-abelian2 bench."""
+call's outcome, a patch's a-edge forest, forest degree sums and ledger
+lookup, and the Hall graphs of the amenable-abelian2 bench."""
 
 from __future__ import annotations
 
@@ -159,6 +159,14 @@ def record_products(monkeypatch, before=None) -> list:
     monkeypatch.setattr(GroupSpec, "translates", counted_translates)
     monkeypatch.setattr(GroupSpec, "star", counted_star)
     return factors
+
+
+def outcome(function, *args):
+    """The return value, or the raised exception's type and message."""
+    try:
+        return "returned", function(*args)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
 
 
 def amenable_bench_graphs():

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from paradec.decomposition import DecompositionReport, PartialDecomposition
-from paradec.doubling import Certificate, TranslatingSets, Verdict, make_violator
+from paradec.doubling import Certificate, TranslatingSets, Verdict, Violator
 from paradec.errors import CertificateError, ParadecError
 from paradec.groups import Element, GroupSpec, free_group
 from paradec.matching import UNMATCHED
@@ -455,7 +455,8 @@ def brute_force_check(
                 best_pair = (a1, a2)
             break  # later combo1 of this size are lexicographically larger
     assert best_pair is not None
-    return make_violator(spec, ts, best_pair[0], best_pair[1])
+    a1, a2 = best_pair
+    return Violator(a1, a2, union_product_count(spec, a1, ts.s1, a2, ts.s2))
 
 
 def _brute_force_certificate(
@@ -713,7 +714,8 @@ def shrink_violator_rows_oracle(spec, ts, a1, a2):
     """The greedy shrink of ``paradec.doubling._shrink_violator`` with each
     element's products formed as one row, the reference for its column
     build.  Product multiplicities are counted, so a candidate removal
-    shrinks the union by the products whose count drops to zero."""
+    shrinks the union by the products whose count drops to zero; the
+    :class:`Violator` carries the union size so tracked."""
     a1 = sorted(a1, key=spec.element_sort_key)
     a2 = sorted(a2, key=spec.element_sort_key)
     sides = [
@@ -734,7 +736,7 @@ def shrink_violator_rows_oracle(spec, ts, a1, a2):
             else:
                 counts.update(row)
                 keep.append(g)
-    return kept
+    return Violator(tuple(kept[0]), tuple(kept[1]), union_size)
 
 
 def translates_oracle(spec, elements, s):
@@ -782,4 +784,126 @@ def verify_decomposition_oracle(spec, pd):
         uncovered2=uncovered2,
         indeterminate1=indeterminate1,
         indeterminate2=indeterminate2,
+    )
+
+
+# -- forest audit: the element-level reference for the table reads ------------
+
+
+def audit_counting_argument_oracle(patch, forest, a1, a2, ts):
+    """The forest counting chain of ``paradec.forest.audit_counting_argument``
+    worked in the group: each A2 star and A1 a-translate formed by
+    ``multiply``, Λ's vertices as the product sets A1S1 ∪ A2S2, and every
+    element looked up in a fresh vertex index.  Same checks, messages and
+    error order, and the same :class:`ForestAudit`."""
+    from paradec.cayley import product_set
+    from paradec.errors import PatchEscapeError
+    from paradec.forest import ForestAudit, InequalityCheck, identify_triple
+
+    spec, gens = patch.spec, patch.gens
+    key = spec.element_sort_key
+    fmt = spec.format_element
+    a_sym = identify_triple(spec, gens, ts)
+    a_elem = gens.element(a_sym)
+    index = {v: i for i, v in enumerate(patch.vertices)}
+    a1 = sorted(set(a1), key=key)
+    a2 = sorted(set(a2), key=key)
+    for g in a1 + a2:
+        if g not in index:
+            raise PatchEscapeError(f"element {fmt(g)} is not a patch vertex")
+    view = gens.symmetrized(spec)
+    stars = []
+    for g in a2:
+        stars.append([spec.multiply(g, t) for _, _, t in view])
+        if any(target not in index for target in stars[-1]):
+            raise PatchEscapeError(
+                f"{fmt(g)} is not interior: its star leaves the patch; "
+                "shrink A2 or grow the patch"
+            )
+    if not a1 and not a2:
+        raise ValueError("A1 and A2 must not both be empty")
+    for g in a1:
+        if spec.multiply(g, a_elem) not in index:
+            raise PatchEscapeError(f"a-translate of {fmt(g)} leaves the patch")
+
+    s_elements = {el for _, el in gens.pairs}
+    s_diff_sinv = {el for el in s_elements if spec.invert(el) not in s_elements}
+    bc_elements = {s for s in ts.s2 if s != spec.identity()}
+
+    forest_edges = set(forest.edges)
+
+    def in_forest(g, target):
+        i, j = index[g], index[target]
+        return (min(i, j), max(i, j)) in forest_edges
+
+    e_edges = [
+        (g, sym, sign, t, target)
+        for g, star in zip(a2, stars)
+        for (sym, sign, t), target in zip(view, star)
+        if target != g and in_forest(g, target)
+    ]
+    e1_edges = [edge for edge in e_edges if edge[3] in s_diff_sinv]
+    e2_edges = [edge for edge in e_edges if edge[3] in bc_elements and edge[3] in s_diff_sinv]
+    e3_edges = []
+    for g in a1:
+        target = spec.multiply(g, a_elem)
+        if not in_forest(g, target):
+            raise ValueError(
+                f"forest is missing the a-edge at {fmt(g)}; "
+                "sample with the a-edge constraint first"
+            )
+        e3_edges.append((g, a_sym, 1, a_elem, target))
+
+    lambda_vertices = sorted(
+        product_set(spec, a1, ts.s1) | product_set(spec, a2, ts.s2), key=key
+    )
+    directed2 = {(g, target) for g, _, _, _, target in e2_edges}
+    directed3 = {(g, target) for g, _, _, _, target in e3_edges}
+    lambda_edges = sorted(
+        {tuple(sorted(edge, key=key)) for edge in directed2 | directed3},
+        key=lambda e: tuple(map(key, e)),
+    )
+    opposite_pairs = sum(
+        1
+        for g, target in directed2 | directed3
+        if (target, g) in directed2 or (target, g) in directed3
+    ) // 2
+    # components of Λ by repeated relabelling, no union-find
+    label = {v: v for v in lambda_vertices}
+    for u, v in lambda_edges:
+        old, new = label[v], label[u]
+        label = {w: new if lab == old else lab for w, lab in label.items()}
+    lambda_components = len(set(label.values()))
+
+    n_e, n_e1, n_e2, n_e3 = len(e_edges), len(e1_edges), len(e2_edges), len(e3_edges)
+    n_v, n_le = len(lambda_vertices), len(lambda_edges)
+    size_s = len(gens.pairs)
+    checks = [
+        InequalityCheck("degree_sum", n_e, 5 * len(a2), ">="),
+        InequalityCheck("e1_lower", n_e1, n_e - size_s * len(a2), ">="),
+        InequalityCheck("e1_at_least_twice_a2", n_e1, 2 * len(a2), ">="),
+        InequalityCheck("e2_lower", n_e2, n_e1 - len(a2), ">="),
+        InequalityCheck("e2_at_least_a2", n_e2, len(a2), ">="),
+        InequalityCheck("e3_counts_a1", n_e3, len(a1), "=="),
+        InequalityCheck("e2_e3_disjoint", len(directed2 & directed3), 0, "=="),
+        InequalityCheck("no_opposite_pairs", opposite_pairs, 0, "=="),
+        InequalityCheck("lambda_edge_count", n_le, n_e2 + n_e3, "=="),
+        InequalityCheck("lambda_forest", n_le, n_v - lambda_components, "=="),
+        InequalityCheck("vertices_exceed_edges", n_v, n_le, ">"),
+        InequalityCheck("doubling_conclusion", n_v, len(a1) + len(a2), ">="),
+    ]
+
+    def strip(edges):
+        return tuple((g, sym, sign, target) for g, sym, sign, _, target in edges)
+
+    return ForestAudit(
+        a1=tuple(a1),
+        a2=tuple(a2),
+        e=strip(e_edges),
+        e1=strip(e1_edges),
+        e2=strip(e2_edges),
+        e3=strip(e3_edges),
+        lambda_vertices=tuple(lambda_vertices),
+        lambda_edges=tuple(lambda_edges),
+        ledger=tuple(checks),
     )

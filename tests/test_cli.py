@@ -138,6 +138,27 @@ class TestBall:
         else:
             assert f" {len(edges)} labeled edges," in out
 
+    def test_text_mode_builds_no_json_document(self, capsys, monkeypatch):
+        # the text line reads the vertex, labeled-edge and sphere counts;
+        # only --format json builds the context block and the simple graph
+        context = count_calls(monkeypatch, cli, "_context")
+        patches = []
+
+        def recording(*args):
+            patches.append(enumerate_ball(*args))
+            return patches[-1]
+
+        monkeypatch.setattr(cli, "enumerate_ball", recording)
+        code, out, _ = run(capsys, "ball", "--group", "free:3", "--radius", "2")
+        assert code == 0 and out == (
+            "ball radius 2 of free:3: 37 vertices, 72 labeled edges, "
+            "sphere sizes [1, 6, 30]\n"
+        )
+        assert context == [] and "simple_edges" not in vars(patches[0])
+        code, data, _ = run_json(capsys, "ball", "--group", "free:3", "--radius", "2")
+        assert code == 0 and data["simple_edges"] == 36
+        assert len(context) == 1 and "simple_edges" in vars(patches[1])
+
     def test_generator_overrides(self, capsys):
         code, data, _ = run_json(
             capsys,
@@ -523,6 +544,23 @@ class TestFreeCheck:
         )
         assert code == 0
         assert data["free"] and data["witness"] is None
+
+    def test_text_mode_builds_no_json_document(self, capsys, monkeypatch):
+        context = count_calls(monkeypatch, cli, "_context")
+        free = ("free-check", "--group", "sl2z", "--g", "A", "--h", "B",
+                "--max-length", "6")
+        related = ("free-check", "--group", "abelian:2", "--g", "a", "--h", "b",
+                   "--max-length", "4")
+        code, out, _ = run(capsys, *free)
+        assert code == 0 and out == (
+            "no relation of length <= 6: the pair generates freely at this scale\n"
+        )
+        code, out, _ = run(capsys, *related)
+        assert code == 1 and out.startswith("relation found: ")
+        assert context == []
+        run_json(capsys, *free)
+        run_json(capsys, *related)
+        assert len(context) == 2
 
     def test_commuting_pair(self, capsys):
         code, data, _ = run_json(

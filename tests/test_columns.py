@@ -35,7 +35,7 @@ from paradec.doubling import _shrink_violator
 from paradec.errors import MatrixOverflowError
 from paradec.matching import alternating_reachable
 
-from helpers import all_model_specs, amenable_bench_graphs, standard_gens
+from helpers import all_model_specs, amenable_bench_graphs, outcome, standard_gens
 from oracles import (
     product_set_rows_oracle,
     shrink_violator_rows_oracle,
@@ -43,14 +43,6 @@ from oracles import (
     translates_oracle,
     verify_decomposition_oracle,
 )
-
-
-def outcome(function, *args):
-    """The return value, or the raised exception's type and message."""
-    try:
-        return "returned", function(*args)
-    except Exception as exc:  # compared, never swallowed
-        return type(exc), str(exc)
 
 
 @st.composite

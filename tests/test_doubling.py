@@ -16,7 +16,6 @@ from paradec import (
     enumerate_ball,
     free_abelian_group,
     free_group,
-    make_violator,
     matrix_group,
     minimal_violating_radius,
     product_set,
@@ -27,7 +26,7 @@ from paradec import (
 )
 import paradec.doubling as doubling
 from paradec.cayley import ball_levels
-from paradec.errors import ParseError, VertexBudgetError
+from paradec.errors import ParseError, VertexBudgetError, ViolatorError
 from paradec.matching import UNMATCHED, alternating_reachable, hopcroft_karp
 
 from helpers import all_model_specs, random_element, record_products, standard_gens
@@ -233,19 +232,38 @@ def test_incremental_shrink_matches_recount_oracle(spec, monkeypatch):
         if isinstance(verdict, Violator):
             [(a1, a2, result)] = calls
             expected = shrink_violator_oracle(spec, ts, a1, a2)
-            assert result == expected
+            assert result is verdict
             assert (list(verdict.a1), list(verdict.a2)) == expected
             verify_violator(spec, ts, verdict)
         else:
             assert not calls
 
 
+def test_shrink_count_is_checked_against_the_recount(monkeypatch):
+    """The violator keeps the union size that the shrink tracked, and
+    check_domain recounts it: a count off by one is refused."""
+    shrink = doubling._shrink_violator
+
+    def miscounting_shrink(spec, ts, a1, a2):
+        violator = shrink(spec, ts, a1, a2)
+        return Violator(violator.a1, violator.a2, violator.union_size - 1)
+
+    spec = free_abelian_group(1)
+    ts = TranslatingSets(s1=((0,), (1,)), s2=((0,), (1,)))
+    domain = [(0,), (1,), (2,)]
+    assert check_domain(spec, ts, domain).union_size == 3
+    monkeypatch.setattr(doubling, "_shrink_violator", miscounting_shrink)
+    with pytest.raises(ViolatorError, match="recorded union size 2 != recomputed 3"):
+        check_domain(spec, ts, domain)
+
+
 class TestViolatorProperties:
-    def test_union_size_recomputed_at_construction(self):
+    def test_pair_that_does_not_violate_rejected(self):
         spec = free_abelian_group(1)
         ts = TranslatingSets(s1=((0,), (1,)), s2=((0,), (1,)))
-        with pytest.raises(ValueError):
-            make_violator(spec, ts, [(0,)], [(5,)])  # not actually violating
+        # {0, 1} ∪ {5, 6}: the union size is right, but 4 >= 2
+        with pytest.raises(ViolatorError, match="does not violate"):
+            verify_violator(spec, ts, Violator(((0,),), ((5,),), 4))
 
     def test_monotone_in_domain(self):
         # a violator references only A1 and A2, so enlarging the domain
@@ -466,8 +484,8 @@ def test_violators_translate_on_the_line(shift):
     ts = TranslatingSets(s1=((0,), (1,)), s2=((0,), (1,)))
     a1 = [(shift,), (shift + 1,)]
     a2 = [(shift,), (shift + 1,)]
-    violator = make_violator(spec, ts, a1, a2)
-    assert violator.union_size == 3
+    assert union_product_count(spec, a1, ts.s1, a2, ts.s2) == 3
+    verify_violator(spec, ts, Violator(tuple(a1), tuple(a2), 3))
 
 
 class TestSerialization:

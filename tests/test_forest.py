@@ -38,9 +38,12 @@ from helpers import (
     degree_sum,
     edge_case_patches,
     ledger_entry,
+    outcome,
+    record_products,
     standard_gens,
 )
 from oracles import (
+    audit_counting_argument_oracle,
     ball_edges_oracle,
     contraction_oracle,
     kirchhoff_count,
@@ -72,6 +75,17 @@ class TestForestSample:
     def test_cycle_rejected_at_construction(self):
         with pytest.raises(ValueError):
             ForestSample(num_vertices=3, edges=((0, 1), (1, 2), (0, 2)))
+
+    @pytest.mark.parametrize(
+        "edges", [((-1, 0),), ((0, 1), (1, 3))], ids=["negative", "past_the_vertices"]
+    )
+    def test_vertex_outside_the_range_rejected(self, edges):
+        # once accepted (-1 wrapped to the last vertex) or a bare IndexError
+        with pytest.raises(ValueError) as got:
+            ForestSample(num_vertices=3, edges=edges)
+        assert type(got.value) is ValueError
+        u, v = edges[-1]
+        assert str(got.value) == f"edge ({u}, {v}) has a vertex outside range(3)"
 
     def test_samples_of_a_tree_contraction_are_equal(self):
         contraction = a_edge_contraction(ball(free_group(3), 3), "a")
@@ -362,6 +376,22 @@ class TestContraction:
         assert str(got.value) == f"required edge {named} is not an edge of the graph"
 
     @pytest.mark.parametrize(
+        "edges,named",
+        [
+            # once the "spanning tree" ((-1, 0),) on a vertex that does not exist
+            ([(-1, 0)], "(-1, 0)"),
+            # once a bare IndexError
+            ([(0, 1), (1, 2)], "(1, 2)"),
+        ],
+        ids=["negative", "past_the_vertices"],
+    )
+    def test_graph_edge_outside_the_vertices_rejected(self, edges, named):
+        with pytest.raises(ValueError) as got:
+            sample_spanning_tree_with_required_edges(2, edges, [], 1)
+        assert type(got.value) is ValueError
+        assert str(got.value) == f"graph edge {named} has a vertex outside range(2)"
+
+    @pytest.mark.parametrize(
         "group,radius,walks", [("free:3", 4, 0), ("abelian:3", 3, 6)]
     )
     def test_walks_only_where_the_contraction_has_cycles(
@@ -420,6 +450,85 @@ def test_a_edges_and_contraction_equal_the_edge_list_oracles(patch):
         got = a_edge_contraction(patch, a_symbol)
         assert got.num_vertices == len(patch.vertices)
         assert (got.required, got.num_blocks, got.edges, got.originals) == expected
+
+
+def audit_outcomes(patch):
+    """The audit's and the element-level oracle's outcomes, in pairs, for
+    each generator as a, on seeded forests (a-edge forests where the a-edges
+    are acyclic, and a uniform spanning tree, which may miss an a-edge) and
+    A1, A2 drawn from the interior and from the whole patch, now and then
+    with an element one step outside it.  A patch without a generating
+    triple is tried once."""
+    spec, gens = patch.spec, patch.gens
+    identity = spec.identity()
+    rng = random.Random(f"{gens.pairs}:{patch.radius}")
+    outside = [
+        x for v in patch.vertices[-3:] for _, _, s in gens.symmetrized(spec)
+        if (x := spec.multiply(v, s)) not in patch
+    ]
+
+    def draw():
+        pool = patch.interior if patch.interior and rng.random() < 0.8 else patch.vertices
+        drawn = rng.sample(pool, min(rng.randint(0, 4), len(pool)))
+        if outside and rng.random() < 0.05:
+            drawn.append(rng.choice(outside))
+        return drawn
+
+    triples = gens.pairs if len(gens.pairs) == 3 else gens.pairs[:1]
+    pairs = []
+    for sym, a in triples:
+        try:
+            ts = TranslatingSets(
+                (identity, a), (identity,) + tuple(el for s, el in gens.pairs if s != sym)
+            )
+        except ValueError:  # a generator is the identity or repeats one
+            continue
+        forests = [uniform_tree(patch, 7)]
+        try:
+            contraction = a_edge_contraction(patch, sym)
+            forests += [contraction.sample(seed) for seed in range(3)]
+        except RequiredEdgesCycleError:
+            pass
+        for forest in forests:
+            for _ in range(6 if len(triples) == 3 else 1):
+                args = (patch, forest, draw(), draw(), ts)
+                pairs.append(
+                    (outcome(audit_counting_argument, *args),
+                     outcome(audit_counting_argument_oracle, *args))
+                )
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "patch", [c[1] for c in EDGE_CASES], ids=[c[0] for c in EDGE_CASES]
+)
+def test_audit_equals_the_element_level_oracle(patch):
+    """Field for field, or the same error type and message."""
+    for ours, oracle in audit_outcomes(patch):
+        assert ours == oracle
+
+
+AUDIT_ERRORS = {
+    "not a vertex": "is not a patch vertex",
+    "not interior": "is not interior",
+    "a-translate": "a-translate of ",
+    "missing a-edge": "forest is missing the a-edge",
+    "both empty": "A1 and A2 must not both be empty",
+    "no triple": "the audit needs a generating triple",
+    "degenerate triple": "generating triple must be three distinct",
+}
+
+
+def test_audit_oracle_cases_cover_passes_fails_and_every_error():
+    kinds = Counter()
+    for _, patch in EDGE_CASES:
+        for (kind, value), _ in audit_outcomes(patch):
+            if kind == "returned":
+                kinds["pass" if value.all_passed else "fail"] += 1
+            else:
+                (name,) = [n for n, text in AUDIT_ERRORS.items() if text in value]
+                kinds[name] += 1
+    assert set(kinds) == {"pass", "fail", *AUDIT_ERRORS}
 
 
 def test_edge_case_contractions_cover_trees_cycles_and_torsion():
@@ -719,6 +828,28 @@ class TestAudit:
         assert not audit.all_passed
         ledger = audit.to_jsonable(spec.formatter())["ledger"]
         assert next(c for c in ledger if c["name"] == "degree_sum")["passed"] is False
+
+    def test_audits_form_no_product(self, monkeypatch, capsys):
+        """Once the command has read the patch's interior, so built its
+        neighbour table, the 40 audits of the bench's forest-audit call
+        form no group product: every fact is a table entry."""
+        import paradec.cli as cli
+
+        factors = record_products(monkeypatch)
+        audit, during = cli.audit_counting_argument, []
+
+        def counted(*args):
+            before = len(factors)
+            result = audit(*args)
+            during.append(len(factors) - before)
+            return result
+
+        monkeypatch.setattr(cli, "audit_counting_argument", counted)
+        argv = ["forest-audit", "--group", "free:3", "--radius", "5",
+                "--samples", "40", "--seed", "1", "--format", "json"]
+        assert main(argv) == 0
+        assert len(during) == 40 and sum(during) == 0
+        assert len(factors) > 0  # the table's own stars were counted
 
     def test_unknown_ledger_relation_rejected(self):
         with pytest.raises(ValueError, match="unknown ledger relation '<='"):
