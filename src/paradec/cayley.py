@@ -4,6 +4,10 @@ A :class:`CayleyPatch` is a closed combinatorial window onto the (possibly
 infinite) Cayley graph: it stores every product that lands inside the patch
 and nothing else.  Exact products that cross the boundary are computed with
 :func:`product_set`, which works in the group itself.
+
+A ball over single letters of a free group is generated as reduced words in
+shortlex order, since its Cayley graph is a tree; any other ball is found by
+breadth-first search.  Both give the same vertices in the same order.
 """
 
 from __future__ import annotations
@@ -233,16 +237,31 @@ def ball_levels(
     sorted by the spec's element order.  Stops early at an empty level.
 
     Each element counts ``width`` units of the budget (see
-    :func:`letters_per_vertex`).  Raises :class:`VertexBudgetError` as soon
-    as the kept plus discovered elements exceed the budget, without
-    finishing the level.
+    :func:`letters_per_vertex`), and :class:`VertexBudgetError` names the
+    first level that takes the ball over it.  When S ∪ S⁻¹ is a set of
+    single letters of the free model, the Cayley graph is a tree and each
+    level is generated from the one before (:func:`_free_tree_levels`);
+    otherwise the levels are searched for (:func:`_searched_levels`).
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     budget = DEFAULT_VERTEX_BUDGET if vertex_budget is None else vertex_budget
     if budget < 1:
         raise ValueError("vertex budget must be positive")
-    star = spec.star(s for _, _, s in gens.symmetrized(spec))
+    steps = [s for _, _, s in gens.symmetrized(spec)]
+    if spec.model == "free" and all(len(s) == 1 for s in steps):
+        yield from _free_tree_levels(spec, steps, radius, budget, width)
+    else:
+        yield from _searched_levels(spec, steps, radius, budget, width)
+
+
+def _searched_levels(
+    spec: GroupSpec, steps: list, radius: int, budget: int, width: int
+) -> Iterator[list[Element]]:
+    """Breadth-first search by right multiplication with ``steps``, each
+    level sorted.  The budget is checked after every vertex's star, so the
+    error comes without finishing the level that overflows."""
+    star = spec.star(steps)
     frontier = [spec.identity()]
     seen = set(frontier)
     if width > budget:
@@ -263,6 +282,33 @@ def ball_levels(
         yield frontier
 
 
+def _free_tree_levels(
+    spec: GroupSpec, steps: list, radius: int, budget: int, width: int
+) -> Iterator[list[Element]]:
+    """The levels when ``steps`` are m single letters of the free model,
+    closed under inversion: distinct reduced words over them are distinct
+    elements, so level k+1 is every word of level k followed by a letter
+    other than the inverse of its last one.  Taken in shortlex order the
+    words come out sorted, and level k has m(m-1)^(k-1) of them, a size
+    checked against the budget before the level is built."""
+    letters = sorted(s[0] for s in steps)
+    frontier = [spec.identity()]
+    if width > budget:
+        raise _over_budget(0, budget, width)
+    yield frontier
+    m = len(letters)
+    kept = 1
+    for level in range(1, radius + 1):
+        kept += m * (m - 1) ** (level - 1)
+        if kept * width > budget:
+            raise _over_budget(level, budget, width)
+        if level == 1:
+            frontier = [(t,) for t in letters]
+        else:
+            frontier = [u + (t,) for u in frontier for t in letters if t != -u[-1]]
+        yield frontier
+
+
 def _over_budget(level: int, budget: int, width: int) -> VertexBudgetError:
     letters = "" if width == 1 else f" at {width} letters per vertex"
     return VertexBudgetError(
@@ -278,8 +324,9 @@ def enumerate_ball(
     width: int = 1,
 ) -> CayleyPatch:
     """All elements of word length <= radius w.r.t. S ∪ S⁻¹, in the order
-    of :func:`ball_levels`, so identical inputs index vertices identically.
-    The patch's other facts are built when first read."""
+    of :func:`ball_levels`, so identical inputs index vertices identically
+    whether the levels are generated or searched for, and with the same
+    budget error.  The patch's other facts are built when first read."""
     vertices: list[Element] = []
     level_sizes: list[int] = []
     for sphere in ball_levels(spec, gens, radius, vertex_budget, width):

@@ -413,11 +413,15 @@ def cmd_report(args: argparse.Namespace) -> int:
         except VertexBudgetError as exc:
             raise VertexBudgetError(f"{args.freeness}: {exc}") from None
     report = tarski_bound_report(entries, freeness)
-    upper = "none" if report.upper is None else str(report.upper)
-    text = f"upper bound: {upper}; lower bound: {report.lower}\n" + "\n".join(
-        f"  - {note}" for note in report.justification
-    )
-    _emit(args, report.to_jsonable(), text)
+    payload = text = None
+    if args.format == "json":
+        payload = report.to_jsonable()
+    else:
+        upper = "none" if report.upper is None else str(report.upper)
+        text = f"upper bound: {upper}; lower bound: {report.lower}\n" + "\n".join(
+            f"  - {note}" for note in report.justification
+        )
+    _emit(args, payload, text)
     return EXIT_OK
 
 

@@ -1,22 +1,31 @@
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
 from paradec import (
     GeneratingSet,
+    cayley,
     cli,
     cyclic_group,
     enumerate_ball,
     free_abelian_group,
     free_group,
     matrix_group,
+    parse_group_spec,
     product_set,
     spec_to_string,
 )
-from paradec.cayley import ball_levels
+from paradec.cayley import _free_tree_levels, _searched_levels, ball_levels
 from paradec.errors import VertexBudgetError
+from paradec.groups import GroupSpec
 
-from helpers import all_model_specs, edge_case_patches, record_products, standard_gens
+from helpers import (
+    EDGE_CASE_GENERATORS,
+    all_model_specs,
+    edge_case_patches,
+    record_products,
+    standard_gens,
+)
 from oracles import (
     ball_edges_oracle,
     ball_oracle,
@@ -26,6 +35,15 @@ from oracles import (
 )
 
 EDGE_CASES = edge_case_patches()
+
+
+class _Unread:
+    """Stands in for a radius-3 word that must not be read."""
+
+    def __getitem__(self, index):
+        raise AssertionError("read a word of radius 3")
+
+    __add__ = __getitem__
 
 
 class TestEnumerateBall:
@@ -75,22 +93,50 @@ class TestEnumerateBall:
             enumerate_ball(spec, standard_gens(spec), 4, vertex_budget=10)
 
     def test_budget_error_comes_one_star_past_the_budget(self, monkeypatch):
-        """The budget is checked after every vertex's star, not after the
-        whole level: with a budget one above the radius-3 ball of free:3
-        (187 elements), the first radius-3 vertex expanded overflows it, so
-        the error comes after the radius-2 ball's 37 stars plus one, where
-        finishing the level would take 187."""
-        spec = free_group(3)
+        """On a generating set that is searched, the budget is checked after
+        every vertex's star, not after the whole level: free:2 with
+        c = a b has spheres 1, 6, 24, 96, ..., and with a budget one above
+        its radius-3 ball (127 elements) the first radius-3 vertex expanded
+        overflows it, so the error comes after the radius-2 ball's 31 stars
+        plus one, where finishing the level would take 127."""
+        spec = free_group(2)
+        gens = cli._parse_generator_overrides(spec, "a=a,b=b,c=a b")
+        assert [len(level) for level in ball_levels(spec, gens, 3)] == [1, 6, 24, 96]
         calls = record_products(monkeypatch)
         with pytest.raises(VertexBudgetError) as exc:
-            enumerate_ball(spec, standard_gens(spec), 5, vertex_budget=188)
-        assert str(exc.value) == "ball of radius 4 exceeds the vertex budget 188"
-        assert len(calls) == (37 + 1) * 6
+            enumerate_ball(spec, gens, 5, vertex_budget=128)
+        assert str(exc.value) == "ball of radius 4 exceeds the vertex budget 128"
+        assert len(calls) == (31 + 1) * 6
+
+    @pytest.mark.parametrize("budget,fits", [(188, False), (188 + 750, True)])
+    def test_tree_path_refuses_the_overflowing_level_before_forming_it(
+        self, monkeypatch, budget, fits
+    ):
+        """Over the standard basis of free:3 the radius-4 level (750 words)
+        is built from the radius-3 words, which the test replaces once they
+        are yielded.  A budget one above the radius-3 ball (187 elements)
+        refuses the level with the search path's message before any of its
+        words is formed, so the replaced words are never read; a budget
+        that admits the level reads them.  No product is formed at all."""
+        spec = free_group(3)
+        calls = record_products(monkeypatch)
+        levels = ball_levels(spec, standard_gens(spec), 5, vertex_budget=budget)
+        for _ in range(4):
+            level = next(levels)
+        level[:] = [_Unread()] * len(level)
+        if fits:
+            with pytest.raises(AssertionError, match="read a word of radius 3"):
+                next(levels)
+        else:
+            with pytest.raises(VertexBudgetError) as exc:
+                next(levels)
+            assert str(exc.value) == "ball of radius 4 exceeds the vertex budget 188"
+        assert calls == []
 
     def test_budget_error_on_a_large_level_is_prompt(self, monkeypatch):
         # radius 8 of free:3 holds 586k elements; the radius-7 ball (117,187)
-        # fits a budget of 120,000, and the error comes within a few hundred
-        # stars of it, O(budget * |S|) multiplies in all
+        # fits a budget of 120,000, and the eighth level is refused before it
+        # is built: O(budget * |S|) multiplies at most, none on this tree path
         spec = free_group(3)
         calls = record_products(monkeypatch)
         with pytest.raises(VertexBudgetError, match="radius 8 exceeds the vertex budget 120000"):
@@ -350,6 +396,106 @@ class TestNeighbourTable:
         assert patch.edges == edges
         assert patch.simple_edges == simple_edges_oracle(edges)
         assert patch.interior == interior_oracle(patch, edges)
+
+
+# Generating sets of single free letters, closed under inversion once
+# symmetrized, so their balls take the tree path: the standard basis,
+# permuted, a subset, duplicated, an inverse under another name and a
+# letter given as its inverse, on free:1 to free:4 where the names exist,
+# and the two free edge cases of single letters.  (rank, "sym=word,...")
+TREE_CASES = [
+    (rank, text)
+    for rank in range(1, 5)
+    for text in [None, "a=b,b=a", "a=a,b=b", "a=a,b=a", "a=a,b=a^-1", "a=a^-1"]
+    if "b" not in (text or "") or rank >= 2
+] + [(2, "a=a,b=a,c=b"), (2, "a=a,b=a^-1,c=b")]
+_TREE_IDS = [f"free{rank}[{text or 'standard'}]" for rank, text in TREE_CASES]
+
+
+def _tree_case(rank, text):
+    spec = free_group(rank)
+    gens = cli._parse_generator_overrides(spec, text)
+    return spec, [s for _, _, s in gens.symmetrized(spec)]
+
+
+def _levels_then_outcome(levels):
+    """The levels yielded before a budget error, and its message (None
+    when every level fits)."""
+    got = []
+    try:
+        for level in levels:
+            got.append(level)
+    except VertexBudgetError as exc:
+        return got, str(exc)
+    return got, None
+
+
+class TestTreeLevels:
+    """Over single free letters the levels are generated, not searched
+    for; both paths give the same lists and the same budget errors."""
+
+    @pytest.mark.parametrize("rank,text", TREE_CASES, ids=_TREE_IDS)
+    def test_tree_levels_equal_the_searched_levels(self, rank, text):
+        spec, steps = _tree_case(rank, text)
+        assert all(len(s) == 1 for s in steps)
+        for radius in range(7):
+            searched = list(_searched_levels(spec, steps, radius, 10**9, 1))
+            assert list(_free_tree_levels(spec, steps, radius, 10**9, 1)) == searched
+
+    @pytest.mark.parametrize("rank,text", TREE_CASES, ids=_TREE_IDS)
+    def test_budget_errors_match_at_every_level_boundary(self, rank, text):
+        spec, steps = _tree_case(rank, text)
+        sizes = [len(level) for level in _searched_levels(spec, steps, 6, 10**9, 1)]
+        cumulative = list(accumulate(sizes))
+        for width in (1, 200_000):
+            for total in cumulative:
+                for budget in (total * width, total * width - 1):
+                    expected = _levels_then_outcome(
+                        _searched_levels(spec, steps, 6, budget, width)
+                    )
+                    got = _levels_then_outcome(
+                        _free_tree_levels(spec, steps, 6, budget, width)
+                    )
+                    assert got == expected, (width, budget)
+
+    @pytest.mark.parametrize(
+        "group,text", EDGE_CASE_GENERATORS, ids=[f"{g}[{t}]" for g, t in EDGE_CASE_GENERATORS]
+    )
+    def test_edge_case_generators_take_the_expected_path(self, monkeypatch, group, text):
+        """An identity generator, a two-letter one and the other models are
+        searched for; the two free edge cases whose generators are single
+        letters (a duplicate and an inverse under another name) take the
+        tree path, which the tests above compare with the search."""
+        taken = []
+
+        def recorded(name):
+            path = getattr(cayley, name)
+
+            def levels(*args):
+                taken.append(name)
+                return path(*args)
+
+            return levels
+
+        for name in ("_searched_levels", "_free_tree_levels"):
+            monkeypatch.setattr(cayley, name, recorded(name))
+        spec = parse_group_spec(group)
+        enumerate_ball(spec, cli._parse_generator_overrides(spec, text), 2)
+        letters = group == "free:2" and (2, text) in TREE_CASES
+        assert taken == ["_free_tree_levels" if letters else "_searched_levels"]
+
+    def test_standard_free3_ball_forms_no_product(self, monkeypatch):
+        """The tarski-free3 chain's radius-6 ball neither searches nor
+        multiplies: a refactor that falls back to the search fails here."""
+
+        def forbidden(*args):
+            raise AssertionError("the tree path formed a product")
+
+        monkeypatch.setattr(GroupSpec, "star", forbidden)
+        monkeypatch.setattr(GroupSpec, "multiply", forbidden)
+        spec = free_group(3)
+        patch = enumerate_ball(spec, standard_gens(spec), 6)
+        assert patch.level_sizes == (1, 6, 30, 150, 750, 3750, 18750)
 
 
 def test_edge_cases_have_loops_parallel_generators_and_involutions():

@@ -680,6 +680,18 @@ class TestReport:
         # a certificate read from a file carries no record and is searched
         assert len(searched) == len(paths)
 
+    def test_text_mode_builds_no_json_document(self, capsys, monkeypatch):
+        built = count_calls(monkeypatch, decomposition.TarskiBoundReport, "to_jsonable")
+        golden = Path(__file__).resolve().parent / "golden"
+        argv = ("report", "--inputs", str(golden / "check_free3_r2_json.out"),
+                "--freeness", str(golden / "free_check_free3_json.out"))
+        code, out, _ = run(capsys, *argv, "--format", "text")
+        assert code == 0 and out == (golden / "report_free3_text.out").read_text()
+        assert built == []
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and out == (golden / "report_free3_json.out").read_text()
+        assert len(built) == 1
+
 
     @pytest.mark.parametrize("big_first,expect", [(False, 0), (True, 2)])
     def test_sl2z_overflow_after_the_match(self, capsys, tmp_path, big_first, expect):

@@ -7,8 +7,11 @@ files as their inputs, so cases are frozen in list order.  A JSON case that
 differs names the first key path whose value differs, or says the
 difference is in the layout only.  ``DIGESTS`` cases, the radius-6 chain
 that is too large to keep as files, are compared by the sha256 digest of
-their stdout, listed in ``tests/golden/free3_r6.sha256``.  To refreeze
-every golden file and digest after a deliberate output change:
+their stdout, listed in ``tests/golden/free3_r6.sha256``.  ``DUMP_DIGESTS``
+cases, radius-5 ball dumps that pin the vertex order of a free basis, are
+compared by the digest of the file written, listed in
+``tests/golden/ball_r5_dumps.sha256``.  To refreeze every golden file and
+digest after a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -140,6 +143,16 @@ DIGESTS = [
 ]
 DIGEST_FILE = GOLDEN / "free3_r6.sha256"
 
+# Radius-5 ball dumps over a free basis, its letters in standard and in
+# swapped order: the vertex order that every index in a certificate,
+# decomposition and forest audit refers to.
+DUMP_DIGESTS = [
+    ("ball_free3_r5_dump.json", ["ball", "--group", "free:3", "--radius", "5", "--dump"]),
+    ("ball_free2_swapped_r5_dump.json",
+     ["ball", "--group", "free:2", "--gens", "a=b,b=a", "--radius", "5", "--dump"]),
+]
+DUMP_DIGEST_FILE = GOLDEN / "ball_r5_dumps.sha256"
+
 
 def run_case(argv):
     buffer = io.StringIO()
@@ -167,10 +180,10 @@ def digest_cases(directory: Path) -> dict:
     return found
 
 
-def read_digests() -> dict:
+def read_digests(path: Path = DIGEST_FILE) -> dict:
     """name -> sha256 hex digest, from ``sha256sum``-style lines."""
     digests = {}
-    for line in DIGEST_FILE.read_text().splitlines():
+    for line in path.read_text().splitlines():
         digest, name = line.split()
         digests[name.removesuffix(".out")] = digest
     return digests
@@ -244,6 +257,12 @@ def test_stdout_matches_its_digest(r6_digests, name, expect_rc):
     assert digest == read_digests()[name], f"{name} differs from its frozen digest"
 
 
+@pytest.mark.parametrize("name,argv", DUMP_DIGESTS, ids=[d[0] for d in DUMP_DIGESTS])
+def test_dump_matches_its_digest(name, argv, tmp_path):
+    digest = hashlib.sha256(run_dump(argv, tmp_path, name)).hexdigest()
+    assert digest == read_digests(DUMP_DIGEST_FILE)[name]
+
+
 JSON_GOLDEN = [f"{name}.out" for name, _, _ in CASES if name.endswith("_json")] + [
     name for name, _ in DUMPS
 ]
@@ -295,3 +314,8 @@ if __name__ == "__main__":
             lines.append(f"{digest}  {name}.out\n")
         DIGEST_FILE.write_text("".join(lines))
         print(f"wrote {DIGEST_FILE.name}", file=sys.stderr)
+        DUMP_DIGEST_FILE.write_text("".join(
+            f"{hashlib.sha256(run_dump(argv, Path(scratch), name)).hexdigest()}  {name}\n"
+            for name, argv in DUMP_DIGESTS
+        ))
+        print(f"wrote {DUMP_DIGEST_FILE.name}", file=sys.stderr)
