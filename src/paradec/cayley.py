@@ -168,15 +168,6 @@ class CayleyPatch:
             v for v, row in zip(self.vertices, self.neighbours) if None not in row
         )
 
-    def sphere_sizes(self) -> list[int]:
-        """Vertex counts at each distance up to the largest one present.
-
-        A ball whose radius exceeds the group's diameter has no empty
-        sphere in its list: the whole of cyclic:7 at radius 10^6 gives
-        ``[1, 2, 2, 2]``.
-        """
-        return list(self.level_sizes)
-
     # -- exports -----------------------------------------------------------
 
     def to_jsonable(self) -> dict:
@@ -217,12 +208,13 @@ def letters_per_vertex(
     multiplied by ``translators``: in the free model one per letter of the
     longest word stored, max(1, max|s|, r·max|x|) over the translators s
     and the generators x, since a vertex is a product of up to r
-    generators; r·max|x| counts only when some generator has two or more
-    letters.  1 in the other models."""
+    generators.  1 in the other models.  Every stored free word is counted
+    by this rule: ball vertices, and the half-words of
+    :func:`~paradec.decomposition.free_up_to_length`."""
     if spec.model != "free":
         return 1
     longest = max(len(x) for _, x in gens.pairs)
-    return max(1, *map(len, translators), radius * longest if longest > 1 else 1)
+    return max(1, *map(len, translators), radius * longest)
 
 
 def ball_levels(
@@ -230,15 +222,15 @@ def ball_levels(
     gens: GeneratingSet,
     radius: int,
     vertex_budget: "int | None" = None,
-    width: int = 1,
+    translators: Iterable[Element] = (),
 ) -> Iterator[list[Element]]:
     """The spheres of the ball, level by level: ``[identity]``, then the
     elements at word length 1, 2, ... <= radius w.r.t. S ∪ S⁻¹, each level
     sorted by the spec's element order.  Stops early at an empty level.
 
-    Each element counts ``width`` units of the budget (see
-    :func:`letters_per_vertex`), and :class:`VertexBudgetError` names the
-    first level that takes the ball over it.  When S ∪ S⁻¹ is a set of
+    Each element counts :func:`letters_per_vertex` units of the budget at
+    ``radius`` and ``translators``, and :class:`VertexBudgetError` names
+    the first level that takes the ball over it.  When S ∪ S⁻¹ is a set of
     single letters of the free model, the Cayley graph is a tree and each
     level is generated from the one before (:func:`_free_tree_levels`);
     otherwise the levels are searched for (:func:`_searched_levels`).
@@ -248,6 +240,7 @@ def ball_levels(
     budget = DEFAULT_VERTEX_BUDGET if vertex_budget is None else vertex_budget
     if budget < 1:
         raise ValueError("vertex budget must be positive")
+    width = letters_per_vertex(spec, gens, radius, translators)
     steps = [s for _, _, s in gens.symmetrized(spec)]
     if spec.model == "free" and all(len(s) == 1 for s in steps):
         yield from _free_tree_levels(spec, steps, radius, budget, width)
@@ -321,7 +314,7 @@ def enumerate_ball(
     gens: GeneratingSet,
     radius: int,
     vertex_budget: "int | None" = None,
-    width: int = 1,
+    translators: Iterable[Element] = (),
 ) -> CayleyPatch:
     """All elements of word length <= radius w.r.t. S ∪ S⁻¹, in the order
     of :func:`ball_levels`, so identical inputs index vertices identically
@@ -329,7 +322,7 @@ def enumerate_ball(
     budget error.  The patch's other facts are built when first read."""
     vertices: list[Element] = []
     level_sizes: list[int] = []
-    for sphere in ball_levels(spec, gens, radius, vertex_budget, width):
+    for sphere in ball_levels(spec, gens, radius, vertex_budget, translators):
         vertices.extend(sphere)
         level_sizes.append(len(sphere))
     return CayleyPatch(

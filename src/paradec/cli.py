@@ -16,7 +16,7 @@ import random
 import sys
 from contextlib import contextmanager
 
-from .cayley import GeneratingSet, enumerate_ball, letters_per_vertex
+from .cayley import GeneratingSet, enumerate_ball
 from .decomposition import (
     decomposition_to_jsonable,
     free_up_to_length,
@@ -113,9 +113,10 @@ def _context(spec: GroupSpec, gens: GeneratingSet, ts: "TranslatingSets | None")
 
 def cmd_ball(args: argparse.Namespace) -> int:
     spec, gens, _ = _group(args)
-    patch = _ball(args, spec, gens)
+    patch = enumerate_ball(spec, gens, args.radius, args.budget)
     # The labeled edges are built only for a dump; the count reads the table.
     edges = sum(len(row) - row.count(None) for row in patch.neighbours)
+    sphere_sizes = list(patch.level_sizes)
     if args.dump:
         with open(args.dump, "w") as handle:
             if args.dump.endswith(".json"):
@@ -132,35 +133,22 @@ def cmd_ball(args: argparse.Namespace) -> int:
                 "vertices": len(patch.vertices),
                 "edges": edges,
                 "simple_edges": len(patch.simple_edges),
-                "sphere_sizes": patch.sphere_sizes(),
+                "sphere_sizes": sphere_sizes,
             }
         )
     else:
         text = (
             f"ball radius {args.radius} of {spec_to_string(spec)}: "
             f"{len(patch.vertices)} vertices, {edges} labeled edges, "
-            f"sphere sizes {patch.sphere_sizes()}"
+            f"sphere sizes {sphere_sizes}"
         )
     _emit(args, payload, text)
     return EXIT_OK
 
 
-def _ball(
-    args: argparse.Namespace,
-    spec: GroupSpec,
-    gens: GeneratingSet,
-    translators: tuple = (),
-):
-    """The ball of ``--radius``, each vertex counting the letters of its
-    longest word, or of its longest factor in ``translators``, against the
-    budget."""
-    width = letters_per_vertex(spec, gens, args.radius, translators)
-    return enumerate_ball(spec, gens, args.radius, args.budget, width)
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     spec, gens, ts = _group(args)
-    patch = _ball(args, spec, gens, ts.s1 + ts.s2)
+    patch = enumerate_ball(spec, gens, args.radius, args.budget, ts.s1 + ts.s2)
     verdict = check_domain(spec, ts, patch.vertices)
     payload = text = None
     if args.format == "json":
@@ -220,7 +208,7 @@ def cmd_violate(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     spec, gens, ts = _group(args)
-    patch = _ball(args, spec, gens, ts.s1 + ts.s2)
+    patch = enumerate_ball(spec, gens, args.radius, args.budget, ts.s1 + ts.s2)
     verdict = check_domain(spec, ts, patch.vertices)
     json_format = args.format == "json"
     payload = text = None
@@ -259,7 +247,7 @@ def cmd_forest_audit(args: argparse.Namespace) -> int:
         raise ValueError("sample count must be at least 1")
     if args.max_set_size < 1:
         raise ValueError("max set size must be at least 1")
-    patch = _ball(args, spec, gens)
+    patch = enumerate_ball(spec, gens, args.radius, args.budget)
     interior = patch.interior
     if not interior:
         raise ValueError("patch interior is empty; increase the radius")
@@ -463,12 +451,12 @@ def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            help="vertex budget override; in the free model a ball vertex "
-            "counts max(1, max|s|, r*max|x|) letters over translators s of "
-            "check, decompose and violate and generators x, r*max|x| only "
-            "when some generator has two or more letters (r is --radius, or "
-            "--max-radius), and a stored half-word of free-check "
-            "max(1, |g|, |h|)",
+            help="vertex budget override; in the free model a stored word of "
+            "up to r factors of at most w letters, multiplied by translators "
+            "s, counts max(1, max|s|, r*w) units: a ball vertex over the "
+            "generators (r is --radius, or --max-radius; s the translators of "
+            "check, decompose and violate), and a free-check half-word over "
+            "g and h (r is half of --max-length, rounded up)",
         )
         if translators:
             required = translators == "required"

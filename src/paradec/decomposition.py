@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cayley import DEFAULT_VERTEX_BUDGET, format_label, parse_label
+from .cayley import DEFAULT_VERTEX_BUDGET, GeneratingSet, format_label, parse_label
+from .cayley import letters_per_vertex
 from .doubling import Certificate, TranslatingSets, Verdict, verify_certificate
 from .errors import CertificateError, VertexBudgetError, WitnessError
 from .groups import Element, GroupSpec
@@ -226,11 +227,11 @@ def free_up_to_length(
     letter order g, g⁻¹, h, h⁻¹: the first x in that order that has a
     partner, followed by the smallest y⁻¹.  Cost O(3^(length/2)).
 
-    A full search stores 2·3^⌈length/2⌉ − 1 words.  Each costs one unit of
-    ``budget`` (default: the vertex budget), or in the free model
-    max(1, |g|, |h|) units, one per letter of the longer of g and h; when
-    the total exceeds the budget :class:`VertexBudgetError` is raised
-    before any word is built.
+    A full search stores 2·3^⌈length/2⌉ − 1 words, the reduced words of
+    the radius-⌈length/2⌉ ball over g and h, and each costs
+    :func:`letters_per_vertex` units of that ball against ``budget``
+    (default: the vertex budget); when the total exceeds the budget
+    :class:`VertexBudgetError` is raised before any word is built.
     """
     if length < 1:
         raise ValueError("length bound must be at least 1")
@@ -238,7 +239,7 @@ def free_up_to_length(
     if budget < 1:
         raise ValueError("vertex budget must be positive")
     half = (length + 1) // 2
-    width = max(1, len(g), len(h)) if spec.model == "free" else 1
+    width = letters_per_vertex(spec, GeneratingSet((("g", g), ("h", h))), half)
     # 3^half exceeds any budget shorter than half bits, so the power is only
     # formed when it is small.
     if half > budget.bit_length() or (2 * 3**half - 1) * width > budget:

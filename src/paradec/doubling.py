@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
-from .cayley import GeneratingSet, ball_levels, letters_per_vertex, product_set
+from .cayley import GeneratingSet, ball_levels, product_set
 from .errors import CertificateError, ParseError, ViolatorError
 from .groups import Element, GroupSpec
 from .matching import UNMATCHED, alternating_reachable, hopcroft_karp
@@ -334,14 +334,13 @@ def minimal_violating_radius(
     level's left vertices start unmatched, and the search augments from
     them alone.  The ball is never built past the radius that answers.
     Its vertices count :func:`letters_per_vertex` units of the budget at
-    ``max_radius``.
+    ``max_radius`` and the translators of ``ts``.
     """
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
     graph = _HallGraph(spec, ts)
     matching = None
-    width = letters_per_vertex(spec, gens, max_radius, ts.s1 + ts.s2)
-    levels = ball_levels(spec, gens, max_radius, vertex_budget, width)
+    levels = ball_levels(spec, gens, max_radius, vertex_budget, ts.s1 + ts.s2)
     for radius, sphere in enumerate(levels):
         graph.extend(sphere)
         matching = graph.match(matching)

@@ -17,7 +17,7 @@ import numpy as np
 
 from paradec.decomposition import DecompositionReport, PartialDecomposition
 from paradec.doubling import Certificate, TranslatingSets, Verdict, Violator
-from paradec.errors import CertificateError, ParadecError
+from paradec.errors import CertificateError, ParadecError, VertexBudgetError
 from paradec.groups import Element, GroupSpec, free_group
 from paradec.matching import UNMATCHED
 
@@ -216,22 +216,29 @@ def patch_a_edges_oracle(edges, a_symbol):
 
 def minimal_violating_radius_oracle(spec, gens, ts, max_radius, vertex_budget=None):
     """Per-radius violator search: a fresh ball and a fresh matching
-    (``check_domain``) at every radius 0..max_radius in turn.  As in
-    ``check``, a free-model ball vertex counts the letters of the longest
-    translator, or of a product of ``max_radius`` generators when one of
-    them has two or more letters, against the budget."""
-    from paradec.cayley import enumerate_ball
+    (``check_domain``) at every radius 0..max_radius in turn.  Each ball is
+    checked against the budget before its domain: in the free model a
+    vertex counts max(1, max|s|, max_radius·max|x|) units over the
+    translators s and the generators x, since it is a product of up to
+    ``max_radius`` generators multiplied by a translator; 1 elsewhere."""
+    from paradec.cayley import DEFAULT_VERTEX_BUDGET, enumerate_ball
     from paradec.doubling import Violator, check_domain
 
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
+    budget = DEFAULT_VERTEX_BUDGET if vertex_budget is None else vertex_budget
     width = 1
     if spec.model == "free":
         longest = max(len(x) for _, x in gens.pairs)
-        product = max_radius * longest if longest >= 2 else 1
-        width = max(1, product, *(len(s) for s in ts.s1 + ts.s2))
+        width = max(1, max_radius * longest, *(len(s) for s in ts.s1 + ts.s2))
     for radius in range(max_radius + 1):
-        patch = enumerate_ball(spec, gens, radius, vertex_budget, width)
+        # a budget no test ball reaches, so the check below decides
+        patch = enumerate_ball(spec, gens, radius, 10**9)
+        if len(patch.vertices) * width > budget:
+            letters = "" if width == 1 else f" at {width} letters per vertex"
+            raise VertexBudgetError(
+                f"ball of radius {radius} exceeds the vertex budget {budget}{letters}"
+            )
         verdict = check_domain(spec, ts, patch.vertices)
         if isinstance(verdict, Violator):
             return radius, verdict

@@ -1,6 +1,7 @@
 from itertools import accumulate, combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paradec import (
     GeneratingSet,
@@ -95,8 +96,9 @@ class TestEnumerateBall:
     def test_budget_error_comes_one_star_past_the_budget(self, monkeypatch):
         """On a generating set that is searched, the budget is checked after
         every vertex's star, not after the whole level: free:2 with
-        c = a b has spheres 1, 6, 24, 96, ..., and with a budget one above
-        its radius-3 ball (127 elements) the first radius-3 vertex expanded
+        c = a b has spheres 1, 6, 24, 96, ..., and a radius-5 vertex counts
+        5 * 2 letters.  With a budget of 128 such vertices, one above the
+        radius-3 ball (127 elements), the first radius-3 vertex expanded
         overflows it, so the error comes after the radius-2 ball's 31 stars
         plus one, where finishing the level would take 127."""
         spec = free_group(2)
@@ -104,22 +106,26 @@ class TestEnumerateBall:
         assert [len(level) for level in ball_levels(spec, gens, 3)] == [1, 6, 24, 96]
         calls = record_products(monkeypatch)
         with pytest.raises(VertexBudgetError) as exc:
-            enumerate_ball(spec, gens, 5, vertex_budget=128)
-        assert str(exc.value) == "ball of radius 4 exceeds the vertex budget 128"
+            enumerate_ball(spec, gens, 5, vertex_budget=128 * 10)
+        assert str(exc.value) == (
+            "ball of radius 4 exceeds the vertex budget 1280 at 10 letters per vertex"
+        )
         assert len(calls) == (31 + 1) * 6
 
-    @pytest.mark.parametrize("budget,fits", [(188, False), (188 + 750, True)])
+    @pytest.mark.parametrize("vertices,fits", [(188, False), (188 + 750, True)])
     def test_tree_path_refuses_the_overflowing_level_before_forming_it(
-        self, monkeypatch, budget, fits
+        self, monkeypatch, vertices, fits
     ):
         """Over the standard basis of free:3 the radius-4 level (750 words)
         is built from the radius-3 words, which the test replaces once they
-        are yielded.  A budget one above the radius-3 ball (187 elements)
-        refuses the level with the search path's message before any of its
-        words is formed, so the replaced words are never read; a budget
-        that admits the level reads them.  No product is formed at all."""
+        are yielded.  A radius-5 vertex counts 5 letters.  A budget of 188
+        such vertices, one above the radius-3 ball (187 elements), refuses
+        the level with the search path's message before any of its words is
+        formed, so the replaced words are never read; a budget of 938
+        admits the level and reads them.  No product is formed at all."""
         spec = free_group(3)
         calls = record_products(monkeypatch)
+        budget = vertices * 5
         levels = ball_levels(spec, standard_gens(spec), 5, vertex_budget=budget)
         for _ in range(4):
             level = next(levels)
@@ -130,17 +136,23 @@ class TestEnumerateBall:
         else:
             with pytest.raises(VertexBudgetError) as exc:
                 next(levels)
-            assert str(exc.value) == "ball of radius 4 exceeds the vertex budget 188"
+            assert str(exc.value) == (
+                "ball of radius 4 exceeds the vertex budget 940 at 5 letters per vertex"
+            )
         assert calls == []
 
     def test_budget_error_on_a_large_level_is_prompt(self, monkeypatch):
-        # radius 8 of free:3 holds 586k elements; the radius-7 ball (117,187)
-        # fits a budget of 120,000, and the eighth level is refused before it
-        # is built: O(budget * |S|) multiplies at most, none on this tree path
+        # radius 8 of free:3 holds 586k elements of up to 8 letters; the
+        # radius-7 ball (117,187) fits a budget of 120,000 such vertices, and
+        # the eighth level is refused before it is built: O(budget * |S|)
+        # multiplies at most, none on this tree path
         spec = free_group(3)
         calls = record_products(monkeypatch)
-        with pytest.raises(VertexBudgetError, match="radius 8 exceeds the vertex budget 120000"):
-            enumerate_ball(spec, standard_gens(spec), 8, vertex_budget=120_000)
+        with pytest.raises(
+            VertexBudgetError,
+            match="radius 8 exceeds the vertex budget 960000 at 8 letters per vertex",
+        ):
+            enumerate_ball(spec, standard_gens(spec), 8, vertex_budget=120_000 * 8)
         assert len(calls) <= (23_437 + 600) * 6
 
     def test_levels_are_sorted_spheres(self):
@@ -266,28 +278,28 @@ class TestEdges:
 class TestSphereSizes:
     def test_free3_radius2(self):
         spec = free_group(3)
-        assert enumerate_ball(spec, standard_gens(spec), 2).sphere_sizes() == [1, 6, 30]
+        assert enumerate_ball(spec, standard_gens(spec), 2).level_sizes == (1, 6, 30)
 
     def test_abelian2_radius2(self):
         spec = free_abelian_group(2)
-        assert enumerate_ball(spec, standard_gens(spec), 2).sphere_sizes() == [1, 4, 8]
+        assert enumerate_ball(spec, standard_gens(spec), 2).level_sizes == (1, 4, 8)
 
     def test_radius_zero(self):
         for spec in all_model_specs():
-            assert enumerate_ball(spec, standard_gens(spec), 0).sphere_sizes() == [1]
+            assert enumerate_ball(spec, standard_gens(spec), 0).level_sizes == (1,)
 
     @pytest.mark.parametrize("spec", all_model_specs(), ids=spec_to_string)
     def test_matches_oracle(self, spec):
         gens = standard_gens(spec)
         elements = [el for _, el in gens.pairs]
-        sizes = enumerate_ball(spec, gens, 3).sphere_sizes()
+        sizes = list(enumerate_ball(spec, gens, 3).level_sizes)
         assert sizes == sphere_oracle(spec, elements, 3)
 
     def test_whole_finite_group_keeps_a_larger_radius(self):
         spec = cyclic_group(7)
         patch = enumerate_ball(spec, standard_gens(spec), 5)
         assert patch.radius == 5
-        assert patch.sphere_sizes() == [1, 2, 2, 2]
+        assert patch.level_sizes == (1, 2, 2, 2)
 
 
 _LAZY_FACTS = ("_index", "distances", "neighbours", "edges", "simple_edges", "interior")
@@ -346,7 +358,7 @@ class TestLazyFacts:
             counts = [0] * (max(distances) + 1)
             for d in distances:
                 counts[d] += 1
-            assert patch.sphere_sizes() == counts
+            assert list(patch.level_sizes) == counts
             assert counts == sphere_oracle(spec, elements, radius)
             for v, d in zip(patch.vertices, patch.distances):
                 assert v in balls[d] and (d == 0 or v not in balls[d - 1])
@@ -428,6 +440,29 @@ def _levels_then_outcome(levels):
     except VertexBudgetError as exc:
         return got, str(exc)
     return got, None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_free_ball_vertices_fit_letters_per_vertex(data):
+    """A vertex of a free ball stores at most ``letters_per_vertex``
+    letters, over the standard basis, single-letter ``--gens`` and
+    generators of several letters; over single letters a vertex of the
+    last level reaches the bound, since no product of r letters cancels."""
+    rank = data.draw(st.integers(min_value=1, max_value=3), label="rank")
+    spec = free_group(rank)
+    letter = st.sampled_from([f"{x}{e}" for x in "abc"[:rank] for e in ("", "^-1")])
+    longest = data.draw(st.sampled_from([1, 3]), label="longest letters")
+    word = st.lists(letter, min_size=1, max_size=longest).map(" ".join)
+    words = data.draw(st.none() | st.lists(word, min_size=1, max_size=3), label="gens")
+    text = None if words is None else ",".join(f"x{i}={w}" for i, w in enumerate(words))
+    gens = cli._parse_generator_overrides(spec, text)
+    radius = data.draw(st.integers(min_value=0, max_value=6), label="radius")
+    width = cayley.letters_per_vertex(spec, gens, radius)
+    stored = max(map(len, enumerate_ball(spec, gens, radius).vertices))
+    assert stored <= width
+    if all(len(x) == 1 for _, x in gens.pairs):
+        assert stored == radius
 
 
 class TestTreeLevels:

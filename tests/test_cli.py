@@ -585,8 +585,8 @@ class TestFreeCheck:
         code, out, err = run(capsys, *argv, "--max-length", "3", "--budget", "5")
         assert code == 2 and out == ""
         assert err == (
-            "error: relations up to length 3 need 2*3^2 - 1 stored half-words, "
-            "over the vertex budget 5\n"
+            "error: relations up to length 3 need 2*3^2 - 1 stored half-words "
+            "of up to 2 letters each, over the vertex budget 5\n"
         )
 
     def test_budget_counts_the_letters_of_long_generators(self, capsys):
@@ -597,9 +597,9 @@ class TestFreeCheck:
         assert code == 2 and out == ""
         assert err == (
             "error: relations up to length 10 need 2*3^5 - 1 stored half-words "
-            "of up to 20000 letters each, over the vertex budget 5000000\n"
+            "of up to 100000 letters each, over the vertex budget 5000000\n"
         )
-        # 485 half-words of 2000 letters fit the default budget.
+        # 485 half-words of up to 5 * 2000 letters fit the default budget.
         code, out, _ = run(capsys, *argv, "--g", "a^2000", "--h", "b^2000")
         assert code == 0
         assert out == (
@@ -901,16 +901,20 @@ class TestDeterminismAndErrors:
         assert "exceeds the bound 1000000" in err
 
     def test_budget_error_before_the_level_is_built(self, capsys):
-        # radius 8 of free:3 has 586k elements; the radius-7 ball (117,187)
-        # fits, and the error no longer waits for the whole eighth level
+        # radius 8 of free:3 has 586k elements of up to 8 letters; the
+        # radius-7 ball (117,187) fits 120,000 such vertices, and the error
+        # no longer waits for the whole eighth level
         start = time.perf_counter()
         code, out, err = run(
             capsys, "check", "--group", "free:3", "--s1", "1,a", "--s2", "1,b,c",
-            "--radius", "8", "--budget", "120000", "--format", "json",
+            "--radius", "8", "--budget", str(120_000 * 8), "--format", "json",
         )
         assert time.perf_counter() - start < 3
         assert code == 2 and out == ""
-        assert err == "error: ball of radius 8 exceeds the vertex budget 120000\n"
+        assert err == (
+            "error: ball of radius 8 exceeds the vertex budget 960000 "
+            "at 8 letters per vertex\n"
+        )
 
     @pytest.mark.parametrize("command", ["check", "decompose"])
     def test_long_translators_count_their_letters(self, capsys, monkeypatch, command):
@@ -959,19 +963,31 @@ class TestDeterminismAndErrors:
 
     @pytest.mark.parametrize(
         "s1,fits,refused",
-        [("1,a", 17, 16), ("1,a^2", 34, 33), ("1,a^-3", 51, 50)],
+        [("1,a", 34, 33), ("1,a^2", 34, 33), ("1,a^-3", 51, 50)],
         ids=["letter", "square", "cube"],
     )
     def test_budget_units_per_vertex(self, capsys, s1, fits, refused):
-        # the radius-2 ball of free:2 has 17 vertices; single letters keep
-        # the bound and the message of a plain vertex count
+        # the radius-2 ball of free:2 has 17 vertices of up to 2 letters,
+        # and a translator longer than that sets the count
         argv = ["check", "--group", "free:2", "--s1", s1, "--s2", "1,b", "--radius", "2"]
         code, _, _ = run(capsys, *argv, "--budget", str(fits))
         assert code == 0
         code, out, err = run(capsys, *argv, "--budget", str(refused))
         assert code == 2 and out == ""
-        letters = "" if fits == 17 else f" at {fits // 17} letters per vertex"
+        letters = f" at {fits // 17} letters per vertex"
         assert err == f"error: ball of radius 2 exceeds the vertex budget {refused}{letters}\n"
+
+    def test_single_letters_count_the_letters_of_a_radius(self, capsys):
+        # a vertex of the radius-4000 ball of free:1 is a word of up to 4000
+        # letters, so 1,249 vertices fit and the 1,251 of radius 625 do not
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ball", "--group", "free:1", "--radius", "4000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (
+            "error: ball of radius 625 exceeds the vertex budget 5000000 "
+            "at 4000 letters per vertex\n"
+        )
 
     def test_generators_count_their_letters(self, capsys):
         argv = ["check", "--group", "free:2", "--gens", "a=a b a,b=b", "--s1", "1,a",

@@ -3,9 +3,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paradec import (
     Certificate,
+    GeneratingSet,
     TranslatingSets,
     check_domain,
     decomposition,
@@ -21,6 +23,7 @@ from paradec import (
     verify_certificate,
     verify_decomposition,
 )
+from paradec.cayley import letters_per_vertex
 from paradec.errors import CertificateError, MatrixOverflowError, VertexBudgetError
 from paradec.groups import parse_group_spec
 
@@ -487,16 +490,47 @@ class TestFreeUpToLength:
 
     def test_budget_bounds_stored_half_words(self):
         spec = free_group(2)
-        # length 4 stores the words of length <= 2: 1 + 4 + 12 = 17
-        assert free_up_to_length(spec, (1,), (2,), 4, budget=17).free
+        # length 4 stores the words of length <= 2: 1 + 4 + 12 = 17, of up
+        # to 2 letters each
+        assert free_up_to_length(spec, (1,), (2,), 4, budget=34).free
         with pytest.raises(VertexBudgetError, match=r"need 2\*3\^2 - 1 stored"):
-            free_up_to_length(spec, (1,), (2,), 4, budget=16)
+            free_up_to_length(spec, (1,), (2,), 4, budget=33)
         with pytest.raises(VertexBudgetError):
             free_up_to_length(spec, (1,), (2,), 2000)
         with pytest.raises(VertexBudgetError):
             free_up_to_length(spec, (1,), (2,), 10**18)
         with pytest.raises(ValueError, match="vertex budget must be positive"):
             free_up_to_length(spec, (1,), (2,), 4, budget=0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_stored_half_words_fit_their_width(self, data):
+        """Every half-word the search stores, a product of up to
+        ceil(length/2) factors g or h, has at most the width it is counted
+        at, and a budget of exactly 2*3^half - 1 half-words of that width
+        admits the search while one unit less refuses it."""
+        rank = data.draw(st.integers(min_value=1, max_value=3), label="rank")
+        letter = st.sampled_from([(x, e) for x in "abc"[:rank] for e in (1, -1)])
+        longest = data.draw(st.sampled_from([1, 3]), label="longest letters")
+        word = st.lists(letter, min_size=1, max_size=longest)
+        length = data.draw(st.integers(min_value=1, max_value=8), label="length")
+        stored = []
+
+        class Recording(type(free_group(rank))):
+            def multiply(self, x, y):
+                stored.append(super().multiply(x, y))
+                return stored[-1]
+
+        spec = Recording("free", rank)
+        g, h = (spec.evaluate_word(data.draw(word)) for _ in "gh")
+        half = (length + 1) // 2
+        width = letters_per_vertex(spec, GeneratingSet((("g", g), ("h", h))), half)
+        budget = (2 * 3**half - 1) * width
+        free_up_to_length(spec, g, h, length, budget)
+        assert all(len(w) <= width for w in stored)
+        with pytest.raises(VertexBudgetError):
+            free_up_to_length(spec, g, h, length, budget - 1)
+
 
 
 ORACLE_SPECS = [
