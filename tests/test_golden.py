@@ -66,6 +66,17 @@ _REPORT_R4 = ["report", "--inputs", str(GOLDEN / "check_free3_r4_json.out"),
               "--freeness", str(GOLDEN / "free_check_free3_json.out")]
 _DECOMPOSE_SL2Z = ["decompose", "--group", "sl2z", "--s1", "1,A", "--s2", "1,B",
                    "--radius", "2"]
+# Certificates whose images are not one letter from their sources: free
+# translators of two letters, a derived generator c = a b, and an abelian
+# certificate with translators up to a^8.
+_DECOMPOSE_SQUARE = ["decompose", "--group", "free:2", "--s1", "1,a^2", "--s2",
+                     "1,b,a b", "--radius", "4"]
+_DECOMPOSE_INVERSES = ["decompose", "--group", "free:2", "--s1", "1,a^-1", "--s2",
+                       "1,b^-1,a^-1 b", "--radius", "4"]
+_DECOMPOSE_DERIVED = ["decompose", "--group", "free:2", "--gens", "a=a,b=b,c=a b",
+                      "--s1", "1,a", "--s2", "1,b,c", "--radius", "4"]
+_ABELIAN2_POWERS_R3 = ["--group", "abelian:2", "--s1", _A_POWERS, "--s2", _B_POWERS,
+                       "--radius", "3"]
 
 CASES = [
     ("check_abelian2_r16_json", 1, [*_ABELIAN2_R16, "--format", "json"]),
@@ -108,6 +119,13 @@ CASES = [
     ("report_free3_r4_json", 0, [*_REPORT_R4, "--format", "json"]),
     ("report_free3_r4_text", 0, [*_REPORT_R4, "--format", "text"]),
     ("decompose_sl2z_r2_json", 0, [*_DECOMPOSE_SL2Z, "--format", "json"]),
+    ("decompose_free2_square_r4_json", 0, [*_DECOMPOSE_SQUARE, "--format", "json"]),
+    ("decompose_free2_inverses_r4_json", 0, [*_DECOMPOSE_INVERSES, "--format", "json"]),
+    ("decompose_free2_derived_r4_json", 0, [*_DECOMPOSE_DERIVED, "--format", "json"]),
+    ("check_abelian2_powers_r3_json", 0,
+     ["check", *_ABELIAN2_POWERS_R3, "--format", "json"]),
+    ("decompose_abelian2_powers_r3_json", 0,
+     ["decompose", *_ABELIAN2_POWERS_R3, "--format", "json"]),
 ]
 
 # Files written by a command rather than printed: (golden file name, argv
@@ -128,6 +146,9 @@ _FREE3_R6 = ["--group", "free:3", "--s1", "1,a", "--s2", "1,b,c"]
 _FOREST_FREE3_R5 = ["--group", "free:3", "--radius", "5", "--samples", "40", "--seed", "1"]
 _FOREST_FREE2_ABC_R6 = ["--group", "free:2", "--gens", "a=a,b=b,c=a b", "--radius", "6",
                         "--samples", "40", "--seed", "1"]
+# Rank 30 names its generators g1 ... g30, so g1 is a prefix of g12; the
+# check prints 217 KB and the decomposition 155 KB.
+_FREE30_R2 = ["--group", "free:30", "--s1", "1,g1", "--s2", "1,g2,g12", "--radius", "2"]
 DIGESTS = [
     ("check_free3_r6_json", 0, ["check", *_FREE3_R6, "--radius", "6", "--format", "json"]),
     ("decompose_free3_r6_json", 0,
@@ -140,6 +161,8 @@ DIGESTS = [
     ("forest_audit_free3_r5_json", 0,
      ["forest-audit", *_FOREST_FREE3_R5, "--format", "json"]),
     ("forest_audit_free2_abc_r6_text", 1, ["forest-audit", *_FOREST_FREE2_ABC_R6]),
+    ("check_free30_r2_json", 0, ["check", *_FREE30_R2, "--format", "json"]),
+    ("decompose_free30_r2_json", 0, ["decompose", *_FREE30_R2, "--format", "json"]),
 ]
 DIGEST_FILE = GOLDEN / "free3_r6.sha256"
 
