@@ -157,7 +157,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             {
                 "radius": args.radius,
                 "domain_size": len(patch.vertices),
-                "verdict": verdict_to_jsonable(spec, verdict),
+                "verdict": verdict_to_jsonable(spec, verdict, ts),
             }
         )
     elif isinstance(verdict, Certificate):
@@ -191,7 +191,7 @@ def cmd_violate(args: argparse.Namespace) -> int:
                 {
                     "found": True,
                     "radius": radius,
-                    "violator": verdict_to_jsonable(spec, violator),
+                    "violator": verdict_to_jsonable(spec, violator, ts),
                 }
             )
     elif result is None:
@@ -217,7 +217,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         payload["radius"] = args.radius
     if isinstance(verdict, Violator):
         if json_format:
-            payload["verdict"] = verdict_to_jsonable(spec, verdict)
+            payload["verdict"] = verdict_to_jsonable(spec, verdict, ts)
         _emit(args, payload, "no decomposition: the domain admits a violator")
         return EXIT_NEGATIVE
     pd, report = pieces_from_certificate(spec, verdict, ts)
@@ -361,10 +361,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     for path in args.inputs:
         with _json_input(path) as data:
             spec = parse_group_spec(data["group"])
-            ts = TranslatingSets(
-                s1=tuple(spec.parse_element(s) for s in data["s1"]),
-                s2=tuple(spec.parse_element(s) for s in data["s2"]),
-            )
+            ts = TranslatingSets.from_jsonable(spec, data)
             inputs.append((path, spec, ts, verdict_from_jsonable(spec, data["verdict"])))
         groups[path] = spec_to_string(spec)
     freeness = pair = None

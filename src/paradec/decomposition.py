@@ -9,12 +9,18 @@ the inversion anti-isomorphism g -> g⁻¹.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .cayley import DEFAULT_VERTEX_BUDGET, GeneratingSet, format_label, parse_label
 from .cayley import letters_per_vertex
-from .doubling import Certificate, TranslatingSets, Verdict, verify_certificate
+from .doubling import (
+    Certificate,
+    TranslatingSets,
+    Verdict,
+    translator_positions,
+    verify_certificate,
+)
 from .errors import CertificateError, VertexBudgetError, WitnessError
 from .groups import Element, GroupSpec
 
@@ -31,11 +37,22 @@ class PartialDecomposition:
     translator order.  ``domain`` holds each element once; pieces bucketed
     from a certificate keep its pair order, which :func:`check_domain` makes
     element order (``GroupSpec.element_sort_key``), so no reader sorts it.
+
+    ``translators`` is the record of the s whose piece holds g·s, for each
+    domain element g and family, in domain order: the certificate's
+    :attr:`~paradec.doubling.Certificate.translators`.  Only
+    :func:`pieces_from_certificate` fills it, and
+    :func:`decomposition_to_jsonable` writes each piece from it; a
+    decomposition built by hand has None and cannot be written.  Like the
+    certificate's record, it takes no part in equality or repr.
     """
 
     pieces1: tuple[tuple[Element, frozenset], ...]
     pieces2: tuple[tuple[Element, frozenset], ...]
     domain: tuple[Element, ...]
+    translators: "tuple[tuple[Element, ...], tuple[Element, ...]] | None" = field(
+        default=None, compare=False, repr=False
+    )
 
     def nonempty_piece_count(self) -> int:
         return sum(
@@ -75,7 +92,8 @@ def pieces_from_certificate(
     certificate without that record (one read back from JSON or built by
     hand) is checked by :func:`verify_certificate` first, and s is the
     translator that search found.  The domain is the certificate's, in
-    pair order.
+    the pair order of ``pairs1``, and the decomposition keeps the record
+    in that order for :func:`decomposition_to_jsonable`.
 
     Disjointness and coverage follow from the certificate properties but
     are re-verified, not assumed: the pieces are returned with their
@@ -88,21 +106,21 @@ def pieces_from_certificate(
     used1, used2 = cert.translators or verify_certificate(spec, ts, cert)
 
     def bucket(family, pairs, used, translators):
-        pieces: dict[Element, set] = {s: set() for s in translators}
-        for (_, target), s in zip(pairs, used):
-            try:
-                pieces[s].add(target)
-            except KeyError:
-                raise CertificateError(
-                    f"recorded translator {spec.format_element(s)} is not in S{family}"
-                ) from None
-        return tuple((s, frozenset(piece)) for s, piece in pieces.items())
+        targets = [target for _, target in pairs]
+        positions = translator_positions(spec, family, used, translators)
+        return tuple(
+            (s, frozenset([targets[i] for i in where])) for s, where in positions.items()
+        )
 
-    pd = PartialDecomposition(
-        pieces1=bucket(1, cert.pairs1, used1, ts.s1),
-        pieces2=bucket(2, cert.pairs2, used2, ts.s2),
-        domain=tuple(g for g, _ in cert.pairs1),
-    )
+    pieces1 = bucket(1, cert.pairs1, used1, ts.s1)
+    pieces2 = bucket(2, cert.pairs2, used2, ts.s2)
+    domain = tuple(g for g, _ in cert.pairs1)
+    sources2 = tuple(g for g, _ in cert.pairs2)
+    if sources2 != domain:
+        # the record is kept in domain order; the certificate, recorded or
+        # verified, assigns each domain element once in each family
+        used2 = tuple(map(dict(zip(sources2, used2)).__getitem__, domain))
+    pd = PartialDecomposition(pieces1, pieces2, domain, translators=(used1, used2))
     report = verify_decomposition(spec, pd)
     indeterminate = len(report.indeterminate1) + len(report.indeterminate2)
     if not report.passed or indeterminate:
@@ -439,18 +457,45 @@ def tarski_bound_report(
 
 
 def decomposition_to_jsonable(spec: GroupSpec, pd: PartialDecomposition) -> dict:
+    """The JSON form of a decomposition: the domain's texts, sorted, and
+    each family's pieces in translator order, as ``[s, sorted texts]``.
+
+    The domain is formatted once, by one batch formatter.  A piece is not
+    formatted: the piece of s is the images g·s of the domain elements
+    that :attr:`PartialDecomposition.translators` assigns to s, written as
+    one :meth:`GroupSpec.text_translates` column of their texts.  A
+    decomposition without that record raises :class:`ValueError`.
+    """
+    if pd.translators is None:
+        raise ValueError(
+            "a decomposition without its translator record cannot be written; "
+            "build it with pieces_from_certificate"
+        )
     fmt = spec.formatter()
     # the domain first, in its element order, so that the batch formatter
     # meets every prefix of a ball's word before the word
-    domain = sorted(map(fmt, pd.domain))
+    elements = pd.domain
+    texts = list(map(fmt, elements))
 
-    def family(pieces):
-        return [[fmt(s), sorted(fmt(x) for x in piece)] for s, piece in pieces]
+    def family(index, pieces):
+        translators = [s for s, _ in pieces]
+        positions = translator_positions(spec, index, pd.translators[index - 1], translators)
+        return [
+            [
+                fmt(s),
+                sorted(
+                    spec.text_translates(
+                        [elements[i] for i in where], [texts[i] for i in where], s
+                    )
+                ),
+            ]
+            for s, where in positions.items()
+        ]
 
     return {
-        "pieces1": family(pd.pieces1),
-        "pieces2": family(pd.pieces2),
-        "domain": domain,
+        "pieces1": family(1, pd.pieces1),
+        "pieces2": family(2, pd.pieces2),
+        "domain": sorted(texts),
     }
 
 

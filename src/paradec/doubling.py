@@ -53,6 +53,15 @@ class TranslatingSets:
 
         return cls(parse_list(s1_words), parse_list(s2_words))
 
+    @classmethod
+    def from_jsonable(cls, spec: GroupSpec, data: dict) -> "TranslatingSets":
+        """The ``s1`` and ``s2`` of a ``check`` output, each a JSON list of
+        element texts."""
+        return cls(
+            tuple(map(spec.parse_element, _json_texts(data, "s1"))),
+            tuple(map(spec.parse_element, _json_texts(data, "s2"))),
+        )
+
     def total_size(self) -> int:
         return len(self.s1) + len(self.s2)
 
@@ -88,7 +97,9 @@ class Certificate:
     :func:`verify_certificate` returns.  Only :func:`check_domain` fills
     it; a certificate read back from JSON or built by hand has None.  It
     takes no part in equality or repr, so a certificate read back still
-    equals the one that the matching made.
+    equals the one that the matching made.  :func:`verdict_to_jsonable`
+    and :func:`~paradec.decomposition.pieces_from_certificate` read it, or
+    take it from :func:`verify_certificate` when it is None.
     """
 
     pairs1: tuple[tuple[Element, Element], ...]
@@ -352,13 +363,62 @@ def minimal_violating_radius(
 # -- serialization -------------------------------------------------------------
 
 
-def verdict_to_jsonable(spec: GroupSpec, verdict: Verdict) -> dict:
+def translator_positions(
+    spec: GroupSpec, family: int, used: Sequence[Element], translators: Sequence[Element]
+) -> dict:
+    """s -> the positions i with ``used[i] == s``, in increasing order, for
+    each translator s of S_family, in S order.  ``used`` is a translator
+    record (:attr:`Certificate.translators`); a recorded translator that is
+    not in S_family raises :class:`CertificateError`."""
+    positions: dict = {s: [] for s in translators}
+    for i, s in enumerate(used):
+        try:
+            positions[s].append(i)
+        except KeyError:
+            raise CertificateError(
+                f"recorded translator {spec.format_element(s)} is not in S{family}"
+            ) from None
+    return positions
+
+
+def verdict_to_jsonable(spec: GroupSpec, verdict: Verdict, ts: TranslatingSets) -> dict:
+    """The JSON form of a verdict: a violator's two sets as texts, or a
+    certificate's ``[g, phi_i(g)]`` text pairs per family, in pair order.
+
+    A certificate's sources are formatted by one batch formatter, each
+    family in its own pair order, so the second family's are memo hits.
+    Its images are not formatted: each translator s writes the images g·s
+    of the pairs that :attr:`Certificate.translators` assigns to it as one
+    :meth:`GroupSpec.text_translates` column of their sources' texts.  A
+    certificate without that record takes it from
+    :func:`verify_certificate`, which raises :class:`CertificateError` on
+    a certificate that fails.
+    """
     fmt = spec.formatter()
     if isinstance(verdict, Certificate):
+        used = verdict.translators or verify_certificate(spec, ts, verdict)
+        identity = spec.identity()
+
+        def family(index, pairs, translators):
+            sources = [g for g, _ in pairs]
+            texts = list(map(fmt, sources))
+            # g·1 = g, so the identity's images are their sources' texts
+            images = texts[:]
+            positions = translator_positions(spec, index, used[index - 1], translators)
+            for s, where in positions.items():
+                if s == identity:
+                    continue
+                column = spec.text_translates(
+                    [sources[i] for i in where], [texts[i] for i in where], s
+                )
+                for i, image in zip(where, column):
+                    images[i] = image
+            return [[g, w] for g, w in zip(texts, images)]
+
         return {
             "kind": "certificate",
-            "phi1": [[fmt(g), fmt(w)] for g, w in verdict.pairs1],
-            "phi2": [[fmt(g), fmt(w)] for g, w in verdict.pairs2],
+            "phi1": family(1, verdict.pairs1, ts.s1),
+            "phi2": family(2, verdict.pairs2, ts.s2),
         }
     return {
         "kind": "violator",
@@ -368,12 +428,40 @@ def verdict_to_jsonable(spec: GroupSpec, verdict: Verdict) -> dict:
     }
 
 
+def _json_texts(data: dict, key: str) -> list:
+    """``data[key]``, which must be a JSON list of element texts: a string
+    there would otherwise be read one character at a time."""
+    texts = data[key]
+    if type(texts) is not list or not all(type(text) is str for text in texts):
+        raise ValueError(f"{key} is not a list of element texts")
+    return texts
+
+
+def _json_text_pairs(data: dict, key: str) -> list:
+    """``data[key]``, which must be a JSON list of ``[element, image]``
+    lists of two element texts."""
+    pairs = data[key]
+    if type(pairs) is not list or not all(
+        type(pair) is list
+        and len(pair) == 2
+        and type(pair[0]) is str
+        and type(pair[1]) is str
+        for pair in pairs
+    ):
+        raise ValueError(f"{key} is not a list of [element, image] text pairs")
+    return pairs
+
+
 def verdict_from_jsonable(spec: GroupSpec, data: dict) -> Verdict:
+    """Read back :func:`verdict_to_jsonable`'s document.  ``phi1`` and
+    ``phi2`` must be lists of two-text lists, ``a1`` and ``a2`` lists of
+    texts and ``union_size`` an integer; anything else is a
+    :class:`ValueError`.  Nothing is verified here."""
     parse = spec.parser()
     if data["kind"] == "certificate":
         return Certificate(
-            pairs1=tuple((parse(g), parse(w)) for g, w in data["phi1"]),
-            pairs2=tuple((parse(g), parse(w)) for g, w in data["phi2"]),
+            pairs1=tuple((parse(g), parse(w)) for g, w in _json_text_pairs(data, "phi1")),
+            pairs2=tuple((parse(g), parse(w)) for g, w in _json_text_pairs(data, "phi2")),
         )
     if data["kind"] == "violator":
         union_size = data["union_size"]
@@ -381,8 +469,8 @@ def verdict_from_jsonable(spec: GroupSpec, data: dict) -> Verdict:
         if type(union_size) is not int:
             raise ValueError(f"union_size {union_size!r} is not an integer")
         return Violator(
-            a1=tuple(parse(g) for g in data["a1"]),
-            a2=tuple(parse(g) for g in data["a2"]),
+            a1=tuple(map(parse, _json_texts(data, "a1"))),
+            a2=tuple(map(parse, _json_texts(data, "a2"))),
             union_size=union_size,
         )
     raise ValueError(f"unknown verdict kind {data.get('kind')!r}")

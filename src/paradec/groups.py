@@ -194,6 +194,48 @@ class GroupSpec:
         multiply = self.multiply
         return [multiply(x, s) for x in elements]
 
+    def text_translates(
+        self, elements: Sequence[Element], texts: Sequence[str], s: Element
+    ) -> list:
+        """The texts of ``self.translates(elements, s)``, given ``texts``,
+        the canonical texts of ``elements``.
+
+        For a free translator of at most one letter t each text is one
+        string step from its element's text, chosen by the element's last
+        letter: a last letter of another generator, or none, gains t's token;
+        a last run of t's generator has its exponent moved by one, and is
+        dropped when that exponent reaches 0, leaving ``1`` when nothing is
+        left.  No product is formed.  Every other translator's column is
+        formed by :meth:`translates` and written by :meth:`formatter`.
+        """
+        if self.model != "free" or len(s) > 1:
+            fmt = self.formatter()
+            return [fmt(x) for x in self.translates(elements, s)]
+        if not s:
+            return list(texts)
+        t = s[0]
+        name = self.generator_names[abs(t) - 1]
+        step = 1 if t > 0 else -1
+        token = name if t > 0 else f"{name}^-1"
+        spaced = " " + token
+        offset = len(name) + 1
+        result = []
+        append = result.append
+        for x, text in zip(elements, texts):
+            if not x:
+                append(token)
+            elif x[-1] != t and x[-1] != -t:
+                append(text + spaced)
+            else:
+                head, _, last = text.rpartition(" ")
+                exponent = (1 if last == name else int(last[offset:])) + step
+                if exponent == 0:
+                    append(head or "1")
+                    continue
+                run = name if exponent == 1 else f"{name}^{exponent}"
+                append(f"{head} {run}" if head else run)
+        return result
+
     def star(self, steps: Iterable[Element]) -> Callable[[Element], list]:
         """The callable ``x -> [self.multiply(x, s) for s in steps]``.
 

@@ -1361,10 +1361,10 @@ class TestMalformedReportInput:
     @pytest.mark.parametrize(
         "row,message",
         [
-            (7, "malformed input: cannot unpack non-iterable int object"),
-            (["a", "b", "c"], "too many values to unpack (expected 2)"),
+            (7, "phi2 is not a list of [element, image] text pairs"),
+            (["a", "b", "c"], "phi2 is not a list of [element, image] text pairs"),
             (["a", "q"], "unknown generator symbol 'q'"),
-            ([7, "a"], "malformed input: 'int' object has no attribute 'rpartition'"),
+            ([7, "a"], "phi2 is not a list of [element, image] text pairs"),
         ],
         ids=["int", "triple", "symbol", "int-text"],
     )
@@ -1375,6 +1375,52 @@ class TestMalformedReportInput:
         code, out, err = run(capsys, "report", "--inputs", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.endswith(f"{message}\n")
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d.update(s1="1a", s2="1b"), "s1 is not a list of element texts"),
+            (lambda d: d.update(s2=["1", 2]), "s2 is not a list of element texts"),
+            (lambda d: d["verdict"].update(phi1=["ab"] * len(d["verdict"]["phi1"])),
+             "phi1 is not a list of [element, image] text pairs"),
+            (lambda d: d["verdict"].update(phi1="ab"),
+             "phi1 is not a list of [element, image] text pairs"),
+            (lambda d: d["verdict"].update(phi2={"1": "b"}),
+             "phi2 is not a list of [element, image] text pairs"),
+            (lambda d: d["verdict"]["phi1"][0].append("a"),
+             "phi1 is not a list of [element, image] text pairs"),
+        ],
+        ids=["s-strings", "s2-int", "phi1-pair-strings", "phi1-string", "phi2-dict",
+             "phi1-triple"],
+    )
+    def test_certificate_shape_exit_two(self, capsys, tmp_path, check_output, edit, message):
+        """A string where a list belongs is not read one character at a
+        time: with s1 = "1a" and s2 = "1b" the certificate would verify
+        and bound the Tarski number by 4."""
+        edit(check_output)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(check_output))
+        code, out, err = run(capsys, "report", "--inputs", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("a1", "ab"), ("a2", "a"), ("a1", ["a", None]), ("a2", {"a": 1})],
+        ids=["a1-string", "a2-string", "a1-null", "a2-dict"],
+    )
+    def test_violator_shape_exit_two(self, capsys, tmp_path, key, value):
+        code, data, _ = run_json(
+            capsys, "check", "--group", "abelian:1", "--s1", "1,a", "--s2", "1,a",
+            "--radius", "2",
+        )
+        assert code == 1 and data["verdict"]["kind"] == "violator"
+        data["verdict"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "report", "--inputs", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {key} is not a list of element texts\n"
 
     def test_repeated_domain_element_exit_one(self, capsys, tmp_path, check_output):
         """b·a is a translate of b and in no image, so only the repeated

@@ -1,20 +1,29 @@
 """The batch codec: ``GroupSpec.formatter()`` and ``GroupSpec.parser()``
 must return exactly what ``format_element`` and ``parse_element`` return,
-element by element, in any order, and raise the same errors."""
+element by element, in any order, and raise the same errors.
+``GroupSpec.text_translates`` must return the texts of ``translates``, and
+the JSON writers must write each image from its source's text."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paradec import (
     GeneratingSet,
+    TranslatingSets,
+    check_domain,
     cyclic_group,
     enumerate_ball,
     free_abelian_group,
     free_group,
     matrix_group,
     parse_word,
+    pieces_from_certificate,
+    verdict_to_jsonable,
 )
+from paradec.decomposition import decomposition_to_jsonable
 from paradec.errors import FreeWordLengthError
 from paradec.groups import MAX_FREE_WORD_LENGTH, GroupSpec
 
@@ -269,3 +278,129 @@ def test_report_parses_through_the_codec(monkeypatch, capsys, tmp_path):
     assert main(["report", "--inputs", str(path)]) == 0
     capsys.readouterr()
     assert calls and all(" " not in text for text in calls)
+
+
+# -- text columns ---------------------------------------------------------------
+
+# Ranks 27-30 name their generators g1 ... g30, so g1 is a prefix of g12.
+TEXT_COLUMN_SPECS = [free_group(rank) for rank in (1, 2, 3, 27, 28, 29, 30)] + [
+    free_abelian_group(1),
+    free_abelian_group(2),
+    cyclic_group(5),
+    cyclic_group(12),
+    matrix_group(),
+]
+
+
+@st.composite
+def text_columns(draw):
+    """A model, a list of elements and a translator.  A free element is a
+    product of up to four runs of one letter, of either sign and up to 70
+    letters (the empty word among them); a free translator is the
+    identity, one letter of either sign, a^2, a b or a^-1 b.  Elsewhere
+    both are products of up to four generator powers."""
+    spec = draw(st.sampled_from(TEXT_COLUMN_SPECS), label="spec")
+    if spec.model == "free":
+        rank = spec.rank
+        generator = st.one_of(
+            st.sampled_from(sorted({1, min(2, rank), min(12, rank), rank})),
+            st.integers(1, rank),
+        )
+        g = draw(generator, label="translator letter")
+        # runs of the translator's letter, where the step moves an exponent,
+        # as often as runs of any other
+        letter = st.one_of(st.just(g), generator).flatmap(
+            lambda h: st.sampled_from([h, -h])
+        )
+        length = st.one_of(st.integers(1, 2), st.integers(1, 70))
+        runs = st.lists(st.tuples(letter, length), max_size=4)
+        element = runs.map(
+            lambda rs: functools.reduce(spec.multiply, [(h,) * n for h, n in rs], ())
+        )
+        translators = [(), (g,), (-g,), (1, 1)]
+        if rank > 1:
+            translators += [(1, 2), (-1, 2)]
+        # the words whose one-letter run a step drops, leaving 1
+        fixed = [(), (g,), (-g,), (g, g), (-g, -g)]
+    else:
+        power = st.tuples(st.sampled_from(spec.generator_names), st.integers(-3, 3))
+        element = st.lists(power, max_size=4).map(spec.evaluate_word)
+        translators = [
+            spec.evaluate_word(word)
+            for word in draw(st.lists(st.lists(power, max_size=2), min_size=1, max_size=1))
+        ] + [spec.identity()]
+        fixed = []
+    elements = draw(st.lists(element, max_size=12), label="elements") + fixed
+    s = draw(st.sampled_from(translators), label="s")
+    return spec, elements, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_columns())
+def test_text_translates_is_the_formatted_column(case):
+    spec, elements, s = case
+    texts = [spec.format_element(x) for x in elements]
+    expected = [spec.format_element(x) for x in spec.translates(elements, s)]
+    assert spec.text_translates(elements, texts, s) == expected
+
+
+def _r4_chain():
+    spec = free_group(3)
+    ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
+    domain = enumerate_ball(spec, GeneratingSet.standard(spec), 4).vertices
+    return spec, ts, domain, check_domain(spec, ts, domain)
+
+
+def _count_formatted(monkeypatch):
+    """Calls of every callable that ``GroupSpec.formatter`` returns."""
+    calls = []
+    formatter = GroupSpec.formatter
+
+    def counted_formatter(self):
+        fmt = formatter(self)
+
+        def counted(x):
+            calls.append(x)
+            return fmt(x)
+
+        return counted
+
+    monkeypatch.setattr(GroupSpec, "formatter", counted_formatter)
+    return calls
+
+
+def test_certificate_writer_formats_only_its_sources(monkeypatch):
+    """2|D| texts on the r4 free:3 pair, each family's sources; formatting
+    every image too took 4|D|."""
+    spec, ts, domain, cert = _r4_chain()
+    calls = _count_formatted(monkeypatch)
+    verdict_to_jsonable(spec, cert, ts)
+    assert len(domain) == 937
+    assert calls == [g for g, _ in cert.pairs1] + [g for g, _ in cert.pairs2]
+
+
+def test_decompose_formats_the_domain_and_the_translators(monkeypatch, capsys):
+    """|D| + 5 texts: the domain and one text per translator; formatting
+    every piece element too took 3|D| + 5."""
+    from paradec.cli import main
+
+    _, _, domain, _ = _r4_chain()
+    calls = _count_formatted(monkeypatch)
+    assert main(["decompose", *_R4, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(domain) + 5
+
+
+def test_writers_form_no_product(monkeypatch):
+    """Every translator of the r4 pair is a letter or the identity, so each
+    image is one string step from its source's text."""
+    spec, ts, _, cert = _r4_chain()
+    pd, _ = pieces_from_certificate(spec, cert, ts)
+
+    def forbidden(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(GroupSpec, "multiply", forbidden)
+    monkeypatch.setattr(GroupSpec, "translates", forbidden)
+    verdict_to_jsonable(spec, cert, ts)
+    decomposition_to_jsonable(spec, pd)

@@ -157,7 +157,7 @@ class TestOnePassCertificate:
         # the recorded certificate is bucketed by its record, the copy read
         # back from JSON by the search: both give the oracle's pieces
         for spec, ts, cert in seeded_certificates():
-            data = json.loads(json.dumps(verdict_to_jsonable(spec, cert)))
+            data = json.loads(json.dumps(verdict_to_jsonable(spec, cert, ts)))
             read_back = verdict_from_jsonable(spec, data)
             assert read_back.translators is None
             results = [pieces_from_certificate(spec, c, ts) for c in (cert, read_back)]
@@ -189,7 +189,7 @@ class TestOnePassCertificate:
         for spec, ts, cert in seeded_certificates():
             recorded, _ = pieces_from_certificate(spec, cert, ts)
             assert searches == []
-            data = json.loads(json.dumps(verdict_to_jsonable(spec, cert)))
+            data = json.loads(json.dumps(verdict_to_jsonable(spec, cert, ts)))
             read_back = verdict_from_jsonable(spec, data)
             backwards = Certificate(read_back.pairs1[::-1], read_back.pairs2[::-1])
             for copy in (read_back, backwards):
@@ -232,6 +232,42 @@ class TestOnePassCertificate:
         with pytest.raises(CertificateError) as info:
             pieces_from_certificate(spec, cert, other)
         assert str(info.value) == "recorded translator b is not in S2"
+
+    def test_writers_read_the_record_or_its_search(self):
+        """A certificate read back from JSON, and a copy whose phi2 lists
+        its pairs in reverse, write the recorded certificate's documents:
+        the record is taken from the search and kept in domain order."""
+        for spec, ts, cert in seeded_certificates():
+            document = verdict_to_jsonable(spec, cert, ts)
+            recorded, _ = pieces_from_certificate(spec, cert, ts)
+            pieces = decomposition.decomposition_to_jsonable(spec, recorded)
+            read_back = verdict_from_jsonable(spec, json.loads(json.dumps(document)))
+            assert verdict_to_jsonable(spec, read_back, ts) == document
+            backwards = Certificate(read_back.pairs1, read_back.pairs2[::-1])
+            written = verdict_to_jsonable(spec, backwards, ts)
+            assert written["phi2"] == document["phi2"][::-1]
+            pd, _ = pieces_from_certificate(spec, backwards, ts)
+            assert pd.translators == recorded.translators
+            assert decomposition.decomposition_to_jsonable(spec, pd) == pieces
+
+    def test_writing_a_failing_certificate_without_record_raises(self):
+        spec = free_group(2)
+        ts = TranslatingSets.from_words(spec, "1,a", "1,b")
+        cert = check_domain(spec, ts, ball(spec, 1).vertices)
+        pairs1 = list(cert.pairs1)
+        (g, w), (h, v) = pairs1[0], pairs1[1]
+        pairs1[0], pairs1[1] = (g, v), (h, w)
+        with pytest.raises(CertificateError, match="is not a translate of"):
+            verdict_to_jsonable(spec, Certificate(tuple(pairs1), cert.pairs2), ts)
+
+    def test_a_decomposition_without_record_is_not_written(self):
+        spec = free_group(2)
+        pd = hand_built_decomposition(
+            spec, FIRST_LETTER_TRANSLATORS, {(): [()]}, {(): [()]}, [()]
+        )
+        assert pd.translators is None
+        with pytest.raises(ValueError, match="without its translator record"):
+            decomposition.decomposition_to_jsonable(spec, pd)
 
     @staticmethod
     def tampered():

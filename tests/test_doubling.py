@@ -493,7 +493,7 @@ class TestSerialization:
         spec = free_group(2)
         ts = TranslatingSets.from_words(spec, "1,a", "1,b")
         verdict = check_domain(spec, ts, ball_vertices(spec, 2))
-        data = json.loads(json.dumps(verdict_to_jsonable(spec, verdict)))
+        data = json.loads(json.dumps(verdict_to_jsonable(spec, verdict, ts)))
         # the matching's translator record is not written, and the copy
         # read back without it still compares equal
         read_back = verdict_from_jsonable(spec, data)
@@ -504,7 +504,7 @@ class TestSerialization:
         spec = free_abelian_group(2)
         ts = TranslatingSets.from_words(spec, "1,a", "1,b,a b")
         _, violator = minimal_violating_radius(spec, standard_gens(spec), ts, 6)
-        data = json.loads(json.dumps(verdict_to_jsonable(spec, violator)))
+        data = json.loads(json.dumps(verdict_to_jsonable(spec, violator, ts)))
         assert verdict_from_jsonable(spec, data) == violator
 
     def test_matrix_model_round_trip(self):
@@ -512,5 +512,5 @@ class TestSerialization:
         ts = TranslatingSets.from_words(spec, "1,A", "1,B")
         verdict = check_domain(spec, ts, ball_vertices(spec, 2))
         assert isinstance(verdict, Certificate)
-        data = json.loads(json.dumps(verdict_to_jsonable(spec, verdict)))
+        data = json.loads(json.dumps(verdict_to_jsonable(spec, verdict, ts)))
         assert verdict_from_jsonable(spec, data) == verdict
