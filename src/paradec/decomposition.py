@@ -478,19 +478,15 @@ def decomposition_to_jsonable(spec: GroupSpec, pd: PartialDecomposition) -> dict
     texts = list(map(fmt, elements))
 
     def family(index, pieces):
-        translators = [s for s, _ in pieces]
-        positions = translator_positions(spec, index, pd.translators[index - 1], translators)
-        return [
-            [
-                fmt(s),
-                sorted(
-                    spec.text_translates(
-                        [elements[i] for i in where], [texts[i] for i in where], s
-                    )
-                ),
-            ]
-            for s, where in positions.items()
-        ]
+        used = pd.translators[index - 1]
+        positions = translator_positions(spec, index, used, [s for s, _ in pieces])
+        written = []
+        for s, where in positions.items():
+            column = spec.text_translates(
+                [elements[i] for i in where], [texts[i] for i in where], s
+            )
+            written.append([fmt(s), sorted(column)])
+        return written
 
     return {
         "pieces1": family(1, pd.pieces1),

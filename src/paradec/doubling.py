@@ -389,7 +389,8 @@ def verdict_to_jsonable(spec: GroupSpec, verdict: Verdict, ts: TranslatingSets) 
     family in its own pair order, so the second family's are memo hits.
     Its images are not formatted: each translator s writes the images g·s
     of the pairs that :attr:`Certificate.translators` assigns to it as one
-    :meth:`GroupSpec.text_translates` column of their sources' texts.  A
+    :meth:`GroupSpec.text_translates` column of their sources' texts, so
+    the record is trusted: a pair is written as ``[g, g·s]``.  A
     certificate without that record takes it from
     :func:`verify_certificate`, which raises :class:`CertificateError` on
     a certificate that fails.
