@@ -77,6 +77,14 @@ _DECOMPOSE_DERIVED = ["decompose", "--group", "free:2", "--gens", "a=a,b=b,c=a b
                       "--s1", "1,a", "--s2", "1,b,c", "--radius", "4"]
 _ABELIAN2_POWERS_R3 = ["--group", "abelian:2", "--s1", _A_POWERS, "--s2", _B_POWERS,
                        "--radius", "3"]
+# Violators on the tree of a free basis: 1, a against 1, a^-1 fails on the
+# radius-4 ball and first at radius 1; a against b, b^-1 first at radius 2.
+_FREE2_INVERSE_PAIR = ["--group", "free:2", "--s1", "1,a", "--s2", "1,a^-1"]
+_VIOLATE_FREE2_LETTERS = ["violate", "--group", "free:2", "--s1", "a", "--s2", "b,b^-1",
+                          "--max-radius", "4"]
+# A certificate over the basis letters in swapped order.
+_CHECK_FREE2_SWAPPED = ["check", "--group", "free:2", "--gens", "a=b,b=a", "--s1", "1,a",
+                        "--s2", "1,b,b^-1", "--radius", "3"]
 
 CASES = [
     ("check_abelian2_r16_json", 1, [*_ABELIAN2_R16, "--format", "json"]),
@@ -126,6 +134,18 @@ CASES = [
      ["check", *_ABELIAN2_POWERS_R3, "--format", "json"]),
     ("decompose_abelian2_powers_r3_json", 0,
      ["decompose", *_ABELIAN2_POWERS_R3, "--format", "json"]),
+    ("check_free2_inverse_pair_r4_json", 1,
+     ["check", *_FREE2_INVERSE_PAIR, "--radius", "4", "--format", "json"]),
+    ("check_free2_inverse_pair_r4_text", 1,
+     ["check", *_FREE2_INVERSE_PAIR, "--radius", "4", "--format", "text"]),
+    ("violate_free2_inverse_pair_json", 0,
+     ["violate", *_FREE2_INVERSE_PAIR, "--max-radius", "4", "--format", "json"]),
+    ("violate_free2_inverse_pair_text", 0,
+     ["violate", *_FREE2_INVERSE_PAIR, "--max-radius", "4", "--format", "text"]),
+    ("violate_free2_letters_json", 0, [*_VIOLATE_FREE2_LETTERS, "--format", "json"]),
+    ("violate_free2_letters_text", 0, [*_VIOLATE_FREE2_LETTERS, "--format", "text"]),
+    ("check_free2_swapped_r3_json", 0, [*_CHECK_FREE2_SWAPPED, "--format", "json"]),
+    ("check_free2_swapped_r3_text", 0, [*_CHECK_FREE2_SWAPPED, "--format", "text"]),
 ]
 
 # Files written by a command rather than printed: (golden file name, argv
