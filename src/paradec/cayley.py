@@ -242,10 +242,21 @@ def ball_levels(
         raise ValueError("vertex budget must be positive")
     width = letters_per_vertex(spec, gens, radius, translators)
     steps = [s for _, _, s in gens.symmetrized(spec)]
-    if spec.model == "free" and all(len(s) == 1 for s in steps):
+    if tree_letters(spec, gens) is not None:
         yield from _free_tree_levels(spec, steps, radius, budget, width)
     else:
         yield from _searched_levels(spec, steps, radius, budget, width)
+
+
+def tree_letters(spec: GroupSpec, gens: GeneratingSet) -> "tuple[int, ...] | None":
+    """The letters of S ∪ S⁻¹ in ascending order when each is a single
+    letter of the free model, so the Cayley graph is a tree; else None."""
+    if spec.model != "free":
+        return None
+    steps = [s for _, _, s in gens.symmetrized(spec)]
+    if not all(len(s) == 1 for s in steps):
+        return None
+    return tuple(sorted(s[0] for s in steps))
 
 
 def _searched_levels(

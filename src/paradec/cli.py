@@ -93,13 +93,20 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+# Characters per write of a printed document: ``print`` would encode the
+# whole document (2 MB for the radius-6 free:3 check) into one bytes object.
+_WRITE_SLICE = 1 << 16
+
+
 def _emit(args: argparse.Namespace, payload: "dict | None", text: "str | None") -> None:
-    """Print ``payload`` as JSON for ``--format json``, else ``text``; the
-    one not printed may be None."""
-    if args.format == "json":
-        print(_json_text(payload))
-    else:
-        print(text)
+    """Print ``payload`` as JSON for ``--format json``, else ``text``, and a
+    newline, in slices of ``_WRITE_SLICE`` characters; the one not printed
+    may be None."""
+    document = _json_text(payload) if args.format == "json" else text
+    write = sys.stdout.write
+    for start in range(0, len(document), _WRITE_SLICE):
+        write(document[start : start + _WRITE_SLICE])
+    write("\n")
 
 
 def _context(spec: GroupSpec, gens: GeneratingSet, ts: "TranslatingSets | None") -> dict:
@@ -149,7 +156,7 @@ def cmd_ball(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     spec, gens, ts = _group(args)
     patch = enumerate_ball(spec, gens, args.radius, args.budget, ts.s1 + ts.s2)
-    verdict = check_domain(spec, ts, patch.vertices)
+    verdict = check_domain(spec, ts, patch)
     payload = text = None
     if args.format == "json":
         payload = _context(spec, gens, ts)
@@ -209,7 +216,7 @@ def cmd_violate(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     spec, gens, ts = _group(args)
     patch = enumerate_ball(spec, gens, args.radius, args.budget, ts.s1 + ts.s2)
-    verdict = check_domain(spec, ts, patch.vertices)
+    verdict = check_domain(spec, ts, patch)
     json_format = args.format == "json"
     payload = text = None
     if json_format:

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
+from operator import add, itemgetter
 from typing import Iterable, Sequence, Union
 
-from .cayley import GeneratingSet, ball_levels, product_set
+from .cayley import CayleyPatch, GeneratingSet, ball_levels, product_set, tree_letters
 from .errors import CertificateError, ParseError, ViolatorError
 from .groups import Element, GroupSpec
 from .matching import UNMATCHED, alternating_reachable, hopcroft_karp
@@ -189,68 +191,177 @@ def verify_violator(spec: GroupSpec, ts: TranslatingSets, violator: Violator) ->
 class _HallGraph:
     """The bipartite graph of Hall's condition on a domain D that may grow:
     a left vertex (copy, g) for each g ∈ D and copy 1, 2, adjacent to the
-    right vertices g·s, s ∈ S_copy.  Right vertices are the exact products,
-    computed in the group and never clipped to a patch.  They are numbered
-    column by column, one column per distinct translator, and a product
-    seen in an earlier column or an earlier :meth:`extend` keeps its index.
-    That numbering is only a name: the matching and the alternating reach
+    right vertices g·s, s ∈ S_copy.  The matching and the alternating reach
     visit left vertices in index order and each row in translator order,
-    and read a right index only as a key, so any numbering gives the same
-    pairs of elements.  The identity translator's product is g itself, so
-    it is not formed."""
+    and read a right index only as a key, so any numbering of the right
+    vertices gives the same pairs of elements.  Two numberings are used.
 
-    def __init__(self, spec: GroupSpec, ts: TranslatingSets):
+    On a ball of the free tree (``letters``, the ascending letters of
+    S ∪ S⁻¹, from :func:`~paradec.cayley.tree_letters`), grown whole
+    levels at a time in shortlex order, when every translator is 1 or one
+    of those letters, a right vertex is numbered by its word's place in
+    the shortlex order of the whole tree, computed and never formed.  The
+    vertex at level l ≥ 1 and place j of its level, with last letter x,
+    has its m - 1 children from ``offset[l+1] + j(m-1)`` on, in ascending
+    letter order without x⁻¹, and its parent at ``offset[l-1] + j // (m-1)``
+    (the identity at level 1, whose m children are 1 ... m).  So g·t is
+    the parent when t = x⁻¹ and a child slot otherwise, and g·1 is g.  An
+    index at or past ``len(vertices)``, the ball so far, is a word just
+    outside it, and the children of the last level are the next level's
+    indices, so a graph grown level by level keeps every index.
+
+    Otherwise the right vertices are the exact products, formed in the
+    group by translator columns and interned in ``right_index`` in the
+    order first seen; g·1 is g itself, not formed."""
+
+    def __init__(
+        self, spec: GroupSpec, ts: TranslatingSets, letters: "tuple | None" = None
+    ):
         self.spec = spec
         self.ts = ts
         self.lefts: list[tuple[int, Element]] = []
         self.adjacency: list[Sequence[int]] = []
+        # the domain, each element once, in the order extended, and the
+        # size of each batch
+        self.vertices: list[Element] = []
+        self.batches: list[int] = []
         # insertion order is index order, so list(right_index) is the
         # right side by index
         self.right_index: dict[Element, int] = {}
+        identity = spec.identity()
+        translators = dict.fromkeys(ts.s1 + ts.s2)
+        if letters is not None and all(
+            s == identity or (len(s) == 1 and s[0] in letters) for s in translators
+        ):
+            self.letters = letters
+        else:
+            self.letters = None
+        self.num_right = 0
 
     def extend(self, elements: Sequence[Element]) -> None:
         """Append copy 1 of every element, then copy 2 of every element.
 
         Each distinct translator s forms its column g·s once over the
-        batch, so a translator in both S1 and S2 costs one product per
-        element; the rows are the columns zipped in translator order."""
+        batch, so a translator in both S1 and S2 costs one column; the rows
+        are the columns zipped in translator order.  On the tree numbering
+        the batch must be the ball's next whole levels."""
+        translators = dict.fromkeys(self.ts.s1 + self.ts.s2)
+        if self.letters is None:
+            columns = self._interned_columns(elements, translators)
+        else:
+            columns = self._tree_columns(elements, translators)
+        self.vertices.extend(elements)
+        self.batches.append(len(elements))
+        for copy, translators in ((1, self.ts.s1), (2, self.ts.s2)):
+            self.lefts.extend(zip(repeat(copy), elements))
+            self.adjacency.extend(zip(*(columns[s] for s in translators)))
+
+    def _interned_columns(self, elements, translators) -> dict:
         translates = self.spec.translates
         identity = self.spec.identity()
         right_index = self.right_index
         intern = right_index.setdefault
         columns = {}
-        for s in dict.fromkeys(self.ts.s1 + self.ts.s2):
-            if s == identity:
-                products = elements
-            else:
-                products = translates(elements, s)
+        for s in translators:
+            products = elements if s == identity else translates(elements, s)
             columns[s] = [intern(w, len(right_index)) for w in products]
-        for copy, translators in ((1, self.ts.s1), (2, self.ts.s2)):
-            self.lefts.extend((copy, g) for g in elements)
-            self.adjacency.extend(zip(*(columns[s] for s in translators)))
+        self.num_right = len(right_index)
+        return columns
+
+    def _tree_columns(self, elements, translators) -> dict:
+        letters = self.letters
+        m = len(letters)
+        k = m - 1
+        rank = {t: i for i, t in enumerate(letters)}
+
+        def level_size(level: int) -> int:
+            return m * k ** (level - 1) if level else 1
+
+        # the batch's first level: its number and offset, and the offset of
+        # the level before it
+        level, first, previous = 0, 0, 0
+        while first < len(self.vertices):
+            previous, first = first, first + level_size(level)
+            level += 1
+        columns: dict = {s: [] for s in translators}
+        done = 0
+        while done < len(elements):
+            size = level_size(level)
+            sphere = elements[done : done + size]
+            if len(sphere) != size:
+                raise ValueError("a tree batch must end on a whole level")
+            after = first + size
+            lasts = list(map(itemgetter(-1), sphere)) if level else []
+            # the last letter of each vertex of the level before, read off
+            # its first child
+            parents = list(map(itemgetter(-2), sphere[::k])) if level > 1 else []
+            for s, column in columns.items():
+                if not s:  # the identity
+                    column.extend(range(first, after))
+                    continue
+                t = s[0]
+                if not level:
+                    column.append(1 + rank[t])
+                    continue
+                # g·t is the child of g at place slot among g's children,
+                # the letters but the inverse of g's last letter x ...
+                slot = {x: rank[t] - (rank[t] > rank[-x]) for x in letters}
+                values = list(
+                    map(add, range(after, after + size * k, k), map(slot.__getitem__, lasts))
+                )
+                # ... save when x is t⁻¹: then g·t is g's parent.  Each
+                # vertex y of the level before, unless it ends in t, has one
+                # child ending in t⁻¹, at its place among y's children.
+                if level == 1:
+                    values[rank[-t]] = 0
+                place = {y: rank[-t] - (rank[-t] > rank[-y]) for y in letters}
+                for q, y in enumerate(parents):
+                    if y != t:
+                        values[q * k + place[y]] = previous + q
+                column.extend(values)
+            done += size
+            level += 1
+            previous, first = first, after
+        # a letter translator reaches the slots of the next level
+        self.num_right = first + level_size(level) if any(translators) else first
+        return columns
 
     def match(
         self, start: "tuple[list[int], list[int]] | None" = None
     ) -> tuple[list[int], list[int]]:
-        return hopcroft_karp(self.adjacency, len(self.right_index), start)
+        return hopcroft_karp(self.adjacency, self.num_right, start)
 
     def certificate(self, pair_left: Sequence[int]) -> Certificate:
         """The pairs (g, g·s) of a saturating matching, with the record of
         each pair's s.  A row lists its right vertices in S_copy order, so
         the matched vertex's position in the row names s; it is unique,
-        since g·s = g·s' forces s = s'."""
-        right_elements = list(self.right_index)
-        pairs: tuple[list, list] = ([], [])
-        used: tuple[list, list] = ([], [])
-        translators = (self.ts.s1, self.ts.s2)
-        for (copy, g), row, j in zip(self.lefts, self.adjacency, pair_left):
-            pairs[copy - 1].append((g, right_elements[j]))
-            used[copy - 1].append(translators[copy - 1][row.index(j)])
-        return Certificate(
-            pairs1=tuple(pairs[0]),
-            pairs2=tuple(pairs[1]),
-            translators=(tuple(used[0]), tuple(used[1])),
-        )
+        since g·s = g·s' forces s = s'.  An image that the graph knows (a
+        vertex of the ball, or an interned product) is taken as it is; the
+        images outside the ball are formed, one
+        :meth:`GroupSpec.translates` column per translator."""
+        known = self.vertices if self.letters is not None else list(self.right_index)
+        n = len(known)
+        families = []
+        for copy, translators in ((1, self.ts.s1), (2, self.ts.s2)):
+            rows, matched = [], []
+            start = 0
+            for size in self.batches:
+                cut = slice(start + (copy - 1) * size, start + copy * size)
+                rows.extend(self.adjacency[cut])
+                matched.extend(pair_left[cut])
+                start += 2 * size
+            used = [translators[row.index(j)] for row, j in zip(rows, matched)]
+            images = [known[j] if j < n else None for j in matched]
+            outside: dict = {s: [] for s in translators}
+            for i in compress(count(), map(n.__le__, matched)):
+                outside[used[i]].append(i)
+            for s, where in outside.items():
+                column = self.spec.translates([self.vertices[i] for i in where], s)
+                for i, w in zip(where, column):
+                    images[i] = w
+            families.append((tuple(zip(self.vertices, images)), tuple(used)))
+        (pairs1, used1), (pairs2, used2) = families
+        return Certificate(pairs1=pairs1, pairs2=pairs2, translators=(used1, used2))
 
     def violator(self, pair_left: Sequence[int], pair_right: Sequence[int]) -> Violator:
         """The left vertices reached by alternating paths from unmatched
@@ -266,22 +377,37 @@ class _HallGraph:
 
 
 def check_domain(
-    spec: GroupSpec, ts: TranslatingSets, domain: Iterable[Element]
+    spec: GroupSpec, ts: TranslatingSets, domain: "CayleyPatch | Iterable[Element]"
 ) -> Verdict:
     """Decide the doubling condition for all A1, A2 ⊆ D with one matching.
 
-    The right-side universe D·S1 ∪ D·S2 is computed exactly in the group,
-    never clipped to a patch.  On deficiency, the violator comes from
+    ``domain`` is a :class:`~paradec.cayley.CayleyPatch` of ``spec`` or
+    any iterable of elements.  The right-side universe D·S1 ∪ D·S2 is
+    never clipped to a patch.  On a ball of the free tree, when every
+    translator is 1 or one of its letters, it is numbered by shortlex
+    arithmetic and only the certificate's images outside the ball are
+    formed; otherwise every product is formed in the group (see
+    :class:`_HallGraph`).  On deficiency, the violator comes from
     alternating reachability and is then shrunk greedily (smaller violators
     are human-checkable; true minimality is the job of the exhaustive oracle
     in ``tests/oracles.py``).
     """
-    # dict.fromkeys keeps the domain's order, and a ball arrives in element
-    # order already, so the sort is one linear pass
-    elements = sorted(dict.fromkeys(domain), key=spec.element_sort_key)
+    letters = None
+    if isinstance(domain, CayleyPatch):
+        if domain.spec != spec:
+            raise ValueError("the patch is a ball of another group")
+        letters = tree_letters(spec, domain.gens)
+        domain = domain.vertices
+    if letters is not None:
+        # the tree's levels are generated in shortlex order: sorted already
+        elements = list(domain)
+    else:
+        # dict.fromkeys keeps the domain's order, and a ball arrives in
+        # element order already, so the sort is one linear pass
+        elements = sorted(dict.fromkeys(domain), key=spec.element_sort_key)
     if not elements:
         raise ValueError("domain must be nonempty")
-    graph = _HallGraph(spec, ts)
+    graph = _HallGraph(spec, ts, letters)
     graph.extend(elements)
     pair_left, pair_right = graph.match()
     if UNMATCHED in pair_left:
@@ -345,11 +471,14 @@ def minimal_violating_radius(
     level's left vertices start unmatched, and the search augments from
     them alone.  The ball is never built past the radius that answers.
     Its vertices count :func:`letters_per_vertex` units of the budget at
-    ``max_radius`` and the translators of ``ts``.
+    ``max_radius`` and the translators of ``ts``.  On the free tree the
+    graph is numbered as in :func:`check_domain`, and the children of a
+    level are the next level's indices, so the warm start reads them
+    unchanged.
     """
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
-    graph = _HallGraph(spec, ts)
+    graph = _HallGraph(spec, ts, tree_letters(spec, gens))
     matching = None
     levels = ball_levels(spec, gens, max_radius, vertex_budget, ts.s1 + ts.s2)
     for radius, sphere in enumerate(levels):

@@ -388,30 +388,42 @@ def test_warm_violate_matches_per_radius_oracle(spec, count, max_radius):
 
 
 @pytest.mark.parametrize(
-    "spec,s1,s2,radius",
+    "spec,s1,s2,radius,tree",
     [
-        (free_group(3), "1,a", "1,b,c", 4),
-        (matrix_group(), "1,A", "1,B", 3),
-        (free_group(2), "1,a", "a,b", 3),
+        (free_group(3), "1,a", "1,b,c", 4, True),
+        (matrix_group(), "1,A", "1,B", 3, False),
+        (free_group(2), "1,a", "a,b", 3, False),
     ],
     ids=["free3", "sl2z", "free2-shared"],
 )
 def test_check_domain_forms_no_product_with_the_identity(
-    monkeypatch, spec, s1, s2, radius
+    monkeypatch, spec, s1, s2, radius, tree
 ):
-    """The Hall graph takes g itself as g·1 and forms one product per
-    element and distinct translator, so a translator in both S1 and S2
-    costs one; the certificate check still forms every g·1 on its own
-    path."""
+    """The Hall graph takes g itself as g·1.  On the patch of the free
+    tree (free3) the graph forms no product at all, and the certificate
+    forms only its images outside the ball, one column per translator.  On
+    a hand-given domain (free2-shared) and in sl2z the graph forms one
+    product per element and distinct translator, so a translator in both
+    S1 and S2 costs one.  The certificate check still forms every g·1 on
+    its own path."""
     ts = TranslatingSets.from_words(spec, s1, s2)
-    vertices = ball_vertices(spec, radius)
+    patch = enumerate_ball(spec, standard_gens(spec), radius)
     identity = spec.identity()
     calls = record_products(monkeypatch)
-    verdict = check_domain(spec, ts, vertices)
+    verdict = check_domain(spec, ts, patch if tree else patch.vertices)
     assert isinstance(verdict, Certificate)
     assert identity not in calls
-    distinct = set(ts.s1 + ts.s2) - {identity}
-    assert len(calls) == len(vertices) * len(distinct)
+    if tree:
+        outside = [
+            s
+            for pairs, used in zip((verdict.pairs1, verdict.pairs2), verdict.translators)
+            for (_, image), s in zip(pairs, used)
+            if image not in patch
+        ]
+        assert outside and sorted(calls) == sorted(outside)
+    else:
+        distinct = set(ts.s1 + ts.s2) - {identity}
+        assert len(calls) == len(patch.vertices) * len(distinct)
     calls.clear()
     verify_certificate(spec, ts, verdict)
     assert calls.count(identity) > 0

@@ -306,6 +306,36 @@ def test_dump_matches_its_digest(name, argv, tmp_path):
     assert digest == read_digests(DUMP_DIGEST_FILE)[name]
 
 
+class _RecordingStdout(io.StringIO):
+    """A stdout that keeps the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("slice_size", [None, 4096], ids=["default", "4096"])
+def test_document_is_written_in_slices(monkeypatch, slice_size):
+    """The r4 check's 61 KB document reaches stdout in writes of at most
+    ``cli._WRITE_SLICE`` characters, not as one encoded whole, and its
+    bytes are the golden file's."""
+    from paradec import cli
+
+    if slice_size is not None:
+        monkeypatch.setattr(cli, "_WRITE_SLICE", slice_size)
+    out = _RecordingStdout()
+    with redirect_stdout(out):
+        assert main(["check", *_FREE3_R4, "--format", "json"]) == 0
+    assert max(out.sizes) <= cli._WRITE_SLICE
+    if slice_size is not None:
+        assert len(out.sizes) > 2
+    assert out.getvalue().encode() == (GOLDEN / "check_free3_r4_json.out").read_bytes()
+
+
 JSON_GOLDEN = [f"{name}.out" for name, _, _ in CASES if name.endswith("_json")] + [
     name for name, _ in DUMPS
 ]
