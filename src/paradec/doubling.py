@@ -204,8 +204,9 @@ class _HallGraph:
     vertex at level l ≥ 1 and place j of its level, with last letter x,
     has its m - 1 children from ``offset[l+1] + j(m-1)`` on, in ascending
     letter order without x⁻¹, and its parent at ``offset[l-1] + j // (m-1)``
-    (the identity at level 1, whose m children are 1 ... m).  So g·t is
-    the parent when t = x⁻¹ and a child slot otherwise, and g·1 is g.  An
+    when l ≥ 2, or the identity, 0, when l = 1; the identity's m children
+    are 1 ... m.  So g·t is the parent when t = x⁻¹ and a child slot
+    otherwise, and g·1 is g.  An
     index at or past ``len(vertices)``, the ball so far, is a word just
     outside it, and the children of the last level are the next level's
     indices, so a graph grown level by level keeps every index.
