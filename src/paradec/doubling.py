@@ -307,9 +307,8 @@ class _HallGraph:
                 # g·t is the child of g at place slot among g's children,
                 # the letters but the inverse of g's last letter x ...
                 slot = {x: rank[t] - (rank[t] > rank[-x]) for x in letters}
-                values = list(
-                    map(add, range(after, after + size * k, k), map(slot.__getitem__, lasts))
-                )
+                starts = range(after, after + size * k, k)
+                values = list(map(add, starts, map(slot.__getitem__, lasts)))
                 # ... save when x is t⁻¹: then g·t is g's parent.  Each
                 # vertex y of the level before, unless it ends in t, has one
                 # child ending in t⁻¹, at its place among y's children.

@@ -26,6 +26,7 @@ from paradec import (
     parse_group_spec,
     verify_certificate,
 )
+import paradec.cli as cli
 import paradec.doubling as doubling
 from paradec.cayley import ball_levels, tree_letters
 from paradec.matching import UNMATCHED, alternating_reachable
@@ -66,14 +67,15 @@ def tree_cases(draw):
             label="signs",
         )
         gens = GeneratingSet(
-            tuple((f"x{i}", (sign * letter,)) for i, (letter, sign) in enumerate(zip(chosen, signs)))
+            tuple(
+                (f"x{i}", (sign * letter,))
+                for i, (letter, sign) in enumerate(zip(chosen, signs))
+            )
         )
     letters = tree_letters(spec, gens)
     pool = [spec.identity()] + [(t,) for t in letters]
-    sides = [
-        tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True), label=side))
-        for side in ("s1", "s2")
-    ]
+    translators = st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)
+    sides = [tuple(draw(translators, label=side)) for side in ("s1", "s2")]
     radius = draw(st.integers(min_value=0, max_value=6), label="radius")
     while radius and _ball_size(len(letters), radius + 1) > _NAMING_BALL_LIMIT:
         radius -= 1
@@ -189,10 +191,8 @@ _KNOWN = [
     "group,text,s1,s2,radius,kind", _KNOWN, ids=[f"{c[0]}[{c[2]}|{c[3]}]" for c in _KNOWN]
 )
 def test_known_verdicts_on_the_tree(group, text, s1, s2, radius, kind):
-    from paradec.cli import _parse_generator_overrides
-
     spec = parse_group_spec(group)
-    gens = _parse_generator_overrides(spec, text)
+    gens = cli._parse_generator_overrides(spec, text)
     ts = TranslatingSets.from_words(spec, s1, s2, symbols=gens.mapping())
     patch = enumerate_ball(spec, gens, radius)
     verdict = check_domain(spec, ts, patch)
@@ -227,8 +227,6 @@ def test_each_input_takes_its_path(monkeypatch, group, text, s1, s2, path):
     are 1 or its letters: a translator of two letters, a letter outside
     the tree's, a searched ball and the other models take the interning
     path.  A hand-given domain always does."""
-    from paradec.cli import _parse_generator_overrides
-
     taken = []
     for name in ("_tree_columns", "_interned_columns"):
         build = getattr(doubling._HallGraph, name)
@@ -239,7 +237,7 @@ def test_each_input_takes_its_path(monkeypatch, group, text, s1, s2, path):
 
         monkeypatch.setattr(doubling._HallGraph, name, spy)
     spec = parse_group_spec(group)
-    gens = _parse_generator_overrides(spec, text)
+    gens = cli._parse_generator_overrides(spec, text)
     ts = TranslatingSets.from_words(spec, s1, s2)
     patch = enumerate_ball(spec, gens, 2)
     expected = "_tree_columns" if path == "tree" else "_interned_columns"
