@@ -241,10 +241,11 @@ def ball_levels(
     if budget < 1:
         raise ValueError("vertex budget must be positive")
     width = letters_per_vertex(spec, gens, radius, translators)
-    steps = [s for _, _, s in gens.symmetrized(spec)]
-    if tree_letters(spec, gens) is not None:
-        yield from _free_tree_levels(spec, steps, radius, budget, width)
+    letters = tree_letters(spec, gens)
+    if letters is not None:
+        yield from _free_tree_levels(spec, letters, radius, budget, width)
     else:
+        steps = [s for _, _, s in gens.symmetrized(spec)]
         yield from _searched_levels(spec, steps, radius, budget, width)
 
 
@@ -287,15 +288,15 @@ def _searched_levels(
 
 
 def _free_tree_levels(
-    spec: GroupSpec, steps: list, radius: int, budget: int, width: int
+    spec: GroupSpec, letters: tuple, radius: int, budget: int, width: int
 ) -> Iterator[list[Element]]:
-    """The levels when ``steps`` are m single letters of the free model,
-    closed under inversion: distinct reduced words over them are distinct
-    elements, so level k+1 is every word of level k followed by a letter
-    other than the inverse of its last one.  Taken in shortlex order the
-    words come out sorted, and level k has m(m-1)^(k-1) of them, a size
-    checked against the budget before the level is built."""
-    letters = sorted(s[0] for s in steps)
+    """The levels over the ascending ``letters`` of :func:`tree_letters`,
+    m single letters of the free model closed under inversion: distinct
+    reduced words over them are distinct elements, so level k+1 is every
+    word of level k followed by a letter other than the inverse of its
+    last one.  Taken in shortlex order the words come out sorted, and
+    level k has m(m-1)^(k-1) of them, a size checked against the budget
+    before the level is built."""
     frontier = [spec.identity()]
     if width > budget:
         raise _over_budget(0, budget, width)

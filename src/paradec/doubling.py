@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
-from operator import add, itemgetter
+from itertools import islice, repeat
+from operator import add, itemgetter, lt
 from typing import Iterable, Sequence, Union
 
 from .cayley import CayleyPatch, GeneratingSet, ball_levels, product_set, tree_letters
@@ -199,17 +199,20 @@ class _HallGraph:
     On a ball of the free tree (``letters``, the ascending letters of
     S ∪ S⁻¹, from :func:`~paradec.cayley.tree_letters`), grown whole
     levels at a time in shortlex order, when every translator is 1 or one
-    of those letters, a right vertex is numbered by its word's place in
-    the shortlex order of the whole tree, computed and never formed.  The
-    vertex at level l ≥ 1 and place j of its level, with last letter x,
-    has its m - 1 children from ``offset[l+1] + j(m-1)`` on, in ascending
-    letter order without x⁻¹, and its parent at ``offset[l-1] + j // (m-1)``
-    when l ≥ 2, or the identity, 0, when l = 1; the identity's m children
-    are 1 ... m.  So g·t is the parent when t = x⁻¹ and a child slot
-    otherwise, and g·1 is g.  An
-    index at or past ``len(vertices)``, the ball so far, is a word just
-    outside it, and the children of the last level are the next level's
-    indices, so a graph grown level by level keeps every index.
+    of those letters, a right vertex inside the ball is numbered by its
+    place in the ball, computed and never formed.  The vertex at level
+    l ≥ 1 and place j of its level, with last letter x, has its m - 1
+    children from ``offset[l+1] + j(m-1)`` on, in ascending letter order
+    without x⁻¹, and its parent at ``offset[l-1] + j // (m-1)`` when
+    l ≥ 2, or the identity, 0, when l = 1; the identity's m children are
+    1 ... m.  So g·t is the parent when t = x⁻¹ and a child otherwise, and
+    g·1 is g.  A child of the last level is a word just outside the ball:
+    it is numbered ``|ball| + j·L + i`` for the vertex at place j of the
+    last level and the i-th of the L distinct letter translators
+    (``outside``), so the right side stays within |D|·(L + 1) whatever m
+    is.  When the next level is added those words join the ball, and the
+    last level's rows and the matching kept for the warm start take their
+    places in it.
 
     Otherwise the right vertices are the exact products, formed in the
     group by translator columns and interned in ``right_index`` in the
@@ -222,21 +225,24 @@ class _HallGraph:
         self.ts = ts
         self.lefts: list[tuple[int, Element]] = []
         self.adjacency: list[Sequence[int]] = []
-        # the domain, each element once, in the order extended, and the
-        # size of each batch
+        # the domain, each element once, in the order extended
         self.vertices: list[Element] = []
-        self.batches: list[int] = []
         # insertion order is index order, so list(right_index) is the
         # right side by index
         self.right_index: dict[Element, int] = {}
+        # the last matching found, the start of the next
+        self.matching: "tuple[list[int], list[int]] | None" = None
         identity = spec.identity()
         translators = dict.fromkeys(ts.s1 + ts.s2)
+        self.letters = self.outside = None
         if letters is not None and all(
             s == identity or (len(s) == 1 and s[0] in letters) for s in translators
         ):
             self.letters = letters
-        else:
-            self.letters = None
+            self.outside = sorted(s[0] for s in translators if s != identity)
+        # on the tree numbering, the first rows of each copy of the last
+        # level and its size, while its children are outside the ball
+        self._open: "tuple[int, int, int] | None" = None
         self.num_right = 0
 
     def extend(self, elements: Sequence[Element]) -> None:
@@ -252,7 +258,6 @@ class _HallGraph:
         else:
             columns = self._tree_columns(elements, translators)
         self.vertices.extend(elements)
-        self.batches.append(len(elements))
         for copy, translators in ((1, self.ts.s1), (2, self.ts.s2)):
             self.lefts.extend(zip(repeat(copy), elements))
             self.adjacency.extend(zip(*(columns[s] for s in translators)))
@@ -269,67 +274,122 @@ class _HallGraph:
         self.num_right = len(right_index)
         return columns
 
+    def _level_size(self, level: int) -> int:
+        m = len(self.letters)
+        return m * (m - 1) ** (level - 1) if level else 1
+
     def _tree_columns(self, elements, translators) -> dict:
-        letters = self.letters
-        m = len(letters)
-        k = m - 1
-        rank = {t: i for i, t in enumerate(letters)}
-
-        def level_size(level: int) -> int:
-            return m * k ** (level - 1) if level else 1
-
-        # the batch's first level: its number and offset, and the offset of
-        # the level before it
-        level, first, previous = 0, 0, 0
-        while first < len(self.vertices):
-            previous, first = first, first + level_size(level)
-            level += 1
+        # offsets[l] is the index of level l's first vertex, up to the
+        # batch's first level
+        offsets = [0]
+        while offsets[-1] < len(self.vertices):
+            offsets.append(offsets[-1] + self._level_size(len(offsets) - 1))
+        if self._open is not None:
+            self._close(offsets, translators)
         columns: dict = {s: [] for s in translators}
-        done = 0
+        done = size = 0
         while done < len(elements):
-            size = level_size(level)
+            size = self._level_size(len(offsets) - 1)
             sphere = elements[done : done + size]
             if len(sphere) != size:
                 raise ValueError("a tree batch must end on a whole level")
-            after = first + size
-            lasts = list(map(itemgetter(-1), sphere)) if level else []
-            # the last letter of each vertex of the level before, read off
-            # its first child
-            parents = list(map(itemgetter(-2), sphere[::k])) if level > 1 else []
+            done += size
+            level = self._level_columns(
+                sphere, offsets, translators, dense=done == len(elements)
+            )
             for s, column in columns.items():
-                if not s:  # the identity
-                    column.extend(range(first, after))
-                    continue
-                t = s[0]
-                if not level:
-                    column.append(1 + rank[t])
-                    continue
+                column.extend(level[s])
+            offsets.append(offsets[-1] + size)
+        width = len(self.outside)
+        if width:
+            first = len(self.adjacency) + len(elements) - size
+            self._open = (first, first + len(elements), size)
+        self.num_right = offsets[-1] + size * width
+        return columns
+
+    def _level_columns(self, sphere, offsets, translators, dense: bool) -> dict:
+        """Each translator's column over ``sphere``, the level that starts
+        at ``offsets[-1]``.  Its children are numbered in the ball one level
+        larger, or, when ``dense``, as the words just outside the ball."""
+        letters = self.letters
+        k = len(letters) - 1
+        rank = {t: i for i, t in enumerate(letters)}
+        level = len(offsets) - 1
+        first = offsets[-1]
+        after = first + len(sphere)
+        width = len(self.outside)
+        lasts = list(map(itemgetter(-1), sphere)) if level else []
+        # the last letter of each vertex of the level before, read off
+        # its first child
+        parents = list(map(itemgetter(-2), sphere[::k])) if level > 1 else []
+        columns = {}
+        for s in translators:
+            if not s:  # the identity
+                columns[s] = range(first, after)
+                continue
+            t = s[0]
+            if dense:
+                i = self.outside.index(t)
+                values = list(range(after + i, after + len(sphere) * width, width))
+            elif not level:
+                values = [1 + rank[t]]
+            else:
                 # g·t is the child of g at place slot among g's children,
                 # the letters but the inverse of g's last letter x ...
                 slot = {x: rank[t] - (rank[t] > rank[-x]) for x in letters}
-                starts = range(after, after + size * k, k)
+                starts = range(after, after + len(sphere) * k, k)
                 values = list(map(add, starts, map(slot.__getitem__, lasts)))
-                # ... save when x is t⁻¹: then g·t is g's parent.  Each
-                # vertex y of the level before, unless it ends in t, has one
-                # child ending in t⁻¹, at its place among y's children.
-                if level == 1:
-                    values[rank[-t]] = 0
-                place = {y: rank[-t] - (rank[-t] > rank[-y]) for y in letters}
-                for q, y in enumerate(parents):
-                    if y != t:
-                        values[q * k + place[y]] = previous + q
-                column.extend(values)
-            done += size
-            level += 1
-            previous, first = first, after
-        # a letter translator reaches the slots of the next level
-        self.num_right = first + level_size(level) if any(translators) else first
+            # ... save when x is t⁻¹: then g·t is g's parent.  Each vertex y
+            # of the level before, unless it ends in t, has one child ending
+            # in t⁻¹, at its place among y's children.
+            if level == 1:
+                values[rank[-t]] = 0
+            place = {y: rank[-t] - (rank[-t] > rank[-y]) for y in letters}
+            for q, y in enumerate(parents):
+                if y != t:
+                    values[q * k + place[y]] = offsets[-2] + q
+            columns[s] = values
         return columns
 
-    def match(
-        self, start: "tuple[list[int], list[int]] | None" = None
-    ) -> tuple[list[int], list[int]]:
-        return hopcroft_karp(self.adjacency, self.num_right, start)
+    def _close(self, offsets, translators) -> None:
+        """The words just outside the ball become its next level, which
+        starts at ``offsets[-1]``: renumber the last level's rows, and the
+        matching kept for the warm start, from the dense slots to those
+        words' places in the ball."""
+        copy1, copy2, size = self._open
+        self._open = None
+        n = offsets[-1]
+        sphere = self.vertices[n - size :]
+        columns = self._level_columns(sphere, offsets[:-1], translators, dense=False)
+        for first, translators in ((copy1, self.ts.s1), (copy2, self.ts.s2)):
+            self.adjacency[first : first + size] = zip(*(columns[s] for s in translators))
+        if self.matching is None:
+            return
+        # the dense slot n + j·L + i is the word that the column of the
+        # i-th letter translator gives vertex j
+        width = len(self.outside)
+        moved = [0] * (size * width)
+        for i, t in enumerate(self.outside):
+            moved[i::width] = columns[(t,)]
+        pair_left, pair_right = self.matching
+        pair_left = pair_left[:]
+        pair_right = pair_right[:n]
+        after = n + self._level_size(len(offsets) - 1)
+        pair_right += [UNMATCHED] * (after - len(pair_right))
+        for first in (copy1, copy2):
+            for u in range(first, min(first + size, len(pair_left))):
+                v = pair_left[u]
+                if v >= n:
+                    v = pair_left[u] = moved[v - n]
+                    pair_right[v] = u
+        self.matching = pair_left, pair_right
+
+    def match(self) -> tuple[list[int], list[int]]:
+        """A maximum matching of the graph so far, augmented from the last
+        one found, so that only the left vertices added since start
+        unmatched."""
+        self.matching = hopcroft_karp(self.adjacency, self.num_right, self.matching)
+        return self.matching
 
     def certificate(self, pair_left: Sequence[int]) -> Certificate:
         """The pairs (g, g·s) of a saturating matching, with the record of
@@ -338,30 +398,30 @@ class _HallGraph:
         since g·s = g·s' forces s = s'.  An image that the graph knows (a
         vertex of the ball, or an interned product) is taken as it is; the
         images outside the ball are formed, one
-        :meth:`GroupSpec.translates` column per translator."""
+        :meth:`GroupSpec.translates` column per copy and translator."""
         known = self.vertices if self.letters is not None else list(self.right_index)
         n = len(known)
-        families = []
-        for copy, translators in ((1, self.ts.s1), (2, self.ts.s2)):
-            rows, matched = [], []
-            start = 0
-            for size in self.batches:
-                cut = slice(start + (copy - 1) * size, start + copy * size)
-                rows.extend(self.adjacency[cut])
-                matched.extend(pair_left[cut])
-                start += 2 * size
-            used = [translators[row.index(j)] for row, j in zip(rows, matched)]
-            images = [known[j] if j < n else None for j in matched]
-            outside: dict = {s: [] for s in translators}
-            for i in compress(count(), map(n.__le__, matched)):
-                outside[used[i]].append(i)
-            for s, where in outside.items():
-                column = self.spec.translates([self.vertices[i] for i in where], s)
-                for i, w in zip(where, column):
-                    images[i] = w
-            families.append((tuple(zip(self.vertices, images)), tuple(used)))
-        (pairs1, used1), (pairs2, used2) = families
-        return Certificate(pairs1=pairs1, pairs2=pairs2, translators=(used1, used2))
+        pairs: tuple[list, list] = ([], [])
+        used: tuple[list, list] = ([], [])
+        translators = (self.ts.s1, self.ts.s2)
+        # (copy, s) -> the places in its family of the images outside the ball
+        outside: dict = {}
+        for (copy, g), row, j in zip(self.lefts, self.adjacency, pair_left):
+            s = translators[copy - 1][row.index(j)]
+            if j >= n:
+                outside.setdefault((copy, s), []).append(len(pairs[copy - 1]))
+            pairs[copy - 1].append((g, known[j] if j < n else None))
+            used[copy - 1].append(s)
+        for (copy, s), where in outside.items():
+            family = pairs[copy - 1]
+            column = self.spec.translates([family[i][0] for i in where], s)
+            for i, w in zip(where, column):
+                family[i] = (family[i][0], w)
+        return Certificate(
+            pairs1=tuple(pairs[0]),
+            pairs2=tuple(pairs[1]),
+            translators=(tuple(used[0]), tuple(used[1])),
+        )
 
     def violator(self, pair_left: Sequence[int], pair_right: Sequence[int]) -> Violator:
         """The left vertices reached by alternating paths from unmatched
@@ -383,11 +443,13 @@ def check_domain(
 
     ``domain`` is a :class:`~paradec.cayley.CayleyPatch` of ``spec`` or
     any iterable of elements.  The right-side universe D·S1 ∪ D·S2 is
-    never clipped to a patch.  On a ball of the free tree, when every
-    translator is 1 or one of its letters, it is numbered by shortlex
-    arithmetic and only the certificate's images outside the ball are
-    formed; otherwise every product is formed in the group (see
-    :class:`_HallGraph`).  On deficiency, the violator comes from
+    never clipped to a patch.  On a ball of the free tree whose vertices
+    are its levels in shortlex order, as :func:`~paradec.cayley.enumerate_ball`
+    builds them (:func:`_is_tree_ball`), when every translator is 1 or one
+    of its letters, it is numbered by shortlex arithmetic and only the
+    certificate's images outside the ball are formed; otherwise every
+    product is formed in the group (see :class:`_HallGraph`), and the
+    domain is taken in element order.  On deficiency, the violator comes from
     alternating reachability and is then shrunk greedily (smaller violators
     are human-checkable; true minimality is the job of the exhaustive oracle
     in ``tests/oracles.py``).
@@ -397,6 +459,8 @@ def check_domain(
         if domain.spec != spec:
             raise ValueError("the patch is a ball of another group")
         letters = tree_letters(spec, domain.gens)
+        if letters is not None and not _is_tree_ball(domain, len(letters)):
+            letters = None
         domain = domain.vertices
     if letters is not None:
         # the tree's levels are generated in shortlex order: sorted already
@@ -413,6 +477,25 @@ def check_domain(
     if UNMATCHED in pair_left:
         return graph.violator(pair_left, pair_right)
     return graph.certificate(pair_left)
+
+
+def _is_tree_ball(patch: CayleyPatch, m: int) -> bool:
+    """Whether the vertices of a patch over m tree letters are its levels
+    in shortlex order, as the tree numbering reads them: level l holds
+    m(m-1)^(l-1) words (1 at l = 0), each of length l, strictly ascending.
+    Words over the patch's letters are then the whole level."""
+    vertices = patch.vertices
+    start = 0
+    for level, size in enumerate(patch.level_sizes):
+        if size != (m * (m - 1) ** (level - 1) if level else 1):
+            return False
+        sphere = vertices[start : start + size]
+        if set(map(len, sphere)) != {level}:
+            return False
+        if not all(map(lt, sphere, islice(sphere, 1, None))):
+            return False
+        start += size
+    return start == len(vertices)
 
 
 def _shrink_violator(spec, ts, a1: list, a2: list) -> Violator:
@@ -472,20 +555,19 @@ def minimal_violating_radius(
     them alone.  The ball is never built past the radius that answers.
     Its vertices count :func:`letters_per_vertex` units of the budget at
     ``max_radius`` and the translators of ``ts``.  On the free tree the
-    graph is numbered as in :func:`check_domain`, and the children of a
-    level are the next level's indices, so the warm start reads them
-    unchanged.
+    graph is numbered as in :func:`check_domain`; when a level is added,
+    the words that were just outside the ball take their places in it, in
+    the last level's rows and in the matching that the search augments.
     """
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
     graph = _HallGraph(spec, ts, tree_letters(spec, gens))
-    matching = None
     levels = ball_levels(spec, gens, max_radius, vertex_budget, ts.s1 + ts.s2)
     for radius, sphere in enumerate(levels):
         graph.extend(sphere)
-        matching = graph.match(matching)
-        if UNMATCHED in matching[0]:
-            return radius, graph.violator(*matching)
+        pair_left, pair_right = graph.match()
+        if UNMATCHED in pair_left:
+            return radius, graph.violator(pair_left, pair_right)
     return None
 
 

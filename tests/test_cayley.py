@@ -430,6 +430,12 @@ def _tree_case(rank, text):
     return spec, [s for _, _, s in gens.symmetrized(spec)]
 
 
+def _letters(steps):
+    """The ascending letters of single-letter steps, as ``tree_letters``
+    gives them to the tree path."""
+    return tuple(sorted(s[0] for s in steps))
+
+
 def _levels_then_outcome(levels):
     """The levels yielded before a budget error, and its message (None
     when every level fits)."""
@@ -475,7 +481,7 @@ class TestTreeLevels:
         assert all(len(s) == 1 for s in steps)
         for radius in range(7):
             searched = list(_searched_levels(spec, steps, radius, 10**9, 1))
-            assert list(_free_tree_levels(spec, steps, radius, 10**9, 1)) == searched
+            assert list(_free_tree_levels(spec, _letters(steps), radius, 10**9, 1)) == searched
 
     @pytest.mark.parametrize("rank,text", TREE_CASES, ids=_TREE_IDS)
     def test_budget_errors_match_at_every_level_boundary(self, rank, text):
@@ -489,7 +495,7 @@ class TestTreeLevels:
                         _searched_levels(spec, steps, 6, budget, width)
                     )
                     got = _levels_then_outcome(
-                        _free_tree_levels(spec, steps, 6, budget, width)
+                        _free_tree_levels(spec, _letters(steps), 6, budget, width)
                     )
                     assert got == expected, (width, budget)
 

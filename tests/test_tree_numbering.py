@@ -4,12 +4,16 @@ On a ball whose generators and inverses are single letters of the free
 model, with every translator 1 or one of those letters, the right vertices
 of ``check``, ``decompose`` and ``violate`` are numbered by their words'
 places in the shortlex order of the whole tree instead of being formed and
-interned.  These tests check that numbering against the row-by-row oracle,
-by naming each index with the ball one radius larger, and check that the
-matching, the alternating reach, the certificate and the violator equal
-those of the interning path; a second group pins which path each input
-takes.
+interned; a word just outside the ball takes a dense slot after it, one
+per vertex of the last level and letter translator.  These tests check
+that numbering against the row-by-row oracle, by naming each index with
+a product formed in the group, and check that the matching, the
+alternating reach, the certificate and the violator equal those of the
+interning path; a second group pins which path each input takes.
 """
+
+import dataclasses
+from itertools import accumulate
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -34,8 +38,8 @@ from paradec.matching import UNMATCHED, alternating_reachable
 from helpers import record_products
 from oracles import hall_graph_oracle, minimal_violating_radius_oracle
 
-# The right side is named by the ball one radius larger, so a drawn radius
-# is lowered until that ball has at most this many vertices.
+# A drawn radius is lowered until the ball one radius larger has at most
+# this many vertices, which keeps each example small.
 _NAMING_BALL_LIMIT = 5000
 
 
@@ -89,6 +93,26 @@ def _batchings(spec, gens, radius):
     return [[g for level in levels for g in level]], levels
 
 
+def _namer(spec, ts, levels, n):
+    """Names the right indices of a tree graph whose ball is the first n
+    vertices of ``levels``: an index below n is that vertex, and n + j·L +
+    i is the product, formed in the group, of the j-th vertex of the last
+    level and the i-th of the L distinct letter translators, ascending."""
+    sizes = list(accumulate(map(len, levels)))
+    ball = [g for level in levels[: sizes.index(n) + 1] for g in level]
+    last = levels[sizes.index(n)]
+    outside = sorted(s[0] for s in set(ts.s1 + ts.s2) if s)
+
+    def name(j):
+        if j < n:
+            return ball[j]
+        q, i = divmod(j - n, len(outside))
+        return spec.multiply(last[q], (outside[i],))
+
+    name.num_right = n + len(last) * len(outside)
+    return name
+
+
 def _matched_elements(lefts, name, pair_left):
     return [(left, None if j == UNMATCHED else name(j)) for left, j in zip(lefts, pair_left)]
 
@@ -96,20 +120,22 @@ def _matched_elements(lefts, name, pair_left):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=tree_cases())
 def test_tree_rows_equal_the_row_by_row_oracle(case):
-    """Every index names, in the ball one radius larger, the product that
-    the oracle forms; the graph forms no product and interns nothing."""
+    """Every index names the product that the oracle forms, inside the
+    ball or in its slot just outside; the right side is the ball and those
+    slots, and the graph forms no product and interns nothing."""
     spec, gens, ts, radius = case
     letters = tree_letters(spec, gens)
-    named = enumerate_ball(spec, gens, radius + 1).vertices
+    levels = list(ball_levels(spec, gens, radius))
     for batches in _batchings(spec, gens, radius):
         graph = doubling._HallGraph(spec, ts, letters)
         for built in range(1, len(batches) + 1):
             graph.extend(batches[built - 1])
             lefts, rows = hall_graph_oracle(spec, ts, batches[:built])
+            name = _namer(spec, ts, levels, len(graph.vertices))
             assert graph.lefts == lefts
-            assert [[named[j] for j in row] for row in graph.adjacency] == rows
+            assert [[name(j) for j in row] for row in graph.adjacency] == rows
             assert max(j for row in graph.adjacency for j in row) < graph.num_right
-            assert graph.num_right <= len(named)
+            assert graph.num_right == name.num_right
             assert graph.right_index == {}
 
 
@@ -121,18 +147,18 @@ def test_tree_graph_matches_like_the_interning_graph(case):
     certificate, record included, or the same violator."""
     spec, gens, ts, radius = case
     letters = tree_letters(spec, gens)
-    named = enumerate_ball(spec, gens, radius + 1).vertices
+    levels = list(ball_levels(spec, gens, radius))
     for batches in _batchings(spec, gens, radius):
         tree = doubling._HallGraph(spec, ts, letters)
         interned = doubling._HallGraph(spec, ts)
-        ours = theirs = None
         for batch in batches:
             tree.extend(batch)
             interned.extend(batch)
-            ours = tree.match(ours)
-            theirs = interned.match(theirs)
+            ours = tree.match()
+            theirs = interned.match()
+            name = _namer(spec, ts, levels, len(tree.vertices))
             right = list(interned.right_index)
-            assert _matched_elements(tree.lefts, named.__getitem__, ours[0]) == (
+            assert _matched_elements(tree.lefts, name, ours[0]) == (
                 _matched_elements(interned.lefts, right.__getitem__, theirs[0])
             )
             assert (
@@ -220,13 +246,9 @@ _PATHS = [
 ]
 
 
-@pytest.mark.parametrize("group,text,s1,s2,path", _PATHS,
-                         ids=[f"{c[0]}[{c[1] or 'standard'}|{c[2]}|{c[3]}]" for c in _PATHS])
-def test_each_input_takes_its_path(monkeypatch, group, text, s1, s2, path):
-    """The tree path needs a ball of the free tree and translators that
-    are 1 or its letters: a translator of two letters, a letter outside
-    the tree's, a searched ball and the other models take the interning
-    path.  A hand-given domain always does."""
+def _record_paths(monkeypatch) -> list:
+    """The names of the column builders that the Hall graph calls, in
+    order."""
     taken = []
     for name in ("_tree_columns", "_interned_columns"):
         build = getattr(doubling._HallGraph, name)
@@ -236,6 +258,17 @@ def test_each_input_takes_its_path(monkeypatch, group, text, s1, s2, path):
             return build(self, *args)
 
         monkeypatch.setattr(doubling._HallGraph, name, spy)
+    return taken
+
+
+@pytest.mark.parametrize("group,text,s1,s2,path", _PATHS,
+                         ids=[f"{c[0]}[{c[1] or 'standard'}|{c[2]}|{c[3]}]" for c in _PATHS])
+def test_each_input_takes_its_path(monkeypatch, group, text, s1, s2, path):
+    """The tree path needs a ball of the free tree and translators that
+    are 1 or its letters: a translator of two letters, a letter outside
+    the tree's, a searched ball and the other models take the interning
+    path.  A hand-given domain always does."""
+    taken = _record_paths(monkeypatch)
     spec = parse_group_spec(group)
     gens = cli._parse_generator_overrides(spec, text)
     ts = TranslatingSets.from_words(spec, s1, s2)
@@ -280,3 +313,96 @@ def test_tree_graph_forms_no_product(monkeypatch):
             graph.extend(batch)
         assert len(graph.adjacency) == 2 * 23_437
     assert calls == []
+
+
+def _reorder(patch, change):
+    vertices = list(patch.vertices)
+    sizes = list(patch.level_sizes)
+    change(vertices, sizes)
+    return dataclasses.replace(patch, vertices=tuple(vertices), level_sizes=tuple(sizes))
+
+
+def _swap(i, j):
+    def change(vertices, sizes):
+        vertices[i], vertices[j] = vertices[j], vertices[i]
+
+    return change
+
+
+def _repeat(i, j):
+    def change(vertices, sizes):
+        vertices[j] = vertices[i]
+
+    return change
+
+
+def _lengthen(i, letter):
+    def change(vertices, sizes):
+        vertices[i] += (letter,)
+
+    return change
+
+
+def _merge_last_levels(vertices, sizes):
+    sizes[-2:] = [sizes[-2] + sizes[-1]]
+
+
+# free:2's radius-3 ball: levels of 1, 4, 12 and 36 words from index 0, 1,
+# 5 and 17 on; level 1 is b^-1, a^-1, a, b
+_REORDERED = {
+    "level-1-swapped": _swap(1, 4),
+    "longer-word": _lengthen(3, 2),
+    "across-levels": _swap(16, 17),
+    "repeated-word": _repeat(17, 18),
+    "sizes-merged": _merge_last_levels,
+}
+
+
+@pytest.mark.parametrize("change", _REORDERED.values(), ids=_REORDERED.keys())
+def test_a_patch_out_of_shortlex_order_takes_the_interning_path(monkeypatch, change):
+    """The tree numbering reads a patch's vertices as its levels in
+    shortlex order; a patch built otherwise is taken in element order on
+    the interning path, as a hand-given domain is."""
+    spec = free_group(2)
+    gens = GeneratingSet.standard(spec)
+    ts = TranslatingSets.from_words(spec, "1,a", "1,b,b^-1")
+    patch = enumerate_ball(spec, gens, 3)
+    assert doubling._is_tree_ball(patch, 4)
+    reordered = _reorder(patch, change)
+    assert not doubling._is_tree_ball(reordered, 4)
+    taken = _record_paths(monkeypatch)
+    assert check_domain(spec, ts, reordered) == check_domain(spec, ts, reordered.vertices)
+    assert taken == ["_interned_columns", "_interned_columns"]
+
+
+@pytest.mark.parametrize("rank", [300, 10_000])
+def test_right_side_of_a_high_rank_ball_stays_within_its_translators(rank):
+    """On a ball of rank m the words just outside number |last level|·(m-1),
+    but the right side holds only those that a translator reaches: the
+    ball and one slot per vertex of its last level and letter translator,
+    within |D|·|S| + |D|."""
+    spec = free_group(rank)
+    gens = GeneratingSet.standard(spec)
+    ts = TranslatingSets.from_words(spec, "1,g1", "1,g2")
+    patch = enumerate_ball(spec, gens, 1)
+    size = len(patch.vertices)
+    graph = doubling._HallGraph(spec, ts, tree_letters(spec, gens))
+    graph.extend(patch.vertices)
+    assert graph.num_right == size + patch.level_sizes[-1] * 2
+    assert graph.num_right <= size * 3 + size
+    verdict = check_domain(spec, ts, patch)
+    assert verdict == check_domain(spec, ts, patch.vertices)
+    assert verdict.translators == check_domain(spec, ts, patch.vertices).translators
+
+
+def test_warm_start_on_a_high_rank_ball_equals_the_oracle():
+    """Level by level on free:30 the slots just outside the ball become the
+    next level's vertices, and the warm-started search still answers as
+    the per-radius oracle."""
+    spec = free_group(30)
+    gens = GeneratingSet.standard(spec)
+    for s1, s2 in (("1,g1", "1,g1^-1"), ("g1", "g2,g2^-1"), ("1,g1", "1,g2,g3")):
+        ts = TranslatingSets.from_words(spec, s1, s2)
+        assert minimal_violating_radius(spec, gens, ts, 2) == (
+            minimal_violating_radius_oracle(spec, gens, ts, 2)
+        )
