@@ -279,6 +279,8 @@ class _HallGraph:
         return m * (m - 1) ** (level - 1) if level else 1
 
     def _tree_columns(self, elements, translators) -> dict:
+        if not elements:
+            return {s: [] for s in translators}
         # offsets[l] is the index of level l's first vertex, up to the
         # batch's first level
         offsets = [0]
@@ -294,11 +296,11 @@ class _HallGraph:
             if len(sphere) != size:
                 raise ValueError("a tree batch must end on a whole level")
             done += size
-            level = self._level_columns(
+            built = self._level_columns(
                 sphere, offsets, translators, dense=done == len(elements)
             )
             for s, column in columns.items():
-                column.extend(level[s])
+                column.extend(built[s])
             offsets.append(offsets[-1] + size)
         width = len(self.outside)
         if width:

@@ -300,6 +300,28 @@ def test_a_tree_batch_must_end_on_a_whole_level():
         graph.extend(enumerate_ball(spec, GeneratingSet.standard(spec), 2).vertices[:3])
 
 
+def test_an_empty_batch_keeps_the_tree_graph():
+    """Extending by no vertices leaves the words just outside the ball in
+    their slots, so the next level still joins as the oracle says."""
+    spec = free_group(2)
+    gens = GeneratingSet.standard(spec)
+    ts = TranslatingSets.from_words(spec, "1,a", "1,a^-1")
+    levels = list(ball_levels(spec, gens, 2))
+    graph = doubling._HallGraph(spec, ts, tree_letters(spec, gens))
+    for level in levels:
+        graph.extend(level)
+        graph.match()
+        graph.extend([])
+    name = _namer(spec, ts, levels, len(graph.vertices))
+    assert [[name(j) for j in row] for row in graph.adjacency] == (
+        hall_graph_oracle(spec, ts, levels)[1]
+    )
+    pair_left, pair_right = graph.match()
+    assert graph.violator(pair_left, pair_right) == check_domain(
+        spec, ts, enumerate_ball(spec, gens, 2).vertices
+    )
+
+
 def test_tree_graph_forms_no_product(monkeypatch):
     """On the radius-6 ball of free:3 the tarski-free3 graph is numbered
     without forming a product, whole or level by level."""
