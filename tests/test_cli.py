@@ -1343,7 +1343,7 @@ class TestMalformedReportInput:
         code, out, err = run(capsys, "report", "--inputs", str(path))
         assert code == 1
         assert out == ""
-        assert err.startswith(f"verification failed: {path}: ")
+        assert err == f"verification failed: {path}: b^-1 a is not a translate of 1\n"
 
     @pytest.mark.parametrize("row", [0, -1], ids=["first", "last"])
     def test_phi2_domain_differs_exit_one(self, capsys, tmp_path, check_output, row):
@@ -1356,7 +1356,68 @@ class TestMalformedReportInput:
         path.write_text(json.dumps(check_output))
         code, out, err = run(capsys, "report", "--inputs", str(path))
         assert code == 1 and out == ""
-        assert err.startswith(f"verification failed: {path}: ")
+        assert err == (
+            f"verification failed: {path}: the two assignments cover different domains\n"
+        )
+
+    @pytest.mark.parametrize(
+        "family,row,image,message",
+        [
+            # a·1 = a is 1·a, phi1's image of 1
+            ("phi1", 3, "a", "assignment is not injective"),
+            # 1·b = b is b·1, phi1's image of b
+            ("phi2", 0, "b", "images of the two assignments intersect"),
+        ],
+        ids=["not-injective", "intersect"],
+    )
+    def test_retargeted_image_exit_one(
+        self, capsys, tmp_path, check_output, family, row, image, message
+    ):
+        """Each image is still a translate of its element, so only the
+        images as a whole fail."""
+        pair = check_output["verdict"][family][row]
+        assert pair[1] != image
+        pair[1] = image
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(check_output))
+        code, out, err = run(capsys, "report", "--inputs", str(path))
+        assert code == 1 and out == ""
+        assert err == f"verification failed: {path}: {message}\n"
+
+    def test_parse_error_comes_before_a_failed_verification(
+        self, capsys, tmp_path, check_output
+    ):
+        """Every file is read before any is verified: a file that would
+        fail verification, listed first, does not hide a malformed one."""
+        phi1 = check_output["verdict"]["phi1"]
+        phi1[0][1], phi1[1][1] = phi1[1][1], phi1[0][1]
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(check_output))
+        del check_output["s1"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(check_output))
+        code, out, err = run(capsys, "report", "--inputs", str(tampered), str(bad))
+        assert code == 2 and out == ""
+        assert err == f"error: {bad}: missing key 's1'\n"
+
+    def test_group_mismatch_comes_before_a_failed_verification(
+        self, capsys, tmp_path, check_output, monkeypatch
+    ):
+        verified = count_calls(monkeypatch, cli, "verify_certificate")
+        phi1 = check_output["verdict"]["phi1"]
+        phi1[0][1], phi1[1][1] = phi1[1][1], phi1[0][1]
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(check_output))
+        _, data, _ = run_json(
+            capsys, "check", "--group", "abelian:1", "--s1", "1,a", "--s2", "1,a",
+            "--radius", "2",
+        )
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(data))
+        code, out, err = run(capsys, "report", "--inputs", str(tampered), str(other))
+        assert code == 2 and out == ""
+        assert err == f"error: {other}: group abelian:1 differs from free:2 in {tampered}\n"
+        assert verified == []
 
     @pytest.mark.parametrize(
         "row,message",
