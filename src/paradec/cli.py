@@ -363,7 +363,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
     if args.budget is not None and args.budget < 1:
         raise ValueError("vertex budget must be positive")
-    inputs = []
+    inputs = []  # (path, spec, ts, a Violator or a certificate's claimed pairs)
     groups = {}  # path -> group of the file, checked before anything is combined
     for path in args.inputs:
         with _json_input(path) as data:
@@ -386,12 +386,13 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"{path}: group {other} differs from {group} in {args.inputs[0]}"
             )
     entries = []
-    for path, spec, ts, verdict in inputs:
+    for path, spec, ts, claim in inputs:
         try:
-            if isinstance(verdict, Certificate):
-                verify_certificate(spec, ts, verdict)
+            if isinstance(claim, Violator):
+                verify_violator(spec, ts, claim)
+                verdict = claim
             else:
-                verify_violator(spec, ts, verdict)
+                verdict = verify_certificate(spec, ts, *claim)
         except (CertificateError, ViolatorError) as exc:
             print(f"verification failed: {path}: {exc}", file=sys.stderr)
             return EXIT_NEGATIVE

@@ -14,13 +14,7 @@ from typing import Sequence
 
 from .cayley import DEFAULT_VERTEX_BUDGET, GeneratingSet, format_label, parse_label
 from .cayley import letters_per_vertex
-from .doubling import (
-    Certificate,
-    TranslatingSets,
-    Verdict,
-    translator_positions,
-    verify_certificate,
-)
+from .doubling import Certificate, TranslatingSets, Verdict, translator_positions
 from .errors import CertificateError, VertexBudgetError, WitnessError
 from .groups import Element, GroupSpec
 
@@ -34,17 +28,18 @@ class PartialDecomposition:
     Piece contents may lie outside the domain (products escape any finite
     window); coverage is always asserted through translates, never through
     membership of the pieces themselves.  Each family lists its pieces in
-    translator order.  ``domain`` holds each element once; pieces bucketed
-    from a certificate keep its pair order, which :func:`check_domain` makes
-    element order (``GroupSpec.element_sort_key``), so no reader sorts it.
+    translator order.  ``domain`` holds each element once; pieces made
+    from a certificate keep its domain order, which :func:`check_domain`
+    makes element order (``GroupSpec.element_sort_key``), so no reader
+    sorts it.
 
     ``translators`` is the record of the s whose piece holds g·s, for each
     domain element g and family, in domain order: the certificate's
     :attr:`~paradec.doubling.Certificate.translators`.  Only
     :func:`pieces_from_certificate` fills it, and
     :func:`decomposition_to_jsonable` writes each piece from it; a
-    decomposition built by hand has None and cannot be written.  Like the
-    certificate's record, it takes no part in equality or repr.
+    decomposition built by hand has None and cannot be written.  It takes
+    no part in equality or repr.
     """
 
     pieces1: tuple[tuple[Element, frozenset], ...]
@@ -85,42 +80,31 @@ class DecompositionReport:
 def pieces_from_certificate(
     spec: GroupSpec, cert: Certificate, ts: TranslatingSets
 ) -> "tuple[PartialDecomposition, DecompositionReport]":
-    """Bucket phi_i targets by the translator that produced them.
-
-    piece_i[s] = {g·s : g in D, phi_i(g) = g·s}, with s the translator that
-    the matching recorded on the certificate, so no product is formed.  A
-    certificate without that record (one read back from JSON or built by
-    hand) is checked by :func:`verify_certificate` first, and s is the
-    translator that search found.  The domain is the certificate's, in
-    the pair order of ``pairs1``, and the decomposition keeps the record
-    in that order for :func:`decomposition_to_jsonable`.
+    """The pieces of a certificate: piece_i[s] = {g·s : g ∈ D, σ_i(g) = s},
+    formed as one :meth:`GroupSpec.translates` column over the elements
+    that the certificate labels s.  The decomposition keeps the
+    certificate's domain and record for :func:`decomposition_to_jsonable`.
 
     Disjointness and coverage follow from the certificate properties but
     are re-verified, not assumed: the pieces are returned with their
     passing verification report over the whole domain.  Each element's
-    own image lies in a piece, so an indeterminate element can only come
-    from a wrong record; a report that fails or has any indeterminate
-    element raises :class:`CertificateError`.
+    own image lies in its piece, so a wrong record shows as overlapping
+    pieces; a report that fails or has any indeterminate element raises
+    :class:`CertificateError`.
     """
-    # a recorded certificate's translators are a pair of tuples, never empty
-    used1, used2 = cert.translators or verify_certificate(spec, ts, cert)
+    domain = cert.domain
 
-    def bucket(family, pairs, used, translators):
-        targets = [target for _, target in pairs]
-        positions = translator_positions(spec, family, used, translators)
+    def family(index, translators):
+        used = cert.translators[index - 1]
+        positions = translator_positions(spec, index, used, translators)
         return tuple(
-            (s, frozenset([targets[i] for i in where])) for s, where in positions.items()
+            (s, frozenset(spec.translates([domain[i] for i in where], s)))
+            for s, where in positions.items()
         )
 
-    pieces1 = bucket(1, cert.pairs1, used1, ts.s1)
-    pieces2 = bucket(2, cert.pairs2, used2, ts.s2)
-    domain = tuple(g for g, _ in cert.pairs1)
-    sources2 = tuple(g for g, _ in cert.pairs2)
-    if sources2 != domain:
-        # the record is kept in domain order; the certificate, recorded or
-        # verified, assigns each domain element once in each family
-        used2 = tuple(map(dict(zip(sources2, used2)).__getitem__, domain))
-    pd = PartialDecomposition(pieces1, pieces2, domain, translators=(used1, used2))
+    pd = PartialDecomposition(
+        family(1, ts.s1), family(2, ts.s2), domain, translators=cert.translators
+    )
     report = verify_decomposition(spec, pd)
     indeterminate = len(report.indeterminate1) + len(report.indeterminate2)
     if not report.passed or indeterminate:
@@ -419,10 +403,9 @@ def tarski_bound_report(
 ) -> TarskiBoundReport:
     """Aggregate certificate families and freeness evidence into bounds.
 
-    Each certificate is taken as verified: its ``pairs1`` then hold one
-    pair per domain element, so their number is the domain's size.  Every
-    conclusion is labeled as finite-domain evidence; no group-level value
-    is ever asserted.
+    Each certificate is taken as verified, and its domain's size is
+    named.  Every conclusion is labeled as finite-domain evidence; no
+    group-level value is ever asserted.
     """
     notes = ["all bounds rest on finite-domain evidence only"]
     upper = None
@@ -438,7 +421,7 @@ def tarski_bound_report(
             continue
         notes.append(
             f"certificate with m+n = {total} on a domain of "
-            f"{len(verdict.pairs1)} elements"
+            f"{len(verdict.domain)} elements"
         )
         if upper is None or total < upper:
             upper = total

@@ -15,7 +15,7 @@ The independent oracle that enumerates all 4^|D| subset pairs outright,
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import add, itemgetter, lt
 from typing import Iterable, Sequence, Union
@@ -91,24 +91,21 @@ def _split_outside_brackets(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Saturating-matching witness: phi_i(g) ∈ g·S_i, both injective, images
-    disjoint.  Pairs are sorted by domain element for reproducibility.
+    """Saturating-matching witness on a finite domain D: a translator
+    σ_i(g) ∈ S_i for each g ∈ D and family i, such that each
+    phi_i(g) = g·σ_i(g) is injective and the two images are disjoint.
 
-    ``translators`` is the matching's record of the s with phi_i(g) = g·s
-    for each pair, per family in pair order: the shape that
-    :func:`verify_certificate` returns.  Only :func:`check_domain` fills
-    it; a certificate read back from JSON or built by hand has None.  It
-    takes no part in equality or repr, so a certificate read back still
-    equals the one that the matching made.  :func:`verdict_to_jsonable`
-    and :func:`~paradec.decomposition.pieces_from_certificate` read it, or
-    take it from :func:`verify_certificate` when it is None.
+    ``domain`` holds each element of D once, in element order as
+    :func:`check_domain` finds it, or in the order of the ``phi1`` pairs
+    that :func:`verify_certificate` read.  ``translators`` is the record
+    (σ_1, σ_2), each in domain order.  An image is determined by its label,
+    since g·s = g·s' forces s = s', so two certificates list the same pairs
+    in the same order exactly when they are equal, and no image is stored:
+    a reader that wants phi_i(g) forms it.
     """
 
-    pairs1: tuple[tuple[Element, Element], ...]
-    pairs2: tuple[tuple[Element, Element], ...]
-    translators: "tuple[tuple[Element, ...], tuple[Element, ...]] | None" = field(
-        default=None, compare=False, repr=False
-    )
+    domain: tuple[Element, ...]
+    translators: tuple[tuple[Element, ...], tuple[Element, ...]]
 
 
 @dataclass(frozen=True)
@@ -124,21 +121,26 @@ Verdict = Union[Certificate, Violator]
 
 
 def verify_certificate(
-    spec: GroupSpec, ts: TranslatingSets, cert: Certificate
-) -> tuple[tuple[Element, ...], tuple[Element, ...]]:
-    """Re-verify from scratch that each phi_i is a function on one nonempty
-    domain, with membership, injectivity and image disjointness.
+    spec: GroupSpec, ts: TranslatingSets, pairs1: Sequence, pairs2: Sequence
+) -> Certificate:
+    """Verify a claimed certificate from scratch: its ``(g, phi_i(g))``
+    pairs per family, as :func:`verdict_from_jsonable` reads them.  Each
+    phi_i must be a function on one nonempty domain, with membership,
+    injectivity and image disjointness.
 
-    Returns, for each family, the translator s with phi_i(g) = g·s of each
-    pair, in pair order.  That s is unique, since g·s = g·s' forces
+    Returns the :class:`Certificate`: the domain in the order of
+    ``pairs1``, and for each family the translator s with phi_i(g) = g·s
+    of each element, in that order, so a ``pairs2`` listed in another
+    order is read into it.  That s is unique, since g·s = g·s' forces
     s = s', so the search stops at the first translate that matches.
-    Raises :class:`CertificateError` on any failure.
+    Every g·s up to that one is formed, pair by pair.  Raises
+    :class:`CertificateError` on any failure.
     """
     multiply = spec.multiply
     images: list[set] = []
     domains: list[set] = []
     found: list[tuple] = []
-    for family, pairs, translators in ((1, cert.pairs1, ts.s1), (2, cert.pairs2, ts.s2)):
+    for family, pairs, translators in ((1, pairs1, ts.s1), (2, pairs2, ts.s2)):
         image = set()
         used = []
         for g, target in pairs:
@@ -169,7 +171,12 @@ def verify_certificate(
         raise CertificateError("the two assignments cover different domains")
     if not domains[0]:
         raise CertificateError("the domain is empty")
-    return found[0], found[1]
+    domain = tuple(g for g, _ in pairs1)
+    used1, used2 = found
+    sources2 = tuple(g for g, _ in pairs2)
+    if sources2 != domain:
+        used2 = tuple(map(dict(zip(sources2, used2)).__getitem__, domain))
+    return Certificate(domain, (used1, used2))
 
 
 def verify_violator(spec: GroupSpec, ts: TranslatingSets, violator: Violator) -> None:
@@ -394,36 +401,23 @@ class _HallGraph:
         return self.matching
 
     def certificate(self, pair_left: Sequence[int]) -> Certificate:
-        """The pairs (g, g·s) of a saturating matching, with the record of
-        each pair's s.  A row lists its right vertices in S_copy order, so
-        the matched vertex's position in the row names s; it is unique,
-        since g·s = g·s' forces s = s'.  An image that the graph knows (a
-        vertex of the ball, or an interned product) is taken as it is; the
-        images outside the ball are formed, one
-        :meth:`GroupSpec.translates` column per copy and translator."""
-        known = self.vertices if self.letters is not None else list(self.right_index)
-        n = len(known)
-        pairs: tuple[list, list] = ([], [])
-        used: tuple[list, list] = ([], [])
-        translators = (self.ts.s1, self.ts.s2)
-        # (copy, s) -> the places in its family of the images outside the ball
-        outside: dict = {}
-        for (copy, g), row, j in zip(self.lefts, self.adjacency, pair_left):
-            s = translators[copy - 1][row.index(j)]
-            if j >= n:
-                outside.setdefault((copy, s), []).append(len(pairs[copy - 1]))
-            pairs[copy - 1].append((g, known[j] if j < n else None))
-            used[copy - 1].append(s)
-        for (copy, s), where in outside.items():
-            family = pairs[copy - 1]
-            column = self.spec.translates([family[i][0] for i in where], s)
-            for i, w in zip(where, column):
-                family[i] = (family[i][0], w)
-        return Certificate(
-            pairs1=tuple(pairs[0]),
-            pairs2=tuple(pairs[1]),
-            translators=(tuple(used[0]), tuple(used[1])),
+        """The certificate of a saturating matching of a graph extended
+        once, as :func:`check_domain` builds it: copy 1's rows, then copy
+        2's, each in domain order.  A row lists its right vertices in
+        S_copy order, so the matched vertex's position in the row names
+        σ_copy(g); it is unique, since g·s = g·s' forces s = s'.  No image
+        is formed."""
+        n = len(self.vertices)
+        used = tuple(
+            tuple(
+                translators[row.index(j)]
+                for row, j in zip(
+                    self.adjacency[start : start + n], pair_left[start : start + n]
+                )
+            )
+            for start, translators in ((0, self.ts.s1), (n, self.ts.s2))
         )
+        return Certificate(tuple(self.vertices), used)
 
     def violator(self, pair_left: Sequence[int], pair_right: Sequence[int]) -> Violator:
         """The left vertices reached by alternating paths from unmatched
@@ -448,10 +442,11 @@ def check_domain(
     never clipped to a patch.  On a ball of the free tree whose vertices
     are its levels in shortlex order, as :func:`~paradec.cayley.enumerate_ball`
     builds them (:func:`_is_tree_ball`), when every translator is 1 or one
-    of its letters, it is numbered by shortlex arithmetic and only the
-    certificate's images outside the ball are formed; otherwise every
-    product is formed in the group (see :class:`_HallGraph`), and the
-    domain is taken in element order.  On deficiency, the violator comes from
+    of its letters, it is numbered by shortlex arithmetic and no product
+    is formed; otherwise every product is formed in the group (see
+    :class:`_HallGraph`), and the domain is taken in element order.  A
+    certificate is the domain and the translator that the matching gives
+    each element, and forms no image.  On deficiency, the violator comes from
     alternating reachability and is then shrunk greedily (smaller violators
     are human-checkable; true minimality is the job of the exhaustive oracle
     in ``tests/oracles.py``).
@@ -580,9 +575,9 @@ def translator_positions(
     spec: GroupSpec, family: int, used: Sequence[Element], translators: Sequence[Element]
 ) -> dict:
     """s -> the positions i with ``used[i] == s``, in increasing order, for
-    each translator s of S_family, in S order.  ``used`` is a translator
-    record (:attr:`Certificate.translators`); a recorded translator that is
-    not in S_family raises :class:`CertificateError`."""
+    each translator s of S_family, in S order.  ``used`` is one family of a
+    translator record (:attr:`Certificate.translators`); a recorded
+    translator that is not in S_family raises :class:`CertificateError`."""
     positions: dict = {s: [] for s in translators}
     for i, s in enumerate(used):
         try:
@@ -596,34 +591,29 @@ def translator_positions(
 
 def verdict_to_jsonable(spec: GroupSpec, verdict: Verdict, ts: TranslatingSets) -> dict:
     """The JSON form of a verdict: a violator's two sets as texts, or a
-    certificate's ``[g, phi_i(g)]`` text pairs per family, in pair order.
+    certificate's ``[g, phi_i(g)]`` text pairs per family, in domain order.
 
-    A certificate's sources are formatted by one batch formatter, each
-    family in its own pair order, so the second family's are memo hits.
-    Its images are not formatted: each translator s writes the images g·s
-    of the pairs that :attr:`Certificate.translators` assigns to it as one
-    :meth:`GroupSpec.text_translates` column of their sources' texts, so
-    the record is trusted: a pair is written as ``[g, g·s]``.  A
-    certificate without that record takes it from
-    :func:`verify_certificate`, which raises :class:`CertificateError` on
-    a certificate that fails.
+    A certificate's domain is formatted once, by one batch formatter, for
+    both families.  Its images are not formatted: each translator s writes
+    the images g·s of the elements that the certificate labels s as one
+    :meth:`GroupSpec.text_translates` column of their texts.
     """
     fmt = spec.formatter()
     if isinstance(verdict, Certificate):
-        used = verdict.translators or verify_certificate(spec, ts, verdict)
+        domain = verdict.domain
+        texts = list(map(fmt, domain))
         identity = spec.identity()
 
-        def family(index, pairs, translators):
-            sources = [g for g, _ in pairs]
-            texts = list(map(fmt, sources))
+        def family(index, translators):
             # g·1 = g, so the identity's images are their sources' texts
             images = texts[:]
-            positions = translator_positions(spec, index, used[index - 1], translators)
+            used = verdict.translators[index - 1]
+            positions = translator_positions(spec, index, used, translators)
             for s, where in positions.items():
                 if s == identity:
                     continue
                 column = spec.text_translates(
-                    [sources[i] for i in where], [texts[i] for i in where], s
+                    [domain[i] for i in where], [texts[i] for i in where], s
                 )
                 for i, image in zip(where, column):
                     images[i] = image
@@ -631,8 +621,8 @@ def verdict_to_jsonable(spec: GroupSpec, verdict: Verdict, ts: TranslatingSets) 
 
         return {
             "kind": "certificate",
-            "phi1": family(1, verdict.pairs1, ts.s1),
-            "phi2": family(2, verdict.pairs2, ts.s2),
+            "phi1": family(1, ts.s1),
+            "phi2": family(2, ts.s2),
         }
     return {
         "kind": "violator",
@@ -666,16 +656,19 @@ def _json_text_pairs(data: dict, key: str) -> list:
     return pairs
 
 
-def verdict_from_jsonable(spec: GroupSpec, data: dict) -> Verdict:
+def verdict_from_jsonable(spec: GroupSpec, data: dict) -> "Violator | tuple":
     """Read back :func:`verdict_to_jsonable`'s document.  ``phi1`` and
     ``phi2`` must be lists of two-text lists, ``a1`` and ``a2`` lists of
     texts and ``union_size`` an integer; anything else is a
-    :class:`ValueError`.  Nothing is verified here."""
+    :class:`ValueError`.  Nothing is verified here: a violator is returned
+    as a :class:`Violator`, and a certificate as its claim, the ``phi1``
+    and ``phi2`` pairs of elements, which :func:`verify_certificate`
+    turns into a :class:`Certificate`."""
     parse = spec.parser()
     if data["kind"] == "certificate":
-        return Certificate(
-            pairs1=tuple((parse(g), parse(w)) for g, w in _json_text_pairs(data, "phi1")),
-            pairs2=tuple((parse(g), parse(w)) for g, w in _json_text_pairs(data, "phi2")),
+        return tuple(
+            tuple((parse(g), parse(w)) for g, w in _json_text_pairs(data, key))
+            for key in ("phi1", "phi2")
         )
     if data["kind"] == "violator":
         union_size = data["union_size"]

@@ -1,7 +1,8 @@
 """Shared test utilities: random elements, small spec menageries, patches
 with loops, parallel generators and involutions, a product counter, a
-call's outcome, a patch's a-edge forest, forest degree sums and ledger
-lookup, and the Hall graphs of the amenable-abelian2 bench."""
+certificate's pairs, a call's outcome, a patch's a-edge forest, forest
+degree sums and ledger lookup, and the Hall graphs of the
+amenable-abelian2 bench."""
 
 from __future__ import annotations
 
@@ -159,6 +160,16 @@ def record_products(monkeypatch, before=None) -> list:
     monkeypatch.setattr(GroupSpec, "translates", counted_translates)
     monkeypatch.setattr(GroupSpec, "star", counted_star)
     return factors
+
+
+def certificate_pairs(spec, cert) -> tuple:
+    """A certificate's claim, its ``(g, phi_i(g))`` pairs per family in
+    domain order, each image formed by one product: the shape that
+    ``verdict_from_jsonable`` reads and ``verify_certificate`` takes."""
+    return tuple(
+        tuple((g, spec.multiply(g, s)) for g, s in zip(cert.domain, used))
+        for used in cert.translators
+    )
 
 
 def outcome(function, *args):

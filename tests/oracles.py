@@ -494,11 +494,13 @@ def _brute_force_certificate(
     for u in range(len(lefts)):
         if not augment(u, [False] * len(right_elements)):
             raise AssertionError("Hall condition held but matching failed")
-    pairs1 = []
-    pairs2 = []
-    for (copy, g), j in zip(lefts, pair_left):
-        (pairs1 if copy == 1 else pairs2).append((g, right_elements[j]))
-    return Certificate(pairs1=tuple(pairs1), pairs2=tuple(pairs2))
+    # the translator of each matched image: its place in the row, which
+    # lists g·s in S_copy order
+    used: tuple[list, list] = ([], [])
+    for (copy, _), row, j in zip(lefts, rows, pair_left):
+        translators = ts.s1 if copy == 1 else ts.s2
+        used[copy - 1].append(translators[row.index(right_elements[j])])
+    return Certificate(tuple(elements), (tuple(used[0]), tuple(used[1])))
 
 
 def hall_graph_oracle(spec, ts, batches):

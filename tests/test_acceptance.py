@@ -37,7 +37,13 @@ from paradec import (
 )
 from paradec.cli import main as cli_main
 
-from helpers import degree_sum, ledger_entry, random_element, standard_gens
+from helpers import (
+    certificate_pairs,
+    degree_sum,
+    ledger_entry,
+    random_element,
+    standard_gens,
+)
 from oracles import (
     ball_oracle,
     brute_force_check,
@@ -85,7 +91,7 @@ def test_criterion_2_free2_certificates_all_radii():
         domain = ball(spec, radius).vertices
         verdict = check_domain(spec, ts, domain)
         assert isinstance(verdict, Certificate), f"violator at radius {radius}"
-        verify_certificate(spec, ts, verdict)
+        assert verify_certificate(spec, ts, *certificate_pairs(spec, verdict)) == verdict
         pd, _ = pieces_from_certificate(spec, verdict, ts)
         assert set(pd.domain) == set(domain)
         assert verify_decomposition(spec, pd).passed

@@ -11,6 +11,7 @@ import pytest
 from paradec import (
     CayleyPatch,
     GeneratingSet,
+    TranslatingSets,
     cli,
     decomposition,
     enumerate_ball,
@@ -19,6 +20,7 @@ from paradec import (
     parse_group_spec,
     spec_to_string,
     verdict_from_jsonable,
+    verify_certificate,
 )
 from paradec.cayley import format_label
 from paradec.cli import main
@@ -191,9 +193,10 @@ class TestCheck:
         assert code == 0
         assert data["verdict"]["kind"] == "certificate"
         spec = parse_group_spec(data["group"])
-        verdict = verdict_from_jsonable(spec, data["verdict"])
+        ts = TranslatingSets.from_jsonable(spec, data)
+        verdict = verify_certificate(spec, ts, *verdict_from_jsonable(spec, data["verdict"]))
         assert isinstance(verdict, Certificate)
-        assert len(verdict.pairs1) == data["domain_size"]
+        assert len(verdict.domain) == data["domain_size"]
 
     def test_abelian_violator_exit_one(self, capsys):
         code, data, _ = run_json(
@@ -366,7 +369,7 @@ class TestDecompose:
     def test_pieces_come_from_the_matching_record(self, capsys, monkeypatch):
         # the translators are not searched again; the printed pieces are
         # still verified once
-        searched = count_calls(monkeypatch, decomposition, "verify_certificate")
+        searched = count_calls(monkeypatch, cli, "verify_certificate")
         verified = count_calls(monkeypatch, decomposition, "verify_decomposition")
         code, data, _ = run_json(
             capsys, "decompose", "--group", "free:3", "--s1", "1,a", "--s2", "1,b,c",
@@ -677,7 +680,7 @@ class TestReport:
         assert report["upper"] == 4
         assert report["lower"] == 4
         assert any("free subgroup" in note for note in report["justification"])
-        # a certificate read from a file carries no record and is searched
+        # a certificate read from a file is a claim, verified once
         assert len(searched) == len(paths)
 
     def test_text_mode_builds_no_json_document(self, capsys, monkeypatch):

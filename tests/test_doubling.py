@@ -29,7 +29,13 @@ from paradec.cayley import ball_levels
 from paradec.errors import ParseError, VertexBudgetError, ViolatorError
 from paradec.matching import UNMATCHED, alternating_reachable, hopcroft_karp
 
-from helpers import all_model_specs, random_element, record_products, standard_gens
+from helpers import (
+    all_model_specs,
+    certificate_pairs,
+    random_element,
+    record_products,
+    standard_gens,
+)
 from oracles import (
     DomainSizeError,
     brute_force_check,
@@ -100,21 +106,24 @@ class TestCheckDomain:
         for radius in range(1, 5):
             verdict = check_domain(spec, ts, ball_vertices(spec, radius))
             assert isinstance(verdict, Certificate)
-            verify_certificate(spec, ts, verdict)
+            assert verify_certificate(spec, ts, *certificate_pairs(spec, verdict)) == verdict
 
     def test_certificate_images_disjoint_and_in_translates(self):
         spec = free_group(3)
         ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
-        verdict = check_domain(spec, ts, ball_vertices(spec, 3))
+        domain = ball_vertices(spec, 3)
+        verdict = check_domain(spec, ts, domain)
         assert isinstance(verdict, Certificate)
-        image1 = {w for _, w in verdict.pairs1}
-        image2 = {w for _, w in verdict.pairs2}
-        assert len(image1) == len(verdict.pairs1)
-        assert len(image2) == len(verdict.pairs2)
+        assert verdict.domain == tuple(sorted(domain, key=spec.element_sort_key))
+        pairs1, pairs2 = certificate_pairs(spec, verdict)
+        image1 = {w for _, w in pairs1}
+        image2 = {w for _, w in pairs2}
+        assert len(image1) == len(pairs1) == len(domain)
+        assert len(image2) == len(pairs2) == len(domain)
         assert not image1 & image2
-        for g, w in verdict.pairs1:
+        for g, w in pairs1:
             assert w in product_set(spec, [g], ts.s1)
-        for g, w in verdict.pairs2:
+        for g, w in pairs2:
             assert w in product_set(spec, [g], ts.s2)
 
     def test_empty_domain_rejected(self):
@@ -150,7 +159,7 @@ class TestBruteForce:
         ts = TranslatingSets.from_words(spec, "1,a", "1,b")
         verdict = brute_force_check(spec, ts, ball_vertices(spec, 1))
         assert isinstance(verdict, Certificate)
-        verify_certificate(spec, ts, verdict)
+        assert verify_certificate(spec, ts, *certificate_pairs(spec, verdict)) == verdict
 
     def test_guardrail(self):
         spec = free_abelian_group(1)
@@ -201,7 +210,7 @@ def test_oracle_equivalence_random_instances(spec):
             verify_violator(spec, ts, fast)
             verify_violator(spec, ts, slow)
         else:
-            verify_certificate(spec, ts, fast)
+            assert verify_certificate(spec, ts, *certificate_pairs(spec, fast)) == fast
 
 
 @pytest.mark.parametrize(
@@ -400,9 +409,9 @@ def test_check_domain_forms_no_product_with_the_identity(
     monkeypatch, spec, s1, s2, radius, tree
 ):
     """The Hall graph takes g itself as g·1.  On the patch of the free
-    tree (free3) the graph forms no product at all, and the certificate
-    forms only its images outside the ball, one column per translator.  On
-    a hand-given domain (free2-shared) and in sl2z the graph forms one
+    tree (free3) ``check_domain`` forms no product at all: the graph is
+    numbered by shortlex arithmetic, and the certificate is read off the
+    matching and forms no image.  On a hand-given domain (free2-shared) and in sl2z the graph forms one
     product per element and distinct translator, so a translator in both
     S1 and S2 costs one.  The certificate check still forms every g·1 on
     its own path."""
@@ -414,18 +423,13 @@ def test_check_domain_forms_no_product_with_the_identity(
     assert isinstance(verdict, Certificate)
     assert identity not in calls
     if tree:
-        outside = [
-            s
-            for pairs, used in zip((verdict.pairs1, verdict.pairs2), verdict.translators)
-            for (_, image), s in zip(pairs, used)
-            if image not in patch
-        ]
-        assert outside and sorted(calls) == sorted(outside)
+        assert calls == []
     else:
         distinct = set(ts.s1 + ts.s2) - {identity}
         assert len(calls) == len(patch.vertices) * len(distinct)
+    pairs = certificate_pairs(spec, verdict)
     calls.clear()
-    verify_certificate(spec, ts, verdict)
+    verify_certificate(spec, ts, *pairs)
     assert calls.count(identity) > 0
 
 
@@ -506,11 +510,11 @@ class TestSerialization:
         ts = TranslatingSets.from_words(spec, "1,a", "1,b")
         verdict = check_domain(spec, ts, ball_vertices(spec, 2))
         data = json.loads(json.dumps(verdict_to_jsonable(spec, verdict, ts)))
-        # the matching's translator record is not written, and the copy
-        # read back without it still compares equal
+        # the file holds the pairs, not the translator record; verifying
+        # the pairs read back finds the record again
         read_back = verdict_from_jsonable(spec, data)
-        assert verdict.translators is not None and read_back.translators is None
-        assert read_back == verdict
+        assert read_back == certificate_pairs(spec, verdict)
+        assert verify_certificate(spec, ts, *read_back) == verdict
 
     def test_violator_round_trip(self):
         spec = free_abelian_group(2)
@@ -525,4 +529,6 @@ class TestSerialization:
         verdict = check_domain(spec, ts, ball_vertices(spec, 2))
         assert isinstance(verdict, Certificate)
         data = json.loads(json.dumps(verdict_to_jsonable(spec, verdict, ts)))
-        assert verdict_from_jsonable(spec, data) == verdict
+        read_back = verdict_from_jsonable(spec, data)
+        assert read_back == certificate_pairs(spec, verdict)
+        assert verify_certificate(spec, ts, *read_back) == verdict

@@ -35,7 +35,7 @@ import paradec.doubling as doubling
 from paradec.cayley import ball_levels, tree_letters
 from paradec.matching import UNMATCHED, alternating_reachable
 
-from helpers import record_products
+from helpers import certificate_pairs, record_products
 from oracles import hall_graph_oracle, minimal_violating_radius_oracle
 
 # A drawn radius is lowered until the ball one radius larger has at most
@@ -169,8 +169,10 @@ def test_tree_graph_matches_like_the_interning_graph(case):
             assert tree.violator(*ours) == interned.violator(*theirs)
         else:
             cert, expected = tree.certificate(ours[0]), interned.certificate(theirs[0])
-            assert cert == expected
-            assert cert.translators == expected.translators
+            assert (cert.domain, cert.translators) == (
+                expected.domain,
+                expected.translators,
+            )
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -178,16 +180,17 @@ def test_tree_graph_matches_like_the_interning_graph(case):
 def test_check_domain_on_the_tree_equals_the_hand_given_domain(case):
     """``check_domain`` on the patch takes the tree path; on its vertices,
     a hand-given domain, the interning path.  Both give the same verdict,
-    and a certificate's record is the one its verification finds."""
+    a certificate the same domain and labels, and a certificate is the one
+    that verifying its pairs finds."""
     spec, gens, ts, radius = case
     patch = enumerate_ball(spec, gens, radius)
     verdict = check_domain(spec, ts, patch)
     event(f"{type(verdict).__name__} at radius {radius}")
     expected = check_domain(spec, ts, patch.vertices)
+    # a certificate is equal exactly when its domain and labels are
     assert verdict == expected
     if isinstance(verdict, Certificate):
-        assert verdict.translators == expected.translators
-        assert verify_certificate(spec, ts, verdict) == verdict.translators
+        assert verify_certificate(spec, ts, *certificate_pairs(spec, verdict)) == verdict
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -414,7 +417,6 @@ def test_right_side_of_a_high_rank_ball_stays_within_its_translators(rank):
     assert graph.num_right <= size * 3 + size
     verdict = check_domain(spec, ts, patch)
     assert verdict == check_domain(spec, ts, patch.vertices)
-    assert verdict.translators == check_domain(spec, ts, patch.vertices).translators
 
 
 def test_warm_start_on_a_high_rank_ball_equals_the_oracle():
