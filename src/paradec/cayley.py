@@ -7,14 +7,19 @@ and nothing else.  Exact products that cross the boundary are computed with
 
 A ball over single letters of a free group is generated as reduced words in
 shortlex order, since its Cayley graph is a tree; any other ball is found by
-breadth-first search.  Both give the same vertices in the same order.
+breadth-first search.  Both give the same vertices in the same order.  The
+tree's shortlex numbering (:class:`ShortlexTree`) is kept here alone: the
+ball's levels, its neighbour table and its texts, and the Hall graph of
+:mod:`paradec.doubling`, all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from itertools import islice
+from operator import add, itemgetter, lt
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import VertexBudgetError
 from .groups import Element, GroupSpec, spec_to_string
@@ -86,6 +91,186 @@ class GeneratingSet:
         return tuple(view)
 
 
+class ShortlexTree:
+    """The shortlex numbering of a ball of the free tree: the Cayley graph
+    over ``letters``, m ascending single letters of the free model closed
+    under inversion, whose distinct reduced words are distinct elements.
+
+    The ball lists its words level by level, each level in shortlex order.
+    Level l ≥ 1 holds m(m-1)^(l-1) words, and the identity's m children are
+    level 1 in letter order.  A word g at level l ≥ 1 and place j of its
+    level, with last letter x, has m - 1 children, the g·t for t ≠ x⁻¹ in
+    ascending letter order, from place j(m-1) of level l + 1 on; the child
+    by t is ``slot(t)[x]`` places after the first.  Its parent g·x⁻¹ is at
+    place j // (m-1) of level l - 1 when l ≥ 2, and is the identity when
+    l = 1.  So a word's neighbours, its Hall graph's right vertices and its
+    text are all read off its place, and no product is formed.
+
+    The tables are built when first read and cost O(m) a letter, so a
+    rank-10,000 ball of radius 1 stores no m² table.
+    """
+
+    def __init__(self, letters: tuple[int, ...]):
+        self.letters = letters
+        self.rank = {t: i for i, t in enumerate(letters)}
+        self._slots: dict = {}
+
+    def slot(self, t: int) -> dict:
+        """x -> the place of g·t among the children of a word g ending in
+        x, the letters but x⁻¹; at x = t⁻¹, where g·t is g's parent, the
+        value is unused."""
+        slot = self._slots.get(t)
+        if slot is None:
+            rank = self.rank
+            slot = {x: rank[t] - (rank[t] > rank[-x]) for x in self.letters}
+            self._slots[t] = slot
+        return slot
+
+    @cached_property
+    def children(self) -> dict:
+        """x -> the last letters of the children of a word ending in x, in
+        ascending order: read only where a level of m(m-1) words is built."""
+        return {x: tuple(t for t in self.letters if t != -x) for x in self.letters}
+
+    def level_size(self, level: int) -> int:
+        m = len(self.letters)
+        return m * (m - 1) ** (level - 1) if level else 1
+
+    def place(self, word, levels: int) -> "int | None":
+        """The place of ``word`` in the ball of the first ``levels`` levels,
+        or None unless it is a reduced word over the letters that is
+        shorter than ``levels``: its level's first place, plus its first
+        letter's rank, taken m - 1 children at a time at each next letter
+        and moved to that letter's slot."""
+        if type(word) is not tuple or len(word) >= levels:
+            return None
+        rank = self.rank
+        k = len(self.letters) - 1
+        first = sum(map(self.level_size, range(len(word))))
+        last = None
+        for x in word:
+            if x not in rank:
+                return None
+            if last is None:
+                place = rank[x]
+            elif x == -last:
+                return None
+            else:
+                place = place * k + self.slot(x)[last]
+            last = x
+        return first if last is None else first + place
+
+    def numbers(self, vertices: Sequence, level_sizes: Sequence[int]) -> bool:
+        """Whether ``vertices``, with ``level_sizes`` words per level, are
+        this numbering's ball: level l holds m(m-1)^(l-1) words (1 at
+        l = 0), each of length l, strictly ascending.  Words over the
+        letters are then the whole level."""
+        start = 0
+        for level, size in enumerate(level_sizes):
+            if size != self.level_size(level):
+                return False
+            sphere = vertices[start : start + size]
+            if set(map(len, sphere)) != {level}:
+                return False
+            if not all(map(lt, sphere, islice(sphere, 1, None))):
+                return False
+            start += size
+        return start == len(vertices)
+
+    def columns(
+        self,
+        steps: Iterable[int],
+        sphere: Sequence[tuple],
+        offsets: Sequence[int],
+        outside: "Callable[[int], Iterable] | None" = None,
+    ) -> dict:
+        """Each letter t of ``steps`` -> the place of g·t in the ball, for
+        each word g of ``sphere``, the level that starts at ``offsets[-1]``
+        (``offsets[l]`` is the first place of level l).  g·t is g's parent
+        when g ends in t⁻¹ and otherwise its child: numbered in the next
+        level, or, when ``outside`` is given because the next level is not
+        in the ball, ``outside(t)[j]`` for the j-th word of the sphere."""
+        letters = self.letters
+        k = len(letters) - 1
+        level = len(offsets) - 1
+        after = offsets[-1] + len(sphere)
+        lasts = list(map(itemgetter(-1), sphere)) if level and outside is None else []
+        # the last letter of each vertex of the level before, read off
+        # its first child, and its place, one int shared by its children
+        parents = list(map(itemgetter(-2), sphere[::k])) if level > 1 else []
+        owners = list(range(offsets[-2], offsets[-1])) if level > 1 else []
+        columns = {}
+        for t in steps:
+            if outside is not None:
+                values = list(outside(t))
+            elif not level:
+                values = [1 + self.rank[t]]
+            else:
+                # g·t is the child of g at place slot[x] among g's children ...
+                slot = self.slot(t)
+                starts = range(after, after + len(sphere) * k, k)
+                values = list(map(add, starts, map(slot.__getitem__, lasts)))
+            # ... save when x is t⁻¹: then g·t is g's parent.  Each vertex y
+            # of the level before, unless it ends in t, has one child ending
+            # in t⁻¹, at its place among y's children.
+            if level == 1:
+                values[self.rank[-t]] = 0
+            if parents:
+                place = self.slot(-t)
+                for q, y in enumerate(parents):
+                    if y != t:
+                        values[q * k + place[y]] = owners[q]
+            columns[t] = values
+        return columns
+
+    def parents(self, sphere: Sequence[tuple], offsets: Sequence[int]) -> list:
+        """The place of each word's parent, for the words of ``sphere``, the
+        level l ≥ 1 that starts at ``offsets[-1]``: the identity for l = 1,
+        and otherwise one int per vertex of level l - 1, shared by its
+        m - 1 children."""
+        if len(offsets) == 2:
+            return [0] * len(sphere)
+        k = len(self.letters) - 1
+        return [p for p in range(offsets[-2], offsets[-1]) for _ in range(k)]
+
+    def texts(self, names: Sequence[str], levels: int) -> list[str]:
+        """The canonical texts of the first ``levels`` levels' words, in
+        ball order, over the generator ``names`` (letter ±i is the i-th
+        name).  Each text is stepped from its parent's text: a child by
+        another letter than the parent's last appends that letter's token,
+        and the child by the same letter moves the last run's exponent one
+        further from 0.  No word is read or formatted."""
+        tokens = {}
+        for t in self.letters:
+            name = names[abs(t) - 1]
+            tokens[t] = name if t > 0 else f"{name}^-1"
+        texts = ["1"]
+        if levels < 2:
+            return texts
+        k = len(self.letters) - 1
+        lasts = list(self.letters)
+        level = [tokens[t] for t in lasts]
+        texts += level
+        if levels > 2:
+            spaced = {y: [" " + tokens[x] for x in kids] for y, kids in self.children.items()}
+            # the place of a word's child by its own last letter y
+            same = {y: self.slot(y)[y] for y in self.letters}
+        for _ in range(2, levels):
+            stepped = [p + token for p, y in zip(level, lasts) for token in spaced[y]]
+            for q, (p, y) in enumerate(zip(level, lasts)):
+                name = names[abs(y) - 1]
+                head, _, run = p.rpartition(" ")
+                exponent = (1 if run == name else int(run[len(name) + 1 :])) + (
+                    1 if y > 0 else -1
+                )
+                run = f"{name}^{exponent}"
+                stepped[q * k + same[y]] = f"{head} {run}" if head else run
+            level = stepped
+            lasts = [x for y in lasts for x in self.children[y]]
+            texts += level
+        return texts
+
+
 @dataclass(frozen=True)
 class CayleyPatch:
     """Ball of the right Cayley graph; immutable and shareable.
@@ -93,10 +278,11 @@ class CayleyPatch:
     Stored: ``spec``, ``gens``, ``radius``, the ``vertices`` in ball order
     (vertex 0 is the identity) and ``level_sizes``, the number of vertices
     at each distance up to the largest one present.  Built on first read
-    and kept, since most callers need only the vertices: the vertex index
-    behind :meth:`index_of` and ``in``, ``distances``, the ``neighbours``
-    table, and its views ``edges``, the unoriented simple graph
-    ``simple_edges`` and the ``interior``.
+    and kept, since most callers need only the vertices: ``tree``, the
+    vertex index behind :meth:`index_of` and ``in`` (none on a ball of the
+    free tree, whose places are computed), ``distances``, the
+    ``neighbours`` table, and its views ``edges``, the unoriented simple
+    graph ``simple_edges`` and the ``interior``.
     """
 
     spec: GroupSpec
@@ -104,6 +290,20 @@ class CayleyPatch:
     radius: int
     vertices: tuple[Element, ...]
     level_sizes: tuple[int, ...]
+
+    @cached_property
+    def tree(self) -> "ShortlexTree | None":
+        """The shortlex numbering of the patch, when the patch is a ball of
+        the free tree (:func:`tree_letters`) whose vertices are its levels
+        in shortlex order (:meth:`ShortlexTree.numbers`), as
+        :func:`enumerate_ball` generates them; else None.  Checked once
+        per patch, so a patch built or reordered by hand takes the general
+        path of every reader."""
+        letters = tree_letters(self.spec, self.gens)
+        if letters is None:
+            return None
+        tree = ShortlexTree(letters)
+        return tree if tree.numbers(self.vertices, self.level_sizes) else None
 
     @cached_property
     def _index(self) -> dict[Element, int]:
@@ -120,10 +320,55 @@ class CayleyPatch:
     def neighbours(self) -> tuple[tuple["int | None", ...], ...]:
         """One row per vertex: for each element s of the symmetrized
         generating set, in view order, the index of u·s, or None when the
-        product leaves the patch.  Every edge fact is read off this table."""
+        product leaves the patch.  Every edge fact is read off this table.
+
+        On a ball of the free tree (``tree``) each entry is read off the
+        shortlex numbering, a parent or a child by place, or None past the
+        last level, and no product is formed; otherwise each row is one
+        star of the vertex, each product looked up in the vertex index."""
+        if self.tree is not None:
+            return self._numbered_rows()
+        return self._star_rows()
+
+    def _numbered_rows(self) -> tuple:
+        view = [s[0] for _, _, s in self.gens.symmetrized(self.spec)]
+        tree = self.tree
+        rows: list = []
+        offsets = [0]
+        last = len(self.level_sizes) - 1
+        for size in self.level_sizes[:-1]:
+            sphere = self.vertices[offsets[-1] : offsets[-1] + size]
+            built = tree.columns(view, sphere, offsets)
+            rows.extend(zip(*map(built.__getitem__, view)))
+            offsets.append(offsets[-1] + size)
+        # past the last level every product leaves the patch, so a row of
+        # the last level holds its parent alone, at the place of x⁻¹ in the
+        # view for its last letter x
+        blank = (None,) * len(view)
+        if not last:
+            return (blank,)
+        where = {t: i for i, t in enumerate(view)}
+        around = {x: (blank[: where[-x]], blank[where[-x] + 1 :]) for x in tree.letters}
+        sphere = self.vertices[offsets[-1] :]
+        shapes = map(around.__getitem__, map(itemgetter(-1), sphere))
+        rows.extend(
+            before + (parent,) + after
+            for parent, (before, after) in zip(tree.parents(sphere, offsets), shapes)
+        )
+        return tuple(rows)
+
+    def _star_rows(self) -> tuple:
         star = self.spec.star(s for _, _, s in self.gens.symmetrized(self.spec))
         lookup = self._index.get
         return tuple(tuple(map(lookup, star(u))) for u in self.vertices)
+
+    def texts(self) -> list[str]:
+        """The canonical text of each vertex, in vertex order: stepped from
+        its parent's text on a ball of the free tree
+        (:meth:`ShortlexTree.texts`), else written by one batch formatter."""
+        if self.tree is not None:
+            return self.tree.texts(self.spec.generator_names, len(self.level_sizes))
+        return list(map(self.spec.formatter(), self.vertices))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, str, int, int], ...]:
@@ -139,10 +384,20 @@ class CayleyPatch:
         )
 
     def index_of(self, element: Element) -> int:
-        return self._index[element]
+        """The vertex index of ``element``; :class:`KeyError` when it is not
+        a vertex.  Read off the shortlex numbering on a ball of the free
+        tree, so that no vertex index is built there."""
+        if self.tree is None:
+            return self._index[element]
+        index = self.tree.place(element, len(self.level_sizes))
+        if index is None:
+            raise KeyError(element)
+        return index
 
     def __contains__(self, element: Element) -> bool:
-        return element in self._index
+        if self.tree is None:
+            return element in self._index
+        return self.tree.place(element, len(self.level_sizes)) is not None
 
     @cached_property
     def simple_edges(self) -> tuple[tuple[int, int], ...]:
@@ -171,14 +426,13 @@ class CayleyPatch:
     # -- exports -----------------------------------------------------------
 
     def to_jsonable(self) -> dict:
-        fmt = self.spec.formatter()
         return {
             "group": spec_to_string(self.spec),
             "generators": [
                 [sym, self.spec.format_element(el)] for sym, el in self.gens.pairs
             ],
             "radius": self.radius,
-            "vertices": [fmt(v) for v in self.vertices],
+            "vertices": self.texts(),
             "distances": list(self.distances),
             "edges": [
                 [u, format_label(sym, sign), v] for u, sym, sign, v in self.edges
@@ -190,9 +444,8 @@ class CayleyPatch:
             f"# patch group={spec_to_string(self.spec)} radius={self.radius} "
             f"vertices={len(self.vertices)} edges={len(self.edges)}"
         ]
-        fmt = self.spec.formatter()
-        for i, v in enumerate(self.vertices):
-            lines.append(f"# vertex\t{i}\t{fmt(v)}\t{self.distances[i]}")
+        for i, (text, distance) in enumerate(zip(self.texts(), self.distances)):
+            lines.append(f"# vertex\t{i}\t{text}\t{distance}")
         for u, sym, sign, v in self.edges:
             lines.append(f"{u}\t{format_label(sym, sign)}\t{v}")
         return "\n".join(lines) + "\n"
@@ -293,24 +546,26 @@ def _free_tree_levels(
     """The levels over the ascending ``letters`` of :func:`tree_letters`,
     m single letters of the free model closed under inversion: distinct
     reduced words over them are distinct elements, so level k+1 is every
-    word of level k followed by a letter other than the inverse of its
-    last one.  Taken in shortlex order the words come out sorted, and
-    level k has m(m-1)^(k-1) of them, a size checked against the budget
-    before the level is built."""
+    word of level k followed by each of its children's letters, the
+    letters but the inverse of its last one (:class:`ShortlexTree`).
+    Taken in shortlex order the words come out sorted, and level k has
+    m(m-1)^(k-1) of them, a size checked against the budget before the
+    level is built."""
+    tree = ShortlexTree(letters)
     frontier = [spec.identity()]
     if width > budget:
         raise _over_budget(0, budget, width)
     yield frontier
-    m = len(letters)
     kept = 1
     for level in range(1, radius + 1):
-        kept += m * (m - 1) ** (level - 1)
+        kept += tree.level_size(level)
         if kept * width > budget:
             raise _over_budget(level, budget, width)
         if level == 1:
             frontier = [(t,) for t in letters]
         else:
-            frontier = [u + (t,) for u in frontier for t in letters if t != -u[-1]]
+            children = tree.children
+            frontier = [u + (t,) for u in frontier for t in children[u[-1]]]
         yield frontier
 
 

@@ -164,7 +164,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             {
                 "radius": args.radius,
                 "domain_size": len(patch.vertices),
-                "verdict": verdict_to_jsonable(spec, verdict, ts),
+                "verdict": verdict_to_jsonable(spec, verdict, ts, patch),
             }
         )
     elif isinstance(verdict, Certificate):
@@ -228,7 +228,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         _emit(args, payload, "no decomposition: the domain admits a violator")
         return EXIT_NEGATIVE
     pd, report = pieces_from_certificate(spec, verdict, ts)
-    pieces = decomposition_to_jsonable(spec, pd)
+    pieces = decomposition_to_jsonable(spec, pd, patch)
     if json_format:
         payload.update(
             {

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .cayley import DEFAULT_VERTEX_BUDGET, GeneratingSet, format_label, parse_label
-from .cayley import letters_per_vertex
-from .doubling import Certificate, TranslatingSets, Verdict, translator_positions
+from .cayley import DEFAULT_VERTEX_BUDGET, CayleyPatch, GeneratingSet, format_label
+from .cayley import letters_per_vertex, parse_label
+from .doubling import Certificate, TranslatingSets, Verdict, domain_texts
+from .doubling import translator_positions
 from .errors import CertificateError, VertexBudgetError, WitnessError
 from .groups import Element, GroupSpec
 
@@ -33,10 +34,11 @@ class PartialDecomposition:
     makes element order (``GroupSpec.element_sort_key``), so no reader
     sorts it.
 
-    ``translators`` is the record of the s whose piece holds g·s, for each
-    domain element g and family, in domain order: the certificate's
-    :attr:`~paradec.doubling.Certificate.translators`.  Only
-    :func:`pieces_from_certificate` fills it, and
+    ``positions`` is, per family, the certificate's translator record
+    (:attr:`~paradec.doubling.Certificate.translators`) read by piece:
+    s -> the domain positions of the elements g whose piece holds g·s, in
+    translator order, as :func:`~paradec.doubling.translator_positions`
+    finds them.  Only :func:`pieces_from_certificate` fills it, and
     :func:`decomposition_to_jsonable` writes each piece from it; a
     decomposition built by hand has None and cannot be written.  It takes
     no part in equality or repr.
@@ -45,7 +47,7 @@ class PartialDecomposition:
     pieces1: tuple[tuple[Element, frozenset], ...]
     pieces2: tuple[tuple[Element, frozenset], ...]
     domain: tuple[Element, ...]
-    translators: "tuple[tuple[Element, ...], tuple[Element, ...]] | None" = field(
+    positions: "tuple[dict, dict] | None" = field(
         default=None, compare=False, repr=False
     )
 
@@ -83,7 +85,8 @@ def pieces_from_certificate(
     """The pieces of a certificate: piece_i[s] = {g·s : g ∈ D, σ_i(g) = s},
     formed as one :meth:`GroupSpec.translates` column over the elements
     that the certificate labels s.  The decomposition keeps the
-    certificate's domain and record for :func:`decomposition_to_jsonable`.
+    certificate's domain and its record's positions per piece for
+    :func:`decomposition_to_jsonable`.
 
     Disjointness and coverage follow from the certificate properties but
     are re-verified, not assumed: the pieces are returned with their
@@ -93,17 +96,19 @@ def pieces_from_certificate(
     :class:`CertificateError`.
     """
     domain = cert.domain
+    positions = (
+        translator_positions(spec, 1, cert.translators[0], ts.s1),
+        translator_positions(spec, 2, cert.translators[1], ts.s2),
+    )
 
-    def family(index, translators):
-        used = cert.translators[index - 1]
-        positions = translator_positions(spec, index, used, translators)
+    def family(where_by_s):
         return tuple(
             (s, frozenset(spec.translates([domain[i] for i in where], s)))
-            for s, where in positions.items()
+            for s, where in where_by_s.items()
         )
 
     pd = PartialDecomposition(
-        family(1, ts.s1), family(2, ts.s2), domain, translators=cert.translators
+        family(positions[0]), family(positions[1]), domain, positions=positions
     )
     report = verify_decomposition(spec, pd)
     indeterminate = len(report.indeterminate1) + len(report.indeterminate2)
@@ -439,30 +444,30 @@ def tarski_bound_report(
 # -- serialization -------------------------------------------------------------
 
 
-def decomposition_to_jsonable(spec: GroupSpec, pd: PartialDecomposition) -> dict:
+def decomposition_to_jsonable(
+    spec: GroupSpec, pd: PartialDecomposition, ball: "CayleyPatch | None" = None
+) -> dict:
     """The JSON form of a decomposition: the domain's texts, sorted, and
     each family's pieces in translator order, as ``[s, sorted texts]``.
 
-    The domain is formatted once, by one batch formatter.  A piece is not
-    formatted: the piece of s is the images g·s of the domain elements
-    that :attr:`PartialDecomposition.translators` assigns to s, written as
-    one :meth:`GroupSpec.text_translates` column of their texts.  A
-    decomposition without that record raises :class:`ValueError`.
+    The domain is written once, by :func:`~paradec.doubling.domain_texts`,
+    which reads the texts of ``ball``, the patch the certificate was found
+    on, when the domain is its vertex order.  A piece is not formatted:
+    the piece of s is the images g·s of the domain elements at
+    ``pd.positions[s]``, written as one :meth:`GroupSpec.text_translates`
+    column of their texts.  A decomposition without those positions
+    raises :class:`ValueError`.
     """
-    if pd.translators is None:
+    if pd.positions is None:
         raise ValueError(
             "a decomposition without its translator record cannot be written; "
             "build it with pieces_from_certificate"
         )
     fmt = spec.formatter()
-    # the domain first, in its element order, so that the batch formatter
-    # meets every prefix of a ball's word before the word
     elements = pd.domain
-    texts = list(map(fmt, elements))
+    texts = domain_texts(spec, elements, ball)
 
-    def family(index, pieces):
-        used = pd.translators[index - 1]
-        positions = translator_positions(spec, index, used, [s for s, _ in pieces])
+    def family(positions):
         written = []
         for s, where in positions.items():
             column = spec.text_translates(
@@ -472,8 +477,8 @@ def decomposition_to_jsonable(spec: GroupSpec, pd: PartialDecomposition) -> dict
         return written
 
     return {
-        "pieces1": family(1, pd.pieces1),
-        "pieces2": family(2, pd.pieces2),
+        "pieces1": family(pd.positions[0]),
+        "pieces2": family(pd.positions[1]),
         "domain": sorted(texts),
     }
 

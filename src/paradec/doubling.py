@@ -16,11 +16,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import add, itemgetter, lt
+from itertools import repeat
 from typing import Iterable, Sequence, Union
 
-from .cayley import CayleyPatch, GeneratingSet, ball_levels, product_set, tree_letters
+from .cayley import (
+    CayleyPatch,
+    GeneratingSet,
+    ShortlexTree,
+    ball_levels,
+    product_set,
+    tree_letters,
+)
 from .errors import CertificateError, ParseError, ViolatorError
 from .groups import Element, GroupSpec
 from .matching import UNMATCHED, alternating_reachable, hopcroft_karp
@@ -207,13 +213,10 @@ class _HallGraph:
     S ∪ S⁻¹, from :func:`~paradec.cayley.tree_letters`), grown whole
     levels at a time in shortlex order, when every translator is 1 or one
     of those letters, a right vertex inside the ball is numbered by its
-    place in the ball, computed and never formed.  The vertex at level
-    l ≥ 1 and place j of its level, with last letter x, has its m - 1
-    children from ``offset[l+1] + j(m-1)`` on, in ascending letter order
-    without x⁻¹, and its parent at ``offset[l-1] + j // (m-1)`` when
-    l ≥ 2, or the identity, 0, when l = 1; the identity's m children are
-    1 ... m.  So g·t is the parent when t = x⁻¹ and a child otherwise, and
-    g·1 is g.  A child of the last level is a word just outside the ball:
+    place in the ball, read off the tree's shortlex numbering
+    (:class:`~paradec.cayley.ShortlexTree`) and never formed: g·t is g's
+    parent or one of its children, and g·1 is g.  A child of the last
+    level is a word just outside the ball:
     it is numbered ``|ball| + j·L + i`` for the vertex at place j of the
     last level and the i-th of the L distinct letter translators
     (``outside``), so the right side stays within |D|·(L + 1) whatever m
@@ -241,11 +244,11 @@ class _HallGraph:
         self.matching: "tuple[list[int], list[int]] | None" = None
         identity = spec.identity()
         translators = dict.fromkeys(ts.s1 + ts.s2)
-        self.letters = self.outside = None
+        self.tree = self.outside = None
         if letters is not None and all(
             s == identity or (len(s) == 1 and s[0] in letters) for s in translators
         ):
-            self.letters = letters
+            self.tree = ShortlexTree(letters)
             self.outside = sorted(s[0] for s in translators if s != identity)
         # on the tree numbering, the first rows of each copy of the last
         # level and its size, while its children are outside the ball
@@ -260,7 +263,7 @@ class _HallGraph:
         are the columns zipped in translator order.  On the tree numbering
         the batch must be the ball's next whole levels."""
         translators = dict.fromkeys(self.ts.s1 + self.ts.s2)
-        if self.letters is None:
+        if self.tree is None:
             columns = self._interned_columns(elements, translators)
         else:
             columns = self._tree_columns(elements, translators)
@@ -281,24 +284,21 @@ class _HallGraph:
         self.num_right = len(right_index)
         return columns
 
-    def _level_size(self, level: int) -> int:
-        m = len(self.letters)
-        return m * (m - 1) ** (level - 1) if level else 1
-
     def _tree_columns(self, elements, translators) -> dict:
         if not elements:
             return {s: [] for s in translators}
         # offsets[l] is the index of level l's first vertex, up to the
         # batch's first level
+        level_size = self.tree.level_size
         offsets = [0]
         while offsets[-1] < len(self.vertices):
-            offsets.append(offsets[-1] + self._level_size(len(offsets) - 1))
+            offsets.append(offsets[-1] + level_size(len(offsets) - 1))
         if self._open is not None:
             self._close(offsets, translators)
         columns: dict = {s: [] for s in translators}
         done = size = 0
         while done < len(elements):
-            size = self._level_size(len(offsets) - 1)
+            size = level_size(len(offsets) - 1)
             sphere = elements[done : done + size]
             if len(sphere) != size:
                 raise ValueError("a tree batch must end on a whole level")
@@ -320,45 +320,20 @@ class _HallGraph:
         """Each translator's column over ``sphere``, the level that starts
         at ``offsets[-1]``.  Its children are numbered in the ball one level
         larger, or, when ``dense``, as the words just outside the ball."""
-        letters = self.letters
-        k = len(letters) - 1
-        rank = {t: i for i, t in enumerate(letters)}
-        level = len(offsets) - 1
         first = offsets[-1]
         after = first + len(sphere)
         width = len(self.outside)
-        lasts = list(map(itemgetter(-1), sphere)) if level else []
-        # the last letter of each vertex of the level before, read off
-        # its first child
-        parents = list(map(itemgetter(-2), sphere[::k])) if level > 1 else []
-        columns = {}
-        for s in translators:
-            if not s:  # the identity
-                columns[s] = range(first, after)
-                continue
-            t = s[0]
-            if dense:
+        outside = None
+        if dense:
+
+            def outside(t):
                 i = self.outside.index(t)
-                values = list(range(after + i, after + len(sphere) * width, width))
-            elif not level:
-                values = [1 + rank[t]]
-            else:
-                # g·t is the child of g at place slot among g's children,
-                # the letters but the inverse of g's last letter x ...
-                slot = {x: rank[t] - (rank[t] > rank[-x]) for x in letters}
-                starts = range(after, after + len(sphere) * k, k)
-                values = list(map(add, starts, map(slot.__getitem__, lasts)))
-            # ... save when x is t⁻¹: then g·t is g's parent.  Each vertex y
-            # of the level before, unless it ends in t, has one child ending
-            # in t⁻¹, at its place among y's children.
-            if level == 1:
-                values[rank[-t]] = 0
-            place = {y: rank[-t] - (rank[-t] > rank[-y]) for y in letters}
-            for q, y in enumerate(parents):
-                if y != t:
-                    values[q * k + place[y]] = offsets[-2] + q
-            columns[s] = values
-        return columns
+                return range(after + i, after + len(sphere) * width, width)
+
+        letters = [s[0] for s in translators if s]
+        built = self.tree.columns(letters, sphere, offsets, outside)
+        # g·1 is g
+        return {s: built[s[0]] if s else range(first, after) for s in translators}
 
     def _close(self, offsets, translators) -> None:
         """The words just outside the ball become its next level, which
@@ -383,7 +358,7 @@ class _HallGraph:
         pair_left, pair_right = self.matching
         pair_left = pair_left[:]
         pair_right = pair_right[:n]
-        after = n + self._level_size(len(offsets) - 1)
+        after = n + self.tree.level_size(len(offsets) - 1)
         pair_right += [UNMATCHED] * (after - len(pair_right))
         for first in (copy1, copy2):
             for u in range(first, min(first + size, len(pair_left))):
@@ -441,10 +416,11 @@ def check_domain(
     any iterable of elements.  The right-side universe D·S1 ∪ D·S2 is
     never clipped to a patch.  On a ball of the free tree whose vertices
     are its levels in shortlex order, as :func:`~paradec.cayley.enumerate_ball`
-    builds them (:func:`_is_tree_ball`), when every translator is 1 or one
-    of its letters, it is numbered by shortlex arithmetic and no product
-    is formed; otherwise every product is formed in the group (see
-    :class:`_HallGraph`), and the domain is taken in element order.  A
+    builds them (:attr:`~paradec.cayley.CayleyPatch.tree`), when every
+    translator is 1 or one of its letters, it is numbered by shortlex
+    arithmetic and no product is formed; otherwise every product is
+    formed in the group (see :class:`_HallGraph`), and the domain is
+    taken in element order.  A
     certificate is the domain and the translator that the matching gives
     each element, and forms no image.  On deficiency, the violator comes from
     alternating reachability and is then shrunk greedily (smaller violators
@@ -455,9 +431,8 @@ def check_domain(
     if isinstance(domain, CayleyPatch):
         if domain.spec != spec:
             raise ValueError("the patch is a ball of another group")
-        letters = tree_letters(spec, domain.gens)
-        if letters is not None and not _is_tree_ball(domain, len(letters)):
-            letters = None
+        if domain.tree is not None:
+            letters = domain.tree.letters
         domain = domain.vertices
     if letters is not None:
         # the tree's levels are generated in shortlex order: sorted already
@@ -474,25 +449,6 @@ def check_domain(
     if UNMATCHED in pair_left:
         return graph.violator(pair_left, pair_right)
     return graph.certificate(pair_left)
-
-
-def _is_tree_ball(patch: CayleyPatch, m: int) -> bool:
-    """Whether the vertices of a patch over m tree letters are its levels
-    in shortlex order, as the tree numbering reads them: level l holds
-    m(m-1)^(l-1) words (1 at l = 0), each of length l, strictly ascending.
-    Words over the patch's letters are then the whole level."""
-    vertices = patch.vertices
-    start = 0
-    for level, size in enumerate(patch.level_sizes):
-        if size != (m * (m - 1) ** (level - 1) if level else 1):
-            return False
-        sphere = vertices[start : start + size]
-        if set(map(len, sphere)) != {level}:
-            return False
-        if not all(map(lt, sphere, islice(sphere, 1, None))):
-            return False
-        start += size
-    return start == len(vertices)
 
 
 def _shrink_violator(spec, ts, a1: list, a2: list) -> Violator:
@@ -589,19 +545,37 @@ def translator_positions(
     return positions
 
 
-def verdict_to_jsonable(spec: GroupSpec, verdict: Verdict, ts: TranslatingSets) -> dict:
+def domain_texts(
+    spec: GroupSpec, domain: Sequence[Element], ball: "CayleyPatch | None" = None
+) -> list[str]:
+    """The texts of ``domain``, in its order: the ``ball``'s own texts
+    (:meth:`~paradec.cayley.CayleyPatch.texts`, stepped along the shortlex
+    numbering on a ball of the free tree) when the domain is the ball's
+    vertex order, else each element written by one batch formatter."""
+    if ball is not None and ball.spec == spec and ball.vertices == domain:
+        return ball.texts()
+    return list(map(spec.formatter(), domain))
+
+
+def verdict_to_jsonable(
+    spec: GroupSpec,
+    verdict: Verdict,
+    ts: TranslatingSets,
+    ball: "CayleyPatch | None" = None,
+) -> dict:
     """The JSON form of a verdict: a violator's two sets as texts, or a
     certificate's ``[g, phi_i(g)]`` text pairs per family, in domain order.
 
-    A certificate's domain is formatted once, by one batch formatter, for
-    both families.  Its images are not formatted: each translator s writes
-    the images g·s of the elements that the certificate labels s as one
+    A certificate's domain is written once for both families, by
+    :func:`domain_texts`, which reads the texts of ``ball``, the patch the
+    certificate was found on, when the domain is its vertex order.  Its
+    images are not formatted: each translator s writes the images g·s of
+    the elements that the certificate labels s as one
     :meth:`GroupSpec.text_translates` column of their texts.
     """
-    fmt = spec.formatter()
     if isinstance(verdict, Certificate):
         domain = verdict.domain
-        texts = list(map(fmt, domain))
+        texts = domain_texts(spec, domain, ball)
         identity = spec.identity()
 
         def family(index, translators):
@@ -624,6 +598,7 @@ def verdict_to_jsonable(spec: GroupSpec, verdict: Verdict, ts: TranslatingSets) 
             "phi1": family(1, ts.s1),
             "phi2": family(2, ts.s2),
         }
+    fmt = spec.formatter()
     return {
         "kind": "violator",
         "a1": [fmt(g) for g in verdict.a1],

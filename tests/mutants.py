@@ -23,14 +23,16 @@ class Mutant(NamedTuple):
     equivalent: str = ""
 
 
+CAYLEY = "src/paradec/cayley.py"
 DOUBLING = "src/paradec/doubling.py"
 TREE = "tests/test_tree_numbering.py::"
+NUMBERED = "tests/test_numbered_ball.py::"
 
 MUTANTS = [
     # -- the tree numbering of the Hall graph ----------------------------------
     Mutant(
         "tree-child-offset",
-        DOUBLING,
+        CAYLEY,
         "starts = range(after, after + len(sphere) * k, k)",
         "starts = range(after + 1, after + 1 + len(sphere) * k, k)",
         (
@@ -41,9 +43,9 @@ MUTANTS = [
     ),
     Mutant(
         "tree-child-slot-skips-x",
-        DOUBLING,
-        "slot = {x: rank[t] - (rank[t] > rank[-x]) for x in letters}",
-        "slot = {x: rank[t] - (rank[t] > rank[x]) for x in letters}",
+        CAYLEY,
+        "slot = {x: rank[t] - (rank[t] > rank[-x]) for x in self.letters}",
+        "slot = {x: rank[t] - (rank[t] > rank[x]) for x in self.letters}",
         (
             TREE + "test_tree_rows_equal_the_row_by_row_oracle",
             TREE + "test_known_verdicts_on_the_tree[free:1[1,a|1,a^-1]]",
@@ -51,9 +53,9 @@ MUTANTS = [
     ),
     Mutant(
         "tree-parent-place-skips-y",
-        DOUBLING,
-        "place = {y: rank[-t] - (rank[-t] > rank[-y]) for y in letters}",
-        "place = {y: rank[-t] - (rank[-t] > rank[y]) for y in letters}",
+        CAYLEY,
+        "values[q * k + place[y]] = owners[q]",
+        "values[q * k + place[-y]] = owners[q]",
         (
             TREE + "test_tree_rows_equal_the_row_by_row_oracle",
             TREE + "test_each_input_takes_its_path[free:3[a=a,b=a^-1|1,a|a^-1]]",
@@ -61,8 +63,8 @@ MUTANTS = [
     ),
     Mutant(
         "tree-level-1-parent-dropped",
-        DOUBLING,
-        "values[rank[-t]] = 0",
+        CAYLEY,
+        "values[self.rank[-t]] = 0",
         "pass",
         (
             TREE + "test_tree_rows_equal_the_row_by_row_oracle",
@@ -71,9 +73,9 @@ MUTANTS = [
     ),
     Mutant(
         "tree-level-1-parent-in-the-general-loop",
-        DOUBLING,
-        "if level > 1 else []",
-        "if level >= 1 else []",
+        CAYLEY,
+        "parents = list(map(itemgetter(-2), sphere[::k])) if level > 1 else []",
+        "parents = list(map(itemgetter(-2), sphere[::k])) if level >= 1 else []",
         (
             TREE + "test_tree_rows_equal_the_row_by_row_oracle",
             TREE + "test_tree_graph_forms_no_product",
@@ -82,8 +84,8 @@ MUTANTS = [
     Mutant(
         "tree-dense-slot-off-by-one",
         DOUBLING,
-        "values = list(range(after + i, after + len(sphere) * width, width))",
-        "values = list(range(after + i + 1, after + len(sphere) * width + 1, width))",
+        "return range(after + i, after + len(sphere) * width, width)",
+        "return range(after + i + 1, after + len(sphere) * width + 1, width)",
         (
             TREE + "test_tree_rows_equal_the_row_by_row_oracle",
             TREE + "test_warm_start_on_a_high_rank_ball_equals_the_oracle",
@@ -133,7 +135,7 @@ MUTANTS = [
         "tree-num-right-by-all-letters",
         DOUBLING,
         "self.num_right = offsets[-1] + size * width",
-        "self.num_right = offsets[-1] + size * len(self.letters)",
+        "self.num_right = offsets[-1] + size * len(self.tree.letters)",
         (
             TREE + "test_tree_rows_equal_the_row_by_row_oracle",
             TREE + "test_right_side_of_a_high_rank_ball_stays_within_its_translators[300]",
@@ -141,7 +143,7 @@ MUTANTS = [
     ),
     Mutant(
         "tree-ball-without-length-check",
-        DOUBLING,
+        CAYLEY,
         "if set(map(len, sphere)) != {level}:",
         "if False:",
         (
@@ -150,7 +152,7 @@ MUTANTS = [
     ),
     Mutant(
         "tree-ball-without-order-check",
-        DOUBLING,
+        CAYLEY,
         "if not all(map(lt, sphere, islice(sphere, 1, None))):",
         "if False:",
         (
@@ -169,12 +171,103 @@ MUTANTS = [
     ),
     Mutant(
         "tree-child-slot-skip-at-ge",
-        DOUBLING,
+        CAYLEY,
         "(rank[t] > rank[-x])",
         "(rank[t] >= rank[-x])",
         equivalent=(
-            "it differs only at x = t^-1, where g·t is g's parent, and the "
-            "parent loop overwrites that value"
+            "it differs only at x = t^-1, where g·t is g's parent: the parent "
+            "loop overwrites that child value and reads slot(t^-1) only at "
+            "y != t, the texts read slot(y) at y alone, and place() refuses "
+            "an unreduced word first"
+        ),
+    ),
+    # -- the neighbour table and the texts of a ball of the free tree ---------
+    Mutant(
+        "tree-parent-owner-off-by-one",
+        CAYLEY,
+        "owners = list(range(offsets[-2], offsets[-1])) if level > 1 else []",
+        "owners = list(range(offsets[-2] + 1, offsets[-1] + 1)) if level > 1 else []",
+        (
+            NUMBERED + "test_numbered_neighbours_equal_the_star_oracle",
+            TREE + "test_tree_rows_equal_the_row_by_row_oracle",
+        ),
+    ),
+    Mutant(
+        "numbered-parent-place-off-by-one",
+        CAYLEY,
+        "return [p for p in range(offsets[-2], offsets[-1]) for _ in range(k)]",
+        "return [p + 1 for p in range(offsets[-2], offsets[-1]) for _ in range(k)]",
+        (
+            NUMBERED + "test_numbered_neighbours_equal_the_star_oracle",
+            "tests/test_golden.py::test_stdout_matches_its_digest[forest_audit_free3_r5_json]",
+        ),
+    ),
+    Mutant(
+        "numbered-last-level-child-not-none",
+        CAYLEY,
+        "blank = (None,) * len(view)",
+        "blank = (-1,) * len(view)",
+        (
+            NUMBERED + "test_numbered_neighbours_equal_the_star_oracle",
+            "tests/test_cayley.py::TestEnumerateBall::test_interior_matches_multiply_definition[free3-r3]",
+        ),
+    ),
+    Mutant(
+        "numbered-view-order-swapped",
+        CAYLEY,
+        "view = [s[0] for _, _, s in self.gens.symmetrized(self.spec)]",
+        "view = sorted(s[0] for _, _, s in self.gens.symmetrized(self.spec))",
+        (
+            NUMBERED + "test_numbered_neighbours_equal_the_star_oracle",
+            "tests/test_golden.py::test_stdout_matches_its_digest[forest_audit_free3_r5_json]",
+        ),
+    ),
+    Mutant(
+        "stepped-text-exponent-sign",
+        CAYLEY,
+        "exponent = (1 if run == name else int(run[len(name) + 1 :])) + (\n                    1 if y > 0 else -1\n                )",
+        "exponent = (1 if run == name else int(run[len(name) + 1 :])) + 1",
+        (
+            NUMBERED + "test_stepped_texts_equal_format_element",
+            "tests/test_golden.py::test_stdout_matches_its_digest[check_free3_r6_json]",
+        ),
+    ),
+    Mutant(
+        "stepped-text-head-dropped",
+        CAYLEY,
+        'stepped[q * k + same[y]] = f"{head} {run}" if head else run',
+        "stepped[q * k + same[y]] = run",
+        (
+            NUMBERED + "test_stepped_texts_equal_format_element",
+            "tests/test_codec.py::test_certificate_writer_formats_only_its_sources",
+        ),
+    ),
+    Mutant(
+        "numbered-place-slot-of-the-wrong-letter",
+        CAYLEY,
+        "place = place * k + self.slot(x)[last]",
+        "place = place * k + self.slot(last)[x]",
+        (
+            NUMBERED + "test_places_equal_the_vertex_index",
+            NUMBERED + "test_the_numbered_ball_forms_no_product",
+        ),
+    ),
+    Mutant(
+        "numbered-place-of-an-unreduced-word",
+        CAYLEY,
+        "            elif x == -last:\n                return None\n",
+        "",
+        (
+            NUMBERED + "test_places_equal_the_vertex_index",
+        ),
+    ),
+    Mutant(
+        "writer-texts-of-another-domain",
+        DOUBLING,
+        "if ball is not None and ball.spec == spec and ball.vertices == domain:",
+        "if ball is not None:",
+        (
+            NUMBERED + "test_writers_read_the_ball_only_for_its_own_domain",
         ),
     ),
     # -- the certificate as its domain and translator record -------------------

@@ -191,6 +191,18 @@ def ball_edges_oracle(patch):
     return tuple(edges)
 
 
+def neighbours_oracle(patch):
+    """The neighbour table by one star of each vertex: for each element of
+    the symmetrized generating set, in view order, the product formed in
+    the group and looked up in a fresh vertex index, or None.  The
+    reference for ``CayleyPatch.neighbours``, which reads a ball of the
+    free tree off its shortlex numbering instead."""
+    spec = patch.spec
+    star = spec.star(s for _, _, s in patch.gens.symmetrized(spec))
+    index = {v: i for i, v in enumerate(patch.vertices)}
+    return tuple(tuple(map(index.get, star(u))) for u in patch.vertices)
+
+
 def simple_edges_oracle(edges):
     """The unoriented simple graph of labeled edges ``(u, sym, sign, v)``:
     loops dropped, each pair once as (min, max), sorted."""

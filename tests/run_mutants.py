@@ -1,8 +1,13 @@
 """Apply each mutant of ``mutants.py`` to a copy of the sources and run its
 named tests there.
 
-    python tests/run_mutants.py              # every mutant
-    python tests/run_mutants.py NAME ...     # the mutants with these names
+    python tests/run_mutants.py                       # every mutant
+    python tests/run_mutants.py NAME ...              # the mutants with these names
+    python tests/run_mutants.py --file src/paradec/cayley.py
+                                                      # the mutants of one module
+
+``--file`` may be given more than once, and with names it keeps the
+mutants that match either.
 
 For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
 temporary directory, the mutant's old text is replaced in its file, and its
@@ -15,6 +20,7 @@ its tests could not run.  Needs pytest alone.
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
 import shutil
@@ -60,11 +66,25 @@ def failed_tests(mutant: Mutant) -> "tuple[list[str], int]":
     return failed, result.returncode
 
 
-def main(names) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("names", nargs="*", help="mutant names")
+    parser.add_argument(
+        "--file", action="append", default=[], metavar="PATH",
+        help="run the mutants of this source file, relative to the repository root",
+    )
+    args = parser.parse_args(argv)
+    names, files = set(args.names), {Path(f).as_posix() for f in args.file}
+    unknown = names - {m.name for m in MUTANTS}
     if unknown:
         raise SystemExit(f"no mutant named {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unused = files - {m.file for m in MUTANTS}
+    if unused:
+        raise SystemExit(f"no mutant of {', '.join(sorted(unused))}")
+    chosen = [
+        m for m in MUTANTS
+        if not (names or files) or m.name in names or m.file in files
+    ]
     started = time.perf_counter()
     bad = 0
     for mutant in chosen:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paradec import (
+    Certificate,
     GeneratingSet,
     TranslatingSets,
     check_domain,
@@ -370,26 +371,50 @@ def _count_formatted(monkeypatch):
 
 
 def test_certificate_writer_formats_only_its_sources(monkeypatch):
-    """|D| = 937 texts on the r4 free:3 pair, the domain once for both
-    families; formatting each family's sources took 2|D|, and every image
-    too 4|D|."""
+    """On the ball of the r4 free:3 pair the domain's texts are the ball's
+    own, stepped along its shortlex numbering: no text is formatted.
+    Without the ball, as for a hand-given domain, the writer formats
+    |D| = 937 texts, the domain once for both families; formatting each
+    family's sources took 2|D|, and every image too 4|D|."""
     spec, ts, domain, cert = _r4_chain()
+    patch = enumerate_ball(spec, GeneratingSet.standard(spec), 4)
     calls = _count_formatted(monkeypatch)
-    verdict_to_jsonable(spec, cert, ts)
+    written = verdict_to_jsonable(spec, cert, ts, patch)
+    assert calls == []
+    assert verdict_to_jsonable(spec, cert, ts) == written
     assert len(domain) == 937
     assert calls == list(cert.domain)
 
 
+def test_certificate_writer_on_a_searched_ball_formats_its_domain(monkeypatch):
+    """A ball found by search, here over a, b and c = a b in free:2, has
+    no shortlex numbering: its certificate, found on the interning path,
+    is written with |D| formatter calls for the domain, as before, and
+    one more per image by the two-letter c, which no string step writes."""
+    spec = free_group(2)
+    gens = GeneratingSet.from_pairs(spec, [("a", (1,)), ("b", (2,)), ("c", (1, 2))])
+    ts = TranslatingSets.from_words(spec, "1,a", "1,b,c", symbols=gens.mapping())
+    patch = enumerate_ball(spec, gens, 3)
+    cert = check_domain(spec, ts, patch)
+    assert patch.tree is None and isinstance(cert, Certificate)
+    calls = _count_formatted(monkeypatch)
+    verdict_to_jsonable(spec, cert, ts, patch)
+    assert calls[:127] == list(cert.domain)
+    assert len(calls) == 127 + cert.translators[1].count((1, 2))
+
+
 def test_decompose_formats_the_domain_and_the_translators(monkeypatch, capsys):
-    """|D| + 5 texts: the domain and one text per translator; formatting
-    every piece element too took 3|D| + 5."""
+    """5 texts, one per translator: the domain's texts are its ball's own,
+    stepped along the shortlex numbering; formatting the domain took
+    |D| + 5, and every piece element too 3|D| + 5."""
     from paradec.cli import main
 
     _, _, domain, _ = _r4_chain()
     calls = _count_formatted(monkeypatch)
     assert main(["decompose", *_R4, "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) == len(domain) + 5
+    assert len(domain) == 937
+    assert len(calls) == 5
 
 
 def test_writers_form_no_product(monkeypatch):

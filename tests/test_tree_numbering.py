@@ -392,9 +392,9 @@ def test_a_patch_out_of_shortlex_order_takes_the_interning_path(monkeypatch, cha
     gens = GeneratingSet.standard(spec)
     ts = TranslatingSets.from_words(spec, "1,a", "1,b,b^-1")
     patch = enumerate_ball(spec, gens, 3)
-    assert doubling._is_tree_ball(patch, 4)
+    assert patch.tree is not None
     reordered = _reorder(patch, change)
-    assert not doubling._is_tree_ball(reordered, 4)
+    assert reordered.tree is None
     taken = _record_paths(monkeypatch)
     assert check_domain(spec, ts, reordered) == check_domain(spec, ts, reordered.vertices)
     assert taken == ["_interned_columns", "_interned_columns"]
