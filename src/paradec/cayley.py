@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from operator import add, itemgetter, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -136,45 +136,45 @@ class ShortlexTree:
         m = len(self.letters)
         return m * (m - 1) ** (level - 1) if level else 1
 
-    def place(self, word, levels: int) -> "int | None":
-        """The place of ``word`` in the ball of the first ``levels`` levels,
-        or None unless it is a reduced word over the letters that is
-        shorter than ``levels``: its level's first place, plus its first
-        letter's rank, taken m - 1 children at a time at each next letter
-        and moved to that letter's slot."""
-        if type(word) is not tuple or len(word) >= levels:
-            return None
-        rank = self.rank
-        k = len(self.letters) - 1
-        first = sum(map(self.level_size, range(len(word))))
-        last = None
-        for x in word:
-            if x not in rank:
-                return None
-            if last is None:
-                place = rank[x]
-            elif x == -last:
-                return None
-            else:
-                place = place * k + self.slot(x)[last]
-            last = x
-        return first if last is None else first + place
-
     def numbers(self, vertices: Sequence, level_sizes: Sequence[int]) -> bool:
         """Whether ``vertices``, with ``level_sizes`` words per level, are
-        this numbering's ball: level l holds m(m-1)^(l-1) words (1 at
-        l = 0), each of length l, strictly ascending.  Words over the
-        letters are then the whole level."""
+        this numbering's ball.  Level l holds m(m-1)^(l-1) words (1 at
+        l = 0), each of length l, strictly ascending, and each ending in
+        the letter that its place gives it: level 1 is the letters, and
+        level l ≥ 2 the children's letters of each word of level l - 1 in
+        turn.  The first and the last of each m - 1 words of level l ≥ 2
+        extend the word of level l - 1 at their place divided by m - 1,
+        and the words between them, ordered between them, extend it too.
+        Each level is then the one that :func:`_free_tree_levels`
+        generates."""
+        k = len(self.letters) - 1
+        prefix = itemgetter(slice(-1))
         start = 0
+        sphere: Sequence = ()
+        lasts: list = []
         for level, size in enumerate(level_sizes):
             if size != self.level_size(level):
                 return False
-            sphere = vertices[start : start + size]
+            before, sphere = sphere, vertices[start : start + size]
+            start += size
             if set(map(len, sphere)) != {level}:
                 return False
             if not all(map(lt, sphere, islice(sphere, 1, None))):
                 return False
-            start += size
+            if not level:
+                continue
+            if level == 1:
+                letters = list(self.letters)
+            else:
+                letters = list(chain.from_iterable(map(self.children.__getitem__, lasts)))
+            lasts = list(map(itemgetter(-1), sphere))
+            if lasts != letters:
+                return False
+            if level > 1 and (
+                tuple(map(prefix, sphere[::k])) != before
+                or tuple(map(prefix, sphere[k - 1 :: k])) != before
+            ):
+                return False
         return start == len(vertices)
 
     def columns(
@@ -223,16 +223,6 @@ class ShortlexTree:
             columns[t] = values
         return columns
 
-    def parents(self, sphere: Sequence[tuple], offsets: Sequence[int]) -> list:
-        """The place of each word's parent, for the words of ``sphere``, the
-        level l ≥ 1 that starts at ``offsets[-1]``: the identity for l = 1,
-        and otherwise one int per vertex of level l - 1, shared by its
-        m - 1 children."""
-        if len(offsets) == 2:
-            return [0] * len(sphere)
-        k = len(self.letters) - 1
-        return [p for p in range(offsets[-2], offsets[-1]) for _ in range(k)]
-
     def texts(self, names: Sequence[str], levels: int) -> list[str]:
         """The canonical texts of the first ``levels`` levels' words, in
         ball order, over the generator ``names`` (letter ±i is the i-th
@@ -279,8 +269,7 @@ class CayleyPatch:
     (vertex 0 is the identity) and ``level_sizes``, the number of vertices
     at each distance up to the largest one present.  Built on first read
     and kept, since most callers need only the vertices: ``tree``, the
-    vertex index behind :meth:`index_of` and ``in`` (none on a ball of the
-    free tree, whose places are computed), ``distances``, the
+    vertex index behind :meth:`index_of` and ``in``, ``distances``, the
     ``neighbours`` table, and its views ``edges``, the unoriented simple
     graph ``simple_edges`` and the ``interior``.
     """
@@ -332,29 +321,18 @@ class CayleyPatch:
 
     def _numbered_rows(self) -> tuple:
         view = [s[0] for _, _, s in self.gens.symmetrized(self.spec)]
-        tree = self.tree
         rows: list = []
         offsets = [0]
         last = len(self.level_sizes) - 1
-        for size in self.level_sizes[:-1]:
+        blank = [None] * self.level_sizes[-1]
+        for level, size in enumerate(self.level_sizes):
             sphere = self.vertices[offsets[-1] : offsets[-1] + size]
-            built = tree.columns(view, sphere, offsets)
+            # past the last level every product leaves the patch, so a row
+            # of the last level holds its parent alone
+            outside = (lambda t: blank) if level == last else None
+            built = self.tree.columns(view, sphere, offsets, outside)
             rows.extend(zip(*map(built.__getitem__, view)))
             offsets.append(offsets[-1] + size)
-        # past the last level every product leaves the patch, so a row of
-        # the last level holds its parent alone, at the place of x⁻¹ in the
-        # view for its last letter x
-        blank = (None,) * len(view)
-        if not last:
-            return (blank,)
-        where = {t: i for i, t in enumerate(view)}
-        around = {x: (blank[: where[-x]], blank[where[-x] + 1 :]) for x in tree.letters}
-        sphere = self.vertices[offsets[-1] :]
-        shapes = map(around.__getitem__, map(itemgetter(-1), sphere))
-        rows.extend(
-            before + (parent,) + after
-            for parent, (before, after) in zip(tree.parents(sphere, offsets), shapes)
-        )
         return tuple(rows)
 
     def _star_rows(self) -> tuple:
@@ -384,20 +362,10 @@ class CayleyPatch:
         )
 
     def index_of(self, element: Element) -> int:
-        """The vertex index of ``element``; :class:`KeyError` when it is not
-        a vertex.  Read off the shortlex numbering on a ball of the free
-        tree, so that no vertex index is built there."""
-        if self.tree is None:
-            return self._index[element]
-        index = self.tree.place(element, len(self.level_sizes))
-        if index is None:
-            raise KeyError(element)
-        return index
+        return self._index[element]
 
     def __contains__(self, element: Element) -> bool:
-        if self.tree is None:
-            return element in self._index
-        return self.tree.place(element, len(self.level_sizes)) is not None
+        return element in self._index
 
     @cached_property
     def simple_edges(self) -> tuple[tuple[int, int], ...]:

@@ -34,11 +34,10 @@ class PartialDecomposition:
     makes element order (``GroupSpec.element_sort_key``), so no reader
     sorts it.
 
-    ``positions`` is, per family, the certificate's translator record
-    (:attr:`~paradec.doubling.Certificate.translators`) read by piece:
-    s -> the domain positions of the elements g whose piece holds g·s, in
-    translator order, as :func:`~paradec.doubling.translator_positions`
-    finds them.  Only :func:`pieces_from_certificate` fills it, and
+    ``translators`` is the record of the s whose piece holds g·s, for each
+    domain element g and family, in domain order: the certificate's
+    :attr:`~paradec.doubling.Certificate.translators`.  Only
+    :func:`pieces_from_certificate` fills it, and
     :func:`decomposition_to_jsonable` writes each piece from it; a
     decomposition built by hand has None and cannot be written.  It takes
     no part in equality or repr.
@@ -47,7 +46,7 @@ class PartialDecomposition:
     pieces1: tuple[tuple[Element, frozenset], ...]
     pieces2: tuple[tuple[Element, frozenset], ...]
     domain: tuple[Element, ...]
-    positions: "tuple[dict, dict] | None" = field(
+    translators: "tuple[tuple[Element, ...], tuple[Element, ...]] | None" = field(
         default=None, compare=False, repr=False
     )
 
@@ -85,8 +84,7 @@ def pieces_from_certificate(
     """The pieces of a certificate: piece_i[s] = {g·s : g ∈ D, σ_i(g) = s},
     formed as one :meth:`GroupSpec.translates` column over the elements
     that the certificate labels s.  The decomposition keeps the
-    certificate's domain and its record's positions per piece for
-    :func:`decomposition_to_jsonable`.
+    certificate's domain and record for :func:`decomposition_to_jsonable`.
 
     Disjointness and coverage follow from the certificate properties but
     are re-verified, not assumed: the pieces are returned with their
@@ -96,19 +94,17 @@ def pieces_from_certificate(
     :class:`CertificateError`.
     """
     domain = cert.domain
-    positions = (
-        translator_positions(spec, 1, cert.translators[0], ts.s1),
-        translator_positions(spec, 2, cert.translators[1], ts.s2),
-    )
 
-    def family(where_by_s):
+    def family(index, translators):
+        used = cert.translators[index - 1]
+        positions = translator_positions(spec, index, used, translators)
         return tuple(
             (s, frozenset(spec.translates([domain[i] for i in where], s)))
-            for s, where in where_by_s.items()
+            for s, where in positions.items()
         )
 
     pd = PartialDecomposition(
-        family(positions[0]), family(positions[1]), domain, positions=positions
+        family(1, ts.s1), family(2, ts.s2), domain, translators=cert.translators
     )
     report = verify_decomposition(spec, pd)
     indeterminate = len(report.indeterminate1) + len(report.indeterminate2)
@@ -453,12 +449,12 @@ def decomposition_to_jsonable(
     The domain is written once, by :func:`~paradec.doubling.domain_texts`,
     which reads the texts of ``ball``, the patch the certificate was found
     on, when the domain is its vertex order.  A piece is not formatted:
-    the piece of s is the images g·s of the domain elements at
-    ``pd.positions[s]``, written as one :meth:`GroupSpec.text_translates`
-    column of their texts.  A decomposition without those positions
-    raises :class:`ValueError`.
+    the piece of s is the images g·s of the domain elements that
+    :attr:`PartialDecomposition.translators` assigns to s, written as one
+    :meth:`GroupSpec.text_translates` column of their texts.  A
+    decomposition without that record raises :class:`ValueError`.
     """
-    if pd.positions is None:
+    if pd.translators is None:
         raise ValueError(
             "a decomposition without its translator record cannot be written; "
             "build it with pieces_from_certificate"
@@ -467,7 +463,9 @@ def decomposition_to_jsonable(
     elements = pd.domain
     texts = domain_texts(spec, elements, ball)
 
-    def family(positions):
+    def family(index, pieces):
+        used = pd.translators[index - 1]
+        positions = translator_positions(spec, index, used, [s for s, _ in pieces])
         written = []
         for s, where in positions.items():
             column = spec.text_translates(
@@ -477,8 +475,8 @@ def decomposition_to_jsonable(
         return written
 
     return {
-        "pieces1": family(pd.positions[0]),
-        "pieces2": family(pd.positions[1]),
+        "pieces1": family(1, pd.pieces1),
+        "pieces2": family(2, pd.pieces2),
         "domain": sorted(texts),
     }
 

@@ -209,18 +209,16 @@ class _HallGraph:
     and read a right index only as a key, so any numbering of the right
     vertices gives the same pairs of elements.  Two numberings are used.
 
-    On a ball of the free tree (``letters``, the ascending letters of
-    S ∪ S⁻¹, from :func:`~paradec.cayley.tree_letters`), grown whole
-    levels at a time in shortlex order, when every translator is 1 or one
-    of those letters, a right vertex inside the ball is numbered by its
-    place in the ball, read off the tree's shortlex numbering
-    (:class:`~paradec.cayley.ShortlexTree`) and never formed: g·t is g's
-    parent or one of its children, and g·1 is g.  A child of the last
-    level is a word just outside the ball:
-    it is numbered ``|ball| + j·L + i`` for the vertex at place j of the
-    last level and the i-th of the L distinct letter translators
-    (``outside``), so the right side stays within |D|·(L + 1) whatever m
-    is.  When the next level is added those words join the ball, and the
+    On a ball of the free tree, grown whole levels at a time in shortlex
+    order (``tree``, its :class:`~paradec.cayley.ShortlexTree`), when
+    every translator is 1 or one of its letters, a right vertex inside the
+    ball is numbered by its place in the ball, read off the tree's
+    shortlex numbering and never formed: g·t is g's parent or one of its
+    children, and g·1 is g.  A child of the last level is a word just
+    outside the ball: it is numbered ``|ball| + j·L + i`` for the vertex
+    at place j of the last level and the i-th of the L distinct letter
+    translators (``outside``), so the right side stays within |D|·(L + 1)
+    whatever m is.  When the next level is added those words join the ball, and the
     last level's rows and the matching kept for the warm start take their
     places in it.
 
@@ -229,7 +227,7 @@ class _HallGraph:
     order first seen; g·1 is g itself, not formed."""
 
     def __init__(
-        self, spec: GroupSpec, ts: TranslatingSets, letters: "tuple | None" = None
+        self, spec: GroupSpec, ts: TranslatingSets, tree: "ShortlexTree | None" = None
     ):
         self.spec = spec
         self.ts = ts
@@ -245,10 +243,10 @@ class _HallGraph:
         identity = spec.identity()
         translators = dict.fromkeys(ts.s1 + ts.s2)
         self.tree = self.outside = None
-        if letters is not None and all(
-            s == identity or (len(s) == 1 and s[0] in letters) for s in translators
+        if tree is not None and all(
+            s == identity or (len(s) == 1 and s[0] in tree.rank) for s in translators
         ):
-            self.tree = ShortlexTree(letters)
+            self.tree = tree
             self.outside = sorted(s[0] for s in translators if s != identity)
         # on the tree numbering, the first rows of each copy of the last
         # level and its size, while its children are outside the ball
@@ -427,14 +425,13 @@ def check_domain(
     are human-checkable; true minimality is the job of the exhaustive oracle
     in ``tests/oracles.py``).
     """
-    letters = None
+    tree = None
     if isinstance(domain, CayleyPatch):
         if domain.spec != spec:
             raise ValueError("the patch is a ball of another group")
-        if domain.tree is not None:
-            letters = domain.tree.letters
+        tree = domain.tree
         domain = domain.vertices
-    if letters is not None:
+    if tree is not None:
         # the tree's levels are generated in shortlex order: sorted already
         elements = list(domain)
     else:
@@ -443,7 +440,7 @@ def check_domain(
         elements = sorted(dict.fromkeys(domain), key=spec.element_sort_key)
     if not elements:
         raise ValueError("domain must be nonempty")
-    graph = _HallGraph(spec, ts, letters)
+    graph = _HallGraph(spec, ts, tree)
     graph.extend(elements)
     pair_left, pair_right = graph.match()
     if UNMATCHED in pair_left:
@@ -514,7 +511,8 @@ def minimal_violating_radius(
     """
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
-    graph = _HallGraph(spec, ts, tree_letters(spec, gens))
+    letters = tree_letters(spec, gens)
+    graph = _HallGraph(spec, ts, None if letters is None else ShortlexTree(letters))
     levels = ball_levels(spec, gens, max_radius, vertex_budget, ts.s1 + ts.s2)
     for radius, sphere in enumerate(levels):
         graph.extend(sphere)

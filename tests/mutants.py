@@ -147,7 +147,7 @@ MUTANTS = [
         "if set(map(len, sphere)) != {level}:",
         "if False:",
         (
-            TREE + "test_a_patch_out_of_shortlex_order_takes_the_interning_path[longer-word]",
+            NUMBERED + "test_a_patch_of_other_words_in_shortlex_order_takes_the_star_path[longer-word]",
         ),
     ),
     Mutant(
@@ -156,8 +156,35 @@ MUTANTS = [
         "if not all(map(lt, sphere, islice(sphere, 1, None))):",
         "if False:",
         (
-            TREE + "test_a_patch_out_of_shortlex_order_takes_the_interning_path[level-1-swapped]",
-            TREE + "test_a_patch_out_of_shortlex_order_takes_the_interning_path[repeated-word]",
+            TREE + "test_a_patch_out_of_shortlex_order_takes_the_interning_path[middle-words-swapped]",
+        ),
+    ),
+    Mutant(
+        "tree-ball-without-last-letter-check",
+        CAYLEY,
+        "if lasts != letters:",
+        "if False:",
+        (
+            NUMBERED + "test_a_patch_of_other_words_in_shortlex_order_takes_the_star_path[foreign-letter]",
+            NUMBERED + "test_a_patch_of_other_words_in_shortlex_order_takes_the_star_path[unreduced-word]",
+        ),
+    ),
+    Mutant(
+        "tree-ball-without-first-prefix-check",
+        CAYLEY,
+        "tuple(map(prefix, sphere[::k])) != before",
+        "False",
+        (
+            NUMBERED + "test_a_patch_of_other_words_in_shortlex_order_takes_the_star_path[zero-letter-prefix]",
+        ),
+    ),
+    Mutant(
+        "tree-ball-without-last-prefix-check",
+        CAYLEY,
+        "or tuple(map(prefix, sphere[k - 1 :: k])) != before",
+        "or False",
+        (
+            NUMBERED + "test_a_patch_of_other_words_in_shortlex_order_takes_the_star_path[unreduced-prefix]",
         ),
     ),
     Mutant(
@@ -177,8 +204,7 @@ MUTANTS = [
         equivalent=(
             "it differs only at x = t^-1, where g·t is g's parent: the parent "
             "loop overwrites that child value and reads slot(t^-1) only at "
-            "y != t, the texts read slot(y) at y alone, and place() refuses "
-            "an unreduced word first"
+            "y != t, and the texts read slot(y) at y alone"
         ),
     ),
     # -- the neighbour table and the texts of a ball of the free tree ---------
@@ -193,20 +219,10 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "numbered-parent-place-off-by-one",
-        CAYLEY,
-        "return [p for p in range(offsets[-2], offsets[-1]) for _ in range(k)]",
-        "return [p + 1 for p in range(offsets[-2], offsets[-1]) for _ in range(k)]",
-        (
-            NUMBERED + "test_numbered_neighbours_equal_the_star_oracle",
-            "tests/test_golden.py::test_stdout_matches_its_digest[forest_audit_free3_r5_json]",
-        ),
-    ),
-    Mutant(
         "numbered-last-level-child-not-none",
         CAYLEY,
-        "blank = (None,) * len(view)",
-        "blank = (-1,) * len(view)",
+        "blank = [None] * self.level_sizes[-1]",
+        "blank = [-1] * self.level_sizes[-1]",
         (
             NUMBERED + "test_numbered_neighbours_equal_the_star_oracle",
             "tests/test_cayley.py::TestEnumerateBall::test_interior_matches_multiply_definition[free3-r3]",
@@ -240,25 +256,6 @@ MUTANTS = [
         (
             NUMBERED + "test_stepped_texts_equal_format_element",
             "tests/test_codec.py::test_certificate_writer_formats_only_its_sources",
-        ),
-    ),
-    Mutant(
-        "numbered-place-slot-of-the-wrong-letter",
-        CAYLEY,
-        "place = place * k + self.slot(x)[last]",
-        "place = place * k + self.slot(last)[x]",
-        (
-            NUMBERED + "test_places_equal_the_vertex_index",
-            NUMBERED + "test_the_numbered_ball_forms_no_product",
-        ),
-    ),
-    Mutant(
-        "numbered-place-of-an-unreduced-word",
-        CAYLEY,
-        "            elif x == -last:\n                return None\n",
-        "",
-        (
-            NUMBERED + "test_places_equal_the_vertex_index",
         ),
     ),
     Mutant(

@@ -181,14 +181,7 @@ def test_a_certificate_round_trips_through_its_file(data):
     assert (backwards.domain, backwards.translators) == (cert.domain, cert.translators)
     built = [pieces_from_certificate(spec, c, ts) for c in (cert, read_back, backwards)]
     for pd, report in built:
-        assert (pd, report) == built[0]
-        # the positions per piece are the certificate's record, read by piece
-        for where_by_s, used in zip(pd.positions, cert.translators):
-            record = [None] * len(cert.domain)
-            for s, where in where_by_s.items():
-                for i in where:
-                    record[i] = s
-            assert tuple(record) == used
+        assert (pd, pd.translators, report) == (built[0][0], cert.translators, built[0][1])
         assert decomposition.decomposition_to_jsonable(spec, pd) == (
             decomposition.decomposition_to_jsonable(spec, built[0][0])
         )
@@ -286,7 +279,7 @@ class TestOnePassCertificate:
         pd = hand_built_decomposition(
             spec, FIRST_LETTER_TRANSLATORS, {(): [()]}, {(): [()]}, [()]
         )
-        assert pd.positions is None
+        assert pd.translators is None
         with pytest.raises(ValueError, match="without its translator record"):
             decomposition.decomposition_to_jsonable(spec, pd)
 

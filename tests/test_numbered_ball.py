@@ -12,6 +12,7 @@ order.
 """
 
 import dataclasses
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,27 +99,6 @@ def test_stepped_texts_equal_format_element(patch):
     assert patch.texts() == [patch.spec.format_element(v) for v in patch.vertices]
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(patch=tree_balls(), data=st.data())
-def test_places_equal_the_vertex_index(patch, data):
-    """``index_of`` and ``in`` read each word's place off the numbering, and
-    agree with a vertex index on the vertices and on words that are too
-    long, not reduced, or over a letter outside the ball's, 0 included."""
-    index = {v: i for i, v in enumerate(patch.vertices)}
-    assert [patch.index_of(v) for v in patch.vertices] == list(range(len(index)))
-    rank = patch.spec.rank
-    letter = st.integers(min_value=-rank - 1, max_value=rank + 1)
-    words = st.lists(letter, max_size=len(patch.level_sizes) + 1).map(tuple)
-    others = st.sampled_from([(), 0, 1, "a", (1.0,), ((1,),), frozenset()])
-    for word in data.draw(st.lists(words | others, max_size=30), label="words"):
-        assert (word in patch) == (word in index)
-        if word in index:
-            assert patch.index_of(word) == index[word]
-        else:
-            with pytest.raises(KeyError):
-                patch.index_of(word)
-
-
 def test_stepped_texts_of_long_runs_and_a_high_rank():
     """Runs up to a^±8 on free:1, and free:30's g10 ... g30 names."""
     for group, radius in (("free:1", 8), ("free:30", 2)):
@@ -129,8 +109,7 @@ def test_stepped_texts_of_long_runs_and_a_high_rank():
 
 def test_the_numbered_ball_forms_no_product(monkeypatch):
     """The r5 ball of free:3, the forest-free3 patch: its table, edges,
-    interior, places and texts are read without a product, a vertex index
-    or a text formatted."""
+    interior and texts are read without a product or a text formatted."""
 
     def forbidden(*args):
         raise AssertionError("a product or a text was formed")
@@ -141,8 +120,6 @@ def test_the_numbered_ball_forms_no_product(monkeypatch):
     patch = enumerate_ball(spec, GeneratingSet.standard(spec), 5)
     patch.neighbours, patch.simple_edges, patch.interior, patch.texts()
     assert len(patch.interior) == 937
-    assert [patch.index_of(v) for v in patch.interior] == list(range(937))
-    assert "_index" not in vars(patch)
 
 
 # (group, gens) of patches that are not numbered balls of the free tree
@@ -189,6 +166,39 @@ def test_a_reordered_patch_takes_the_star_path(monkeypatch, change):
     spec = free_group(2)
     patch = _reorder(enumerate_ball(spec, GeneratingSet.standard(spec), 3), change)
     _assert_star_path(monkeypatch, patch)
+
+
+# (group, gens, radius, word, other): the ball with ``word`` replaced by
+# ``other``, which keeps each level ascending but is not a reduced word of
+# its level's length over the ball's letters
+_FOREIGN = {
+    "longer-word": ("free:2", "a=a,b=b", 2, (-2, -1), (-2, -1, -1)),
+    "foreign-letter": ("free:3", "a=a,b=b", 1, (2,), (3,)),
+    "foreign-last-letter": ("free:3", "a=a,b=b", 2, (1, 2), (1, 3)),
+    "unreduced-word": ("free:2", "a=a,b=b", 2, (-2, 1), (-2, 2)),
+    "zero-letter-prefix": ("free:2", "a=a,b=b", 3, (-2, 1, -2), (-2, 0, -2)),
+    "unreduced-prefix": ("free:2", "a=a,b=b", 3, (-2, 1, 2), (-2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("case", _FOREIGN.values(), ids=_FOREIGN.keys())
+def test_a_patch_of_other_words_in_shortlex_order_takes_the_star_path(monkeypatch, case):
+    """A word of another length, over a letter outside the ball's, or not
+    reduced, is not on the numbering even where the levels keep their
+    sizes and order: the table, the texts and the Hall graph take the
+    general path."""
+    group, text, radius, word, other = case
+    spec = parse_group_spec(group)
+    patch = enumerate_ball(spec, cli._parse_generator_overrides(spec, text), radius)
+    vertices = list(patch.vertices)
+    vertices[vertices.index(word)] = other
+    ends = list(accumulate(patch.level_sizes))
+    levels = [vertices[end - size : end] for end, size in zip(ends, patch.level_sizes)]
+    assert all(level == sorted(set(level)) for level in levels)
+    patch = dataclasses.replace(patch, vertices=tuple(vertices))
+    _assert_star_path(monkeypatch, patch)
+    ts = TranslatingSets.from_words(spec, "1,a", "1,b")
+    assert check_domain(spec, ts, patch) == check_domain(spec, ts, patch.vertices)
 
 
 def test_a_hand_built_ball_in_shortlex_order_is_numbered(monkeypatch):
