@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from operator import add, itemgetter, lt
+from operator import add, eq, itemgetter, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import VertexBudgetError
@@ -170,9 +170,9 @@ class ShortlexTree:
             lasts = list(map(itemgetter(-1), sphere))
             if lasts != letters:
                 return False
-            if level > 1 and (
-                tuple(map(prefix, sphere[::k])) != before
-                or tuple(map(prefix, sphere[k - 1 :: k])) != before
+            if level > 1 and not (
+                all(map(eq, map(prefix, sphere[::k]), before))
+                and all(map(eq, map(prefix, sphere[k - 1 :: k]), before))
             ):
                 return False
         return start == len(vertices)
@@ -196,9 +196,9 @@ class ShortlexTree:
         after = offsets[-1] + len(sphere)
         lasts = list(map(itemgetter(-1), sphere)) if level and outside is None else []
         # the last letter of each vertex of the level before, read off
-        # its first child, and its place, one int shared by its children
-        parents = list(map(itemgetter(-2), sphere[::k])) if level > 1 else []
-        owners = list(range(offsets[-2], offsets[-1])) if level > 1 else []
+        # its first child
+        above = list(map(itemgetter(-2), sphere[::k])) if level > 1 else []
+        parents = self.parents(sphere, offsets) if above else []
         columns = {}
         for t in steps:
             if outside is not None:
@@ -215,13 +215,25 @@ class ShortlexTree:
             # in t⁻¹, at its place among y's children.
             if level == 1:
                 values[self.rank[-t]] = 0
-            if parents:
+            if above:
                 place = self.slot(-t)
-                for q, y in enumerate(parents):
+                for q, y in enumerate(above):
                     if y != t:
-                        values[q * k + place[y]] = owners[q]
+                        j = q * k + place[y]
+                        values[j] = parents[j]
             columns[t] = values
         return columns
+
+    def parents(self, sphere: Sequence[tuple], offsets: Sequence[int]) -> list:
+        """The place of each word's parent, for the words of ``sphere``, the
+        level l ≥ 1 that starts at ``offsets[-1]``: the identity for l = 1,
+        and otherwise the word at place j // (m-1) of level l - 1 for the
+        word at place j, one int per vertex of level l - 1, shared by its
+        m - 1 children."""
+        if len(offsets) == 2:
+            return [0] * len(sphere)
+        k = len(self.letters) - 1
+        return [p for p in range(offsets[-2], offsets[-1]) for _ in range(k)]
 
     def texts(self, names: Sequence[str], levels: int) -> list[str]:
         """The canonical texts of the first ``levels`` levels' words, in
@@ -286,8 +298,9 @@ class CayleyPatch:
         the free tree (:func:`tree_letters`) whose vertices are its levels
         in shortlex order (:meth:`ShortlexTree.numbers`), as
         :func:`enumerate_ball` generates them; else None.  Checked once
-        per patch, so a patch built or reordered by hand takes the general
-        path of every reader."""
+        per patch, so a patch built by hand is numbered only when it is
+        that ball word for word, and any other takes the general path of
+        every reader."""
         letters = tree_letters(self.spec, self.gens)
         if letters is None:
             return None
@@ -321,18 +334,29 @@ class CayleyPatch:
 
     def _numbered_rows(self) -> tuple:
         view = [s[0] for _, _, s in self.gens.symmetrized(self.spec)]
+        tree = self.tree
         rows: list = []
         offsets = [0]
         last = len(self.level_sizes) - 1
-        blank = [None] * self.level_sizes[-1]
-        for level, size in enumerate(self.level_sizes):
+        for size in self.level_sizes[:-1]:
             sphere = self.vertices[offsets[-1] : offsets[-1] + size]
-            # past the last level every product leaves the patch, so a row
-            # of the last level holds its parent alone
-            outside = (lambda t: blank) if level == last else None
-            built = self.tree.columns(view, sphere, offsets, outside)
+            built = tree.columns(view, sphere, offsets)
             rows.extend(zip(*map(built.__getitem__, view)))
             offsets.append(offsets[-1] + size)
+        # past the last level every product leaves the patch, so a row of
+        # the last level holds its parent alone, at the place of x⁻¹ in the
+        # view for its last letter x
+        blank = (None,) * len(view)
+        if not last:
+            return (blank,)
+        where = {t: i for i, t in enumerate(view)}
+        around = {x: (blank[: where[-x]], blank[where[-x] + 1 :]) for x in tree.letters}
+        sphere = self.vertices[offsets[-1] :]
+        shapes = map(around.__getitem__, map(itemgetter(-1), sphere))
+        rows.extend(
+            before + (parent,) + after
+            for parent, (before, after) in zip(tree.parents(sphere, offsets), shapes)
+        )
         return tuple(rows)
 
     def _star_rows(self) -> tuple:

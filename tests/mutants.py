@@ -54,8 +54,8 @@ MUTANTS = [
     Mutant(
         "tree-parent-place-skips-y",
         CAYLEY,
-        "values[q * k + place[y]] = owners[q]",
-        "values[q * k + place[-y]] = owners[q]",
+        "j = q * k + place[y]",
+        "j = q * k + place[-y]",
         (
             TREE + "test_tree_rows_equal_the_row_by_row_oracle",
             TREE + "test_each_input_takes_its_path[free:3[a=a,b=a^-1|1,a|a^-1]]",
@@ -74,8 +74,8 @@ MUTANTS = [
     Mutant(
         "tree-level-1-parent-in-the-general-loop",
         CAYLEY,
-        "parents = list(map(itemgetter(-2), sphere[::k])) if level > 1 else []",
-        "parents = list(map(itemgetter(-2), sphere[::k])) if level >= 1 else []",
+        "above = list(map(itemgetter(-2), sphere[::k])) if level > 1 else []",
+        "above = list(map(itemgetter(-2), sphere[::k])) if level >= 1 else []",
         (
             TREE + "test_tree_rows_equal_the_row_by_row_oracle",
             TREE + "test_tree_graph_forms_no_product",
@@ -172,8 +172,8 @@ MUTANTS = [
     Mutant(
         "tree-ball-without-first-prefix-check",
         CAYLEY,
-        "tuple(map(prefix, sphere[::k])) != before",
-        "False",
+        "all(map(eq, map(prefix, sphere[::k]), before))",
+        "True",
         (
             NUMBERED + "test_a_patch_of_other_words_in_shortlex_order_takes_the_star_path[zero-letter-prefix]",
         ),
@@ -181,8 +181,8 @@ MUTANTS = [
     Mutant(
         "tree-ball-without-last-prefix-check",
         CAYLEY,
-        "or tuple(map(prefix, sphere[k - 1 :: k])) != before",
-        "or False",
+        "and all(map(eq, map(prefix, sphere[k - 1 :: k]), before))",
+        "and True",
         (
             NUMBERED + "test_a_patch_of_other_words_in_shortlex_order_takes_the_star_path[unreduced-prefix]",
         ),
@@ -209,10 +209,10 @@ MUTANTS = [
     ),
     # -- the neighbour table and the texts of a ball of the free tree ---------
     Mutant(
-        "tree-parent-owner-off-by-one",
+        "numbered-parent-place-off-by-one",
         CAYLEY,
-        "owners = list(range(offsets[-2], offsets[-1])) if level > 1 else []",
-        "owners = list(range(offsets[-2] + 1, offsets[-1] + 1)) if level > 1 else []",
+        "return [p for p in range(offsets[-2], offsets[-1]) for _ in range(k)]",
+        "return [p + 1 for p in range(offsets[-2], offsets[-1]) for _ in range(k)]",
         (
             NUMBERED + "test_numbered_neighbours_equal_the_star_oracle",
             TREE + "test_tree_rows_equal_the_row_by_row_oracle",
@@ -221,8 +221,8 @@ MUTANTS = [
     Mutant(
         "numbered-last-level-child-not-none",
         CAYLEY,
-        "blank = [None] * self.level_sizes[-1]",
-        "blank = [-1] * self.level_sizes[-1]",
+        "blank = (None,) * len(view)",
+        "blank = (-1,) * len(view)",
         (
             NUMBERED + "test_numbered_neighbours_equal_the_star_oracle",
             "tests/test_cayley.py::TestEnumerateBall::test_interior_matches_multiply_definition[free3-r3]",
