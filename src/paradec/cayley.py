@@ -15,10 +15,9 @@ ball's levels, its neighbour table and its texts, and the Hall graph of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
-from itertools import chain, islice
-from operator import add, eq, itemgetter, lt
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import VertexBudgetError
@@ -136,47 +135,6 @@ class ShortlexTree:
         m = len(self.letters)
         return m * (m - 1) ** (level - 1) if level else 1
 
-    def numbers(self, vertices: Sequence, level_sizes: Sequence[int]) -> bool:
-        """Whether ``vertices``, with ``level_sizes`` words per level, are
-        this numbering's ball.  Level l holds m(m-1)^(l-1) words (1 at
-        l = 0), each of length l, strictly ascending, and each ending in
-        the letter that its place gives it: level 1 is the letters, and
-        level l ≥ 2 the children's letters of each word of level l - 1 in
-        turn.  The first and the last of each m - 1 words of level l ≥ 2
-        extend the word of level l - 1 at their place divided by m - 1,
-        and the words between them, ordered between them, extend it too.
-        Each level is then the one that :func:`_free_tree_levels`
-        generates."""
-        k = len(self.letters) - 1
-        prefix = itemgetter(slice(-1))
-        start = 0
-        sphere: Sequence = ()
-        lasts: list = []
-        for level, size in enumerate(level_sizes):
-            if size != self.level_size(level):
-                return False
-            before, sphere = sphere, vertices[start : start + size]
-            start += size
-            if set(map(len, sphere)) != {level}:
-                return False
-            if not all(map(lt, sphere, islice(sphere, 1, None))):
-                return False
-            if not level:
-                continue
-            if level == 1:
-                letters = list(self.letters)
-            else:
-                letters = list(chain.from_iterable(map(self.children.__getitem__, lasts)))
-            lasts = list(map(itemgetter(-1), sphere))
-            if lasts != letters:
-                return False
-            if level > 1 and not (
-                all(map(eq, map(prefix, sphere[::k]), before))
-                and all(map(eq, map(prefix, sphere[k - 1 :: k]), before))
-            ):
-                return False
-        return start == len(vertices)
-
     def columns(
         self,
         steps: Iterable[int],
@@ -279,11 +237,13 @@ class CayleyPatch:
 
     Stored: ``spec``, ``gens``, ``radius``, the ``vertices`` in ball order
     (vertex 0 is the identity) and ``level_sizes``, the number of vertices
-    at each distance up to the largest one present.  Built on first read
-    and kept, since most callers need only the vertices: ``tree``, the
-    vertex index behind :meth:`index_of` and ``in``, ``distances``, the
-    ``neighbours`` table, and its views ``edges``, the unoriented simple
-    graph ``simple_edges`` and the ``interior``.
+    at each distance up to the largest one present.  ``numbering`` is not
+    a field: :func:`enumerate_ball` passes the numbering it generated the
+    ball with, read as ``tree``.  Built on first read and kept, since most
+    callers need only the vertices: the vertex index behind
+    :meth:`index_of` and ``in``, ``distances``, the ``neighbours`` table,
+    and its views ``edges``, the unoriented simple graph ``simple_edges``
+    and the ``interior``.
     """
 
     spec: GroupSpec
@@ -291,21 +251,19 @@ class CayleyPatch:
     radius: int
     vertices: tuple[Element, ...]
     level_sizes: tuple[int, ...]
+    numbering: InitVar["ShortlexTree | None"] = None
 
-    @cached_property
+    def __post_init__(self, numbering):
+        # kept off the fields, so that a dataclasses.replace copy has none
+        object.__setattr__(self, "_tree", numbering)
+
+    @property
     def tree(self) -> "ShortlexTree | None":
-        """The shortlex numbering of the patch, when the patch is a ball of
-        the free tree (:func:`tree_letters`) whose vertices are its levels
-        in shortlex order (:meth:`ShortlexTree.numbers`), as
-        :func:`enumerate_ball` generates them; else None.  Checked once
-        per patch, so a patch built by hand is numbered only when it is
-        that ball word for word, and any other takes the general path of
-        every reader."""
-        letters = tree_letters(self.spec, self.gens)
-        if letters is None:
-            return None
-        tree = ShortlexTree(letters)
-        return tree if tree.numbers(self.vertices, self.level_sizes) else None
+        """The shortlex numbering that :func:`enumerate_ball` generated the
+        patch's levels with, on a ball of the free tree; else None.  A
+        patch built by hand or copied has none, and takes the general path
+        of every reader."""
+        return self._tree
 
     @cached_property
     def _index(self) -> dict[Element, int]:
@@ -468,17 +426,19 @@ def ball_levels(
     radius: int,
     vertex_budget: "int | None" = None,
     translators: Iterable[Element] = (),
-) -> Iterator[list[Element]]:
-    """The spheres of the ball, level by level: ``[identity]``, then the
-    elements at word length 1, 2, ... <= radius w.r.t. S ∪ S⁻¹, each level
-    sorted by the spec's element order.  Stops early at an empty level.
+) -> "tuple[ShortlexTree | None, Iterator[list[Element]]]":
+    """The shortlex numbering of the ball, or None, and the spheres of the
+    ball, level by level: ``[identity]``, then the elements at word length
+    1, 2, ... <= radius w.r.t. S ∪ S⁻¹, each level sorted by the spec's
+    element order.  Stops early at an empty level.
 
     Each element counts :func:`letters_per_vertex` units of the budget at
     ``radius`` and ``translators``, and :class:`VertexBudgetError` names
     the first level that takes the ball over it.  When S ∪ S⁻¹ is a set of
     single letters of the free model, the Cayley graph is a tree and each
-    level is generated from the one before (:func:`_free_tree_levels`);
-    otherwise the levels are searched for (:func:`_searched_levels`).
+    level is generated from the one before by the numbering
+    (:func:`_free_tree_levels`); otherwise the levels are searched for
+    (:func:`_searched_levels`) and there is no numbering.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -487,11 +447,11 @@ def ball_levels(
         raise ValueError("vertex budget must be positive")
     width = letters_per_vertex(spec, gens, radius, translators)
     letters = tree_letters(spec, gens)
-    if letters is not None:
-        yield from _free_tree_levels(spec, letters, radius, budget, width)
-    else:
+    if letters is None:
         steps = [s for _, _, s in gens.symmetrized(spec)]
-        yield from _searched_levels(spec, steps, radius, budget, width)
+        return None, _searched_levels(spec, steps, radius, budget, width)
+    tree = ShortlexTree(letters)
+    return tree, _free_tree_levels(spec, tree, radius, budget, width)
 
 
 def tree_letters(spec: GroupSpec, gens: GeneratingSet) -> "tuple[int, ...] | None":
@@ -533,17 +493,16 @@ def _searched_levels(
 
 
 def _free_tree_levels(
-    spec: GroupSpec, letters: tuple, radius: int, budget: int, width: int
+    spec: GroupSpec, tree: ShortlexTree, radius: int, budget: int, width: int
 ) -> Iterator[list[Element]]:
-    """The levels over the ascending ``letters`` of :func:`tree_letters`,
-    m single letters of the free model closed under inversion: distinct
-    reduced words over them are distinct elements, so level k+1 is every
-    word of level k followed by each of its children's letters, the
-    letters but the inverse of its last one (:class:`ShortlexTree`).
-    Taken in shortlex order the words come out sorted, and level k has
+    """The levels of ``tree``, over the m ascending letters of
+    :func:`tree_letters`, single letters of the free model closed under
+    inversion: distinct reduced words over them are distinct elements, so
+    level k+1 is every word of level k followed by each of its children's
+    letters, the letters but the inverse of its last one.  Taken in
+    shortlex order the words come out sorted, and level k has
     m(m-1)^(k-1) of them, a size checked against the budget before the
     level is built."""
-    tree = ShortlexTree(letters)
     frontier = [spec.identity()]
     if width > budget:
         raise _over_budget(0, budget, width)
@@ -554,7 +513,7 @@ def _free_tree_levels(
         if kept * width > budget:
             raise _over_budget(level, budget, width)
         if level == 1:
-            frontier = [(t,) for t in letters]
+            frontier = [(t,) for t in tree.letters]
         else:
             children = tree.children
             frontier = [u + (t,) for u in frontier for t in children[u[-1]]]
@@ -578,10 +537,12 @@ def enumerate_ball(
     """All elements of word length <= radius w.r.t. S ∪ S⁻¹, in the order
     of :func:`ball_levels`, so identical inputs index vertices identically
     whether the levels are generated or searched for, and with the same
-    budget error.  The patch's other facts are built when first read."""
+    budget error.  A generated ball keeps the numbering that generated it
+    (``tree``).  The patch's other facts are built when first read."""
     vertices: list[Element] = []
     level_sizes: list[int] = []
-    for sphere in ball_levels(spec, gens, radius, vertex_budget, translators):
+    tree, levels = ball_levels(spec, gens, radius, vertex_budget, translators)
+    for sphere in levels:
         vertices.extend(sphere)
         level_sizes.append(len(sphere))
     return CayleyPatch(
@@ -590,6 +551,7 @@ def enumerate_ball(
         radius=radius,
         vertices=tuple(vertices),
         level_sizes=tuple(level_sizes),
+        numbering=tree,
     )
 
 

@@ -25,7 +25,6 @@ from .cayley import (
     ShortlexTree,
     ball_levels,
     product_set,
-    tree_letters,
 )
 from .errors import CertificateError, ParseError, ViolatorError
 from .groups import Element, GroupSpec
@@ -412,9 +411,9 @@ def check_domain(
 
     ``domain`` is a :class:`~paradec.cayley.CayleyPatch` of ``spec`` or
     any iterable of elements.  The right-side universe D·S1 ∪ D·S2 is
-    never clipped to a patch.  On a ball of the free tree whose vertices
-    are its levels in shortlex order, as :func:`~paradec.cayley.enumerate_ball`
-    builds them (:attr:`~paradec.cayley.CayleyPatch.tree`), when every
+    never clipped to a patch.  On a ball of the free tree that keeps the
+    numbering :func:`~paradec.cayley.enumerate_ball` generated it with
+    (:attr:`~paradec.cayley.CayleyPatch.tree`), when every
     translator is 1 or one of its letters, it is numbered by shortlex
     arithmetic and no product is formed; otherwise every product is
     formed in the group (see :class:`_HallGraph`), and the domain is
@@ -511,9 +510,8 @@ def minimal_violating_radius(
     """
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
-    letters = tree_letters(spec, gens)
-    graph = _HallGraph(spec, ts, None if letters is None else ShortlexTree(letters))
-    levels = ball_levels(spec, gens, max_radius, vertex_budget, ts.s1 + ts.s2)
+    tree, levels = ball_levels(spec, gens, max_radius, vertex_budget, ts.s1 + ts.s2)
+    graph = _HallGraph(spec, ts, tree)
     for radius, sphere in enumerate(levels):
         graph.extend(sphere)
         pair_left, pair_right = graph.match()

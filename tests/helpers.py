@@ -201,7 +201,7 @@ def amenable_bench_graphs():
     )
     graph = _HallGraph(spec, powers)
     batches = []
-    for sphere in ball_levels(spec, gens, 12):
+    for sphere in ball_levels(spec, gens, 12)[1]:
         graph.extend(sphere)
         batches.append((len(graph.adjacency), len(graph.right_index)))
     graphs.append((spec, powers, graph, batches))

@@ -142,52 +142,6 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "tree-ball-without-length-check",
-        CAYLEY,
-        "if set(map(len, sphere)) != {level}:",
-        "if False:",
-        (
-            NUMBERED + "test_a_patch_of_other_words_in_shortlex_order_takes_the_star_path[longer-word]",
-        ),
-    ),
-    Mutant(
-        "tree-ball-without-order-check",
-        CAYLEY,
-        "if not all(map(lt, sphere, islice(sphere, 1, None))):",
-        "if False:",
-        (
-            TREE + "test_a_patch_out_of_shortlex_order_takes_the_interning_path[middle-words-swapped]",
-        ),
-    ),
-    Mutant(
-        "tree-ball-without-last-letter-check",
-        CAYLEY,
-        "if lasts != letters:",
-        "if False:",
-        (
-            NUMBERED + "test_a_patch_of_other_words_in_shortlex_order_takes_the_star_path[foreign-letter]",
-            NUMBERED + "test_a_patch_of_other_words_in_shortlex_order_takes_the_star_path[unreduced-word]",
-        ),
-    ),
-    Mutant(
-        "tree-ball-without-first-prefix-check",
-        CAYLEY,
-        "all(map(eq, map(prefix, sphere[::k]), before))",
-        "True",
-        (
-            NUMBERED + "test_a_patch_of_other_words_in_shortlex_order_takes_the_star_path[zero-letter-prefix]",
-        ),
-    ),
-    Mutant(
-        "tree-ball-without-last-prefix-check",
-        CAYLEY,
-        "and all(map(eq, map(prefix, sphere[k - 1 :: k]), before))",
-        "and True",
-        (
-            NUMBERED + "test_a_patch_of_other_words_in_shortlex_order_takes_the_star_path[unreduced-prefix]",
-        ),
-    ),
-    Mutant(
         "tree-empty-batch-unguarded",
         DOUBLING,
         "        if not elements:\n            return {s: [] for s in translators}\n",
@@ -265,6 +219,29 @@ MUTANTS = [
         "if ball is not None:",
         (
             NUMBERED + "test_writers_read_the_ball_only_for_its_own_domain",
+        ),
+    ),
+    # -- the numbering that a generated ball keeps ------------------------------
+    Mutant(
+        "numbering-a-plain-field",
+        CAYLEY,
+        'numbering: InitVar["ShortlexTree | None"] = None\n\n    def __post_init__(self, numbering):\n',
+        'numbering: "ShortlexTree | None" = None\n\n    def __post_init__(self):\n'
+        "        numbering = self.numbering\n",
+        (
+            TREE + "test_a_patch_out_of_shortlex_order_takes_the_interning_path[level-1-swapped]",
+            NUMBERED + "test_a_reordered_patch_takes_the_star_path[longer-word]",
+            NUMBERED + "test_a_patch_of_other_words_in_shortlex_order_takes_the_star_path[foreign-letter]",
+        ),
+    ),
+    Mutant(
+        "numbering-of-a-searched-ball",
+        CAYLEY,
+        "return None, _searched_levels(spec, steps, radius, budget, width)",
+        "return ShortlexTree(()), _searched_levels(spec, steps, radius, budget, width)",
+        (
+            NUMBERED + "test_a_searched_ball_takes_the_star_path[abelian:2[None]]",
+            NUMBERED + "test_a_searched_ball_takes_the_star_path[free:2[a=a,b=b,c=a b]]",
         ),
     ),
     # -- the certificate as its domain and translator record -------------------

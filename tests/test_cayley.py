@@ -16,7 +16,7 @@ from paradec import (
     product_set,
     spec_to_string,
 )
-from paradec.cayley import _free_tree_levels, _searched_levels, ball_levels
+from paradec.cayley import ShortlexTree, _free_tree_levels, _searched_levels, ball_levels
 from paradec.errors import VertexBudgetError
 from paradec.groups import GroupSpec
 
@@ -103,7 +103,7 @@ class TestEnumerateBall:
         plus one, where finishing the level would take 127."""
         spec = free_group(2)
         gens = cli._parse_generator_overrides(spec, "a=a,b=b,c=a b")
-        assert [len(level) for level in ball_levels(spec, gens, 3)] == [1, 6, 24, 96]
+        assert [len(level) for level in ball_levels(spec, gens, 3)[1]] == [1, 6, 24, 96]
         calls = record_products(monkeypatch)
         with pytest.raises(VertexBudgetError) as exc:
             enumerate_ball(spec, gens, 5, vertex_budget=128 * 10)
@@ -126,7 +126,7 @@ class TestEnumerateBall:
         spec = free_group(3)
         calls = record_products(monkeypatch)
         budget = vertices * 5
-        levels = ball_levels(spec, standard_gens(spec), 5, vertex_budget=budget)
+        _, levels = ball_levels(spec, standard_gens(spec), 5, vertex_budget=budget)
         for _ in range(4):
             level = next(levels)
         level[:] = [_Unread()] * len(level)
@@ -158,7 +158,7 @@ class TestEnumerateBall:
     def test_levels_are_sorted_spheres(self):
         for spec in all_model_specs():
             gens = standard_gens(spec)
-            levels = list(ball_levels(spec, gens, 3))
+            levels = list(ball_levels(spec, gens, 3)[1])
             assert [len(level) for level in levels] == [
                 n for n in sphere_oracle(spec, [el for _, el in gens.pairs], 3) if n
             ]
@@ -351,7 +351,7 @@ class TestLazyFacts:
             patch = enumerate_ball(spec, gens, radius)
             distances = [
                 level
-                for level, sphere in enumerate(ball_levels(spec, gens, radius))
+                for level, sphere in enumerate(ball_levels(spec, gens, radius)[1])
                 for _ in sphere
             ]
             assert patch.distances == tuple(distances)
@@ -430,10 +430,10 @@ def _tree_case(rank, text):
     return spec, [s for _, _, s in gens.symmetrized(spec)]
 
 
-def _letters(steps):
-    """The ascending letters of single-letter steps, as ``tree_letters``
-    gives them to the tree path."""
-    return tuple(sorted(s[0] for s in steps))
+def _tree(steps):
+    """The numbering of the ascending letters of single-letter steps, as
+    ``ball_levels`` gives it to the tree path."""
+    return ShortlexTree(tuple(sorted(s[0] for s in steps)))
 
 
 def _levels_then_outcome(levels):
@@ -481,7 +481,7 @@ class TestTreeLevels:
         assert all(len(s) == 1 for s in steps)
         for radius in range(7):
             searched = list(_searched_levels(spec, steps, radius, 10**9, 1))
-            assert list(_free_tree_levels(spec, _letters(steps), radius, 10**9, 1)) == searched
+            assert list(_free_tree_levels(spec, _tree(steps), radius, 10**9, 1)) == searched
 
     @pytest.mark.parametrize("rank,text", TREE_CASES, ids=_TREE_IDS)
     def test_budget_errors_match_at_every_level_boundary(self, rank, text):
@@ -495,7 +495,7 @@ class TestTreeLevels:
                         _searched_levels(spec, steps, 6, budget, width)
                     )
                     got = _levels_then_outcome(
-                        _free_tree_levels(spec, _letters(steps), 6, budget, width)
+                        _free_tree_levels(spec, _tree(steps), 6, budget, width)
                     )
                     assert got == expected, (width, budget)
 

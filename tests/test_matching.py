@@ -262,7 +262,7 @@ def test_warm_start_agrees_with_the_layered_oracle_level_by_level(spec):
     ts = _translators(spec)
     graph = _HallGraph(spec, ts)
     ours = layered = None
-    for sphere in ball_levels(spec, standard_gens(spec), 3):
+    for sphere in ball_levels(spec, standard_gens(spec), 3)[1]:
         graph.extend(sphere)
         num_right = len(graph.right_index)
         ours = hopcroft_karp(graph.adjacency, num_right, ours)
@@ -335,7 +335,7 @@ def test_level_by_level_equals_the_scan_oracle_on_hall_graphs(spec, radius):
     ts = _translators(spec)
     graph = _HallGraph(spec, ts)
     matching = None
-    for sphere in ball_levels(spec, standard_gens(spec), radius):
+    for sphere in ball_levels(spec, standard_gens(spec), radius)[1]:
         graph.extend(sphere)
         matching = assert_equals_the_scan_oracle(
             graph.adjacency, len(graph.right_index), matching

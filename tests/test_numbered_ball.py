@@ -30,7 +30,7 @@ from paradec import (
     verdict_to_jsonable,
 )
 import paradec.cli as cli
-from paradec.cayley import CayleyPatch, ShortlexTree
+from paradec.cayley import CayleyPatch, ball_levels, tree_letters
 from paradec.decomposition import decomposition_to_jsonable
 from paradec.groups import GroupSpec
 
@@ -41,7 +41,7 @@ from oracles import (
     patch_a_edges_oracle,
     simple_edges_oracle,
 )
-from test_tree_numbering import _REORDERED, _reorder
+from test_tree_numbering import _REORDERED, _record_paths, _reorder
 
 # A drawn radius is lowered until the ball has at most this many vertices.
 _BALL_LIMIT = 3000
@@ -201,29 +201,68 @@ def test_a_patch_of_other_words_in_shortlex_order_takes_the_star_path(monkeypatc
     assert check_domain(spec, ts, patch) == check_domain(spec, ts, patch.vertices)
 
 
-def test_a_hand_built_ball_in_shortlex_order_is_numbered(monkeypatch):
-    """A copy of a generated ball, built by hand, is checked once, and its
-    Hall graph, table and texts are read off the numbering like the
-    ball's."""
+def _copies(patch):
+    """``patch`` copied by ``dataclasses.replace`` unchanged, and with each
+    field in turn replaced by an equal value."""
+    yield dataclasses.replace(patch)
+    for field in dataclasses.fields(patch):
+        yield dataclasses.replace(patch, **{field.name: getattr(patch, field.name)})
+
+
+def test_a_hand_built_ball_in_shortlex_order_is_not_numbered(monkeypatch):
+    """A copy of a generated ball, equal to it field for field, keeps no
+    numbering: only :func:`enumerate_ball` hands one over.  Its table, its
+    Hall graph and its texts take the general path, and read the same
+    facts as the ball's numbering."""
     spec = free_group(3)
     patch = enumerate_ball(spec, GeneratingSet.standard(spec), 3)
-    copy = dataclasses.replace(patch)
-    checks = []
-    numbers = ShortlexTree.numbers
-
-    def counted(self, *args):
-        checks.append(args)
-        return numbers(self, *args)
-
-    monkeypatch.setattr(ShortlexTree, "numbers", counted)
-    taken = _record_rows(monkeypatch)
     ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
-    assert check_domain(spec, ts, copy) == check_domain(spec, ts, patch.vertices)
-    assert copy.neighbours == neighbours_oracle(patch)
-    assert copy.texts() == [spec.format_element(v) for v in patch.vertices]
-    assert taken == ["_numbered_rows"]
-    # the Hall graph, the table and the texts read one check
-    assert len(checks) == 1
+    verdict = check_domain(spec, ts, patch)
+    neighbours, texts = patch.neighbours, patch.texts()
+    formatters = []
+    formatter = GroupSpec.formatter
+
+    def counted(self):
+        formatters.append(self)
+        return formatter(self)
+
+    monkeypatch.setattr(GroupSpec, "formatter", counted)
+    rows, paths = _record_rows(monkeypatch), _record_paths(monkeypatch)
+    for copy in _copies(patch):
+        assert copy == patch and copy.tree is None
+        del rows[:], paths[:], formatters[:]
+        assert check_domain(spec, ts, copy) == verdict
+        assert copy.neighbours == neighbours
+        assert copy.texts() == texts
+        assert rows == ["_star_rows"]
+        assert paths == ["_interned_columns"]
+        assert formatters == [spec]
+
+
+# (group, gens) of generated balls, and whether each keeps its numbering
+_KEPT = [
+    ("free:3", None, True),
+    ("free:2", "x=b,y=a^-1", True),
+    ("free:3", "a=a,b=b", True),
+    ("free:2", "a=a,b=b,c=a b", False),
+    ("abelian:2", None, False),
+    ("cyclic:12", None, False),
+    ("sl2z", None, False),
+]
+
+
+@pytest.mark.parametrize("group,text,kept", _KEPT, ids=[f"{g}[{t}]" for g, t, _ in _KEPT])
+def test_a_generated_ball_keeps_its_numbering_on_the_free_tree_alone(group, text, kept):
+    """The standard basis, a renamed and signed basis and a sub-basis are
+    generated by their numbering and keep it; a generator of two letters
+    and the other models are searched for and have none."""
+    spec = parse_group_spec(group)
+    gens = cli._parse_generator_overrides(spec, text)
+    tree, _ = ball_levels(spec, gens, 2)
+    patch = enumerate_ball(spec, gens, 2)
+    assert (patch.tree is not None) == kept == (tree is not None)
+    if kept:
+        assert patch.tree.letters == tree.letters == tree_letters(spec, gens)
 
 
 def test_writers_read_the_ball_only_for_its_own_domain(monkeypatch):

@@ -89,7 +89,7 @@ def tree_cases(draw):
 def _batchings(spec, gens, radius):
     """The ball in one batch, as ``check`` builds it, and level by level,
     as ``violate`` does."""
-    levels = list(ball_levels(spec, gens, radius))
+    levels = list(ball_levels(spec, gens, radius)[1])
     return [[g for level in levels for g in level]], levels
 
 
@@ -125,7 +125,7 @@ def test_tree_rows_equal_the_row_by_row_oracle(case):
     slots, and the graph forms no product and interns nothing."""
     spec, gens, ts, radius = case
     letters = tree_letters(spec, gens)
-    levels = list(ball_levels(spec, gens, radius))
+    levels = list(ball_levels(spec, gens, radius)[1])
     for batches in _batchings(spec, gens, radius):
         graph = doubling._HallGraph(spec, ts, ShortlexTree(letters))
         for built in range(1, len(batches) + 1):
@@ -147,7 +147,7 @@ def test_tree_graph_matches_like_the_interning_graph(case):
     certificate, record included, or the same violator."""
     spec, gens, ts, radius = case
     letters = tree_letters(spec, gens)
-    levels = list(ball_levels(spec, gens, radius))
+    levels = list(ball_levels(spec, gens, radius)[1])
     for batches in _batchings(spec, gens, radius):
         tree = doubling._HallGraph(spec, ts, ShortlexTree(letters))
         interned = doubling._HallGraph(spec, ts)
@@ -313,7 +313,7 @@ def test_an_empty_batch_keeps_the_tree_graph():
     spec = free_group(2)
     gens = GeneratingSet.standard(spec)
     ts = TranslatingSets.from_words(spec, "1,a", "1,a^-1")
-    levels = list(ball_levels(spec, gens, 2))
+    levels = list(ball_levels(spec, gens, 2)[1])
     graph = doubling._HallGraph(spec, ts, ShortlexTree(tree_letters(spec, gens)))
     for level in levels:
         graph.extend(level)
