@@ -325,10 +325,11 @@ class CayleyPatch:
     def texts(self) -> list[str]:
         """The canonical text of each vertex, in vertex order: stepped from
         its parent's text on a ball of the free tree
-        (:meth:`ShortlexTree.texts`), else written by one batch formatter."""
+        (:meth:`ShortlexTree.texts`), else written whole by
+        :meth:`GroupSpec.format_element`."""
         if self.tree is not None:
             return self.tree.texts(self.spec.generator_names, len(self.level_sizes))
-        return list(map(self.spec.formatter(), self.vertices))
+        return list(map(self.spec.format_element, self.vertices))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, str, int, int], ...]:

@@ -10,6 +10,7 @@ output is byte-identical for identical configs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import random
@@ -173,7 +174,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"ball ({len(patch.vertices)} elements)"
         )
     else:
-        fmt = spec.formatter()
+        fmt = spec.format_element
         text = "violator: A1 = {%s}, A2 = {%s}, union size %d < %d" % (
             ", ".join(map(fmt, verdict.a1)),
             ", ".join(map(fmt, verdict.a2)),
@@ -228,7 +229,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         _emit(args, payload, "no decomposition: the domain admits a violator")
         return EXIT_NEGATIVE
     pd, report = pieces_from_certificate(spec, verdict, ts)
-    pieces = decomposition_to_jsonable(spec, pd, patch)
+    pieces = decomposition_to_jsonable(spec, verdict, ts, patch)
     if json_format:
         payload.update(
             {
@@ -285,7 +286,9 @@ def cmd_forest_audit(args: argparse.Namespace) -> int:
     payload = text = None
     if args.format == "json":
         payload = _context(spec, gens, ts)
-        fmt = spec.formatter()
+        # the audits name the same elements many times over: one memo
+        # across them formats each element once
+        fmt = functools.lru_cache(maxsize=None)(spec.format_element)
         payload.update(
             {
                 "radius": args.radius,

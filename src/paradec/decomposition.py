@@ -9,7 +9,7 @@ the inversion anti-isomorphism g -> g⁻¹.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .cayley import DEFAULT_VERTEX_BUDGET, CayleyPatch, GeneratingSet, format_label
@@ -33,22 +33,11 @@ class PartialDecomposition:
     from a certificate keep its domain order, which :func:`check_domain`
     makes element order (``GroupSpec.element_sort_key``), so no reader
     sorts it.
-
-    ``translators`` is the record of the s whose piece holds g·s, for each
-    domain element g and family, in domain order: the certificate's
-    :attr:`~paradec.doubling.Certificate.translators`.  Only
-    :func:`pieces_from_certificate` fills it, and
-    :func:`decomposition_to_jsonable` writes each piece from it; a
-    decomposition built by hand has None and cannot be written.  It takes
-    no part in equality or repr.
     """
 
     pieces1: tuple[tuple[Element, frozenset], ...]
     pieces2: tuple[tuple[Element, frozenset], ...]
     domain: tuple[Element, ...]
-    translators: "tuple[tuple[Element, ...], tuple[Element, ...]] | None" = field(
-        default=None, compare=False, repr=False
-    )
 
     def nonempty_piece_count(self) -> int:
         return sum(
@@ -84,7 +73,7 @@ def pieces_from_certificate(
     """The pieces of a certificate: piece_i[s] = {g·s : g ∈ D, σ_i(g) = s},
     formed as one :meth:`GroupSpec.translates` column over the elements
     that the certificate labels s.  The decomposition keeps the
-    certificate's domain and record for :func:`decomposition_to_jsonable`.
+    certificate's domain.
 
     Disjointness and coverage follow from the certificate properties but
     are re-verified, not assumed: the pieces are returned with their
@@ -103,9 +92,7 @@ def pieces_from_certificate(
             for s, where in positions.items()
         )
 
-    pd = PartialDecomposition(
-        family(1, ts.s1), family(2, ts.s2), domain, translators=cert.translators
-    )
+    pd = PartialDecomposition(family(1, ts.s1), family(2, ts.s2), domain)
     report = verify_decomposition(spec, pd)
     indeterminate = len(report.indeterminate1) + len(report.indeterminate2)
     if not report.passed or indeterminate:
@@ -441,42 +428,39 @@ def tarski_bound_report(
 
 
 def decomposition_to_jsonable(
-    spec: GroupSpec, pd: PartialDecomposition, ball: "CayleyPatch | None" = None
+    spec: GroupSpec,
+    cert: Certificate,
+    ts: TranslatingSets,
+    ball: "CayleyPatch | None" = None,
 ) -> dict:
-    """The JSON form of a decomposition: the domain's texts, sorted, and
-    each family's pieces in translator order, as ``[s, sorted texts]``.
+    """The JSON form of the decomposition of ``cert``
+    (:func:`pieces_from_certificate`): the domain's texts, sorted, and each
+    family's pieces in translator order, as ``[s, sorted texts]``.
 
     The domain is written once, by :func:`~paradec.doubling.domain_texts`,
     which reads the texts of ``ball``, the patch the certificate was found
     on, when the domain is its vertex order.  A piece is not formatted:
-    the piece of s is the images g·s of the domain elements that
-    :attr:`PartialDecomposition.translators` assigns to s, written as one
-    :meth:`GroupSpec.text_translates` column of their texts.  A
-    decomposition without that record raises :class:`ValueError`.
+    the piece of s is the images g·s of the domain elements that the
+    certificate's translator record assigns to s, written as one
+    :meth:`GroupSpec.text_translates` column of their texts.
     """
-    if pd.translators is None:
-        raise ValueError(
-            "a decomposition without its translator record cannot be written; "
-            "build it with pieces_from_certificate"
-        )
-    fmt = spec.formatter()
-    elements = pd.domain
+    elements = cert.domain
     texts = domain_texts(spec, elements, ball)
 
-    def family(index, pieces):
-        used = pd.translators[index - 1]
-        positions = translator_positions(spec, index, used, [s for s, _ in pieces])
+    def family(index, translators):
+        used = cert.translators[index - 1]
+        positions = translator_positions(spec, index, used, translators)
         written = []
         for s, where in positions.items():
             column = spec.text_translates(
                 [elements[i] for i in where], [texts[i] for i in where], s
             )
-            written.append([fmt(s), sorted(column)])
+            written.append([spec.format_element(s), sorted(column)])
         return written
 
     return {
-        "pieces1": family(1, pd.pieces1),
-        "pieces2": family(2, pd.pieces2),
+        "pieces1": family(1, ts.s1),
+        "pieces2": family(2, ts.s2),
         "domain": sorted(texts),
     }
 
@@ -500,10 +484,8 @@ def freeness_from_jsonable(data: dict) -> FreenessResult:
 
 
 def verification_to_jsonable(spec: GroupSpec, report: DecompositionReport) -> dict:
-    fmt = spec.formatter()
-
     def texts(elements):
-        return [fmt(x) for x in elements]
+        return list(map(spec.format_element, elements))
 
     return {
         "disjoint": report.disjoint,

@@ -547,10 +547,11 @@ def domain_texts(
     """The texts of ``domain``, in its order: the ``ball``'s own texts
     (:meth:`~paradec.cayley.CayleyPatch.texts`, stepped along the shortlex
     numbering on a ball of the free tree) when the domain is the ball's
-    vertex order, else each element written by one batch formatter."""
+    vertex order, else each element written whole by
+    :meth:`GroupSpec.format_element`."""
     if ball is not None and ball.spec == spec and ball.vertices == domain:
         return ball.texts()
-    return list(map(spec.formatter(), domain))
+    return list(map(spec.format_element, domain))
 
 
 def verdict_to_jsonable(
@@ -594,7 +595,7 @@ def verdict_to_jsonable(
             "phi1": family(1, ts.s1),
             "phi2": family(2, ts.s2),
         }
-    fmt = spec.formatter()
+    fmt = spec.format_element
     return {
         "kind": "violator",
         "a1": [fmt(g) for g in verdict.a1],

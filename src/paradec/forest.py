@@ -338,9 +338,9 @@ class ForestAudit:
         return all(check.passed for check in self.ledger)
 
     def to_jsonable(self, fmt: Callable[[Element], str]) -> dict:
-        """The audit as JSON, its elements written by ``fmt``: one
-        ``GroupSpec.formatter()`` that a command shares across all of its
-        audits, so an element met in several audits is formatted once."""
+        """The audit as JSON, its elements written by ``fmt``, such as
+        ``GroupSpec.format_element`` or a memo of it that a command shares
+        across all of its audits."""
         def edge_list(edges):
             return [[fmt(g), sym, sign, fmt(target)] for g, sym, sign, target in edges]
 

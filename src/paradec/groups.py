@@ -206,11 +206,10 @@ class GroupSpec:
         a last run of t's generator has its exponent moved by one, and is
         dropped when that exponent reaches 0, leaving ``1`` when nothing is
         left.  No product is formed.  Every other translator's column is
-        formed by :meth:`translates` and written by :meth:`formatter`.
+        formed by :meth:`translates` and written by :meth:`format_element`.
         """
         if self.model != "free" or len(s) > 1:
-            fmt = self.formatter()
-            return [fmt(x) for x in self.translates(elements, s)]
+            return list(map(self.format_element, self.translates(elements, s)))
         if not s:
             return list(texts)
         t = s[0]
@@ -239,22 +238,13 @@ class GroupSpec:
     def star(self, steps: Iterable[Element]) -> Callable[[Element], list]:
         """The callable ``x -> [self.multiply(x, s) for s in steps]``.
 
-        The steps are read once.  When every step is a free word of at most
-        one letter, or the model is abelian or cyclic, the callable forms
-        its list in one comprehension with :meth:`translates`'s rules and
-        no call per product; otherwise it calls :meth:`multiply` per step,
-        in step order, so the first overflowing matrix product raises.
+        The steps are read once.  In the abelian and cyclic models the
+        callable forms its list in one comprehension with
+        :meth:`translates`'s rules and no call per product; otherwise it
+        calls :meth:`multiply` per step, in step order, so the first
+        overflowing matrix product raises.
         """
         steps = tuple(steps)
-        if self.model == "free" and all(len(s) < 2 for s in steps):
-            # the empty step's 0 matches no last letter, so it appends ()
-            pairs = tuple((s, -s[0] if s else 0) for s in steps)
-
-            def free_star(x: Element) -> list:
-                last = x[-1] if x else None
-                return [x[:-1] if last == inverse else x + s for s, inverse in pairs]
-
-            return free_star
         if self.model == "abelian":
             return lambda x: [tuple(map(add, x, s)) for s in steps]
         if self.model == "cyclic":
@@ -433,50 +423,7 @@ class GroupSpec:
             return self._parse_bracketed(stripped)
         return self.evaluate_word(parse_word(text), symbols)
 
-    # -- batch codec -----------------------------------------------------------
-
-    def formatter(self) -> Callable[[Element], str]:
-        """:meth:`format_element` for one batch of elements.
-
-        In the free model the callable remembers every text it returns, so
-        a word whose prefix ``x[:-1]`` was formatted earlier in the batch
-        costs one token: its last letter either starts a new run, whose
-        token (``" a"`` or ``" a^-1"``, from a table built once) is appended
-        to the prefix's text, or extends the prefix's last run, whose
-        exponent is rewritten.  Any other word is formatted whole by
-        :meth:`format_element`.  A prefix-closed batch (a ball) formatted
-        in the spec's element order hits on every word of two or more
-        letters.  Other models format each element alone.
-        """
-        if self.model != "free":
-            return self.format_element
-        names = self.generator_names
-        tokens = {}
-        for letter, name in enumerate(names, 1):
-            tokens[letter] = f" {name}"
-            tokens[-letter] = f" {name}^-1"
-        memo: dict[Element, str] = {}
-
-        def format_word(x: Element) -> str:
-            text = memo.get(x)
-            if text is not None:
-                return text
-            head = memo.get(x[:-1]) if len(x) > 1 else None
-            if head is None:
-                text = self.format_element(x)
-            elif x[-2] != x[-1]:
-                text = head + tokens[x[-1]]
-            else:
-                s = x[-1]
-                name = names[abs(s) - 1]
-                start = head.rfind(" ") + 1
-                last = head[start:]
-                exponent = 1 if last == name else int(last[len(name) + 1 :])
-                text = f"{head[:start]}{name}^{exponent + (1 if s > 0 else -1)}"
-            memo[x] = text
-            return text
-
-        return format_word
+    # -- batch parser ----------------------------------------------------------
 
     def parser(self) -> Callable[[str], Element]:
         """:meth:`parse_element` (standard generators) for one batch of texts.

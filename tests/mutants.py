@@ -25,6 +25,8 @@ class Mutant(NamedTuple):
 
 CAYLEY = "src/paradec/cayley.py"
 DOUBLING = "src/paradec/doubling.py"
+GROUPS = "src/paradec/groups.py"
+CODEC = "tests/test_codec.py::"
 TREE = "tests/test_tree_numbering.py::"
 NUMBERED = "tests/test_numbered_ball.py::"
 
@@ -275,6 +277,60 @@ MUTANTS = [
             "tests/test_cli.py::TestMalformedReportInput::test_phi2_domain_differs_exit_one[first]",
             "tests/test_cli.py::TestMalformedReportInput::test_phi2_domain_differs_exit_one[last]",
             "tests/test_decomposition.py::TestOnePassCertificate::test_tampered_certificates_keep_their_messages",
+        ),
+    ),
+    # -- the text step and the batch parser ------------------------------------
+    Mutant(
+        "text-step-exponent-sign",
+        GROUPS,
+        "step = 1 if t > 0 else -1",
+        "step = -1 if t > 0 else 1",
+        (
+            CODEC + "test_text_translates_is_the_formatted_column",
+            "tests/test_golden.py::test_stdout_matches_golden[check_free3_r4_json]",
+        ),
+    ),
+    Mutant(
+        "text-step-empty-head-not-1",
+        GROUPS,
+        'append(head or "1")',
+        "append(head)",
+        (
+            CODEC + "test_text_translates_is_the_formatted_column",
+            "tests/test_decomposition.py::test_a_certificate_round_trips_through_its_file",
+            "tests/test_decomposition.py::TestOnePassCertificate::test_pieces_match_division_oracle",
+        ),
+    ),
+    Mutant(
+        "text-step-first-run",
+        GROUPS,
+        'head, _, last = text.rpartition(" ")',
+        'head, _, last = text.partition(" ")',
+        (
+            CODEC + "test_text_translates_is_the_formatted_column",
+            "tests/test_golden.py::test_stdout_matches_golden[check_free3_r4_json]",
+        ),
+    ),
+    Mutant(
+        "parser-no-cancellation",
+        GROUPS,
+        "                        while k < len(run) and k < len(word) and word[-1 - k] == -run[k]:\n"
+        "                            k += 1\n",
+        "",
+        (
+            CODEC + "test_parser_reads_non_canonical_text[a a^-1]",
+            CODEC + "test_parser_reads_non_canonical_text[c^-1 c^2]",
+            CODEC + "test_free_words_with_runs_and_unreduced_letters",
+        ),
+    ),
+    Mutant(
+        "parser-token-run-sign",
+        GROUPS,
+        "return (letter if exponent > 0 else -letter,) * abs(exponent)",
+        "return (-letter if exponent > 0 else letter,) * abs(exponent)",
+        (
+            CODEC + "test_parser_matches_parse_element[free:3]",
+            CODEC + "test_report_parses_through_the_codec",
         ),
     ),
 ]

@@ -1,8 +1,8 @@
-"""The batch codec: ``GroupSpec.formatter()`` and ``GroupSpec.parser()``
-must return exactly what ``format_element`` and ``parse_element`` return,
-element by element, in any order, and raise the same errors.
-``GroupSpec.text_translates`` must return the texts of ``translates``, and
-the JSON writers must write each image from its source's text."""
+"""The batch parser: ``GroupSpec.parser()`` must return exactly what
+``parse_element`` returns, text by text, in any order, and raise the same
+errors.  ``GroupSpec.text_translates`` must return the texts of
+``translates``, and the JSON writers must write each image from its
+source's text and every other text whole, by ``format_element``."""
 
 import functools
 import random
@@ -21,7 +21,6 @@ from paradec import (
     free_group,
     matrix_group,
     parse_word,
-    pieces_from_certificate,
     verdict_to_jsonable,
 )
 from paradec.decomposition import decomposition_to_jsonable
@@ -82,16 +81,6 @@ def _same_error(call, reference, argument):
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_formatter_matches_format_element(name):
-    spec, elements = _ball(name)
-    for order, batch in _orders(spec, elements).items():
-        fmt = spec.formatter()
-        assert [fmt(x) for x in batch] == [spec.format_element(x) for x in batch], order
-        # a second pass answers from what the first one remembered
-        assert [fmt(x) for x in batch] == [spec.format_element(x) for x in batch], order
-
-
-@pytest.mark.parametrize("name", list(CASES))
 def test_parser_matches_parse_element(name):
     spec, elements = _ball(name)
     for order, batch in _orders(spec, elements).items():
@@ -105,40 +94,24 @@ def test_parser_matches_parse_element(name):
 
 def test_other_models_use_the_per_element_methods():
     for spec in (free_abelian_group(2), cyclic_group(7), matrix_group()):
-        assert spec.formatter() == spec.format_element
         assert spec.parser() == spec.parse_element
 
 
 def test_free_words_with_runs_and_unreduced_letters():
     """Runs of every length and sign, extended one letter at a time, and
     words the normal form never holds (a letter and its inverse side by
-    side) format as ``format_element`` formats them."""
+    side): their texts, each head parsed before it, parse as
+    ``parse_element`` parses them."""
     spec = free_group(3)
     rng = random.Random(17)
-    fmt = spec.formatter()
+    parse = spec.parser()
     for _ in range(60):
         word = ()
         for _ in range(rng.randint(1, 8)):
             word += (rng.choice([1, -1, 2, -2, 3, -3]),) * rng.randint(1, 70)
             for cut in range(1, len(word) + 1):
-                assert fmt(word[:cut]) == spec.format_element(word[:cut])
-
-
-def test_shortlex_ball_formats_only_the_short_words_whole(monkeypatch):
-    spec = free_group(3)
-    vertices = enumerate_ball(spec, GeneratingSet.standard(spec), 4).vertices
-    calls = []
-    format_element = GroupSpec.format_element
-
-    def counted(self, x):
-        calls.append(x)
-        return format_element(self, x)
-
-    monkeypatch.setattr(GroupSpec, "format_element", counted)
-    fmt = spec.formatter()
-    for x in sorted(vertices, key=spec.element_sort_key):
-        fmt(x)
-    assert sorted(calls) == sorted(x for x in vertices if len(x) < 2)
+                text = spec.format_element(word[:cut])
+                assert parse(text) == spec.parse_element(text)
 
 
 def test_sorted_texts_parse_only_the_single_tokens_whole(monkeypatch):
@@ -162,12 +135,9 @@ def test_sorted_texts_parse_only_the_single_tokens_whole(monkeypatch):
 def test_long_words_need_no_recursion():
     spec = free_group(2)
     word = (1, 2) * 20_000
-    fmt = spec.formatter()
     parse = spec.parser()
     for cut in (len(word) - 2, len(word) - 1, len(word)):
-        text = fmt(word[:cut])
-        assert text == spec.format_element(word[:cut])
-        assert parse(text) == word[:cut]
+        assert parse(spec.format_element(word[:cut])) == word[:cut]
 
 
 NON_CANONICAL = [" a", "a  b", "a^1", "a a^-1", "1 a", "a\tb", "a b\t", "a\tb c",
@@ -244,9 +214,9 @@ _R4 = ["--group", "free:3", "--s1", "1,a", "--s2", "1,b,c", "--radius", "4"]
     ids=["check", "decompose-json", "decompose-text"],
 )
 def test_cli_batches_format_through_the_codec(monkeypatch, capsys, argv):
-    """On the 937-element ball, only the options, the identity and the
-    single letters are formatted whole; without the codec every one of
-    the thousands of texts would be."""
+    """On the 937-element ball, only the options and the translators are
+    formatted whole; every other of the thousands of texts is stepped
+    from a known text."""
     from paradec.cli import main
 
     calls = []
@@ -353,20 +323,15 @@ def _r4_chain():
 
 
 def _count_formatted(monkeypatch):
-    """Calls of every callable that ``GroupSpec.formatter`` returns."""
+    """The elements of every ``GroupSpec.format_element`` call."""
     calls = []
-    formatter = GroupSpec.formatter
+    format_element = GroupSpec.format_element
 
-    def counted_formatter(self):
-        fmt = formatter(self)
+    def counted(self, x):
+        calls.append(x)
+        return format_element(self, x)
 
-        def counted(x):
-            calls.append(x)
-            return fmt(x)
-
-        return counted
-
-    monkeypatch.setattr(GroupSpec, "formatter", counted_formatter)
+    monkeypatch.setattr(GroupSpec, "format_element", counted)
     return calls
 
 
@@ -389,8 +354,9 @@ def test_certificate_writer_formats_only_its_sources(monkeypatch):
 def test_certificate_writer_on_a_searched_ball_formats_its_domain(monkeypatch):
     """A ball found by search, here over a, b and c = a b in free:2, has
     no shortlex numbering: its certificate, found on the interning path,
-    is written with |D| formatter calls for the domain, as before, and
-    one more per image by the two-letter c, which no string step writes."""
+    is written with |D| texts formatted whole for the domain, as before,
+    and one more per image by the two-letter c, which no string step
+    writes."""
     spec = free_group(2)
     gens = GeneratingSet.from_pairs(spec, [("a", (1,)), ("b", (2,)), ("c", (1, 2))])
     ts = TranslatingSets.from_words(spec, "1,a", "1,b,c", symbols=gens.mapping())
@@ -404,24 +370,26 @@ def test_certificate_writer_on_a_searched_ball_formats_its_domain(monkeypatch):
 
 
 def test_decompose_formats_the_domain_and_the_translators(monkeypatch, capsys):
-    """5 texts, one per translator: the domain's texts are its ball's own,
+    """Past the 8 texts of the options (the generators, S1 and S2), 5
+    texts, one per translator: the domain's texts are its ball's own,
     stepped along the shortlex numbering; formatting the domain took
     |D| + 5, and every piece element too 3|D| + 5."""
     from paradec.cli import main
 
-    _, _, domain, _ = _r4_chain()
+    spec, ts, domain, _ = _r4_chain()
     calls = _count_formatted(monkeypatch)
     assert main(["decompose", *_R4, "--format", "json"]) == 0
     capsys.readouterr()
     assert len(domain) == 937
-    assert len(calls) == 5
+    generators = [x for _, x in GeneratingSet.standard(spec).pairs]
+    translators = list(ts.s1 + ts.s2)
+    assert calls == generators + translators + translators
 
 
 def test_writers_form_no_product(monkeypatch):
     """Every translator of the r4 pair is a letter or the identity, so each
     image is one string step from its source's text."""
     spec, ts, _, cert = _r4_chain()
-    pd, _ = pieces_from_certificate(spec, cert, ts)
 
     def forbidden(*args):
         raise AssertionError("a product was formed")
@@ -429,4 +397,4 @@ def test_writers_form_no_product(monkeypatch):
     monkeypatch.setattr(GroupSpec, "multiply", forbidden)
     monkeypatch.setattr(GroupSpec, "translates", forbidden)
     verdict_to_jsonable(spec, cert, ts)
-    decomposition_to_jsonable(spec, pd)
+    decomposition_to_jsonable(spec, cert, ts)

@@ -826,7 +826,7 @@ class TestAudit:
         assert ledger_entry(audit, "lambda_forest").passed
         assert ledger_entry(audit, "vertices_exceed_edges").passed
         assert not audit.all_passed
-        ledger = audit.to_jsonable(spec.formatter())["ledger"]
+        ledger = audit.to_jsonable(spec.format_element)["ledger"]
         assert next(c for c in ledger if c["name"] == "degree_sum")["passed"] is False
 
     def test_audits_form_no_product(self, monkeypatch, capsys):

@@ -26,7 +26,6 @@ from paradec import (
     free_group,
     parse_group_spec,
     patch_a_edges,
-    pieces_from_certificate,
     verdict_to_jsonable,
 )
 import paradec.cli as cli
@@ -114,7 +113,7 @@ def test_the_numbered_ball_forms_no_product(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a product or a text was formed")
 
-    for name in ("multiply", "translates", "star", "formatter", "format_element"):
+    for name in ("multiply", "translates", "star", "format_element"):
         monkeypatch.setattr(GroupSpec, name, forbidden)
     spec = free_group(3)
     patch = enumerate_ball(spec, GeneratingSet.standard(spec), 5)
@@ -219,24 +218,24 @@ def test_a_hand_built_ball_in_shortlex_order_is_not_numbered(monkeypatch):
     ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
     verdict = check_domain(spec, ts, patch)
     neighbours, texts = patch.neighbours, patch.texts()
-    formatters = []
-    formatter = GroupSpec.formatter
+    formatted = []
+    format_element = GroupSpec.format_element
 
-    def counted(self):
-        formatters.append(self)
-        return formatter(self)
+    def counted(self, x):
+        formatted.append(x)
+        return format_element(self, x)
 
-    monkeypatch.setattr(GroupSpec, "formatter", counted)
+    monkeypatch.setattr(GroupSpec, "format_element", counted)
     rows, paths = _record_rows(monkeypatch), _record_paths(monkeypatch)
     for copy in _copies(patch):
         assert copy == patch and copy.tree is None
-        del rows[:], paths[:], formatters[:]
+        del rows[:], paths[:], formatted[:]
         assert check_domain(spec, ts, copy) == verdict
         assert copy.neighbours == neighbours
         assert copy.texts() == texts
         assert rows == ["_star_rows"]
         assert paths == ["_interned_columns"]
-        assert formatters == [spec]
+        assert formatted == list(patch.vertices)
 
 
 # (group, gens) of generated balls, and whether each keeps its numbering
@@ -275,8 +274,7 @@ def test_writers_read_the_ball_only_for_its_own_domain(monkeypatch):
     own, larger = enumerate_ball(spec, gens, 3), enumerate_ball(spec, gens, 4)
     cert = check_domain(spec, ts, own)
     assert isinstance(cert, Certificate)
-    pd, _ = pieces_from_certificate(spec, cert, ts)
-    expected = verdict_to_jsonable(spec, cert, ts), decomposition_to_jsonable(spec, pd)
+    expected = verdict_to_jsonable(spec, cert, ts), decomposition_to_jsonable(spec, cert, ts)
     for ball, texts in ((larger, []), (own, [own])):
         read = []
         ball_texts = CayleyPatch.texts
@@ -288,7 +286,7 @@ def test_writers_read_the_ball_only_for_its_own_domain(monkeypatch):
         monkeypatch.setattr(CayleyPatch, "texts", spy)
         written = (
             verdict_to_jsonable(spec, cert, ts, ball),
-            decomposition_to_jsonable(spec, pd, ball),
+            decomposition_to_jsonable(spec, cert, ts, ball),
         )
         assert written == expected
         assert read == texts * 2
