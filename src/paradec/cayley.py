@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
+from itertools import repeat
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -102,7 +103,9 @@ class ShortlexTree:
     ascending letter order, from place j(m-1) of level l + 1 on; the child
     by t is ``slot(t)[x]`` places after the first.  Its parent g·x⁻¹ is at
     place j // (m-1) of level l - 1 when l ≥ 2, and is the identity when
-    l = 1.  So a word's neighbours, its Hall graph's right vertices and its
+    l = 1.  Level l starts at place ``offset(l)``, the size of the ball of
+    radius l - 1, and its words have length l, so a level names its own
+    place.  A word's neighbours, its Hall graph's right vertices and its
     text are all read off its place, and no product is formed.
 
     The tables are built when first read and cost O(m) a letter, so a
@@ -135,28 +138,32 @@ class ShortlexTree:
         m = len(self.letters)
         return m * (m - 1) ** (level - 1) if level else 1
 
+    def offset(self, level: int) -> int:
+        """The place of level ``level``'s first word: the size of the ball
+        of radius ``level`` - 1."""
+        return sum(map(self.level_size, range(level)))
+
     def columns(
         self,
         steps: Iterable[int],
         sphere: Sequence[tuple],
-        offsets: Sequence[int],
         outside: "Callable[[int], Iterable] | None" = None,
     ) -> dict:
         """Each letter t of ``steps`` -> the place of g·t in the ball, for
-        each word g of ``sphere``, the level that starts at ``offsets[-1]``
-        (``offsets[l]`` is the first place of level l).  g·t is g's parent
-        when g ends in t⁻¹ and otherwise its child: numbered in the next
-        level, or, when ``outside`` is given because the next level is not
-        in the ball, ``outside(t)[j]`` for the j-th word of the sphere."""
+        each word g of ``sphere``, a whole level, read off its words'
+        length.  g·t is g's parent when g ends in t⁻¹ and otherwise its
+        child: numbered in the next level, or, when ``outside`` is given
+        because the next level is not in the ball, ``outside(t)[j]`` for
+        the j-th word of the sphere."""
         letters = self.letters
         k = len(letters) - 1
-        level = len(offsets) - 1
-        after = offsets[-1] + len(sphere)
+        level = len(sphere[0])
+        after = self.offset(level + 1)
         lasts = list(map(itemgetter(-1), sphere)) if level and outside is None else []
         # the last letter of each vertex of the level before, read off
         # its first child
         above = list(map(itemgetter(-2), sphere[::k])) if level > 1 else []
-        parents = self.parents(sphere, offsets) if above else []
+        parents = self.parents(level) if above else []
         columns = {}
         for t in steps:
             if outside is not None:
@@ -182,16 +189,13 @@ class ShortlexTree:
             columns[t] = values
         return columns
 
-    def parents(self, sphere: Sequence[tuple], offsets: Sequence[int]) -> list:
-        """The place of each word's parent, for the words of ``sphere``, the
-        level l ≥ 1 that starts at ``offsets[-1]``: the identity for l = 1,
-        and otherwise the word at place j // (m-1) of level l - 1 for the
-        word at place j, one int per vertex of level l - 1, shared by its
-        m - 1 children."""
-        if len(offsets) == 2:
-            return [0] * len(sphere)
+    def parents(self, level: int) -> list:
+        """The place of each word's parent, for the words of level
+        ``level`` ≥ 2: the word at place j // (m-1) of the level before for
+        the word at place j, one int per vertex of the level before, shared
+        by its m - 1 children."""
         k = len(self.letters) - 1
-        return [p for p in range(offsets[-2], offsets[-1]) for _ in range(k)]
+        return [p for p in range(self.offset(level - 1), self.offset(level)) for _ in range(k)]
 
     def texts(self, names: Sequence[str], levels: int) -> list[str]:
         """The canonical texts of the first ``levels`` levels' words, in
@@ -292,29 +296,16 @@ class CayleyPatch:
 
     def _numbered_rows(self) -> tuple:
         view = [s[0] for _, _, s in self.gens.symmetrized(self.spec)]
-        tree = self.tree
         rows: list = []
-        offsets = [0]
+        start = 0
         last = len(self.level_sizes) - 1
-        for size in self.level_sizes[:-1]:
-            sphere = self.vertices[offsets[-1] : offsets[-1] + size]
-            built = tree.columns(view, sphere, offsets)
+        for level, size in enumerate(self.level_sizes):
+            sphere = self.vertices[start : start + size]
+            start += size
+            # past the last level every product leaves the patch
+            outside = (lambda t: repeat(None, size)) if level == last else None
+            built = self.tree.columns(view, sphere, outside)
             rows.extend(zip(*map(built.__getitem__, view)))
-            offsets.append(offsets[-1] + size)
-        # past the last level every product leaves the patch, so a row of
-        # the last level holds its parent alone, at the place of x⁻¹ in the
-        # view for its last letter x
-        blank = (None,) * len(view)
-        if not last:
-            return (blank,)
-        where = {t: i for i, t in enumerate(view)}
-        around = {x: (blank[: where[-x]], blank[where[-x] + 1 :]) for x in tree.letters}
-        sphere = self.vertices[offsets[-1] :]
-        shapes = map(around.__getitem__, map(itemgetter(-1), sphere))
-        rows.extend(
-            before + (parent,) + after
-            for parent, (before, after) in zip(tree.parents(sphere, offsets), shapes)
-        )
         return tuple(rows)
 
     def _star_rows(self) -> tuple:

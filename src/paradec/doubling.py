@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Sequence, Union
+from itertools import accumulate, chain, compress
+from typing import Iterable, Iterator, Sequence, Union
 
 from .cayley import (
     CayleyPatch,
@@ -26,7 +26,7 @@ from .cayley import (
     ball_levels,
     product_set,
 )
-from .errors import CertificateError, ParseError, ViolatorError
+from .errors import CertificateError, ParseError, VertexBudgetError, ViolatorError
 from .groups import Element, GroupSpec
 from .matching import UNMATCHED, alternating_reachable, hopcroft_karp
 
@@ -203,37 +203,40 @@ def verify_violator(spec: GroupSpec, ts: TranslatingSets, violator: Violator) ->
 class _HallGraph:
     """The bipartite graph of Hall's condition on a domain D that may grow:
     a left vertex (copy, g) for each g ∈ D and copy 1, 2, adjacent to the
-    right vertices g·s, s ∈ S_copy.  The matching and the alternating reach
-    visit left vertices in index order and each row in translator order,
-    and read a right index only as a key, so any numbering of the right
-    vertices gives the same pairs of elements.  Two numberings are used.
+    right vertices g·s, s ∈ S_copy.  Each batch of D appends copy 1 of its
+    elements, then copy 2.  The matching and the alternating reach visit
+    left vertices in index order and each row in translator order, and
+    read a right index only as a key, so any numbering of the right
+    vertices gives the same pairs of elements.  Two numberings are used,
+    and in both an index, once given, never moves.
 
     On a ball of the free tree, grown whole levels at a time in shortlex
     order (``tree``, its :class:`~paradec.cayley.ShortlexTree`), when
-    every translator is 1 or one of its letters, a right vertex inside the
-    ball is numbered by its place in the ball, read off the tree's
-    shortlex numbering and never formed: g·t is g's parent or one of its
-    children, and g·1 is g.  A child of the last level is a word just
-    outside the ball: it is numbered ``|ball| + j·L + i`` for the vertex
-    at place j of the last level and the i-th of the L distinct letter
-    translators (``outside``), so the right side stays within |D|·(L + 1)
-    whatever m is.  When the next level is added those words join the ball, and the
-    last level's rows and the matching kept for the warm start take their
-    places in it.
+    every translator is 1 or one of its letters, a right vertex is
+    numbered by its word's place in the tree's shortlex numbering and
+    never formed: g·t is g's parent or one of its children, and g·1 is g.
+    Only the batch that ends the ball (``last``) numbers its last level's
+    children otherwise, since they are words just outside the ball: the
+    child of the vertex at place j of that level by the i-th of the L
+    distinct letter translators (``outside``) is ``|ball| + j·L + i``, so
+    the right side stays within |D|·(L + 1) whatever m is.  No batch may
+    follow that one.
 
     Otherwise the right vertices are the exact products, formed in the
     group by translator columns and interned in ``right_index`` in the
-    order first seen; g·1 is g itself, not formed."""
+    order first seen; g·1 is g itself, not formed, and where the ball
+    ends does not matter."""
 
     def __init__(
         self, spec: GroupSpec, ts: TranslatingSets, tree: "ShortlexTree | None" = None
     ):
         self.spec = spec
         self.ts = ts
-        self.lefts: list[tuple[int, Element]] = []
         self.adjacency: list[Sequence[int]] = []
-        # the domain, each element once, in the order extended
+        # the domain, each element once, in the order extended, and the
+        # size of each batch
         self.vertices: list[Element] = []
+        self.sizes: list[int] = []
         # insertion order is index order, so list(right_index) is the
         # right side by index
         self.right_index: dict[Element, int] = {}
@@ -247,26 +250,26 @@ class _HallGraph:
         ):
             self.tree = tree
             self.outside = sorted(s[0] for s in translators if s != identity)
-        # on the tree numbering, the first rows of each copy of the last
-        # level and its size, while its children are outside the ball
-        self._open: "tuple[int, int, int] | None" = None
+        self.ended = False
         self.num_right = 0
 
-    def extend(self, elements: Sequence[Element]) -> None:
-        """Append copy 1 of every element, then copy 2 of every element.
+    def extend(self, elements: Sequence[Element], last: bool = True) -> None:
+        """Append copy 1 of every element, then copy 2 of every element;
+        ``last`` says that the ball ends with this batch.
 
         Each distinct translator s forms its column g·s once over the
         batch, so a translator in both S1 and S2 costs one column; the rows
         are the columns zipped in translator order.  On the tree numbering
-        the batch must be the ball's next whole levels."""
+        the batch must be the ball's next whole levels, and no batch may
+        follow the last."""
         translators = dict.fromkeys(self.ts.s1 + self.ts.s2)
         if self.tree is None:
             columns = self._interned_columns(elements, translators)
         else:
-            columns = self._tree_columns(elements, translators)
+            columns = self._tree_columns(elements, translators, last)
         self.vertices.extend(elements)
-        for copy, translators in ((1, self.ts.s1), (2, self.ts.s2)):
-            self.lefts.extend(zip(repeat(copy), elements))
+        self.sizes.append(len(elements))
+        for translators in (self.ts.s1, self.ts.s2):
             self.adjacency.extend(zip(*(columns[s] for s in translators)))
 
     def _interned_columns(self, elements, translators) -> dict:
@@ -281,89 +284,41 @@ class _HallGraph:
         self.num_right = len(right_index)
         return columns
 
-    def _tree_columns(self, elements, translators) -> dict:
-        if not elements:
-            return {s: [] for s in translators}
-        # offsets[l] is the index of level l's first vertex, up to the
-        # batch's first level
-        level_size = self.tree.level_size
-        offsets = [0]
-        while offsets[-1] < len(self.vertices):
-            offsets.append(offsets[-1] + level_size(len(offsets) - 1))
-        if self._open is not None:
-            self._close(offsets, translators)
-        columns: dict = {s: [] for s in translators}
-        done = size = 0
-        while done < len(elements):
-            size = level_size(len(offsets) - 1)
-            sphere = elements[done : done + size]
-            if len(sphere) != size:
-                raise ValueError("a tree batch must end on a whole level")
-            done += size
-            built = self._level_columns(
-                sphere, offsets, translators, dense=done == len(elements)
-            )
-            for s, column in columns.items():
-                column.extend(built[s])
-            offsets.append(offsets[-1] + size)
-        width = len(self.outside)
-        if width:
-            first = len(self.adjacency) + len(elements) - size
-            self._open = (first, first + len(elements), size)
-        self.num_right = offsets[-1] + size * width
-        return columns
-
-    def _level_columns(self, sphere, offsets, translators, dense: bool) -> dict:
-        """Each translator's column over ``sphere``, the level that starts
-        at ``offsets[-1]``.  Its children are numbered in the ball one level
-        larger, or, when ``dense``, as the words just outside the ball."""
-        first = offsets[-1]
-        after = first + len(sphere)
-        width = len(self.outside)
-        outside = None
-        if dense:
-
-            def outside(t):
-                i = self.outside.index(t)
-                return range(after + i, after + len(sphere) * width, width)
-
+    def _tree_columns(self, elements, translators, last: bool) -> dict:
+        if self.ended:
+            raise ValueError("the ball ended with an earlier batch")
+        tree = self.tree
         letters = [s[0] for s in translators if s]
-        built = self.tree.columns(letters, sphere, offsets, outside)
-        # g·1 is g
-        return {s: built[s[0]] if s else range(first, after) for s in translators}
-
-    def _close(self, offsets, translators) -> None:
-        """The words just outside the ball become its next level, which
-        starts at ``offsets[-1]``: renumber the last level's rows, and the
-        matching kept for the warm start, from the dense slots to those
-        words' places in the ball."""
-        copy1, copy2, size = self._open
-        self._open = None
-        n = offsets[-1]
-        sphere = self.vertices[n - size :]
-        columns = self._level_columns(sphere, offsets[:-1], translators, dense=False)
-        for first, translators in ((copy1, self.ts.s1), (copy2, self.ts.s2)):
-            self.adjacency[first : first + size] = zip(*(columns[s] for s in translators))
-        if self.matching is None:
-            return
-        # the dense slot n + j·L + i is the word that the column of the
-        # i-th letter translator gives vertex j
         width = len(self.outside)
-        moved = [0] * (size * width)
-        for i, t in enumerate(self.outside):
-            moved[i::width] = columns[(t,)]
-        pair_left, pair_right = self.matching
-        pair_left = pair_left[:]
-        pair_right = pair_right[:n]
-        after = n + self.tree.level_size(len(offsets) - 1)
-        pair_right += [UNMATCHED] * (after - len(pair_right))
-        for first in (copy1, copy2):
-            for u in range(first, min(first + size, len(pair_left))):
-                v = pair_left[u]
-                if v >= n:
-                    v = pair_left[u] = moved[v - n]
-                    pair_right[v] = u
-        self.matching = pair_left, pair_right
+        columns: dict = {s: [] for s in translators}
+        start = len(self.vertices)
+        num_right = self.num_right
+        done = 0
+        while done < len(elements):
+            level = len(elements[done])
+            size = tree.level_size(level)
+            sphere = elements[done : done + size]
+            if tree.offset(level) != start + done or len(sphere) != size:
+                raise ValueError("a tree batch must be the ball's next whole levels")
+            done += size
+            after = start + done
+            if last and done == len(elements):
+                # the words just outside the ball take dense slots
+                def outside(t):
+                    i = self.outside.index(t)
+                    return range(after + i, after + size * width, width)
+
+                num_right = after + size * width
+            else:
+                outside = None
+                num_right = after + tree.level_size(level + 1)
+            built = tree.columns(letters, sphere, outside)
+            for s, column in columns.items():
+                # g·1 is g
+                column.extend(built[s[0]] if s else range(after - size, after))
+        self.ended = last
+        self.num_right = num_right
+        return columns
 
     def match(self) -> tuple[list[int], list[int]]:
         """A maximum matching of the graph so far, augmented from the last
@@ -372,22 +327,27 @@ class _HallGraph:
         self.matching = hopcroft_karp(self.adjacency, self.num_right, self.matching)
         return self.matching
 
+    def _by_copy(self, values: Sequence) -> tuple[Iterator, Iterator]:
+        """``values``, one per left vertex, read as copy 1's and copy 2's,
+        each in domain order: each batch's first half and its second,
+        sliced as they are read."""
+        batches = list(zip(accumulate((2 * n for n in self.sizes), initial=0), self.sizes))
+        ones = chain.from_iterable(values[s : s + n] for s, n in batches)
+        twos = chain.from_iterable(values[s + n : s + 2 * n] for s, n in batches)
+        return ones, twos
+
     def certificate(self, pair_left: Sequence[int]) -> Certificate:
-        """The certificate of a saturating matching of a graph extended
-        once, as :func:`check_domain` builds it: copy 1's rows, then copy
-        2's, each in domain order.  A row lists its right vertices in
-        S_copy order, so the matched vertex's position in the row names
-        σ_copy(g); it is unique, since g·s = g·s' forces s = s'.  No image
-        is formed."""
-        n = len(self.vertices)
+        """The certificate of a saturating matching.  A row lists its right
+        vertices in S_copy order, so the matched vertex's position in the
+        row names σ_copy(g); it is unique, since g·s = g·s' forces s = s'.
+        No image is formed."""
         used = tuple(
-            tuple(
-                translators[row.index(j)]
-                for row, j in zip(
-                    self.adjacency[start : start + n], pair_left[start : start + n]
-                )
+            tuple(translators[row.index(j)] for row, j in zip(rows, pairs))
+            for rows, pairs, translators in zip(
+                self._by_copy(self.adjacency),
+                self._by_copy(pair_left),
+                (self.ts.s1, self.ts.s2),
             )
-            for start, translators in ((0, self.ts.s1), (n, self.ts.s2))
         )
         return Certificate(tuple(self.vertices), used)
 
@@ -397,8 +357,9 @@ class _HallGraph:
         (Dulmage-Mendelsohn), so the violator does not depend on how the
         matching was found."""
         reach_left, _ = alternating_reachable(self.adjacency, pair_left, pair_right)
-        a1 = [g for (copy, g), r in zip(self.lefts, reach_left) if r and copy == 1]
-        a2 = [g for (copy, g), r in zip(self.lefts, reach_left) if r and copy == 2]
+        reach1, reach2 = self._by_copy(reach_left)
+        a1 = list(compress(self.vertices, reach1))
+        a2 = list(compress(self.vertices, reach2))
         violator = _shrink_violator(self.spec, self.ts, a1, a2)
         verify_violator(self.spec, self.ts, violator)
         return violator
@@ -501,23 +462,35 @@ def minimal_violating_radius(
     One ball and one matching grow a level at a time.  The matching
     saturated the left side at every smaller radius, so only the new
     level's left vertices start unmatched, and the search augments from
-    them alone.  The ball is never built past the radius that answers.
-    Its vertices count :func:`letters_per_vertex` units of the budget at
-    ``max_radius`` and the translators of ``ts``.  On the free tree the
-    graph is numbered as in :func:`check_domain`; when a level is added,
-    the words that were just outside the ball take their places in it, in
-    the last level's rows and in the matching that the search augments.
+    them alone.  Level r+1 is asked for before level r is matched, so that
+    the graph knows whether the ball ends at r; the ball is built at most
+    one level past the radius that answers.  Its vertices count
+    :func:`letters_per_vertex` units of the budget at ``max_radius`` and
+    the translators of ``ts``, and a level that the budget refuses raises
+    its :class:`VertexBudgetError` only when no smaller radius answers.
+    On the free tree the graph is numbered as in :func:`check_domain`, and
+    no index moves as the ball grows.
     """
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
     tree, levels = ball_levels(spec, gens, max_radius, vertex_budget, ts.s1 + ts.s2)
     graph = _HallGraph(spec, ts, tree)
-    for radius, sphere in enumerate(levels):
-        graph.extend(sphere)
+    sphere = next(levels)
+    for radius in range(max_radius + 1):
+        refused = None
+        try:
+            following = next(levels, None)
+        except VertexBudgetError as error:
+            following, refused = None, error
+        graph.extend(sphere, last=following is None)
         pair_left, pair_right = graph.match()
         if UNMATCHED in pair_left:
             return radius, graph.violator(pair_left, pair_right)
-    return None
+        if refused is not None:
+            raise refused
+        if following is None:
+            return None
+        sphere = following
 
 
 # -- serialization -------------------------------------------------------------

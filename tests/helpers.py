@@ -1,8 +1,8 @@
 """Shared test utilities: random elements, small spec menageries, patches
 with loops, parallel generators and involutions, a product counter, a
 certificate's pairs, a call's outcome, a patch's a-edge forest, forest
-degree sums and ledger lookup, and the Hall graphs of the
-amenable-abelian2 bench."""
+degree sums and ledger lookup, a Hall graph's left vertices, and the Hall
+graphs of the amenable-abelian2 bench."""
 
 from __future__ import annotations
 
@@ -178,6 +178,19 @@ def outcome(function, *args):
         return "returned", function(*args)
     except Exception as exc:  # compared, never swallowed
         return type(exc), str(exc)
+
+
+def hall_lefts(graph) -> list:
+    """The left vertices ``(copy, g)`` of a Hall graph, in index order,
+    rebuilt from its domain and its batch sizes: each batch's elements as
+    copy 1, then as copy 2."""
+    lefts = []
+    done = 0
+    for size in graph.sizes:
+        batch = graph.vertices[done : done + size]
+        done += size
+        lefts += [(1, g) for g in batch] + [(2, g) for g in batch]
+    return lefts
 
 
 def amenable_bench_graphs():

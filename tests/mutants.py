@@ -86,8 +86,8 @@ MUTANTS = [
     Mutant(
         "tree-dense-slot-off-by-one",
         DOUBLING,
-        "return range(after + i, after + len(sphere) * width, width)",
-        "return range(after + i + 1, after + len(sphere) * width + 1, width)",
+        "return range(after + i, after + size * width, width)",
+        "return range(after + i + 1, after + size * width + 1, width)",
         (
             TREE + "test_tree_rows_equal_the_row_by_row_oracle",
             TREE + "test_warm_start_on_a_high_rank_ball_equals_the_oracle",
@@ -104,52 +104,23 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "tree-warm-start-without-pair-right",
+        "tree-last-ignored",
         DOUBLING,
-        "pair_right[v] = u",
-        "pass",
+        "if last and done == len(elements):",
+        "if done == len(elements):",
         (
-            TREE + "test_tree_graph_matches_like_the_interning_graph",
+            TREE + "test_tree_rows_equal_the_row_by_row_oracle",
             TREE + "test_minimal_violating_radius_on_the_tree_equals_the_oracle",
             TREE + "test_warm_start_on_a_high_rank_ball_equals_the_oracle",
         ),
     ),
     Mutant(
-        "tree-warm-start-without-pair-left",
+        "tree-ended-ball-unguarded",
         DOUBLING,
-        "v = pair_left[u] = moved[v - n]",
-        "v = moved[v - n]",
-        (
-            TREE + "test_tree_graph_matches_like_the_interning_graph",
-        ),
-    ),
-    Mutant(
-        "tree-last-level-rows-not-moved",
-        DOUBLING,
-        "self.adjacency[first : first + size] = zip(",
-        "_ = zip(",
-        (
-            TREE + "test_tree_rows_equal_the_row_by_row_oracle",
-            TREE + "test_minimal_violating_radius_on_the_tree_equals_the_oracle",
-        ),
-    ),
-    Mutant(
-        "tree-num-right-by-all-letters",
-        DOUBLING,
-        "self.num_right = offsets[-1] + size * width",
-        "self.num_right = offsets[-1] + size * len(self.tree.letters)",
-        (
-            TREE + "test_tree_rows_equal_the_row_by_row_oracle",
-            TREE + "test_right_side_of_a_high_rank_ball_stays_within_its_translators[300]",
-        ),
-    ),
-    Mutant(
-        "tree-empty-batch-unguarded",
-        DOUBLING,
-        "        if not elements:\n            return {s: [] for s in translators}\n",
+        "        if self.ended:\n            raise ValueError(\"the ball ended with an earlier batch\")\n",
         "",
         (
-            TREE + "test_an_empty_batch_keeps_the_tree_graph",
+            TREE + "test_no_batch_skips_a_level_or_follows_the_last",
         ),
     ),
     Mutant(
@@ -167,8 +138,8 @@ MUTANTS = [
     Mutant(
         "numbered-parent-place-off-by-one",
         CAYLEY,
-        "return [p for p in range(offsets[-2], offsets[-1]) for _ in range(k)]",
-        "return [p + 1 for p in range(offsets[-2], offsets[-1]) for _ in range(k)]",
+        "return [p for p in range(self.offset(level - 1), self.offset(level)) for _ in range(k)]",
+        "return [p + 1 for p in range(self.offset(level - 1), self.offset(level)) for _ in range(k)]",
         (
             NUMBERED + "test_numbered_neighbours_equal_the_star_oracle",
             TREE + "test_tree_rows_equal_the_row_by_row_oracle",
@@ -177,8 +148,8 @@ MUTANTS = [
     Mutant(
         "numbered-last-level-child-not-none",
         CAYLEY,
-        "blank = (None,) * len(view)",
-        "blank = (-1,) * len(view)",
+        "outside = (lambda t: repeat(None, size)) if level == last else None",
+        "outside = (lambda t: repeat(-1, size)) if level == last else None",
         (
             NUMBERED + "test_numbered_neighbours_equal_the_star_oracle",
             "tests/test_cayley.py::TestEnumerateBall::test_interior_matches_multiply_definition[free3-r3]",
@@ -244,6 +215,58 @@ MUTANTS = [
         (
             NUMBERED + "test_a_searched_ball_takes_the_star_path[abelian:2[None]]",
             NUMBERED + "test_a_searched_ball_takes_the_star_path[free:2[a=a,b=b,c=a b]]",
+        ),
+    ),
+    # -- the Hall graph's copies, its warm start and the shrink -----------------
+    Mutant(
+        "copy-2-read-from-copy-1s-start",
+        DOUBLING,
+        "twos = chain.from_iterable(values[s + n : s + 2 * n] for s, n in batches)",
+        "twos = chain.from_iterable(values[s : s + n] for s, n in batches)",
+        (
+            "tests/test_doubling.py::TestCheckDomain::test_abelian_line_violator",
+            "tests/test_doubling.py::test_oracle_equivalence_random_instances[ab2]",
+            TREE + "test_tree_graph_matches_like_the_interning_graph",
+        ),
+    ),
+    Mutant(
+        "copy-2-before-copy-1",
+        DOUBLING,
+        "for translators in (self.ts.s1, self.ts.s2):",
+        "for translators in (self.ts.s2, self.ts.s1):",
+        (
+            "tests/test_doubling.py::test_hall_graph_equals_the_row_by_row_oracle[no-shared-neither]",
+            "tests/test_golden.py::test_stdout_matches_its_digest[check_free3_r6_json]",
+        ),
+    ),
+    Mutant(
+        "warm-start-cold-restart-per-level",
+        DOUBLING,
+        "self.matching = hopcroft_karp(self.adjacency, self.num_right, self.matching)",
+        "self.matching = hopcroft_karp(self.adjacency, self.num_right, None)",
+        (
+            "tests/test_doubling.py::TestMinimalViolatingRadius::test_warm_matching_never_restarts",
+            TREE + "test_no_index_moves_as_the_ball_grows[3-5-1,a-1,b,c]",
+        ),
+    ),
+    Mutant(
+        "shrink-keeps-a-removal-at-equality",
+        DOUBLING,
+        "if union_size - lost < size - 1:",
+        "if union_size - lost <= size - 1:",
+        (
+            "tests/test_doubling.py::test_incremental_shrink_matches_recount_oracle[ab2]",
+            "tests/test_columns.py::test_shrink_equals_the_row_oracle_on_the_bench_sets",
+        ),
+    ),
+    Mutant(
+        "shrink-a2-before-a1",
+        DOUBLING,
+        "for side, keep in zip(sides, kept):",
+        "for side, keep in reversed(list(zip(sides, kept))):",
+        (
+            "tests/test_doubling.py::test_incremental_shrink_matches_recount_oracle[ab2]",
+            "tests/test_columns.py::test_shrink_equals_the_row_oracle_on_the_bench_sets",
         ),
     ),
     # -- the certificate as its domain and translator record -------------------

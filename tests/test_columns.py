@@ -35,7 +35,13 @@ from paradec.doubling import _shrink_violator
 from paradec.errors import MatrixOverflowError
 from paradec.matching import alternating_reachable
 
-from helpers import all_model_specs, amenable_bench_graphs, outcome, standard_gens
+from helpers import (
+    all_model_specs,
+    amenable_bench_graphs,
+    hall_lefts,
+    outcome,
+    standard_gens,
+)
 from oracles import (
     product_set_rows_oracle,
     shrink_violator_rows_oracle,
@@ -95,8 +101,9 @@ def test_shrink_equals_the_row_oracle_on_the_bench_sets():
     sizes = []
     for spec, ts, graph, _ in amenable_bench_graphs():
         reach_left, _ = alternating_reachable(graph.adjacency, *graph.match())
-        a1 = [g for (copy, g), r in zip(graph.lefts, reach_left) if r and copy == 1]
-        a2 = [g for (copy, g), r in zip(graph.lefts, reach_left) if r and copy == 2]
+        lefts = hall_lefts(graph)
+        a1 = [g for (copy, g), r in zip(lefts, reach_left) if r and copy == 1]
+        a2 = [g for (copy, g), r in zip(lefts, reach_left) if r and copy == 2]
         sizes.append((len(a1), len(a2)))
         assert outcome(_shrink_violator, spec, ts, a1, a2) == outcome(
             shrink_violator_rows_oracle, spec, ts, a1, a2

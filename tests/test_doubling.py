@@ -32,6 +32,7 @@ from paradec.matching import UNMATCHED, alternating_reachable, hopcroft_karp
 from helpers import (
     all_model_specs,
     certificate_pairs,
+    hall_lefts,
     random_element,
     record_products,
     standard_gens,
@@ -328,6 +329,23 @@ class TestMinimalViolatingRadius:
         with pytest.raises(VertexBudgetError, match="radius 2 exceeds"):
             minimal_violating_radius(spec, gens, ts, 16, vertex_budget=12)
 
+    def test_violator_answers_within_a_budget_too_small_for_the_next_tree_level(self):
+        # on the free tree at max radius 8 a vertex counts 8 units: the
+        # radius-1 ball (7 vertices) fits in 56 and the radius-2 ball (25)
+        # does not, yet its refusal waits until radius 1 has been matched
+        spec = free_group(3)
+        gens = standard_gens(spec)
+        ts = TranslatingSets.from_words(spec, "1,a", "1,a^-1")
+        result = minimal_violating_radius(spec, gens, ts, 8, vertex_budget=56)
+        assert result == minimal_violating_radius_oracle(spec, gens, ts, 1)
+        assert result[0] == 1
+        with pytest.raises(VertexBudgetError, match="ball of radius 1 exceeds"):
+            minimal_violating_radius(spec, gens, ts, 8, vertex_budget=55)
+        # no violator at radius 1, so the refused radius-2 level is raised
+        ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
+        with pytest.raises(VertexBudgetError, match="ball of radius 2 exceeds"):
+            minimal_violating_radius(spec, gens, ts, 8, vertex_budget=56)
+
     def test_warm_matching_never_restarts(self, monkeypatch):
         """Each level augments from the previous matching: every call after
         the first starts from a matching saturating all earlier left
@@ -476,7 +494,7 @@ def test_hall_graph_equals_the_row_by_row_oracle(identity_in, shared, data):
         for built in range(1, len(batches) + 1):
             graph.extend(batches[built - 1])
             lefts, rows = hall_graph_oracle(spec, ts, batches[:built])
-            assert graph.lefts == lefts
+            assert hall_lefts(graph) == lefts
             right = list(graph.right_index)
             assert [[right[j] for j in row] for row in graph.adjacency] == rows
             assert list(graph.right_index.values()) == list(range(len(right)))

@@ -4,8 +4,9 @@ On a ball whose generators and inverses are single letters of the free
 model, with every translator 1 or one of those letters, the right vertices
 of ``check``, ``decompose`` and ``violate`` are numbered by their words'
 places in the shortlex order of the whole tree instead of being formed and
-interned; a word just outside the ball takes a dense slot after it, one
-per vertex of the last level and letter translator.  These tests check
+interned; a word just outside the ball that has ended takes a dense slot
+after it, one per vertex of the last level and letter translator, and no
+index moves as the ball grows.  These tests check
 that numbering against the row-by-row oracle, by naming each index with
 a product formed in the group, and check that the matching, the
 alternating reach, the certificate and the violator equal those of the
@@ -35,7 +36,7 @@ import paradec.doubling as doubling
 from paradec.cayley import ShortlexTree, ball_levels, tree_letters
 from paradec.matching import UNMATCHED, alternating_reachable
 
-from helpers import certificate_pairs, record_products
+from helpers import certificate_pairs, hall_lefts, record_products
 from oracles import hall_graph_oracle, minimal_violating_radius_oracle
 
 # A drawn radius is lowered until the ball one radius larger has at most
@@ -93,46 +94,60 @@ def _batchings(spec, gens, radius):
     return [[g for level in levels for g in level]], levels
 
 
-def _namer(spec, ts, levels, n):
+def _extended(graph, batches):
+    """Extends ``graph`` by each batch, the last one ending the ball, and
+    yields the number of batches added so far after each."""
+    for built, batch in enumerate(batches, 1):
+        graph.extend(batch, last=built == len(batches))
+        yield built
+
+
+def _namer(spec, ts, levels, n, ended):
     """Names the right indices of a tree graph whose ball is the first n
-    vertices of ``levels``: an index below n is that vertex, and n + j·L +
-    i is the product, formed in the group, of the j-th vertex of the last
-    level and the i-th of the L distinct letter translators, ascending."""
-    sizes = list(accumulate(map(len, levels)))
-    ball = [g for level in levels[: sizes.index(n) + 1] for g in level]
-    last = levels[sizes.index(n)]
+    vertices of ``levels``.  Before the ball has ended, an index is the
+    vertex at that place in the ball one level larger.  Once it has, an
+    index below n is that vertex, and n + j·L + i is the product, formed
+    in the group, of the j-th vertex of the last level and the i-th of the
+    L distinct letter translators, ascending."""
+    radius = list(accumulate(map(len, levels))).index(n)
+    last = levels[radius]
     outside = sorted(s[0] for s in set(ts.s1 + ts.s2) if s)
+    ball = [g for level in levels[: radius + (1 if ended else 2)] for g in level]
 
     def name(j):
-        if j < n:
+        if j < len(ball):
             return ball[j]
         q, i = divmod(j - n, len(outside))
         return spec.multiply(last[q], (outside[i],))
 
-    name.num_right = n + len(last) * len(outside)
+    name.num_right = n + len(last) * len(outside) if ended else len(ball)
     return name
 
 
-def _matched_elements(lefts, name, pair_left):
-    return [(left, None if j == UNMATCHED else name(j)) for left, j in zip(lefts, pair_left)]
+def _matched_elements(graph, name, pair_left):
+    return [
+        (left, None if j == UNMATCHED else name(j))
+        for left, j in zip(hall_lefts(graph), pair_left)
+    ]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=tree_cases())
 def test_tree_rows_equal_the_row_by_row_oracle(case):
-    """Every index names the product that the oracle forms, inside the
-    ball or in its slot just outside; the right side is the ball and those
-    slots, and the graph forms no product and interns nothing."""
+    """Every index names the product that the oracle forms: inside the
+    ball one level larger until the ball ends, then inside the ball or in
+    its slot just outside; the right side is that ball, or the ball and
+    those slots, and the graph forms no product and interns nothing."""
     spec, gens, ts, radius = case
     letters = tree_letters(spec, gens)
     levels = list(ball_levels(spec, gens, radius)[1])
     for batches in _batchings(spec, gens, radius):
         graph = doubling._HallGraph(spec, ts, ShortlexTree(letters))
-        for built in range(1, len(batches) + 1):
-            graph.extend(batches[built - 1])
+        for built in _extended(graph, batches):
             lefts, rows = hall_graph_oracle(spec, ts, batches[:built])
-            name = _namer(spec, ts, levels, len(graph.vertices))
-            assert graph.lefts == lefts
+            name = _namer(spec, ts, levels, len(graph.vertices), graph.ended)
+            assert graph.ended == (built == len(batches))
+            assert hall_lefts(graph) == lefts
             assert [[name(j) for j in row] for row in graph.adjacency] == rows
             assert max(j for row in graph.adjacency for j in row) < graph.num_right
             assert graph.num_right == name.num_right
@@ -151,15 +166,14 @@ def test_tree_graph_matches_like_the_interning_graph(case):
     for batches in _batchings(spec, gens, radius):
         tree = doubling._HallGraph(spec, ts, ShortlexTree(letters))
         interned = doubling._HallGraph(spec, ts)
-        for batch in batches:
-            tree.extend(batch)
-            interned.extend(batch)
+        for built in _extended(tree, batches):
+            interned.extend(batches[built - 1])
             ours = tree.match()
             theirs = interned.match()
-            name = _namer(spec, ts, levels, len(tree.vertices))
+            name = _namer(spec, ts, levels, len(tree.vertices), tree.ended)
             right = list(interned.right_index)
-            assert _matched_elements(tree.lefts, name, ours[0]) == (
-                _matched_elements(interned.lefts, right.__getitem__, theirs[0])
+            assert _matched_elements(tree, name, ours[0]) == (
+                _matched_elements(interned, right.__getitem__, theirs[0])
             )
             assert (
                 alternating_reachable(tree.adjacency, *ours)[0]
@@ -167,9 +181,9 @@ def test_tree_graph_matches_like_the_interning_graph(case):
             )
         if UNMATCHED in ours[0]:
             assert tree.violator(*ours) == interned.violator(*theirs)
-        elif len(batches) == 1:
-            # a certificate is read off a graph extended once, whose rows
-            # are copy 1's and then copy 2's, as check_domain builds it
+        else:
+            # whole or level by level, each batch's rows are its copy 1's
+            # and then its copy 2's
             cert, expected = tree.certificate(ours[0]), interned.certificate(theirs[0])
             assert (cert.domain, cert.translators) == (
                 expected.domain,
@@ -307,19 +321,71 @@ def test_a_tree_batch_must_end_on_a_whole_level():
         graph.extend(enumerate_ball(spec, GeneratingSet.standard(spec), 2).vertices[:3])
 
 
+def test_no_batch_skips_a_level_or_follows_the_last():
+    """A tree batch must be the ball's next whole levels, and the batch
+    that ends the ball is the last; a refused batch changes nothing."""
+    spec = free_group(2)
+    gens = GeneratingSet.standard(spec)
+    ts = TranslatingSets.from_words(spec, "1,a", "1,b")
+    levels = list(ball_levels(spec, gens, 3)[1])
+    graph = doubling._HallGraph(spec, ts, ShortlexTree(tree_letters(spec, gens)))
+    with pytest.raises(ValueError, match="next whole levels"):
+        graph.extend(levels[1], last=False)
+    graph.extend(levels[0], last=False)
+    with pytest.raises(ValueError, match="next whole levels"):
+        graph.extend(levels[2] + levels[3], last=False)
+    graph.extend(levels[1] + levels[2])
+    assert graph.ended and len(graph.adjacency) == 2 * 17
+    for batch, last in ((levels[3], True), (levels[3], False), ([], False)):
+        with pytest.raises(ValueError, match="ended"):
+            graph.extend(batch, last=last)
+    assert len(graph.adjacency) == 2 * 17 and graph.sizes == [1, 16]
+
+
+@pytest.mark.parametrize(
+    "rank,radius,s1,s2", [(3, 5, "1,a", "1,b,c"), (30, 2, "1,g1", "1,g2,g3")]
+)
+def test_no_index_moves_as_the_ball_grows(monkeypatch, rank, radius, s1, s2):
+    """Level by level, every row appended earlier is unchanged after each
+    later batch, and each search starts from the matching that the one
+    before returned, unchanged."""
+    spec = free_group(rank)
+    gens = GeneratingSet.standard(spec)
+    ts = TranslatingSets.from_words(spec, s1, s2)
+    levels = list(ball_levels(spec, gens, radius)[1])
+    graph = doubling._HallGraph(spec, ts, ShortlexTree(tree_letters(spec, gens)))
+    calls = []
+    match = doubling.hopcroft_karp
+
+    def recording(adjacency, num_right, start=None):
+        found = match(adjacency, num_right, start)
+        calls.append((start, (list(found[0]), list(found[1]))))
+        return found
+
+    monkeypatch.setattr(doubling, "hopcroft_karp", recording)
+    rows: list = []
+    for _ in _extended(graph, levels):
+        assert graph.adjacency[: len(rows)] == rows
+        rows = list(graph.adjacency)
+        graph.match()
+    assert len(calls) == radius + 1 and calls[0][0] is None
+    for (_, returned), (start, _) in zip(calls, calls[1:]):
+        assert start == returned
+
+
 def test_an_empty_batch_keeps_the_tree_graph():
-    """Extending by no vertices leaves the words just outside the ball in
-    their slots, so the next level still joins as the oracle says."""
+    """Extending by no vertices before the ball ends adds and moves
+    nothing, so every level still joins as the oracle says."""
     spec = free_group(2)
     gens = GeneratingSet.standard(spec)
     ts = TranslatingSets.from_words(spec, "1,a", "1,a^-1")
     levels = list(ball_levels(spec, gens, 2)[1])
     graph = doubling._HallGraph(spec, ts, ShortlexTree(tree_letters(spec, gens)))
-    for level in levels:
-        graph.extend(level)
+    for radius, level in enumerate(levels):
+        graph.extend([], last=False)
+        graph.extend(level, last=radius == len(levels) - 1)
         graph.match()
-        graph.extend([])
-    name = _namer(spec, ts, levels, len(graph.vertices))
+    name = _namer(spec, ts, levels, len(graph.vertices), ended=True)
     assert [[name(j) for j in row] for row in graph.adjacency] == (
         hall_graph_oracle(spec, ts, levels)[1]
     )
@@ -338,8 +404,8 @@ def test_tree_graph_forms_no_product(monkeypatch):
     calls = record_products(monkeypatch)
     for batches in _batchings(spec, gens, 6):
         graph = doubling._HallGraph(spec, ts, ShortlexTree(tree_letters(spec, gens)))
-        for batch in batches:
-            graph.extend(batch)
+        for _ in _extended(graph, batches):
+            pass
         assert len(graph.adjacency) == 2 * 23_437
     assert calls == []
 
