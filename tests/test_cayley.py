@@ -24,6 +24,7 @@ from helpers import (
     EDGE_CASE_GENERATORS,
     all_model_specs,
     edge_case_patches,
+    outcome,
     record_products,
     standard_gens,
 )
@@ -31,6 +32,7 @@ from oracles import (
     ball_edges_oracle,
     ball_oracle,
     interior_oracle,
+    neighbours_oracle,
     simple_edges_oracle,
     sphere_oracle,
 )
@@ -408,6 +410,54 @@ class TestNeighbourTable:
         assert patch.edges == edges
         assert patch.simple_edges == simple_edges_oracle(edges)
         assert patch.interior == interior_oracle(patch, edges)
+
+
+# Matrix entries k for the generators [[1, ±k], [0, 1]] and [[1, 0], [±k, 1]]:
+# small, near the square root of 2^63 (so that a product of the two
+# generators may overflow, with entry 1 + k·k' or 1 - k·k'), and near 2^62
+# (so that a generator's square or its product with the other may overflow).
+_ENTRIES = [1, 2, 3, 3_037_000_499, 3_037_000_500, 3_037_000_501, 2**62 - 1, 2**62]
+
+
+@st.composite
+def searched_patches(draw):
+    """A patch that the search finds, in every model: the standard
+    generators of a model other than the free one, a free generating set
+    with a loop or a two-letter word, a cyclic set of two generators, a
+    matrix involution, and two matrices of drawn entries.  A matrix with a
+    large entry is searched to radius 1, whose search forms only the
+    generators, so its neighbour table may form the first overflowing
+    product."""
+    group, text = draw(
+        st.sampled_from(
+            [(spec_to_string(spec), None) for spec in all_model_specs() if spec.model != "free"]
+            + [("free:2", "a=1,b=b"), ("free:2", "a=a,b=b,c=a b"), ("cyclic:6", "a=a^3,b=a^2")]
+            + [("sl2z:-1,0,0,-1,1,1,0,1", None), ("sl2z", "drawn")]
+        ),
+        label="gens",
+    )
+    if text == "drawn":
+        k1, k2 = (
+            draw(st.sampled_from(_ENTRIES), label=f"k{i}") * draw(st.sampled_from([1, -1]))
+            for i in (1, 2)
+        )
+        spec, text = matrix_group([(1, k1, 0, 1), (1, 0, k2, 1)]), None
+        large = max(abs(k1), abs(k2)) > 3
+    else:
+        spec, large = parse_group_spec(group), False
+    radius = 1 if large else draw(st.integers(0, 3), label="radius")
+    patch = enumerate_ball(spec, cli._parse_generator_overrides(spec, text), radius)
+    assert patch.tree is None
+    return patch
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(patch=searched_patches())
+def test_searched_neighbours_equal_the_per_product_oracle(patch):
+    """The same rows, or the same error: the first overflowing matrix
+    product that the oracle forms, vertex by vertex and step by step in
+    view order, is the one the table raises."""
+    assert outcome(lambda: patch.neighbours) == outcome(neighbours_oracle, patch)
 
 
 # Generating sets of single free letters, closed under inversion once

@@ -887,6 +887,24 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert err.startswith("error: ") and "64-bit" in err
 
+    @pytest.mark.parametrize("radius", ["1", "2"], ids=["neighbour-table", "search"])
+    def test_first_overflowing_ball_product_is_named(self, capsys, radius):
+        """A = [[1, k], [0, 1]] and B = [[1, 0], [k, 1]] with k² just past
+        2^63: every product of two of A^±1, B^±1 that mixes them overflows,
+        with 1 + k² or 1 - k² as its entry.  The radius-1 search forms only
+        the generators, so the first overflow comes from the neighbour table;
+        at radius 2 it comes from the search.  Either way the first product
+        formed, vertex by vertex and step by step in view order, names the
+        entry."""
+        code, out, err = run(
+            capsys, "ball", "--group", "sl2z:1,3037000500,0,1,1,0,3037000500,1",
+            "--radius", radius,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: matrix entry -9223372037000249999 exceeds the signed 64-bit range\n"
+        )
+
     @pytest.mark.parametrize(
         "word",
         ["a^99999999999", " ".join(["a^9999 b^9999"] * 60)],
