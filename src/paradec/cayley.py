@@ -163,7 +163,8 @@ class ShortlexTree:
         # the last letter of each vertex of the level before, read off
         # its first child
         above = list(map(itemgetter(-2), sphere[::k])) if level > 1 else []
-        parents = self.parents(level) if above else []
+        # the place of the first vertex of the level before
+        parent = self.offset(level - 1)
         columns = {}
         for t in steps:
             if outside is not None:
@@ -184,18 +185,9 @@ class ShortlexTree:
                 place = self.slot(-t)
                 for q, y in enumerate(above):
                     if y != t:
-                        j = q * k + place[y]
-                        values[j] = parents[j]
+                        values[q * k + place[y]] = parent + q
             columns[t] = values
         return columns
-
-    def parents(self, level: int) -> list:
-        """The place of each word's parent, for the words of level
-        ``level`` ≥ 2: the word at place j // (m-1) of the level before for
-        the word at place j, one int per vertex of the level before, shared
-        by its m - 1 children."""
-        k = len(self.letters) - 1
-        return [p for p in range(self.offset(level - 1), self.offset(level)) for _ in range(k)]
 
     def texts(self, names: Sequence[str], levels: int) -> list[str]:
         """The canonical texts of the first ``levels`` levels' words, in
@@ -288,8 +280,10 @@ class CayleyPatch:
 
         On a ball of the free tree (``tree``) each entry is read off the
         shortlex numbering, a parent or a child by place, or None past the
-        last level, and no product is formed; otherwise each row is one
-        star of the vertex, each product looked up in the vertex index."""
+        last level, and no product is formed; otherwise
+        :meth:`GroupSpec.multiply` forms each product, vertex by vertex and
+        step by step in view order, so that the first overflowing matrix
+        product raises, and each is looked up in the vertex index."""
         if self.tree is not None:
             return self._numbered_rows()
         return self._star_rows()
@@ -309,9 +303,10 @@ class CayleyPatch:
         return tuple(rows)
 
     def _star_rows(self) -> tuple:
-        star = self.spec.star(s for _, _, s in self.gens.symmetrized(self.spec))
+        steps = [s for _, _, s in self.gens.symmetrized(self.spec)]
+        multiply = self.spec.multiply
         lookup = self._index.get
-        return tuple(tuple(map(lookup, star(u))) for u in self.vertices)
+        return tuple(tuple([lookup(multiply(u, s)) for s in steps]) for u in self.vertices)
 
     def texts(self) -> list[str]:
         """The canonical text of each vertex, in vertex order: stepped from
@@ -461,9 +456,9 @@ def _searched_levels(
     spec: GroupSpec, steps: list, radius: int, budget: int, width: int
 ) -> Iterator[list[Element]]:
     """Breadth-first search by right multiplication with ``steps``, each
-    level sorted.  The budget is checked after every vertex's star, so the
-    error comes without finishing the level that overflows."""
-    star = spec.star(steps)
+    level sorted.  The budget is checked after every vertex's products, so
+    the error comes without finishing the level that overflows."""
+    multiply = spec.multiply
     frontier = [spec.identity()]
     seen = set(frontier)
     if width > budget:
@@ -472,7 +467,8 @@ def _searched_levels(
     for level in range(1, radius + 1):
         discovered = []
         for u in frontier:
-            for v in star(u):
+            for s in steps:
+                v = multiply(u, s)
                 if v not in seen:
                     seen.add(v)
                     discovered.append(v)

@@ -235,24 +235,6 @@ class GroupSpec:
                 append(f"{head} {run}" if head else run)
         return result
 
-    def star(self, steps: Iterable[Element]) -> Callable[[Element], list]:
-        """The callable ``x -> [self.multiply(x, s) for s in steps]``.
-
-        The steps are read once.  In the abelian and cyclic models the
-        callable forms its list in one comprehension with
-        :meth:`translates`'s rules and no call per product; otherwise it
-        calls :meth:`multiply` per step, in step order, so the first
-        overflowing matrix product raises.
-        """
-        steps = tuple(steps)
-        if self.model == "abelian":
-            return lambda x: [tuple(map(add, x, s)) for s in steps]
-        if self.model == "cyclic":
-            order = self.order
-            return lambda x: [(x + s) % order for s in steps]
-        multiply = self.multiply
-        return lambda x: [multiply(x, s) for s in steps]
-
     def invert(self, x: Element) -> Element:
         if self.model == "free":
             return tuple(-s for s in reversed(x))

@@ -109,17 +109,16 @@ def ledger_entry(audit, name: str):
 
 
 def record_products(monkeypatch, before=None) -> list:
-    """Patch ``GroupSpec.multiply``, ``GroupSpec.translates`` and
-    ``GroupSpec.star`` so that every product g·s formed through any of
-    them appends its right factor s to the returned list, one entry per
-    product.  ``before(s)``, if given, runs ahead of each entry and may
-    raise to forbid the product.  A column counts one product per element
-    and a star one per step, all before it is formed, and the products
-    that either forms through ``multiply`` are not counted again."""
+    """Patch ``GroupSpec.multiply`` and ``GroupSpec.translates`` so that
+    every product g·s formed through either appends its right factor s to
+    the returned list, one entry per product.  ``before(s)``, if given,
+    runs ahead of each entry and may raise to forbid the product.  A
+    column counts one product per element, all before it is formed, and
+    the products that it forms through ``multiply`` are not counted
+    again."""
     factors = []
     multiply = GroupSpec.multiply
     translates = GroupSpec.translates
-    star = GroupSpec.star
     in_kernel = [False]
 
     def record(s, count):
@@ -145,20 +144,8 @@ def record_products(monkeypatch, before=None) -> list:
         record(s, len(elements))
         return kernel(lambda: translates(self, elements, s))
 
-    def counted_star(self, steps):
-        steps = tuple(steps)
-        products = star(self, steps)
-
-        def counted(x):
-            for s in steps:
-                record(s, 1)
-            return kernel(lambda: products(x))
-
-        return counted
-
     monkeypatch.setattr(GroupSpec, "multiply", counted_multiply)
     monkeypatch.setattr(GroupSpec, "translates", counted_translates)
-    monkeypatch.setattr(GroupSpec, "star", counted_star)
     return factors
 
 

@@ -29,6 +29,7 @@ GROUPS = "src/paradec/groups.py"
 CODEC = "tests/test_codec.py::"
 TREE = "tests/test_tree_numbering.py::"
 NUMBERED = "tests/test_numbered_ball.py::"
+CLI = "tests/test_cli.py::TestDeterminismAndErrors::"
 
 MUTANTS = [
     # -- the tree numbering of the Hall graph ----------------------------------
@@ -56,8 +57,8 @@ MUTANTS = [
     Mutant(
         "tree-parent-place-skips-y",
         CAYLEY,
-        "j = q * k + place[y]",
-        "j = q * k + place[-y]",
+        "values[q * k + place[y]] = parent + q",
+        "values[q * k + place[-y]] = parent + q",
         (
             TREE + "test_tree_rows_equal_the_row_by_row_oracle",
             TREE + "test_each_input_takes_its_path[free:3[a=a,b=a^-1|1,a|a^-1]]",
@@ -138,8 +139,8 @@ MUTANTS = [
     Mutant(
         "numbered-parent-place-off-by-one",
         CAYLEY,
-        "return [p for p in range(self.offset(level - 1), self.offset(level)) for _ in range(k)]",
-        "return [p + 1 for p in range(self.offset(level - 1), self.offset(level)) for _ in range(k)]",
+        "parent = self.offset(level - 1)\n",
+        "parent = self.offset(level - 1) + 1\n",
         (
             NUMBERED + "test_numbered_neighbours_equal_the_star_oracle",
             TREE + "test_tree_rows_equal_the_row_by_row_oracle",
@@ -192,6 +193,39 @@ MUTANTS = [
         "if ball is not None:",
         (
             NUMBERED + "test_writers_read_the_ball_only_for_its_own_domain",
+        ),
+    ),
+    # -- the searched ball and its neighbour table -----------------------------
+    Mutant(
+        "searched-budget-checked-per-level",
+        CAYLEY,
+        "                    discovered.append(v)\n"
+        "            if len(seen) * width > budget:\n"
+        "                raise _over_budget(level, budget, width)\n",
+        "                    discovered.append(v)\n"
+        "        if len(seen) * width > budget:\n"
+        "            raise _over_budget(level, budget, width)\n",
+        (
+            "tests/test_cayley.py::TestEnumerateBall::test_budget_error_comes_one_star_past_the_budget",
+        ),
+    ),
+    Mutant(
+        "searched-steps-reversed",
+        CAYLEY,
+        "            for s in steps:\n                v = multiply(u, s)",
+        "            for s in steps[::-1]:\n                v = multiply(u, s)",
+        (
+            CLI + "test_first_overflowing_ball_product_is_named[search]",
+        ),
+    ),
+    Mutant(
+        "star-rows-steps-reversed",
+        CAYLEY,
+        "tuple([lookup(multiply(u, s)) for s in steps])",
+        "tuple([lookup(multiply(u, s)) for s in steps[::-1]][::-1])",
+        (
+            "tests/test_cayley.py::test_searched_neighbours_equal_the_per_product_oracle",
+            CLI + "test_first_overflowing_ball_product_is_named[neighbour-table]",
         ),
     ),
     # -- the numbering that a generated ball keeps ------------------------------

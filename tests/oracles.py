@@ -196,8 +196,8 @@ def neighbours_oracle(patch):
     element of the symmetrized generating set, in view order, the product
     formed by ``GroupSpec.multiply`` and looked up in a fresh vertex index,
     or None.  The reference for ``CayleyPatch.neighbours``, which reads a
-    ball of the free tree off its shortlex numbering and any other patch
-    off ``GroupSpec.star``."""
+    ball of the free tree off its shortlex numbering and forms any other
+    patch's products in the same order."""
     spec = patch.spec
     steps = [s for _, _, s in patch.gens.symmetrized(spec)]
     index = {v: i for i, v in enumerate(patch.vertices)}
@@ -767,12 +767,6 @@ def translates_oracle(spec, elements, s):
     """The column ``[x·s for x in elements]``, one ``multiply`` per element
     in element order: the reference for ``GroupSpec.translates``."""
     return [spec.multiply(x, s) for x in elements]
-
-
-def star_oracle(spec, steps, x):
-    """The star ``[x·s for s in steps]``, one ``multiply`` per step in step
-    order: the reference for the callable of ``GroupSpec.star``."""
-    return [spec.multiply(x, s) for s in steps]
 
 
 def verify_decomposition_oracle(spec, pd):

@@ -582,7 +582,6 @@ class TestTreeLevels:
         def forbidden(*args):
             raise AssertionError("the tree path formed a product")
 
-        monkeypatch.setattr(GroupSpec, "star", forbidden)
         monkeypatch.setattr(GroupSpec, "multiply", forbidden)
         spec = free_group(3)
         patch = enumerate_ball(spec, standard_gens(spec), 6)

@@ -1,12 +1,11 @@
 """Column-wise products against their row-by-row references.
 
-The group kernels ``GroupSpec.translates`` (one translator over many
-elements) and ``GroupSpec.star`` (many steps from one element) form most
-products in one comprehension.  Each must return what one ``multiply`` per
-product returns, and raise the same exception type with the same message
-(the first overflowing matrix product), over every model of
-``all_model_specs()``, with unreduced free words and translators of 0, 1
-and more letters.  The violator shrink, ``product_set`` and the coverage
+The group kernel ``GroupSpec.translates`` (one translator over many
+elements) forms most column products in one comprehension.  It must return
+what one ``multiply`` per product returns, and raise the same exception
+type with the same message (the first overflowing matrix product), over
+every model of ``all_model_specs()``, with unreduced free words and
+translators of 0, 1 and more letters.  The violator shrink, ``product_set`` and the coverage
 check of ``verify_decomposition`` form their products one translator
 column at a time through ``translates``.  Each must return what its
 row-by-row oracle in ``tests/oracles.py`` returns on valid and on tampered
@@ -45,7 +44,6 @@ from helpers import (
 from oracles import (
     product_set_rows_oracle,
     shrink_violator_rows_oracle,
-    star_oracle,
     translates_oracle,
     verify_decomposition_oracle,
 )
@@ -151,8 +149,8 @@ def operands(draw, spec, letters):
     return x
 
 
-def factors(spec, max_letters=4):
-    return st.integers(0, max_letters).flatmap(lambda n: operands(spec, n))
+def factors(spec):
+    return st.integers(0, 4).flatmap(lambda n: operands(spec, n))
 
 
 @settings(max_examples=400, deadline=None)
@@ -167,33 +165,14 @@ def test_translates_equals_the_per_element_oracle(data):
     assert outcome(spec.translates, iter(elements), s) == expected
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_star_equals_the_per_step_oracle(data):
-    """One callable, built from an iterator of steps that it reads once,
-    serves several elements.  Half the draws take steps of at most one
-    letter, as a ball's generators are."""
-    spec = data.draw(st.sampled_from(all_model_specs()), label="spec")
-    longest = data.draw(st.sampled_from([1, 3]), label="longest step")
-    steps = data.draw(st.lists(factors(spec, longest), max_size=6), label="steps")
-    star = spec.star(iter(steps))
-    for x in data.draw(st.lists(factors(spec), min_size=1, max_size=3), label="xs"):
-        assert outcome(star, x) == outcome(star_oracle, spec, steps, x)
-
-
-@pytest.mark.parametrize("kernel", ["translates", "star"])
-def test_first_overflowing_matrix_product_raises(kernel):
-    """Two products overflow with different entries; both kernels raise the
+def test_first_overflowing_matrix_product_raises():
+    """Two products overflow with different entries; the column raises the
     message of the one that the per-product oracle forms first."""
     spec = matrix_group()
     a, k = (1, 2, 0, 1), 2**62
     first, second = (1, k, 0, 1), (1, k + 2, 0, 1)
-    if kernel == "translates":
-        got = outcome(spec.translates, [a, first, second], first)
-        expected = outcome(translates_oracle, spec, [a, first, second], first)
-    else:
-        got = outcome(spec.star([a, first, second]), first)
-        expected = outcome(star_oracle, spec, [a, first, second], first)
+    got = outcome(spec.translates, [a, first, second], first)
+    expected = outcome(translates_oracle, spec, [a, first, second], first)
     assert got == expected == (MatrixOverflowError, f"matrix entry {2 * k} exceeds "
                                "the signed 64-bit range")
 
