@@ -163,7 +163,8 @@ class ShortlexTree:
         # the last letter of each vertex of the level before, read off
         # its first child
         above = list(map(itemgetter(-2), sphere[::k])) if level > 1 else []
-        # the place of the first vertex of the level before
+        # the place of the level before's first vertex; its q-th vertex is
+        # the parent of the level's q-th run of k words
         parent = self.offset(level - 1)
         columns = {}
         for t in steps:
@@ -306,7 +307,9 @@ class CayleyPatch:
         steps = [s for _, _, s in self.gens.symmetrized(self.spec)]
         multiply = self.spec.multiply
         lookup = self._index.get
-        return tuple(tuple([lookup(multiply(u, s)) for s in steps]) for u in self.vertices)
+        return tuple(
+            tuple([lookup(multiply(u, s)) for s in steps]) for u in self.vertices
+        )
 
     def texts(self) -> list[str]:
         """The canonical text of each vertex, in vertex order: stepped from

@@ -5,11 +5,12 @@ elements) forms most column products in one comprehension.  It must return
 what one ``multiply`` per product returns, and raise the same exception
 type with the same message (the first overflowing matrix product), over
 every model of ``all_model_specs()``, with unreduced free words and
-translators of 0, 1 and more letters.  The violator shrink, ``product_set`` and the coverage
-check of ``verify_decomposition`` form their products one translator
-column at a time through ``translates``.  Each must return what its
-row-by-row oracle in ``tests/oracles.py`` returns on valid and on tampered
-inputs, and the shrink also on the sets of the amenable-abelian2 bench.
+translators of 0, 1 and more letters.  The violator shrink,
+``product_set`` and the coverage check of ``verify_decomposition`` form
+their products one translator column at a time through ``translates``.
+Each must return what its row-by-row oracle in ``tests/oracles.py``
+returns on valid and on tampered inputs, and the shrink also on the sets
+of the amenable-abelian2 bench.
 """
 
 import dataclasses
