@@ -85,6 +85,15 @@ _VIOLATE_FREE2_LETTERS = ["violate", "--group", "free:2", "--s1", "a", "--s2", "
 # A certificate over the basis letters in swapped order.
 _CHECK_FREE2_SWAPPED = ["check", "--group", "free:2", "--gens", "a=b,b=a", "--s1", "1,a",
                         "--s2", "1,b,b^-1", "--radius", "3"]
+# Tree balls whose a-columns come from overridden generators: a names the
+# letter b, and b the inverse of c; or b names a^-1, so a child ending in
+# a^-1 sits on an a-edge and the b-columns are a's own.
+_AUDIT_FREE3_PERMUTED = ["forest-audit", "--group", "free:3", "--gens", "a=b,b=c^-1,c=a",
+                         "--radius", "4", "--samples", "6", "--seed", "3"]
+_AUDIT_FREE2_INVERTED = ["forest-audit", "--group", "free:2", "--gens", "a=a,b=a^-1,c=b",
+                         "--radius", "4", "--samples", "6", "--seed", "2"]
+_BALL_FREE3_PERMUTED = ["ball", "--group", "free:3", "--gens", "a=b,b=c^-1,c=a",
+                        "--radius", "4"]
 
 CASES = [
     ("check_abelian2_r16_json", 1, [*_ABELIAN2_R16, "--format", "json"]),
@@ -146,6 +155,11 @@ CASES = [
     ("violate_free2_letters_text", 0, [*_VIOLATE_FREE2_LETTERS, "--format", "text"]),
     ("check_free2_swapped_r3_json", 0, [*_CHECK_FREE2_SWAPPED, "--format", "json"]),
     ("check_free2_swapped_r3_text", 0, [*_CHECK_FREE2_SWAPPED, "--format", "text"]),
+    ("forest_audit_free3_permuted_r4_json", 0,
+     [*_AUDIT_FREE3_PERMUTED, "--format", "json"]),
+    ("forest_audit_free2_inverted_r4_json", 1,
+     [*_AUDIT_FREE2_INVERTED, "--format", "json"]),
+    ("ball_free3_permuted_r4_json", 0, [*_BALL_FREE3_PERMUTED, "--format", "json"]),
 ]
 
 # Files written by a command rather than printed: (golden file name, argv
