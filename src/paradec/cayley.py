@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, count, repeat
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -341,11 +341,21 @@ class CayleyPatch:
 
     @cached_property
     def simple_edges(self) -> tuple[tuple[int, int], ...]:
-        """Unoriented simple graph: loops dropped, parallel edges collapsed.
+        """Unoriented simple graph: loops dropped, parallel edges collapsed,
+        each edge once as a sorted pair (i, j), i < j.
 
-        The view holds every generator's inverse, so each in-patch edge
-        u -> v has its reverse v -> u, and the products in a row are
-        distinct elements: the pairs i < j are each edge once."""
+        On a ball of the free tree (``tree``) the edges are the parent
+        pairs (parent(v), v) for v = 1..n-1, read off the numbering and
+        sorted as they come: level 1's parent is the identity, and from
+        level 2 on each vertex u >= 1 in turn parents the next m - 1
+        places.  Otherwise the view holds every generator's inverse, so
+        each in-patch edge u -> v has its reverse v -> u, and the products
+        in a row are distinct elements: the pairs i < j of ``neighbours``
+        are each edge once."""
+        if self.tree is not None:
+            m = len(self.tree.letters)
+            parents = chain(repeat(0, m), (u for u in count(1) for _ in range(m - 1)))
+            return tuple(zip(parents, range(1, len(self.vertices))))
         return tuple(
             sorted(
                 (i, j)

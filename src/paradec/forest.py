@@ -51,10 +51,17 @@ class _UnionFind:
         return root
 
     def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
+        """Put y's root under x's root; False when they are one root.
+        Both roots are found by path halving: each node passed on the way
+        up is pointed at its grandparent."""
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
             return False
-        self.parent[ry] = rx
+        parent[y] = x
         return True
 
 
@@ -269,12 +276,56 @@ def a_edge_contraction(patch: CayleyPatch, a_symbol: str) -> Contraction:
 
     Requires the in-patch a-edge set to be acyclic, which holds whenever the
     labeled element has infinite order; a cycle signals torsion-like
-    behaviour and raises :class:`RequiredEdgesCycleError`.
+    behaviour and raises :class:`RequiredEdgesCycleError`.  A ball of the
+    free tree (``patch.tree``) is contracted in one pass over its parent
+    pairs (:func:`_tree_contraction`); any other patch by
+    :func:`contract_required_edges`.
     """
     if a_symbol not in patch.gens.symbols():
         raise KeyError(f"no generator named {a_symbol!r} in the patch")
+    if patch.tree is not None:
+        return _tree_contraction(patch, a_symbol)
     return contract_required_edges(
         len(patch.vertices), patch.simple_edges, patch_a_edges(patch, a_symbol)
+    )
+
+
+def _tree_contraction(patch: CayleyPatch, a_symbol: str) -> Contraction:
+    """:func:`contract_required_edges` of a free tree ball and its a-edges,
+    field for field, with no union-find.
+
+    The simple edges are the parent pairs (parent(v), v) in the order of v,
+    and v = parent·x for its last letter x.  The pair is an a-edge when x
+    or x⁻¹ is the element of an a column of the view, the columns that
+    :func:`patch_a_edges` reads: then v joins its parent's block and the
+    pair is required.  Otherwise v is the least vertex of its block, so it
+    opens the next block and the pair is a contracted edge.  The blocks
+    are thus numbered by their least vertex, which is the root that the
+    union-find gives each block when it links the sorted required pairs."""
+    a_letters = {
+        s[0] for sym, _, s in patch.gens.symmetrized(patch.spec) if sym == a_symbol
+    }
+    a_letters |= {-x for x in a_letters}
+    vertices = patch.vertices
+    block_of = [0] * len(vertices)
+    required: list[tuple[int, int]] = []
+    contracted: list[tuple[int, int]] = []
+    originals: list[tuple[int, int]] = []
+    for pair in patch.simple_edges:
+        u, v = pair
+        if vertices[v][-1] in a_letters:
+            block_of[v] = block_of[u]
+            required.append(pair)
+        else:
+            block_of[v] = len(originals) + 1
+            contracted.append((block_of[u], block_of[v]))
+            originals.append(pair)
+    return Contraction(
+        len(vertices),
+        tuple(required),
+        len(originals) + 1,
+        tuple(contracted),
+        tuple(originals),
     )
 
 

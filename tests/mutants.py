@@ -25,10 +25,12 @@ class Mutant(NamedTuple):
 
 CAYLEY = "src/paradec/cayley.py"
 DOUBLING = "src/paradec/doubling.py"
+FOREST = "src/paradec/forest.py"
 GROUPS = "src/paradec/groups.py"
 CODEC = "tests/test_codec.py::"
 TREE = "tests/test_tree_numbering.py::"
 NUMBERED = "tests/test_numbered_ball.py::"
+FORESTS = "tests/test_forest.py::"
 CLI = "tests/test_cli.py::TestDeterminismAndErrors::"
 
 MUTANTS = [
@@ -249,6 +251,58 @@ MUTANTS = [
         (
             NUMBERED + "test_a_searched_ball_takes_the_star_path[abelian:2[None]]",
             NUMBERED + "test_a_searched_ball_takes_the_star_path[free:2[a=a,b=b,c=a b]]",
+        ),
+    ),
+    # -- the a-edge contraction of a free tree ball and the union-find ---------
+    Mutant(
+        "tree-a-edge-one-direction",
+        FOREST,
+        "    a_letters |= {-x for x in a_letters}\n",
+        "",
+        (
+            FORESTS + "test_a_edges_and_contraction_equal_the_edge_list_oracles[free:2[a=a,b=a^-1,c=b]-r1]",
+            FORESTS + "test_tree_contraction_equals_the_general_path",
+        ),
+    ),
+    Mutant(
+        "tree-a-edge-child-opens-a-block",
+        FOREST,
+        "block_of[v] = block_of[u]",
+        "block_of[v] = len(originals) + 1",
+        (
+            FORESTS + "test_a_edges_and_contraction_equal_the_edge_list_oracles[free:3[standard]-r3]",
+            FORESTS + "test_tree_contraction_equals_the_general_path",
+        ),
+    ),
+    Mutant(
+        "tree-parent-pairs-a-level-late",
+        CAYLEY,
+        "(u for u in count(1) for _ in range(m - 1))",
+        "(u for u in count(1 + m) for _ in range(m - 1))",
+        (
+            FORESTS + "test_tree_contraction_equals_the_general_path",
+            NUMBERED + "test_numbered_neighbours_equal_the_star_oracle",
+            "tests/test_golden.py::test_stdout_matches_golden[forest_audit_free3_permuted_r4_json]",
+        ),
+    ),
+    Mutant(
+        "union-links-the-other-way",
+        FOREST,
+        "        parent[y] = x\n",
+        "        parent[x] = y\n",
+        (
+            FORESTS + "test_a_edges_and_contraction_equal_the_edge_list_oracles[abelian:2[standard]-r3]",
+            FORESTS + "test_tree_contraction_equals_the_general_path",
+            "tests/test_golden.py::test_stdout_matches_golden[forest_audit_abelian3_r4_json]",
+        ),
+    ),
+    Mutant(
+        "graph-edge-range-check-negative-side-dropped",
+        FOREST,
+        "if key[0] < 0 or key[1] >= num_vertices:",
+        "if key[1] >= num_vertices:",
+        (
+            FORESTS + "TestContraction::test_graph_edge_outside_the_vertices_rejected[negative]",
         ),
     ),
     # -- the Hall graph's copies, its warm start and the shrink -----------------

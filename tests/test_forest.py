@@ -5,6 +5,7 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paradec import (
     GeneratingSet,
@@ -25,7 +26,9 @@ from paradec.errors import (
     PatchEscapeError,
     RequiredEdgesCycleError,
 )
+from paradec import cli
 from paradec import forest as forest_module
+from paradec.cayley import ShortlexTree, tree_letters
 from paradec.cli import main
 from paradec.forest import (
     ForestSample,
@@ -450,6 +453,120 @@ def test_a_edges_and_contraction_equal_the_edge_list_oracles(patch):
         got = a_edge_contraction(patch, a_symbol)
         assert got.num_vertices == len(patch.vertices)
         assert (got.required, got.num_blocks, got.edges, got.originals) == expected
+
+
+@st.composite
+def single_letter_balls(draw):
+    """A ball of the free tree on free:1 to free:4, over the standard
+    basis or over single letters that permute, invert and repeat the
+    basis letters under the names a, b, c, d; its radius at most 5 and
+    small enough that it has at most 1,500 vertices."""
+    rank = draw(st.integers(1, 4), label="rank")
+    spec = free_group(rank)
+    letter = st.sampled_from(
+        [f"{x}{e}" for x in "abcd"[:rank] for e in ("", "^-1")]
+    )
+    words = draw(st.none() | st.lists(letter, min_size=1, max_size=4), label="gens")
+    text = None if words is None else ",".join(f"{y}={w}" for y, w in zip("abcd", words))
+    gens = cli._parse_generator_overrides(spec, text)
+    numbering = ShortlexTree(tree_letters(spec, gens))
+    fits = [r for r in range(6) if numbering.offset(r + 1) <= 1500]
+    radius = draw(st.sampled_from(fits), label="radius")
+    patch = enumerate_ball(spec, gens, radius)
+    assert patch.tree is not None
+    return patch
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(patch=single_letter_balls())
+def test_tree_contraction_equals_the_general_path(patch):
+    """Per symbol, the one-pass contraction of a tree ball equals that of a
+    copy without the numbering, which reads the neighbour table and runs
+    the union-find; the parent pairs equal the copy's simple edges.  The
+    tree path builds no union-find."""
+    copy = dataclasses.replace(patch)
+    assert copy.tree is None
+    assert patch.simple_edges == copy.simple_edges
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        counts = counted_contraction_calls(monkeypatch)
+        for a_symbol in patch.gens.symbols():
+            assert a_edge_contraction(patch, a_symbol) == a_edge_contraction(copy, a_symbol)
+    symbols = len(patch.gens.pairs)
+    assert counts == {
+        "union_finds": symbols, "contract_required_edges": symbols, "patch_a_edges": symbols
+    }
+
+
+def counted_contraction_calls(monkeypatch) -> Counter:
+    """Count the union-finds built and the calls of
+    ``contract_required_edges`` and ``patch_a_edges`` in the forest
+    module."""
+    counts = Counter()
+
+    class CountedUnionFind(forest_module._UnionFind):
+        def __init__(self, size):
+            counts["union_finds"] += 1
+            super().__init__(size)
+
+    def counted(name):
+        function = getattr(forest_module, name)
+
+        def call(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return call
+
+    monkeypatch.setattr(forest_module, "_UnionFind", CountedUnionFind)
+    for name in ("contract_required_edges", "patch_a_edges"):
+        monkeypatch.setattr(forest_module, name, counted(name))
+    return counts
+
+
+TREE_EDGE_CASES = [(label, patch) for label, patch in EDGE_CASES if patch.tree is not None]
+
+
+class TestTreeContraction:
+    """A ball of the free tree is contracted in one pass over its parent
+    pairs: no union-find, no a-edge list and no general contraction."""
+
+    @pytest.mark.parametrize(
+        "patch", [c[1] for c in TREE_EDGE_CASES], ids=[c[0] for c in TREE_EDGE_CASES]
+    )
+    def test_tree_ball_builds_no_union_find(self, monkeypatch, patch):
+        counts = counted_contraction_calls(monkeypatch)
+        copy = dataclasses.replace(patch)
+        for a_symbol in patch.gens.symbols():
+            got = a_edge_contraction(patch, a_symbol)
+            assert counts == {}
+            assert got == a_edge_contraction(copy, a_symbol)
+            assert counts == {
+                "union_finds": 1, "contract_required_edges": 1, "patch_a_edges": 1
+            }
+            counts.clear()
+
+    def test_edge_cases_cover_tree_balls_with_overridden_a_columns(self):
+        assert {label.rsplit("-", 1)[0] for label, _ in TREE_EDGE_CASES} == {
+            "free:2[standard]", "free:3[standard]", "free:2[a=a,b=a,c=b]",
+            "free:2[a=a,b=a^-1,c=b]",
+        }
+
+    def test_forest_audit_contracts_a_tree_ball_in_one_pass(self, monkeypatch, capsys):
+        """On the tree the audit calls neither general helper, and its one
+        kept sample is validated once."""
+        counts = counted_contraction_calls(monkeypatch)
+        validate = ForestSample.__post_init__
+
+        def counted(sample):
+            counts["samples"] += 1
+            validate(sample)
+
+        monkeypatch.setattr(ForestSample, "__post_init__", counted)
+        argv = ["forest-audit", "--group", "free:3", "--gens", "a=b,b=c^-1,c=a",
+                "--radius", "4", "--samples", "6", "--seed", "3"]
+        assert main(argv) == 0
+        # one union-find validates the sample, one checks each audit's Λ
+        assert counts == {"samples": 1, "union_finds": 1 + 6}
 
 
 def audit_outcomes(patch):
