@@ -455,6 +455,38 @@ def test_a_edges_and_contraction_equal_the_edge_list_oracles(patch):
         assert (got.required, got.num_blocks, got.edges, got.originals) == expected
 
 
+def counted_forest_calls(monkeypatch) -> Counter:
+    """Count the ForestSample builds ("samples"), the union-finds built
+    and the calls of ``contract_required_edges`` and ``patch_a_edges`` in
+    the forest module."""
+    counts = Counter()
+    validate = ForestSample.__post_init__
+
+    def counted_sample(sample):
+        counts["samples"] += 1
+        validate(sample)
+
+    class CountedUnionFind(forest_module._UnionFind):
+        def __init__(self, size):
+            counts["union_finds"] += 1
+            super().__init__(size)
+
+    def counted(name):
+        function = getattr(forest_module, name)
+
+        def call(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return call
+
+    monkeypatch.setattr(ForestSample, "__post_init__", counted_sample)
+    monkeypatch.setattr(forest_module, "_UnionFind", CountedUnionFind)
+    for name in ("contract_required_edges", "patch_a_edges"):
+        monkeypatch.setattr(forest_module, name, counted(name))
+    return counts
+
+
 @st.composite
 def single_letter_balls(draw):
     """A ball of the free tree on free:1 to free:4, over the standard
@@ -488,39 +520,13 @@ def test_tree_contraction_equals_the_general_path(patch):
     assert copy.tree is None
     assert patch.simple_edges == copy.simple_edges
     with pytest.MonkeyPatch.context() as monkeypatch:
-        counts = counted_contraction_calls(monkeypatch)
+        counts = counted_forest_calls(monkeypatch)
         for a_symbol in patch.gens.symbols():
             assert a_edge_contraction(patch, a_symbol) == a_edge_contraction(copy, a_symbol)
     symbols = len(patch.gens.pairs)
     assert counts == {
         "union_finds": symbols, "contract_required_edges": symbols, "patch_a_edges": symbols
     }
-
-
-def counted_contraction_calls(monkeypatch) -> Counter:
-    """Count the union-finds built and the calls of
-    ``contract_required_edges`` and ``patch_a_edges`` in the forest
-    module."""
-    counts = Counter()
-
-    class CountedUnionFind(forest_module._UnionFind):
-        def __init__(self, size):
-            counts["union_finds"] += 1
-            super().__init__(size)
-
-    def counted(name):
-        function = getattr(forest_module, name)
-
-        def call(*args):
-            counts[name] += 1
-            return function(*args)
-
-        return call
-
-    monkeypatch.setattr(forest_module, "_UnionFind", CountedUnionFind)
-    for name in ("contract_required_edges", "patch_a_edges"):
-        monkeypatch.setattr(forest_module, name, counted(name))
-    return counts
 
 
 TREE_EDGE_CASES = [(label, patch) for label, patch in EDGE_CASES if patch.tree is not None]
@@ -534,7 +540,7 @@ class TestTreeContraction:
         "patch", [c[1] for c in TREE_EDGE_CASES], ids=[c[0] for c in TREE_EDGE_CASES]
     )
     def test_tree_ball_builds_no_union_find(self, monkeypatch, patch):
-        counts = counted_contraction_calls(monkeypatch)
+        counts = counted_forest_calls(monkeypatch)
         copy = dataclasses.replace(patch)
         for a_symbol in patch.gens.symbols():
             got = a_edge_contraction(patch, a_symbol)
@@ -554,14 +560,7 @@ class TestTreeContraction:
     def test_forest_audit_contracts_a_tree_ball_in_one_pass(self, monkeypatch, capsys):
         """On the tree the audit calls neither general helper, and its one
         kept sample is validated once."""
-        counts = counted_contraction_calls(monkeypatch)
-        validate = ForestSample.__post_init__
-
-        def counted(sample):
-            counts["samples"] += 1
-            validate(sample)
-
-        monkeypatch.setattr(ForestSample, "__post_init__", counted)
+        counts = counted_forest_calls(monkeypatch)
         argv = ["forest-audit", "--group", "free:3", "--gens", "a=b,b=c^-1,c=a",
                 "--radius", "4", "--samples", "6", "--seed", "3"]
         assert main(argv) == 0
@@ -729,30 +728,11 @@ class TestWalk:
 
 
 class TestSharedTree:
-    @staticmethod
-    def counted_validations(monkeypatch):
-        """Count ForestSample builds and union-find validations."""
-        counts = Counter()
-        validate = ForestSample.__post_init__
-
-        def counted(sample):
-            counts["samples"] += 1
-            validate(sample)
-
-        class CountedUnionFind(forest_module._UnionFind):
-            def __init__(self, size):
-                counts["union_finds"] += 1
-                super().__init__(size)
-
-        monkeypatch.setattr(ForestSample, "__post_init__", counted)
-        monkeypatch.setattr(forest_module, "_UnionFind", CountedUnionFind)
-        return counts
-
     def test_tree_contraction_builds_one_sample(self, monkeypatch):
         patch = ball(free_group(3), 3)
         contraction = a_edge_contraction(patch, "a")
         assert contraction.is_tree
-        counts = self.counted_validations(monkeypatch)
+        counts = counted_forest_calls(monkeypatch)
         samples = [sample_forest_containing_a_edges(contraction, s) for s in range(40)]
         assert counts == {"samples": 1, "union_finds": 1}
         assert all(sample is samples[0] for sample in samples)
@@ -799,7 +779,7 @@ class TestSharedTree:
     def test_each_sample_with_cycles_is_validated_once(self, monkeypatch):
         contraction = a_edge_contraction(ball(free_abelian_group(3), 3), "a")
         assert not contraction.is_tree
-        counts = self.counted_validations(monkeypatch)
+        counts = counted_forest_calls(monkeypatch)
         samples = [sample_forest_containing_a_edges(contraction, s) for s in range(40)]
         assert counts == {"samples": 40, "union_finds": 40}
         assert "_tree" not in vars(contraction)

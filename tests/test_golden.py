@@ -86,8 +86,8 @@ _VIOLATE_FREE2_LETTERS = ["violate", "--group", "free:2", "--s1", "a", "--s2", "
 _CHECK_FREE2_SWAPPED = ["check", "--group", "free:2", "--gens", "a=b,b=a", "--s1", "1,a",
                         "--s2", "1,b,b^-1", "--radius", "3"]
 # Tree balls whose a-columns come from overridden generators: a names the
-# letter b, and b the inverse of c; or b names a^-1, so a child ending in
-# a^-1 sits on an a-edge and the b-columns are a's own.
+# letter b, and b the inverse of c; or b names a^-1, so the a^-1 column is
+# b's and a child ending in a^-1 has its a-edge in its own a column.
 _AUDIT_FREE3_PERMUTED = ["forest-audit", "--group", "free:3", "--gens", "a=b,b=c^-1,c=a",
                          "--radius", "4", "--samples", "6", "--seed", "3"]
 _AUDIT_FREE2_INVERTED = ["forest-audit", "--group", "free:2", "--gens", "a=a,b=a^-1,c=b",
