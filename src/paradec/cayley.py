@@ -106,7 +106,8 @@ class ShortlexTree:
     l = 1.  Level l starts at place ``offset(l)``, the size of the ball of
     radius l - 1, and its words have length l, so a level names its own
     place.  A word's neighbours, its Hall graph's right vertices and its
-    text are all read off its place, and no product is formed.
+    text are all read off its place, and no product is formed; a word's
+    place is read off its letters (:meth:`place`).
 
     The tables are built when first read and cost O(m) a letter, so a
     rank-10,000 ball of radius 1 stores no m² table.
@@ -116,6 +117,7 @@ class ShortlexTree:
         self.letters = letters
         self.rank = {t: i for i, t in enumerate(letters)}
         self._slots: dict = {}
+        self._offsets = [0]
 
     def slot(self, t: int) -> dict:
         """x -> the place of g·t among the children of a word g ending in
@@ -140,8 +142,51 @@ class ShortlexTree:
 
     def offset(self, level: int) -> int:
         """The place of level ``level``'s first word: the size of the ball
-        of radius ``level`` - 1."""
-        return sum(map(self.level_size, range(level)))
+        of radius ``level`` - 1, and 0 below level 0.  Each offset is summed
+        once, on its first read."""
+        offsets = self._offsets
+        while len(offsets) <= level:
+            offsets.append(offsets[-1] + self.level_size(len(offsets) - 1))
+        return offsets[level] if level > 0 else 0
+
+    def place(self, word: tuple) -> "int | None":
+        """The place of a nonempty reduced word over the letters, stepped
+        letter by letter: a word of place j in its level ending in x has its
+        child by t at place j(m-1) + slot(t)[x] of the next level.  None
+        when a letter is not one of the tree's; an unreduced word gets a
+        place that is not its own, which the caller's check of the ball's
+        word at that place rejects."""
+        rank, k = self.rank, len(self.letters) - 1
+        x = word[0]
+        if x not in rank:
+            return None
+        j = rank[x]
+        for t in word[1:]:
+            if t not in rank:
+                return None
+            j = j * k + self.slot(t)[x]
+            x = t
+        return self.offset(len(word)) + j
+
+    def row(self, word: tuple, place: int, steps: Iterable[int], last: int) -> tuple:
+        """The neighbour row of ``word``, the word at ``place`` of a ball
+        whose last level is ``last``: for each letter t of ``steps``, the
+        place of word·t, read as :meth:`columns` reads a whole level.  The
+        parent g·x⁻¹ of a word g ending in x, at place j of level l, is at
+        place j // (m-1) of level l - 1, or is the identity on level 1; its
+        child by t is at place j(m-1) + slot(t)[x] of level l + 1, or None
+        past the last level."""
+        level = len(word)
+        if not level:
+            return tuple(1 + self.rank[t] if last else None for t in steps)
+        k = len(self.letters) - 1
+        x = word[-1]
+        j = place - self.offset(level)
+        above = self.offset(level - 1) + j // k if level > 1 else 0
+        if level == last:
+            return tuple(above if t == -x else None for t in steps)
+        first = self.offset(level + 1) + j * k
+        return tuple(above if t == -x else first + self.slot(t)[x] for t in steps)
 
     def columns(
         self,
@@ -240,7 +285,9 @@ class CayleyPatch:
     callers need only the vertices: the vertex index behind
     :meth:`index_of` and ``in``, ``distances``, the ``neighbours`` table,
     and its views ``edges``, the unoriented simple graph ``simple_edges``
-    and the ``interior``.
+    and the ``interior``.  A ball with a ``tree`` builds neither the index
+    nor the table for :meth:`index_of`, ``in``, :meth:`row` and
+    ``interior``: it reads them off the numbering.
     """
 
     spec: GroupSpec
@@ -267,6 +314,23 @@ class CayleyPatch:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
+    def _view_letters(self) -> list[int]:
+        """On a ball of the free tree, the letter of each element of the
+        symmetrized generating set, in view order: the columns of a row."""
+        return [s[0] for _, _, s in self.gens.symmetrized(self.spec)]
+
+    def _place(self, element: Element) -> "int | None":
+        """On a ball of the free tree, the index of ``element``, read off
+        its letters (:meth:`ShortlexTree.place`) and kept only when the
+        ball's vertex there is ``element``; else None."""
+        if not isinstance(element, tuple) or len(element) >= len(self.level_sizes):
+            return None
+        place = self.tree.place(element) if element else 0
+        if place is None or place >= len(self.vertices):
+            return None
+        return place if self.vertices[place] == element else None
+
+    @cached_property
     def distances(self) -> tuple[int, ...]:
         """Word length of each vertex, in vertex order."""
         return tuple(
@@ -290,7 +354,7 @@ class CayleyPatch:
         return self._star_rows()
 
     def _numbered_rows(self) -> tuple:
-        view = [s[0] for _, _, s in self.gens.symmetrized(self.spec)]
+        view = self._view_letters
         rows: list = []
         start = 0
         last = len(self.level_sizes) - 1
@@ -333,11 +397,28 @@ class CayleyPatch:
             if j is not None
         )
 
+    def row(self, i: int) -> tuple["int | None", ...]:
+        """Vertex ``i``'s row of ``neighbours``.  A ball of the free tree
+        reads the row off its numbering (:meth:`ShortlexTree.row`) and
+        leaves the table unbuilt."""
+        if self.tree is None:
+            return self.neighbours[i]
+        i = range(len(self.vertices))[i]
+        last = len(self.level_sizes) - 1
+        return self.tree.row(self.vertices[i], i, self._view_letters, last)
+
     def index_of(self, element: Element) -> int:
-        return self._index[element]
+        if self.tree is None:
+            return self._index[element]
+        place = self._place(element)
+        if place is None:
+            raise KeyError(element)
+        return place
 
     def __contains__(self, element: Element) -> bool:
-        return element in self._index
+        if self.tree is None:
+            return element in self._index
+        return self._place(element) is not None
 
     @cached_property
     def simple_edges(self) -> tuple[tuple[int, int], ...]:
@@ -368,7 +449,12 @@ class CayleyPatch:
     @cached_property
     def interior(self) -> tuple[Element, ...]:
         """Vertices, in patch order, whose whole S ∪ S⁻¹ star lies in the
-        patch: the rows of ``neighbours`` with no None."""
+        patch: the rows of ``neighbours`` with no None.  On a ball of the
+        free tree that is the ball one radius down, read off the numbering:
+        a word below the last level has its parent and all its children in
+        the ball, and a word on it has a child outside."""
+        if self.tree is not None:
+            return self.vertices[: self.tree.offset(len(self.level_sizes) - 1)]
         return tuple(
             v for v, row in zip(self.vertices, self.neighbours) if None not in row
         )

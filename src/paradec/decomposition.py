@@ -116,9 +116,11 @@ def verify_decomposition(spec: GroupSpec, pd: PartialDecomposition) -> Decomposi
     the first overflowing product of the first such column).  If g is not
     covered but one of its translates leaves the domain, the finite window
     simply cannot decide it: such g are reported as indeterminate rather
-    than failed.  Pieces bucketed from a certificate hold every element's
-    own image, so :func:`pieces_from_certificate` counts an indeterminate g
-    as a failure.
+    than failed.  Only the elements left uncovered are asked whether they
+    escape, by forming their translates again: each was formed once
+    already, without an overflow.  Pieces bucketed from a certificate hold
+    every element's own image, so :func:`pieces_from_certificate` counts an
+    indeterminate g as a failure.
 
     Whether g is covered depends only on g, the pieces and the domain, so
     the report on a subset of the domain is this report filtered.  Elements
@@ -126,8 +128,6 @@ def verify_decomposition(spec: GroupSpec, pd: PartialDecomposition) -> Decomposi
     their sizes add up to the size of their union; elements are counted one
     by one only when they do not.
     """
-    domain = set(pd.domain)
-
     pieces = [piece for _, piece in pd.pieces1 + pd.pieces2]
     overlaps: tuple[Element, ...] = ()
     if sum(map(len, pieces)) != len(frozenset().union(*pieces)):
@@ -141,19 +141,25 @@ def verify_decomposition(spec: GroupSpec, pd: PartialDecomposition) -> Decomposi
 
     def coverage(pieces: tuple[tuple[Element, frozenset], ...]):
         piece_of = dict(pieces)
-        # the elements no translator has covered yet, in domain order, and
-        # those among them with a translate outside the domain
+        # the elements no translator has covered yet, in domain order
         pending = list(pd.domain)
-        escaped = set()
         for s, _ in pieces:
             piece = piece_of[s]
-            left = []
-            for g, target in zip(pending, spec.translates(pending, s)):
-                if target not in piece:
-                    left.append(g)
-                    if target not in domain:
-                        escaped.add(g)
-            pending = left
+            pending = [
+                g
+                for g, target in zip(pending, spec.translates(pending, s))
+                if target not in piece
+            ]
+        # those among them with a translate outside the domain
+        escaped = set()
+        if pending:
+            domain = set(pd.domain)
+            escaped = {
+                g
+                for s, _ in pieces
+                for g, target in zip(pending, spec.translates(pending, s))
+                if target not in domain
+            }
         uncovered = tuple(g for g in pending if g not in escaped)
         indeterminate = tuple(g for g in pending if g in escaped)
         return uncovered, indeterminate

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .cayley import (
     CayleyPatch,
@@ -601,6 +601,19 @@ def _json_text_pairs(data: dict, key: str) -> list:
     return pairs
 
 
+def _parsed_pairs(
+    parse: Callable[[str], Element], pairs: list, sources: "list | None" = None
+) -> tuple:
+    """The ``[element, image]`` text pairs parsed pair by pair, source
+    first; the sources are ``sources`` when given, the parsed source
+    texts, and an image whose text is its source's is its source."""
+    phi = []
+    for n, (g, w) in enumerate(pairs):
+        source = parse(g) if sources is None else sources[n]
+        phi.append((source, source if w == g else parse(w)))
+    return tuple(phi)
+
+
 def verdict_from_jsonable(spec: GroupSpec, data: dict) -> "Violator | tuple":
     """Read back :func:`verdict_to_jsonable`'s document.  ``phi1`` and
     ``phi2`` must be lists of two-text lists, ``a1`` and ``a2`` lists of
@@ -608,13 +621,20 @@ def verdict_from_jsonable(spec: GroupSpec, data: dict) -> "Violator | tuple":
     :class:`ValueError`.  Nothing is verified here: a violator is returned
     as a :class:`Violator`, and a certificate as its claim, the ``phi1``
     and ``phi2`` pairs of elements, which :func:`verify_certificate`
-    turns into a :class:`Certificate`."""
+    turns into a :class:`Certificate`.
+
+    A text whose element is at hand is not parsed again: phi2 takes
+    phi1's parsed sources when it lists the same source texts, and an
+    image whose text is its source's takes its source's element.  The
+    texts are read pair by pair, source first, so the first malformed
+    text is the one named."""
     parse = spec.parser()
     if data["kind"] == "certificate":
-        return tuple(
-            tuple((parse(g), parse(w)) for g, w in _json_text_pairs(data, key))
-            for key in ("phi1", "phi2")
-        )
+        pairs1 = _json_text_pairs(data, "phi1")
+        phi1 = _parsed_pairs(parse, pairs1)
+        pairs2 = _json_text_pairs(data, "phi2")
+        same = [g for g, _ in pairs2] == [g for g, _ in pairs1]
+        return phi1, _parsed_pairs(parse, pairs2, [g for g, _ in phi1] if same else None)
     if data["kind"] == "violator":
         union_size = data["union_size"]
         # JSON true would pass as the size 1

@@ -451,9 +451,12 @@ def audit_counting_argument(
     and S2 = {1, b, c} must name the patch's generators, and A2 must lie in
     its interior (:attr:`CayleyPatch.interior`).
 
-    Every fact is read off the patch's ``neighbours`` table, one column per
-    element of the symmetrized generating set, so the audit forms no group
-    product: the edges are vertex indices until the audit is built.
+    Every fact is read off the patch's neighbour rows of A1 and A2
+    (:meth:`CayleyPatch.row`), one column per element of the symmetrized
+    generating set, so the audit forms no group product: the edges are
+    vertex indices until the audit is built.  On a ball of the free tree
+    the rows and the indices are read off its numbering, and neither the
+    whole table nor the vertex index is built.
 
     The degree hypothesis |E| >= 5|A2| is recorded like every other entry:
     it holds on patches whose interior degree is at least 5 (a rank-3 tree
@@ -467,9 +470,10 @@ def audit_counting_argument(
     for g in a1 + a2:
         if g not in patch:
             raise PatchEscapeError(f"element {spec.format_element(g)} is not a patch vertex")
-    vertices, neighbours = patch.vertices, patch.neighbours
+    vertices = patch.vertices
     ids1 = [patch.index_of(g) for g in a1]
     ids2 = [patch.index_of(g) for g in a2]
+    neighbours = {i: patch.row(i) for i in ids1 + ids2}
     # Escape checks: A2 needs its whole star, since the degree counts read
     # it whole (so A2 lies in the interior), and A1 its a-translate.
     for i in ids2:

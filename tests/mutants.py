@@ -24,6 +24,7 @@ class Mutant(NamedTuple):
 
 
 CAYLEY = "src/paradec/cayley.py"
+DECOMPOSITION = "src/paradec/decomposition.py"
 DOUBLING = "src/paradec/doubling.py"
 FOREST = "src/paradec/forest.py"
 GROUPS = "src/paradec/groups.py"
@@ -31,6 +32,7 @@ CODEC = "tests/test_codec.py::"
 TREE = "tests/test_tree_numbering.py::"
 NUMBERED = "tests/test_numbered_ball.py::"
 FORESTS = "tests/test_forest.py::"
+COLUMNS = "tests/test_columns.py::"
 CLI = "tests/test_cli.py::TestDeterminismAndErrors::"
 
 MUTANTS = [
@@ -161,11 +163,110 @@ MUTANTS = [
     Mutant(
         "numbered-view-order-swapped",
         CAYLEY,
-        "view = [s[0] for _, _, s in self.gens.symmetrized(self.spec)]",
-        "view = sorted(s[0] for _, _, s in self.gens.symmetrized(self.spec))",
+        "return [s[0] for _, _, s in self.gens.symmetrized(self.spec)]",
+        "return sorted(s[0] for _, _, s in self.gens.symmetrized(self.spec))",
         (
             NUMBERED + "test_numbered_neighbours_equal_the_star_oracle",
             "tests/test_golden.py::test_stdout_matches_its_digest[forest_audit_free3_r5_json]",
+        ),
+    ),
+    # -- one row, one place and the interior, read off the numbering ----------
+    Mutant(
+        "row-parent-place-off-by-one",
+        CAYLEY,
+        "above = self.offset(level - 1) + j // k if",
+        "above = self.offset(level - 1) + j // k + 1 if",
+        (
+            NUMBERED + "test_rows_and_interior_read_off_the_numbering_equal_the_oracles",
+            "tests/test_golden.py::test_stdout_matches_its_digest[forest_audit_free3_r5_json]",
+        ),
+    ),
+    Mutant(
+        "row-level-1-parent-not-the-identity",
+        CAYLEY,
+        "j // k if level > 1 else 0",
+        "j // k if level > 1 else 1",
+        (
+            NUMBERED + "test_rows_and_interior_read_off_the_numbering_equal_the_oracles",
+            "tests/test_golden.py::test_stdout_matches_golden[forest_audit_free3_r3_json]",
+        ),
+    ),
+    Mutant(
+        "row-child-offset-off-by-one",
+        CAYLEY,
+        "first = self.offset(level + 1) + j * k\n",
+        "first = self.offset(level + 1) + j * k + 1\n",
+        (
+            NUMBERED + "test_rows_and_interior_read_off_the_numbering_equal_the_oracles",
+            "tests/test_golden.py::test_stdout_matches_its_digest[forest_audit_free3_r5_json]",
+        ),
+    ),
+    Mutant(
+        "row-last-level-children-not-none",
+        CAYLEY,
+        "        if level == last:\n",
+        "        if level > last:\n",
+        (
+            NUMBERED + "test_rows_and_interior_read_off_the_numbering_equal_the_oracles",
+            FORESTS + "test_audit_equals_the_element_level_oracle[free:3[standard]-r3]",
+        ),
+    ),
+    Mutant(
+        "row-radius-0-children-not-none",
+        CAYLEY,
+        "1 + self.rank[t] if last else None",
+        "1 + self.rank[t]",
+        (
+            NUMBERED + "test_rows_and_interior_read_off_the_numbering_equal_the_oracles",
+        ),
+    ),
+    Mutant(
+        "place-word-unchecked",
+        CAYLEY,
+        "return place if self.vertices[place] == element else None",
+        "return place",
+        (
+            NUMBERED + "test_index_of_and_in_read_off_the_numbering_agree_with_a_dict",
+            NUMBERED + "test_index_of_rejects_words_next_to_the_ball[unreduced-on-a-vertex]",
+        ),
+    ),
+    Mutant(
+        "place-past-the-end-unchecked",
+        CAYLEY,
+        "if place is None or place >= len(self.vertices):",
+        "if place is None:",
+        (
+            NUMBERED + "test_index_of_rejects_words_next_to_the_ball[unreduced-past-the-end]",
+        ),
+    ),
+    Mutant(
+        "interior-the-whole-ball",
+        CAYLEY,
+        "return self.vertices[: self.tree.offset(len(self.level_sizes) - 1)]",
+        "return self.vertices[: self.tree.offset(len(self.level_sizes))]",
+        (
+            NUMBERED + "test_rows_and_interior_read_off_the_numbering_equal_the_oracles",
+            NUMBERED + "test_the_numbered_ball_forms_no_product",
+            "tests/test_golden.py::test_stdout_matches_its_digest[forest_audit_free3_r5_json]",
+        ),
+    ),
+    Mutant(
+        "offset-a-level-late",
+        CAYLEY,
+        "offsets.append(offsets[-1] + self.level_size(len(offsets) - 1))",
+        "offsets.append(offsets[-1] + self.level_size(len(offsets)))",
+        (
+            NUMBERED + "test_offsets_are_the_sums_of_the_level_sizes",
+            TREE + "test_tree_rows_equal_the_row_by_row_oracle",
+        ),
+    ),
+    Mutant(
+        "audit-reads-the-whole-table",
+        FOREST,
+        "neighbours = {i: patch.row(i) for i in ids1 + ids2}",
+        "neighbours = {i: patch.neighbours[i] for i in ids1 + ids2}",
+        (
+            NUMBERED + "test_forest_audit_builds_no_table_or_index_on_a_numbered_ball[free:3-r5]",
         ),
     ),
     Mutant(
@@ -388,6 +489,87 @@ MUTANTS = [
             "tests/test_cli.py::TestMalformedReportInput::test_phi2_domain_differs_exit_one[first]",
             "tests/test_cli.py::TestMalformedReportInput::test_phi2_domain_differs_exit_one[last]",
             "tests/test_decomposition.py::TestOnePassCertificate::test_tampered_certificates_keep_their_messages",
+        ),
+    ),
+    # -- the certificate reader ------------------------------------------------
+    Mutant(
+        "reader-reuses-other-sources",
+        DOUBLING,
+        "same = [g for g, _ in pairs2] == [g for g, _ in pairs1]",
+        "same = len(pairs2) == len(pairs1)",
+        (
+            CODEC + "test_certificate_reader_parses_no_text_whose_element_is_at_hand",
+            CODEC + "test_certificate_reader_names_the_first_malformed_text[phi2-source-of-other-sources]",
+            "tests/test_cli.py::TestMalformedReportInput::test_phi2_domain_differs_exit_one[first]",
+        ),
+    ),
+    Mutant(
+        "reader-parses-shared-sources-again",
+        DOUBLING,
+        "[g for g, _ in phi1] if same else None",
+        "None",
+        (
+            CODEC + "test_certificate_reader_parses_no_text_whose_element_is_at_hand",
+        ),
+    ),
+    Mutant(
+        "reader-image-always-its-source",
+        DOUBLING,
+        "phi.append((source, source if w == g else parse(w)))",
+        "phi.append((source, source))",
+        (
+            CODEC + "test_certificate_reader_parses_no_text_whose_element_is_at_hand",
+            "tests/test_decomposition.py::test_a_certificate_round_trips_through_its_file",
+        ),
+    ),
+    Mutant(
+        "reader-parses-images-equal-to-their-source",
+        DOUBLING,
+        "source if w == g else parse(w)",
+        "parse(w)",
+        (
+            CODEC + "test_certificate_reader_parses_no_text_whose_element_is_at_hand",
+        ),
+    ),
+    # -- the coverage check of a decomposition ----------------------------------
+    Mutant(
+        "escape-read-off-the-first-translator",
+        DECOMPOSITION,
+        "                for s, _ in pieces\n",
+        "                for s, _ in pieces[:1]\n",
+        (
+            COLUMNS + "test_verify_decomposition_equals_the_element_oracle",
+            COLUMNS + "test_verify_decomposition_forms_escapes_for_the_uncovered_alone[boundary, dropped]",
+        ),
+    ),
+    Mutant(
+        "escape-inverted",
+        DECOMPOSITION,
+        "                if target not in domain\n",
+        "                if target in domain\n",
+        (
+            COLUMNS + "test_verify_decomposition_equals_the_element_oracle",
+            COLUMNS + "test_verify_decomposition_equals_the_oracle_on_tampered_pieces[free3-boundary]",
+        ),
+    ),
+    Mutant(
+        "escape-formed-for-the-whole-domain",
+        DECOMPOSITION,
+        "                for g, target in zip(pending, spec.translates(pending, s))\n"
+        "                if target not in domain\n",
+        "                for g, target in zip(pd.domain, spec.translates(pd.domain, s))\n"
+        "                if target not in domain\n",
+        (
+            COLUMNS + "test_verify_decomposition_forms_escapes_for_the_uncovered_alone[boundary, dropped]",
+        ),
+    ),
+    Mutant(
+        "escape-asked-of-every-element",
+        DECOMPOSITION,
+        "        if pending:\n            domain = set(pd.domain)\n",
+        "        if True:\n            domain = set(pd.domain)\n",
+        (
+            COLUMNS + "test_verify_decomposition_forms_escapes_for_the_uncovered_alone[none]",
         ),
     ),
     # -- the text step and the batch parser ------------------------------------

@@ -21,13 +21,14 @@ from paradec import (
     free_group,
     matrix_group,
     parse_word,
+    verdict_from_jsonable,
     verdict_to_jsonable,
 )
 from paradec.decomposition import decomposition_to_jsonable
 from paradec.errors import FreeWordLengthError
 from paradec.groups import MAX_FREE_WORD_LENGTH, GroupSpec
 
-from helpers import random_element
+from helpers import outcome, random_element
 
 
 def _triangles():
@@ -249,6 +250,73 @@ def test_report_parses_through_the_codec(monkeypatch, capsys, tmp_path):
     assert main(["report", "--inputs", str(path)]) == 0
     capsys.readouterr()
     assert calls and all(" " not in text for text in calls)
+
+
+def _read_text_by_text(spec, data):
+    """The certificate reader's reference: every text of both families
+    parsed whole, pair by pair, source first."""
+    return tuple(
+        tuple((spec.parse_element(g), spec.parse_element(w)) for g, w in data[key])
+        for key in ("phi1", "phi2")
+    )
+
+
+def _count_parsed(monkeypatch):
+    """The texts that every ``GroupSpec.parser()`` callable is given."""
+    calls = []
+    parser = GroupSpec.parser
+
+    def counted(self):
+        parse = parser(self)
+
+        def call(text):
+            calls.append(text)
+            return parse(text)
+
+        return call
+
+    monkeypatch.setattr(GroupSpec, "parser", counted)
+    return calls
+
+
+def test_certificate_reader_parses_no_text_whose_element_is_at_hand(monkeypatch):
+    """On the r4 certificate, phi2 lists phi1's source texts, so only its
+    images are parsed, and an image whose text is its source's is not
+    parsed.  Reordered phi2 sources are parsed again.  Both read what the
+    text-by-text reference reads."""
+    spec, ts, _, cert = _r4_chain()
+    data = verdict_to_jsonable(spec, cert, ts)
+    calls = _count_parsed(monkeypatch)
+
+    def whole(pairs):
+        return [text for g, w in pairs for text in ([g] if w == g else [g, w])]
+
+    assert verdict_from_jsonable(spec, data) == _read_text_by_text(spec, data)
+    assert calls == whole(data["phi1"]) + [w for g, w in data["phi2"] if w != g]
+    reordered = dict(data, phi2=data["phi2"][::-1])
+    del calls[:]
+    assert verdict_from_jsonable(spec, reordered) == _read_text_by_text(spec, reordered)
+    assert calls == whole(data["phi1"]) + whole(reordered["phi2"])
+
+
+# (name, phi1, phi2): documents whose first malformed text, pair by pair and
+# source first, is the one named
+_MALFORMED = {
+    "phi1-source-before-its-image": ([["a", "b"], ["z", "q"]], [["a", "b"], ["z", "q"]]),
+    "phi1-image-before-the-next-source": ([["a", "q"], ["z", "b"]], [["a", "a"], ["z", "b"]]),
+    "phi2-image-of-shared-sources": ([["a", "b"], ["b", "b"]], [["a", "a"], ["b", "q"]]),
+    "phi2-source-of-other-sources": ([["a", "b"], ["b", "b"]], [["b", "b"], ["z", "b"]]),
+    "phi2-image-equal-to-a-malformed-source": ([["a", "b"]], [["z", "z"]]),
+}
+
+
+@pytest.mark.parametrize("phi1,phi2", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_certificate_reader_names_the_first_malformed_text(phi1, phi2):
+    spec = free_group(2)
+    data = {"kind": "certificate", "phi1": phi1, "phi2": phi2}
+    got = outcome(verdict_from_jsonable, spec, data)
+    assert got == outcome(_read_text_by_text, spec, data)
+    assert got[0] != "returned"
 
 
 # -- text columns ---------------------------------------------------------------

@@ -240,3 +240,49 @@ def test_verify_decomposition_equals_the_oracle_on_tampered_pieces(spec, s1, s2,
     assert report == verify_decomposition_oracle(spec, tampered)
     if how != "boundary":
         assert not report.passed or report.indeterminate1
+
+
+def _tried(spec, pd):
+    """Per family, the products that the per-element oracle forms: each
+    element's translates up to the first that its translator's piece
+    holds, and the elements that none covers."""
+    counts = []
+    for pieces in (pd.pieces1, pd.pieces2):
+        formed, left = 0, []
+        for g in pd.domain:
+            for s, piece in pieces:
+                formed += 1
+                if spec.multiply(g, s) in piece:
+                    break
+            else:
+                left.append(g)
+        counts.append((formed, len(left)))
+    return counts
+
+
+@pytest.mark.parametrize("how", ["none", "boundary, dropped"])
+def test_verify_decomposition_forms_escapes_for_the_uncovered_alone(monkeypatch, how):
+    """The coverage check forms the products that the oracle forms; only
+    an element that no translator covers has its translates formed again,
+    to ask whether one leaves the domain."""
+    spec = free_group(3)
+    ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
+    patch = enumerate_ball(spec, standard_gens(spec), 3)
+    pd, _ = pieces_from_certificate(spec, check_domain(spec, ts, patch.vertices), ts)
+    if how != "none":
+        sphere = patch.vertices[len(patch.vertices) - patch.level_sizes[-1] :]
+        pd = _tampered(spec, pd, how, sphere)
+    formed = []
+    translates = type(spec).translates
+
+    def counted(self, elements, s):
+        formed.append(len(elements))
+        return translates(self, elements, s)
+
+    monkeypatch.setattr(type(spec), "translates", counted)
+    report = verify_decomposition(spec, pd)
+    families = list(zip(_tried(spec, pd), (pd.pieces1, pd.pieces2)))
+    # one column per translator, and one more for each when some are left
+    assert len(formed) == sum(len(pieces) * (1 + (left > 0)) for (_, left), pieces in families)
+    assert sum(formed) == sum(tried + left * len(pieces) for (tried, left), pieces in families)
+    assert bool(report.indeterminate1) == (how != "none")

@@ -8,7 +8,9 @@ text from its parent's.  These tests check both against the star-and-
 lookup oracle and ``format_element``, over standard, renamed and reordered
 generators and a sub-basis; pin which path each input takes; and check
 that the writers read the ball's texts only for a domain in its vertex
-order.
+order.  A vertex's row, a word's index and the interior are read off the
+numbering too, without the whole table or the vertex index, which
+``forest-audit`` therefore never builds on such a ball.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ from paradec import (
     Certificate,
     GeneratingSet,
     TranslatingSets,
+    audit_counting_argument,
     check_domain,
     enumerate_ball,
     free_group,
@@ -29,8 +32,9 @@ from paradec import (
     verdict_to_jsonable,
 )
 import paradec.cli as cli
-from paradec.cayley import CayleyPatch, ball_levels, tree_letters
+from paradec.cayley import CayleyPatch, ShortlexTree, ball_levels, tree_letters
 from paradec.decomposition import decomposition_to_jsonable
+from paradec.forest import a_edge_contraction
 from paradec.groups import GroupSpec
 
 from oracles import (
@@ -90,6 +94,156 @@ def test_numbered_neighbours_equal_the_star_oracle(patch):
     assert patch.interior == interior_oracle(patch, edges)
     for symbol in patch.gens.symbols():
         assert patch_a_edges(patch, symbol) == patch_a_edges_oracle(edges, symbol)
+
+
+def _unbuilt(patch) -> bool:
+    """Neither the neighbour table nor the vertex index is built."""
+    return "neighbours" not in patch.__dict__ and "_index" not in patch.__dict__
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(patch=tree_balls())
+def test_rows_and_interior_read_off_the_numbering_equal_the_oracles(patch):
+    """Each vertex's row equals the oracle's, and the interior is the
+    oracle's, the ball one radius down; neither reads the table.  The rows
+    equal the table once it is built."""
+    rows = [patch.row(i) for i in range(len(patch.vertices))]
+    interior = patch.interior
+    assert _unbuilt(patch)
+    assert tuple(rows) == neighbours_oracle(patch)
+    assert interior == interior_oracle(patch, ball_edges_oracle(patch))
+    assert interior == patch.vertices[: len(patch.vertices) - patch.level_sizes[-1]]
+    assert patch.row(-1) == rows[-1]
+    with pytest.raises(IndexError):
+        patch.row(len(patch.vertices))
+    assert patch.neighbours == tuple(rows)
+
+
+def _probes(patch) -> list:
+    """Inputs for ``index_of`` and ``in``: every vertex; every vertex with
+    each letter of the ball and a foreign letter appended, so words one
+    letter longer than the radius, unreduced words and words off the
+    ball's letters; each vertex's first letter replaced by a foreign one;
+    and elements of the other models."""
+    letters = patch.tree.letters
+    foreign = max(letters) + 1
+    probes = list(patch.vertices)
+    for v in patch.vertices:
+        probes.extend(v + (t,) for t in (*letters, foreign, 0))
+        if v:
+            probes.append((foreign,) + v[1:])
+    probes += [0, 3, (0, 0), (1, 0, 0, 1), (1, 1), "a"]
+    return probes
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(patch=tree_balls())
+def test_index_of_and_in_read_off_the_numbering_agree_with_a_dict(patch):
+    """``index_of`` and ``in`` agree with a dict index of the vertices on
+    every probe, and reject every probe that is not a vertex, without
+    building the vertex index."""
+    index = {v: i for i, v in enumerate(patch.vertices)}
+    rejected = 0
+    for probe in _probes(patch):
+        expected = index.get(probe)
+        assert (probe in patch) == (expected is not None), probe
+        if expected is None:
+            rejected += 1
+            with pytest.raises(KeyError):
+                patch.index_of(probe)
+        else:
+            assert patch.index_of(probe) == expected
+    assert rejected > len(patch.vertices)
+    assert _unbuilt(patch)
+
+
+# (rank, radius, probe, the place read off the probe's letters or None)
+_NEXT_TO_THE_BALL = {
+    # unreduced words placed on another vertex of their level ...
+    "unreduced-on-a-vertex": (2, 2, (1, -1), 12),
+    "unreduced-on-a-vertex-before": (2, 2, (-2, 2), 8),
+    # ... and past the ball's last vertex
+    "unreduced-past-the-end": (1, 3, (1, -1, 1), 7),
+    "one-letter-too-long": (2, 2, (1, 2, 1), None),
+    "foreign-letter": (2, 2, (3,), None),
+    "foreign-last-letter": (2, 2, (1, 3), None),
+    "cyclic-element": (2, 2, 0, None),
+    "abelian-element": (2, 2, (0, 0), None),
+    "sl2z-element": (2, 2, (1, 0, 0, 1), None),
+}
+
+
+@pytest.mark.parametrize(
+    "rank,radius,probe,place", _NEXT_TO_THE_BALL.values(), ids=_NEXT_TO_THE_BALL.keys()
+)
+def test_index_of_rejects_words_next_to_the_ball(rank, radius, probe, place):
+    """The place read off a probe's letters, where it has one, is not the
+    probe's: the ball's word there differs, or there is none."""
+    spec = free_group(rank)
+    patch = enumerate_ball(spec, GeneratingSet.standard(spec), radius)
+    if place is not None:
+        assert patch.tree.place(probe) == place
+        assert place >= len(patch.vertices) or patch.vertices[place] != probe
+    assert probe not in patch
+    with pytest.raises(KeyError):
+        patch.index_of(probe)
+    assert _unbuilt(patch)
+
+
+def test_offsets_are_the_sums_of_the_level_sizes():
+    for letters in ((-1, 1), (-2, -1, 1, 2), (-3, -2, -1, 1, 2, 3)):
+        tree = ShortlexTree(letters)
+        for level in (7, 3, 0, -1, 12):
+            assert tree.offset(level) == sum(map(tree.level_size, range(level)))
+
+
+# forest-audit runs that read a numbered ball, and one on a searched ball
+_AUDITED = {
+    "free:3-r5": (["--group", "free:3", "--radius", "5", "--samples", "40"], True),
+    "permuted": (["--group", "free:3", "--gens", "a=b,b=c^-1,c=a", "--radius", "4",
+                  "--samples", "6", "--seed", "3"], True),
+    "inverted": (["--group", "free:2", "--gens", "a=a,b=a^-1,c=b", "--radius", "4",
+                  "--samples", "6", "--seed", "2"], True),
+    "c=ab": (["--group", "free:2", "--gens", "a=a,b=b,c=a b", "--radius", "4",
+              "--samples", "6"], False),
+}
+
+
+@pytest.mark.parametrize("argv,numbered", _AUDITED.values(), ids=_AUDITED.keys())
+def test_forest_audit_builds_no_table_or_index_on_a_numbered_ball(
+    monkeypatch, capsys, argv, numbered
+):
+    """``forest-audit`` reads a numbered ball's rows, places and interior
+    off its numbering; a searched ball builds the table and the index."""
+    made = []
+    enumerate_ball = cli.enumerate_ball
+
+    def spy(*args, **kwargs):
+        made.append(enumerate_ball(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "enumerate_ball", spy)
+    cli.main(["forest-audit", *argv, "--format", "json"])
+    capsys.readouterr()
+    [patch] = made
+    assert (patch.tree is not None) == numbered
+    assert _unbuilt(patch) == numbered
+    assert ("neighbours" in patch.__dict__) == ("_index" in patch.__dict__) != numbered
+
+
+def test_a_hand_built_copy_audits_through_the_table_and_the_index():
+    """A copy without the numbering builds both and gives the same audit."""
+    spec = free_group(3)
+    patch = enumerate_ball(spec, GeneratingSet.standard(spec), 3)
+    copy = dataclasses.replace(patch)
+    ts = TranslatingSets.from_words(spec, "1,a", "1,b,c")
+    forest = a_edge_contraction(patch, "a").sample(1)
+    a1, a2 = patch.interior[3:9], patch.interior[20:25]
+    audit = audit_counting_argument(patch, forest, a1, a2, ts)
+    assert _unbuilt(patch)
+    assert audit_counting_argument(copy, forest, a1, a2, ts) == audit
+    assert "neighbours" in copy.__dict__ and "_index" in copy.__dict__
+    assert copy.interior == patch.interior
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
